@@ -229,6 +229,9 @@ type Plan struct {
 	Trivial    bool   // provably empty w.r.t. the RIG (Proposition 3.3)
 	TrivialWhy string // human-readable reason
 	Projection ProjPlan
+	// Filter is the WHERE clause compiled for phase 2, which decides it
+	// once per candidate (bindings in Vars order).
+	Filter *xsql.Filter
 	// JoinFast, when non-nil, lets the engine evaluate the (sole)
 	// path-comparison condition from leaf regions without parsing the
 	// candidates.
@@ -352,7 +355,11 @@ func (c *Catalog) Compile(q *xsql.Query, in *index.Instance) (*Plan, error) {
 // variable plan. Plans are equivalent either way; st only steers
 // evaluation order.
 func (c *Catalog) CompileStats(q *xsql.Query, in *index.Instance, st *stats.Stats) (*Plan, error) {
-	plan := &Plan{Query: q}
+	filter, err := xsql.CompileFilter(q)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	plan := &Plan{Query: q, Filter: filter}
 	indexed := newIdxInfo(in)
 	for _, f := range q.From {
 		nt, ok := c.classes[f.Class]

@@ -11,20 +11,20 @@ func reference(key string, authors, editors []string) *Tuple {
 	mkNames := func(lasts []string) *Set {
 		s := NewSet()
 		for _, l := range lasts {
-			s.Add(NewTuple().
+			s.Add(NewTuple(0).
 				Put("First_Name", String("X")).
 				Put("Last_Name", String(l)))
 		}
 		return s
 	}
-	return NewTuple().
+	return NewTuple(0).
 		Put("Key", String(key)).
 		Put("Authors", mkNames(authors)).
 		Put("Editors", mkNames(editors))
 }
 
 func TestTupleBasics(t *testing.T) {
-	tp := NewTuple().Put("A", String("x")).Put("B", String("y"))
+	tp := NewTuple(0).Put("A", String("x")).Put("B", String("y"))
 	if tp.Kind() != KindTuple || tp.Len() != 2 {
 		t.Fatal("tuple shape")
 	}
@@ -87,8 +87,8 @@ func TestEqual(t *testing.T) {
 		t.Error("nil cases")
 	}
 	// Tuples with same size but different attribute names.
-	t1 := NewTuple().Put("A", String("x"))
-	t2 := NewTuple().Put("B", String("x"))
+	t1 := NewTuple(0).Put("A", String("x"))
+	t2 := NewTuple(0).Put("B", String("x"))
 	if Equal(t1, t2) {
 		t.Error("attr names")
 	}
@@ -194,5 +194,67 @@ func TestSortedUnique(t *testing.T) {
 	}
 	if got := SortedUnique(nil); len(got) != 0 {
 		t.Errorf("nil = %v", got)
+	}
+}
+
+// TestTupleSemantics pins what the slice-backed Tuple must keep of the
+// map-backed one it replaced.
+func TestTupleSemantics(t *testing.T) {
+	tp := NewTuple(2).Put("A", String("1")).Put("B", String("2")).Put("C", String("3"))
+	// Put past the initial capacity, then overwrite in the middle: the
+	// order is the order of first Put, the value the last one.
+	tp.Put("B", String("two")).Put("A", String("one"))
+	if got := tp.Attrs(); !reflect.DeepEqual(got, []string{"A", "B", "C"}) || tp.Len() != 3 {
+		t.Errorf("Attrs after overwrites = %v, Len %d", got, tp.Len())
+	}
+	if tp.String() != `tuple(A: "one", B: "two", C: "3")` {
+		t.Errorf("String = %s", tp)
+	}
+	if v, ok := tp.Get("B"); !ok || v.(String) != "two" {
+		t.Errorf("Get(B) = %v %v", v, ok)
+	}
+	if v, ok := tp.Get("D"); ok || v != nil {
+		t.Errorf("Get(D) = %v %v", v, ok)
+	}
+	// Attrs is a copy: writing to it does not rename attributes.
+	names := tp.Attrs()
+	names[0] = "Z"
+	if _, ok := tp.Get("A"); !ok || tp.Attrs()[0] != "A" {
+		t.Error("Attrs exposed the tuple's own storage")
+	}
+	// Equal ignores attribute order, not names, values or count.
+	same := NewTuple(0).Put("C", String("3")).Put("A", String("one")).Put("B", String("two"))
+	if !Equal(tp, same) || !Equal(same, tp) {
+		t.Error("Equal should ignore attribute order")
+	}
+	if Equal(tp, NewTuple(0).Put("A", String("one")).Put("B", String("two"))) {
+		t.Error("Equal ignored a missing attribute")
+	}
+	if Equal(tp, NewTuple(0).Put("A", String("one")).Put("B", String("two")).Put("C", String("x"))) {
+		t.Error("Equal ignored a differing value")
+	}
+	// An empty tuple behaves.
+	empty := NewTuple(0)
+	if empty.Len() != 0 || empty.String() != "tuple()" || len(empty.Attrs()) != 0 || !Equal(empty, NewTuple(4)) {
+		t.Error("empty tuple")
+	}
+	// Navigation order follows attribute order.
+	if got := NavigateStrings(tp, []Step{{Any: true}}); !reflect.DeepEqual(got, []string{"one", "two", "3"}) {
+		t.Errorf("any-step order = %v", got)
+	}
+}
+
+func TestAnyStringStopsEarly(t *testing.T) {
+	r := reference("k", []string{"Chang", "Corliss"}, []string{"Griewank"})
+	var seen []string
+	found := AnyString(r, []Step{{Star: true}, {Attr: "Last_Name"}}, func(s string) bool {
+		seen = append(seen, s)
+		return s == "Corliss"
+	})
+	if !found || !reflect.DeepEqual(seen, []string{"Chang", "Corliss"}) {
+		t.Errorf("found %v after visiting %v", found, seen)
+	}
+	if AnyString(nil, nil, func(string) bool { return true }) {
+		t.Error("nil value")
 	}
 }

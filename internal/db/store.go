@@ -98,73 +98,85 @@ func PathOf(attrs ...string) []Step {
 // object-database semantics: navigating into a set applies the remaining
 // path to every element. It returns every value the path reaches.
 func Navigate(v Value, steps []Step) []Value {
+	var out []Value
+	reach(v, steps, func(r Value) bool {
+		out = append(out, r)
+		return false
+	})
+	return out
+}
+
+// reach calls visit on every value the path reaches from v, in navigation
+// order, and reports whether a visit returned true; it stops at the first
+// that does.
+func reach(v Value, steps []Step, visit func(Value) bool) bool {
 	if v == nil {
-		return nil
+		return false
 	}
 	if len(steps) == 0 {
-		return []Value{v}
+		return visit(v)
 	}
 	switch val := v.(type) {
 	case *Set:
-		var out []Value
-		for _, e := range val.Elems() {
-			out = append(out, Navigate(e, steps)...)
+		for _, e := range val.elems {
+			if reach(e, steps, visit) {
+				return true
+			}
 		}
-		return out
 	case *Tuple:
 		step := steps[0]
 		switch {
 		case step.Star:
 			// Zero steps consumed here, or descend one attribute
 			// keeping the star.
-			out := Navigate(v, steps[1:])
-			for _, a := range val.Attrs() {
-				child, _ := val.Get(a)
-				out = append(out, Navigate(child, steps)...)
+			if reach(v, steps[1:], visit) {
+				return true
 			}
-			return out
+			for i := range val.attrs {
+				if reach(val.attrs[i].value, steps, visit) {
+					return true
+				}
+			}
 		case step.Any:
-			var out []Value
-			for _, a := range val.Attrs() {
-				child, _ := val.Get(a)
-				out = append(out, Navigate(child, steps[1:])...)
+			for i := range val.attrs {
+				if reach(val.attrs[i].value, steps[1:], visit) {
+					return true
+				}
 			}
-			return out
 		default:
 			child, ok := val.Get(step.Attr)
-			if !ok {
-				return nil
-			}
-			return Navigate(child, steps[1:])
+			return ok && reach(child, steps[1:], visit)
 		}
 	case String:
 		if steps[0].Star {
 			// A star may consume zero steps at a leaf.
-			return Navigate(v, steps[1:])
+			return reach(v, steps[1:], visit)
 		}
-		return nil
 	}
-	return nil
+	return false
 }
 
 // NavigateStrings evaluates the path and flattens the results to their
-// atomic strings, the form used by selections and joins.
+// atomic strings, the form used by projections and joins.
 func NavigateStrings(v Value, steps []Step) []string {
 	var out []string
-	for _, r := range Navigate(v, steps) {
-		out = append(out, Strings(r)...)
-	}
+	AnyString(v, steps, func(s string) bool {
+		out = append(out, s)
+		return false
+	})
 	return out
+}
+
+// AnyString reports whether some atomic string the path reaches satisfies
+// pred, stopping at the first that does. It is the allocation-free form of
+// NavigateStrings for existential comparisons.
+func AnyString(v Value, steps []Step, pred func(string) bool) bool {
+	return reach(v, steps, func(r Value) bool { return anyLeaf(r, pred) })
 }
 
 // HasLeaf reports whether the path reaches some atomic string equal to w.
 func HasLeaf(v Value, steps []Step, w string) bool {
-	for _, s := range NavigateStrings(v, steps) {
-		if s == w {
-			return true
-		}
-	}
-	return false
+	return AnyString(v, steps, func(s string) bool { return s == w })
 }
 
 // SortedUnique sorts and deduplicates a string slice in place, returning it.

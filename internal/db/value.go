@@ -39,15 +39,25 @@ func (String) Kind() Kind { return KindString }
 
 func (s String) String() string { return fmt.Sprintf("%q", string(s)) }
 
-// Tuple is an ordered collection of named attributes.
+// Tuple is an ordered collection of named attributes. Schema tuples have at
+// most a dozen attributes, so lookup is a linear scan over one slice: no
+// hashing, and one allocation per tuple besides the header.
 type Tuple struct {
-	names  []string
-	values map[string]Value
+	attrs []attr
 }
 
-// NewTuple creates an empty tuple.
-func NewTuple() *Tuple {
-	return &Tuple{values: make(map[string]Value)}
+type attr struct {
+	name  string
+	value Value
+}
+
+// NewTuple creates an empty tuple with room for n attributes; Put grows it
+// past that.
+func NewTuple(n int) *Tuple {
+	if n == 0 {
+		return &Tuple{}
+	}
+	return &Tuple{attrs: make([]attr, 0, n)}
 }
 
 // Kind returns KindTuple.
@@ -56,39 +66,48 @@ func (*Tuple) Kind() Kind { return KindTuple }
 // Put sets an attribute, keeping first-set order for rendering. It returns
 // the tuple for chaining.
 func (t *Tuple) Put(name string, v Value) *Tuple {
-	if _, ok := t.values[name]; !ok {
-		t.names = append(t.names, name)
+	for i := range t.attrs {
+		if t.attrs[i].name == name {
+			t.attrs[i].value = v
+			return t
+		}
 	}
-	t.values[name] = v
+	t.attrs = append(t.attrs, attr{name, v})
 	return t
 }
 
 // Get returns the attribute value and whether it exists.
 func (t *Tuple) Get(name string) (Value, bool) {
-	v, ok := t.values[name]
-	return v, ok
+	for i := range t.attrs {
+		if t.attrs[i].name == name {
+			return t.attrs[i].value, true
+		}
+	}
+	return nil, false
 }
 
-// Attrs returns the attribute names in insertion order.
+// Attrs returns a copy of the attribute names in insertion order.
 func (t *Tuple) Attrs() []string {
-	out := make([]string, len(t.names))
-	copy(out, t.names)
+	out := make([]string, len(t.attrs))
+	for i := range t.attrs {
+		out[i] = t.attrs[i].name
+	}
 	return out
 }
 
 // Len reports the number of attributes.
-func (t *Tuple) Len() int { return len(t.names) }
+func (t *Tuple) Len() int { return len(t.attrs) }
 
 func (t *Tuple) String() string {
 	var sb strings.Builder
 	sb.WriteString("tuple(")
-	for i, n := range t.names {
+	for i, a := range t.attrs {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(n)
+		sb.WriteString(a.name)
 		sb.WriteString(": ")
-		sb.WriteString(t.values[n].String())
+		sb.WriteString(a.value.String())
 	}
 	sb.WriteString(")")
 	return sb.String()
@@ -139,9 +158,9 @@ func Equal(a, b Value) bool {
 		if a.Len() != bt.Len() {
 			return false
 		}
-		for _, n := range a.names {
-			bv, ok := bt.Get(n)
-			if !ok || !Equal(a.values[n], bv) {
+		for _, at := range a.attrs {
+			bv, ok := bt.Get(at.name)
+			if !ok || !Equal(at.value, bv) {
 				return false
 			}
 		}
@@ -176,22 +195,31 @@ func Equal(a, b Value) bool {
 // A leaf attribute compare ("= w") matches when one of these equals w.
 func Strings(v Value) []string {
 	var out []string
-	var walk func(Value)
-	walk = func(v Value) {
-		switch v := v.(type) {
-		case String:
-			out = append(out, string(v))
-		case *Tuple:
-			for _, n := range v.names {
-				walk(v.values[n])
+	anyLeaf(v, func(s string) bool {
+		out = append(out, s)
+		return false
+	})
+	return out
+}
+
+// anyLeaf calls pred on the atomic strings of v, depth-first, and reports
+// whether one satisfied it; it stops at the first that does.
+func anyLeaf(v Value, pred func(string) bool) bool {
+	switch v := v.(type) {
+	case String:
+		return pred(string(v))
+	case *Tuple:
+		for i := range v.attrs {
+			if anyLeaf(v.attrs[i].value, pred) {
+				return true
 			}
-		case *Set:
-			for _, e := range v.elems {
-				walk(e)
+		}
+	case *Set:
+		for _, e := range v.elems {
+			if anyLeaf(e, pred) {
+				return true
 			}
-		case nil:
 		}
 	}
-	walk(v)
-	return out
+	return false
 }

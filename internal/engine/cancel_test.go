@@ -15,11 +15,15 @@ import (
 	"testing"
 	"time"
 
+	"qof/internal/compile"
 	"qof/internal/engine"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
+	"qof/internal/index"
 	"qof/internal/qerr"
+	"qof/internal/region"
 	"qof/internal/testutil"
+	"qof/internal/text"
 	"qof/internal/xsql"
 )
 
@@ -465,3 +469,40 @@ func TestCorpusExecuteAggregatesErrors(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt imported for debug edits
+
+// TestPhase2DepthOverflowIsABudgetError: a candidate region that sends the
+// parser into the left-recursive alternative Item → Item "x" fails the query
+// with an error in the ErrBudgetExceeded family — it used to be a panic,
+// recovered as ErrInternal — and the engine answers the next query.
+func TestPhase2DepthOverflowIsABudgetError(t *testing.T) {
+	g := grammar.NewGrammar("Doc")
+	g.MustAddTerminal("W", `[a-z]+`)
+	g.AddProduction("Doc", grammar.Rep("Item", ""))
+	g.AddProduction("Item", grammar.Lit("["), grammar.NT("Word"), grammar.Lit("]"))
+	g.AddProduction("Item", grammar.NT("Item"), grammar.Lit("x"))
+	g.AddProduction("Word", grammar.Lit("'"), grammar.Term("W"))
+	cat := compile.NewCatalog(g)
+	cat.Bind("Items", "Item")
+
+	// The index is built by hand: the third Item region holds text the
+	// first alternative rejects, which a stale or foreign index can do.
+	doc := text.NewDocument("lr.txt", "['a] ['b] a!")
+	in := index.NewInstance(doc)
+	in.Define("Item", region.FromRegions([]region.Region{{Start: 0, End: 4}, {Start: 5, End: 9}, {Start: 10, End: 12}}))
+	eng := engine.New(cat, in)
+	for _, par := range []int{1, 4} {
+		eng.Parallelism = par
+		_, err := eng.Execute(xsql.MustParse(`SELECT i FROM Items i WHERE i.Word = "a"`))
+		var derr *grammar.DepthError
+		if !errors.Is(err, qerr.ErrBudgetExceeded) || errors.Is(err, qerr.ErrInternal) || !errors.As(err, &derr) {
+			t.Fatalf("parallelism %d: error %v, want a DepthError in the ErrBudgetExceeded family", par, err)
+		}
+		if derr.Sym != "Item" || derr.Offset != 10 {
+			t.Errorf("parallelism %d: %+v, want symbol Item at offset 10", par, derr)
+		}
+		res, err := eng.Execute(xsql.MustParse(`SELECT i FROM Items i WHERE i.Word = "b"`))
+		if err != nil || res.Stats.Results != 1 || res.Stats.Parsed == 0 {
+			t.Fatalf("parallelism %d: after the overflow: %v, %+v", par, err, res)
+		}
+	}
+}

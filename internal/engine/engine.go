@@ -425,7 +425,7 @@ func (e *Engine) phase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *comp
 	}
 	outs := make([]candOut, len(cands))
 	process := func(i int) error {
-		obj, keep, err := e.processCandidate(es, q, vp, cands[i])
+		obj, keep, err := e.processCandidate(es, plan, vp, cands[i])
 		if err != nil {
 			return err
 		}
@@ -498,7 +498,7 @@ func (e *Engine) phase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *comp
 // grammar or filter bug, or an injected fault) are isolated into a typed
 // error so one poisoned candidate fails the query instead of killing the
 // process — essential when the caller is a worker goroutine.
-func (e *Engine) processCandidate(es *execEnv, q *xsql.Query, vp *compile.VarPlan, r region.Region) (obj db.Value, keep bool, err error) {
+func (e *Engine) processCandidate(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, r region.Region) (obj db.Value, keep bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("engine: phase 2 panic on candidate %v: %v: %w", r, p, qerr.ErrInternal)
@@ -517,16 +517,7 @@ func (e *Engine) processCandidate(es *execEnv, q *xsql.Query, vp *compile.VarPla
 	if err != nil {
 		return nil, false, err
 	}
-	if !vp.Exact {
-		ok, err := xsql.EvalCond(xsql.Env{vp.Var: obj}, q.Where)
-		if err != nil {
-			return nil, false, fmt.Errorf("engine: filtering: %w", err)
-		}
-		if !ok {
-			return obj, false, nil
-		}
-	}
-	return obj, true, nil
+	return obj, vp.Exact || plan.Filter.EvalOne(obj), nil
 }
 
 // emitter accumulates kept candidates into the result with uniform LIMIT
@@ -680,7 +671,7 @@ func (e *Engine) streamPhase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 			return all, true, nil
 		}
 		all = append(all, r)
-		obj, keep, err := e.processCandidate(es, q, vp, r)
+		obj, keep, err := e.processCandidate(es, plan, vp, r)
 		if err != nil {
 			return all, false, err
 		}
@@ -761,7 +752,7 @@ func (e *Engine) streamPhase2Parallel(es *execEnv, q *xsql.Query, plan *compile.
 		go func() {
 			defer wg.Done()
 			for it := range feed {
-				obj, keep, err := e.processCandidate(es, q, vp, it.r)
+				obj, keep, err := e.processCandidate(es, plan, vp, it.r)
 				select {
 				case outc <- outItem{i: it.i, r: it.r, obj: obj, keep: keep, err: err}:
 				case <-done:
@@ -932,14 +923,14 @@ func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, re
 		obj db.Value
 	}
 	var matches []match
-	env := make(xsql.Env, len(plan.Vars))
+	vals := make([]db.Value, len(plan.Vars))
 	idx := make([]int, len(plan.Vars))
 	var loop func(i int) error
 	loop = func(i int) error {
 		if i < len(plan.Vars) {
 			for k := range bindings[i].objects {
 				idx[i] = k
-				env[plan.Vars[i].Var] = bindings[i].objects[k]
+				vals[i] = bindings[i].objects[k]
 				if err := loop(i + 1); err != nil {
 					return err
 				}
@@ -951,9 +942,8 @@ func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, re
 		if err := es.poll(); err != nil {
 			return err
 		}
-		ok, err := xsql.EvalCond(env, q.Where)
-		if err != nil || !ok {
-			return err
+		if !plan.Filter.Eval(vals) {
+			return nil
 		}
 		for j := range plan.Vars {
 			if plan.Vars[j].Var != selVar {
@@ -1018,10 +1008,9 @@ func (e *Engine) parseValue(es *execEnv, nt string, r region.Region) (db.Value, 
 
 // parseValueRaw is the unshared parse: grammar parse plus value build.
 func (e *Engine) parseValueRaw(nt string, r region.Region) (db.Value, error) {
-	doc := e.in.Document()
-	node, err := e.cat.Grammar.ParseAs(doc, nt, r.Start, r.End)
+	v, err := e.cat.Grammar.ParseValue(e.in.Document(), nt, r.Start, r.End)
 	if err != nil {
 		return nil, fmt.Errorf("engine: parsing candidate %v as %s: %w", r, nt, err)
 	}
-	return grammar.BuildValue(node, doc.Content()), nil
+	return v, nil
 }

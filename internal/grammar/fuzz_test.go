@@ -1,6 +1,7 @@
 package grammar
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -31,18 +32,28 @@ func TestParseNeverPanics(t *testing.T) {
 	}
 }
 
-// TestParseMutatedCorpus mutates a valid corpus at random positions; every
-// outcome must be a clean parse or a positioned error.
-func TestParseMutatedCorpus(t *testing.T) {
-	g := miniBibtex(t)
+// mutatedInputs returns a valid corpus mutated at random positions, 200
+// times over; the differential oracle parses the same inputs.
+func mutatedInputs() []string {
 	rng := rand.New(rand.NewSource(77))
 	base := strings.Repeat(miniDoc, 2)
-	for trial := 0; trial < 200; trial++ {
+	out := make([]string, 200)
+	for trial := range out {
 		mutated := []byte(base)
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			mutated[rng.Intn(len(mutated))] = byte(32 + rng.Intn(95))
 		}
-		doc := text.NewDocument("mut", string(mutated))
+		out[trial] = string(mutated)
+	}
+	return out
+}
+
+// TestParseMutatedCorpus parses the mutated corpus; every outcome must be a
+// clean parse or a positioned error.
+func TestParseMutatedCorpus(t *testing.T) {
+	g := miniBibtex(t)
+	for trial, mutated := range mutatedInputs() {
+		doc := text.NewDocument("mut", mutated)
 		tree, err := g.Parse(doc)
 		if err != nil {
 			perr, ok := err.(*ParseError)
@@ -90,6 +101,25 @@ func TestParseAsArbitraryRanges(t *testing.T) {
 		}
 		if node.Start < a || node.End > b {
 			t.Fatalf("trial %d: span [%d,%d) escapes [%d,%d)", trial, node.Start, node.End, a, b)
+		}
+	}
+	// Ranges outside the document, or inverted, are errors naming the
+	// region and the document — not slice panics. engine/update.go passes
+	// caller-derived offsets here.
+	n := doc.Len()
+	for _, rg := range [][2]int{{-1, n}, {0, n + 1}, {n + 1, n + 2}, {-5, -2}, {10, 3}, {n, 0}} {
+		for _, parse := range []func() error{
+			func() error { _, err := g.ParseAs(doc, "Reference", rg[0], rg[1]); return err },
+			func() error { _, err := g.ParseValue(doc, "Reference", rg[0], rg[1]); return err },
+		} {
+			err := parse()
+			if err == nil {
+				t.Fatalf("range [%d,%d) of a %d-byte document accepted", rg[0], rg[1], n)
+			}
+			want := fmt.Sprintf("[%d,%d)", rg[0], rg[1])
+			if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "mini") {
+				t.Errorf("range %s: error %q does not name the region and document", want, err)
+			}
 		}
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"qof/internal/db"
 )
@@ -86,6 +88,61 @@ type Production struct {
 	LHS    string
 	RHS    []Elem
 	Action Action // nil selects the natural construction of §4.2
+
+	shape atomic.Pointer[prodShape] // see natural
+}
+
+// prodShape is what the natural construction needs to know about a
+// right-hand side: the names of its repetition elements in order, and how
+// many attributes the tuple has (one per non-terminal or repetition
+// element).
+type prodShape struct {
+	reps  []string
+	attrs int
+}
+
+var noShape prodShape
+
+// natural returns the production's shape. Validate computes it; a
+// production Validate has not seen (a hand-built tree, a grammar first used
+// by BuildValue) gets it from its right-hand side on first use, and a node
+// without a production has no repetitions. The shape is immutable and
+// published atomically, so goroutines sharing a grammar may race to derive
+// it: they derive equal shapes.
+func (p *Production) natural() *prodShape {
+	if p == nil {
+		return &noShape
+	}
+	if s := p.shape.Load(); s != nil {
+		return s
+	}
+	s := newShape(p.RHS)
+	p.shape.Store(s)
+	return s
+}
+
+func newShape(rhs []Elem) *prodShape {
+	s := new(prodShape)
+	for _, e := range rhs {
+		switch e.Kind {
+		case ElemRep:
+			s.reps = append(s.reps, e.Name)
+			s.attrs++
+		case ElemNT:
+			s.attrs++
+		}
+	}
+	return s
+}
+
+// isRep reports whether sym is a repetition element.
+func (s *prodShape) isRep(sym string) bool {
+	for _, r := range s.reps {
+		if r == sym {
+			return true
+		}
+	}
+	return false
 }
 
 func (p *Production) String() string {
@@ -111,7 +168,36 @@ type Grammar struct {
 	// are unaffected. Default true.
 	SkipSpace bool
 
-	validated bool
+	// What the parser runs: compiled by Validate, nil again after an Add*.
+	// A grammar may be shared by goroutines before anyone validated it (the
+	// parser validates on first use), so compiling is serialised by mu and
+	// the program is published whole.
+	mu   sync.Mutex
+	prog atomic.Pointer[program]
+}
+
+// program is the grammar compiled for the parser: non-terminals are small
+// integers (memo keys and production lookups need no string hashing) and
+// every element carries its resolved matcher or symbol id and the
+// pre-formatted text a ParseError reports when it does not match.
+type program struct {
+	ids   map[string]int
+	names []string  // symbol id -> non-terminal name, in definition order
+	prods [][]cProd // symbol id -> alternatives in order
+}
+
+type cProd struct {
+	prod  *Production
+	elems []cElem
+}
+
+type cElem struct {
+	kind     ElemKind
+	text     string  // literal text (ElemLit) or separator (ElemRep)
+	name     string  // terminal class (ElemTerm)
+	match    matcher // ElemTerm
+	sym      int     // symbol id (ElemNT, ElemRep)
+	expected string  // ElemLit, ElemTerm
 }
 
 // NewGrammar creates an empty grammar with the given root symbol.
@@ -146,7 +232,7 @@ func (g *Grammar) AddTerminal(name, pattern string) error {
 		g.terms[name] = regexpMatcher(re)
 	}
 	g.termOrder = append(g.termOrder, name)
-	g.validated = false
+	g.prog.Store(nil)
 	return nil
 }
 
@@ -166,7 +252,7 @@ func (g *Grammar) AddProduction(lhs string, rhs ...Elem) *Production {
 		g.ntOrder = append(g.ntOrder, lhs)
 	}
 	g.prods[lhs] = append(g.prods[lhs], p)
-	g.validated = false
+	g.prog.Store(nil)
 	return p
 }
 
@@ -180,7 +266,8 @@ func (g *Grammar) NonTerminals() []string {
 // Productions returns the alternatives of a non-terminal.
 func (g *Grammar) Productions(name string) []*Production { return g.prods[name] }
 
-// Validate checks the grammar is well formed:
+// Validate checks the grammar is well formed and compiles it for the
+// parser:
 //
 //   - the root symbol and every referenced non-terminal have productions,
 //   - every referenced terminal class is defined,
@@ -189,6 +276,31 @@ func (g *Grammar) Productions(name string) []*Production { return g.prods[name] 
 //   - no unit production outside the root (coincident parent/child spans
 //     are indistinguishable to the position-pair region model).
 func (g *Grammar) Validate() error {
+	_, err := g.program()
+	return err
+}
+
+// program returns the compiled grammar, validating and compiling it if
+// nothing has since the last Add*.
+func (g *Grammar) program() (*program, error) {
+	if pr := g.prog.Load(); pr != nil {
+		return pr, nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if pr := g.prog.Load(); pr != nil {
+		return pr, nil
+	}
+	if err := g.check(); err != nil {
+		return nil, err
+	}
+	pr := g.compile()
+	g.prog.Store(pr)
+	return pr, nil
+}
+
+// check is Validate's list of rules.
+func (g *Grammar) check() error {
 	if len(g.prods[g.root]) == 0 {
 		return fmt.Errorf("grammar: root %q has no productions", g.root)
 	}
@@ -220,6 +332,38 @@ func (g *Grammar) Validate() error {
 			}
 		}
 	}
-	g.validated = true
 	return nil
+}
+
+// compile builds the parser's program from a grammar check has passed.
+func (g *Grammar) compile() *program {
+	pr := &program{
+		ids:   make(map[string]int, len(g.ntOrder)),
+		names: g.ntOrder,
+		prods: make([][]cProd, len(g.ntOrder)),
+	}
+	for id, name := range g.ntOrder {
+		pr.ids[name] = id
+	}
+	for id, lhs := range g.ntOrder {
+		for _, p := range g.prods[lhs] {
+			cp := cProd{prod: p, elems: make([]cElem, len(p.RHS))}
+			p.shape.Store(newShape(p.RHS))
+			for i, e := range p.RHS {
+				ce := cElem{kind: e.Kind, text: e.Text}
+				switch e.Kind {
+				case ElemLit:
+					ce.expected = fmt.Sprintf("%q", e.Text)
+				case ElemTerm:
+					ce.name, ce.match = e.Name, g.terms[e.Name]
+					ce.expected = "<" + e.Name + ">"
+				case ElemNT, ElemRep:
+					ce.sym = pr.ids[e.Name]
+				}
+				cp.elems[i] = ce
+			}
+			pr.prods[id] = append(pr.prods[id], cp)
+		}
+	}
+	return pr
 }

@@ -12,6 +12,16 @@ import (
 // paper's example (Section 4.1).
 func miniBibtex(t testing.TB) *Grammar {
 	t.Helper()
+	g := miniBibtexUnvalidated()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	return g
+}
+
+// miniBibtexUnvalidated is the grammar as a schema author leaves it when
+// they rely on the parser validating on first use.
+func miniBibtexUnvalidated() *Grammar {
 	g := NewGrammar("Ref_Set")
 	g.MustAddTerminal("Ident", `[A-Za-z][A-Za-z0-9]*`)
 	g.MustAddTerminal("Initials", `[A-Z]\.(?: [A-Z]\.)*`)
@@ -35,9 +45,6 @@ func miniBibtex(t testing.TB) *Grammar {
 	g.AddProduction("Last_Name", Term("Word"))
 	g.AddProduction("Title", Lit(`"`), Term("Text"), Lit(`"`))
 	g.AddProduction("Year", Lit(`"`), Term("Num"), Lit(`"`))
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
 	return g
 }
 
@@ -165,12 +172,36 @@ func TestNaturalValue(t *testing.T) {
 	}
 }
 
+// TestBuildValueHandBuiltTree: BuildValue is exported and takes any tree. A
+// node without a production is a tuple of its non-terminal children (a
+// repeated symbol accumulates into a set), and a production no Validate has
+// seen still gives its repetition children set semantics — one element, or
+// none, included.
+func TestBuildValueHandBuiltTree(t *testing.T) {
+	src := "ab"
+	leaf := func(sym string, from, to int) *Node {
+		return &Node{Sym: sym, Start: from, End: to,
+			Kids: []*Node{{Sym: "W", Term: true, Start: from, End: to}}}
+	}
+	bare := &Node{Sym: "P", Start: 0, End: 2,
+		Kids: []*Node{leaf("X", 0, 1), leaf("Y", 1, 2), leaf("X", 1, 2)}}
+	if got, want := BuildValue(bare, src).String(), `tuple(X: {"a", "b"}, Y: "b")`; got != want {
+		t.Errorf("node without a production: %s, want %s", got, want)
+	}
+
+	prod := &Production{LHS: "P", RHS: []Elem{Rep("X", ""), Lit(";"), Rep("Y", "")}}
+	one := &Node{Sym: "P", Prod: prod, Start: 0, End: 1, Kids: []*Node{leaf("X", 0, 1)}}
+	if got, want := BuildValue(one, src).String(), `tuple(X: {"a"}, Y: {})`; got != want {
+		t.Errorf("production never validated: %s, want %s", got, want)
+	}
+}
+
 func TestCustomAction(t *testing.T) {
 	g := NewGrammar("S")
 	g.MustAddTerminal("Num", `[0-9]+`)
 	p := g.AddProduction("S", Lit("["), Term("Num"), Lit(":"), Term("Num"), Lit("]"))
 	p.Action = func(kids []db.Value, matched string) db.Value {
-		return db.NewTuple().Put("lo", kids[0]).Put("hi", kids[1])
+		return db.NewTuple(0).Put("lo", kids[0]).Put("hi", kids[1])
 	}
 	doc := text.NewDocument("d", "[3:42]")
 	tree, err := g.Parse(doc)
@@ -192,7 +223,7 @@ func TestCustomActionWithRepetition(t *testing.T) {
 	g.MustAddTerminal("W", `[a-z]+`)
 	p := g.AddProduction("List", Lit("("), Term("W"), Lit(":"), Rep("Item", ","), Lit(")"))
 	p.Action = func(kids []db.Value, matched string) db.Value {
-		return db.NewTuple().Put("head", kids[0]).Put("items", kids[1])
+		return db.NewTuple(0).Put("head", kids[0]).Put("items", kids[1])
 	}
 	g.AddProduction("Item", Lit("<"), Term("W"), Lit(">"))
 	doc := text.NewDocument("d", "(label: <a>, <b>, <c>)")

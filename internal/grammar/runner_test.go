@@ -1,0 +1,247 @@
+package grammar
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"qof/internal/qerr"
+	"qof/internal/text"
+)
+
+// nestedChoice builds A → Z | Open A ")" "a" | Open A ")" "b" | Open A ")" "c"
+// with Z = z and Open = (. On "(((z)c)c)c" the "a" and "b" alternatives of
+// every level parse the whole inner A before failing on their last literal,
+// so a parser without a memo parses the innermost A 3^depth times. The "c"
+// alternative is the last, so it recurses with no choice point open: a memo
+// that were dropped whenever the outermost choice point closes would forget
+// the inner A between the alternatives of every level, and the parse would
+// be quadratic.
+//
+// Every alternative starts with a terminal, so each parseProd invocation
+// runs exactly one of the two matchers first; they count into *prodCalls.
+func nestedChoice(t testing.TB, prodCalls *int) *Grammar {
+	t.Helper()
+	g := NewGrammar("A")
+	g.MustAddTerminal("Z", `z`)
+	g.MustAddTerminal("Open", `\(`)
+	for name, m := range g.terms {
+		g.terms[name] = func(s string) int {
+			*prodCalls++
+			return m(s)
+		}
+	}
+	g.AddProduction("A", Term("Z"))
+	for _, tail := range []string{"a", "b", "c"} {
+		g.AddProduction("A", Term("Open"), NT("A"), Lit(")"), Lit(tail))
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func nestedInput(depth int) string {
+	return strings.Repeat("(", depth) + "z" + strings.Repeat(")c", depth)
+}
+
+// TestPackratLinear pins the linear-time guarantee by counting work, not
+// time: parseProd invocations grow by the same amount for every added level
+// of nesting.
+func TestPackratLinear(t *testing.T) {
+	var prodCalls int
+	g := nestedChoice(t, &prodCalls)
+	calls := func(depth int) int {
+		t.Helper()
+		prodCalls = 0
+		doc := text.NewDocument("nested", nestedInput(depth))
+		if _, err := g.ParseAs(doc, "A", 0, doc.Len()); err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		return prodCalls
+	}
+	c20, c40, c80 := calls(20), calls(40), calls(80)
+	if c40-c20 != 20*(c20-calls(19)) || c80-c40 != 2*(c40-c20) {
+		t.Errorf("parseProd calls are not linear in the nesting depth: %d, %d, %d at depths 20, 40, 80", c20, c40, c80)
+	}
+	if perLevel := (c80 - c40) / 40; perLevel > 8 {
+		t.Errorf("%d parseProd calls per nesting level; 4 alternatives tried at most twice each is 8", perLevel)
+	}
+}
+
+// TestMemoStaysSmall: the table is dropped whenever every entry lies behind
+// a committed position, so on a document that is one long repetition it
+// holds about one element's entries, not the document's.
+func TestMemoStaysSmall(t *testing.T) {
+	g := miniBibtex(t)
+	doc := text.NewDocument("big.bib", strings.Repeat(miniDoc, 500))
+	r := new(runner)
+	tree, err := g.parseWith(r, doc, g.Root(), 0, doc.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes := tree.Count(); nodes < 20000 || len(r.memo) > 256 {
+		t.Errorf("memo table has %d slots after parsing %d nodes; it should hold one Reference's worth", len(r.memo), nodes)
+	}
+}
+
+// TestPoolHygiene: a pooled runner carries nothing from one parse into the
+// next — not after a success, not after a failure part-way through.
+func TestPoolHygiene(t *testing.T) {
+	g, doc, tree := parseMini(t)
+	refs := tree.Find("Reference")
+	a, b := refs[0], refs[1]
+	first, err := g.ParseValue(doc, "Reference", a.Start, a.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// B fails after most of a Reference has been parsed and memoized.
+	_, err = g.ParseValue(doc, "Reference", b.Start, b.End-3)
+	var perr *ParseError
+	if !errors.As(err, &perr) {
+		t.Fatalf("truncated region: %v", err)
+	}
+	again, err := g.ParseValue(doc, "Reference", a.Start, a.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("value changed after a failed parse:\n  %s\n  %s", first, again)
+	}
+	if want := BuildValue(a, doc.Content()); !reflect.DeepEqual(want, again) {
+		t.Errorf("pooled value\n  %s\nunpooled value\n  %s", again, want)
+	}
+	// The error must not alias the runner's reused expected list.
+	before := append([]string(nil), perr.Expected...)
+	if _, err := g.ParseValue(doc, "Reference", a.Start+1, a.End); err == nil {
+		t.Fatal("shifted region parsed")
+	}
+	if !reflect.DeepEqual(before, perr.Expected) {
+		t.Errorf("an earlier ParseError changed from %v to %v", before, perr.Expected)
+	}
+}
+
+// TestParseValueConcurrent shares one Grammar between goroutines that parse
+// different regions, some failing; run it under -race.
+func TestParseValueConcurrent(t *testing.T) {
+	g := miniBibtex(t)
+	doc := text.NewDocument("shared.bib", strings.Repeat(miniDoc, 20))
+	tree, err := g.Parse(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := tree.Find("Reference")
+	content := doc.Content()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ref := refs[(w*7+i)%len(refs)]
+				if i%5 == 4 {
+					if _, err := g.ParseValue(doc, "Reference", ref.Start, ref.End-2); err == nil {
+						t.Error("truncated region parsed")
+					}
+					continue
+				}
+				v, err := g.ParseValue(doc, "Reference", ref.Start, ref.End)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := BuildValue(ref, content); !reflect.DeepEqual(want, v) {
+					t.Errorf("goroutine %d: %s, want %s", w, v, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFirstUseConcurrent: the parser validates on first use, and nothing
+// makes a schema author call Validate before handing the grammar to parallel
+// phase-2 workers (compile.NewCatalog does not). Eight goroutines meet a
+// grammar nobody has compiled: it is compiled once, and no goroutine builds
+// a value from a half-published shape. Run it under -race.
+func TestFirstUseConcurrent(t *testing.T) {
+	ref := miniBibtex(t)
+	doc := text.NewDocument("first.bib", strings.Repeat(miniDoc, 4))
+	tree, err := ref.Parse(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := tree.Find("Reference")
+	content := doc.Content()
+	for round := 0; round < 20; round++ {
+		g := miniBibtexUnvalidated()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				n := refs[w%len(refs)]
+				v, err := g.ParseValue(doc, "Reference", n.Start, n.End)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := BuildValue(n, content); !reflect.DeepEqual(want, v) {
+					t.Errorf("round %d, goroutine %d: %s, want %s", round, w, v, want)
+				}
+				// BuildValue on an unpooled tree of the same fresh grammar.
+				if tree, err := g.ParseAs(doc, "Reference", n.Start, n.End); err != nil {
+					t.Error(err)
+				} else if got := BuildValue(tree, content); !reflect.DeepEqual(got, v) {
+					t.Errorf("round %d, goroutine %d: ParseAs+BuildValue %s, ParseValue %s", round, w, got, v)
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
+// TestLeftRecursionIsAnError: A → A "x" recurses without consuming input.
+// Every entry point reports it as a typed budget error naming the symbol
+// and the offset, and the grammar still parses what does not reach the
+// recursion.
+func TestLeftRecursionIsAnError(t *testing.T) {
+	g := NewGrammar("S")
+	g.MustAddTerminal("W", `[a-z]+`)
+	g.AddProduction("S", Lit("["), Term("W"), Lit("]"))
+	g.AddProduction("S", Lit("{"), NT("A"), Lit("}"))
+	g.AddProduction("A", NT("A"), Lit("x"))
+	g.AddProduction("A", Lit("y"))
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	doc := text.NewDocument("lr", "  {yx}")
+	check := func(name string, err error) {
+		t.Helper()
+		var derr *DepthError
+		if !errors.As(err, &derr) || !errors.Is(err, qerr.ErrBudgetExceeded) {
+			t.Fatalf("%s: error %v (%T), want a DepthError in the ErrBudgetExceeded family", name, err, err)
+		}
+		if derr.Sym != "A" || derr.Offset != 3 || derr.Doc != "lr" {
+			t.Errorf("%s: %+v, want symbol A at offset 3 of lr", name, derr)
+		}
+	}
+	_, err := g.ParseAs(doc, "S", 0, doc.Len())
+	check("ParseAs", err)
+	_, err = g.ParseValue(doc, "S", 0, doc.Len())
+	check("ParseValue", err)
+	_, _, err = g.BuildInstanceContext(context.Background(), doc, IndexSpec{})
+	check("BuildInstanceContext", err)
+
+	ok := text.NewDocument("ok", "[abc]")
+	if _, err := g.ParseValue(ok, "S", 0, ok.Len()); err != nil {
+		t.Errorf("after the overflow: %v", err)
+	}
+}

@@ -28,7 +28,7 @@ func BuildValue(n *Node, src string) db.Value {
 // childValues evaluates the non-literal children in RHS order, folding
 // repetition children into one set per the Rep element.
 func childValues(n *Node, src string) []db.Value {
-	var out []db.Value
+	out := make([]db.Value, 0, len(n.Kids))
 	k := 0
 	for _, e := range n.Prod.RHS {
 		switch e.Kind {
@@ -38,19 +38,30 @@ func childValues(n *Node, src string) []db.Value {
 				k++
 			}
 		case ElemRep:
-			set := db.NewSet()
-			for k < len(n.Kids) && n.Kids[k].Sym == e.Name && !n.Kids[k].Term {
-				set.Add(BuildValue(n.Kids[k], src))
-				k++
-			}
+			var set *db.Set
+			set, k = repSet(n.Kids, k, e.Name, src)
 			out = append(out, set)
 		}
 	}
 	return out
 }
 
+// repSet builds the set of the run of sym children starting at kids[k] — a
+// repetition inlines its matches consecutively — and returns the index
+// after the run.
+func repSet(kids []*Node, k int, sym, src string) (*db.Set, int) {
+	end := k
+	for end < len(kids) && kids[end].Sym == sym && !kids[end].Term {
+		end++
+	}
+	elems := make([]db.Value, end-k)
+	for i := range elems {
+		elems[i] = BuildValue(kids[k+i], src)
+	}
+	return db.NewSet(elems...), end
+}
+
 func naturalValue(n *Node, src string) db.Value {
-	// Count non-terminal children (including repetitions).
 	hasNT := false
 	for _, k := range n.Kids {
 		if !k.Term {
@@ -70,50 +81,38 @@ func naturalValue(n *Node, src string) db.Value {
 		}
 		return db.String(s)
 	}
-	t := db.NewTuple()
-	for _, k := range n.Kids {
-		if k.Term {
-			continue
-		}
-		v := BuildValue(k, src)
-		if prev, ok := t.Get(k.Sym); ok {
-			// Repetition children accumulate into a set.
-			if set, isSet := prev.(*db.Set); isSet {
-				set.Add(v)
-			} else {
-				t.Put(k.Sym, db.NewSet(prev, v))
+	shape := n.Prod.natural()
+	t := db.NewTuple(shape.attrs)
+	for k := 0; k < len(n.Kids); {
+		kid := n.Kids[k]
+		switch {
+		case kid.Term:
+			k++
+		case shape.isRep(kid.Sym):
+			var set *db.Set
+			set, k = repSet(n.Kids, k, kid.Sym, src)
+			t.Put(kid.Sym, set)
+		default:
+			v := BuildValue(kid, src)
+			k++
+			// Validate forbids a non-terminal twice in one right-hand side,
+			// so only a hand-built tree repeats a symbol outside a
+			// repetition; its values accumulate into a set.
+			switch prev, _ := t.Get(kid.Sym); prev := prev.(type) {
+			case nil:
+				t.Put(kid.Sym, v)
+			case *db.Set:
+				prev.Add(v)
+			default:
+				t.Put(kid.Sym, db.NewSet(prev, v))
 			}
-			continue
-		}
-		if n.isRepChild(k.Sym) {
-			t.Put(k.Sym, db.NewSet(v))
-		} else {
-			t.Put(k.Sym, v)
 		}
 	}
 	// Repetitions that matched zero elements still contribute empty sets.
-	if n.Prod != nil {
-		for _, e := range n.Prod.RHS {
-			if e.Kind == ElemRep {
-				if _, ok := t.Get(e.Name); !ok {
-					t.Put(e.Name, db.NewSet())
-				}
-			}
+	for _, name := range shape.reps {
+		if _, ok := t.Get(name); !ok {
+			t.Put(name, db.NewSet())
 		}
 	}
 	return t
-}
-
-// isRepChild reports whether sym appears as a repetition element of the
-// node's production.
-func (n *Node) isRepChild(sym string) bool {
-	if n.Prod == nil {
-		return false
-	}
-	for _, e := range n.Prod.RHS {
-		if e.Kind == ElemRep && e.Name == sym {
-			return true
-		}
-	}
-	return false
 }

@@ -92,23 +92,26 @@ func (o *Oracle) Query(q *xsql.Query) (*QueryResult, error) {
 	selVar := q.Select.Var
 	seen := make(map[region.Region]bool)
 	var kept []region.Region
-	env := make(xsql.Env, len(q.From))
+	filter, err := xsql.CompileFilter(q)
+	if err != nil {
+		return nil, fmt.Errorf("refeval: %w", err)
+	}
+	vals := make([]db.Value, len(q.From))
 	idx := make([]int, len(q.From))
 	var loop func(i int) error
 	loop = func(i int) error {
 		if i < len(q.From) {
 			for k := range exts[i].objects {
 				idx[i] = k
-				env[q.From[i].Var] = exts[i].objects[k]
+				vals[i] = exts[i].objects[k]
 				if err := loop(i + 1); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		ok, err := xsql.EvalCond(env, q.Where)
-		if err != nil || !ok {
-			return err
+		if !filter.Eval(vals) {
+			return nil
 		}
 		for j, f := range q.From {
 			if f.Var != selVar {

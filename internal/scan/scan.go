@@ -58,30 +58,40 @@ func FullScan(cat *compile.Catalog, doc *text.Document, q *xsql.Query) (*FullSca
 
 	// Nested-loop evaluation with the same condition semantics as the
 	// engine's residual filter.
-	env := make(xsql.Env, len(q.From))
+	filter, err := xsql.CompileFilter(q)
+	if err != nil {
+		return nil, fmt.Errorf("scan: %w", err)
+	}
+	sel := 0
+	for i, f := range q.From {
+		if f.Var == q.Select.Var {
+			sel = i
+		}
+	}
+	steps := q.Select.Steps()
+	vals := make([]db.Value, len(q.From))
 	seen := make(map[db.Value]bool)
 	var loop func(i int) error
 	loop = func(i int) error {
 		if i < len(q.From) {
 			for _, o := range database.Extent(q.From[i].Class) {
-				env[q.From[i].Var] = o.Val
+				vals[i] = o.Val
 				if err := loop(i + 1); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		ok, err := xsql.EvalCond(env, q.Where)
-		if err != nil || !ok {
-			return err
+		if !filter.Eval(vals) {
+			return nil
 		}
-		obj := env[q.Select.Var]
+		obj := vals[sel]
 		if seen[obj] {
 			return nil
 		}
 		seen[obj] = true
 		if res.Projected {
-			res.Strings = append(res.Strings, db.NavigateStrings(obj, q.Select.Steps())...)
+			res.Strings = append(res.Strings, db.NavigateStrings(obj, steps)...)
 		} else {
 			res.Objects = append(res.Objects, obj)
 		}

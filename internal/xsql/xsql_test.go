@@ -9,33 +9,39 @@ import (
 )
 
 // sampleRef builds a reference tuple with the given author and editor last
-// names for EvalCond tests.
+// names for Filter tests.
 func sampleRef(authors, editors []string) *db.Tuple {
 	names := func(lasts []string) *db.Tuple {
 		set := db.NewSet()
 		for _, l := range lasts {
-			set.Add(db.NewTuple().
+			set.Add(db.NewTuple(0).
 				Put("First_Name", db.String("A")).
 				Put("Last_Name", db.String(l)))
 		}
-		return db.NewTuple().Put("Name", set)
+		return db.NewTuple(0).Put("Name", set)
 	}
-	return db.NewTuple().
+	return db.NewTuple(0).
 		Put("Key", db.String("k1")).
 		Put("Authors", names(authors)).
 		Put("Editors", names(editors))
 }
 
-func TestEvalCondConst(t *testing.T) {
-	env := Env{"r": sampleRef([]string{"Chang", "Corliss"}, []string{"Griewank"})}
+// evalOne compiles q's WHERE clause and decides it with v bound to the
+// query's only range variable.
+func evalOne(t *testing.T, q *Query, v db.Value) bool {
+	t.Helper()
+	f, err := CompileFilter(q)
+	if err != nil {
+		t.Fatalf("CompileFilter(%s): %v", q, err)
+	}
+	return f.EvalOne(v)
+}
+
+func TestFilterConst(t *testing.T) {
+	ref := sampleRef([]string{"Chang", "Corliss"}, []string{"Griewank"})
 	eval := func(src string) bool {
 		t.Helper()
-		q := MustParse("SELECT r FROM References r WHERE " + src)
-		got, err := EvalCond(env, q.Where)
-		if err != nil {
-			t.Fatalf("EvalCond(%s): %v", src, err)
-		}
-		return got
+		return evalOne(t, MustParse("SELECT r FROM References r WHERE "+src), ref)
 	}
 	if !eval(`r.Authors.Name.Last_Name = "Chang"`) {
 		t.Error("Chang as author")
@@ -63,34 +69,63 @@ func TestEvalCondConst(t *testing.T) {
 	}
 }
 
-func TestEvalCondJoin(t *testing.T) {
+func TestFilterJoin(t *testing.T) {
 	both := sampleRef([]string{"Chang"}, []string{"Chang", "Other"})
 	disjoint := sampleRef([]string{"Chang"}, []string{"Corliss"})
 	q := MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`)
-	if got, _ := EvalCond(Env{"r": both}, q.Where); !got {
+	if !evalOne(t, q, both) {
 		t.Error("self-join should match")
 	}
-	if got, _ := EvalCond(Env{"r": disjoint}, q.Where); got {
+	if evalOne(t, q, disjoint) {
 		t.Error("disjoint should not match")
 	}
 	// Empty side.
 	empty := sampleRef(nil, []string{"Chang"})
-	if got, _ := EvalCond(Env{"r": empty}, q.Where); got {
+	if evalOne(t, q, empty) {
 		t.Error("empty side should not match")
 	}
 }
 
-func TestEvalCondErrors(t *testing.T) {
+func TestCompileFilterErrors(t *testing.T) {
+	// Parse rejects unbound variables; a hand-built query reaches the
+	// filter compiler unchecked.
 	q := MustParse(`SELECT r FROM References r WHERE r.A = "x"`)
-	if _, err := EvalCond(Env{}, q.Where); err == nil {
-		t.Error("unbound variable in env")
+	q.From = nil
+	if _, err := CompileFilter(q); err == nil {
+		t.Error("unbound variable")
 	}
 	qj := MustParse(`SELECT r FROM References r, Other s WHERE r.A = s.B`)
-	if _, err := EvalCond(Env{"r": sampleRef(nil, nil)}, qj.Where); err == nil {
+	qj.From = qj.From[:1]
+	if _, err := CompileFilter(qj); err == nil {
 		t.Error("unbound join variable")
 	}
-	if ok, err := EvalCond(Env{}, nil); err != nil || !ok {
-		t.Error("nil cond is true")
+	qc := MustParse(`SELECT r FROM R r WHERE r.A CONTAINS "x"`)
+	qc.From[0].Var = "s"
+	if _, err := CompileFilter(qc); err == nil {
+		t.Error("unbound variable under CONTAINS")
+	}
+	if !evalOne(t, MustParse(`SELECT r FROM References r`), sampleRef(nil, nil)) {
+		t.Error("no WHERE clause is true")
+	}
+	// An unbound value (nil) satisfies nothing.
+	if evalOne(t, MustParse(`SELECT r FROM References r WHERE r.A = "x"`), nil) {
+		t.Error("nil value matched")
+	}
+}
+
+func TestFilterJoinAcrossVariables(t *testing.T) {
+	q := MustParse(`SELECT r FROM References r, References s WHERE r.Key = s.Authors.Name.Last_Name AND NOT s.Key = "zz"`)
+	f, err := CompileFilter(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := db.NewTuple(0).Put("Key", db.String("Chang"))
+	s := sampleRef([]string{"Chang"}, nil)
+	if !f.Eval([]db.Value{r, s}) {
+		t.Error("bindings in FROM order")
+	}
+	if f.Eval([]db.Value{s, r}) {
+		t.Error("swapped bindings matched")
 	}
 }
 
@@ -249,16 +284,10 @@ func TestParseLimit(t *testing.T) {
 	}
 }
 
-func TestEvalCondContains(t *testing.T) {
-	env := Env{"r": NewTestTuple()}
+func TestFilterContains(t *testing.T) {
 	eval := func(src string) bool {
 		t.Helper()
-		q := MustParse("SELECT r FROM References r WHERE " + src)
-		got, err := EvalCond(env, q.Where)
-		if err != nil {
-			t.Fatalf("EvalCond(%s): %v", src, err)
-		}
-		return got
+		return evalOne(t, MustParse("SELECT r FROM References r WHERE "+src), NewTestTuple())
 	}
 	if !eval(`r.Abstract CONTAINS "differentiation"`) {
 		t.Error("word in abstract")
@@ -272,15 +301,11 @@ func TestEvalCondContains(t *testing.T) {
 	if eval(`r.Abstract CONTAINS "zebra"`) {
 		t.Error("absent word")
 	}
-	q := MustParse(`SELECT r FROM R r WHERE r.A CONTAINS "x"`)
-	if _, err := EvalCond(Env{}, q.Where); err == nil {
-		t.Error("unbound variable")
-	}
 }
 
 // NewTestTuple builds a tuple with an Abstract attribute for CONTAINS tests.
 func NewTestTuple() db.Value {
-	return db.NewTuple().Put("Abstract", db.String("uses automatic differentiation to solve"))
+	return db.NewTuple(0).Put("Abstract", db.String("uses automatic differentiation to solve"))
 }
 
 func TestParseMultipleFrom(t *testing.T) {

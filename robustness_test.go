@@ -172,3 +172,39 @@ func TestFacadeAddAllContextCancel(t *testing.T) {
 		t.Fatalf("after recovery: hits = %v, err = %v", hits, err)
 	}
 }
+
+// TestLeftRecursiveSchemaIsABudgetError: a schema with a left-recursive rule
+// (Item → Item "x") cannot be parsed by recursive descent. Indexing with it
+// reports a typed ErrBudgetExceeded naming the symbol and offset — the
+// parser used to panic at its depth limit, which the facade recovered as
+// ErrInternal — and the process goes on indexing with other schemas.
+func TestLeftRecursiveSchemaIsABudgetError(t *testing.T) {
+	schema, err := qof.NewSchemaBuilder("Doc").
+		Terminal("W", `[a-z]+`).
+		Rule("Doc", qof.Rep("Item", "")).
+		Rule("Item", qof.Lit("["), qof.NT("Word"), qof.Lit("]")).
+		Rule("Item", qof.NT("Item"), qof.Lit("x")).
+		Rule("Word", qof.Lit("'"), qof.Term("W")).
+		BindClass("Items", "Item").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the last Item the repetition tries one more, the first
+	// alternative fails on "[", and the second recurses without consuming.
+	_, err = schema.Index("lr.txt", "['a] ['b]")
+	var derr *grammar.DepthError
+	if !errors.Is(err, qof.ErrBudgetExceeded) || errors.Is(err, qof.ErrInternal) || !errors.As(err, &derr) {
+		t.Fatalf("Index: %v, want a depth error in the ErrBudgetExceeded family", err)
+	}
+	if derr.Sym != "Item" || derr.Offset != 9 || derr.Doc != "lr.txt" {
+		t.Errorf("%+v, want symbol Item at offset 9 of lr.txt", derr)
+	}
+	file, err := qof.BibTeX().Index("s.bib", bibtex.SampleEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := file.Query(`SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`); err != nil || res.Len() != 1 {
+		t.Fatalf("after the overflow: %v, %+v", err, res)
+	}
+}
