@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -475,14 +474,13 @@ func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {
 		switch e.Mode {
 		case SelContains:
 			if pts, ok := ctx.scan.Lookup(e.W); ok {
-				// The batch scan already produced w's whole-word occurrences;
-				// the containment filter below is exactly the one
-				// SelectContainingCtl applies to the postings, so the result
-				// is identical.
+				// The batch scan already produced w's whole-word occurrences,
+				// in the order the postings hold them; the kernel is the one
+				// SelectContainingCtl hands the postings to.
 				if ctx.stats != nil {
 					ctx.stats.SharedScans++
 				}
-				out, err = selectContainingIn(arg, pts.Regions(), ctx.checker())
+				out, err = arg.Holding(pts, ctx.checker())
 			} else {
 				out, err = ev.in.Words().SelectContainingCtl(arg, e.W, ctx.checker())
 			}
@@ -576,21 +574,6 @@ func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {
 	default:
 		return region.Empty, fmt.Errorf("algebra: unknown expression %T", e)
 	}
-}
-
-// selectContainingIn is the σ_w containment filter over occurrences that
-// came from a batched scan instead of the postings list: the regions of s
-// containing at least one occurrence. The predicate is byte-for-byte the one
-// index.WordIndex.SelectContainingCtl applies, and both sources produce the
-// occurrences sorted by start, so the result is identical.
-func selectContainingIn(s region.Set, occ []region.Region, check region.Checker) (region.Set, error) {
-	if len(occ) == 0 {
-		return region.Empty, nil
-	}
-	return s.FilterCtl(func(r region.Region) bool {
-		i := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
-		return i < len(occ) && occ[i].End <= r.End
-	}, check)
 }
 
 // emptyAnnihilates reports whether op's result is necessarily empty when

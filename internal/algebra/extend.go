@@ -18,6 +18,7 @@ import (
 	"strconv"
 
 	"qof/internal/region"
+	"qof/internal/text"
 )
 
 // Near selects the regions of E whose distance to some region of To is at
@@ -107,15 +108,19 @@ func (ev *Evaluator) evalFreq(arg region.Set, w string, n int) region.Set {
 		}
 		return region.Empty
 	}
-	return arg.Filter(func(r region.Region) bool {
-		lo := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
-		count := 0
-		for i := lo; i < len(occ) && occ[i].End <= r.End; i++ {
-			count++
-			if count >= n {
-				return true
-			}
+	return arg.Filter(func(r region.Region) bool { return freqWithin(occ, r, n) })
+}
+
+// freqWithin reports whether at least n of the occurrences occ lie within
+// r: the frequency test for one region, shared by both executors.
+func freqWithin(occ []text.Token, r region.Region, n int) bool {
+	lo := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
+	count := 0
+	for i := lo; i < len(occ) && occ[i].End <= r.End; i++ {
+		count++
+		if count >= n {
+			return true
 		}
-		return false
-	})
+	}
+	return false
 }

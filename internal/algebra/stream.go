@@ -5,7 +5,11 @@ package algebra
 // The set operators become sorted merge iterators, the inclusion operators
 // window/merge iterators with bounded lookahead, and the leaves stream off
 // the index postings, so a consumer that stops early (LIMIT, budget,
-// cancellation) pays only for the prefix it reads.
+// cancellation) pays only for the prefix it reads. Where an operator's left
+// operand is a bare name whose set is disjoint, the name is not streamed at
+// all: the other operand — a stream, a posting list, a run of the value
+// order — probes the set in hand (streamProbe, streamSelect), which costs
+// what that operand does and is metered as the sweep was (tapOver).
 //
 // The materializing evaluator (eval.go) is the reference implementation;
 // the streaming pipeline is verified against it by the differential harness
@@ -36,6 +40,7 @@ package algebra
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -202,12 +207,7 @@ func (ev *Evaluator) stream(sc *streamCtx, e Expr) (region.Iterator, error) {
 		sc.meter(s.Len())
 		return sc.tap(s.Iter(), false), nil
 	case Select:
-		arg, err := ev.stream(sc, e.Arg)
-		if err != nil {
-			return nil, err
-		}
-		sc.countOp(false)
-		return sc.tap(ev.streamSelect(sc, arg, e), true), nil
+		return ev.streamSelect(sc, e)
 	case Unary:
 		arg, err := ev.stream(sc, e.Arg)
 		if err != nil {
@@ -240,6 +240,9 @@ func (ev *Evaluator) stream(sc *streamCtx, e Expr) (region.Iterator, error) {
 		sc.countOp(false)
 		return sc.tap(ev.streamFreq(arg, e), true), nil
 	case Binary:
+		if it, err := ev.streamProbe(sc, e); it != nil || err != nil {
+			return it, err
+		}
 		l, err := ev.stream(sc, e.L)
 		if err != nil {
 			return nil, err
@@ -297,17 +300,10 @@ func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary, l region.Iterator) (r
 			sc.meter(out.Len())
 			return out.Iter(), nil
 		}
-		u := ev.in.Universe()
-		var cand []region.Region
-		for i, s := range S.Regions() {
-			if sc.check != nil && i%streamPollStride == 0 {
-				if err := sc.check(); err != nil {
-					return nil, err
-				}
-			}
-			cand = append(cand, u.DirectContainers(s)...)
+		candSet, err := ev.in.Universe().DirectContainersOf(S, sc.check)
+		if err != nil {
+			return nil, err
 		}
-		candSet := region.FromRegions(cand)
 		sc.meter(candSet.Len())
 		return region.IntersectIter(l, candSet.Iter()), nil
 	case OpDirIncluded:
@@ -316,14 +312,7 @@ func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary, l region.Iterator) (r
 			return nil, err
 		}
 		u := ev.in.Universe()
-		return region.FilterIter(l, func(r region.Region) bool {
-			for _, t := range u.DirectContainers(r) {
-				if S.Contains(t) {
-					return true
-				}
-			}
-			return false
-		}), nil
+		return region.FilterIter(l, func(r region.Region) bool { return u.DirectlyWithin(r, S) }), nil
 	default:
 		return nil, fmt.Errorf("algebra: unknown operator %v", e.Op)
 	}
@@ -345,49 +334,115 @@ func (ev *Evaluator) streamMaterialize(sc *streamCtx, e Expr) (region.Set, error
 	return s, nil
 }
 
-// streamSelect applies σ as a filter over the streaming argument using the
-// same per-region predicates the WordIndex kernels use, so the two
-// executors agree region for region.
-func (ev *Evaluator) streamSelect(sc *streamCtx, arg region.Iterator, e Select) region.Iterator {
+// streamProbe builds Name ⊃ X and Name ⊂ X for a disjoint name without
+// streaming the name: X is pulled one region at a time and each region
+// gallops in the name's slice, so the operator costs what X does and a
+// LIMIT downstream still stops X early. It returns nil for every other
+// shape; those merge two streams (region.IncludingIter, IncludedIter).
+func (ev *Evaluator) streamProbe(sc *streamCtx, e Binary) (region.Iterator, error) {
+	if e.Op != OpIncluding && e.Op != OpIncluded {
+		return nil, nil
+	}
+	n, ok := e.L.(Name)
+	if !ok {
+		return nil, nil
+	}
+	set, _ := ev.in.Region(n.Ident) // validated in Stream
+	if set.IsEmpty() || !set.Disjoint() {
+		return nil, nil
+	}
+	x, err := ev.stream(sc, e.R)
+	if err != nil {
+		return nil, err
+	}
+	sc.countOp(false)
+	if e.Op == OpIncluding {
+		return sc.tapOver(region.IncludingSetIter(set, x), set), nil
+	}
+	return sc.tapOver(region.IncludedSetIter(set, x), set), nil
+}
+
+// streamSelect builds σ. Over a bare name the set is in hand and an index
+// can answer from its small side. σ_w probes a disjoint name with the
+// postings, one occurrence at a time, so a LIMIT still stops it after a few.
+// σ_= and σ_prefix read a run of the name's value order, which has to be
+// sorted back into set order whole: that is done when the run is sparse —
+// it sorts in fewer comparisons than the name has regions. A dense run, a
+// name that is not disjoint, and σ over anything but a name filter the
+// argument's stream with the same per-region predicates: dense is exactly
+// where a LIMIT stops the sweep after a few regions, and where an answer
+// built whole would be most of the name.
+func (ev *Evaluator) streamSelect(sc *streamCtx, e Select) (region.Iterator, error) {
 	words := ev.in.Words()
-	switch e.Mode {
-	case SelContains:
-		if pts, ok := sc.scan.Lookup(e.W); ok {
-			// The batch scan already produced w's whole-word occurrences;
-			// the filter below is the same one the postings path applies.
+	var pts region.Points
+	if e.Mode == SelContains {
+		if scanned, ok := sc.scan.Lookup(e.W); ok {
+			// The batch scan already produced w's whole-word occurrences,
+			// in the order the postings hold them.
 			if sc.stats != nil {
 				sc.stats.SharedScans++
 			}
-			occ := pts.Regions()
-			if len(occ) == 0 {
-				arg.Close()
-				return region.Empty.Iter()
-			}
-			return region.FilterIter(arg, func(r region.Region) bool {
-				i := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
-				return i < len(occ) && occ[i].End <= r.End
-			})
+			pts = scanned
+		} else {
+			pts = words.Postings(e.W)
 		}
-		occ := words.Occurrences(e.W)
-		if len(occ) == 0 {
-			arg.Close()
-			return region.Empty.Iter()
-		}
-		return region.FilterIter(arg, func(r region.Region) bool {
-			i := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
-			return i < len(occ) && occ[i].End <= r.End
-		})
-	case SelEquals:
-		content := words.Document().Content()
-		return region.FilterIter(arg, func(r region.Region) bool {
-			return content[r.Start:r.End] == e.W
-		})
-	default:
-		content := words.Document().Content()
-		return region.FilterIter(arg, func(r region.Region) bool {
-			return strings.HasPrefix(content[r.Start:r.End], e.W)
-		})
 	}
+	n, ok := e.Arg.(Name)
+	if !ok {
+		return ev.streamFilter(sc, e, pts)
+	}
+	set, _ := ev.in.Region(n.Ident) // validated in Stream
+	if e.Mode == SelContains {
+		if pts.Len() == 0 || !set.Disjoint() {
+			return ev.streamFilter(sc, e, pts)
+		}
+		sc.countOp(false)
+		return sc.tapOver(region.HoldingIter(set, pts, sc.check), set), nil
+	}
+	m, ordered, err := words.TextMatches(set, e.W, e.Mode == SelPrefix, sc.check)
+	if err != nil {
+		return nil, err
+	}
+	if !ordered || m*bits.Len(uint(m)) >= set.Len() {
+		return ev.streamFilter(sc, e, pts)
+	}
+	var out region.Set
+	if e.Mode == SelEquals {
+		out, err = words.SelectEqualsCtl(set, e.W, sc.check)
+	} else {
+		out, err = words.SelectPrefixCtl(set, e.W, sc.check)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sc.meter(out.Len())
+	sc.countOp(false)
+	return sc.tapOver(out.Iter(), set), nil
+}
+
+// streamFilter applies σ as a filter over the streaming argument, with the
+// predicates the WordIndex kernels use.
+func (ev *Evaluator) streamFilter(sc *streamCtx, e Select, pts region.Points) (region.Iterator, error) {
+	arg, err := ev.stream(sc, e.Arg)
+	if err != nil {
+		return nil, err
+	}
+	sc.countOp(false)
+	var keep func(region.Region) bool
+	content := ev.in.Words().Document().Content()
+	switch e.Mode {
+	case SelContains:
+		if pts.Len() == 0 {
+			arg.Close()
+			return sc.tap(region.Empty.Iter(), true), nil
+		}
+		keep = func(r region.Region) bool { return region.Within(pts, r) }
+	case SelEquals:
+		keep = func(r region.Region) bool { return content[r.Start:r.End] == e.W }
+	default:
+		keep = func(r region.Region) bool { return strings.HasPrefix(content[r.Start:r.End], e.W) }
+	}
+	return sc.tap(region.FilterIter(arg, keep), true), nil
 }
 
 // streamFreq applies the frequency selection as a filter, mirroring
@@ -401,17 +456,7 @@ func (ev *Evaluator) streamFreq(arg region.Iterator, e Freq) region.Iterator {
 		arg.Close()
 		return region.Empty.Iter()
 	}
-	return region.FilterIter(arg, func(r region.Region) bool {
-		lo := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
-		count := 0
-		for i := lo; i < len(occ) && occ[i].End <= r.End; i++ {
-			count++
-			if count >= e.N {
-				return true
-			}
-		}
-		return false
-	})
+	return region.FilterIter(arg, func(r region.Region) bool { return freqWithin(occ, r, e.N) })
 }
 
 // streamNear applies the proximity selection as a filter over the streaming
@@ -458,10 +503,21 @@ func (sc *streamCtx) tap(it region.Iterator, countRegions bool) region.Iterator 
 	return &tapIter{it: it, sc: sc, countRegions: countRegions}
 }
 
+// tapOver is the operator tap of an iterator that answers out of a name's
+// set without streaming it. The name's leaf tap would have charged the
+// budget one region for every region of the name pulled on the way to each
+// answer; tapOver charges the same regions as the answers pass them, and
+// the rest of the name when the answers run out, so a budget meters a
+// probe exactly as it metered the sweep.
+func (sc *streamCtx) tapOver(it region.Iterator, name region.Set) region.Iterator {
+	return &tapIter{it: it, sc: sc, countRegions: true, over: name.Regions()}
+}
+
 type tapIter struct {
 	it           region.Iterator
 	sc           *streamCtx
 	countRegions bool
+	over         []region.Region // tapOver: the part of the name not yet passed
 	n            int
 	done         bool
 	err          error
@@ -479,14 +535,25 @@ func (t *tapIter) Next() (region.Region, bool, error) {
 	}
 	t.n++
 	r, ok, err := t.it.Next()
-	if err != nil || !ok {
-		t.done, t.err = true, err
-		return region.Region{}, false, err
+	if err == nil {
+		// Every region flowing out of every operator charges the budget,
+		// the streaming counterpart of materializing's per-result
+		// cardinality charge: a full drain charges exactly the same total.
+		charge := 0
+		if ok {
+			charge = 1
+		}
+		if t.over != nil {
+			passed := len(t.over) // exhausted: the rest of the name
+			if ok {
+				passed = 1 + sort.Search(len(t.over), func(i int) bool { return !t.over[i].Before(r) })
+			}
+			t.over = t.over[passed:]
+			charge += passed
+		}
+		err = t.sc.budget.charge(charge)
 	}
-	// Every region flowing out of every operator charges the budget, the
-	// streaming counterpart of materializing's per-result cardinality
-	// charge: a full drain charges exactly the same total.
-	if err := t.sc.budget.charge(1); err != nil {
+	if err != nil || !ok {
 		t.done, t.err = true, err
 		return region.Region{}, false, err
 	}

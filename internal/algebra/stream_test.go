@@ -239,3 +239,90 @@ func TestStreamCancellation(t *testing.T) {
 		t.Fatal("no expression exercised cancellation")
 	}
 }
+
+// TestStreamProbesMeterLikeTheSweeps: over a bare name the stream executor
+// answers σ, ⊃ and ⊂ out of the name's set instead of streaming it, and
+// charges the budget for the regions of the name it passes over as if it
+// had. Wrapping the name in (N ∪ N) forces the streamed form — the same
+// regions through a leaf tap and a merge — whose full drain costs exactly
+// the second leaf and the union's own output more: 2·|N|.
+func TestStreamProbesMeterLikeTheSweeps(t *testing.T) {
+	for _, d := range qgen.Domains(1994) {
+		in, _, err := d.Cat.Grammar.BuildInstance(d.Doc, d.Specs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := algebra.NewEvaluator(in)
+		gen := qgen.ExprGenFor(d, in.Names(), 406)
+		// indexed draws an expression that names only indexed regions.
+		indexed := func() algebra.Expr {
+			for {
+				x := gen.Expr()
+				if _, err := ev.Eval(x); err == nil {
+					return x
+				}
+			}
+		}
+		used := func(e algebra.Expr) (region.Set, int) {
+			b := algebra.NewBudget(1 << 40)
+			s, err := ev.StreamEval(context.Background(), e, nil, b)
+			if err != nil {
+				t.Fatalf("%s: %v", e, err)
+			}
+			return s, b.Used()
+		}
+		probed := 0
+		for _, name := range in.Names() {
+			set := in.MustRegion(name)
+			n := algebra.Name{Ident: name}
+			streamed := algebra.Binary{Op: algebra.OpUnion, L: n, R: n}
+			var pairs [][2]algebra.Expr
+			for _, w := range append(d.Words, d.Prefixes...) {
+				for _, mode := range []algebra.SelMode{algebra.SelContains, algebra.SelEquals, algebra.SelPrefix} {
+					pairs = append(pairs, [2]algebra.Expr{
+						algebra.Select{Mode: mode, W: w, Arg: n},
+						algebra.Select{Mode: mode, W: w, Arg: streamed},
+					})
+				}
+			}
+			for i := 0; i < 12; i++ {
+				x := indexed()
+				pairs = append(pairs, [2]algebra.Expr{
+					algebra.Binary{Op: algebra.OpIncluding, L: n, R: x},
+					algebra.Binary{Op: algebra.OpIncluding, L: streamed, R: x},
+				})
+			}
+			for _, p := range pairs {
+				got, cost := used(p[0])
+				want, streamedCost := used(p[1])
+				if !got.Equal(want) {
+					t.Fatalf("%s: %v, streamed form %v", p[0], got, want)
+				}
+				if cost == 0 && streamedCost == 0 {
+					continue // σ_w of a word the text does not have: neither form opens the name
+				}
+				if cost+2*set.Len() != streamedCost {
+					t.Fatalf("%s: charged %d, the streamed form %d: want a difference of 2·%d", p[0], cost, streamedCost, set.Len())
+				}
+				probed++
+			}
+			// ⊂ keeps pulling its right side until it is past the end of
+			// the name, where the merge stopped at the name's last Start:
+			// the same answer, for at most the regions in between more.
+			for i := 0; i < 12; i++ {
+				x := indexed()
+				got, cost := used(algebra.Binary{Op: algebra.OpIncluded, L: n, R: x})
+				want, streamedCost := used(algebra.Binary{Op: algebra.OpIncluded, L: streamed, R: x})
+				if !got.Equal(want) {
+					t.Fatalf("%s ⊂ %s: %v, streamed form %v", name, x, got, want)
+				}
+				if cost+2*set.Len() < streamedCost {
+					t.Fatalf("%s ⊂ %s: charged %d, the streamed form %d: the probe charged less than the name it passed", name, x, cost, streamedCost)
+				}
+			}
+		}
+		if probed == 0 {
+			t.Fatalf("%s: nothing probed", d.Name)
+		}
+	}
+}

@@ -823,12 +823,10 @@ collect:
 // non-nested (so every leaf has a unique container); ok=false means the
 // caller must fall back to parsing.
 func (e *Engine) joinFastCandidates(es *execEnv, jf *compile.JoinFastPlan, candidates region.Set, res *Result) (region.Set, bool, error) {
-	cands := candidates.Regions()
-	for i := 1; i < len(cands); i++ {
-		if cands[i-1].End > cands[i].Start {
-			return region.Empty, false, nil // nested or overlapping candidates
-		}
+	if !candidates.Disjoint() {
+		return region.Empty, false, nil // nested or overlapping candidates
 	}
+	cands := candidates.Regions()
 	content := e.in.Document().Content()
 	groups := func(ch algebra.Expr) (map[int]map[string]bool, error) {
 		leaves, err := e.evalExpr(es, ch, res)

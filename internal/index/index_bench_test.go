@@ -96,3 +96,63 @@ func BenchmarkSaveLoad(b *testing.B) {
 		}
 	}
 }
+
+// nameInstance builds the shape the Last_Name index has at 20 000
+// references: n one-word records drawn from k distinct values, each record a
+// region of the indexed name "Name", and a "Record" region per ten names.
+func nameInstance(n, k int) *Instance {
+	rng := rand.New(rand.NewSource(14))
+	var sb strings.Builder
+	var names, records []region.Region
+	for i := 0; i < n; i++ {
+		if i%10 == 0 {
+			records = append(records, region.Region{Start: sb.Len(), End: sb.Len()})
+		}
+		start := sb.Len()
+		fmt.Fprintf(&sb, "Name%04d", rng.Intn(k))
+		names = append(names, region.Region{Start: start, End: sb.Len()})
+		sb.WriteString(", ")
+		records[len(records)-1].End = sb.Len()
+	}
+	in := NewInstance(text.NewDocument("names", sb.String()))
+	in.Define("Name", region.FromRegions(names))
+	in.Define("Record", region.FromRegions(records))
+	return in
+}
+
+// BenchmarkSelectEqualsName is σ_= over a whole indexed name, 70 000 regions
+// of 200 values: one run of the value order (built outside the loop).
+func BenchmarkSelectEqualsName(b *testing.B) {
+	in := nameInstance(70000, 200)
+	x, names := in.Words(), in.MustRegion("Name")
+	x.SelectEquals(names, "Name0042")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.SelectEquals(names, "Name0042")
+	}
+}
+
+// BenchmarkSelectPrefixName is σ_prefix (XSQL's STARTS) over the same name.
+func BenchmarkSelectPrefixName(b *testing.B) {
+	in := nameInstance(70000, 200)
+	x, names := in.Words(), in.MustRegion("Name")
+	x.SelectPrefix(names, "Name004")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.SelectPrefix(names, "Name004")
+	}
+}
+
+// BenchmarkSelectContainingSparse is σ_w of 7 000 disjoint records for a
+// word with about 350 occurrences: the postings probe the records.
+func BenchmarkSelectContainingSparse(b *testing.B) {
+	in := nameInstance(70000, 200)
+	x, records := in.Words(), in.MustRegion("Record")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.SelectContaining(records, "Name0042")
+	}
+}

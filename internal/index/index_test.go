@@ -74,6 +74,37 @@ func TestMatchPoints(t *testing.T) {
 	}
 }
 
+// TestMatchPointsEqualsOldConstruction: MatchPoints is one ordered copy of
+// the posting list; it used to copy the postings into tokens, the tokens
+// into regions, and sort and de-duplicate those through FromRegions. Both
+// give the same set, and Postings reads the same occurrences in place.
+func TestMatchPointsEqualsOldConstruction(t *testing.T) {
+	doc := benchDoc(5000)
+	x := NewWordIndex(doc)
+	words := append([]string{"nosuchword", ""}, x.words...)
+	for _, w := range words {
+		occ := x.Occurrences(w)
+		rs := make([]region.Region, len(occ))
+		for i, tok := range occ {
+			rs[i] = region.Region{Start: tok.Start, End: tok.End}
+		}
+		want := region.FromRegions(rs)
+		got := x.MatchPoints(w)
+		if !got.Equal(want) || got.Disjoint() != want.Disjoint() || !got.Disjoint() {
+			t.Fatalf("%q: MatchPoints %v (disjoint %v), old construction %v", w, got, got.Disjoint(), want)
+		}
+		p := x.Postings(w)
+		if p.Len() != len(occ) {
+			t.Fatalf("%q: %d postings, %d occurrences", w, p.Len(), len(occ))
+		}
+		for i := range occ {
+			if p.At(i) != want.At(i) {
+				t.Fatalf("%q: posting %d is %v, want %v", w, i, p.At(i), want.At(i))
+			}
+		}
+	}
+}
+
 func TestPrefixSearch(t *testing.T) {
 	x := newTestIndex(t)
 	// Words starting with "Cor": Corl82a, Corliss (x2).

@@ -53,9 +53,16 @@ func (in *Instance) Words() *WordIndex { return in.words }
 // Define installs (or replaces) the instance of the region name as a global
 // (unscoped) index.
 func (in *Instance) Define(name string, s region.Set) {
-	in.regions[name] = s
+	in.install(name, s)
 	delete(in.scopes, name)
 	in.invalidateUniverse()
+}
+
+// install stores s under name with a fresh memo beside it: the slot where
+// the word index keeps the name's value order (valueorder.go). Whatever was
+// derived from the set the name held before goes with that set.
+func (in *Instance) install(name string, s region.Set) {
+	in.regions[name] = s.WithMemo()
 }
 
 // DefineScoped installs a selectively indexed region name whose instance
@@ -63,7 +70,7 @@ func (in *Instance) Define(name string, s region.Set) {
 // "index only those that reside in some Authors region"). Query compilation
 // uses the name only on paths passing through the scope.
 func (in *Instance) DefineScoped(name, within string, s region.Set) {
-	in.regions[name] = s
+	in.install(name, s)
 	in.scopes[name] = within
 	in.invalidateUniverse()
 }

@@ -172,7 +172,7 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 			rs[j] = region.Region{Start: int(start), End: int(start + ln)}
 			prev = start
 		}
-		in.regions[name] = region.FromRegions(rs)
+		in.install(name, region.FromRegions(rs))
 	}
 	return in, nil
 }

@@ -135,17 +135,39 @@ func (x *WordIndex) Occurrences(w string) []text.Token {
 	return out
 }
 
+// Postings is the posting list of one word read in place: its occurrences
+// in document order, without the copy Occurrences makes. It is a
+// region.Points, so the region kernels take it as it is.
+type Postings struct {
+	tokens []text.Token
+	idxs   []int
+}
+
+// Postings returns the posting list of the exact word w.
+func (x *WordIndex) Postings(w string) Postings {
+	return Postings{tokens: x.tokens, idxs: x.byWord[w]}
+}
+
+// Len reports the number of occurrences.
+func (p Postings) Len() int { return len(p.idxs) }
+
+// At returns the i-th occurrence as a region the width of the word.
+func (p Postings) At(i int) region.Region {
+	return region.Region(p.tokens[p.idxs[i]])
+}
+
 // MatchPoints returns the match points (start positions) of the exact word
 // w, the paper's "sets of match points ... position in the text of indexed
 // strings". Regions of width equal to the word are returned so that match
-// points compose with the region operators.
+// points compose with the region operators. The posting list is already in
+// set order and duplicate-free, so the set is one copy of it.
 func (x *WordIndex) MatchPoints(w string) region.Set {
-	occ := x.Occurrences(w)
-	rs := make([]region.Region, len(occ))
-	for i, tok := range occ {
-		rs[i] = region.Region{Start: tok.Start, End: tok.End}
+	idxs := x.byWord[w]
+	rs := make([]region.Region, len(idxs))
+	for i, ti := range idxs {
+		rs[i] = region.Region(x.tokens[ti])
 	}
-	return region.FromRegions(rs)
+	return region.FromOrdered(rs)
 }
 
 // PrefixMatchPoints returns match points of every word beginning with the
@@ -201,28 +223,25 @@ func (x *WordIndex) PrefixWords(prefix string) []string {
 
 // SelectContaining implements the σ_w selection of the region algebra: the
 // regions of s that contain (at least one occurrence of) exactly the word w,
-// where containment means the whole word lies within the region. It runs in
-// O(|s| log occ(w)).
+// where containment means the whole word lies within the region. On a
+// disjoint s the postings probe s, O(occ(w) · log(|s|/occ(w))); otherwise
+// each region searches the postings, O(|s| log occ(w)) (region.Set.Holding).
 func (x *WordIndex) SelectContaining(s region.Set, w string) region.Set {
 	out, _ := x.SelectContainingCtl(s, w, nil)
 	return out
 }
 
 // SelectContainingCtl is SelectContaining with cooperative cancellation:
-// check is polled periodically during the selection sweep.
+// check is polled periodically during the selection.
 func (x *WordIndex) SelectContainingCtl(s region.Set, w string, check region.Checker) (region.Set, error) {
-	occ := x.Occurrences(w)
-	if len(occ) == 0 {
-		return region.Empty, nil
-	}
-	return s.FilterCtl(func(r region.Region) bool {
-		i := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
-		return i < len(occ) && occ[i].End <= r.End
-	}, check)
+	return s.Holding(x.Postings(w), check)
 }
 
 // SelectPrefix returns the regions of s whose text starts with p. As with
-// SelectEquals, the compiler emits it only for faithful leaf regions.
+// SelectEquals, the compiler emits it only for faithful leaf regions. Handed
+// the set an instance holds under a name, it reads the name's value order
+// (valueorder.go): O(log |s| + matches). Any other set is compared region
+// by region.
 func (x *WordIndex) SelectPrefix(s region.Set, p string) region.Set {
 	out, _ := x.SelectPrefixCtl(s, p, nil)
 	return out
@@ -230,16 +249,13 @@ func (x *WordIndex) SelectPrefix(s region.Set, p string) region.Set {
 
 // SelectPrefixCtl is SelectPrefix with cooperative cancellation.
 func (x *WordIndex) SelectPrefixCtl(s region.Set, p string, check region.Checker) (region.Set, error) {
-	content := x.doc.Content()
-	return s.FilterCtl(func(r region.Region) bool {
-		return strings.HasPrefix(content[r.Start:r.End], p)
-	}, check)
+	return x.selectByText(s, p, strings.HasPrefix, check)
 }
 
 // SelectEquals returns the regions of s whose text is exactly w. The query
 // compiler only emits it for leaf regions whose text equals their database
 // value (bare-terminal productions); for other regions it falls back to
-// word containment plus filtering.
+// word containment plus filtering. Cost is as for SelectPrefix.
 func (x *WordIndex) SelectEquals(s region.Set, w string) region.Set {
 	out, _ := x.SelectEqualsCtl(s, w, nil)
 	return out
@@ -247,8 +263,5 @@ func (x *WordIndex) SelectEquals(s region.Set, w string) region.Set {
 
 // SelectEqualsCtl is SelectEquals with cooperative cancellation.
 func (x *WordIndex) SelectEqualsCtl(s region.Set, w string, check region.Checker) (region.Set, error) {
-	content := x.doc.Content()
-	return s.FilterCtl(func(r region.Region) bool {
-		return content[r.Start:r.End] == w
-	}, check)
+	return x.selectByText(s, w, textEquals, check)
 }

@@ -1,12 +1,12 @@
 package region
 
-// Cooperative cancellation for the region kernels. The inclusion sweeps and
+// Cooperative cancellation for the region kernels. The inclusion kernels and
 // selection filters are the only loops in the engine whose run time grows
 // with the operand sizes rather than the query size, so they are where a
-// deadline must be able to take effect mid-evaluation. Each kernel has a
-// *Ctl variant taking a Checker that the loop polls every pollStride
-// iterations; a non-nil return aborts the kernel with that error and the
-// partial output is discarded. The plain variants delegate with a nil
+// deadline must be able to take effect mid-evaluation. Each kernel takes a
+// Checker that its loop polls every pollStride iterations; a non-nil return
+// aborts the kernel with that error and the partial output is discarded.
+// The older kernels also have a plain variant that delegates with a nil
 // checker, so uncancellable callers pay only a nil comparison per stride.
 
 // Checker is polled periodically by long-running kernels. It returns nil to
@@ -46,5 +46,25 @@ func (s Set) FilterCtl(keep func(Region) bool, check Checker) (Set, error) {
 			out = append(out, r)
 		}
 	}
-	return trimmed(out), nil
+	return trimmed(s, out), nil
+}
+
+// Pick returns the subset of s at the given indexes, which must ascend
+// strictly: the answer of a selection that was decided on indexes (a run of
+// a value order sorted back into set order).
+func (s Set) Pick(idx []int32, check Checker) (Set, error) {
+	if len(idx) == 0 {
+		return Empty, nil
+	}
+	out := make([]Region, len(idx))
+	for i, ix := range idx {
+		if err := poll(check, i); err != nil {
+			return Empty, err
+		}
+		if i > 0 && ix <= idx[i-1] {
+			panic("region: Pick indexes do not ascend")
+		}
+		out[i] = s.regions[ix]
+	}
+	return subsetOf(s, out), nil
 }

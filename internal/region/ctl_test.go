@@ -117,3 +117,49 @@ func TestCtlAbortMidSweep(t *testing.T) {
 		t.Fatalf("IncludingCtl after abort diverges (err=%v)", err)
 	}
 }
+
+// TestProbeKernelsAbort: every new loop stops at the poll that fails —
+// within one pollStride of the failure — and returns Empty. The checker
+// fails on its second call, so the abort comes from the middle of the loop.
+func TestProbeKernelsAbort(t *testing.T) {
+	n := 3 * pollStride
+	outer, inner, _ := skewedSets(n, 2, 1)
+	nested := inner.Union(outer) // not disjoint: inner regions sit inside outer ones
+	u := NewUniverse(outer, inner)
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	boom := errors.New("boom")
+	for name, run := range map[string]func(Checker) (Set, error){
+		"includingByContainer": func(c Checker) (Set, error) { return outer.IncludingCtl(nested, c) },
+		"includingByContent":   func(c Checker) (Set, error) { return nested.IncludingCtl(inner, c) },
+		"includedByContent":    func(c Checker) (Set, error) { return inner.IncludedCtl(nested, c) },
+		"includedByContainer":  func(c Checker) (Set, error) { return nested.IncludedCtl(outer, c) },
+		"Holding":              func(c Checker) (Set, error) { return outer.Holding(inner, c) },
+		"HoldingIter":          func(c Checker) (Set, error) { return Materialize(HoldingIter(outer, inner, c)) },
+		"Pick":                 func(c Checker) (Set, error) { return outer.Pick(idx, c) },
+		"DirectContainersOf":   func(c Checker) (Set, error) { return u.DirectContainersOf(inner, c) },
+	} {
+		full := 0
+		if got, err := run(func() error { full++; return nil }); err != nil || got.IsEmpty() {
+			t.Fatalf("%s: unaborted run: %d regions, err %v", name, got.Len(), err)
+		}
+		if full < 3 {
+			t.Fatalf("%s: only %d polls over %d regions; the fixture does not cross a stride", name, full, n)
+		}
+		calls := 0
+		got, err := run(func() error {
+			if calls++; calls == 2 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || !got.IsEmpty() {
+			t.Errorf("%s: aborted run returned %d regions, err %v", name, got.Len(), err)
+		}
+		if calls != 2 {
+			t.Errorf("%s: polled %d times, want it to stop at the second poll", name, calls)
+		}
+	}
+}

@@ -23,22 +23,42 @@ package region
 import "math/bits"
 
 // Including returns R ⊃ S: the regions of R that strictly include at least
-// one region of S. It runs in O((|R|+|S|) log |S|) using a sparse-table
-// range-minimum structure over the end positions of S, except when a region
-// of R also occurs in S, where ruling out the self-match may scan the
-// candidate range.
+// one region of S.
+//
+// When R is disjoint the regions of S probe it — each has at most two
+// possible containers, found by one galloping search — in
+// O(|S| · log(|R|/|S|)); when S is disjoint the regions of R probe it in
+// O(|R| · log(|S|/|R|)); when both are, the smaller side drives (probe.go).
+// The output buffer is sized by the driving side. Only when neither operand
+// is disjoint (a self-nested name such as sgml's Section, overlapping hand
+// tables) does the sweep below run: O((|R|+|S|) log |S|) with a sparse-table
+// range-minimum structure over the end positions of S, except when a
+// region of R also occurs in S, where ruling out the self-match may scan
+// the candidate range.
 func (s Set) Including(t Set) Set {
 	out, _ := s.IncludingCtl(t, nil)
 	return out
 }
 
 // IncludingCtl is Including with cooperative cancellation: check is polled
-// every pollStride regions of R and a non-nil return aborts the sweep.
+// every pollStride regions of the driving operand and a non-nil return
+// aborts the kernel.
 func (s Set) IncludingCtl(t Set, check Checker) (Set, error) {
 	R, S := s, t
 	if R.IsEmpty() || S.IsEmpty() {
 		return Empty, nil
 	}
+	switch {
+	case R.disjoint && (!S.disjoint || len(S.regions) <= len(R.regions)):
+		return includingByContainer(R, S, check)
+	case S.disjoint:
+		return includingByContent(R, S, check)
+	}
+	return includingSweep(R, S, check)
+}
+
+// includingSweep is R ⊃ S for operands of which neither is disjoint.
+func includingSweep(R, S Set, check Checker) (Set, error) {
 	rmq := newMinTable(S.regions)
 	out := make([]Region, 0, len(R.regions))
 	var abort error
@@ -67,7 +87,7 @@ func (s Set) IncludingCtl(t Set, check Checker) (Set, error) {
 	if abort != nil {
 		return Empty, abort
 	}
-	return trimmed(out), nil
+	return trimmed(R, out), nil
 }
 
 // strictBesides reports whether some region in cands other than r is
@@ -82,21 +102,39 @@ func strictBesides(cands []Region, r Region) bool {
 }
 
 // Included returns R ⊂ S: the regions of R strictly included in at least
-// one region of S. It runs in O((|R|+|S|) log |S|) using a prefix-maximum
-// over the end positions of S, with the same self-match caveat as
-// Including.
+// one region of S.
+//
+// When R is disjoint the regions inside each s are one contiguous range of
+// R, found by two galloping searches and copied as a run:
+// O(|S| · log(|R|/|S|)) plus the answer. When S is disjoint each r has at
+// most two possible containers: O(|R| · log(|S|/|R|)). When both are, the
+// smaller side drives (probe.go). Only when neither is disjoint does the
+// sweep below run: O((|R|+|S|) log |S|) with a prefix-maximum over the end
+// positions of S, with the same self-match caveat as Including.
 func (s Set) Included(t Set) Set {
 	out, _ := s.IncludedCtl(t, nil)
 	return out
 }
 
 // IncludedCtl is Included with cooperative cancellation: check is polled
-// every pollStride regions of R and a non-nil return aborts the sweep.
+// every pollStride regions of the driving operand and a non-nil return
+// aborts the kernel.
 func (s Set) IncludedCtl(t Set, check Checker) (Set, error) {
 	R, S := s, t
 	if R.IsEmpty() || S.IsEmpty() {
 		return Empty, nil
 	}
+	switch {
+	case R.disjoint && (!S.disjoint || len(S.regions) <= len(R.regions)):
+		return includedByContent(R, S, check)
+	case S.disjoint:
+		return includedByContainer(R, S, check)
+	}
+	return includedSweep(R, S, check)
+}
+
+// includedSweep is R ⊂ S for operands of which neither is disjoint.
+func includedSweep(R, S Set, check Checker) (Set, error) {
 	// prefMax[i] = max end among S.regions[0:i] (those starts are ≤ any
 	// later start).
 	buf := getIntBuf()
@@ -133,7 +171,7 @@ func (s Set) IncludedCtl(t Set, check Checker) (Set, error) {
 	if abort != nil {
 		return Empty, abort
 	}
-	return trimmed(out), nil
+	return trimmed(R, out), nil
 }
 
 // containerBesides reports whether some region in cands other than r
@@ -362,29 +400,30 @@ func (u *Universe) containers(s Region) []Region {
 	return out
 }
 
-// directContainers returns the universe regions that directly include s:
-// the minimal elements (under inclusion) of the strict containers of s.
-func (u *Universe) directContainers(s Region) []Region {
-	if u.nested {
-		if p, ok := u.Parent(s); ok {
-			return []Region{p}
-		}
-		if u.indexOf(s) >= 0 {
-			return nil
-		}
-		// s is not itself indexed: its direct containers are the
-		// tightest universe regions including it.
-		var best []Region
-		for _, t := range u.containers(s) {
-			if t == s {
-				continue
-			}
-			if len(best) == 0 || best[0].StrictlyIncludes(t) {
-				best = []Region{t}
-			}
-		}
-		return best
+// directContainer returns the region that directly includes s on a properly
+// nested universe, where there is at most one: the forest parent of an
+// indexed s, else the tightest universe region including it.
+func (u *Universe) directContainer(s Region) (Region, bool) {
+	if p, ok := u.Parent(s); ok {
+		return p, true
 	}
+	if u.indexOf(s) >= 0 {
+		return Region{}, false // an indexed root
+	}
+	var best Region
+	found := false
+	for _, t := range u.containers(s) {
+		if t != s && (!found || best.StrictlyIncludes(t)) {
+			best, found = t, true
+		}
+	}
+	return best, found
+}
+
+// directContainers returns the regions that directly include s on a
+// universe with partial overlaps: the minimal elements (under inclusion) of
+// the strict containers of s.
+func (u *Universe) directContainers(s Region) []Region {
 	var minimal []Region
 	for _, t := range u.containers(s) {
 		if t == s {
@@ -404,11 +443,46 @@ func (u *Universe) directContainers(s Region) []Region {
 	return minimal
 }
 
-// DirectContainers returns the universe regions that directly include s —
-// the minimal elements (under inclusion) of s's strict containers. It is
-// the exported seam the streaming executor uses to evaluate the direct
-// operators one region at a time.
-func (u *Universe) DirectContainers(s Region) []Region { return u.directContainers(s) }
+// DirectContainersOf returns the set of universe regions that directly
+// include some region of S — for each s the minimal elements (under
+// inclusion) of its strict containers. It is the seam through which the
+// direct operators, set and stream, evaluate ⊃d: on a nested universe one
+// forest lookup per region of S and no allocation but the answer. check is
+// polled every pollStride regions of S; on non-nested universes one
+// iteration scans the containers of s, so this is the poll that bounds the
+// O(n²) worst case the paper warns about.
+func (u *Universe) DirectContainersOf(S Set, check Checker) (Set, error) {
+	var cand []Region
+	if u.nested {
+		cand = make([]Region, 0, len(S.regions)) // at most one each
+	}
+	for i, s := range S.regions {
+		if err := poll(check, i); err != nil {
+			return Empty, err
+		}
+		if !u.nested {
+			cand = append(cand, u.directContainers(s)...)
+		} else if p, ok := u.directContainer(s); ok {
+			cand = append(cand, p)
+		}
+	}
+	return FromOrdered(cand), nil
+}
+
+// DirectlyWithin reports whether a universe region that directly includes r
+// is in S: the ⊂d test for one region.
+func (u *Universe) DirectlyWithin(r Region, S Set) bool {
+	if u.nested {
+		p, ok := u.directContainer(r)
+		return ok && S.Contains(p)
+	}
+	for _, t := range u.directContainers(r) {
+		if S.Contains(t) {
+			return true
+		}
+	}
+	return false
+}
 
 // DirectlyIncluding returns R ⊃d S: the regions of R strictly including some
 // region of S with no other universe region strictly between them — i.e. R's
@@ -419,21 +493,16 @@ func (u *Universe) DirectlyIncluding(R, S Set) Set {
 }
 
 // DirectlyIncludingCtl is DirectlyIncluding with cooperative cancellation:
-// check is polled every pollStride regions of S. On non-nested universes one
-// iteration scans the containers of s, so this is the poll that bounds the
-// O(n²) worst case the paper warns about.
+// check is polled every pollStride regions of S.
 func (u *Universe) DirectlyIncludingCtl(R, S Set, check Checker) (Set, error) {
 	if R.IsEmpty() || S.IsEmpty() {
 		return Empty, nil
 	}
-	var cand []Region
-	for i, s := range S.regions {
-		if err := poll(check, i); err != nil {
-			return Empty, err
-		}
-		cand = append(cand, u.directContainers(s)...)
+	cand, err := u.DirectContainersOf(S, check)
+	if err != nil {
+		return Empty, err
 	}
-	return FromRegions(cand).Intersect(R), nil
+	return cand.Intersect(R), nil
 }
 
 // DirectlyIncluded returns R ⊂d S: the regions of R whose direct container
@@ -454,13 +523,9 @@ func (u *Universe) DirectlyIncludedCtl(R, S Set, check Checker) (Set, error) {
 		if err := poll(check, i); err != nil {
 			return Empty, err
 		}
-		//qoflint:allow ctxpoll direct-container chains are bounded by nesting depth; the outer loop polls per region
-		for _, t := range u.directContainers(r) {
-			if S.Contains(t) {
-				out = append(out, r)
-				break
-			}
+		if u.DirectlyWithin(r, S) {
+			out = append(out, r)
 		}
 	}
-	return fromSorted(out), nil
+	return subsetOf(R, out), nil
 }

@@ -8,6 +8,11 @@ package region
 // remain the reference implementations; the streaming executor is verified
 // against them differentially (see docs/STREAMING.md).
 //
+// IncludingIter and IncludedIter below merge two streams. When the left
+// operand is a disjoint set in hand, IncludingSetIter and IncludedSetIter
+// (probe.go) probe it with the right stream instead, and HoldingIter probes
+// it with a posting list; they obey the same contract.
+//
 // Iterator contract:
 //
 //   - Output order is the canonical set order (Start ascending, End
@@ -61,7 +66,7 @@ func Materialize(it Iterator) (Set, error) {
 			return Empty, err
 		}
 		if !ok {
-			return trimmed(out), nil
+			return trimmed(Empty, out), nil
 		}
 		out = append(out, r)
 	}

@@ -14,7 +14,10 @@ package region
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Region is a half-open byte range [Start, End) of the indexed text.
@@ -60,8 +63,18 @@ func (r Region) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) 
 // Set is a set of regions: duplicate-free and sorted by (Start asc, End
 // desc). The zero value is the empty set. Sets are treated as immutable;
 // operations return new sets.
+//
+// A set knows whether it is disjoint — each region ends at or before the
+// next starts. Every constructor establishes the flag (a kernel that
+// returns a subset of a disjoint operand inherits it, everything else finds
+// it in the pass that builds the slice), so it is always exact and no
+// kernel re-derives it. The inclusion kernels select their algorithm on it:
+// in a disjoint set the container of a region is one index and the contents
+// of a region are one index range (see inclusion.go).
 type Set struct {
-	regions []Region
+	regions  []Region
+	disjoint bool
+	memo     *Memo // see WithMemo; never copied into a kernel's result
 }
 
 // Empty is the empty region set.
@@ -78,15 +91,59 @@ func FromRegions(rs []Region) Set {
 	}
 	out := make([]Region, len(rs))
 	copy(out, rs)
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
+	return FromOrdered(out)
+}
+
+// FromOrdered takes ownership of rs and makes it a set. It is for callers
+// that produce regions in set order — a posting list turned into match
+// points — and pays for nothing else: one pass verifies the order and finds
+// the disjoint flag, and only input that is out of order is sorted and
+// de-duplicated, in place.
+//
+// qoflint:canonicalizer — verified, and established by sorting when the
+// claim is wrong.
+func FromOrdered(rs []Region) Set {
+	sorted, disjoint := true, true
+	for i, r := range rs {
+		if r.End < r.Start {
+			disjoint = false
+		}
+		if i+1 == len(rs) {
+			break
+		}
+		if !r.Before(rs[i+1]) {
+			sorted = false
+			break
+		}
+		if r.End > rs[i+1].Start {
+			disjoint = false
 		}
 	}
-	return Set{regions: out[:w]}
+	if !sorted {
+		slices.SortFunc(rs, func(a, b Region) int {
+			switch {
+			case a == b:
+				return 0
+			case a.Before(b):
+				return -1
+			}
+			return 1
+		})
+		rs = slices.Compact(rs)
+		disjoint = isDisjoint(rs)
+	}
+	return Set{regions: rs, disjoint: disjoint}
+}
+
+// isDisjoint is the definition the flag records: every region is
+// well-formed and ends at or before the next starts.
+func isDisjoint(rs []Region) bool {
+	for i, r := range rs {
+		if r.End < r.Start || (i+1 < len(rs) && r.End > rs[i+1].Start) {
+			return false
+		}
+	}
+	return true
 }
 
 // fromSorted wraps a slice that is already sorted and duplicate-free.
@@ -94,7 +151,21 @@ func FromRegions(rs []Region) Set {
 //
 // qoflint:canonicalizer — kernels that emit regions in sweep order wrap
 // their output here; the marker keeps raw Set literals out of their code.
-func fromSorted(rs []Region) Set { return Set{regions: rs} }
+func fromSorted(rs []Region) Set { return Set{regions: rs, disjoint: isDisjoint(rs)} }
+
+// subsetOf wraps a sorted, duplicate-free selection of parent's regions. A
+// subset of a disjoint set is disjoint; otherwise the selection is checked,
+// which costs what the answer does.
+//
+// qoflint:canonicalizer
+func subsetOf(parent Set, rs []Region) Set {
+	return Set{regions: rs, disjoint: parent.disjoint || isDisjoint(rs)}
+}
+
+// Disjoint reports whether each region of the set ends at or before the
+// next starts. The instances of a non-terminal that does not nest in itself
+// are disjoint; sgml's Section is the counterexample.
+func (s Set) Disjoint() bool { return s.disjoint || len(s.regions) == 0 }
 
 // Len reports the number of regions in the set.
 func (s Set) Len() int { return len(s.regions) }
@@ -188,7 +259,10 @@ func (s Set) Intersect(t Set) Set {
 			j++
 		}
 	}
-	return trimmed(out)
+	if t.disjoint {
+		return trimmed(t, out)
+	}
+	return trimmed(s, out)
 }
 
 // Diff returns s − t.
@@ -218,7 +292,7 @@ func (s Set) Diff(t Set) Set {
 			j++
 		}
 	}
-	return trimmed(out)
+	return trimmed(s, out)
 }
 
 // Filter returns the subset of s whose regions satisfy keep.
@@ -232,7 +306,7 @@ func (s Set) Filter(keep func(Region) bool) Set {
 			out = append(out, r)
 		}
 	}
-	return trimmed(out)
+	return trimmed(s, out)
 }
 
 // Outermost implements the ω operation: the regions of s not included in any
@@ -251,7 +325,7 @@ func (s Set) Outermost() Set {
 			maxEnd = r.End
 		}
 	}
-	return trimmed(out)
+	return trimmed(s, out)
 }
 
 // Innermost implements the ι operation: the regions of s that include no
@@ -273,7 +347,7 @@ func (s Set) Innermost() Set {
 	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 		out[i], out[j] = out[j], out[i]
 	}
-	return trimmed(out)
+	return trimmed(s, out)
 }
 
 // ProperlyNested reports whether no two regions of the set partially
@@ -292,4 +366,50 @@ func (s Set) ProperlyNested() bool {
 		stack = append(stack, r.End)
 	}
 	return true
+}
+
+// Memo is a slot beside a set for one structure derived from the whole set
+// by whoever holds it — the text index keeps a named set's value order
+// there. It lives exactly as long as the Set value it was attached to:
+// replacing or dropping the set drops the memo with it, and no kernel
+// copies it into a result, so a memo never describes anything but the set
+// it sits beside.
+type Memo struct {
+	mu  sync.Mutex // held while building
+	val atomic.Value
+}
+
+// WithMemo returns s with a fresh, empty memo.
+func (s Set) WithMemo() Set {
+	s.memo = new(Memo)
+	return s
+}
+
+// Memo returns the set's memo, nil for a set that was not given one.
+func (s Set) Memo() *Memo { return s.memo }
+
+// Load returns the memoized value, nil while there is none.
+func (m *Memo) Load() any { return m.val.Load() }
+
+// Fill returns the memoized value, calling build to make it when there is
+// none. A failed build stores nothing. While one goroutine builds, Fill in
+// another returns (nil, nil) rather than wait — builders poll a Checker and
+// a waiter could not — so callers keep a path that does without the value.
+func (m *Memo) Fill(build func() (any, error)) (any, error) {
+	if v := m.val.Load(); v != nil {
+		return v, nil
+	}
+	if !m.mu.TryLock() {
+		return nil, nil
+	}
+	defer m.mu.Unlock()
+	if v := m.val.Load(); v != nil {
+		return v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	m.val.Store(v)
+	return v, nil
 }

@@ -96,3 +96,45 @@ func BenchmarkFromRegions(b *testing.B) {
 		FromRegions(rs)
 	}
 }
+
+// skewedBench runs one inclusion kernel on 20 000 regions against 200, in
+// both directions: with disjoint operands (the probe kernels) and with
+// self-nested ones — every region also holding a copy of itself shrunk by
+// one — where neither side is disjoint and the sweeps run.
+func skewedBench(b *testing.B, op func(R, S Set) Set) {
+	outer, inner, few := skewedSets(20000, 3, 300)
+	fewOuter := sample(rand.New(rand.NewSource(3)), outer, 200)
+	selfNested := func(s Set) Set {
+		var shrunk []Region
+		for _, r := range s.Regions() {
+			shrunk = append(shrunk, Region{r.Start + 1, r.End - 1})
+		}
+		return s.Union(FromRegions(shrunk))
+	}
+	nested, fewNested := selfNested(outer), selfNested(fewOuter)
+	if few.Len() != 200 || !outer.Disjoint() || nested.Disjoint() || fewNested.Disjoint() {
+		b.Fatalf("fixture: %d few; disjoint: outer %v, nested %v and %v", few.Len(), outer.Disjoint(), nested.Disjoint(), fewNested.Disjoint())
+	}
+	for _, c := range []struct {
+		name string
+		R, S Set
+	}{
+		{"disjoint/big-small", outer, few},
+		{"disjoint/small-big", fewOuter, inner},
+		{"nested/big-small", nested, fewNested},
+		{"nested/small-big", fewNested, nested},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op(c.R, c.S)
+			}
+		})
+	}
+}
+
+func BenchmarkIncludingSkewed(b *testing.B) { skewedBench(b, Set.Including) }
+
+func BenchmarkIncludedSkewed(b *testing.B) {
+	skewedBench(b, func(R, S Set) Set { return S.Included(R) })
+}
