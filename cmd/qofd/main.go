@@ -33,6 +33,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"syscall"
 	"time"
@@ -40,6 +41,26 @@ import (
 	"qof"
 	"qof/internal/serve"
 )
+
+// releaseAfterReload returns the index build's transient heap to the
+// operating system once a /reload has swapped the new generation in and its
+// response is on the wire. A publish parses and indexes every file beside
+// the generation being served, and queries make too little garbage for the
+// collector to come round soon on its own: without this the resident set
+// stays at the build's high-water mark. The start-up publish gets the same
+// treatment in run. This is the daemon's call to make — a library caller's
+// collector is theirs.
+func releaseAfterReload(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/reload" && r.Method == http.MethodPost {
+			if f, ok := w.(http.Flusher); ok {
+				f.Flush()
+			}
+			debug.FreeOSMemory()
+		}
+	})
+}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -181,9 +202,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "qofd: %d files, %d shards x%d replicas, domain %s, epoch %d on http://%s\n",
 		len(files), *shards, r, *dom, srv.Epoch(), ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: releaseAfterReload(srv.Handler())}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
+	// The listener is up and answering; now give back what the build left.
+	debug.FreeOSMemory()
 	select {
 	case <-ctx.Done():
 		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

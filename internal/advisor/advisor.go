@@ -164,27 +164,9 @@ func workloadPaths(cat *compile.Catalog, q *xsql.Query) ([][]string, error) {
 		out = append(out, paths...)
 		return nil
 	}
-	for _, c := range xsql.Conds(q.Where) {
-		switch c := c.(type) {
-		case xsql.CmpConst:
-			if err := addPath(c.Path); err != nil {
-				return nil, err
-			}
-		case xsql.CmpContains:
-			if err := addPath(c.Path); err != nil {
-				return nil, err
-			}
-		case xsql.CmpStarts:
-			if err := addPath(c.Path); err != nil {
-				return nil, err
-			}
-		case xsql.CmpPaths:
-			if err := addPath(c.L); err != nil {
-				return nil, err
-			}
-			if err := addPath(c.R); err != nil {
-				return nil, err
-			}
+	for _, p := range xsql.CondPaths(q.Where) {
+		if err := addPath(p); err != nil {
+			return nil, err
 		}
 	}
 	if len(q.Select.Segs) > 0 {

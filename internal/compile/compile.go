@@ -199,6 +199,12 @@ type VarPlan struct {
 	// stopping consumer pulls. Set by CompileStats when the query has a
 	// LIMIT; nil otherwise (without a limit the estimates coincide).
 	StreamEst *algebra.Estimate
+	// Reads is what phase 2 builds of each candidate: the paths the WHERE
+	// clause navigates from this variable, unless the plan is exact and
+	// nothing is filtered, plus the projected SELECT path. Empty means a
+	// candidate is never parsed at all — an exact whole-object select emits
+	// spans.
+	Reads *grammar.ReadSet
 }
 
 // ProjPlan describes how to produce the SELECT output.
@@ -220,6 +226,9 @@ type ProjPlan struct {
 // are read, and only matching objects are parsed.
 type JoinFastPlan struct {
 	L, R *optimizer.Chain
+	// Reads replaces the variable's read set for the objects the join
+	// matched: they are decided, so only the SELECT path is left to build.
+	Reads *grammar.ReadSet
 }
 
 // Plan is the compiled form of a query.
@@ -248,6 +257,65 @@ func (p *Plan) Var(name string) *VarPlan {
 	return nil
 }
 
+// IndexOnly reports that the engine answers from the index alone: exact
+// candidates and an exact projection chain, so no file access beyond the
+// projected regions and no phase 2.
+func (p *Plan) IndexOnly() bool {
+	return len(p.Vars) == 1 && len(p.Query.Select.Segs) > 0 &&
+		p.Vars[0].Exact && p.Vars[0].Candidates != nil &&
+		p.Projection.Chain != nil && p.Projection.Exact
+}
+
+// phase2Reads names what phase 2 builds of v's candidates, for Explain.
+func (p *Plan) phase2Reads(v *VarPlan) string {
+	switch {
+	case p.IndexOnly():
+		return "nothing (index-only projection)"
+	case v.Reads.Empty():
+		return "nothing (spans only)"
+	case v.Reads.Everything():
+		// Say which path variable made it so, when one did.
+		for _, path := range readPaths(p.Query, v) {
+			if len(path.Segs) > 0 && path.Segs[0].Star {
+				return fmt.Sprintf("everything (%s)", path.Segs[0])
+			}
+		}
+		return "everything"
+	}
+	return v.Reads.Describe(v.Var)
+}
+
+// readPaths lists the query's paths phase 2 navigates from v's objects:
+// the WHERE clause's when it is evaluated on them — always in a join, and
+// unless the candidates are exact otherwise — and the projected SELECT
+// path.
+func readPaths(q *xsql.Query, v *VarPlan) []xsql.Path {
+	var out []xsql.Path
+	add := func(p xsql.Path) {
+		if p.Var == v.Var {
+			out = append(out, p)
+		}
+	}
+	if !v.Exact || len(q.From) > 1 {
+		for _, p := range xsql.CondPaths(q.Where) {
+			add(p)
+		}
+	}
+	if len(q.Select.Segs) > 0 {
+		add(q.Select)
+	}
+	return out
+}
+
+// compileReads compiles a read set from the steps of the paths.
+func (c *Catalog) compileReads(nt string, paths []xsql.Path) (*grammar.ReadSet, error) {
+	steps := make([][]db.Step, len(paths))
+	for i, p := range paths {
+		steps[i] = p.Steps()
+	}
+	return c.Grammar.CompileReads(nt, steps)
+}
+
 // Explain renders a human-readable account of the plan.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
@@ -256,8 +324,10 @@ func (p *Plan) Explain() string {
 		fmt.Fprintf(&sb, "trivially empty: %s\n", p.TrivialWhy)
 		return sb.String()
 	}
-	for _, v := range p.Vars {
+	for i := range p.Vars {
+		v := &p.Vars[i]
 		fmt.Fprintf(&sb, "var %s (%s):\n", v.Var, v.NT)
+		fmt.Fprintf(&sb, "  phase 2 reads: %s\n", p.phase2Reads(v))
 		if v.Candidates == nil {
 			fmt.Fprintf(&sb, "  candidates: full extent scan (no index support)\n")
 			continue
@@ -404,6 +474,18 @@ func (c *Catalog) CompileStats(q *xsql.Query, in *index.Instance, st *stats.Stat
 	}
 	c.compileProjection(plan, q, in, indexed)
 	c.compileJoinFast(plan, q, indexed)
+	for i := range plan.Vars {
+		vp := &plan.Vars[i]
+		if vp.Reads, err = c.compileReads(vp.NT, readPaths(q, vp)); err != nil {
+			return nil, fmt.Errorf("compile: %w", err)
+		}
+	}
+	if plan.JoinFast != nil {
+		decided := VarPlan{Var: plan.Vars[0].Var, Exact: true}
+		if plan.JoinFast.Reads, err = c.compileReads(plan.Vars[0].NT, readPaths(q, &decided)); err != nil {
+			return nil, fmt.Errorf("compile: %w", err)
+		}
+	}
 	return plan, nil
 }
 

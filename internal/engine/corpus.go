@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"qof/internal/compile"
-	"qof/internal/db"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/qerr"
@@ -142,7 +141,6 @@ func (c *Corpus) Len() int { return len(c.engines) }
 type FileHit struct {
 	File    string
 	Regions region.Set
-	Objects []db.Value
 	Strings []string
 	Stats   Stats
 }
@@ -317,7 +315,6 @@ func (c *Corpus) ExecuteContext(ctx context.Context, q *xsql.Query, opts ExecOpt
 		out.Hits = append(out.Hits, FileHit{
 			File:    name,
 			Regions: res.Regions,
-			Objects: res.Objects,
 			Strings: res.Strings,
 			Stats:   st,
 		})

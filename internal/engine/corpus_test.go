@@ -40,8 +40,8 @@ func TestCorpusQuery(t *testing.T) {
 		t.Fatalf("hits = %d", len(res.Hits))
 	}
 	for _, h := range res.Hits {
-		if h.Stats.Results != len(h.Objects) || h.Stats.Results == 0 {
-			t.Errorf("file %s: results %d objects %d", h.File, h.Stats.Results, len(h.Objects))
+		if h.Stats.Results != h.Regions.Len() || h.Stats.Results == 0 {
+			t.Errorf("file %s: results %d regions %d", h.File, h.Stats.Results, h.Regions.Len())
 		}
 	}
 	if !res.Stats.Exact {

@@ -125,7 +125,7 @@ func (e *Engine) CacheCounters() (planHits, planMisses, resultHits, resultMisses
 // Stats describes how a query was executed.
 type Stats struct {
 	Candidates  int  // candidate regions after phase 1
-	Parsed      int  // regions parsed in phase 2 (including result materialization)
+	Parsed      int  // regions the grammar ran over in phase 2; 0 when the plan reads nothing of them
 	ParsedBytes int  // bytes covered by parsed regions
 	Results     int  // final result size
 	Exact       bool // phase-2 filtering was skipped (Section 6.3)
@@ -175,9 +175,9 @@ const regionBytes = 16
 
 // Result is the outcome of a query.
 type Result struct {
-	// Objects holds the selected objects for whole-object selects, in
-	// document order; Regions holds their regions.
-	Objects []db.Value
+	// Regions holds the regions of the selected objects, in document order.
+	// A whole-object select answers with them alone; Objects builds the
+	// objects when somebody wants them.
 	Regions region.Set
 	// Strings holds the projected values for path selects, in document
 	// order (duplicates preserved).
@@ -186,6 +186,28 @@ type Result struct {
 	Projected bool
 	Plan      *compile.Plan
 	Stats     Stats
+
+	eng *Engine // the engine whose instance Regions refer to
+}
+
+// Objects parses the selected regions of a whole-object select into their
+// complete database values, in document order; nil for a path select.
+// Phase 2 builds only what the query reads and an exact plan parses nothing,
+// so this is where a selected object is built, on demand, in full.
+func (r *Result) Objects() ([]db.Value, error) {
+	if r.Projected || r.Regions.Len() == 0 {
+		return nil, nil
+	}
+	nt := r.Plan.Var(r.Plan.Query.Select.Var).NT
+	out := make([]db.Value, 0, r.Regions.Len())
+	for _, reg := range r.Regions.Regions() {
+		v, err := r.eng.parseValueRaw(nt, reg, nil)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Limits are per-query resource budgets, enforced at the same poll points
@@ -270,7 +292,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *xsql.Query, lim Limits) 
 		}
 		e.plans.Put(key, plan)
 	}
-	res := &Result{Plan: plan, Projected: len(q.Select.Segs) > 0}
+	res := &Result{Plan: plan, Projected: len(q.Select.Segs) > 0, eng: e}
 	res.Stats.PlanCached = cached
 	res.Stats.CompileTime = time.Since(start)
 	if plan.Trivial {
@@ -328,8 +350,7 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	// cancellation stop the whole query early. The index-only projection
 	// and the fast join need the complete candidate set up front, so those
 	// plans keep the materializing phase 1 below.
-	indexOnly := res.Projected && vp.Exact && plan.Projection.Chain != nil && plan.Projection.Exact
-	if !e.Materializing && vp.Candidates != nil && plan.JoinFast == nil && !indexOnly {
+	if !e.Materializing && vp.Candidates != nil && plan.JoinFast == nil && !plan.IndexOnly() {
 		return e.streamSingle(es, q, plan, vp, res, phase1)
 	}
 
@@ -374,7 +395,7 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 
 	// Index-only projection: exact candidates plus an exact projection
 	// chain answer the query without touching the file.
-	if res.Projected && vp.Exact && plan.Projection.Chain != nil && plan.Projection.Exact && !res.Stats.FullScan {
+	if plan.IndexOnly() {
 		projected, err := e.evalExpr(es, plan.Projection.Chain.Expr(), res)
 		if err != nil {
 			return fmt.Errorf("engine: evaluating projection: %w", err)
@@ -396,14 +417,15 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	// Section 5.2 fast join: decide the path comparison from the leaf
 	// regions alone, then parse only the matching objects.
 	if plan.JoinFast != nil && !res.Stats.FullScan {
-		matched, ok, err := e.joinFastCandidates(es, plan.JoinFast, candidates, res)
+		jf := plan.JoinFast
+		matched, ok, err := e.joinFastCandidates(es, jf, candidates, res)
 		if err != nil {
 			return err
 		}
 		if ok {
 			res.Stats.JoinFast = true
 			candidates = matched
-			vp = &compile.VarPlan{Var: vp.Var, NT: vp.NT, Exact: true}
+			vp = &compile.VarPlan{Var: vp.Var, NT: vp.NT, Exact: true, Reads: jf.Reads}
 		}
 	}
 
@@ -481,8 +503,7 @@ func (e *Engine) phase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *comp
 	// region.
 	em := newEmitter(q, plan, res)
 	for i, out := range outs {
-		res.Stats.Parsed++
-		res.Stats.ParsedBytes += cands[i].Len()
+		res.Stats.countParsed(vp, cands[i])
 		if !out.keep || em.full() {
 			continue
 		}
@@ -494,10 +515,16 @@ func (e *Engine) phase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *comp
 
 // processCandidate does the per-candidate phase-2 work — poll, fault
 // injection, byte budget, parse, build, filter — shared by the sequential,
-// parallel, materializing and streaming paths. Per-candidate panics (a
-// grammar or filter bug, or an injected fault) are isolated into a typed
-// error so one poisoned candidate fails the query instead of killing the
-// process — essential when the caller is a worker goroutine.
+// parallel, materializing and streaming paths. It parses with the plan's
+// read set, so obj holds what the filter and the projection navigate and
+// nothing else; a plan that reads nothing of its candidates (an exact
+// whole-object select) has nothing to decide and nothing to build, and its
+// candidates pass unparsed and uncharged — but still through the poll and
+// the failpoint, so cancellation, LIMIT and injected faults see every
+// candidate. Per-candidate panics (a grammar or filter bug, or an injected
+// fault) are isolated into a typed error so one poisoned candidate fails
+// the query instead of killing the process — essential when the caller is
+// a worker goroutine.
 func (e *Engine) processCandidate(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, r region.Region) (obj db.Value, keep bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -510,14 +537,24 @@ func (e *Engine) processCandidate(es *execEnv, plan *compile.Plan, vp *compile.V
 	if err := faultinject.Hit(faultinject.Phase2); err != nil {
 		return nil, false, fmt.Errorf("engine: phase 2: %w", err)
 	}
-	if err := es.chargeBytes(r.Len()); err != nil {
-		return nil, false, err
-	}
-	obj, err = e.parseValue(es, vp.NT, r)
-	if err != nil {
-		return nil, false, err
+	if !vp.Reads.Empty() {
+		if err := es.chargeBytes(r.Len()); err != nil {
+			return nil, false, err
+		}
+		if obj, err = e.parseValue(es, vp, r); err != nil {
+			return nil, false, err
+		}
 	}
 	return obj, vp.Exact || plan.Filter.EvalOne(obj), nil
+}
+
+// countParsed accounts one candidate that went through processCandidate or
+// parseRegion: parsed, unless the plan reads nothing of it.
+func (st *Stats) countParsed(vp *compile.VarPlan, r region.Region) {
+	if !vp.Reads.Empty() {
+		st.Parsed++
+		st.ParsedBytes += r.Len()
+	}
 }
 
 // emitter accumulates kept candidates into the result with uniform LIMIT
@@ -540,20 +577,21 @@ func newEmitter(q *xsql.Query, plan *compile.Plan, res *Result) *emitter {
 // full reports that the limit is reached and emission has stopped.
 func (em *emitter) full() bool { return em.limit > 0 && em.rows >= em.limit }
 
-// emit admits one kept candidate. The caller checks full() first.
+// emit admits one kept candidate: a whole-object select records its region,
+// a path select also projects from obj, the value phase 2 built for it. The
+// caller checks full() first.
 func (em *emitter) emit(r region.Region, obj db.Value) {
 	em.kept = append(em.kept, r)
-	if em.res.Projected {
-		strs := db.NavigateStrings(obj, em.plan.Projection.Steps)
-		if em.limit > 0 && len(strs) > em.limit-em.rows {
-			strs = strs[:em.limit-em.rows]
-		}
-		em.res.Strings = append(em.res.Strings, strs...)
-		em.rows += len(strs)
-	} else {
-		em.res.Objects = append(em.res.Objects, obj)
+	if !em.res.Projected {
 		em.rows++
+		return
 	}
+	strs := db.NavigateStrings(obj, em.plan.Projection.Steps)
+	if em.limit > 0 && len(strs) > em.limit-em.rows {
+		strs = strs[:em.limit-em.rows]
+	}
+	em.res.Strings = append(em.res.Strings, strs...)
+	em.rows += len(strs)
 }
 
 // finish publishes the kept regions into the result.
@@ -675,8 +713,7 @@ func (e *Engine) streamPhase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 		if err != nil {
 			return all, false, err
 		}
-		res.Stats.Parsed++
-		res.Stats.ParsedBytes += r.Len()
+		res.Stats.countParsed(vp, r)
 		if keep {
 			em.emit(r, obj)
 		}
@@ -785,8 +822,7 @@ collect:
 				procErr = cur.err
 				break collect
 			}
-			res.Stats.Parsed++
-			res.Stats.ParsedBytes += cur.r.Len()
+			res.Stats.countParsed(vp, cur.r)
 			if cur.keep {
 				em.emit(cur.r, cur.obj)
 			}
@@ -903,7 +939,7 @@ func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, re
 		res.Stats.Candidates += cands.Len()
 		b := binding{regions: cands.Regions()}
 		for _, r := range cands.Regions() {
-			obj, err := e.parseRegion(es, vp.NT, r, &res.Stats)
+			obj, err := e.parseRegion(es, vp, r, &res.Stats)
 			if err != nil {
 				return err
 			}
@@ -977,36 +1013,41 @@ func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, re
 	return nil
 }
 
-// parseRegion parses one candidate region as the non-terminal and builds
-// its database value, updating statistics.
-func (e *Engine) parseRegion(es *execEnv, nt string, r region.Region, st *Stats) (db.Value, error) {
+// parseRegion builds what the plan reads of one candidate region of a join
+// variable, updating statistics; a variable the query reads nothing of is
+// not parsed and binds nil, where no path of the filter finds anything.
+func (e *Engine) parseRegion(es *execEnv, vp *compile.VarPlan, r region.Region, st *Stats) (db.Value, error) {
+	if vp.Reads.Empty() {
+		return nil, nil
+	}
 	if err := es.chargeBytes(r.Len()); err != nil {
 		return nil, err
 	}
-	v, err := e.parseValue(es, nt, r)
+	v, err := e.parseValue(es, vp, r)
 	if err != nil {
 		return nil, err
 	}
-	st.Parsed++
-	st.ParsedBytes += r.Len()
+	st.countParsed(vp, r)
 	return v, nil
 }
 
-// parseValue parses one candidate region into its database value, through
-// the shared parse table when shared execution is on. The caller has
-// already polled cancellation and charged its byte budget. Shared values
-// are immutable by the same contract as cached region sets: every consumer
-// (filtering, projection, result conversion) only reads them.
-func (e *Engine) parseValue(es *execEnv, nt string, r region.Region) (db.Value, error) {
+// parseValue parses one candidate region into the part of its database
+// value the plan reads, through the shared parse table when shared
+// execution is on. The caller has already polled cancellation and charged
+// its byte budget. Shared values are immutable by the same contract as
+// cached region sets: every consumer (filtering, projection) only reads
+// them.
+func (e *Engine) parseValue(es *execEnv, vp *compile.VarPlan, r region.Region) (db.Value, error) {
 	if e.shared == nil {
-		return e.parseValueRaw(nt, r)
+		return e.parseValueRaw(vp.NT, r, vp.Reads)
 	}
-	return e.shared.parse(es, nt, r)
+	return e.shared.parse(es, vp, r)
 }
 
-// parseValueRaw is the unshared parse: grammar parse plus value build.
-func (e *Engine) parseValueRaw(nt string, r region.Region) (db.Value, error) {
-	v, err := e.cat.Grammar.ParseValue(e.in.Document(), nt, r.Start, r.End)
+// parseValueRaw is the unshared parse: grammar parse plus value build,
+// both narrowed to reads (nil: the whole value).
+func (e *Engine) parseValueRaw(nt string, r region.Region, reads *grammar.ReadSet) (db.Value, error) {
+	v, err := e.cat.Grammar.ParseValue(e.in.Document(), nt, r.Start, r.End, reads)
 	if err != nil {
 		return nil, fmt.Errorf("engine: parsing candidate %v as %s: %w", r, nt, err)
 	}

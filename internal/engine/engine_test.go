@@ -7,11 +7,22 @@ import (
 
 	"qof/internal/bibtex"
 	"qof/internal/db"
+	"qof/internal/engine"
 	"qof/internal/grammar"
 	"qof/internal/scan"
 	"qof/internal/testutil"
 	"qof/internal/xsql"
 )
+
+// objects builds the selected objects of a whole-object result on demand.
+func objects(t *testing.T, res *engine.Result) []db.Value {
+	t.Helper()
+	objs, err := res.Objects()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return objs
+}
 
 const changAuthorQuery = `SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
 
@@ -27,12 +38,9 @@ func TestPaperQueryFullIndexing(t *testing.T) {
 	if !res.Stats.Exact {
 		t.Error("full indexing should be exact")
 	}
-	// Exact plans parse only the final results.
-	if res.Stats.Parsed != res.Stats.Results {
-		t.Errorf("parsed %d regions for %d results", res.Stats.Parsed, res.Stats.Results)
-	}
-	if res.Stats.ParsedBytes >= f.Doc.Len()/2 {
-		t.Errorf("parsed %d of %d bytes; expected a small fraction", res.Stats.ParsedBytes, f.Doc.Len())
+	// An exact whole-object select answers with spans: nothing is parsed.
+	if res.Stats.Parsed != 0 || res.Stats.ParsedBytes != 0 {
+		t.Errorf("parsed %d regions, %d bytes for an exact whole-object select", res.Stats.Parsed, res.Stats.ParsedBytes)
 	}
 	if res.Stats.FullScan {
 		t.Error("full scan flagged")
@@ -181,12 +189,12 @@ func TestEngineMatchesFullScan(t *testing.T) {
 					t.Errorf("[%s] %s:\n engine   %v\n baseline %v\n%s",
 						specName, src, got, want, res.Plan.Explain())
 				}
-			} else if len(res.Objects) != len(base.Objects) {
+			} else if objs := objects(t, res); len(objs) != len(base.Objects) {
 				t.Errorf("[%s] %s: engine %d objects, baseline %d\n%s",
-					specName, src, len(res.Objects), len(base.Objects), res.Plan.Explain())
+					specName, src, len(objs), len(base.Objects), res.Plan.Explain())
 			} else {
-				for i := range res.Objects {
-					if !db.Equal(res.Objects[i], base.Objects[i]) {
+				for i := range objs {
+					if !db.Equal(objs[i], base.Objects[i]) {
 						t.Errorf("[%s] %s: object %d differs", specName, src, i)
 						break
 					}
@@ -237,9 +245,9 @@ func TestEngineMatchesFullScanRandomSpecs(t *testing.T) {
 					t.Errorf("trial %d (%v): %s:\n engine %v\n base   %v\n%s",
 						trial, names, src, got, want, res.Plan.Explain())
 				}
-			} else if len(res.Objects) != len(base.Objects) {
+			} else if res.Regions.Len() != len(base.Objects) {
 				t.Errorf("trial %d (%v): %s: %d vs %d\n%s",
-					trial, names, src, len(res.Objects), len(base.Objects), res.Plan.Explain())
+					trial, names, src, res.Regions.Len(), len(base.Objects), res.Plan.Explain())
 			}
 		}
 	}
@@ -305,8 +313,8 @@ func TestPaperFlagshipQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Objects) != len(base.Objects) {
-		t.Fatalf("engine %d, baseline %d", len(res.Objects), len(base.Objects))
+	if res.Regions.Len() != len(base.Objects) {
+		t.Fatalf("engine %d, baseline %d", res.Regions.Len(), len(base.Objects))
 	}
 	// The "never" form: books whose editors all avoid that pattern.
 	qNeg := xsql.MustParse(`SELECT r FROM References r, References s WHERE ` +
@@ -320,8 +328,8 @@ func TestPaperFlagshipQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resNeg.Objects) != len(baseNeg.Objects) {
-		t.Fatalf("negated: engine %d, baseline %d", len(resNeg.Objects), len(baseNeg.Objects))
+	if resNeg.Regions.Len() != len(baseNeg.Objects) {
+		t.Fatalf("negated: engine %d, baseline %d", resNeg.Regions.Len(), len(baseNeg.Objects))
 	}
 }
 
@@ -338,8 +346,8 @@ func TestMultiVarJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Objects) != len(base.Objects) {
-		t.Fatalf("engine %d, baseline %d", len(res.Objects), len(base.Objects))
+	if res.Regions.Len() != len(base.Objects) {
+		t.Fatalf("engine %d, baseline %d", res.Regions.Len(), len(base.Objects))
 	}
 }
 
@@ -412,9 +420,9 @@ func TestStartsQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Objects) != len(base.Objects) {
+		if res.Regions.Len() != len(base.Objects) {
 			t.Errorf("%s: engine %d vs baseline %d\n%s",
-				src, len(res.Objects), len(base.Objects), res.Plan.Explain())
+				src, res.Regions.Len(), len(base.Objects), res.Plan.Explain())
 		}
 	}
 }
@@ -432,16 +440,16 @@ func TestMultiVarSelectUnconstrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Objects) != len(base.Objects) {
-		t.Fatalf("engine %d vs baseline %d", len(res.Objects), len(base.Objects))
+	if res.Regions.Len() != len(base.Objects) {
+		t.Fatalf("engine %d vs baseline %d", res.Regions.Len(), len(base.Objects))
 	}
 	// Some Chang-author exists in this corpus, so every r qualifies.
 	want := 0
 	if f.St.TargetAsAuthor > 0 {
 		want = 10
 	}
-	if len(res.Objects) != want {
-		t.Fatalf("results = %d, want %d", len(res.Objects), want)
+	if res.Regions.Len() != want {
+		t.Fatalf("results = %d, want %d", res.Regions.Len(), want)
 	}
 }
 

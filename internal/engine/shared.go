@@ -245,10 +245,13 @@ func planWords(plan *compile.Plan, into map[string]bool) {
 }
 
 // parseKey identifies one phase-2 parse: epoch-prefixed like the result
-// cache, so index mutations orphan every entry.
+// cache, so index mutations orphan every entry. The value of a parse holds
+// only what its read set names, so the key carries the set's canonical
+// rendering: queries that read the same attributes share, others do not.
 type parseKey struct {
 	epoch      uint64
 	nt         string
+	reads      string
 	start, end int
 }
 
@@ -338,8 +341,9 @@ func (pt *parseTable) drop() {
 // parse is the shared phase-2 parse path: singleflight plus busy-period
 // retention. Every caller has already polled its context and charged its
 // own byte budget, so dedup never changes budget or cancellation behavior.
-func (sh *sharedState) parse(es *execEnv, nt string, r region.Region) (db.Value, error) {
-	key := parseKey{epoch: sh.eng.in.Epoch(), nt: nt, start: r.Start, end: r.End}
+func (sh *sharedState) parse(es *execEnv, vp *compile.VarPlan, r region.Region) (db.Value, error) {
+	nt, reads := vp.NT, vp.Reads
+	key := parseKey{epoch: sh.eng.in.Epoch(), nt: nt, reads: reads.String(), start: r.Start, end: r.End}
 	fl, leader := sh.parses.join(key)
 	if leader {
 		completed := false
@@ -348,7 +352,7 @@ func (sh *sharedState) parse(es *execEnv, nt string, r region.Region) (db.Value,
 				sh.parses.abort(key, fl)
 			}
 		}()
-		val, err := sh.eng.parseValueRaw(nt, r)
+		val, err := sh.eng.parseValueRaw(nt, r, reads)
 		completed = true
 		sh.parses.complete(fl, val, err)
 		return val, err
@@ -360,7 +364,7 @@ func (sh *sharedState) parse(es *execEnv, nt string, r region.Region) (db.Value,
 		}
 		// Leader aborted (panic unwind): parse solo rather than re-joining,
 		// parses are bounded and deterministic.
-		return sh.eng.parseValueRaw(nt, r)
+		return sh.eng.parseValueRaw(nt, r, reads)
 	}
 	es.parseDedups.Add(1)
 	return val, err

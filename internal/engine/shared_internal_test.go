@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"qof/internal/bibtex"
+	"qof/internal/compile"
+	"qof/internal/db"
+	"qof/internal/grammar"
 	"qof/internal/mpm"
 	"qof/internal/text"
 	"qof/internal/xsql"
@@ -273,5 +276,63 @@ func TestParseFlightWaitCancel(t *testing.T) {
 	cancel()
 	if _, err, ok := fl.wait(ctx); ok || err == nil {
 		t.Errorf("wait on a dead context: ok=%v err=%v, want ok=false with the context error", ok, err)
+	}
+}
+
+// TestParseTableKeepsReadSetsApart: a shared value holds only what the
+// plan that parsed it reads, so the table shares between plans that read
+// the same attributes and never across read sets. Three plans over one
+// candidate within one busy period: the second reads another attribute and
+// must get its own value; the third is another query with the first's read
+// set and is served the first's.
+func TestParseTableKeepsReadSetsApart(t *testing.T) {
+	g := bibtex.Grammar()
+	doc := text.NewDocument("shared.bib", bibtex.SampleEntry)
+	in, _, err := g.BuildInstance(doc, grammar.IndexSpec{Names: []string{bibtex.NTReference}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(bibtex.Catalog(), in)
+	eng.EnableSharedExecution()
+	sh := eng.shared
+	plan := func(src string) *compile.Plan {
+		t.Helper()
+		p, err := eng.cat.Compile(xsql.MustParse(src), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	title := plan(`SELECT r.Title FROM References r`)
+	key := plan(`SELECT r.Key FROM References r`)
+	titleToo := plan(`SELECT r.Title FROM References r WHERE NOT r.Title CONTAINS "zebra" LIMIT 5`)
+	if a, b, c := title.Vars[0].Reads, key.Vars[0].Reads, titleToo.Vars[0].Reads; a.String() != "Title" || b.String() != "Key" || c.String() != "Title" || a == c {
+		t.Fatalf("read sets %q, %q, %q", a, b, c)
+	}
+
+	_, release := sh.enter(context.Background(), title) // keeps the table through the busy period
+	defer release()
+	es := &execEnv{ctx: context.Background()}
+	r := in.MustRegion(bibtex.NTReference).At(0)
+	parse := func(p *compile.Plan) db.Value {
+		t.Helper()
+		v, err := sh.parse(es, &p.Vars[0], r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	first, second := parse(title), parse(key)
+	if got, want := first.String(), `tuple(Title: "Solving Ordinary Differential Equations Using Taylor Series")`; got != want {
+		t.Errorf("reading Title: %s", got)
+	}
+	if got, want := second.String(), `tuple(Key: "Corl82a")`; got != want {
+		t.Errorf("reading Key after a plan that reads Title parsed the same region: %s, want %s", got, want)
+	}
+	if n := es.parseDedups.Load(); n != 0 {
+		t.Errorf("%d parses deduplicated across different read sets", n)
+	}
+	if third := parse(titleToo); third != first || es.parseDedups.Load() != 1 {
+		t.Errorf("a second plan reading Title: value shared %v, %d dedups; want the first plan's value", third == first, es.parseDedups.Load())
 	}
 }

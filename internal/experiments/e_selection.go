@@ -24,7 +24,7 @@ func E1(opt Options) (*Table, error) {
 		Header: []string{"refs", "file_KB", "answers",
 			"index_ms", "scan_ms", "grep_ms", "speedup_vs_scan", "idx_parsed_bytes"},
 		Notes: []string{
-			"index_ms: optimized inclusion expression + parsing only the result regions",
+			"index_ms: optimized inclusion expression + parsing only the result regions into objects (Result.Objects)",
 			"scan_ms: parse whole file, build all objects, filter in the database ([ACM93] baseline)",
 			"grep answers a different (weaker) question: word occurrences, not authors",
 		},
@@ -41,8 +41,14 @@ func E1(opt Options) (*Table, error) {
 			if err != nil {
 				return err
 			}
-			parsedBytes = res.Stats.ParsedBytes
-			answers = res.Stats.Results
+			// The paper's answer is objects in the database, as the
+			// baseline's is; the engine's is spans until asked.
+			objs, err := res.Objects()
+			if err != nil {
+				return err
+			}
+			parsedBytes = res.Stats.ParsedBytes + regionBytes(res.Regions)
+			answers = len(objs)
 			return nil
 		})
 		if err != nil {

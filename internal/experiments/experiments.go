@@ -22,6 +22,7 @@ import (
 	"qof/internal/grammar"
 	"qof/internal/index"
 	"qof/internal/logs"
+	"qof/internal/region"
 	"qof/internal/sgml"
 	"qof/internal/text"
 	"qof/internal/xsql"
@@ -223,6 +224,15 @@ func ratio(a, b time.Duration) string {
 }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
+
+// regionBytes is the number of document bytes the regions cover.
+func regionBytes(s region.Set) int {
+	n := 0
+	for _, r := range s.Regions() {
+		n += r.Len()
+	}
+	return n
+}
 
 // mustQuery parses a query, panicking on error (experiment queries are
 // fixed strings).

@@ -1,10 +1,12 @@
 package grammar_test
 
 import (
+	"reflect"
 	"testing"
 
 	"qof/internal/bibtex"
 	"qof/internal/grammar"
+	"qof/internal/logs"
 )
 
 // TestPhase2AllocationCeilings pins what a candidate region costs in heap
@@ -22,7 +24,7 @@ func TestPhase2AllocationCeilings(t *testing.T) {
 		grammar.BuildValue(ref, content)
 	})
 	pooled := testing.AllocsPerRun(100, func() {
-		if _, err := g.ParseValue(doc, bibtex.NTReference, ref.Start, ref.End); err != nil {
+		if _, err := g.ParseValue(doc, bibtex.NTReference, ref.Start, ref.End, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -34,10 +36,9 @@ func TestPhase2AllocationCeilings(t *testing.T) {
 		grammar.BuildValue(n, content)
 	})
 	t.Logf("allocations per region: BuildValue %.0f, ParseValue %.0f, ParseAs+BuildValue %.0f", build, pooled, unpooled)
-	// The pooled parse adds only what the regexp engine allocates for the
-	// one terminal class (Initials) the byte-scanner compiler cannot
-	// express: one []int per match.
-	if pooled > build+6 {
+	// The pooled parse adds nothing: every terminal class of the schema is a
+	// byte scanner, and the tree stays in the runner's slabs.
+	if pooled > build+1 {
 		t.Errorf("ParseValue: %.0f allocations, the value alone is %.0f; the pooled parse should add next to nothing", pooled, build)
 	}
 	// A fresh runner adds its fixed set: itself, one chunk each of nodes
@@ -47,5 +48,18 @@ func TestPhase2AllocationCeilings(t *testing.T) {
 	}
 	if build > 50 {
 		t.Errorf("BuildValue: %.0f allocations for 51 nodes", build)
+	}
+}
+
+// TestBibtexTerminalsAreScanners: every terminal class of the bibliography
+// schema — the one the benchmark parses — compiles to a byte scanner; the
+// hook does tell the two kinds apart, on the log schema's counted repetition
+// and alternation.
+func TestBibtexTerminalsAreScanners(t *testing.T) {
+	if slow := bibtex.Grammar().RegexpTerminals(); len(slow) != 0 {
+		t.Errorf("bibtex terminals on the regexp engine: %v", slow)
+	}
+	if slow := logs.Grammar().RegexpTerminals(); !reflect.DeepEqual(slow, []string{"DateTime", "LevelWord"}) {
+		t.Errorf("logs terminals on the regexp engine: %v, want DateTime and LevelWord", slow)
 	}
 }

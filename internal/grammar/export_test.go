@@ -1,5 +1,16 @@
 package grammar
 
+import (
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"qof/internal/db"
+	"qof/internal/text"
+)
+
 // Hooks for the external grammar_test package, which holds the parser
 // differential oracle: it has to import qgen for the generated corpora, and
 // qgen imports this package.
@@ -15,3 +26,59 @@ const MiniDoc = miniDoc
 // TerminalMatch runs the terminal class's matcher at the start of s, as the
 // parser does: the match length, or a value <= 0 for no match.
 func (g *Grammar) TerminalMatch(name, s string) int { return g.terms[name](s) }
+
+// RegexpTerminals lists the terminal classes compileSimple could not
+// express, which run on the regexp engine. A matcher is a closure, so it is
+// recognised by the name of its code: regexpMatcher's, wherever inlined.
+func (g *Grammar) RegexpTerminals() []string {
+	var out []string
+	for name, m := range g.terms {
+		fn := runtime.FuncForPC(reflect.ValueOf(m).Pointer())
+		if fn != nil && strings.Contains(fn.Name(), "regexpMatcher") {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// SharedPrefixGrammar is the ordered-choice grammar of the differential
+// tests: alternatives of Item fail after matching a prefix the next
+// alternative also starts with. Head is shared by two alternatives of one
+// parent; Left and Right are different parents whose Words stand at the
+// same positions, so under a read set that reads one and not the other the
+// memo holds a Word built for the wrong need.
+func SharedPrefixGrammar(t testing.TB) *Grammar {
+	t.Helper()
+	g := NewGrammar("S")
+	g.MustAddTerminal("N", `[0-9]+`)
+	g.MustAddTerminal("W", `[a-z]+`)
+	g.AddProduction("S", Rep("Item", ";"))
+	g.AddProduction("Item", NT("Head"), Lit("="), NT("Num"))
+	g.AddProduction("Item", NT("Head"), Lit(":"), NT("Word"))
+	g.AddProduction("Item", Lit("("), NT("Item"), Lit(")"), Lit("!"))
+	g.AddProduction("Item", Lit("("), NT("Item"), Lit(")"))
+	g.AddProduction("Item", NT("Left"), Lit("!"))
+	g.AddProduction("Item", NT("Right"), Lit("?"))
+	g.AddProduction("Head", Lit("<"), Rep("Word", ","), Lit(">"))
+	g.AddProduction("Left", Lit("{"), Rep("Word", ","), Lit("}"))
+	g.AddProduction("Right", Lit("{"), Rep("Word", ","), Lit("}"))
+	g.AddProduction("Num", Lit("#"), Term("N"))
+	g.AddProduction("Word", Lit("'"), Term("W"))
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// ParseValueRebuilt is ParseValue on a fresh runner that also reports how
+// many memoized matches were parsed again because their entry had been
+// built for another need.
+func (g *Grammar) ParseValueRebuilt(doc *text.Document, sym string, from, to int, reads *ReadSet) (db.Value, int, error) {
+	r := new(runner)
+	node, err := g.parseWith(r, doc, sym, from, to, reads)
+	if err != nil {
+		return nil, r.rebuilt, err
+	}
+	return buildValue(node, doc.Content(), reads), r.rebuilt, nil
+}

@@ -110,7 +110,7 @@ func TestParseAsArbitraryRanges(t *testing.T) {
 	for _, rg := range [][2]int{{-1, n}, {0, n + 1}, {n + 1, n + 2}, {-5, -2}, {10, 3}, {n, 0}} {
 		for _, parse := range []func() error{
 			func() error { _, err := g.ParseAs(doc, "Reference", rg[0], rg[1]); return err },
-			func() error { _, err := g.ParseValue(doc, "Reference", rg[0], rg[1]); return err },
+			func() error { _, err := g.ParseValue(doc, "Reference", rg[0], rg[1], nil); return err },
 		} {
 			err := parse()
 			if err == nil {

@@ -5,8 +5,8 @@ package grammar
 // quantifiers (identifiers, numbers, free text up to a delimiter). Running
 // those through the regexp NFA dominates parsing time, so AddTerminal
 // compiles them to direct byte scanners and keeps the regexp only for
-// patterns the mini-compiler cannot express (groups, alternation, counted
-// repetition, Unicode classes).
+// patterns the mini-compiler cannot express (alternation, counted
+// repetition, capturing or nested groups, Unicode classes).
 
 import (
 	"regexp"
@@ -40,37 +40,77 @@ type classItem struct {
 }
 
 // compileSimple builds a byte scanner for patterns of the form
-// item+ where item := (class | char | escaped char) quantifier? and
-// quantifier ∈ {*, +}. It returns nil when the pattern is not of this form.
+//
+//	item+            or            item+ (?: item+ )*
+//
+// where item := (class | char | escaped char) quantifier? and quantifier ∈
+// {*, +}: a run of items, optionally followed by one starred non-capturing
+// group of items that ends the pattern. It returns nil when the pattern is
+// not of this form, or when scanning it greedily without backtracking could
+// differ from the regexp (see possessive).
 func compileSimple(pattern string) matcher {
+	head, i, ok := parseItems(pattern, 0)
+	if !ok || len(head) == 0 || !possessive(head) {
+		return nil
+	}
+	if i == len(pattern) {
+		if m := scanToByte(head); m != nil {
+			return m
+		}
+		return func(s string) int { return scanItems(head, s, 0) }
+	}
+	// The rest must be exactly (?: item+ )* with an iteration that cannot
+	// match the empty string.
+	if !strings.HasPrefix(pattern[i:], "(?:") {
+		return nil
+	}
+	group, j, ok := parseItems(pattern, i+len("(?:"))
+	if !ok || pattern[j:] != ")*" || !possessive(group) || !consumes(group) {
+		return nil
+	}
+	return func(s string) int {
+		pos := scanItems(head, s, 0)
+		for pos >= 0 {
+			next := scanItems(group, s, pos)
+			if next < 0 {
+				break // an iteration cut off mid-way is not part of the match
+			}
+			pos = next
+		}
+		return pos
+	}
+}
+
+// parseItems parses items from pattern[i:] up to the end of the pattern or
+// the first parenthesis, returning them and the index it stopped at.
+func parseItems(pattern string, i int) ([]classItem, int, bool) {
 	var items []classItem
-	i := 0
-	for i < len(pattern) {
+	for i < len(pattern) && pattern[i] != '(' && pattern[i] != ')' {
 		var cls byteClass
 		switch c := pattern[i]; {
 		case c == '[':
 			end, ok := parseClass(pattern[i:], &cls)
 			if !ok {
-				return nil
+				return nil, 0, false
 			}
 			i += end
 		case c == '\\':
 			if i+1 >= len(pattern) {
-				return nil
+				return nil, 0, false
 			}
 			b, ok := escapedByte(pattern[i+1])
 			if !ok {
-				return nil
+				return nil, 0, false
 			}
 			cls[b] = true
 			i += 2
-		case strings.ContainsRune("()|.^$?{}*+", rune(c)):
-			return nil // structure beyond the simple form
+		case strings.ContainsRune("|.^$?{}*+", rune(c)):
+			return nil, 0, false // structure beyond the simple form
 		case c < 0x80:
 			cls[c] = true
 			i++
 		default:
-			return nil // non-ASCII literal
+			return nil, 0, false // non-ASCII literal
 		}
 		item := classItem{class: cls, min: 1}
 		if i < len(pattern) {
@@ -82,27 +122,98 @@ func compileSimple(pattern string) matcher {
 				item.min, item.many = 1, true
 				i++
 			case '?', '{':
-				return nil
+				return nil, 0, false
 			}
 		}
 		items = append(items, item)
 	}
-	if len(items) == 0 {
-		return nil
-	}
-	return func(s string) int {
-		pos := 0
-		for _, it := range items {
-			n := 0
-			for pos < len(s) && it.class[s[pos]] && (it.many || n < 1) {
-				pos++
-				n++
+	return items, i, true
+}
+
+// possessive reports whether scanning the items greedily, never giving a
+// byte back, matches what the backtracking regexp matches. That fails only
+// when a * or + item could hand bytes to what follows it, so each one's
+// class must be disjoint from every following item up to and including the
+// first that has to match ([a-z]*z is refused: on "abz" the regexp gives the
+// z back).
+func possessive(items []classItem) bool {
+	for i := range items {
+		if !items[i].many {
+			continue
+		}
+		for j := i + 1; j < len(items); j++ {
+			for b := range items[i].class {
+				if items[i].class[b] && items[j].class[b] {
+					return false
+				}
 			}
-			if n < it.min {
-				return -1
+			if items[j].min > 0 {
+				break
 			}
 		}
-		return pos
+	}
+	return true
+}
+
+// consumes reports whether a match of the items is at least one byte long.
+func consumes(items []classItem) bool {
+	for i := range items {
+		if items[i].min > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// scanItems matches the items at s[pos:] and returns the end of the match,
+// or -1.
+func scanItems(items []classItem, s string, pos int) int {
+	for i := range items {
+		it := &items[i]
+		start := pos
+		if it.many {
+			for pos < len(s) && it.class[s[pos]] {
+				pos++
+			}
+		} else if pos < len(s) && it.class[s[pos]] {
+			pos++
+		}
+		if pos-start < it.min {
+			return -1
+		}
+	}
+	return pos
+}
+
+// scanToByte compiles a lone * or + item whose class excludes exactly one
+// byte — free text up to a delimiter, [^"]* — to a search for that byte.
+func scanToByte(items []classItem) matcher {
+	if len(items) != 1 || !items[0].many {
+		return nil
+	}
+	stop := -1
+	for b, in := range items[0].class {
+		if in {
+			continue
+		}
+		if stop >= 0 {
+			return nil
+		}
+		stop = b
+	}
+	if stop < 0 {
+		return nil
+	}
+	atLeast := items[0].min
+	return func(s string) int {
+		n := strings.IndexByte(s, byte(stop))
+		if n < 0 {
+			n = len(s)
+		}
+		if n < atLeast {
+			return -1
+		}
+		return n
 	}
 }
 

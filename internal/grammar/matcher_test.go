@@ -25,11 +25,24 @@ func TestCompileSimpleAgainstRegexp(t *testing.T) {
 		`\.`,
 		`abc`,
 		`a[0-9]*z`,
+		// A starred group ending the pattern.
+		`[A-Z]\.(?: [A-Z]\.)*`,
+		`[0-9]+(?:,[0-9]+)*`,
+		`[a-z]+(?:-[a-z]+[0-9]*)*`,
+		`a(?:ba)*`,
+		// A lone negated one-byte class goes to IndexByte.
+		`[^,]*`,
+		`[^\]]+`,
 	}
 	pieces := []string{
 		"", "abc", "ABC09", "_id", "x-y'z", `with "quote"`, "line\nnext",
 		"<tag>", "123", "0", " lead", "trail ", "naïve", "a.b", ".", "abcz",
 		"a99z", "az", "az9",
+		// For the group forms: whole iterations, an iteration cut off at
+		// each point, a trailing separator, nothing after the head.
+		"G.", "G. F.", "G. F. Corliss", "G. F", "G. ", "G.  F.", "G", "G.F.",
+		"g. F.", "A. B. C. D. E", "1,22,333", "1,22,", "1,,2", ",1", "ab-cd9-e",
+		"ab-", "ab-9", "aba", "ababa", "abab", "ab", "]", "a]b", ",", "a,b",
 	}
 	rng := rand.New(rand.NewSource(17))
 	for _, pat := range patterns {
@@ -66,8 +79,20 @@ func TestCompileSimpleAgainstRegexp(t *testing.T) {
 func TestCompileSimpleRejectsComplex(t *testing.T) {
 	for _, pat := range []string{
 		`INFO|WARN`,
-		`[A-Z]\.(?: [A-Z]\.)*`,
 		`[0-9]{4}`,
+		// Groups other than one starred non-capturing group at the end.
+		`a(?:b)+`,
+		`a(?:b)*c`,
+		`a(?:b(?:c)*)*`,
+		`a(b)*`,
+		`(?:ab)*`,
+		`a(?:b`,
+		`a(?:b*)*`, // an iteration may match nothing
+		`a)`,
+		// Greedy scanning would differ from the backtracking regexp.
+		`[a-z]*z`,
+		`[a-z]+[0-9]*z`,
+		`a(?:-[a-z]*z)*`,
 		`a?b`,
 		`(ab)+`,
 		`.`,
@@ -123,5 +148,19 @@ func TestBuiltinSchemasStillParse(t *testing.T) {
 	_, _, tree := parseMini(t)
 	if len(tree.Find("Reference")) != 2 {
 		t.Fatal("references")
+	}
+}
+
+// TestPossessiveRefusalIsNeeded: the patterns compileSimple refuses for
+// overlapping classes are exactly those where a scanner that never gives a
+// byte back is wrong.
+func TestPossessiveRefusalIsNeeded(t *testing.T) {
+	items, _, ok := parseItems(`[a-z]*z`, 0)
+	if !ok || possessive(items) {
+		t.Fatal("[a-z]*z passes the possessive check")
+	}
+	re := regexp.MustCompile(`^(?:[a-z]*z)`)
+	if got, want := scanItems(items, "abz", 0), re.FindStringIndex("abz")[1]; got == want {
+		t.Errorf("greedy scan of [a-z]*z on abz agrees with the regexp (%d); the check refuses it for nothing", got)
 	}
 }

@@ -56,21 +56,28 @@ func (g *Grammar) Parse(doc *text.Document) (*Node, error) {
 // whitespace. The tree is the caller's: its nodes are cut from slabs the
 // parse allocated, so holding any one *Node keeps its slab alive.
 func (g *Grammar) ParseAs(doc *text.Document, sym string, from, to int) (*Node, error) {
-	return g.parseWith(new(runner), doc, sym, from, to)
+	return g.parseWith(new(runner), doc, sym, from, to, everything)
 }
 
-// ParseValue parses [from, to) as the non-terminal and returns the database
-// image of the tree (BuildValue). It is the entry point for the
-// partial-indexing engine, which parses only candidate regions
-// (Section 6.2): the tree lives in a pooled runner's slabs and never leaves
-// this function, so a candidate costs the allocations of its value and
-// nothing else. The value references document text only.
-func (g *Grammar) ParseValue(doc *text.Document, sym string, from, to int) (db.Value, error) {
+// ParseValue parses [from, to) as the non-terminal and returns the part of
+// its database image that reads names (nil: all of it, BuildValue's). It is
+// the entry point for the partial-indexing engine, which parses only
+// candidate regions (Section 6.2) and of those builds only what the query
+// navigates: productions off the read set are recognised, nothing more, so
+// errors are those of a full parse. The tree lives in a pooled runner's
+// slabs and never leaves this function; a candidate costs the allocations
+// of its value and nothing else. The value references document text only.
+func (g *Grammar) ParseValue(doc *text.Document, sym string, from, to int, reads *ReadSet) (db.Value, error) {
+	if reads == nil {
+		reads = everything
+	} else if reads.nt != sym {
+		return nil, fmt.Errorf("grammar: read set compiled for %q used to parse %q", reads.nt, sym)
+	}
 	r := runnerPool.Get().(*runner)
-	node, err := g.parseWith(r, doc, sym, from, to)
+	node, err := g.parseWith(r, doc, sym, from, to, reads)
 	var v db.Value
 	if err == nil {
-		v = BuildValue(node, doc.Content())
+		v = buildValue(node, doc.Content(), reads)
 	}
 	r.release()
 	return v, err
@@ -111,6 +118,12 @@ func nextChunk(prev int) int {
 // its children collect on stack; on success they are sealed into an
 // exact-size slice cut from the kids slab.
 //
+// Reads. Every descent carries its need, a node of the read set: below a
+// nil need the runner is quiet — it advances and reports failures exactly
+// as otherwise, but makes no Node, pushes nothing and seals nothing. Under
+// a need that names attributes only those children are kept and terminal
+// leaves are not; under a whole-subtree need everything is.
+//
 // Memo. A result can only be asked for twice if the parse backtracks, and
 // it only backtracks out of a choice point: an attempt whose failure the
 // parse survives — a non-last alternative, or a repetition element. So a
@@ -120,6 +133,10 @@ func nextChunk(prev int) int {
 // are dead. The table then holds one repetition element's worth of entries
 // instead of one per non-terminal per position of the document, and the
 // parse stays linear: an entry is never dropped while it can still be hit.
+// An entry remembers the need it was parsed under. "Does not match" holds
+// under any need and a quiet lookup takes any match, but a lookup that must
+// hand back a node is served only by an entry parsed under the same need;
+// otherwise the non-terminal is parsed again and the entry overwritten.
 type runner struct {
 	prog      *program
 	skipSpace bool
@@ -139,21 +156,25 @@ type runner struct {
 	furthest int
 	expected []string
 	depth    int
+	rebuilt  int   // matches parsed again because their entry was built for another need
 	err      error // sticky: set once by a depth overflow, aborts the parse
 }
 
 type memoEnt struct {
 	pos  int
-	end  int
-	node *Node // nil: the non-terminal does not match at pos
+	end  int      // noMatch: the non-terminal does not match at pos
+	node *Node    // nil when parsed quietly
+	need *ReadSet // what node was built for; nil: matched, nothing built
 	sym  int32
 	gen  uint32
 }
 
+const noMatch = -1
+
 // parseWith runs one parse on r. The tree it returns lives in r's slabs; an
 // error never references r (dedupe copies the expected list), so it may
 // outlive a pooled runner.
-func (g *Grammar) parseWith(r *runner, doc *text.Document, sym string, from, to int) (*Node, error) {
+func (g *Grammar) parseWith(r *runner, doc *text.Document, sym string, from, to int, need *ReadSet) (*Node, error) {
 	prog, err := g.program()
 	if err != nil {
 		return nil, err
@@ -173,7 +194,7 @@ func (g *Grammar) parseWith(r *runner, doc *text.Document, sym string, from, to 
 		r.stack = make([]*Node, 0, minChunk)
 	}
 
-	node, end, ok := r.parseNT(id, from)
+	node, end, ok := r.parseNT(id, from, need)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -213,12 +234,11 @@ func (r *runner) skip(pos int) int {
 		return pos
 	}
 	for pos < len(r.src) {
-		switch r.src[pos] {
-		case ' ', '\t', '\n', '\r':
-			pos++
-		default:
+		// Most calls stand on a byte that is not a space: one compare.
+		if c := r.src[pos]; c > ' ' || (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
 			return pos
 		}
+		pos++
 	}
 	return pos
 }
@@ -233,14 +253,21 @@ func (r *runner) fail(pos int, expected string) {
 	}
 }
 
-// parseNT parses the non-terminal at pos, trying its alternatives in order.
-func (r *runner) parseNT(sym, pos int) (*Node, int, bool) {
+// parseNT parses the non-terminal at pos under need, trying its
+// alternatives in order.
+func (r *runner) parseNT(sym, pos int, need *ReadSet) (*Node, int, bool) {
 	if r.err != nil {
 		return nil, 0, false
 	}
 	if r.live > 0 {
 		if e := r.lookup(sym, pos); e != nil {
-			return e.node, e.end, e.node != nil
+			if e.end == noMatch {
+				return nil, 0, false
+			}
+			if need == nil || e.need == need {
+				return e.node, e.end, true
+			}
+			r.rebuilt++
 		}
 	}
 	if r.depth == maxDepth {
@@ -259,7 +286,7 @@ func (r *runner) parseNT(sym, pos int) (*Node, int, bool) {
 		if i < last {
 			r.choice++
 		}
-		node, end, ok = r.parseProd(&prods[i], pos)
+		node, end, ok = r.parseProd(&prods[i], pos, need)
 		if i < last {
 			r.choice--
 		}
@@ -270,7 +297,10 @@ func (r *runner) parseNT(sym, pos int) (*Node, int, bool) {
 	r.depth--
 	if r.choice > 0 {
 		if r.err == nil {
-			r.record(sym, pos, node, end)
+			if !ok {
+				end = noMatch
+			}
+			r.record(sym, pos, node, end, need)
 		}
 	} else if ok {
 		r.commit(end)
@@ -280,9 +310,9 @@ func (r *runner) parseNT(sym, pos int) (*Node, int, bool) {
 
 // parseElem parses one repetition element: a choice point, because the
 // repetition simply ends where an element fails.
-func (r *runner) parseElem(sym, pos int) (*Node, int, bool) {
+func (r *runner) parseElem(sym, pos int, need *ReadSet) (*Node, int, bool) {
 	r.choice++
-	node, end, ok := r.parseNT(sym, pos)
+	node, end, ok := r.parseNT(sym, pos, need)
 	r.choice--
 	if ok {
 		r.commit(end)
@@ -290,11 +320,14 @@ func (r *runner) parseElem(sym, pos int) (*Node, int, bool) {
 	return node, end, ok
 }
 
-// parseProd matches one production at pos.
-func (r *runner) parseProd(p *cProd, pos int) (*Node, int, bool) {
+// parseProd matches one production at pos. It returns a node only under a
+// need; a quiet match returns the end alone.
+func (r *runner) parseProd(p *cProd, pos int, need *ReadSet) (*Node, int, bool) {
 	cur := r.skip(pos)
 	start := cur
 	base := len(r.stack)
+	leaves := need != nil && need.all
+	nts := false
 	for i := range p.elems {
 		e := &p.elems[i]
 		cur = r.skip(cur)
@@ -313,22 +346,31 @@ func (r *runner) parseProd(p *cProd, pos int) (*Node, int, bool) {
 				r.stack = r.stack[:base]
 				return nil, 0, false
 			}
-			r.stack = append(r.stack, r.newNode(e.name, nil, cur, cur+n, nil))
+			if leaves {
+				r.stack = append(r.stack, r.newNode(e.name, nil, cur, cur+n, nil))
+			}
 			cur += n
 		case ElemNT:
-			kid, end, ok := r.parseNT(e.sym, cur)
+			sub := need.child(e.sym)
+			kid, end, ok := r.parseNT(e.sym, cur, sub)
 			if !ok {
 				r.stack = r.stack[:base]
 				return nil, 0, false
 			}
-			r.stack = append(r.stack, kid)
-			cur = end
+			if sub != nil {
+				r.stack = append(r.stack, kid)
+			}
+			cur, nts = end, true
 		case ElemRep:
-			kid, end, ok := r.parseElem(e.sym, cur)
+			sub := need.child(e.sym)
+			kid, end, ok := r.parseElem(e.sym, cur, sub)
 			if !ok {
 				break // zero repetitions
 			}
-			r.stack = append(r.stack, kid)
+			nts = true
+			if sub != nil {
+				r.stack = append(r.stack, kid)
+			}
 			cur = end
 			for {
 				after := r.skip(cur)
@@ -338,16 +380,23 @@ func (r *runner) parseProd(p *cProd, pos int) (*Node, int, bool) {
 					}
 					after += len(e.text)
 				}
-				kid, end, ok := r.parseElem(e.sym, after)
+				kid, end, ok := r.parseElem(e.sym, after, sub)
 				if !ok {
 					break
 				}
-				r.stack = append(r.stack, kid)
+				if sub != nil {
+					r.stack = append(r.stack, kid)
+				}
 				cur = end
 			}
 		}
 	}
-	return r.newNode(p.prod.LHS, p.prod, start, cur, r.seal(base)), cur, true
+	if need == nil {
+		return nil, cur, true
+	}
+	n := r.newNode(p.prod.LHS, p.prod, start, cur, r.seal(base))
+	n.nts = nts
+	return n, cur, true
 }
 
 // newNode fills the next slot of the node slab; prod is nil for a terminal
@@ -360,7 +409,7 @@ func (r *runner) newNode(sym string, prod *Production, start, end int, kids []*N
 	}
 	r.nodes = r.nodes[:len(r.nodes)+1]
 	n := &r.nodes[len(r.nodes)-1]
-	n.Sym, n.Term, n.Start, n.End, n.Prod, n.Kids = sym, prod == nil, start, end, prod, kids
+	n.Sym, n.Term, n.Start, n.End, n.Prod, n.Kids, n.nts = sym, prod == nil, start, end, prod, kids, false
 	return n
 }
 
@@ -420,18 +469,24 @@ func (r *runner) lookup(sym, pos int) *memoEnt {
 	}
 }
 
-// record stores a result; the caller has just missed on (sym, pos), so the
-// key is not in the table.
-func (r *runner) record(sym, pos int, node *Node, end int) {
+// record stores a result, over the entry the key already has when the
+// caller parsed again for a need that entry could not serve.
+func (r *runner) record(sym, pos int, node *Node, end int, need *ReadSet) {
 	if 2*(r.live+1) > len(r.memo) {
 		r.growMemo()
 	}
 	mask := len(r.memo) - 1
 	i := memoSlot(sym, pos, mask)
 	for r.memo[i].gen == r.gen {
+		if e := &r.memo[i]; e.pos == pos && int(e.sym) == sym {
+			e.end, e.node, e.need = end, node, need
+			return
+		}
 		i = (i + 1) & mask
 	}
-	r.memo[i] = memoEnt{pos: pos, end: end, node: node, sym: int32(sym), gen: r.gen}
+	// Field by field, like newNode: the entry holds pointers.
+	e := &r.memo[i]
+	e.pos, e.end, e.node, e.need, e.sym, e.gen = pos, end, node, need, int32(sym), r.gen
 	r.live++
 	if pos > r.memoMax {
 		r.memoMax = pos
@@ -457,6 +512,9 @@ func (r *runner) growMemo() {
 }
 
 func hasPrefixAt(s string, pos int, prefix string) bool {
+	if len(prefix) == 1 { // a delimiter: no call into memequal
+		return pos < len(s) && s[pos] == prefix[0]
+	}
 	return pos+len(prefix) <= len(s) && s[pos:pos+len(prefix)] == prefix
 }
 

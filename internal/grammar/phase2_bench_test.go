@@ -62,10 +62,54 @@ func BenchmarkParseValueReference(b *testing.B) {
 	b.SetBytes(int64(ref.End - ref.Start))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := g.ParseValue(doc, bibtex.NTReference, ref.Start, ref.End)
+		v, err := g.ParseValue(doc, bibtex.NTReference, ref.Start, ref.End, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		sinkValue = v
+	}
+}
+
+// readingCases are the read sets of the benchmark's phase-2 queries —
+// `Abstract CONTAINS w` selecting r, `Keywords CONTAINS w` selecting
+// r.Title — and the whole value, compiled the way a plan compiles them.
+func readingCases(tb testing.TB, g *grammar.Grammar) []struct {
+	name  string
+	reads *grammar.ReadSet
+} {
+	tb.Helper()
+	compile := func(paths ...[]db.Step) *grammar.ReadSet {
+		rs, err := g.CompileReads(bibtex.NTReference, paths)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rs
+	}
+	return []struct {
+		name  string
+		reads *grammar.ReadSet
+	}{
+		{"abstract", compile(db.PathOf(bibtex.NTAbstract))},
+		{"keywords+title", compile(db.PathOf(bibtex.NTKeywords), db.PathOf(bibtex.NTTitle))},
+		{"everything", nil},
+	}
+}
+
+// BenchmarkParseValueReading is BenchmarkParseValueReference under a read
+// set: what a candidate costs when the plan names what it reads.
+func BenchmarkParseValueReading(b *testing.B) {
+	g, doc, ref := sampleReference(b)
+	for _, c := range readingCases(b, g) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(ref.End - ref.Start))
+			for i := 0; i < b.N; i++ {
+				v, err := g.ParseValue(doc, bibtex.NTReference, ref.Start, ref.End, c.reads)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkValue = v
+			}
+		})
 	}
 }

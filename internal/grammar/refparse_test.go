@@ -220,7 +220,7 @@ func checkSame(t *testing.T, g *grammar.Grammar, doc *text.Document, sym string,
 		t.Fatalf("%s: trees differ: %v", where, err)
 	}
 	// The pooled path must build the value of that same tree.
-	v, err := g.ParseValue(doc, sym, from, to)
+	v, err := g.ParseValue(doc, sym, from, to, nil)
 	if err != nil {
 		t.Fatalf("%s: ParseValue: %v", where, err)
 	}
@@ -296,37 +296,31 @@ func TestRunnerMatchesReferenceOnMutations(t *testing.T) {
 // (a choice point) is open and must be served, unchanged, to the second —
 // also when the choice sits under a repetition and under further choices.
 func TestRunnerMatchesReferenceOnSharedPrefix(t *testing.T) {
-	g := grammar.NewGrammar("S")
-	g.MustAddTerminal("N", `[0-9]+`)
-	g.MustAddTerminal("W", `[a-z]+`)
-	g.AddProduction("S", grammar.Rep("Item", ";"))
-	g.AddProduction("Item", grammar.NT("Head"), grammar.Lit("="), grammar.NT("Num"))
-	g.AddProduction("Item", grammar.NT("Head"), grammar.Lit(":"), grammar.NT("Word"))
-	g.AddProduction("Item", grammar.Lit("("), grammar.NT("Item"), grammar.Lit(")"), grammar.Lit("!"))
-	g.AddProduction("Item", grammar.Lit("("), grammar.NT("Item"), grammar.Lit(")"))
-	g.AddProduction("Head", grammar.Lit("<"), grammar.Rep("Word", ","), grammar.Lit(">"))
-	g.AddProduction("Num", grammar.Lit("#"), grammar.Term("N"))
-	g.AddProduction("Word", grammar.Lit("'"), grammar.Term("W"))
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, src := range []string{
-		"<'a,'b>=#1",
-		"<'a,'b>:'c",
-		"<'a>:'c ; <'b>=#2 ; <>:'d",
-		"((<'a>:'c))",
-		"((<'a>:'c)!)",
-		"(((<'a,'b,'c>:'c)!))! ; (<'x>=#9)",
-		"",
-		// Failures: the error comes from the furthest alternative.
-		"<'a,'b>?#1",
-		"<'a,'b>:#1",
-		"((<'a>:'c)",
-		"((<'a>:'c)!)) ; <'b>",
-		"<'a>:'c ; ; <'b>=#2",
-	} {
+	g := grammar.SharedPrefixGrammar(t)
+	for i, src := range sharedPrefixInputs {
 		doc := text.NewDocument(fmt.Sprintf("choice%d", i), src)
 		checkSame(t, g, doc, "S", 0, doc.Len())
 		checkSame(t, g, doc, "Item", 0, doc.Len())
 	}
+}
+
+var sharedPrefixInputs = []string{
+	"<'a,'b>=#1",
+	"<'a,'b>:'c",
+	"<'a>:'c ; <'b>=#2 ; <>:'d",
+	"((<'a>:'c))",
+	"((<'a>:'c)!)",
+	"(((<'a,'b,'c>:'c)!))! ; (<'x>=#9)",
+	"{'a,'b}!",
+	"{'a,'b}?",
+	"({'a}?) ; {'b,'c}! ; ({}?)!",
+	"",
+	// Failures: the error comes from the furthest alternative.
+	"<'a,'b>?#1",
+	"<'a,'b>:#1",
+	"((<'a>:'c)",
+	"((<'a>:'c)!)) ; <'b>",
+	"<'a>:'c ; ; <'b>=#2",
+	"{'a,'b}",
+	"{'a,'b?",
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"qof/internal/db"
 	"qof/internal/qerr"
 	"qof/internal/text"
 )
@@ -50,41 +51,69 @@ func nestedInput(depth int) string {
 
 // TestPackratLinear pins the linear-time guarantee by counting work, not
 // time: parseProd invocations grow by the same amount for every added level
-// of nesting.
+// of nesting. Under a read set recognition is the same work: the count is
+// the full parse's whether the set reads two levels of A and then runs
+// quiet, reads from the third level down, or reads nothing.
 func TestPackratLinear(t *testing.T) {
 	var prodCalls int
 	g := nestedChoice(t, &prodCalls)
-	calls := func(depth int) int {
+	reads := map[string]*ReadSet{"everything": everything}
+	for name, path := range map[string][]string{"nothing": {"Z"}, "A.A.A": {"A", "A", "A"}} {
+		rs, err := g.CompileReads("A", [][]db.Step{db.PathOf(path...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads[name] = rs
+	}
+	if !reads["nothing"].Empty() || reads["A.A.A"].String() != "A.A.A" {
+		t.Fatalf("read sets compiled to %q and %q", reads["nothing"], reads["A.A.A"])
+	}
+	calls := func(depth int, need *ReadSet) int {
 		t.Helper()
 		prodCalls = 0
 		doc := text.NewDocument("nested", nestedInput(depth))
-		if _, err := g.ParseAs(doc, "A", 0, doc.Len()); err != nil {
+		if _, err := g.parseWith(new(runner), doc, "A", 0, doc.Len(), need); err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
 		return prodCalls
 	}
-	c20, c40, c80 := calls(20), calls(40), calls(80)
-	if c40-c20 != 20*(c20-calls(19)) || c80-c40 != 2*(c40-c20) {
+	c19, c20, c40, c80 := calls(19, everything), calls(20, everything), calls(40, everything), calls(80, everything)
+	if c40-c20 != 20*(c20-c19) || c80-c40 != 2*(c40-c20) {
 		t.Errorf("parseProd calls are not linear in the nesting depth: %d, %d, %d at depths 20, 40, 80", c20, c40, c80)
 	}
 	if perLevel := (c80 - c40) / 40; perLevel > 8 {
 		t.Errorf("%d parseProd calls per nesting level; 4 alternatives tried at most twice each is 8", perLevel)
 	}
+	for name, need := range reads {
+		if got := calls(80, need); got != c80 {
+			t.Errorf("reading %s: %d parseProd calls at depth 80, the full parse makes %d", name, got, c80)
+		}
+	}
 }
 
 // TestMemoStaysSmall: the table is dropped whenever every entry lies behind
 // a committed position, so on a document that is one long repetition it
-// holds about one element's entries, not the document's.
+// holds about one element's entries, not the document's — under a read set
+// too, where most entries record a match and no node.
 func TestMemoStaysSmall(t *testing.T) {
 	g := miniBibtex(t)
 	doc := text.NewDocument("big.bib", strings.Repeat(miniDoc, 500))
-	r := new(runner)
-	tree, err := g.parseWith(r, doc, g.Root(), 0, doc.Len())
+	keys, err := g.CompileReads(g.Root(), [][]db.Step{db.PathOf("Reference", "Key")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodes := tree.Count(); nodes < 20000 || len(r.memo) > 256 {
-		t.Errorf("memo table has %d slots after parsing %d nodes; it should hold one Reference's worth", len(r.memo), nodes)
+	for _, c := range []struct {
+		need     *ReadSet
+		minNodes int
+	}{{everything, 20000}, {keys, 3000}} {
+		r := new(runner)
+		tree, err := g.parseWith(r, doc, g.Root(), 0, doc.Len(), c.need)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nodes := tree.Count(); nodes < c.minNodes || len(r.memo) > 256 {
+			t.Errorf("reading %q: memo table has %d slots after parsing %d nodes; it should hold one Reference's worth", c.need, len(r.memo), nodes)
+		}
 	}
 }
 
@@ -94,17 +123,17 @@ func TestPoolHygiene(t *testing.T) {
 	g, doc, tree := parseMini(t)
 	refs := tree.Find("Reference")
 	a, b := refs[0], refs[1]
-	first, err := g.ParseValue(doc, "Reference", a.Start, a.End)
+	first, err := g.ParseValue(doc, "Reference", a.Start, a.End, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// B fails after most of a Reference has been parsed and memoized.
-	_, err = g.ParseValue(doc, "Reference", b.Start, b.End-3)
+	_, err = g.ParseValue(doc, "Reference", b.Start, b.End-3, nil)
 	var perr *ParseError
 	if !errors.As(err, &perr) {
 		t.Fatalf("truncated region: %v", err)
 	}
-	again, err := g.ParseValue(doc, "Reference", a.Start, a.End)
+	again, err := g.ParseValue(doc, "Reference", a.Start, a.End, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +145,7 @@ func TestPoolHygiene(t *testing.T) {
 	}
 	// The error must not alias the runner's reused expected list.
 	before := append([]string(nil), perr.Expected...)
-	if _, err := g.ParseValue(doc, "Reference", a.Start+1, a.End); err == nil {
+	if _, err := g.ParseValue(doc, "Reference", a.Start+1, a.End, nil); err == nil {
 		t.Fatal("shifted region parsed")
 	}
 	if !reflect.DeepEqual(before, perr.Expected) {
@@ -143,12 +172,12 @@ func TestParseValueConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				ref := refs[(w*7+i)%len(refs)]
 				if i%5 == 4 {
-					if _, err := g.ParseValue(doc, "Reference", ref.Start, ref.End-2); err == nil {
+					if _, err := g.ParseValue(doc, "Reference", ref.Start, ref.End-2, nil); err == nil {
 						t.Error("truncated region parsed")
 					}
 					continue
 				}
-				v, err := g.ParseValue(doc, "Reference", ref.Start, ref.End)
+				v, err := g.ParseValue(doc, "Reference", ref.Start, ref.End, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -187,7 +216,7 @@ func TestFirstUseConcurrent(t *testing.T) {
 				defer wg.Done()
 				<-start
 				n := refs[w%len(refs)]
-				v, err := g.ParseValue(doc, "Reference", n.Start, n.End)
+				v, err := g.ParseValue(doc, "Reference", n.Start, n.End, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -235,13 +264,13 @@ func TestLeftRecursionIsAnError(t *testing.T) {
 	}
 	_, err := g.ParseAs(doc, "S", 0, doc.Len())
 	check("ParseAs", err)
-	_, err = g.ParseValue(doc, "S", 0, doc.Len())
+	_, err = g.ParseValue(doc, "S", 0, doc.Len(), nil)
 	check("ParseValue", err)
 	_, _, err = g.BuildInstanceContext(context.Background(), doc, IndexSpec{})
 	check("BuildInstanceContext", err)
 
 	ok := text.NewDocument("ok", "[abc]")
-	if _, err := g.ParseValue(ok, "S", 0, ok.Len()); err != nil {
+	if _, err := g.ParseValue(ok, "S", 0, ok.Len(), nil); err != nil {
 		t.Errorf("after the overflow: %v", err)
 	}
 }

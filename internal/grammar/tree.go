@@ -16,6 +16,12 @@ type Node struct {
 	End   int
 	Prod  *Production // matched production (nil for terminals)
 	Kids  []*Node     // non-literal children in RHS order; Rep children are inlined
+
+	// nts records, on a node the parser built, that some non-terminal child
+	// matched. Under a read set Kids holds only the children read, and
+	// whether the node's natural value is a tuple or a string depends on
+	// all of them.
+	nts bool
 }
 
 // Text returns the matched text given the full source.

@@ -216,8 +216,12 @@ func (h *Harness) compare(q *xsql.Query, got *engine.Result, want *refeval.Query
 			got.Regions, want.Regions,
 			setMinus(got.Regions, want.Regions), setMinus(want.Regions, got.Regions))
 	}
-	gs := make([]string, len(got.Objects))
-	for i, o := range got.Objects {
+	objs, err := got.Objects()
+	if err != nil {
+		return fmt.Sprintf("  objects: %v", err)
+	}
+	gs := make([]string, len(objs))
+	for i, o := range objs {
 		gs[i] = o.String()
 	}
 	ws := make([]string, len(want.Objects))

@@ -207,3 +207,22 @@ func Conds(c Cond) []Cond {
 	walk(c)
 	return out
 }
+
+// CondPaths lists the paths the WHERE clause's comparisons navigate, in
+// clause order; a path comparison contributes both sides.
+func CondPaths(c Cond) []Path {
+	var out []Path
+	for _, c := range Conds(c) {
+		switch c := c.(type) {
+		case CmpConst:
+			out = append(out, c.Path)
+		case CmpContains:
+			out = append(out, c.Path)
+		case CmpStarts:
+			out = append(out, c.Path)
+		case CmpPaths:
+			out = append(out, c.L, c.R)
+		}
+	}
+	return out
+}

@@ -98,15 +98,25 @@ func TestFacadeQueryBudgets(t *testing.T) {
 			if _, err := f.QueryContext(t.Context(), matrixQuery, qof.WithMaxRegions(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
 				t.Errorf("WithMaxRegions(1): err = %v, want ErrBudgetExceeded", err)
 			}
-			if _, err := f.QueryContext(t.Context(), matrixQuery, qof.WithMaxEvalBytes(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
+			// The byte budget charges what phase 2 parses. matrixQuery is an
+			// exact whole-object select — spans, nothing parsed — so the
+			// budget is tried on a projection the index cannot answer (a
+			// Title region is quoted, not the value verbatim).
+			const titleQuery = `SELECT r.Title FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
+			if _, err := f.QueryContext(t.Context(), titleQuery, qof.WithMaxEvalBytes(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
 				t.Errorf("WithMaxEvalBytes(1): err = %v, want ErrBudgetExceeded", err)
+			}
+			if res, err := f.QueryContext(t.Context(), matrixQuery, qof.WithMaxEvalBytes(1)); err != nil || res.Stats.Parsed != 0 {
+				t.Errorf("WithMaxEvalBytes(1) on a query that parses nothing: res = %v, err = %v", res, err)
 			}
 			// Generous budgets do not interfere, and the budget-killed runs
 			// were never cached as wrong answers.
-			res, err := f.QueryContext(t.Context(), matrixQuery,
-				qof.WithMaxRegions(1_000_000), qof.WithMaxEvalBytes(1<<30))
-			if err != nil || res.Len() != 1 {
-				t.Fatalf("generous budgets: res = %v, err = %v", res, err)
+			for _, src := range []string{matrixQuery, titleQuery} {
+				res, err := f.QueryContext(t.Context(), src,
+					qof.WithMaxRegions(1_000_000), qof.WithMaxEvalBytes(1<<30))
+				if err != nil || res.Len() != 1 {
+					t.Fatalf("generous budgets on %s: res = %v, err = %v", src, res, err)
+				}
 			}
 		})
 	}
