@@ -18,7 +18,6 @@ import (
 	"strconv"
 
 	"qof/internal/region"
-	"qof/internal/text"
 )
 
 // Near selects the regions of E whose distance to some region of To is at
@@ -101,26 +100,21 @@ func gap(a, b region.Region) int {
 
 // evalFreq counts occurrences of w inside each region.
 func (ev *Evaluator) evalFreq(arg region.Set, w string, n int) region.Set {
-	occ := ev.in.Words().Occurrences(w)
-	if len(occ) < n || n <= 0 {
-		if n <= 0 {
-			return arg
-		}
+	if n <= 0 {
+		return arg
+	}
+	occ := ev.in.Words().Postings(w)
+	if occ.Len() < n {
 		return region.Empty
 	}
 	return arg.Filter(func(r region.Region) bool { return freqWithin(occ, r, n) })
 }
 
 // freqWithin reports whether at least n of the occurrences occ lie within
-// r: the frequency test for one region, shared by both executors.
-func freqWithin(occ []text.Token, r region.Region, n int) bool {
-	lo := sort.Search(len(occ), func(i int) bool { return occ[i].Start >= r.Start })
-	count := 0
-	for i := lo; i < len(occ) && occ[i].End <= r.End; i++ {
-		count++
-		if count >= n {
-			return true
-		}
-	}
-	return false
+// r: the frequency test for one region, shared by both executors. The
+// occurrences are read in place and, having one width, end in the order
+// they start: those within r are a run.
+func freqWithin(occ region.Points, r region.Region, n int) bool {
+	lo := sort.Search(occ.Len(), func(i int) bool { return occ.At(i).Start >= r.Start })
+	return lo+n <= occ.Len() && occ.At(lo+n-1).End <= r.End
 }

@@ -451,8 +451,8 @@ func (ev *Evaluator) streamFreq(arg region.Iterator, e Freq) region.Iterator {
 	if e.N <= 0 {
 		return arg
 	}
-	occ := ev.in.Words().Occurrences(e.W)
-	if len(occ) < e.N {
+	occ := ev.in.Words().Postings(e.W)
+	if occ.Len() < e.N {
 		arg.Close()
 		return region.Empty.Iter()
 	}

@@ -20,10 +20,11 @@ import (
 // system", §1); this is that service: only the replacement text is parsed
 // and re-tokenized — regions before the edit are kept, regions after it
 // are shifted, enclosing regions are widened or narrowed, and word-index
-// posting lists are adjusted index-wise — so the dominant costs of
-// indexing stay proportional to the edit, not to the file. (The sistring
-// and suffix arrays, whose order after an edit changes globally exactly as
-// in PAT, are lazy and rebuild on first prefix/substring search.)
+// positions are kept, shifted or dropped by the edit's byte delta — so the
+// dominant costs of indexing stay proportional to the edit, not to the
+// file. (The sistring and suffix arrays, whose order after an edit changes
+// globally exactly as in PAT, are lazy and rebuild on first prefix/substring
+// search.)
 func ReplaceRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.Region, newText string) (*text.Document, *index.Instance, error) {
 	set, ok := in.Region(nt)
 	if !ok {
@@ -98,6 +99,9 @@ func DeleteRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.
 // spliceSet, and the (possibly nil) freshly parsed subtree contributes the
 // replacement regions.
 func spliceInstance(cat *compile.Catalog, in *index.Instance, newDoc *text.Document, subtree *grammar.Node, edit region.Region, delta int) (*text.Document, *index.Instance, error) {
+	if err := index.CheckDocument(newDoc); err != nil {
+		return nil, nil, err // an edit can grow a document past the limit
+	}
 	newIn := index.SpliceInstance(in, newDoc, edit.Start, edit.End, edit.End+delta)
 	var fresh map[string]region.Set
 	if subtree != nil {

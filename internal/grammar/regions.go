@@ -111,6 +111,9 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 	if err := faultinject.Hit(faultinject.IndexBuild); err != nil {
 		return nil, nil, fmt.Errorf("grammar: building index for %s: %w", doc.Name(), err)
 	}
+	if err := index.CheckDocument(doc); err != nil {
+		return nil, nil, err
+	}
 	tree, err := g.Parse(doc)
 	if err != nil {
 		return nil, nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,13 +22,25 @@ func benchDoc(nWords int) *text.Document {
 	return text.NewDocument("bench", sb.String())
 }
 
+// BenchmarkWordIndexBuild also reports what one built index retains, per
+// token: the heap's growth across a build, after a collection each side.
 func BenchmarkWordIndexBuild(b *testing.B) {
 	doc := benchDoc(100000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x := NewWordIndex(doc)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewWordIndex(doc)
 	}
+	b.ReportMetric(retained/float64(x.TokenCount()), "retained-B/token")
+	runtime.KeepAlive(x)
 }
 
 func BenchmarkMatchPoints(b *testing.B) {

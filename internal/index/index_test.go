@@ -3,8 +3,10 @@ package index
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qof/internal/region"
 	"qof/internal/text"
@@ -31,8 +33,8 @@ func TestForEachWord(t *testing.T) {
 			t.Fatalf("words not in sorted order: %q after %q", w, prev)
 		}
 		prev = w
-		if occ != len(x.Occurrences(w)) {
-			t.Errorf("%q: reported %d, occurrences %d", w, occ, len(x.Occurrences(w)))
+		if occ != x.Postings(w).Len() {
+			t.Errorf("%q: reported %d, postings %d", w, occ, x.Postings(w).Len())
 		}
 		distinct++
 		total += occ
@@ -51,13 +53,13 @@ func TestWordIndexCounts(t *testing.T) {
 		t.Error("more distinct words than tokens")
 	}
 	// "Corliss" appears twice, "Chang" once.
-	if got := len(x.Occurrences("Corliss")); got != 2 {
+	if got := x.Postings("Corliss").Len(); got != 2 {
 		t.Errorf("Corliss occurrences = %d, want 2", got)
 	}
-	if got := len(x.Occurrences("Chang")); got != 1 {
+	if got := x.Postings("Chang").Len(); got != 1 {
 		t.Errorf("Chang occurrences = %d, want 1", got)
 	}
-	if got := len(x.Occurrences("nosuchword")); got != 0 {
+	if got := x.Postings("nosuchword").Len(); got != 0 {
 		t.Errorf("nosuchword occurrences = %d", got)
 	}
 }
@@ -74,6 +76,18 @@ func TestMatchPoints(t *testing.T) {
 	}
 }
 
+// occurrences returns the tokens of doc that are the word w, in document
+// order: what a posting list must hold, read off the tokenization.
+func occurrences(doc *text.Document, w string) []text.Token {
+	var out []text.Token
+	for _, tok := range text.Tokenize(doc.Content()) {
+		if doc.Token(tok) == w {
+			out = append(out, tok)
+		}
+	}
+	return out
+}
+
 // TestMatchPointsEqualsOldConstruction: MatchPoints is one ordered copy of
 // the posting list; it used to copy the postings into tokens, the tokens
 // into regions, and sort and de-duplicate those through FromRegions. Both
@@ -83,7 +97,7 @@ func TestMatchPointsEqualsOldConstruction(t *testing.T) {
 	x := NewWordIndex(doc)
 	words := append([]string{"nosuchword", ""}, x.words...)
 	for _, w := range words {
-		occ := x.Occurrences(w)
+		occ := occurrences(doc, w)
 		rs := make([]region.Region, len(occ))
 		for i, tok := range occ {
 			rs[i] = region.Region{Start: tok.Start, End: tok.End}
@@ -146,7 +160,7 @@ func TestPrefixMatchesExhaustive(t *testing.T) {
 		prefix := alpha[rng.Intn(len(alpha))]
 		got := x.PrefixMatchPoints(prefix)
 		var want []region.Region
-		for _, tok := range doc.Tokens() {
+		for _, tok := range text.Tokenize(doc.Content()) {
 			if strings.HasPrefix(doc.Token(tok), prefix) {
 				want = append(want, region.Region{Start: tok.Start, End: tok.End})
 			}
@@ -499,57 +513,98 @@ func TestLoadFuzzedBytesNeverPanics(t *testing.T) {
 	}
 }
 
+// checkSplice replaces [a, b) of oldContent by repl and requires the spliced
+// word index to be, field for field, the one built from scratch over the
+// edited document, with nothing allocated beyond what it holds.
+func checkSplice(t *testing.T, oldContent string, a, b int, repl string) {
+	t.Helper()
+	old := NewWordIndex(text.NewDocument("old", oldContent))
+	newDoc := text.NewDocument("new", oldContent[:a]+repl+oldContent[b:])
+	got := old.Splice(newDoc, a, b, a+len(repl))
+	want := NewWordIndex(newDoc)
+	if !slices.Equal(got.words, want.words) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.post, want.post) {
+		t.Fatalf("edit [%d,%d)->%q on %q:\n spliced %q %v %v\n rebuilt %q %v %v",
+			a, b, repl, oldContent, got.words, got.offs, got.post, want.words, want.offs, want.post)
+	}
+	if cap(got.post) != len(got.post) {
+		t.Fatalf("edit [%d,%d)->%q on %q: slab of %d positions has capacity %d", a, b, repl, oldContent, len(got.post), cap(got.post))
+	}
+	// The dictionary must not keep the old document alive.
+	base := uintptr(unsafe.Pointer(unsafe.StringData(newDoc.Content())))
+	for _, w := range got.words {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(w))); p < base || p+uintptr(len(w)) > base+uintptr(newDoc.Len()) {
+			t.Fatalf("edit [%d,%d)->%q on %q: dictionary word %q is not a substring of the new document", a, b, repl, oldContent, w)
+		}
+	}
+	// Prefix search works on the spliced index (lazy sistrings).
+	if !got.PrefixMatchPoints("al").Equal(want.PrefixMatchPoints("al")) {
+		t.Fatalf("edit [%d,%d)->%q on %q: prefix search differs", a, b, repl, oldContent)
+	}
+}
+
 // TestSpliceMatchesFresh is the splice correctness property: for random
 // documents and random edits, the spliced word index is indistinguishable
-// from one built from scratch over the edited document.
+// from one built from scratch over the edited document. Edits fall at any
+// byte, so they split words, multi-byte runes and invalid sequences.
 func TestSpliceMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	words := []string{"alpha", "beta", "gamma", "x1", "", "-", "  "}
-	randText := func(n int) string {
-		var sb strings.Builder
-		for i := 0; i < n; i++ {
-			sb.WriteString(words[rng.Intn(len(words))])
-			if rng.Intn(3) > 0 {
-				sb.WriteByte(' ')
-			}
-		}
-		return sb.String()
+	alphabets := [][]string{
+		{"alpha", "beta", "gamma", "x1", "", "-", "  "},
+		{"alpha", "été", "日本", "é", "\xc3", "\xa9", "\xff", "·", " ", "—", "x"},
 	}
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 800; trial++ {
+		words := alphabets[trial%2]
+		randText := func(n int) string {
+			var sb strings.Builder
+			for i := 0; i < n; i++ {
+				sb.WriteString(words[rng.Intn(len(words))])
+				if rng.Intn(3) > 0 {
+					sb.WriteByte(' ')
+				}
+			}
+			return sb.String()
+		}
 		oldContent := randText(30)
-		oldDoc := text.NewDocument("old", oldContent)
-		old := NewWordIndex(oldDoc)
-
-		// Random edit: replace [a, b) by replacement text.
 		a := rng.Intn(len(oldContent) + 1)
 		b := a + rng.Intn(len(oldContent)-a+1)
-		repl := randText(rng.Intn(6))
-		newContent := oldContent[:a] + repl + oldContent[b:]
-		newDoc := text.NewDocument("new", newContent)
+		checkSplice(t, oldContent, a, b, randText(rng.Intn(6)))
+	}
+}
 
-		got := old.Splice(newDoc, a, b, a+len(repl))
-		want := NewWordIndex(newDoc)
-
-		if got.TokenCount() != want.TokenCount() || got.WordCount() != want.WordCount() {
-			t.Fatalf("trial %d: edit [%d,%d)->%q on %q:\n tokens %d vs %d, words %d vs %d",
-				trial, a, b, repl, oldContent,
-				got.TokenCount(), want.TokenCount(), got.WordCount(), want.WordCount())
-		}
-		for k, tok := range want.Tokens() {
-			if got.Tokens()[k] != tok {
-				t.Fatalf("trial %d: token %d: %v vs %v", trial, k, got.Tokens()[k], tok)
-			}
-		}
-		for _, w := range want.PrefixWords("") {
-			a := got.MatchPoints(w)
-			b := want.MatchPoints(w)
-			if !a.Equal(b) {
-				t.Fatalf("trial %d: word %q: %v vs %v", trial, w, a, b)
-			}
-		}
-		// Prefix search works on the spliced index (lazy sistrings).
-		if !got.PrefixMatchPoints("al").Equal(want.PrefixMatchPoints("al")) {
-			t.Fatalf("trial %d: prefix search differs", trial)
-		}
+// TestSpliceEdgeCases names the edits a random draw reaches rarely.
+func TestSpliceEdgeCases(t *testing.T) {
+	const doc = "alpha beta gamma beta"
+	for _, tc := range []struct {
+		name, old string
+		a, b      int
+		repl      string
+	}{
+		{"a word the document never had", doc, 6, 10, "delta"},
+		{"a word sorting before every other", doc, 6, 10, "aaa"},
+		{"a word sorting after every other", doc, 6, 10, "zeta"},
+		{"the last occurrence of a word goes", doc, 0, 6, ""},
+		{"one of two occurrences goes", doc, 6, 11, ""},
+		{"the edit ends where a token starts", doc, 5, 6, " - "},
+		{"the edit starts where a token ends", doc, 5, 5, "bet"},
+		{"the edit extends a token on its left", doc, 6, 6, "al"},
+		{"two tokens are joined", doc, 5, 6, ""},
+		{"two tokens are joined by a word rune", doc, 10, 11, "9"},
+		{"a token is split", doc, 2, 2, " "},
+		{"an empty edit", doc, 7, 7, ""},
+		{"an empty edit at the start", doc, 0, 0, ""},
+		{"an empty edit at the end", doc, len(doc), len(doc), ""},
+		{"an append", doc, len(doc), len(doc), "s alpha"},
+		{"a prepend", doc, 0, 0, "gamma"},
+		{"the whole document is replaced", doc, 0, len(doc), "beta new beta"},
+		{"the whole document is deleted", doc, 0, len(doc), ""},
+		{"an empty document grows", "", 0, 0, "alpha alpha"},
+		{"a document without separators", "alphabeta", 5, 5, " "},
+		{"a multi-byte rune ends at the window edge", "caf\u00e9 bar", 6, 9, "baz"},
+		{"a multi-byte rune starts at the window edge", "bar \u00e9t\u00e9", 0, 3, "baz"},
+		{"the edit splits a multi-byte rune", "caf\u00e9 bar", 4, 5, "x"},
+		{"the edit completes an invalid sequence", "caf\xc3 bar", 4, 4, "\xa9"},
+		{"no ASCII separator bounds the window", "日本語·テスト·日本語", 9, 11, "·"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkSplice(t, tc.old, tc.a, tc.b, tc.repl) })
 	}
 }

@@ -156,14 +156,13 @@ func (in *Instance) RegionCount() int {
 	return n
 }
 
-// SizeBytes estimates the in-memory footprint of the index structures
-// (region endpoints plus word-index postings), used by the indexing-tradeoff
-// experiments. It deliberately excludes the document text itself.
+// SizeBytes reports what the index structures hold in memory: 16 bytes (two
+// int endpoints) a region in the named sets plus the word index's
+// dictionary and positions slab. It is used by the indexing-tradeoff
+// experiments and deliberately excludes the document text itself and what
+// queries derive lazily (universe, value orders, sistring array).
 func (in *Instance) SizeBytes() int {
-	const regionBytes = 16 // two int64 endpoints
-	size := in.RegionCount() * regionBytes
-	size += in.words.TokenCount() * 24 // token (start,end) + sistring entry
-	return size
+	return 16*in.RegionCount() + in.words.sizeBytes()
 }
 
 // Restrict returns a new instance over the same document keeping only the

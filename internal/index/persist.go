@@ -31,6 +31,12 @@ var (
 	// ErrUnsupportedVersion reports a qof index file written by a
 	// different, incompatible format version.
 	ErrUnsupportedVersion = errors.New("index: unsupported format version")
+	// ErrCorrupt reports a qof index file whose tables cannot be what Save
+	// wrote for the document: an entry outside it, or a token table that
+	// is not its tokenization.
+	ErrCorrupt = errors.New("index: corrupt index file")
+
+	errTokenTable = fmt.Errorf("%w: stored token table disagrees with the document", ErrCorrupt)
 )
 
 // Save writes the instance (word tokens and all region indices) to w.
@@ -45,15 +51,17 @@ func (in *Instance) Save(w io.Writer) error {
 	doc := in.Document()
 	writeString(bw, doc.Name())
 	writeUvarint(bw, uint64(doc.Len()))
-	writeUvarint(bw, uint64(crc32.ChecksumIEEE([]byte(doc.Content()))))
+	writeUvarint(bw, uint64(checksum(doc.Content())))
 
-	toks := in.words.Tokens()
-	writeUvarint(bw, uint64(len(toks)))
+	// The token table is the document's tokenization, so it is streamed
+	// from the text; the index itself keeps no table to copy out.
+	content := doc.Content()
+	writeUvarint(bw, uint64(in.words.TokenCount()))
 	prev := 0
-	for _, t := range toks {
-		writeUvarint(bw, uint64(t.Start-prev))
-		writeUvarint(bw, uint64(t.End-t.Start))
-		prev = t.Start
+	for tok, ok := text.NextToken(content, 0); ok; tok, ok = text.NextToken(content, tok.End) {
+		writeUvarint(bw, uint64(tok.Start-prev))
+		writeUvarint(bw, uint64(tok.Len()))
+		prev = tok.Start
 	}
 
 	names := in.Names()
@@ -102,7 +110,7 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: reading document checksum: %w", err)
 	}
-	if int(docLen) != doc.Len() || uint32(sum) != crc32.ChecksumIEEE([]byte(doc.Content())) {
+	if int(docLen) != doc.Len() || uint32(sum) != checksum(doc.Content()) {
 		return nil, ErrIndexMismatch
 	}
 
@@ -110,29 +118,31 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: reading token count: %w", err)
 	}
-	toks := make([]text.Token, nTok)
-	prev := uint64(0)
-	for i := range toks {
-		ds, err := readUvarint(br)
+	// The stored table must be the document's tokenization: each entry is
+	// checked against the token the build finds and none is held, so a
+	// forged count allocates nothing.
+	seen, prev := uint64(0), uint64(0)
+	words, err := buildWordIndex(doc, func(tok text.Token) error {
+		if seen++; seen > nTok {
+			return errTokenTable
+		}
+		ds, ln, err := readEntry(br)
 		if err != nil {
-			return nil, fmt.Errorf("index: reading token table: %w", err)
+			return fmt.Errorf("index: reading token table: %w", err)
 		}
-		ln, err := readUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading token table: %w", err)
+		if prev+ds != uint64(tok.Start) || ln != uint64(tok.Len()) {
+			return errTokenTable
 		}
-		start := prev + ds
-		if start+ln > docLen {
-			return nil, errors.New("index: corrupt token table")
-		}
-		toks[i] = text.Token{Start: int(start), End: int(start + ln)}
-		prev = start
+		prev = uint64(tok.Start)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	in := &Instance{
-		words:   newWordIndex(doc, toks),
-		regions: make(map[string]region.Set),
-		scopes:  make(map[string]string),
+	if seen != nTok {
+		return nil, errTokenTable
 	}
+	in := NewInstanceFromWords(words)
 
 	nNames, err := readUvarint(br)
 	if err != nil {
@@ -154,23 +164,20 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: reading region count for %q: %w", name, err)
 		}
-		rs := make([]region.Region, cnt)
+		// A set rarely holds more regions than the document has bytes;
+		// a forged count past that grows only as entries validate.
+		rs := make([]region.Region, 0, min(cnt, docLen+1))
 		prev := uint64(0)
-		for j := range rs {
-			ds, err := readUvarint(br)
+		for j := uint64(0); j < cnt; j++ {
+			ds, ln, err := readEntry(br)
 			if err != nil {
 				return nil, fmt.Errorf("index: reading region table for %q: %w", name, err)
 			}
-			ln, err := readUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: reading region table for %q: %w", name, err)
+			if ds > docLen-prev || ln > docLen-prev-ds {
+				return nil, fmt.Errorf("%w: region table for %q", ErrCorrupt, name)
 			}
-			start := prev + ds
-			if start+ln > docLen {
-				return nil, fmt.Errorf("index: corrupt region table for %q", name)
-			}
-			rs[j] = region.Region{Start: int(start), End: int(start + ln)}
-			prev = start
+			prev += ds
+			rs = append(rs, region.Region{Start: int(prev), End: int(prev + ln)})
 		}
 		in.install(name, region.FromRegions(rs))
 	}
@@ -178,9 +185,7 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
 func writeString(w *bufio.Writer, s string) {
@@ -188,8 +193,35 @@ func writeString(w *bufio.Writer, s string) {
 	w.WriteString(s)
 }
 
+// readUvarint takes the one-byte varints — nearly every token delta and
+// length — straight from the buffer.
 func readUvarint(r *bufio.Reader) (uint64, error) {
+	if b, err := r.ReadByte(); err != nil || b < 0x80 {
+		return uint64(b), err
+	}
+	r.UnreadByte() // cannot fail after a ReadByte
 	return binary.ReadUvarint(r)
+}
+
+// readEntry reads one table entry: a start delta and a length.
+func readEntry(r *bufio.Reader) (ds, ln uint64, err error) {
+	if ds, err = readUvarint(r); err == nil {
+		ln, err = readUvarint(r)
+	}
+	return ds, ln, err
+}
+
+// checksum is the CRC of the document's text, taken through a small buffer
+// so that the text is not copied whole.
+func checksum(s string) uint32 {
+	var buf [32 << 10]byte
+	sum := uint32(0)
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+		s = s[n:]
+	}
+	return sum
 }
 
 func readString(r *bufio.Reader) (string, error) {

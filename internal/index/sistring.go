@@ -14,19 +14,14 @@ package index
 // int32: document offsets fit comfortably, and halving the memory traffic
 // matters — the counting sorts are bandwidth-bound.
 
-// suffixRanks returns rank[i] = the position of suffix s[i:] in the sorted
-// order of all suffixes of s.
-func suffixRanks(s string) []int32 {
-	return suffixRanksAt(s, nil)
-}
-
-// suffixRanksAt computes suffix ranks like suffixRanks but, when starts is
-// non-empty, may stop doubling as soon as the ranks at those offsets are
-// pairwise distinct. Ranks at other offsets are then only correct up to the
-// resolved prefix length; relative order among the starts is exact. The
-// sistring build passes token starts here, which on natural text converges
-// a few rounds before every interior position is resolved.
-func suffixRanksAt(s string, starts []int) []int32 {
+// suffixRanksAt returns rank[i] = the position of suffix s[i:] in the sorted
+// order of all suffixes of s. When starts is non-empty, it may stop doubling
+// as soon as the ranks at those offsets are pairwise distinct. Ranks at
+// other offsets are then only correct up to the resolved prefix length;
+// relative order among the starts is exact. The sistring build passes token
+// starts here, which on natural text converges a few rounds before every
+// interior position is resolved.
+func suffixRanksAt(s string, starts []uint32) []int32 {
 	n := len(s)
 	if n == 0 {
 		return nil

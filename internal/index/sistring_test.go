@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -98,4 +99,19 @@ func BenchmarkSistringRepetitive(b *testing.B) {
 		b.Run(fmt.Sprintf("ranked-%dw", n), func(b *testing.B) { benchmarkSistring(b, n, false) })
 		b.Run(fmt.Sprintf("naive-%dw", n), func(b *testing.B) { benchmarkSistring(b, n, true) })
 	}
+}
+
+// suffixRanks ranks every suffix of s, resolving all of them.
+func suffixRanks(s string) []int32 {
+	return suffixRanksAt(s, nil)
+}
+
+// sortSistringNaive is the direct suffix-comparison sort the ranked build
+// replaced. It is kept as the correctness and performance reference for
+// tests and benchmarks only.
+func (x *WordIndex) sortSistringNaive() []uint32 {
+	content := x.doc.Content()
+	arr := slices.Clone(x.post)
+	slices.SortFunc(arr, func(a, b uint32) int { return strings.Compare(content[a:], content[b:]) })
+	return arr
 }

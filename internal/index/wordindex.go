@@ -10,7 +10,12 @@
 package index
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"index/suffixarray"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,140 +25,173 @@ import (
 )
 
 // WordIndex records the position of every word occurrence in a document.
-// It supports exact-word lookup through an inverted map and PAT-style
-// sistring (semi-infinite string) prefix search through an array of word
-// starts sorted by the text that follows them.
+// It is one sorted dictionary over one slab of positions: a word's id is
+// its rank in words, and post[offs[id]:offs[id+1]] holds the start offsets
+// of its occurrences in document order. Every occurrence of a word has the
+// word's length, so a start is all an occurrence needs: 4 bytes each, no
+// token table. Exact-word lookup is a binary search of words; PAT-style
+// sistring (semi-infinite string) prefix search goes through an array of
+// the same starts sorted by the text that follows them.
 //
 // A WordIndex is immutable after construction except for the lazily built
 // sistring and suffix arrays, whose one-time construction is synchronized —
 // concurrent queries may share one WordIndex freely.
 type WordIndex struct {
 	doc      *text.Document
-	tokens   []text.Token     // all word occurrences, sorted by Start
-	byWord   map[string][]int // word -> indexes into tokens
-	words    []string         // distinct words, sorted
+	words    []string // distinct words, sorted; substrings of the document
+	offs     []uint32 // len(words)+1 group boundaries in post
+	post     []uint32 // occurrence starts, grouped by word, ascending in a group
 	sisOnce  sync.Once
-	sistring []int // token indexes sorted by doc[token.Start:]; built lazily
+	sistring []uint32 // occurrence starts sorted by doc[start:]; built lazily
 	sufOnce  sync.Once
 	suffixes *suffixarray.Index // byte-level suffix array; built lazily
 }
 
+// ErrDocumentTooLarge reports a document whose offsets do not fit the
+// index's 32-bit positions (and the sistring build's int32 ranks).
+var ErrDocumentTooLarge = errors.New("index: document too large")
+
+// maxDocLen is a variable so that tests can lower it; nothing else writes it.
+var maxDocLen = math.MaxInt32
+
+// CheckDocument returns ErrDocumentTooLarge if doc cannot be indexed. The
+// grammar's build, Load and the engine's edits — where a document enters an
+// index from outside — call it, so NewWordIndex and Splice return no error.
+func CheckDocument(doc *text.Document) error {
+	if doc.Len() > maxDocLen {
+		return fmt.Errorf("%w: %s is %d bytes, the limit is %d", ErrDocumentTooLarge, doc.Name(), doc.Len(), maxDocLen)
+	}
+	return nil
+}
+
 // NewWordIndex tokenizes the document and builds the word index.
 func NewWordIndex(doc *text.Document) *WordIndex {
-	return newWordIndex(doc, doc.Tokens())
+	x, err := buildWordIndex(doc, nil)
+	if err != nil {
+		panic(err) // an entry point skipped CheckDocument
+	}
+	return x
 }
 
-func newWordIndex(doc *text.Document, tokens []text.Token) *WordIndex {
-	idx := &WordIndex{
-		doc:    doc,
-		tokens: tokens,
-		byWord: make(map[string][]int),
+// buildWordIndex builds the word index in two counting passes. The first
+// tokenizes: it gives each distinct word a provisional id, counts its
+// occurrences and notes each token's id and start. The ids are then sorted
+// into ranks and the counts prefix-summed into group boundaries, and the
+// second pass scatters every start into its group. A word is hashed once
+// per occurrence, and the id map, the per-token notes and the counters are
+// garbage on return. each, if not nil, sees every token in document order
+// and its error abandons the build (Load checks a stored table with it).
+func buildWordIndex(doc *text.Document, each func(text.Token) error) (*WordIndex, error) {
+	if err := CheckDocument(doc); err != nil {
+		return nil, err
 	}
-	for i, tok := range tokens {
-		w := doc.Token(tok)
-		idx.byWord[w] = append(idx.byWord[w], i)
+	s := doc.Content()
+	ids := make(map[string]uint32)
+	var words []string                  // by provisional id: order of first occurrence
+	var next []uint32                   // by provisional id: occurrences, then write cursor
+	toks := make([]uint64, 0, len(s)/6) // id<<32 | start; prose has a token per 6-8 bytes
+	for tok, ok := text.NextToken(s, 0); ok; tok, ok = text.NextToken(s, tok.End) {
+		if each != nil {
+			if err := each(tok); err != nil {
+				return nil, err
+			}
+		}
+		id, seen := ids[s[tok.Start:tok.End]]
+		if !seen {
+			id = uint32(len(words))
+			words = append(words, s[tok.Start:tok.End])
+			ids[words[id]] = id
+			next = append(next, 0)
+		}
+		next[id]++
+		toks = append(toks, uint64(id)<<32|uint64(tok.Start))
 	}
-	idx.words = make([]string, 0, len(idx.byWord))
-	for w := range idx.byWord {
-		idx.words = append(idx.words, w)
+	order := make([]uint32, len(words))
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	sort.Strings(idx.words)
-	return idx
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(words[a], words[b]) })
+	x := &WordIndex{doc: doc, words: make([]string, len(words)), offs: make([]uint32, len(words)+1), post: make([]uint32, len(toks))}
+	n := uint32(0)
+	for rank, id := range order {
+		x.words[rank], x.offs[rank] = words[id], n
+		n, next[id] = n+next[id], n
+	}
+	x.offs[len(words)] = n
+	for _, t := range toks {
+		x.post[next[t>>32]] = uint32(t)
+		next[t>>32]++
+	}
+	return x, nil
 }
 
-// sistringArray returns the token indexes in lexicographic order of the
-// text following each token (PAT's sistring order). It is built on first
-// use: sorting semi-infinite strings is the most expensive part of word
-// indexing and only prefix search needs it. Token order is derived from
-// byte-level suffix ranks (see suffixRanks) so each comparison is O(1)
-// regardless of how repetitive the document is.
-func (x *WordIndex) sistringArray() []int {
+// sistringArray returns the occurrence starts in lexicographic order of the
+// text following each (PAT's sistring order). It is built on first use:
+// sorting semi-infinite strings is the most expensive part of word indexing
+// and only prefix search needs it. The order is derived from byte-level
+// suffix ranks (see suffixRanksAt) so each comparison is O(1) regardless of
+// how repetitive the document is.
+func (x *WordIndex) sistringArray() []uint32 {
 	x.sisOnce.Do(func() {
-		if len(x.tokens) == 0 {
+		if len(x.post) == 0 {
 			return
 		}
-		starts := make([]int, len(x.tokens))
-		arr := make([]int, len(x.tokens))
-		for i, tok := range x.tokens {
-			starts[i] = tok.Start
-			arr[i] = i
-		}
-		rank := suffixRanksAt(x.doc.Content(), starts)
-		sort.Slice(arr, func(a, b int) bool {
-			return rank[x.tokens[arr[a]].Start] < rank[x.tokens[arr[b]].Start]
-		})
+		arr := slices.Clone(x.post)
+		rank := suffixRanksAt(x.doc.Content(), arr)
+		slices.SortFunc(arr, func(a, b uint32) int { return cmp.Compare(rank[a], rank[b]) })
 		x.sistring = arr
 	})
 	return x.sistring
-}
-
-// sortSistringNaive is the direct suffix-comparison sort the ranked build
-// replaced. It is kept as the correctness and performance reference for
-// tests and benchmarks only.
-func (x *WordIndex) sortSistringNaive() []int {
-	content := x.doc.Content()
-	arr := make([]int, len(x.tokens))
-	for i := range arr {
-		arr[i] = i
-	}
-	sort.Slice(arr, func(a, b int) bool {
-		return content[x.tokens[arr[a]].Start:] < content[x.tokens[arr[b]].Start:]
-	})
-	return arr
 }
 
 // Document returns the indexed document.
 func (x *WordIndex) Document() *text.Document { return x.doc }
 
 // TokenCount reports the number of word occurrences in the document.
-func (x *WordIndex) TokenCount() int { return len(x.tokens) }
+func (x *WordIndex) TokenCount() int { return len(x.post) }
 
 // WordCount reports the number of distinct words in the document.
 func (x *WordIndex) WordCount() int { return len(x.words) }
 
-// Tokens returns all word occurrences sorted by start position. Callers must
-// not modify the returned slice.
-func (x *WordIndex) Tokens() []text.Token { return x.tokens }
+// sizeBytes is what the dictionary and the slab hold: a string header a
+// word (its text is the document's) and 4 bytes a boundary and a position.
+func (x *WordIndex) sizeBytes() int {
+	return 16*len(x.words) + 4*(len(x.offs)+len(x.post))
+}
 
 // ForEachWord calls fn for every distinct word with its occurrence count,
 // in sorted word order. It is the statistics collector's view of the
 // inverted index.
 func (x *WordIndex) ForEachWord(fn func(w string, occurrences int)) {
-	for _, w := range x.words {
-		fn(w, len(x.byWord[w]))
+	for i, w := range x.words {
+		fn(w, int(x.offs[i+1]-x.offs[i]))
 	}
 }
 
-// Occurrences returns the tokens of every occurrence of the exact word w,
-// sorted by start position.
-func (x *WordIndex) Occurrences(w string) []text.Token {
-	idxs := x.byWord[w]
-	out := make([]text.Token, len(idxs))
-	for i, ti := range idxs {
-		out[i] = x.tokens[ti]
-	}
-	return out
-}
-
-// Postings is the posting list of one word read in place: its occurrences
-// in document order, without the copy Occurrences makes. It is a
-// region.Points, so the region kernels take it as it is.
+// Postings is the posting list of one word read in place: the starts of its
+// occurrences in document order and the width they share, the word's
+// length. It is a region.Points, so the region kernels take it as it is.
 type Postings struct {
-	tokens []text.Token
-	idxs   []int
+	starts []uint32
+	width  int
 }
 
 // Postings returns the posting list of the exact word w.
 func (x *WordIndex) Postings(w string) Postings {
-	return Postings{tokens: x.tokens, idxs: x.byWord[w]}
+	i, found := slices.BinarySearch(x.words, w)
+	if !found {
+		return Postings{}
+	}
+	return Postings{starts: x.post[x.offs[i]:x.offs[i+1]], width: len(w)}
 }
 
 // Len reports the number of occurrences.
-func (p Postings) Len() int { return len(p.idxs) }
+func (p Postings) Len() int { return len(p.starts) }
 
 // At returns the i-th occurrence as a region the width of the word.
 func (p Postings) At(i int) region.Region {
-	return region.Region(p.tokens[p.idxs[i]])
+	start := int(p.starts[i])
+	return region.Region{Start: start, End: start + p.width}
 }
 
 // MatchPoints returns the match points (start positions) of the exact word
@@ -162,10 +200,10 @@ func (p Postings) At(i int) region.Region {
 // points compose with the region operators. The posting list is already in
 // set order and duplicate-free, so the set is one copy of it.
 func (x *WordIndex) MatchPoints(w string) region.Set {
-	idxs := x.byWord[w]
-	rs := make([]region.Region, len(idxs))
-	for i, ti := range idxs {
-		rs[i] = region.Region(x.tokens[ti])
+	p := x.Postings(w)
+	rs := make([]region.Region, p.Len())
+	for i := range rs {
+		rs[i] = p.At(i)
 	}
 	return region.FromOrdered(rs)
 }
@@ -177,16 +215,16 @@ func (x *WordIndex) PrefixMatchPoints(prefix string) region.Set {
 	content := x.doc.Content()
 	sistring := x.sistringArray()
 	lo := sort.Search(len(sistring), func(i int) bool {
-		return content[x.tokens[sistring[i]].Start:] >= prefix
+		return content[sistring[i]:] >= prefix
 	})
 	var rs []region.Region
-	for i := lo; i < len(sistring); i++ {
-		tok := x.tokens[sistring[i]]
-		if !strings.HasPrefix(content[tok.Start:], prefix) {
+	for _, start := range sistring[lo:] {
+		if !strings.HasPrefix(content[start:], prefix) {
 			break
 		}
-		if tok.Len() >= len(prefix) {
-			rs = append(rs, region.Region{Start: tok.Start, End: tok.End})
+		// The word at start is the token the tokenizer finds there.
+		if tok, _ := text.NextToken(content, int(start)); tok.Len() >= len(prefix) {
+			rs = append(rs, region.Region(tok))
 		}
 	}
 	return region.FromRegions(rs)

@@ -56,40 +56,65 @@ func (d *Document) Slice(start, end int) string {
 // Token reports the token text for the given token.
 func (d *Document) Token(t Token) string { return d.Slice(t.Start, t.End) }
 
+// asciiWord answers IsWordRune for the 128 ASCII values without the unicode
+// tables: the tokenizer and the whole-word tests ask it for every byte.
+var asciiWord = func() (t [utf8.RuneSelf]bool) {
+	for r := rune(0); r < utf8.RuneSelf; r++ {
+		t[r] = unicode.IsLetter(r) || unicode.IsDigit(r)
+	}
+	return t
+}()
+
 // IsWordRune reports whether r is part of a word. Words are maximal runs of
 // letters and digits; everything else (punctuation, whitespace, markup)
 // separates words.
 func IsWordRune(r rune) bool {
+	if uint32(r) < utf8.RuneSelf {
+		return asciiWord[r]
+	}
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// wordRunEnd returns the end of the longest run, starting at byte offset i
+// of s, of runes that are word runes (word true) or separators (word false).
+func wordRunEnd(s string, i int, word bool) int {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiWord[c] != word {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if IsWordRune(r) != word {
+			break
+		}
+		i += size
+	}
+	return i
+}
+
+// NextToken returns the first word token of s starting at or after byte
+// offset from, which must not lie inside a word; ok is false when no word
+// follows. Looping it from 0, each call from the previous token's End,
+// visits the tokens of Tokenize without materializing them.
+func NextToken(s string, from int) (tok Token, ok bool) {
+	start := wordRunEnd(s, from, false)
+	if start == len(s) {
+		return Token{}, false
+	}
+	return Token{Start: start, End: wordRunEnd(s, start, true)}, true
 }
 
 // Tokenize splits s into word tokens. Offsets are byte offsets into s.
 func Tokenize(s string) []Token {
 	var toks []Token
-	start := -1
-	for i := 0; i < len(s); {
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRuneInString(s[i:])
-		}
-		if IsWordRune(r) {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			toks = append(toks, Token{Start: start, End: i})
-			start = -1
-		}
-		i += size
-	}
-	if start >= 0 {
-		toks = append(toks, Token{Start: start, End: len(s)})
+	for tok, ok := NextToken(s, 0); ok; tok, ok = NextToken(s, tok.End) {
+		toks = append(toks, tok)
 	}
 	return toks
 }
-
-// Tokens tokenizes the whole document.
-func (d *Document) Tokens() []Token { return Tokenize(d.content) }
 
 // ContainsWholeWord reports whether w occurs in s delimited by word
 // boundaries on both sides. w may be a phrase (internal separators are

@@ -1,10 +1,13 @@
 package text
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unicode/utf8"
 )
 
 func TestTokenizeSimple(t *testing.T) {
@@ -161,7 +164,7 @@ func TestDocument(t *testing.T) {
 	if got := d.Slice(10, 15); got != "Chang" {
 		t.Errorf("Slice = %q", got)
 	}
-	toks := d.Tokens()
+	toks := Tokenize(d.Content())
 	if len(toks) != 2 || d.Token(toks[1]) != "Chang" {
 		t.Errorf("Tokens = %v", toks)
 	}
@@ -184,5 +187,73 @@ func TestDocumentSlicePanics(t *testing.T) {
 func TestTokenLen(t *testing.T) {
 	if (Token{Start: 3, End: 10}).Len() != 7 {
 		t.Error("Token.Len")
+	}
+}
+
+// TestIsWordRuneASCIITable pins the 128-entry table equal to the unicode
+// answer it stands in front of, and the rune values beside it.
+func TestIsWordRuneASCIITable(t *testing.T) {
+	for r := rune(-2); r < 0x300; r++ {
+		if got, want := IsWordRune(r), unicode.IsLetter(r) || unicode.IsDigit(r); got != want {
+			t.Errorf("IsWordRune(%#x) = %v, unicode says %v", r, got, want)
+		}
+	}
+	for _, r := range []rune{utf8.RuneError, utf8.MaxRune, utf8.MaxRune + 1, '日', '١', '—'} {
+		if got, want := IsWordRune(r), unicode.IsLetter(r) || unicode.IsDigit(r); got != want {
+			t.Errorf("IsWordRune(%#x) = %v, unicode says %v", r, got, want)
+		}
+	}
+}
+
+// tokenizeRef is the tokenizer as it was before NextToken: one pass with a
+// run-start state, every rune through the unicode tables.
+func tokenizeRef(s string) []Token {
+	var toks []Token
+	start := -1
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			toks = append(toks, Token{Start: start, End: i})
+			start = -1
+		}
+		i += size
+	}
+	if start >= 0 {
+		toks = append(toks, Token{Start: start, End: len(s)})
+	}
+	return toks
+}
+
+// TestNextTokenMatchesReference: looping NextToken visits the reference
+// tokenization on random byte strings — ASCII, multi-byte and invalid
+// UTF-8 — and resuming from any token's End finds the next one.
+func TestNextTokenMatchesReference(t *testing.T) {
+	pieces := []string{"a", "Z", "9", " ", "-", "\n", "é", "日", "١", "—", "·", "\xc3", "\xa9", "\xff", "\xe2\x82", "\xf0\x9f"}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		var sb strings.Builder
+		for i := rng.Intn(12); i > 0; i-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		s := sb.String()
+		want := tokenizeRef(s)
+		if got := Tokenize(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %v, reference %v", s, got, want)
+		}
+		from := 0
+		for i, w := range want {
+			tok, ok := NextToken(s, from)
+			if !ok || tok != w {
+				t.Fatalf("%q: token %d from %d is %v (%v), reference %v", s, i, from, tok, ok, w)
+			}
+			from = tok.End
+		}
+		if tok, ok := NextToken(s, from); ok {
+			t.Fatalf("%q: a token %v past the last reference token", s, tok)
+		}
 	}
 }
