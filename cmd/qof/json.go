@@ -49,7 +49,7 @@ func writeJSONResult(w io.Writer, doc *text.Document, q *xsql.Query, res *engine
 		},
 	}
 	if explain {
-		out.Explain = res.Plan.Explain()
+		out.Explain = res.Explain()
 	}
 	if res.Projected {
 		out.Values = res.Strings

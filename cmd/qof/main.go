@@ -312,7 +312,7 @@ func cmdQuery(args []string) error {
 		return fmt.Errorf("unknown -format %q (want text or json)", *format)
 	}
 	if *explain {
-		fmt.Print(res.Plan.Explain())
+		fmt.Print(res.Explain())
 	}
 	if !*quiet {
 		if res.Projected {

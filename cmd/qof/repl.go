@@ -130,7 +130,7 @@ func runReplQuery(w io.Writer, eng *engine.Engine, content, src string, explain 
 	}
 	elapsed := time.Since(start)
 	if explain {
-		fmt.Fprint(w, res.Plan.Explain())
+		fmt.Fprint(w, res.Explain())
 	}
 	if res.Projected {
 		for i, s := range res.Strings {

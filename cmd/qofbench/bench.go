@@ -176,9 +176,7 @@ func runJSONBench(path string, quick bool) error {
 func limitPass(d *qgen.Domain, in *index.Instance, queries []*xsql.Query, rounds int) (float64, error) {
 	limited := make([]*xsql.Query, len(queries))
 	for i, q := range queries {
-		lq := *q
-		lq.Limit = benchLimitK
-		limited[i] = &lq
+		limited[i] = q.WithLimit(benchLimitK)
 	}
 	eng := engine.New(d.Cat, in)
 	eng.DisableResultCache()
@@ -213,15 +211,14 @@ func runStress(quick bool) (stressBench, error) {
 	if err != nil {
 		return stressBench{}, err
 	}
-	lq := *full
-	lq.Limit = benchLimitK
+	lq := full.WithLimit(benchLimitK)
 
 	s := stressBench{Refs: refs, Query: query, LimitK: benchLimitK}
 	s.FullMaterializingMs, s.FullPeakBytes, err = stressLeg(setup, full, true)
 	if err != nil {
 		return stressBench{}, fmt.Errorf("materializing leg: %w", err)
 	}
-	s.LimitStreamingMs, s.LimitPeakBytes, err = stressLeg(setup, &lq, false)
+	s.LimitStreamingMs, s.LimitPeakBytes, err = stressLeg(setup, lq, false)
 	if err != nil {
 		return stressBench{}, fmt.Errorf("streaming leg: %w", err)
 	}
@@ -325,6 +322,7 @@ func runPaired(engines []*engine.Engine, queries []*xsql.Query, rounds int) ([]b
 	type acc struct {
 		roundOps []float64 // per-round throughput
 		ops      int
+		planHits int // executions that found their plan compiled
 		mallocs  uint64
 		peak     int
 	}
@@ -355,6 +353,9 @@ func runPaired(engines []*engine.Engine, queries []*xsql.Query, rounds int) ([]b
 					if res.Stats.PeakBytes > a.peak {
 						a.peak = res.Stats.PeakBytes
 					}
+					if res.Stats.PlanCached {
+						a.planHits++
+					}
 					a.ops++
 				}
 			}
@@ -373,11 +374,8 @@ func runPaired(engines []*engine.Engine, queries []*xsql.Query, rounds int) ([]b
 		// one leg's round must not decide a whole domain's speedup.
 		pass.OpsPerSec = median(a.roundOps)
 		pass.AllocsPerOp = float64(a.mallocs) / float64(a.ops)
-		ph, pm, rh, rm := eng.CacheCounters()
-		if ph+pm > 0 {
-			pass.PlanCacheHitRate = float64(ph) / float64(ph+pm)
-		}
-		if rh+rm > 0 {
+		pass.PlanCacheHitRate = float64(a.planHits) / float64(a.ops)
+		if rh, rm := eng.CacheCounters(); rh+rm > 0 {
 			pass.ResultCacheHitRate = float64(rh) / float64(rh+rm)
 		}
 		passes[i] = pass
@@ -428,7 +426,7 @@ func runPass(eng *engine.Engine, queries []*xsql.Query, rounds int) (benchPass, 
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
-	ops, peak := 0, 0
+	ops, planHits, peak := 0, 0, 0
 	for r := 0; r < rounds; r++ {
 		for _, q := range queries {
 			res, err := eng.Execute(q)
@@ -437,6 +435,9 @@ func runPass(eng *engine.Engine, queries []*xsql.Query, rounds int) (benchPass, 
 			}
 			if res.Stats.PeakBytes > peak {
 				peak = res.Stats.PeakBytes
+			}
+			if res.Stats.PlanCached {
+				planHits++
 			}
 			ops++
 		}
@@ -449,11 +450,8 @@ func runPass(eng *engine.Engine, queries []*xsql.Query, rounds int) (benchPass, 
 		pass.OpsPerSec = float64(ops) / elapsed.Seconds()
 	}
 	pass.AllocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)
-	ph, pm, rh, rm := eng.CacheCounters()
-	if ph+pm > 0 {
-		pass.PlanCacheHitRate = float64(ph) / float64(ph+pm)
-	}
-	if rh+rm > 0 {
+	pass.PlanCacheHitRate = float64(planHits) / float64(ops)
+	if rh, rm := eng.CacheCounters(); rh+rm > 0 {
 		pass.ResultCacheHitRate = float64(rh) / float64(rh+rm)
 	}
 	return pass, nil

@@ -17,6 +17,12 @@
 //	GET  /metrics  counters, latency quantiles, per-tenant accounting
 //	POST /reload   re-read the sources and publish them as the next epoch
 //
+// With -debug-addr the daemon also serves net/http/pprof, and nothing else,
+// on a second listener: a profile of the live process is one
+// `go tool pprof http://ADDR/debug/pprof/profile?seconds=10` away. It is off
+// by default and kept apart from the query address so that exposing queries
+// never exposes profiles.
+//
 // A query answered by a sharded daemon is byte-identical to the same query
 // against a single corpus holding every file; see docs/SERVING.md.
 package main
@@ -29,6 +35,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -71,6 +78,19 @@ func main() {
 	}
 }
 
+// pprofHandler serves the runtime's profiles and nothing else. The handlers
+// are mounted by hand: the default mux, where importing net/http/pprof
+// registers them, is not served by either listener.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
 // schemaFor maps a -domain name onto its facade schema.
 func schemaFor(name string) (*qof.Schema, error) {
 	switch name {
@@ -109,6 +129,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	shared := fs.Bool("shared", false, "share work across concurrent queries (batched scans, cross-query CSE, parse dedup)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	dir := fs.String("dir", "", "serve every regular file in this directory (instead of positional FILEs)")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate address (default: off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -203,8 +224,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		len(files), *shards, r, *dom, srv.Epoch(), ln.Addr())
 
 	hs := &http.Server{Handler: releaseAfterReload(srv.Handler())}
-	errc := make(chan error, 1)
+	errc := make(chan error, 2)
 	go func() { errc <- hs.Serve(ln) }()
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			hs.Close()
+			return err
+		}
+		fmt.Fprintf(stdout, "qofd: pprof on http://%s/debug/pprof/\n", dln.Addr())
+		ds := &http.Server{Handler: pprofHandler()}
+		go func() { errc <- ds.Serve(dln) }()
+		defer ds.Close()
+	}
 	// The listener is up and answering; now give back what the build left.
 	debug.FreeOSMemory()
 	select {

@@ -42,10 +42,17 @@ var addrRe = regexp.MustCompile(`http://([0-9.:]+)`)
 // returns its base URL; shutdown and error checking hook into t.Cleanup.
 func startDaemon(t *testing.T, args []string) string {
 	t.Helper()
+	base, _ := startDaemonOutput(t, args)
+	return base
+}
+
+// startDaemonOutput is startDaemon, also returning what the daemon prints.
+func startDaemonOutput(t *testing.T, args []string) (string, *syncBuffer) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	var out syncBuffer
+	out := new(syncBuffer)
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), &out) }()
+	go func() { done <- run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), out) }()
 	t.Cleanup(func() {
 		cancel()
 		select {
@@ -60,7 +67,7 @@ func startDaemon(t *testing.T, args []string) string {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if m := addrRe.FindStringSubmatch(out.String()); m != nil {
-			return "http://" + m[1]
+			return "http://" + m[1], out
 		}
 		select {
 		case err := <-done:
@@ -254,5 +261,44 @@ func TestDaemonBadInvocations(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestDaemonDebugAddr: -debug-addr serves pprof on its own listener and on
+// no other; without the flag nothing serves it.
+func TestDaemonDebugAddr(t *testing.T) {
+	dir := writeCorpus(t, 1)
+	base, out := startDaemonOutput(t, []string{"-domain", "bibtex", "-debug-addr", "127.0.0.1:0", "-dir", dir})
+	pprofRe := regexp.MustCompile(`pprof on (http://[0-9.:]+/debug/pprof/)`)
+	var debug string
+	for deadline := time.Now().Add(15 * time.Second); debug == ""; time.Sleep(5 * time.Millisecond) {
+		if m := pprofRe.FindStringSubmatch(out.String()); m != nil {
+			debug = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("daemon never printed its pprof address; output: %s", out.String())
+		}
+	}
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := status(debug + "goroutine?debug=1"); got != http.StatusOK {
+		t.Errorf("pprof goroutine profile on the debug address: status %d", got)
+	}
+	if got := status(base + "/debug/pprof/"); got != http.StatusNotFound {
+		t.Errorf("pprof on the query address: status %d, want 404", got)
+	}
+	if got := status(strings.TrimSuffix(debug, "/debug/pprof/") + "/query?q=" + url.QueryEscape(daemonQuery)); got != http.StatusNotFound {
+		t.Errorf("/query on the debug address: status %d, want 404", got)
+	}
+
+	plain := startDaemon(t, []string{"-domain", "bibtex", "-dir", dir})
+	if got := status(plain + "/debug/pprof/"); got != http.StatusNotFound {
+		t.Errorf("pprof without -debug-addr: status %d, want 404", got)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"qof/internal/region"
 	"qof/internal/sgml"
 	"qof/internal/srccode"
+	"qof/internal/stats"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -49,6 +50,15 @@ func SourceCode() *Schema { return &Schema{cat: srccode.Catalog()} }
 // RIG renders the schema's region inclusion graph, one "A -> B" line per
 // possible direct inclusion.
 func (s *Schema) RIG() string { return s.cat.RIG.String() }
+
+// Prepare checks that src is a well-formed query and readies it for every
+// File and Corpus of the schema, which then run the same text without parsing
+// or compiling it again: for a caller that validates once and runs in many
+// places, as the serving layer does. (Query prepares what it is given.)
+func (s *Schema) Prepare(src string) error {
+	_, err := s.cat.Prepare(src)
+	return err
+}
 
 // indexConfig collects the effects of IndexOptions: the indexing choice
 // plus execution configuration for the resulting File or Corpus.
@@ -194,10 +204,12 @@ type Stats struct {
 // Results is a query outcome: whole-object selects fill Spans, projections
 // fill Values.
 type Results struct {
-	Spans   []Span
-	Values  []string
-	Stats   Stats
-	explain string
+	Spans  []Span
+	Values []string
+	Stats  Stats
+
+	plan      *compile.Plan // what Explain renders when asked
+	fileStats *stats.Stats  // its estimate lines
 }
 
 // Len reports the number of results.
@@ -210,7 +222,12 @@ func (r *Results) Len() int {
 
 // Explain renders the query plan (candidate expressions, rewrites applied,
 // exactness classification).
-func (r *Results) Explain() string { return r.explain }
+func (r *Results) Explain() string {
+	if r.plan == nil {
+		return ""
+	}
+	return r.plan.ExplainStats(r.fileStats)
+}
 
 // Query runs an XSQL query (see the xsql package comment for the dialect)
 // against the file.
@@ -218,8 +235,9 @@ func (f *File) Query(src string) (*Results, error) {
 	return f.QueryContext(context.Background(), src)
 }
 
-func convertResults(doc *text.Document, res *engine.Result) *Results {
-	out := &Results{explain: res.Plan.Explain()}
+func convertResults(eng *engine.Engine, res *engine.Result) *Results {
+	doc := eng.Instance().Document()
+	out := &Results{plan: res.Plan, fileStats: eng.IndexStats()}
 	out.Stats = Stats{
 		Candidates:  res.Stats.Candidates,
 		Parsed:      res.Stats.Parsed,
@@ -334,11 +352,11 @@ func (c *Corpus) Query(src string) ([]CorpusHit, error) {
 func (s *Schema) Advise(queries ...string) ([]string, string, error) {
 	var parsed []*xsql.Query
 	for _, src := range queries {
-		q, err := xsql.Parse(src)
+		p, err := s.cat.Prepare(src)
 		if err != nil {
 			return nil, "", fmt.Errorf("qof: query %q: %w", src, err)
 		}
-		parsed = append(parsed, q)
+		parsed = append(parsed, p.Query)
 	}
 	rec, err := advisor.Recommend(s.cat, parsed)
 	if err != nil {

@@ -1,7 +1,11 @@
 package algebra
 
 import (
+	"errors"
+	"strings"
 	"testing"
+
+	"qof/internal/qerr"
 )
 
 // algebraSeeds are expressions from the test suite plus edge cases around
@@ -29,11 +33,34 @@ var algebraSeeds = []string{
 	`contains(`,
 	`"unterminated`,
 	`contains(T, "\x")`,
+	strings.Repeat("innermost(", MaxDepth) + "A" + strings.Repeat(")", MaxDepth),
+	strings.Repeat("(", 2*MaxDepth+1) + "A",
+	"A" + strings.Repeat(" & A", MaxDepth),
+	"A" + strings.Repeat(" > A", MaxDepth),
 }
 
-// FuzzAlgebraParse asserts the region-algebra parser never panics, and
-// that every accepted expression round-trips: parse → String → reparse
-// succeeds and re-rendering is a fixpoint.
+// exprDepth is the depth of the expression's operator tree, a leaf counting 1.
+func exprDepth(e Expr) int {
+	switch e := e.(type) {
+	case Binary:
+		return 1 + max(exprDepth(e.L), exprDepth(e.R))
+	case Unary:
+		return 1 + exprDepth(e.Arg)
+	case Select:
+		return 1 + exprDepth(e.Arg)
+	case Near:
+		return 1 + max(exprDepth(e.E), exprDepth(e.To))
+	case Freq:
+		return 1 + exprDepth(e.Arg)
+	}
+	return 1
+}
+
+// FuzzAlgebraParse asserts the region-algebra parser never panics; that it
+// refuses only with an ordinary error or the typed depth error, and what it
+// accepts nests at most MaxDepth deep; and that every accepted expression
+// round-trips: parse → String → reparse succeeds and re-rendering is a
+// fixpoint.
 func FuzzAlgebraParse(f *testing.F) {
 	for _, s := range algebraSeeds {
 		f.Add(s)
@@ -41,7 +68,14 @@ func FuzzAlgebraParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Parse(src)
 		if err != nil {
+			var de *qerr.DepthError
+			if errors.Is(err, qerr.ErrBudgetExceeded) != errors.As(err, &de) {
+				t.Fatalf("budget error that is no DepthError, or the reverse: %v", err)
+			}
 			return
+		}
+		if d := exprDepth(e); d > MaxDepth {
+			t.Fatalf("accepted an expression %d deep, limit %d:\n  input %q", d, MaxDepth, src)
 		}
 		s1 := e.String()
 		e2, err := Parse(s1)

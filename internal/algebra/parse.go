@@ -4,7 +4,15 @@ import (
 	"fmt"
 	"strconv"
 	"unicode"
+
+	"qof/internal/qerr"
 )
+
+// MaxDepth is the deepest an expression's operator tree may be; Parse
+// answers deeper text with a *qerr.DepthError.
+const MaxDepth = qerr.MaxQueryDepth
+
+var errTooDeep error = &qerr.DepthError{Lang: "algebra"}
 
 // Parse parses the textual region-algebra syntax documented in the package
 // comment into an expression tree.
@@ -13,7 +21,7 @@ func Parse(src string) (Expr, error) {
 	if err := p.next(); err != nil {
 		return nil, err
 	}
-	e, err := p.parseExpr()
+	e, _, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
@@ -142,6 +150,34 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 type parser struct {
 	lex *lexer
 	tok token
+	// open counts the parentheses, calls and right-grouped inclusions the
+	// parser is inside of: its recursion depth. Parentheses build no node,
+	// so this is bounded separately from the tree's depth, at 2*MaxDepth: a
+	// tree MaxDepth deep renders (String) with at most two of them a level,
+	// and must reparse.
+	open int
+}
+
+// enter opens one level of parser recursion; the caller defers leave.
+func (p *parser) enter() error {
+	if p.open++; p.open > 2*MaxDepth {
+		return errTooDeep
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.open-- }
+
+// binary builds a binary node over operands of the given depths. The parse
+// functions return the depth of the tree they built beside it: the
+// left-grouping operators chain without recursing, so the parser's own
+// recursion does not bound it.
+func binary(op BinOp, l Expr, dl int, r Expr, dr int) (Expr, int, error) {
+	depth := 1 + max(dl, dr)
+	if depth > MaxDepth {
+		return nil, 0, errTooDeep
+	}
+	return Binary{Op: op, L: l, R: r}, depth, nil
 }
 
 func (p *parser) next() error {
@@ -158,10 +194,10 @@ func (p *parser) errorf(format string, args ...any) error {
 }
 
 // parseExpr handles + and - (lowest precedence, left associative).
-func (p *parser) parseExpr() (Expr, error) {
-	e, err := p.parseInclusion()
+func (p *parser) parseExpr() (Expr, int, error) {
+	e, depth, err := p.parseInclusion()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.tok.kind == tokOp && (p.tok.text == "+" || p.tok.text == "-") {
 		op := OpUnion
@@ -169,25 +205,27 @@ func (p *parser) parseExpr() (Expr, error) {
 			op = OpDiff
 		}
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		r, err := p.parseInclusion()
+		r, dr, err := p.parseInclusion()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		e = Binary{Op: op, L: e, R: r}
+		if e, depth, err = binary(op, e, depth, r, dr); err != nil {
+			return nil, 0, err
+		}
 	}
-	return e, nil
+	return e, depth, nil
 }
 
 // parseInclusion handles >, >d, <, <d (right associative, per the paper).
-func (p *parser) parseInclusion() (Expr, error) {
-	l, err := p.parseIntersect()
+func (p *parser) parseInclusion() (Expr, int, error) {
+	l, dl, err := p.parseIntersect()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if p.tok.kind != tokOp {
-		return l, nil
+		return l, dl, nil
 	}
 	var op BinOp
 	switch p.tok.text {
@@ -200,120 +238,142 @@ func (p *parser) parseInclusion() (Expr, error) {
 	case "<d":
 		op = OpDirIncluded
 	default:
-		return l, nil
+		return l, dl, nil
 	}
 	if err := p.next(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	r, err := p.parseInclusion()
+	if err := p.enter(); err != nil {
+		return nil, 0, err
+	}
+	defer p.leave()
+	r, dr, err := p.parseInclusion()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return Binary{Op: op, L: l, R: r}, nil
+	return binary(op, l, dl, r, dr)
 }
 
 // parseIntersect handles & (left associative).
-func (p *parser) parseIntersect() (Expr, error) {
-	e, err := p.parseTerm()
+func (p *parser) parseIntersect() (Expr, int, error) {
+	e, depth, err := p.parseTerm()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.tok.kind == tokOp && p.tok.text == "&" {
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		r, err := p.parseTerm()
+		r, dr, err := p.parseTerm()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		e = Binary{Op: OpIntersect, L: e, R: r}
+		if e, depth, err = binary(OpIntersect, e, depth, r, dr); err != nil {
+			return nil, 0, err
+		}
 	}
-	return e, nil
+	return e, depth, nil
 }
 
-func (p *parser) parseTerm() (Expr, error) {
+func (p *parser) parseTerm() (Expr, int, error) {
 	switch p.tok.kind {
 	case tokLParen:
-		if err := p.next(); err != nil {
-			return nil, err
+		if err := p.enter(); err != nil {
+			return nil, 0, err
 		}
-		e, err := p.parseExpr()
+		defer p.leave()
+		if err := p.next(); err != nil {
+			return nil, 0, err
+		}
+		e, depth, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.tok.kind != tokRParen {
-			return nil, p.errorf("expected ), got %s", p.tok)
+			return nil, 0, p.errorf("expected ), got %s", p.tok)
 		}
-		return e, p.next()
+		return e, depth, p.next()
 	case tokIdent:
 		ident := p.tok.text
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.tok.kind != tokLParen {
-			return Name{Ident: ident}, nil
+			return Name{Ident: ident}, 1, nil
 		}
-		return p.parseCall(ident)
+		if err := p.enter(); err != nil {
+			return nil, 0, err
+		}
+		defer p.leave()
+		e, depth, err := p.parseCall(ident)
+		if err != nil {
+			return nil, 0, err
+		}
+		if depth++; depth > MaxDepth {
+			return nil, 0, errTooDeep
+		}
+		return e, depth, nil
 	default:
-		return nil, p.errorf("expected region name, function or (, got %s", p.tok)
+		return nil, 0, p.errorf("expected region name, function or (, got %s", p.tok)
 	}
 }
 
-// parseCall parses fn(...) for the built-in functions.
-func (p *parser) parseCall(fn string) (Expr, error) {
+// parseCall parses fn(...) for the built-in functions; the depth it returns
+// is that of the deepest argument, 0 when no argument is an expression.
+func (p *parser) parseCall(fn string) (Expr, int, error) {
 	if err := p.next(); err != nil { // consume (
-		return nil, err
+		return nil, 0, err
 	}
 	switch fn {
 	case "word", "prefix", "match":
 		if p.tok.kind != tokString {
-			return nil, p.errorf("%s() expects a string argument", fn)
+			return nil, 0, p.errorf("%s() expects a string argument", fn)
 		}
 		w := p.tok.text
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		switch fn {
 		case "word":
-			return Word{W: w}, nil
+			return Word{W: w}, 0, nil
 		case "prefix":
-			return Prefix{P: w}, nil
+			return Prefix{P: w}, 0, nil
 		default:
-			return Match{S: w}, nil
+			return Match{S: w}, 0, nil
 		}
 	case "innermost", "outermost":
-		arg, err := p.parseExpr()
+		arg, depth, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		op := OpInnermost
 		if fn == "outermost" {
 			op = OpOutermost
 		}
-		return Unary{Op: op, Arg: arg}, nil
+		return Unary{Op: op, Arg: arg}, depth, nil
 	case "contains", "equals", "starts":
-		arg, err := p.parseExpr()
+		arg, depth, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokComma); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.tok.kind != tokString {
-			return nil, p.errorf("%s() expects a string as second argument", fn)
+			return nil, 0, p.errorf("%s() expects a string as second argument", fn)
 		}
 		w := p.tok.text
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		mode := SelContains
 		switch fn {
@@ -322,58 +382,58 @@ func (p *parser) parseCall(fn string) (Expr, error) {
 		case "starts":
 			mode = SelPrefix
 		}
-		return Select{Mode: mode, W: w, Arg: arg}, nil
+		return Select{Mode: mode, W: w, Arg: arg}, depth, nil
 	case "near":
-		e1, err := p.parseExpr()
+		e1, d1, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokComma); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		e2, err := p.parseExpr()
+		e2, d2, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokComma); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		k, err := p.number()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return Near{E: e1, To: e2, K: k}, nil
+		return Near{E: e1, To: e2, K: k}, max(d1, d2), nil
 	case "freq":
-		arg, err := p.parseExpr()
+		arg, depth, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokComma); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if p.tok.kind != tokString {
-			return nil, p.errorf("freq() expects a string as second argument")
+			return nil, 0, p.errorf("freq() expects a string as second argument")
 		}
 		w := p.tok.text
 		if err := p.next(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokComma); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		n, err := p.number()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := p.expect(tokRParen); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return Freq{Arg: arg, W: w, N: n}, nil
+		return Freq{Arg: arg, W: w, N: n}, depth, nil
 	default:
-		return nil, p.errorf("unknown function %q", fn)
+		return nil, 0, p.errorf("unknown function %q", fn)
 	}
 }
 

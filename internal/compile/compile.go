@@ -24,6 +24,7 @@ package compile
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"qof/internal/algebra"
 	"qof/internal/db"
@@ -64,6 +65,12 @@ type Catalog struct {
 	// rewrite, when non-nil, replaces the optimizer applied to candidate
 	// expressions (see SetRewriter).
 	rewrite func(algebra.Expr, *rig.Graph) (algebra.Expr, []optimizer.Rewrite)
+
+	// What no file's bytes enter, kept once for every file of the schema: the
+	// indexing choices resolved (choice.go), the prepared queries (prepared.go).
+	choiceMu sync.Mutex
+	choices  map[string]*Choice // guarded by choiceMu; by signature
+	prepared *preparedCache
 }
 
 // SetRewriter overrides the optimizer applied to candidate expressions
@@ -71,9 +78,10 @@ type Catalog struct {
 // exists so the differential harness's mutation tests can flip individual
 // rewrites and prove the harness detects the corruption; production code
 // never calls it. Set it before the catalog serves queries — it is not
-// synchronized with concurrent Compile calls.
+// synchronized with concurrent Compile calls. Prepared queries are forgotten.
 func (c *Catalog) SetRewriter(fn func(algebra.Expr, *rig.Graph) (algebra.Expr, []optimizer.Rewrite)) {
 	c.rewrite = fn
+	c.prepared = newPreparedCache(planCacheCap)
 }
 
 // optimizeExpr applies the configured or default candidate optimizer.
@@ -93,6 +101,8 @@ func NewCatalog(g *grammar.Grammar) *Catalog {
 		classes:   make(map[string]string),
 		faithful:  make(map[string]bool),
 		litTokens: make(map[string]map[string]bool),
+		choices:   make(map[string]*Choice),
+		prepared:  newPreparedCache(planCacheCap),
 	}
 	for _, nt := range g.NonTerminals() {
 		c.faithful[nt] = isFaithful(g, nt)
@@ -191,14 +201,6 @@ type VarPlan struct {
 	Exact bool
 	// Rewrites lists the optimizer rules applied (Theorem 3.6).
 	Rewrites []optimizer.Rewrite
-	// Est holds the statistics-based cardinality/cost estimate for
-	// Candidates when the plan was compiled with CompileStats.
-	Est *algebra.Estimate
-	// StreamEst is the streaming-executor estimate under the query's
-	// LIMIT: cardinality capped at the limit, cost scaled to the rows a
-	// stopping consumer pulls. Set by CompileStats when the query has a
-	// LIMIT; nil otherwise (without a limit the estimates coincide).
-	StreamEst *algebra.Estimate
 	// Reads is what phase 2 builds of each candidate: the paths the WHERE
 	// clause navigates from this variable, unless the plan is exact and
 	// nothing is filtered, plus the projected SELECT path. Empty means a
@@ -245,6 +247,30 @@ type Plan struct {
 	// path-comparison condition from leaf regions without parsing the
 	// candidates.
 	JoinFast *JoinFastPlan
+
+	// orderable: some candidate expression has a commutative operator.
+	orderable bool
+	// st: the statistics CompileStats ordered the plan by, for Explain's estimates.
+	st *stats.Stats
+}
+
+// Ordered returns the plan with the operands of its commutative operators
+// ordered by one file's statistics (optimizer.OrderOperands). A compiled plan
+// is shared by every file under its indexing choice; the order is the one
+// part that follows a file's bytes, so each execution applies it to its own
+// copy. A plan with nothing to order, or nil statistics, is returned as it is.
+func (p *Plan) Ordered(st *stats.Stats) *Plan {
+	if st == nil || !p.orderable {
+		return p
+	}
+	out := *p
+	out.Vars = append([]VarPlan(nil), p.Vars...)
+	for i := range out.Vars {
+		if vp := &out.Vars[i]; vp.Candidates != nil {
+			vp.Candidates = optimizer.OrderOperands(vp.Candidates, st)
+		}
+	}
+	return &out
 }
 
 // Var returns the plan for the given range variable.
@@ -317,7 +343,11 @@ func (c *Catalog) compileReads(nt string, paths []xsql.Path) (*grammar.ReadSet, 
 }
 
 // Explain renders a human-readable account of the plan.
-func (p *Plan) Explain() string {
+func (p *Plan) Explain() string { return p.ExplainStats(p.st) }
+
+// ExplainStats is Explain with the estimate lines, which nothing else reads,
+// computed from one file's statistics (nil: none).
+func (p *Plan) ExplainStats(st *stats.Stats) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query: %s\n", p.Query)
 	if p.Trivial {
@@ -336,12 +366,17 @@ func (p *Plan) Explain() string {
 			fmt.Fprintf(&sb, "  original:  %s  (cost %d)\n", algebra.Pretty(v.Original), algebra.Cost(v.Original))
 		}
 		fmt.Fprintf(&sb, "  candidates: %s  (cost %d)\n", algebra.Pretty(v.Candidates), algebra.Cost(v.Candidates))
-		if v.Est != nil {
-			fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (materializing)\n", v.Est.Card, v.Est.Cost)
-		}
-		if v.StreamEst != nil {
-			fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (streaming, stops at LIMIT %d)\n",
-				v.StreamEst.Card, v.StreamEst.Cost, p.Query.Limit)
+		if st != nil {
+			est := algebra.EstimateCost(v.Candidates, st)
+			fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (materializing)\n", est.Card, est.Cost)
+			// The streaming executor's estimate under the query's LIMIT:
+			// cardinality capped at the limit, cost scaled to the rows a
+			// stopping consumer pulls (without a limit the two coincide).
+			if p.Query.Limit > 0 {
+				est = algebra.StreamEstimate(v.Candidates, st, p.Query.Limit)
+				fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (streaming, stops at LIMIT %d)\n",
+					est.Card, est.Cost, p.Query.Limit)
+			}
 		}
 		for _, rw := range v.Rewrites {
 			fmt.Fprintf(&sb, "  rewrite: %s\n", rw)
@@ -364,56 +399,6 @@ func (p *Plan) Explain() string {
 	return sb.String()
 }
 
-// idxInfo captures the instance's indexing choice: which names are indexed
-// and which of them are selectively (scope-restricted) indexed.
-type idxInfo struct {
-	has   map[string]bool
-	scope map[string]string
-}
-
-func newIdxInfo(in *index.Instance) idxInfo {
-	ii := idxInfo{has: make(map[string]bool), scope: make(map[string]string)}
-	for _, n := range in.Names() {
-		ii.has[n] = true
-		if w := in.Scope(n); w != "" {
-			ii.scope[n] = w
-		}
-	}
-	return ii
-}
-
-// blockers returns the globally indexed names — the only ones guaranteed to
-// sit between regions on every realization, hence usable for direct
-// inclusion and path-uniqueness reasoning.
-func (ii idxInfo) blockers() map[string]bool {
-	out := make(map[string]bool, len(ii.has))
-	for n := range ii.has {
-		if ii.scope[n] == "" {
-			out[n] = true
-		}
-	}
-	return out
-}
-
-// usableAt reports whether name can serve as an indexed anchor on a path
-// whose earlier concrete names are prior: a scoped name requires its scope
-// to occur among them (Section 7's selective indexing).
-func (ii idxInfo) usableAt(name string, prior []string) bool {
-	if !ii.has[name] {
-		return false
-	}
-	w := ii.scope[name]
-	if w == "" {
-		return true
-	}
-	for _, p := range prior {
-		if p == w {
-			return true
-		}
-	}
-	return false
-}
-
 // Compile plans the query against the instance's current indexing choice.
 func (c *Catalog) Compile(q *xsql.Query, in *index.Instance) (*Plan, error) {
 	return c.CompileStats(q, in, nil)
@@ -421,58 +406,58 @@ func (c *Catalog) Compile(q *xsql.Query, in *index.Instance) (*Plan, error) {
 
 // CompileStats plans like Compile and, when st is non-nil, additionally
 // applies the statistics-driven ordering of commutative operands (cheap,
-// small side first) and records cardinality/cost estimates on each
+// small side first) and has Explain print cardinality/cost estimates for each
 // variable plan. Plans are equivalent either way; st only steers
-// evaluation order.
+// evaluation order. It is the full compile and consults no cache; queries
+// run through Prepare.
 func (c *Catalog) CompileStats(q *xsql.Query, in *index.Instance, st *stats.Stats) (*Plan, error) {
+	plan, err := c.compile(q, c.Choice(in))
+	if err != nil {
+		return nil, err
+	}
+	plan = plan.Ordered(st)
+	plan.st = st // the plan is this call's own: nothing shares it yet
+	return plan, nil
+}
+
+// compile plans the query under an indexing choice. The plan reads nothing
+// of any file: every instance that made the choice runs it.
+func (c *Catalog) compile(q *xsql.Query, indexed *Choice) (*Plan, error) {
+	if onCompile != nil {
+		onCompile()
+	}
 	filter, err := xsql.CompileFilter(q)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
 	plan := &Plan{Query: q, Filter: filter}
-	indexed := newIdxInfo(in)
 	for _, f := range q.From {
 		nt, ok := c.classes[f.Class]
 		if !ok {
 			return nil, fmt.Errorf("compile: class %q is not bound to a non-terminal", f.Class)
 		}
 		vp := VarPlan{Var: f.Var, NT: nt}
-		expr, orig, exact, trivial, why := c.compileCond(q.Where, f.Var, nt, in, indexed, len(q.From) == 1)
+		expr, orig, exact, trivial, why := c.compileCond(q.Where, f.Var, nt, indexed, len(q.From) == 1)
 		if trivial {
 			plan.Trivial = true
 			plan.TrivialWhy = why
 		}
-		if expr == nil {
+		if expr == nil && indexed.has[nt] {
 			// No narrowing from the index; all regions of the class
 			// non-terminal are candidates when it is indexed.
-			if in.Has(nt) {
-				expr = algebra.Name{Ident: nt}
-				orig = expr
-			}
-			vp.Exact = exact
-		} else {
-			vp.Exact = exact
+			expr = algebra.Name{Ident: nt}
+			orig = expr
 		}
+		vp.Exact = exact
 		vp.Candidates = expr
 		vp.Original = orig
 		if expr != nil {
-			g := c.projectedRIG(indexed)
-			opt, rewrites := c.optimizeExpr(expr, g)
-			vp.Candidates = opt
-			vp.Rewrites = rewrites
-			if st != nil {
-				vp.Candidates = optimizer.OrderOperands(vp.Candidates, st)
-				est := algebra.EstimateCost(vp.Candidates, st)
-				vp.Est = &est
-				if q.Limit > 0 {
-					sest := algebra.StreamEstimate(vp.Candidates, st, q.Limit)
-					vp.StreamEst = &sest
-				}
-			}
+			vp.Candidates, vp.Rewrites = c.optimizeExpr(expr, indexed.rig)
+			plan.orderable = plan.orderable || optimizer.Orderable(vp.Candidates)
 		}
 		plan.Vars = append(plan.Vars, vp)
 	}
-	c.compileProjection(plan, q, in, indexed)
+	c.compileProjection(plan, q, indexed)
 	c.compileJoinFast(plan, q, indexed)
 	for i := range plan.Vars {
 		vp := &plan.Vars[i]
@@ -494,7 +479,7 @@ func (c *Catalog) CompileStats(q *xsql.Query, in *index.Instance, st *stats.Stat
 // leaf-region chains for both sides. Both must be exact, or leaf regions
 // from other contexts (an editor name when the path says authors) would
 // produce false matches.
-func (c *Catalog) compileJoinFast(plan *Plan, q *xsql.Query, indexed idxInfo) {
+func (c *Catalog) compileJoinFast(plan *Plan, q *xsql.Query, indexed *Choice) {
 	if len(q.From) != 1 || plan.Trivial {
 		return
 	}
@@ -511,24 +496,8 @@ func (c *Catalog) compileJoinFast(plan *Plan, q *xsql.Query, indexed idxInfo) {
 	}
 }
 
-// projectedRIG returns the RIG of the indexed names (Section 6.1); with
-// full indexing this equals the grammar RIG restricted to its nodes.
-// Scoped names are kept as nodes but are transparent for edge contraction,
-// since their regions may be absent on some realizations.
-func (c *Catalog) projectedRIG(indexed idxInfo) *rig.Graph {
-	keep := make([]string, 0, len(indexed.has))
-	var opaque []string
-	for n := range indexed.has {
-		keep = append(keep, n)
-		if indexed.scope[n] == "" {
-			opaque = append(opaque, n)
-		}
-	}
-	return c.RIG.ProjectTransparent(keep, opaque)
-}
-
 // compileProjection fills plan.Projection from the SELECT path.
-func (c *Catalog) compileProjection(plan *Plan, q *xsql.Query, in *index.Instance, indexed idxInfo) {
+func (c *Catalog) compileProjection(plan *Plan, q *xsql.Query, indexed *Choice) {
 	plan.Projection.Steps = q.Select.Steps()
 	if len(q.Select.Segs) == 0 || q.Select.HasVariables() {
 		return
@@ -551,7 +520,7 @@ func (c *Catalog) compileProjection(plan *Plan, q *xsql.Query, in *index.Instanc
 // exactly the attribute regions AND that their text is the attribute value
 // verbatim (a bare-terminal leaf) — the condition for answering from the
 // index alone.
-func (c *Catalog) projChain(nt string, attrs []string, indexed idxInfo) (*optimizer.Chain, bool) {
+func (c *Catalog) projChain(nt string, attrs []string, indexed *Choice) (*optimizer.Chain, bool) {
 	full := append([]string{nt}, attrs...)
 	if !c.RIG.IsPath(full...) {
 		return nil, false
@@ -560,12 +529,11 @@ func (c *Catalog) projChain(nt string, attrs []string, indexed idxInfo) (*optimi
 	if !ok || names[len(names)-1] != full[len(full)-1] {
 		return nil, false
 	}
-	blockers := indexed.blockers()
 	direct := make([]bool, len(names)-1)
 	exact := !scoped && c.faithful[full[len(full)-1]]
 	for i := range direct {
 		direct[i] = !gaps[i]
-		if direct[i] && c.RIG.CountRealizingPaths(names[i], names[i+1], blockers) != rig.UniquePath {
+		if direct[i] && c.RIG.CountRealizingPaths(names[i], names[i+1], indexed.blockers) != rig.UniquePath {
 			exact = false
 		}
 	}
@@ -573,7 +541,7 @@ func (c *Catalog) projChain(nt string, attrs []string, indexed idxInfo) (*optimi
 	if err != nil {
 		return nil, false
 	}
-	opt, _ := optimizer.Optimize(ch, c.projectedRIG(indexed))
+	opt, _ := optimizer.Optimize(ch, indexed.rig)
 	return opt, exact
 }
 
@@ -582,7 +550,7 @@ func (c *Catalog) projChain(nt string, attrs []string, indexed idxInfo) (*optimi
 // "no narrowing", the same expression for EXPLAIN, whether it is exact, and
 // whether the condition is provably empty. single reports a single-variable
 // query, where negation handling may rely on exactness.
-func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, in *index.Instance, indexed idxInfo, single bool) (expr, orig algebra.Expr, exact, trivial bool, why string) {
+func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, indexed *Choice, single bool) (expr, orig algebra.Expr, exact, trivial bool, why string) {
 	switch cond := cond.(type) {
 	case nil:
 		return nil, nil, true, false, ""
@@ -626,8 +594,8 @@ func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, in *index.Instance, 
 		}
 		return e, e, false, false, ""
 	case xsql.And:
-		le, lo, lex, ltriv, lwhy := c.compileCond(cond.L, v, nt, in, indexed, single)
-		re, ro, rex, rtriv, rwhy := c.compileCond(cond.R, v, nt, in, indexed, single)
+		le, lo, lex, ltriv, lwhy := c.compileCond(cond.L, v, nt, indexed, single)
+		re, ro, rex, rtriv, rwhy := c.compileCond(cond.R, v, nt, indexed, single)
 		if ltriv {
 			return nil, nil, false, true, lwhy
 		}
@@ -645,8 +613,8 @@ func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, in *index.Instance, 
 				lex && rex, false, ""
 		}
 	case xsql.Or:
-		le, lo, lex, ltriv, _ := c.compileCond(cond.L, v, nt, in, indexed, single)
-		re, ro, rex, rtriv, _ := c.compileCond(cond.R, v, nt, in, indexed, single)
+		le, lo, lex, ltriv, _ := c.compileCond(cond.L, v, nt, indexed, single)
+		re, ro, rex, rtriv, _ := c.compileCond(cond.R, v, nt, indexed, single)
 		switch {
 		case ltriv && rtriv:
 			return nil, nil, false, true, "both OR branches are trivially empty"
@@ -663,12 +631,12 @@ func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, in *index.Instance, 
 				lex && rex, false, ""
 		}
 	case xsql.Not:
-		se, so, sex, striv, _ := c.compileCond(cond.C, v, nt, in, indexed, single)
+		se, so, sex, striv, _ := c.compileCond(cond.C, v, nt, indexed, single)
 		if striv {
 			// NOT of an empty condition constrains nothing.
 			return nil, nil, true, false, ""
 		}
-		if se == nil || !sex || !single || !in.Has(nt) {
+		if se == nil || !sex || !single || !indexed.has[nt] {
 			// Complementing a superset would lose answers; fall back
 			// to filtering.
 			return nil, nil, false, false, ""
@@ -720,7 +688,7 @@ const (
 
 // compileComparison compiles nt.segs ⟨mode⟩ constant into a candidate
 // expression rooted at nt.
-func (c *Catalog) compileComparison(nt string, segs []xsql.Seg, constant string, mode cmpMode, indexed idxInfo) (expr, orig algebra.Expr, exact, trivial bool, why string) {
+func (c *Catalog) compileComparison(nt string, segs []xsql.Seg, constant string, mode cmpMode, indexed *Choice) (expr, orig algebra.Expr, exact, trivial bool, why string) {
 	if err := checkVariableNames(segs); err != nil {
 		return nil, nil, false, false, ""
 	}
@@ -874,7 +842,7 @@ func tooMany(existing, factor int) bool { return existing*factor > enumCap }
 // scope occurs earlier on the path; scoped reports whether any kept name is
 // scope-restricted (which disables the exactness classification). ok=false
 // means the root itself is unusable.
-func contract(full []string, indexed idxInfo) (names []string, gaps []bool, scoped, ok bool) {
+func contract(full []string, indexed *Choice) (names []string, gaps []bool, scoped, ok bool) {
 	if !indexed.usableAt(full[0], nil) {
 		return nil, nil, false, false
 	}
@@ -899,7 +867,7 @@ func contract(full []string, indexed idxInfo) (names []string, gaps []bool, scop
 
 // buildChain turns one resolved path into an inclusion chain over the
 // indexed names, classifying exactness per Section 6.3.
-func (c *Catalog) buildChain(nt string, items []pathItem, constant string, mode cmpMode, indexed idxInfo) (algebra.Expr, bool, bool) {
+func (c *Catalog) buildChain(nt string, items []pathItem, constant string, mode cmpMode, indexed *Choice) (algebra.Expr, bool, bool) {
 	full := []string{nt}
 	for _, it := range items {
 		if it.star {
@@ -918,12 +886,11 @@ func (c *Catalog) buildChain(nt string, items []pathItem, constant string, mode 
 	// Scoped anchors narrow candidates soundly but their coverage is not
 	// modelled by the RIG analyses, so exactness is forfeited.
 	exact := !scoped
-	blockers := indexed.blockers()
 	direct := make([]bool, len(names)-1)
 	for i := range direct {
 		direct[i] = !gaps[i]
 		if direct[i] {
-			if c.RIG.CountRealizingPaths(names[i], names[i+1], blockers) != rig.UniquePath {
+			if c.RIG.CountRealizingPaths(names[i], names[i+1], indexed.blockers) != rig.UniquePath {
 				exact = false
 			}
 		}

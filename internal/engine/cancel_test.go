@@ -152,7 +152,7 @@ func TestKilledExecutionNeverCached(t *testing.T) {
 		if res.Stats.ResultCached {
 			t.Errorf("%s: killed execution polluted the result cache", name)
 		}
-		_, _, hits, _ := f.Eng.CacheCounters()
+		hits, _ := f.Eng.CacheCounters()
 		if hits != 0 {
 			t.Errorf("%s: result cache served %d hits after only killed+first runs", name, hits)
 		}
@@ -268,8 +268,7 @@ func TestLimitStopsParallelStream(t *testing.T) {
 		t.Fatalf("fixture too small: %d results, need > %d", full.Regions.Len(), limit)
 	}
 	wantPrefix := full.Regions.Regions()[:limit]
-	lq := xsql.MustParse(changAuthorQuery)
-	lq.Limit = limit
+	lq := xsql.MustParse(changAuthorQuery).WithLimit(limit)
 
 	if err := faultinject.Configure("engine.phase2=delay:500us"); err != nil {
 		t.Fatal(err)

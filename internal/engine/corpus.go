@@ -221,13 +221,19 @@ func (c *Corpus) Execute(q *xsql.Query) (*CorpusResult, error) {
 	return c.ExecuteContext(context.Background(), q, ExecOptions{})
 }
 
-// ExecuteContext is Execute under a context and per-file execution options.
-// Canceling ctx stops every file's evaluation at its next poll point. A
-// panic while evaluating one file is isolated to that file's error
-// (wrapping qerr.ErrInternal); the corpus and its engines stay usable. When
-// any file fails without opts.Partial, the returned error joins one
-// attributed error per failed file.
+// ExecuteContext is ExecutePrepared on the catalog's prepared form of q.
 func (c *Corpus) ExecuteContext(ctx context.Context, q *xsql.Query, opts ExecOptions) (*CorpusResult, error) {
+	return c.ExecutePrepared(ctx, c.cat.PrepareQuery(q), opts)
+}
+
+// ExecutePrepared runs a prepared query of the corpus's catalog against
+// every file under a context and per-file execution options. Canceling ctx
+// stops every file's evaluation at its next poll point. A panic while
+// evaluating one file is isolated to that file's error (wrapping
+// qerr.ErrInternal); the corpus and its engines stay usable. When any file
+// fails without opts.Partial, the returned error joins one attributed error
+// per failed file.
+func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts ExecOptions) (*CorpusResult, error) {
 	engines := c.engines
 	if opts.Files != nil {
 		want := make(map[string]bool, len(opts.Files))
@@ -259,9 +265,10 @@ func (c *Corpus) ExecuteContext(ctx context.Context, q *xsql.Query, opts ExecOpt
 			fctx, cancel = context.WithTimeout(ctx, opts.FileTimeout)
 			defer cancel()
 		}
-		return eng.ExecuteContext(fctx, q, opts.Limits)
+		return eng.ExecutePrepared(fctx, p, opts.Limits)
 	}
-	if c.Parallelism > 1 {
+	if c.Parallelism > 1 && len(engines) > 1 {
+		// One file runs on the caller's goroutine; run isolates its panics.
 		// Acquire the semaphore before spawning, so at most Parallelism
 		// goroutines exist at any moment — launching one goroutine per
 		// file would defeat the bound on large corpora.

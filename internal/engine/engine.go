@@ -34,25 +34,22 @@ import (
 	"qof/internal/xsql"
 )
 
-// planCacheCap bounds the per-engine compiled-plan cache. Query texts are
-// short and plans small, so a few dozen entries cover any realistic
-// interactive or serving workload while keeping eviction cheap.
-const planCacheCap = 64
-
 // Engine evaluates queries over one indexed document.
 //
 // An Engine is safe for concurrent use: Execute may be called from any
 // number of goroutines. The catalog, instance and evaluator are read-only
-// during execution, per-query state lives in the Result, and the plan cache
-// synchronizes internally. The Parallelism field is configuration — set it
+// during execution, per-query state lives in the Result, and the catalog's
+// prepared queries — plans belong to the schema, not to a file's engine —
+// synchronize internally. The Parallelism field is configuration — set it
 // before the engine starts serving.
 type Engine struct {
 	cat     *compile.Catalog
 	in      *index.Instance
 	ev      *algebra.Evaluator
-	plans   *compile.PlanCache
 	results *ResultCache
 	st      *stats.Stats
+
+	choice atomic.Pointer[choiceAt] // the indexing choice as of an instance epoch
 
 	// Parallelism bounds the number of worker goroutines parsing and
 	// filtering phase-2 candidate regions within one Execute call; values
@@ -85,7 +82,6 @@ func New(cat *compile.Catalog, in *index.Instance) *Engine {
 		cat:     cat,
 		in:      in,
 		ev:      algebra.NewEvaluator(in),
-		plans:   compile.NewPlanCache(planCacheCap),
 		results: NewResultCache(resultCacheCap),
 		st:      stats.Collect(in),
 	}
@@ -112,10 +108,9 @@ func (e *Engine) DisableResultCache() {
 	e.results = nil
 }
 
-// CacheCounters reports cumulative plan- and result-cache hits and misses,
-// for throughput reports.
-func (e *Engine) CacheCounters() (planHits, planMisses, resultHits, resultMisses int) {
-	planHits, planMisses = e.plans.Counters()
+// CacheCounters reports the result cache's cumulative hits and misses, for
+// throughput reports.
+func (e *Engine) CacheCounters() (resultHits, resultMisses int) {
 	if e.results != nil {
 		resultHits, resultMisses = e.results.Counters()
 	}
@@ -132,7 +127,7 @@ type Stats struct {
 	IndexOnly   bool // answered without parsing anything
 	FullScan    bool // the index offered no narrowing
 	JoinFast    bool // the Section 5.2 region-level join was used
-	PlanCached  bool // the compiled plan came from the plan cache
+	PlanCached  bool // the catalog had the plan: nothing was compiled
 
 	// ResultCached reports that the candidate set itself was served from
 	// the cross-query result cache (phase 1 skipped); ResultCacheHits
@@ -189,6 +184,9 @@ type Result struct {
 
 	eng *Engine // the engine whose instance Regions refer to
 }
+
+// Explain renders the plan with the file's cardinality estimates.
+func (r *Result) Explain() string { return r.Plan.ExplainStats(r.eng.st) }
 
 // Objects parses the selected regions of a whole-object select into their
 // complete database values, in document order; nil for a path select.
@@ -256,42 +254,54 @@ func (es *execEnv) chargeBytes(n int) error {
 	return nil
 }
 
-// Execute compiles and runs the query. Plans are cached by normalized query
-// text, so repeat queries skip parsing, compilation and optimization; the
-// cached plan is immutable and shared by concurrent executions.
+type choiceAt struct {
+	epoch  uint64
+	choice *compile.Choice
+}
+
+// indexingChoice resolves the instance's current indexing choice: two loads,
+// until a Define or Drop on the live instance moves its epoch.
+func (e *Engine) indexingChoice() *compile.Choice {
+	epoch := e.in.Epoch()
+	c := e.choice.Load()
+	if c == nil || c.epoch != epoch {
+		c = &choiceAt{epoch: epoch, choice: e.cat.Choice(e.in)}
+		e.choice.Store(c)
+	}
+	return c.choice
+}
+
+// Execute compiles and runs the query. The catalog keeps prepared queries by
+// normalized text, so repeats skip compilation on every file of the schema.
 func (e *Engine) Execute(q *xsql.Query) (*Result, error) {
 	return e.ExecuteContext(context.Background(), q, Limits{})
 }
 
-// ExecuteContext is Execute under a context and per-query resource budgets.
-// Cancellation and deadlines are polled cooperatively at every phase-1
-// operator application, inside the region kernels, and per phase-2
-// candidate, so they take effect mid-evaluation; the returned error is then
-// ctx.Err() (context.Canceled or context.DeadlineExceeded). Budget
-// violations wrap qerr.ErrBudgetExceeded. A failed execution is never
-// cached — neither its candidate sets nor partial results — and leaves the
-// engine fully usable.
+// ExecuteContext is ExecutePrepared on the catalog's prepared form of q.
 func (e *Engine) ExecuteContext(ctx context.Context, q *xsql.Query, lim Limits) (*Result, error) {
+	return e.ExecutePrepared(ctx, e.cat.PrepareQuery(q), lim)
+}
+
+// ExecutePrepared runs a prepared query of the engine's catalog under a
+// context and per-query resource budgets. Cancellation and deadlines are
+// polled cooperatively at every phase-1 operator application, inside the
+// region kernels, and per phase-2 candidate, so they take effect
+// mid-evaluation; the returned error is then ctx.Err() (context.Canceled or
+// context.DeadlineExceeded). Budget violations wrap qerr.ErrBudgetExceeded.
+// A failed execution is never cached — neither its candidate sets nor
+// partial results — and leaves the engine fully usable.
+func (e *Engine) ExecutePrepared(ctx context.Context, p *compile.Prepared, lim Limits) (*Result, error) {
 	es := &execEnv{ctx: ctx, lim: lim, budget: algebra.NewBudget(lim.MaxRegions)}
 	if err := es.poll(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	key := q.String()
-	plan, cached := e.plans.Get(key)
-	if cached {
-		// Execute against the query the plan was compiled from: same
-		// normalized text means the same parse tree, and keeping the
-		// pair together makes the plan/query state all-immutable.
-		q = plan.Query
-	} else {
-		var err error
-		plan, err = e.cat.CompileStats(q, e.in, e.st)
-		if err != nil {
-			return nil, err
-		}
-		e.plans.Put(key, plan)
+	plan, cached, err := p.Plan(e.indexingChoice())
+	if err != nil {
+		return nil, err
 	}
+	plan = plan.Ordered(e.st) // the plan is the schema's, the operand order this file's
+	q := plan.Query
 	res := &Result{Plan: plan, Projected: len(q.Select.Segs) > 0, eng: e}
 	res.Stats.PlanCached = cached
 	res.Stats.CompileTime = time.Since(start)

@@ -71,7 +71,7 @@ func TestResultCacheRepeatedQuery(t *testing.T) {
 	if !second.Regions.Equal(first.Regions) {
 		t.Errorf("cached result diverged:\n got %v\nwant %v", second.Regions, first.Regions)
 	}
-	_, _, hits, misses := f.Eng.CacheCounters()
+	hits, misses := f.Eng.CacheCounters()
 	if hits == 0 || misses == 0 {
 		t.Errorf("counters should show both hits and misses: hits=%d misses=%d", hits, misses)
 	}
@@ -95,10 +95,9 @@ func TestLimitStoppedStreamNeverCached(t *testing.T) {
 	// Fresh engine so the probe's published result doesn't serve the
 	// limited runs.
 	f = testutil.NewBibFixture(t, 40, grammar.IndexSpec{}, nil)
-	lq := *full
-	lq.Limit = 1
+	lq := full.WithLimit(1)
 	for run := 0; run < 3; run++ {
-		res, err := f.Eng.Execute(&lq)
+		res, err := f.Eng.Execute(lq)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -109,7 +108,7 @@ func TestLimitStoppedStreamNeverCached(t *testing.T) {
 			t.Errorf("run %d: truncated stream served from the result cache", run)
 		}
 	}
-	if _, _, hits, _ := f.Eng.CacheCounters(); hits != 0 {
+	if hits, _ := f.Eng.CacheCounters(); hits != 0 {
 		t.Errorf("result cache served %d hits after only LIMIT-stopped runs", hits)
 	}
 	// A complete drain publishes as usual...
@@ -125,7 +124,7 @@ func TestLimitStoppedStreamNeverCached(t *testing.T) {
 	}
 	// ...and the warm cache legitimately serves a subsequent limited run,
 	// still clamped to the limit.
-	res, err = f.Eng.Execute(&lq)
+	res, err = f.Eng.Execute(lq)
 	if err != nil {
 		t.Fatal(err)
 	}

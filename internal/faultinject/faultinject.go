@@ -62,8 +62,8 @@ const (
 	IndexBuild     = "index.build"     // grammar.BuildInstance: parse + region extraction
 	PersistSave    = "persist.save"    // index.Instance.Save
 	PersistLoad    = "persist.load"    // index.Load
-	PlanCacheGet   = "plancache.get"   // compile.PlanCache.Get (fires = forced miss)
-	PlanCachePut   = "plancache.put"   // compile.PlanCache.Put (fires = entry dropped)
+	PlanCacheGet   = "plancache.get"   // compile.Catalog.Prepare, Prepared.Plan lookups (fires = forced miss)
+	PlanCachePut   = "plancache.put"   // the inserts after them (fires = entry dropped)
 	ResultCacheGet = "resultcache.get" // engine.ResultCache.Get (fires = forced miss)
 	ResultCachePut = "resultcache.put" // engine.ResultCache.Put (fires = entry dropped)
 	Phase2         = "engine.phase2"   // per-candidate work in the phase-2 pool

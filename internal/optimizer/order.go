@@ -50,3 +50,22 @@ func cheaper(a, b algebra.Estimate) bool {
 	}
 	return a.Card < b.Card
 }
+
+// Orderable reports whether OrderOperands has anything to order in e: a ∩ or
+// ∪ somewhere. Without one it returns e operand for operand.
+func Orderable(e algebra.Expr) bool {
+	switch e := e.(type) {
+	case algebra.Binary:
+		return e.Op == algebra.OpUnion || e.Op == algebra.OpIntersect || Orderable(e.L) || Orderable(e.R)
+	case algebra.Unary:
+		return Orderable(e.Arg)
+	case algebra.Select:
+		return Orderable(e.Arg)
+	case algebra.Near:
+		return Orderable(e.E) || Orderable(e.To)
+	case algebra.Freq:
+		return Orderable(e.Arg)
+	default:
+		return false
+	}
+}

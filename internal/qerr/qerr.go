@@ -9,7 +9,10 @@
 // with the standard sentinels.
 package qerr
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // ErrBudgetExceeded is wrapped by errors reporting that a query ran past a
 // per-query resource budget (qof.WithMaxRegions, qof.WithMaxEvalBytes).
@@ -23,3 +26,23 @@ var ErrBudgetExceeded = errors.New("resource budget exceeded")
 // state is immutable during execution, so an abandoned evaluation cannot
 // tear it.
 var ErrInternal = errors.New("internal error (recovered panic)")
+
+// MaxQueryDepth bounds how deep the operators of a query text may nest, in
+// both query languages (XSQL conditions, region-algebra expressions). Every
+// walker over a parsed query recurses once per level, and a Go stack that
+// overflows kills the process instead of raising an error, so the parsers
+// refuse deeper input before any walker sees it.
+const MaxQueryDepth = 256
+
+// DepthError reports query text nested past MaxQueryDepth. It belongs to the
+// ErrBudgetExceeded family: deterministic, and decided by the parser alone.
+type DepthError struct {
+	Lang string // "xsql" or "algebra"
+}
+
+func (e *DepthError) Error() string {
+	return fmt.Sprintf("%s: query nests deeper than %d: %v", e.Lang, MaxQueryDepth, ErrBudgetExceeded)
+}
+
+// Unwrap places the error in the budget family for errors.Is.
+func (e *DepthError) Unwrap() error { return ErrBudgetExceeded }

@@ -135,11 +135,10 @@ func (h *Harness) CheckQuery(q *xsql.Query) error {
 // limit is nested-loop order, so only the region and count invariants apply
 // there.
 func (h *Harness) checkLimit(q *xsql.Query, k int, full *engine.Result) error {
-	lq := *q
-	lq.Limit = k
-	stream, serr := h.Eng.Execute(&lq)
-	mat, merr := h.EngMat.Execute(&lq)
-	shared, sherr := h.EngShared.Execute(&lq)
+	lq := q.WithLimit(k)
+	stream, serr := h.Eng.Execute(lq)
+	mat, merr := h.EngMat.Execute(lq)
+	shared, sherr := h.EngShared.Execute(lq)
 	if serr != nil || merr != nil || sherr != nil {
 		return fmt.Errorf("%s: LIMIT %d on %s failed:\n  streaming: %v\n  materializing: %v\n  shared: %v",
 			h.Name, k, q, serr, merr, sherr)

@@ -116,6 +116,17 @@ func (b *breaker) failure(m *metrics) {
 	}
 }
 
+// abandon records an attempt that was canceled before it could say anything.
+// Were it the half-open probe, nothing would ever resolve it: the breaker
+// reopens with its cooldown served, so the next attempt probes again.
+func (b *breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == breakerHalfOpen {
+		b.state = breakerOpen
+	}
+}
+
 // snapshot reads the breaker for /healthz.
 func (b *breaker) snapshot() (state string, fails int, forced bool) {
 	b.mu.Lock()

@@ -7,6 +7,7 @@ package serve
 // shard count (the elapsed_us field is the one timing-dependent value).
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"qof"
@@ -144,12 +146,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// bodies pools the buffers responses are encoded into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes the whole body first, so the response goes out with its
+// Content-Length in one write instead of chunked in several.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	enc.Encode(v) // a client gone mid-write is not the server's error
+	_ = enc.Encode(v) // no body type of this package holds a value encoding/json refuses
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	w.Write(buf.Bytes()) // a client gone mid-write is not the server's error
+	bodies.Put(buf)
 }
 
 // decodeQueryRequest accepts POST (JSON body) and GET (query parameters),

@@ -34,7 +34,6 @@ import (
 	"qof"
 	"qof/internal/faultinject"
 	"qof/internal/qerr"
-	"qof/internal/xsql"
 )
 
 // Sentinel errors Execute returns; the HTTP layer maps them to statuses.
@@ -458,7 +457,8 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	if set == nil {
 		return nil, ErrNoCorpus
 	}
-	if _, err := xsql.Parse(req.Query); err != nil {
+	// Validating prepares: every group below finds the query parsed.
+	if err := s.cfg.Schema.Prepare(req.Query); err != nil {
 		s.met.badQuery.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
@@ -792,6 +792,7 @@ func (s *Server) recordAttempt(shard int, ok bool, actx, qctx context.Context) {
 		return
 	}
 	if qctx.Err() != nil || actx.Err() != nil {
+		b.abandon()
 		return
 	}
 	b.failure(s.met)

@@ -185,6 +185,71 @@ func TestExecuteBadQuery(t *testing.T) {
 	}
 }
 
+// TestHostileQueryRefused: query text nested past the parsers' limit — 400 KB
+// of NOTs fit under the 1 MiB body cap, and used to cost seconds of
+// normalizing per file — is a bad query: HTTP 400, counted in bad_query_total,
+// and refused by the validation parse, so it is never admitted and no shard,
+// corpus or engine sees it. What is asserted is where it stopped, not how
+// fast.
+func TestHostileQueryRefused(t *testing.T) {
+	srv := newServer(t, serve.Config{Shards: 2})
+	if _, err := srv.Publish(sampleFiles(4)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for name, where := range map[string]string{
+		"not":   strings.Repeat("NOT ", 100000) + `r.Key = "k"`,
+		"paren": strings.Repeat("(", 400000) + `r.Key = "k"`,
+		"and":   `r.Key = "k"` + strings.Repeat(` AND r.Key = "k"`, 25000),
+	} {
+		body, err := json.Marshal(serve.QueryRequest{Query: "SELECT r FROM References r WHERE " + where})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "nests deeper than") {
+			t.Errorf("%s: status %d, body %.120s; want 400 naming the nesting limit", name, resp.StatusCode, msg)
+		}
+	}
+	m := srv.Metrics()
+	if m.BadQueryTotal != 3 || m.QueriesTotal != 0 || len(m.Tenants) != 0 {
+		t.Errorf("bad_query_total=%d queries_total=%d tenants=%v; want 3 refused and none admitted or attributed",
+			m.BadQueryTotal, m.QueriesTotal, m.Tenants)
+	}
+	if _, err := srv.Execute(t.Context(), serve.Request{Query: changQuery}); err != nil {
+		t.Fatalf("a well-formed query after the hostile ones: %v", err)
+	}
+}
+
+// TestResponseHasContentLength: a response is encoded whole before it is
+// written, so it carries its length instead of going out chunked.
+func TestResponseHasContentLength(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(sampleFiles(2)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/query?q=" + url.QueryEscape(changQuery), "/query?q=SELECT", "/healthz", "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, body of %d bytes",
+				path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
 // TestHTTPDecoding exercises the request decoder's surface: GET parameter
 // mapping, the tenant header fallback, empty queries, bad numbers, and
 // unsupported methods.

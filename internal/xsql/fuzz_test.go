@@ -1,7 +1,11 @@
 package xsql
 
 import (
+	"errors"
+	"strings"
 	"testing"
+
+	"qof/internal/qerr"
 )
 
 // fuzzSeeds are real queries from the test suite plus edge cases around
@@ -34,11 +38,32 @@ var fuzzSeeds = []string{
 	`SELECT r FROM References r LIMIT x`,
 	`SELECT r FROM References r LIMIT "2"`,
 	`SELECT r FROM References r LIMIT 2 LIMIT 3`,
+	`SELECT r FROM References r WHERE ` + strings.Repeat("NOT ", MaxDepth) + `r.Key = "k"`,
+	`SELECT r FROM References r WHERE ` + strings.Repeat("(", 2*MaxDepth+1) + `r.Key = "k"`,
+	`SELECT r FROM References r WHERE r.Key = "k"` + strings.Repeat(` AND r.Key = "k"`, MaxDepth),
 }
 
-// FuzzXSQLParse asserts two properties on arbitrary input: the parser
-// never panics, and every accepted query round-trips — parse → String →
-// reparse succeeds and re-rendering is a fixpoint.
+// condDepth is the depth of the condition's operator tree, a comparison
+// counting 1.
+func condDepth(c Cond) int {
+	switch c := c.(type) {
+	case And:
+		return 1 + max(condDepth(c.L), condDepth(c.R))
+	case Or:
+		return 1 + max(condDepth(c.L), condDepth(c.R))
+	case Not:
+		return 1 + condDepth(c.C)
+	case nil:
+		return 0
+	}
+	return 1
+}
+
+// FuzzXSQLParse asserts three properties on arbitrary input: the parser
+// never panics; it refuses only with an ordinary error or the typed depth
+// error, and what it accepts nests at most MaxDepth deep; and every accepted
+// query round-trips — parse → String → reparse succeeds and re-rendering is a
+// fixpoint.
 func FuzzXSQLParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -46,7 +71,14 @@ func FuzzXSQLParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := Parse(src)
 		if err != nil {
+			var de *qerr.DepthError
+			if errors.Is(err, qerr.ErrBudgetExceeded) != errors.As(err, &de) {
+				t.Fatalf("budget error that is no DepthError, or the reverse: %v", err)
+			}
 			return // rejection is fine; panics are caught by the harness
+		}
+		if d := condDepth(q.Where); d > MaxDepth {
+			t.Fatalf("accepted a WHERE clause %d deep, limit %d:\n  input %q", d, MaxDepth, src)
 		}
 		s1 := q.String()
 		q2, err := Parse(s1)

@@ -5,7 +5,15 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"qof/internal/qerr"
 )
+
+// MaxDepth is the deepest a WHERE clause's operator tree may be; Parse
+// answers deeper text with a *qerr.DepthError.
+const MaxDepth = qerr.MaxQueryDepth
+
+var errTooDeep error = &qerr.DepthError{Lang: "xsql"}
 
 // Parse parses a query in the dialect documented in the package comment.
 func Parse(src string) (*Query, error) {
@@ -126,6 +134,11 @@ func isIdent(c byte) bool {
 type parser struct {
 	toks []token
 	pos  int
+	// open counts the NOTs and parentheses the parser is inside of: its
+	// recursion depth. Parentheses build no node, so this is bounded
+	// separately from the tree's depth, at 2*MaxDepth: a tree MaxDepth deep
+	// renders (String) with at most two of them a level, and must reparse.
+	open int
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.toks) }
@@ -199,7 +212,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		p.pos++
 	}
 	if p.keyword("WHERE") {
-		cond, err := p.parseOr()
+		cond, _, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
@@ -217,56 +230,74 @@ func (p *parser) parseQuery() (*Query, error) {
 	return q, nil
 }
 
-func (p *parser) parseOr() (Cond, error) {
-	l, err := p.parseAnd()
+// The condition parsers return the depth of the tree they built beside it:
+// AND and OR chains group to the left without recursing, so the parser's own
+// recursion does not bound it.
+func (p *parser) parseOr() (Cond, int, error) {
+	l, depth, err := p.parseAnd()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.keyword("OR") {
-		r, err := p.parseAnd()
+		r, dr, err := p.parseAnd()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		l = Or{L: l, R: r}
+		l, depth = Or{L: l, R: r}, 1+max(depth, dr)
+		if depth > MaxDepth {
+			return nil, 0, errTooDeep
+		}
 	}
-	return l, nil
+	return l, depth, nil
 }
 
-func (p *parser) parseAnd() (Cond, error) {
-	l, err := p.parseNot()
+func (p *parser) parseAnd() (Cond, int, error) {
+	l, depth, err := p.parseNot()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for p.keyword("AND") {
-		r, err := p.parseNot()
+		r, dr, err := p.parseNot()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		l = And{L: l, R: r}
+		l, depth = And{L: l, R: r}, 1+max(depth, dr)
+		if depth > MaxDepth {
+			return nil, 0, errTooDeep
+		}
 	}
-	return l, nil
+	return l, depth, nil
 }
 
-func (p *parser) parseNot() (Cond, error) {
-	if p.keyword("NOT") {
-		c, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return Not{C: c}, nil
+func (p *parser) parseNot() (Cond, int, error) {
+	not := p.keyword("NOT")
+	if !not && (p.peek().text != "(" || p.peek().str) {
+		c, err := p.parseComparison()
+		return c, 1, err
 	}
-	if p.peek().text == "(" && !p.peek().str {
-		p.pos++
-		c, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return c, nil
+	if p.open++; p.open > 2*MaxDepth {
+		return nil, 0, errTooDeep
 	}
-	return p.parseComparison()
+	defer func() { p.open-- }()
+	if not {
+		c, depth, err := p.parseNot()
+		if err != nil {
+			return nil, 0, err
+		}
+		if depth++; depth > MaxDepth {
+			return nil, 0, errTooDeep
+		}
+		return Not{C: c}, depth, nil
+	}
+	p.pos++
+	c, depth, err := p.parseOr()
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := p.expect(")"); err != nil {
+		return nil, 0, err
+	}
+	return c, depth, nil
 }
 
 func (p *parser) parseComparison() (Cond, error) {

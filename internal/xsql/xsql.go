@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Seg is one segment of a path expression.
@@ -49,12 +50,17 @@ type Path struct {
 }
 
 func (p Path) String() string {
-	parts := make([]string, 0, 1+len(p.Segs))
-	parts = append(parts, p.Var)
+	var sb strings.Builder
+	p.writeTo(&sb)
+	return sb.String()
+}
+
+func (p Path) writeTo(sb *strings.Builder) {
+	sb.WriteString(p.Var)
 	for _, s := range p.Segs {
-		parts = append(parts, s.String())
+		sb.WriteByte('.')
+		sb.WriteString(s.String())
 	}
-	return strings.Join(parts, ".")
 }
 
 // HasVariables reports whether the path contains * or ? segments.
@@ -79,7 +85,11 @@ func (p Path) Attrs() []string {
 // Cond is a boolean selection criterion.
 type Cond interface {
 	fmt.Stringer
-	isCond()
+	// writeTo renders the condition into sb. Rendering goes through one
+	// builder handed down the tree, so it is linear in the output; String
+	// on each node concatenating its children's would be quadratic in the
+	// nesting depth.
+	writeTo(sb *strings.Builder)
 }
 
 // CmpConst compares a path expression to a string constant.
@@ -117,25 +127,60 @@ type Or struct{ L, R Cond }
 // Not is negation.
 type Not struct{ C Cond }
 
-func (CmpConst) isCond()    {}
-func (CmpContains) isCond() {}
-func (CmpStarts) isCond()   {}
-func (CmpPaths) isCond()    {}
-func (And) isCond()         {}
-func (Or) isCond()          {}
-func (Not) isCond()         {}
+func (c CmpConst) writeTo(sb *strings.Builder) {
+	c.Path.writeTo(sb)
+	sb.WriteString(" = ")
+	sb.WriteString(strconv.Quote(c.Word))
+}
 
-func (c CmpConst) String() string { return c.Path.String() + " = " + strconv.Quote(c.Word) }
-func (c CmpContains) String() string {
-	return c.Path.String() + " CONTAINS " + strconv.Quote(c.Word)
+func (c CmpContains) writeTo(sb *strings.Builder) {
+	c.Path.writeTo(sb)
+	sb.WriteString(" CONTAINS ")
+	sb.WriteString(strconv.Quote(c.Word))
 }
-func (c CmpStarts) String() string {
-	return c.Path.String() + " STARTS " + strconv.Quote(c.Prefix)
+
+func (c CmpStarts) writeTo(sb *strings.Builder) {
+	c.Path.writeTo(sb)
+	sb.WriteString(" STARTS ")
+	sb.WriteString(strconv.Quote(c.Prefix))
 }
-func (c CmpPaths) String() string { return c.L.String() + " = " + c.R.String() }
-func (c And) String() string      { return "(" + c.L.String() + " AND " + c.R.String() + ")" }
-func (c Or) String() string       { return "(" + c.L.String() + " OR " + c.R.String() + ")" }
-func (c Not) String() string      { return "(NOT " + c.C.String() + ")" }
+
+func (c CmpPaths) writeTo(sb *strings.Builder) {
+	c.L.writeTo(sb)
+	sb.WriteString(" = ")
+	c.R.writeTo(sb)
+}
+
+func (c And) writeTo(sb *strings.Builder) { writeBinary(sb, c.L, " AND ", c.R) }
+func (c Or) writeTo(sb *strings.Builder)  { writeBinary(sb, c.L, " OR ", c.R) }
+
+func (c Not) writeTo(sb *strings.Builder) {
+	sb.WriteString("(NOT ")
+	c.C.writeTo(sb)
+	sb.WriteByte(')')
+}
+
+func writeBinary(sb *strings.Builder, l Cond, op string, r Cond) {
+	sb.WriteByte('(')
+	l.writeTo(sb)
+	sb.WriteString(op)
+	r.writeTo(sb)
+	sb.WriteByte(')')
+}
+
+func condString(c Cond) string {
+	var sb strings.Builder
+	c.writeTo(&sb)
+	return sb.String()
+}
+
+func (c CmpConst) String() string    { return condString(c) }
+func (c CmpContains) String() string { return condString(c) }
+func (c CmpStarts) String() string   { return condString(c) }
+func (c CmpPaths) String() string    { return condString(c) }
+func (c And) String() string         { return condString(c) }
+func (c Or) String() string          { return condString(c) }
+func (c Not) String() string         { return condString(c) }
 
 // FromClause binds a range variable to a class extent.
 type FromClause struct {
@@ -143,18 +188,35 @@ type FromClause struct {
 	Var   string
 }
 
-// Query is a parsed SELECT–FROM–WHERE query.
+// Query is a parsed SELECT–FROM–WHERE query. It is immutable once built —
+// Parse returns it complete, and a generator fills one in before handing it
+// out — which is what lets String remember its answer; derive a variant with
+// WithLimit, not by copying the struct.
 type Query struct {
 	Select Path
 	From   []FromClause
 	Where  Cond // nil when absent
 	Limit  int  // LIMIT k caps the result rows; 0 means unlimited
+
+	text atomic.Pointer[string] // String's answer, rendered on first use
 }
 
+// WithLimit returns a copy of the query with its LIMIT replaced by k (0
+// removes it).
+func (q *Query) WithLimit(k int) *Query {
+	return &Query{Select: q.Select, From: q.From, Where: q.Where, Limit: k}
+}
+
+// String renders the query in normalized form: reparsing it yields the same
+// query, and two spellings of one query render alike, so it keys the plan
+// cache. The text is rendered once per query.
 func (q *Query) String() string {
+	if s := q.text.Load(); s != nil {
+		return *s
+	}
 	var sb strings.Builder
 	sb.WriteString("SELECT ")
-	sb.WriteString(q.Select.String())
+	q.Select.writeTo(&sb)
 	sb.WriteString(" FROM ")
 	for i, f := range q.From {
 		if i > 0 {
@@ -166,13 +228,15 @@ func (q *Query) String() string {
 	}
 	if q.Where != nil {
 		sb.WriteString(" WHERE ")
-		sb.WriteString(q.Where.String())
+		q.Where.writeTo(&sb)
 	}
 	if q.Limit > 0 {
 		sb.WriteString(" LIMIT ")
 		sb.WriteString(strconv.Itoa(q.Limit))
 	}
-	return sb.String()
+	s := sb.String()
+	q.text.Store(&s)
+	return s
 }
 
 // ClassOf resolves a range variable to its class.

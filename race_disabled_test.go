@@ -8,3 +8,5 @@ import "time"
 // return within 50ms (see docs/ROBUSTNESS.md). race_enabled_test.go
 // relaxes this under the race detector's instrumentation overhead.
 const deadlineLatencyBound = 50 * time.Millisecond
+
+const raceEnabled = false

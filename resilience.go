@@ -19,7 +19,6 @@ import (
 	"qof/internal/engine"
 	"qof/internal/qerr"
 	"qof/internal/text"
-	"qof/internal/xsql"
 )
 
 // ErrBudgetExceeded is returned (wrapped) when a query exceeds a resource
@@ -119,15 +118,15 @@ func (s *Schema) IndexContext(ctx context.Context, name, content string, opts ..
 func (f *File) QueryContext(ctx context.Context, src string, opts ...QueryOption) (res *Results, err error) {
 	defer catchPanic(&err, "querying %q", src)
 	cfg := applyQueryOptions(opts)
-	q, err := xsql.Parse(src)
+	p, err := f.schema.cat.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	r, err := f.eng.ExecuteContext(ctx, q, cfg.lim)
+	r, err := f.eng.ExecutePrepared(ctx, p, cfg.lim)
 	if err != nil {
 		return nil, err
 	}
-	return convertResults(f.eng.Instance().Document(), r), nil
+	return convertResults(f.eng, r), nil
 }
 
 // EvalContext is Eval under a context: the region-algebra evaluation polls
@@ -242,11 +241,11 @@ func (r *CorpusResults) DegradedError() error {
 func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOption) (out *CorpusResults, err error) {
 	defer catchPanic(&err, "querying %q", src)
 	cfg := applyQueryOptions(opts)
-	q, err := xsql.Parse(src)
+	p, err := c.schema.cat.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.c.ExecuteContext(ctx, q, engine.ExecOptions{
+	res, err := c.c.ExecutePrepared(ctx, p, engine.ExecOptions{
 		Limits:      cfg.lim,
 		FileTimeout: cfg.fileTimeout,
 		Partial:     cfg.partial,
