@@ -69,6 +69,26 @@ func releaseAfterReload(h http.Handler) http.Handler {
 	})
 }
 
+// What a client may take of the daemon before it has asked anything. The
+// tenant deadline bounds a handler, so ReadTimeout and WriteTimeout stay
+// unset; these bound what comes before one runs: a request line and headers
+// that never finish arriving (slowloris), a keep-alive connection that never
+// sends another request, a header block without end.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -223,7 +243,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "qofd: %d files, %d shards x%d replicas, domain %s, epoch %d on http://%s\n",
 		len(files), *shards, r, *dom, srv.Epoch(), ln.Addr())
 
-	hs := &http.Server{Handler: releaseAfterReload(srv.Handler())}
+	hs := newServer(releaseAfterReload(srv.Handler()))
 	errc := make(chan error, 2)
 	go func() { errc <- hs.Serve(ln) }()
 	if *debugAddr != "" {
@@ -233,7 +253,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "qofd: pprof on http://%s/debug/pprof/\n", dln.Addr())
-		ds := &http.Server{Handler: pprofHandler()}
+		ds := newServer(pprofHandler())
 		go func() { errc <- ds.Serve(dln) }()
 		defer ds.Close()
 	}

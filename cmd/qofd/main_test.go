@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -264,20 +265,27 @@ func TestDaemonBadInvocations(t *testing.T) {
 	}
 }
 
+var pprofRe = regexp.MustCompile(`pprof on http://([0-9.:]+)/debug/pprof/`)
+
+// debugAddrOf waits for the daemon's pprof line and returns the address in it.
+func debugAddrOf(t *testing.T, out *syncBuffer) string {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if m := pprofRe.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never printed its pprof address; output: %s", out.String())
+		}
+	}
+}
+
 // TestDaemonDebugAddr: -debug-addr serves pprof on its own listener and on
 // no other; without the flag nothing serves it.
 func TestDaemonDebugAddr(t *testing.T) {
 	dir := writeCorpus(t, 1)
 	base, out := startDaemonOutput(t, []string{"-domain", "bibtex", "-debug-addr", "127.0.0.1:0", "-dir", dir})
-	pprofRe := regexp.MustCompile(`pprof on (http://[0-9.:]+/debug/pprof/)`)
-	var debug string
-	for deadline := time.Now().Add(15 * time.Second); debug == ""; time.Sleep(5 * time.Millisecond) {
-		if m := pprofRe.FindStringSubmatch(out.String()); m != nil {
-			debug = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("daemon never printed its pprof address; output: %s", out.String())
-		}
-	}
+	debug := "http://" + debugAddrOf(t, out) + "/debug/pprof/"
 	status := func(url string) int {
 		t.Helper()
 		resp, err := http.Get(url)
@@ -300,5 +308,87 @@ func TestDaemonDebugAddr(t *testing.T) {
 	plain := startDaemon(t, []string{"-domain", "bibtex", "-dir", dir})
 	if got := status(plain + "/debug/pprof/"); got != http.StatusNotFound {
 		t.Errorf("pprof without -debug-addr: status %d, want 404", got)
+	}
+}
+
+// TestDaemonSlowClient: a connection that dribbles half a request line — a
+// byte every half second, never the end of it — is closed by the daemon once
+// the header timeout is up, on the query address and on the debug one, while
+// a well-formed /query sent beside it is answered; a header block past the
+// limit is refused with 431.
+func TestDaemonSlowClient(t *testing.T) {
+	dir := writeCorpus(t, 1)
+	base, out := startDaemonOutput(t, []string{"-domain", "bibtex", "-debug-addr", "127.0.0.1:0", "-dir", dir})
+	debugAddr := debugAddrOf(t, out)
+
+	// dribble reports how long the server kept a never-finished request open.
+	dribble := func(addr string) (time.Duration, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return 0, err
+		}
+		defer conn.Close()
+		start := time.Now()
+		go func() {
+			for _, c := range []byte("GET /query?q=SELECT+r+FROM+References+r+WHERE+r.Key+%3D+%22nobody-ever-finishes-this") {
+				if _, err := conn.Write([]byte{c}); err != nil {
+					return
+				}
+				time.Sleep(500 * time.Millisecond)
+			}
+		}()
+		conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+		_, err = io.Copy(io.Discard, conn) // returns nil on the server's close
+		return time.Since(start), err
+	}
+	type held struct {
+		addr string
+		d    time.Duration
+		err  error
+	}
+	results := make(chan held, 2)
+	for _, addr := range []string{strings.TrimPrefix(base, "http://"), debugAddr} {
+		go func() {
+			d, err := dribble(addr)
+			results <- held{addr, d, err}
+		}()
+	}
+
+	// Beside the slow connections the daemon answers.
+	time.Sleep(100 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		resp, err := http.Get(base + "/query?q=" + url.QueryEscape(daemonQuery))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"complete":true`)) {
+			t.Fatalf("query beside a slow client: status %d, body %s", resp.StatusCode, body)
+		}
+	}
+
+	req, err := http.NewRequest(http.MethodGet, base+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("x", 2*maxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Errorf("a %d-byte header: status %d, want 431", 2*maxHeaderBytes, resp.StatusCode)
+	}
+
+	for i := 0; i < 2; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Errorf("%s: the dribbling connection ended with %v, want the server's close", r.addr, r.err)
+		}
+		if r.d < readHeaderTimeout-time.Second || r.d > readHeaderTimeout+3*time.Second {
+			t.Errorf("%s: the dribbling connection was held %v, want the header timeout %v", r.addr, r.d, readHeaderTimeout)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qof/internal/db"
+	"qof/internal/index"
 	"qof/internal/text"
 )
 
@@ -81,4 +82,13 @@ func (g *Grammar) ParseValueRebuilt(doc *text.Document, sym string, from, to int
 		return nil, r.rebuilt, err
 	}
 	return buildValue(node, doc.Content(), reads), r.rebuilt, nil
+}
+
+// SetNewInstance replaces the word-index side of BuildInstanceContext — the
+// function its second goroutine runs — for a test, and returns the function
+// that restores it.
+func SetNewInstance(f func(*text.Document) *index.Instance) (restore func()) {
+	old := newInstance
+	newInstance = f
+	return func() { newInstance = old }
 }

@@ -298,8 +298,8 @@ func TestBuildInstanceSatisfiesRIG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree == nil {
-		t.Fatal("nil tree")
+	if tree != nil {
+		t.Fatal("BuildInstance handed out the tree it parsed: it is pruned to the spec")
 	}
 	// Full indexing: every non-terminal except the root.
 	if in.Has("Ref_Set") {
@@ -344,7 +344,13 @@ func TestPartialAndScopedIndexing(t *testing.T) {
 	if got := in.MustRegion("Name").Len(); got != 3 {
 		t.Errorf("scoped Name = %d", got)
 	}
+	if tree != nil {
+		t.Fatal("BuildInstance handed out the tree it parsed: it is pruned to the spec")
+	}
 	// Scoped extraction from the tree directly.
+	if tree, err = g.Parse(doc); err != nil {
+		t.Fatal(err)
+	}
 	if got := ExtractScopedRegions(tree, "Last_Name", "Editors").Len(); got != 2 {
 		t.Errorf("editor last names = %d", got)
 	}

@@ -16,26 +16,30 @@ import (
 // (Section 4.2). With no names, every non-terminal in the tree is
 // extracted.
 func ExtractRegions(tree *Node, names ...string) map[string]region.Set {
-	keep := make(map[string]bool, len(names))
+	// A slice per name behind a pointer: a node costs one map probe.
+	groups := make(map[string]*[]region.Region, len(names))
 	for _, n := range names {
-		keep[n] = true
+		groups[n] = new([]region.Region)
 	}
-	groups := make(map[string][]region.Region)
 	tree.Walk(func(n *Node) bool {
-		if !n.Term && (len(keep) == 0 || keep[n.Sym]) {
-			groups[n.Sym] = append(groups[n.Sym], region.Region{Start: n.Start, End: n.End})
+		if n.Term {
+			return true
 		}
+		rs := groups[n.Sym]
+		if rs == nil {
+			if len(names) > 0 {
+				return true
+			}
+			rs = new([]region.Region)
+			groups[n.Sym] = rs
+		}
+		*rs = append(*rs, region.Region{Start: n.Start, End: n.End})
 		return true
 	})
+	// Names requested but absent in the tree index as empty sets.
 	out := make(map[string]region.Set, len(groups))
 	for name, rs := range groups {
-		out[name] = region.FromRegions(rs)
-	}
-	// Names requested but absent in the tree index as empty sets.
-	for _, n := range names {
-		if _, ok := out[n]; !ok {
-			out[n] = region.Empty
-		}
+		out[name] = region.FromRegions(*rs)
 	}
 	return out
 }
@@ -94,16 +98,29 @@ func (g *Grammar) FullIndexSpec() IndexSpec {
 
 // BuildInstance parses the document and builds the region-index instance
 // described by spec (plus the word index, which index.NewInstance always
-// provides). It returns the instance and the parse tree, which callers use
-// for the full-scan baseline and for loading candidate objects.
+// provides). The second result is always nil: the build keeps no parse tree
+// — what it parses is pruned to the spec, and BuildValue over that would
+// yield partial values. Callers that want a tree call Parse. (The result
+// stays in the signature for bench/, which may not change with this code.)
 func (g *Grammar) BuildInstance(doc *text.Document, spec IndexSpec) (*index.Instance, *Node, error) {
 	return g.BuildInstanceContext(context.Background(), doc, spec)
 }
+
+// newInstance builds the word index; a variable so that a test can make the
+// build's second goroutine panic. Nothing else writes it.
+var newInstance = index.NewInstance
 
 // BuildInstanceContext is BuildInstance under a context: cancellation is
 // checked at stage boundaries (before the parse, before region extraction,
 // and between index definitions), so an abandoned build stops promptly
 // without ever publishing a partially defined instance.
+//
+// The file is parsed under the spec's index need (indexNeed), so subtrees
+// that reach no indexed name are recognised and nothing is built for them,
+// and the word index is built on a second goroutine while the parse runs.
+// That goroutine is this function's: it is joined on every path out,
+// a panicking parse included, and a panic inside it is raised again here,
+// on the caller's goroutine, where the caller's recover can see it.
 func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, spec IndexSpec) (*index.Instance, *Node, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -114,17 +131,36 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 	if err := index.CheckDocument(doc); err != nil {
 		return nil, nil, err
 	}
-	tree, err := g.Parse(doc)
+	names := spec.Names
+	if names == nil {
+		names = g.FullIndexSpec().Names
+	}
+	need, err := g.indexNeed(names, spec.Scoped)
+	if err != nil {
+		return nil, nil, err
+	}
+	var (
+		in      *index.Instance
+		crashed any
+		joined  = make(chan struct{})
+	)
+	go func() {
+		defer close(joined)
+		defer func() { crashed = recover() }()
+		in = newInstance(doc)
+	}()
+	tree, err := func() (*Node, error) {
+		defer func() { <-joined }()
+		return g.parseWith(new(runner), doc, g.root, 0, doc.Len(), need)
+	}()
+	if crashed != nil {
+		panic(crashed)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
-	}
-	in := index.NewInstance(doc)
-	names := spec.Names
-	if names == nil {
-		names = g.FullIndexSpec().Names
 	}
 	for name, set := range ExtractRegions(tree, names...) {
 		if err := ctx.Err(); err != nil {
@@ -138,5 +174,56 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 		}
 		in.DefineScoped(sc.Name, sc.Within, ExtractScopedRegions(tree, sc.Name, sc.Within))
 	}
-	return in, tree, nil
+	return in, nil, nil
+}
+
+// indexNeed compiles an index spec into the need its build parses under:
+// one node per non-terminal, and child(sym) non-nil exactly when sym is
+// indexed (a global name, a scoped name or its scope) or some indexed
+// non-terminal is reachable beneath it. all is false throughout, so no
+// terminal leaf is made. The extractors then walk a tree that holds every
+// occurrence of an indexed name with its ancestors, and nothing else.
+//
+// Unlike a compiled ReadSet this is a graph — sgml's Section within Section
+// is a cycle in it, not an unrolling — so it must never reach String,
+// Describe, paths or prune, which recurse over a trie and would not end.
+// It is made here, handed to parseWith, and goes nowhere else.
+func (g *Grammar) indexNeed(names []string, scoped []ScopedName) (*ReadSet, error) {
+	prog, err := g.program()
+	if err != nil {
+		return nil, err
+	}
+	live := make([]bool, len(prog.names))
+	for id := range live {
+		// ExtractRegions reads "no names" as "every non-terminal", and the
+		// extractors are handed a root, indexed or not.
+		live[id] = len(names) == 0 || prog.names[id] == g.root
+	}
+	mark := func(name string) {
+		if id, ok := prog.ids[name]; ok {
+			live[id] = true
+		}
+	}
+	for _, n := range names {
+		mark(n)
+	}
+	for _, sc := range scoped {
+		mark(sc.Name)
+		mark(sc.Within)
+	}
+	nodes := make([]ReadSet, len(live))
+	for grew := true; grew; { // to a fixed point: a live child makes its parent live and is its kid
+		grew = false
+		for id, prods := range prog.prods {
+			for _, p := range prods {
+				for _, e := range p.elems {
+					if (e.kind == ElemNT || e.kind == ElemRep) && live[e.sym] && nodes[id].child(e.sym) == nil {
+						nodes[id].kids = append(nodes[id].kids, readKid{name: prog.names[e.sym], sym: e.sym, sub: &nodes[e.sym]})
+						live[id], grew = true, true
+					}
+				}
+			}
+		}
+	}
+	return &nodes[prog.ids[g.root]], nil
 }
