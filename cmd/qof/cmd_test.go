@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -57,13 +59,12 @@ func TestCmdIndexAndQuery(t *testing.T) {
 	if st, err := os.Stat(idx); err != nil || st.Size() == 0 {
 		t.Fatalf("index file: %v, %v", st, err)
 	}
-	// Query against the persisted index and against an in-memory build, on
-	// both executors, projected and unprojected, text and JSON output.
+	// Query against the persisted index and against an in-memory build,
+	// projected and unprojected, text and JSON output.
 	q := `SELECT r.Key FROM References r WHERE r.Year STARTS "19"`
 	for _, args := range [][]string{
 		{"-domain", "bibtex", "-index", idx, corpus, q},
 		{"-domain", "bibtex", "-explain", corpus, q},
-		{"-domain", "bibtex", "-exec", "materializing", corpus, q},
 		{"-domain", "bibtex", "-format", "json", corpus, q},
 		{"-domain", "bibtex", "-quiet", corpus, `SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`},
 	} {
@@ -71,9 +72,8 @@ func TestCmdIndexAndQuery(t *testing.T) {
 			t.Errorf("cmdQuery(%v): %v", args, err)
 		}
 	}
-	// Error paths: bad executor, bad format, missing args, unparsable query.
+	// Error paths: bad format, missing args, unparsable query.
 	for _, args := range [][]string{
-		{"-domain", "bibtex", "-exec", "bogus", corpus, q},
 		{"-domain", "bibtex", "-format", "bogus", corpus, q},
 		{"-domain", "bibtex", corpus},
 		{"-domain", "bibtex", corpus, "SELECT nonsense"},
@@ -84,6 +84,29 @@ func TestCmdIndexAndQuery(t *testing.T) {
 	}
 	if err := cmdIndex([]string{"-domain", "bibtex", corpus}); err == nil {
 		t.Error("cmdIndex without -o accepted")
+	}
+}
+
+// TestQueryRejectsExecFlag: -exec chose between two executors and there is
+// one now, so the flag is unknown — exit status 2 and the usage text — even
+// with the value that used to be its default. The flag set exits the
+// process on a parse error, so the command runs in a copy of the test binary.
+func TestQueryRejectsExecFlag(t *testing.T) {
+	if os.Getenv("QOF_TEST_QUERY_EXEC_FLAG") == "1" {
+		cmdQuery([]string{"-domain", "bibtex", "-exec", "streaming", "corpus.bib", "SELECT r FROM References r"})
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestQueryRejectsExecFlag$")
+	cmd.Env = append(os.Environ(), "QOF_TEST_QUERY_EXEC_FLAG=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("qof query -exec streaming: err = %v, want exit status 2\n%s", err, out)
+	}
+	for _, want := range []string{"flag provided but not defined: -exec", "Usage of query:"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -221,11 +221,7 @@ func cmdQuery(args []string) error {
 	timeout := fs.Duration("timeout", 0, "abort the query after this long (0 = no deadline)")
 	maxRegions := fs.Int("max-regions", 0, "abort after producing this many index regions (0 = unlimited)")
 	maxBytes := fs.Int("max-bytes", 0, "abort after parsing this many document bytes (0 = unlimited)")
-	exec := fs.String("exec", "streaming", "executor: streaming (default) or materializing (the reference)")
 	fs.Parse(args)
-	if *exec != "streaming" && *exec != "materializing" {
-		return fmt.Errorf("unknown -exec %q (want streaming or materializing)", *exec)
-	}
 	if fs.NArg() < 2 {
 		return fmt.Errorf("usage: qof query -domain D FILE [FILE...] 'SELECT ...'")
 	}
@@ -256,7 +252,6 @@ func cmdQuery(args []string) error {
 		}
 		corpus := engine.NewCorpus(d.catalog())
 		corpus.Parallelism = runtime.GOMAXPROCS(0)
-		corpus.Materializing = *exec == "materializing"
 		var docs []*text.Document
 		for _, path := range fs.Args()[:fs.NArg()-1] {
 			doc, err := readDoc(path)
@@ -300,7 +295,6 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	eng := engine.New(d.catalog(), in)
-	eng.Materializing = *exec == "materializing"
 	res, err := eng.ExecuteContext(ctx, q, lim)
 	if err != nil {
 		return err

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"qof/internal/engine"
-	"qof/internal/experiments"
-	"qof/internal/grammar"
 	"qof/internal/index"
 	"qof/internal/qgen"
 	"qof/internal/xsql"
@@ -29,12 +27,6 @@ type benchReport struct {
 	Rounds  int           `json:"rounds"`
 	Queries int           `json:"queries_per_domain"`
 	Domains []domainBench `json:"domains"`
-	// Stress compares a full materializing run against a streaming LIMIT
-	// run on the large bibtex corpus; the early-termination payoff.
-	Stress stressBench `json:"stress"`
-	// Concurrent is the shared-execution thundering-herd comparison on a
-	// large partially-indexed corpus.
-	Concurrent concurrentBench `json:"concurrent"`
 	// Serving storms the sharded HTTP daemon far past its admission limit
 	// and reports latency quantiles, shed rate and leak accounting.
 	Serving servingBench `json:"serving"`
@@ -43,8 +35,7 @@ type benchReport struct {
 	Tail tailBench `json:"tail"`
 }
 
-// benchLimitK is the LIMIT used for the limit_k_ops_sec workload and the
-// stress comparison.
+// benchLimitK is the LIMIT used for the limit_k_ops_sec workload.
 const benchLimitK = 10
 
 type domainBench struct {
@@ -59,8 +50,8 @@ type domainBench struct {
 	Speedup           float64 `json:"speedup"`
 	SpeedupRegression bool    `json:"speedup_regression"`
 	// LimitKOpsSec is the baseline workload rerun with LIMIT benchLimitK on
-	// every query, on the streaming executor with the result cache off
-	// (truncated streams never publish to it anyway). Comparing against
+	// every query, with the result cache off (truncated streams never
+	// publish to it anyway). Comparing against
 	// Baseline.OpsPerSec shows what early termination buys per domain.
 	LimitKOpsSec float64 `json:"limit_k_ops_sec"`
 	// CancelLatencyUsMax is the worst observed time, in microseconds, for
@@ -84,26 +75,6 @@ type benchPass struct {
 	// the timed rounds: the high-water mark of region-buffer memory the
 	// worst query in the workload needs.
 	PeakBytes int `json:"peak_bytes"`
-}
-
-// stressBench reports the LIMIT early-termination experiment: the paper's
-// Chang query over a large reference list indexed only at the Reference
-// level, so phase 2 must parse candidates and filter. The materializing
-// executor drains every candidate; the streaming executor with LIMIT
-// benchLimitK stops after the first matches. Times are the best of
-// stressRepeats runs; peaks are deterministic accounting.
-type stressBench struct {
-	Refs                int     `json:"refs"`
-	Query               string  `json:"query"`
-	LimitK              int     `json:"limit_k"`
-	FullMaterializingMs float64 `json:"full_materializing_ms"`
-	FullPeakBytes       int     `json:"full_peak_bytes"`
-	LimitStreamingMs    float64 `json:"limit_streaming_ms"`
-	LimitPeakBytes      int     `json:"limit_peak_bytes"`
-	// TimeRatio and PeakRatio are streaming-LIMIT over full-materializing;
-	// the acceptance bar for this experiment is both ≤ 0.2.
-	TimeRatio float64 `json:"time_ratio"`
-	PeakRatio float64 `json:"peak_ratio"`
 }
 
 // runJSONBench writes the benchmark report to path. quick shrinks the
@@ -145,15 +116,6 @@ func runJSONBench(path string, quick bool) error {
 		}
 		report.Domains = append(report.Domains, db)
 	}
-	stress, err := runStress(quick)
-	if err != nil {
-		return fmt.Errorf("stress: %w", err)
-	}
-	report.Stress = stress
-	report.Concurrent, err = runConcurrent(quick)
-	if err != nil {
-		return fmt.Errorf("concurrent: %w", err)
-	}
 	serving, err := runServing(quick)
 	if err != nil {
 		return fmt.Errorf("serving: %w", err)
@@ -171,7 +133,7 @@ func runJSONBench(path string, quick bool) error {
 }
 
 // limitPass reruns the workload with LIMIT benchLimitK on every query,
-// against a fresh streaming engine with the result cache off, and returns
+// against a fresh engine with the result cache off, and returns
 // ops/sec. The LIMIT overrides any the generated query carried.
 func limitPass(d *qgen.Domain, in *index.Instance, queries []*xsql.Query, rounds int) (float64, error) {
 	limited := make([]*xsql.Query, len(queries))
@@ -185,72 +147,6 @@ func limitPass(d *qgen.Domain, in *index.Instance, queries []*xsql.Query, rounds
 		return 0, err
 	}
 	return pass.OpsPerSec, nil
-}
-
-// stressRepeats is how many times each stress leg runs; the best (minimum)
-// time is reported to damp scheduler noise.
-const stressRepeats = 3
-
-// runStress builds the large fully-indexed bibtex corpus and runs a
-// low-selectivity prefix query — every generated key starts with "Key", so
-// the answer is the whole corpus and the candidate chain's intermediate
-// results are corpus-sized. The materializing executor buffers all of them
-// plus the full answer; the streaming executor with LIMIT benchLimitK pulls
-// only the prefix of every operand it needs to emit the first rows.
-func runStress(quick bool) (stressBench, error) {
-	refs := 20000
-	if quick {
-		refs = 2000
-	}
-	setup, err := experiments.NewBibtexSetup(refs, grammar.IndexSpec{}, nil)
-	if err != nil {
-		return stressBench{}, err
-	}
-	const query = `SELECT r FROM References r WHERE r.Key STARTS "Key"`
-	full, err := xsql.Parse(query)
-	if err != nil {
-		return stressBench{}, err
-	}
-	lq := full.WithLimit(benchLimitK)
-
-	s := stressBench{Refs: refs, Query: query, LimitK: benchLimitK}
-	s.FullMaterializingMs, s.FullPeakBytes, err = stressLeg(setup, full, true)
-	if err != nil {
-		return stressBench{}, fmt.Errorf("materializing leg: %w", err)
-	}
-	s.LimitStreamingMs, s.LimitPeakBytes, err = stressLeg(setup, lq, false)
-	if err != nil {
-		return stressBench{}, fmt.Errorf("streaming leg: %w", err)
-	}
-	if s.FullMaterializingMs > 0 {
-		s.TimeRatio = s.LimitStreamingMs / s.FullMaterializingMs
-	}
-	if s.FullPeakBytes > 0 {
-		s.PeakRatio = float64(s.LimitPeakBytes) / float64(s.FullPeakBytes)
-	}
-	return s, nil
-}
-
-// stressLeg runs q on a fresh engine over the stress instance, result cache
-// off, and returns the best wall time of stressRepeats runs plus the peak
-// region-buffer bytes of the last run (the accounting is deterministic).
-func stressLeg(setup *experiments.BibtexSetup, q *xsql.Query, materializing bool) (bestMs float64, peak int, err error) {
-	eng := engine.New(setup.Cat, setup.Instance)
-	eng.Materializing = materializing
-	eng.DisableResultCache()
-	for i := 0; i < stressRepeats; i++ {
-		start := time.Now()
-		res, rerr := eng.Execute(q)
-		ms := float64(time.Since(start).Nanoseconds()) / 1e6
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		if i == 0 || ms < bestMs {
-			bestMs = ms
-		}
-		peak = res.Stats.PeakBytes
-	}
-	return bestMs, peak, nil
 }
 
 // cancelLatency measures, per domain, how quickly ExecuteContext abandons

@@ -145,8 +145,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fileTimeout := fs.Duration("file-timeout", 0, "per-file deadline within a shard (0 = none)")
 	maxRegions := fs.Int("max-regions", 0, "default per-file region budget (0 = unlimited)")
 	maxBytes := fs.Int("max-bytes", 0, "default per-file parsed-bytes budget (0 = unlimited)")
-	materializing := fs.Bool("materializing", false, "use the materializing reference executor")
-	shared := fs.Bool("shared", false, "share work across concurrent queries (batched scans, cross-query CSE, parse dedup)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	dir := fs.String("dir", "", "serve every regular file in this directory (instead of positional FILEs)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate address (default: off)")
@@ -208,8 +206,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		Parallelism:      *par,
-		Materializing:    *materializing,
-		SharedExecution:  *shared,
 		MaxInflight:      *maxInflight,
 		DefaultTimeout:   *timeout,
 		ShardTimeout:     *shardTimeout,

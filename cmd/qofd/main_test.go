@@ -257,6 +257,10 @@ func TestDaemonBadInvocations(t *testing.T) {
 		{"both sources", []string{"-domain", "bibtex", "-dir", dir, "extra.bib"}, "usage"},
 		{"missing file", []string{"-domain", "bibtex", "no-such-file.bib"}, "no-such-file"},
 		{"empty dir", []string{"-domain", "bibtex", "-dir", t.TempDir()}, "no files"},
+		// Flags of the two execution modes that no longer exist are unknown
+		// flags, not accepted and ignored.
+		{"-shared", []string{"-shared", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -shared"},
+		{"-materializing", []string{"-materializing", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -materializing"},
 	} {
 		err := run(context.Background(), c.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

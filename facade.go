@@ -63,10 +63,8 @@ func (s *Schema) Prepare(src string) error {
 // indexConfig collects the effects of IndexOptions: the indexing choice
 // plus execution configuration for the resulting File or Corpus.
 type indexConfig struct {
-	spec          grammar.IndexSpec
-	parallelism   int
-	materializing bool
-	shared        bool
+	spec        grammar.IndexSpec
+	parallelism int
 }
 
 // IndexOption configures Index, Load and NewCorpus.
@@ -102,27 +100,6 @@ func WithParallelism(n int) IndexOption {
 	return func(c *indexConfig) { c.parallelism = n }
 }
 
-// WithMaterializing selects the materializing reference executor: phase 1
-// computes the complete candidate set before any candidate is parsed. The
-// default executor streams candidates through an iterator pipeline so that
-// LIMIT, budgets and cancellation stop the work early; results are
-// identical either way (see docs/STREAMING.md). The option exists for
-// differential testing and for peak-memory comparisons.
-func WithMaterializing() IndexOption {
-	return func(c *indexConfig) { c.materializing = true }
-}
-
-// WithSharedExecution enables cross-query work sharing: the word literals of
-// concurrently executing queries are answered by one batched multi-pattern
-// scan, identical cache-worthy subexpressions evaluate once (cross-query
-// CSE), and a candidate region needed by several in-flight queries is parsed
-// once. Sharing never changes any query's results or its result-facing
-// statistics, and a query arriving at an idle file runs immediately — the
-// batching window is work-conserving. See docs/SHARED_EXECUTION.md.
-func WithSharedExecution() IndexOption {
-	return func(c *indexConfig) { c.shared = true }
-}
-
 // File is an indexed document ready for querying.
 type File struct {
 	schema *Schema
@@ -145,28 +122,15 @@ func (s *Schema) Load(r io.Reader, name, content string, opts ...IndexOption) (f
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: s, eng: newEngine(s.cat, in, cfg)}, nil
+	return &File{schema: s, eng: newEngine(s.cat, in, cfg.parallelism)}, nil
 }
 
-func newEngine(cat *compile.Catalog, in *index.Instance, cfg indexConfig) *engine.Engine {
+// newEngine makes a file's engine; edits (Replace, InsertAfter, Delete) pass
+// the original's parallelism so the new File executes the same way.
+func newEngine(cat *compile.Catalog, in *index.Instance, parallelism int) *engine.Engine {
 	eng := engine.New(cat, in)
-	eng.Parallelism = cfg.parallelism
-	eng.Materializing = cfg.materializing
-	if cfg.shared {
-		eng.EnableSharedExecution()
-	}
+	eng.Parallelism = parallelism
 	return eng
-}
-
-// engineConfig recovers the execution configuration of an existing engine,
-// so edits (Replace, InsertAfter, Delete) produce Files that execute the
-// same way as the original.
-func engineConfig(eng *engine.Engine) indexConfig {
-	return indexConfig{
-		parallelism:   eng.Parallelism,
-		materializing: eng.Materializing,
-		shared:        eng.SharedExecution(),
-	}
 }
 
 // Save persists the file's indexes.
@@ -271,7 +235,7 @@ func (f *File) Replace(regionName string, span Span, newText string) (*File, err
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, engineConfig(f.eng))}, nil
+	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, f.eng.Parallelism)}, nil
 }
 
 // InsertAfter inserts newText (a complete occurrence of regionName's
@@ -282,7 +246,7 @@ func (f *File) InsertAfter(regionName string, span Span, newText string) (*File,
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, engineConfig(f.eng))}, nil
+	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, f.eng.Parallelism)}, nil
 }
 
 // Delete removes the span (an indexed region of regionName) without any
@@ -292,7 +256,7 @@ func (f *File) Delete(regionName string, span Span) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, engineConfig(f.eng))}, nil
+	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, f.eng.Parallelism)}, nil
 }
 
 // Content returns the file's current text.
@@ -311,8 +275,6 @@ func (s *Schema) NewCorpus(opts ...IndexOption) *Corpus {
 	cfg := applyOptions(opts)
 	ec := engine.NewCorpus(s.cat)
 	ec.Parallelism = cfg.parallelism
-	ec.Materializing = cfg.materializing
-	ec.Shared = cfg.shared
 	return &Corpus{schema: s, c: ec}
 }
 

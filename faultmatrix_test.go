@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,19 +38,6 @@ const matrixQuery = `SELECT r FROM References r WHERE r.Authors.Name.Last_Name =
 // health check.
 func queryOnce(f *qof.File) error {
 	res, err := f.Query(matrixQuery)
-	if err != nil {
-		return err
-	}
-	if res.Len() != 1 {
-		return fmt.Errorf("got %d results, want 1", res.Len())
-	}
-	return nil
-}
-
-// containsOnce runs a σ_contains query — the shape whose word atom the
-// batched multi-pattern scan answers — and verifies the known answer.
-func containsOnce(f *qof.File) error {
-	res, err := f.Query(`SELECT r FROM References r WHERE r.Title CONTAINS "Taylor"`)
 	if err != nil {
 		return err
 	}
@@ -135,55 +121,6 @@ func matrixCases() []matrixCase {
 		queryCase(faultinject.ResultCacheGet, true),
 		queryCase(faultinject.ResultCachePut, true),
 		queryCase(faultinject.Phase2, false),
-		{point: faultinject.EngineCSE, degrades: true,
-			// A faulted CSE join makes the query bypass sharing and evaluate
-			// solo — the answer is unchanged. A lone query on a shared file
-			// crosses the gate deterministically.
-			setup: func(t *testing.T) (func() error, func() error) {
-				f, err := qof.BibTeX().Index("matrix.bib", bibtex.SampleEntry, qof.WithSharedExecution())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return func() error { return queryOnce(f) }, func() error { return queryOnce(f) }
-			}},
-		{point: faultinject.ScanMPM, degrades: true,
-			// The batch scan only runs when >= 2 queries with scannable
-			// word atoms overlap, so the operation stampedes the shared
-			// file with a σ_contains query until a batch forms and crosses
-			// the failpoint; phase-2 parallelism gives each query a yield
-			// point so the stampede overlaps even on one CPU. A faulted
-			// scan degrades the whole batch to per-query index probes; a
-			// panicking one surfaces as the leader's ErrInternal while the
-			// other members still answer.
-			setup: func(t *testing.T) (func() error, func() error) {
-				f, err := qof.BibTeX().Index("matrix.bib", bibtex.SampleEntry,
-					qof.WithSharedExecution(), qof.WithParallelism(4))
-				if err != nil {
-					t.Fatal(err)
-				}
-				op := func() error {
-					var firstErr error
-					for round := 0; round < 500 && faultinject.Hits(faultinject.ScanMPM) == 0; round++ {
-						var wg sync.WaitGroup
-						errs := make([]error, 8)
-						for i := range errs {
-							wg.Add(1)
-							go func(i int) {
-								defer wg.Done()
-								errs[i] = containsOnce(f)
-							}(i)
-						}
-						wg.Wait()
-						for _, err := range errs {
-							if err != nil && firstErr == nil {
-								firstErr = err
-							}
-						}
-					}
-					return firstErr
-				}
-				return op, func() error { return containsOnce(f) }
-			}},
 		{point: faultinject.CorpusFile,
 			setup: func(t *testing.T) (func() error, func() error) {
 				c := qof.BibTeX().NewCorpus()

@@ -7,9 +7,7 @@ import (
 	"strconv"
 	"sync"
 
-	"qof/internal/faultinject"
 	"qof/internal/index"
-	"qof/internal/mpm"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/stats"
@@ -30,8 +28,6 @@ type Stats struct {
 	ResultCacheHits int // subexpressions answered from the cross-query cache
 	ShortCircuits   int // binary operators skipped via a provably empty operand
 	PeakBytes       int // high-water mark of buffered region bytes (streaming evaluation)
-	SharedScans     int // word leaves answered from a batched multi-pattern scan
-	CSEHits         int // subexpressions received from another query's in-flight evaluation
 }
 
 // Evaluator evaluates region-algebra expressions against one index instance.
@@ -71,13 +67,6 @@ type Evaluator struct {
 	// the side estimated cheaper (or provably empty) evaluates first so
 	// an empty outcome can skip the other side entirely.
 	CostStats *stats.Stats
-
-	// Shared, when non-nil, enables cross-query common-subexpression
-	// elimination: cache-worthy subexpressions join the engine's in-flight
-	// table so concurrent queries evaluate each one once (see inflight.go).
-	// Budgeted evaluations bypass it for the same reason they bypass cache
-	// reads.
-	Shared *Inflight
 }
 
 // ResultCache is the cross-query result cache interface the engine
@@ -178,10 +167,6 @@ type evalCtx struct {
 	// out or budget-killed evaluations must never be cached).
 	pending []pendingPut
 
-	// scan, when non-nil, is the batch's multi-pattern scan result; Word
-	// leaves it covers are answered from it instead of probing the index.
-	scan *mpm.Result
-
 	// rkPrefix memoizes the epoch prefix of result-cache keys for one
 	// evaluation — the epoch is stable within a call, so the strconv
 	// formatting runs once instead of once per cache-worthy node.
@@ -251,7 +236,6 @@ func (ev *Evaluator) EvalContext(cctx context.Context, e Expr, st *Stats, b *Bud
 		ctx.cctx = cctx
 	}
 	ctx.budget = b
-	ctx.scan = mpm.FromContext(cctx)
 	out, err := ev.eval(ctx, e)
 	if err == nil && ev.Results != nil {
 		for _, p := range ctx.pending {
@@ -263,7 +247,7 @@ func (ev *Evaluator) EvalContext(cctx context.Context, e Expr, st *Stats, b *Bud
 		ctx.pending[i] = pendingPut{}
 	}
 	ctx.pending = ctx.pending[:0]
-	ctx.stats, ctx.cctx, ctx.budget, ctx.scan = nil, nil, nil, nil
+	ctx.stats, ctx.cctx, ctx.budget = nil, nil, nil
 	ctx.rkPrefix = ""
 	ctxPool.Put(ctx)
 	return out, err
@@ -274,7 +258,6 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 		return region.Empty, err
 	}
 	var key, rkey string
-	worthy := false
 	switch e.(type) {
 	case Binary, Select, Unary, Near, Freq:
 		key = e.String()
@@ -285,16 +268,12 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 			return cached, nil
 		}
 		// Worthiness and the epoch-prefixed key are computed once here and
-		// shared by the cache read, the CSE join and the deferred write —
-		// the miss path used to pay the Cost walk and the key allocation
-		// twice per node.
+		// shared by the cache read and the deferred write.
 		if ev.Results != nil && ev.cacheWorthy(e) {
-			worthy = true
 			rkey = ctx.resultKey(ev, key)
 			// Budgeted evaluations bypass cache reads (writes still happen):
 			// a cached subexpression skips the very work the budget meters,
 			// which would make budget enforcement depend on cache state.
-			// They bypass the CSE join for the same reason.
 			if ctx.budget == nil {
 				if s, ok := ev.Results.Get(rkey); ok {
 					if ctx.stats != nil {
@@ -303,21 +282,9 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 					ctx.memo[key] = s
 					return s, nil
 				}
-				if ev.Shared != nil {
-					if ferr := faultinject.Hit(faultinject.EngineCSE); ferr == nil {
-						return ev.evalShared(ctx, e, key, rkey)
-					}
-					// Injected fault: bypass sharing, evaluate solo.
-				}
 			}
 		}
 	}
-	return ev.evalTail(ctx, e, key, rkey, worthy)
-}
-
-// evalTail is the uncached remainder of eval: compute, charge, memoize,
-// and defer the cross-query cache write.
-func (ev *Evaluator) evalTail(ctx *evalCtx, e Expr, key, rkey string, worthy bool) (region.Set, error) {
 	out, err := ev.evalUncached(ctx, e)
 	if err != nil {
 		return out, err
@@ -329,61 +296,13 @@ func (ev *Evaluator) evalTail(ctx *evalCtx, e Expr, key, rkey string, worthy boo
 	}
 	if key != "" {
 		ctx.memo[key] = out
-		if worthy {
+		if rkey != "" {
 			// Held back until the whole evaluation succeeds: a killed
 			// evaluation must never publish cache entries.
 			ctx.pending = append(ctx.pending, pendingPut{key: rkey, set: out})
 		}
 	}
 	return out, nil
-}
-
-// evalShared evaluates e through the cross-query in-flight table: the first
-// query to need this subexpression leads and evaluates it, concurrent
-// queries wait and share the finished set.
-func (ev *Evaluator) evalShared(ctx *evalCtx, e Expr, key, rkey string) (region.Set, error) {
-	for {
-		fl, leader := ev.Shared.Join(rkey)
-		if leader {
-			return ev.evalLead(ctx, e, key, rkey, fl)
-		}
-		s, err := fl.Wait(ctx.cctx)
-		if err == nil {
-			if ctx.stats != nil {
-				ctx.stats.CSEHits++
-			}
-			ctx.memo[key] = s
-			// Waiters pend the write too: the set is complete (flights only
-			// succeed with fully evaluated sets), so a surviving waiter may
-			// publish it even if the leader's query is later killed.
-			ctx.pending = append(ctx.pending, pendingPut{key: rkey, set: s})
-			return s, nil
-		}
-		if ctx.cctx != nil && ctx.cctx.Err() != nil {
-			return region.Empty, ctx.cctx.Err()
-		}
-		if !retryableLead(err) {
-			return region.Empty, err
-		}
-		// The leader died of its own cancellation (or panic unwind) while
-		// this waiter is live: loop and take over as the new leader.
-	}
-}
-
-// evalLead runs the leader side of one flight. The flight always completes
-// — with the result, the leader's error, or errLeaderAborted on panic
-// unwind — so waiters can never hang on it.
-func (ev *Evaluator) evalLead(ctx *evalCtx, e Expr, key, rkey string, fl *Flight) (out region.Set, err error) {
-	completed := false
-	defer func() {
-		if !completed {
-			ev.Shared.Complete(rkey, fl, region.Empty, errLeaderAborted)
-		}
-	}()
-	out, err = ev.evalTail(ctx, e, key, rkey, true)
-	completed = true
-	ev.Shared.Complete(rkey, fl, out, err)
-	return out, err
 }
 
 // cacheWorthy reports whether e is expensive enough for the cross-query
@@ -403,9 +322,9 @@ func (ev *Evaluator) resultKey(exprKey string) string {
 }
 
 // SharedKey returns the epoch-prefixed cross-query key for e and whether e
-// is worth caching/sharing at all, computing both exactly once for callers
-// that need the key for more than one operation (a cache read, a CSE join
-// and a publish share one Cost walk and one key allocation).
+// is worth caching at all, computing both exactly once for callers that need
+// the key for more than one operation (a cache read and a publish share one
+// Cost walk and one key allocation).
 func (ev *Evaluator) SharedKey(e Expr) (string, bool) {
 	switch e.(type) {
 	case Binary, Select, Unary, Near, Freq:
@@ -454,12 +373,6 @@ func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {
 		}
 		return s, nil
 	case Word:
-		if s, ok := ctx.scan.Lookup(e.W); ok {
-			if ctx.stats != nil {
-				ctx.stats.SharedScans++
-			}
-			return s, nil
-		}
 		return ev.in.Words().MatchPoints(e.W), nil
 	case Prefix:
 		return ev.in.Words().PrefixMatchPoints(e.P), nil
@@ -473,17 +386,7 @@ func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {
 		var out region.Set
 		switch e.Mode {
 		case SelContains:
-			if pts, ok := ctx.scan.Lookup(e.W); ok {
-				// The batch scan already produced w's whole-word occurrences,
-				// in the order the postings hold them; the kernel is the one
-				// SelectContainingCtl hands the postings to.
-				if ctx.stats != nil {
-					ctx.stats.SharedScans++
-				}
-				out, err = arg.Holding(pts, ctx.checker())
-			} else {
-				out, err = ev.in.Words().SelectContainingCtl(arg, e.W, ctx.checker())
-			}
+			out, err = ev.in.Words().SelectContainingCtl(arg, e.W, ctx.checker())
 		case SelEquals:
 			out, err = ev.in.Words().SelectEqualsCtl(arg, e.W, ctx.checker())
 		default:
@@ -653,8 +556,8 @@ func (ctx *evalCtx) count(out region.Set, direct bool) {
 // structuring schemas produce — and exists mainly to exhibit the cost of ⊃d
 // relative to ⊃. The while-loop polls check at every layer (and passes it
 // into each inner sweep), so a deadline interrupts even a deep ⊃d chain over
-// a hostile document mid-operator. Both the materializing and the streaming
-// executor call it, which is why it takes a bare Checker.
+// a hostile document mid-operator. Both evaluators call it, which is why it
+// takes a bare Checker.
 func (ev *Evaluator) layeredDirectlyIncluding(check region.Checker, R, S region.Set) (region.Set, error) {
 	layer := R.Outermost()
 	rest := R.Diff(layer)

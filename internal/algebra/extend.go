@@ -111,7 +111,7 @@ func (ev *Evaluator) evalFreq(arg region.Set, w string, n int) region.Set {
 }
 
 // freqWithin reports whether at least n of the occurrences occ lie within
-// r: the frequency test for one region, shared by both executors. The
+// r: the frequency test for one region, shared by both evaluators. The
 // occurrences are read in place and, having one width, end in the order
 // they start: those within r are a run.
 func freqWithin(occ region.Points, r region.Region, n int) bool {

@@ -180,3 +180,43 @@ func TestCheckerErrorPropagates(t *testing.T) {
 		t.Fatalf("cause = %v, want boom", context.Cause(ctx))
 	}
 }
+
+// TestProbeTapSearchesOnlyUnderABudget: σ_w over a disjoint name streams as
+// region.HoldingIter behind tapOver, which finds the name regions each answer
+// passed with a search of the name — work done to charge a budget. A pipeline
+// built without a budget keeps no name to search, so its drain does no
+// per-region search; a budgeted one keeps the whole name and charges it.
+func TestProbeTapSearchesOnlyUnderABudget(t *testing.T) {
+	in := fixture(t)
+	ev := NewEvaluator(in)
+	name := in.MustRegion("Last_Name")
+	e := MustParse(`contains(Last_Name, "Chang")`)
+	probeTap := func(b *Budget) *tapIter {
+		t.Helper()
+		it, err := ev.Stream(context.Background(), e, nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(it.Close)
+		tap, ok := it.(*rootIter).Iterator.(*tapIter)
+		if !ok {
+			t.Fatalf("%s did not stream as a probe behind a tap: %T", e, it.(*rootIter).Iterator)
+		}
+		return tap
+	}
+	if tap := probeTap(nil); tap.over != nil {
+		t.Errorf("unbudgeted probe keeps %d name regions to search", len(tap.over))
+	}
+	b := NewBudget(1 << 20)
+	tap := probeTap(b)
+	if len(tap.over) != name.Len() {
+		t.Fatalf("budgeted probe keeps %d name regions, the name has %d", len(tap.over), name.Len())
+	}
+	got, err := region.Materialize(tap)
+	if err != nil || got.IsEmpty() {
+		t.Fatalf("drain: %v, %v", got, err)
+	}
+	if want := got.Len() + name.Len(); b.Used() != want {
+		t.Errorf("budgeted probe charged %d, want its answers and the name: %d", b.Used(), want)
+	}
+}

@@ -11,21 +11,27 @@ package algebra
 // order — probes the set in hand (streamProbe, streamSelect), which costs
 // what that operand does and is metered as the sweep was (tapOver).
 //
-// The materializing evaluator (eval.go) is the reference implementation;
-// the streaming pipeline is verified against it by the differential harness
-// (internal/refeval/diff) and the property tests in stream_test.go.
-// Deliberate differences from the materializing path:
+// The engine runs two evaluators and the shape of the plan picks between
+// them: a plan that needs a complete set before it can answer (an
+// index-only projection, a fast join, the per-variable candidates of a
+// join) runs on EvalContext (eval.go), every other single-variable plan
+// pulls its candidates off a Stream. Neither is the other's reference: both
+// are checked against the naive evaluator of internal/refeval by the
+// differential harness (internal/refeval/diff) and against each other by
+// the property tests in stream_test.go. How a stream differs from a set
+// evaluation:
 //
 //   - No CSE memo and no subexpression result-cache reads: duplicated
-//     subexpressions are re-evaluated. The engine still serves whole
-//     queries from the cross-query cache via CachedResult and publishes
-//     fully drained streams with PublishResult.
+//     subexpressions are re-evaluated. The engine still serves a whole
+//     candidate expression from the cross-query cache (CachedResultKey) and
+//     publishes fully drained streams (PublishResultKey).
 //   - Budget charging is per region as it flows through each operator — the
-//     per-region analogue of materializing's per-result charge. Totals for a
-//     full drain are close but not ordered: the memo and the empty-operand
-//     short-circuit can make materializing cheaper, while merge iterators
-//     that exhaust one operand early make streaming cheaper. A partially
-//     consumed stream charges only for the prefix actually pulled.
+//     per-region analogue of the set evaluator's per-result charge. Totals
+//     for a full drain are close but not ordered: the memo and the
+//     empty-operand short-circuit can make the set evaluation cheaper,
+//     while merge iterators that exhaust one operand early make the stream
+//     cheaper. A partially consumed stream charges only for the prefix
+//     actually pulled.
 //   - Stats.Ops/DirectOps count pipeline construction; RegionsTouched
 //     counts regions actually emitted; PeakBytes records the high-water
 //     mark of buffers the pipeline had to materialize (proximity targets,
@@ -45,7 +51,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"qof/internal/mpm"
 	"qof/internal/region"
 )
 
@@ -92,10 +97,6 @@ type streamCtx struct {
 	budget *Budget
 	stats  *Stats
 	live   int // bytes currently held in materialized buffers
-
-	// scan, when non-nil, is the batch's multi-pattern scan result; Word
-	// leaves it covers stream off it instead of probing the index.
-	scan *mpm.Result
 }
 
 // meter records n regions' worth of freshly materialized buffer and updates
@@ -130,7 +131,7 @@ func (ev *Evaluator) Stream(cctx context.Context, e Expr, st *Stats, b *Budget) 
 	if nameErr != nil {
 		return nil, nameErr
 	}
-	sc := &streamCtx{budget: b, stats: st, scan: mpm.FromContext(cctx)}
+	sc := &streamCtx{budget: b, stats: st}
 	if cctx != nil && cctx.Done() != nil {
 		sc.check = cctx.Err
 	}
@@ -151,20 +152,6 @@ func (ev *Evaluator) StreamEval(cctx context.Context, e Expr, st *Stats, b *Budg
 		return region.Empty, err
 	}
 	return region.Materialize(it)
-}
-
-// PublishResult offers a fully drained streaming result to the cross-query
-// result cache, under the same worthiness gates the materializing path
-// applies. The engine calls it only after a complete, successful,
-// un-truncated drain — a partial stream must never be published.
-func (ev *Evaluator) PublishResult(e Expr, s region.Set) {
-	if ev.Results == nil || !ev.cacheWorthy(e) {
-		return
-	}
-	switch e.(type) {
-	case Binary, Select, Unary, Near, Freq:
-		ev.Results.Put(ev.resultKey(e.String()), s)
-	}
 }
 
 // countOp records pipeline construction of one operator.
@@ -188,14 +175,7 @@ func (ev *Evaluator) stream(sc *streamCtx, e Expr) (region.Iterator, error) {
 		s, _ := ev.in.Region(e.Ident) // validated in Stream
 		return sc.tap(s.Iter(), false), nil
 	case Word:
-		s, ok := sc.scan.Lookup(e.W)
-		if ok {
-			if sc.stats != nil {
-				sc.stats.SharedScans++
-			}
-		} else {
-			s = ev.in.Words().MatchPoints(e.W)
-		}
+		s := ev.in.Words().MatchPoints(e.W)
 		sc.meter(s.Len())
 		return sc.tap(s.Iter(), false), nil
 	case Prefix:
@@ -376,16 +356,7 @@ func (ev *Evaluator) streamSelect(sc *streamCtx, e Select) (region.Iterator, err
 	words := ev.in.Words()
 	var pts region.Points
 	if e.Mode == SelContains {
-		if scanned, ok := sc.scan.Lookup(e.W); ok {
-			// The batch scan already produced w's whole-word occurrences,
-			// in the order the postings hold them.
-			if sc.stats != nil {
-				sc.stats.SharedScans++
-			}
-			pts = scanned
-		} else {
-			pts = words.Postings(e.W)
-		}
+		pts = words.Postings(e.W)
 	}
 	n, ok := e.Arg.(Name)
 	if !ok {
@@ -508,9 +479,15 @@ func (sc *streamCtx) tap(it region.Iterator, countRegions bool) region.Iterator 
 // budget one region for every region of the name pulled on the way to each
 // answer; tapOver charges the same regions as the answers pass them, and
 // the rest of the name when the answers run out, so a budget meters a
-// probe exactly as it metered the sweep.
+// probe exactly as it metered the sweep. Finding what an answer passed is a
+// search of the name per answer, so without a budget to charge the name is
+// not kept and nothing is searched.
 func (sc *streamCtx) tapOver(it region.Iterator, name region.Set) region.Iterator {
-	return &tapIter{it: it, sc: sc, countRegions: true, over: name.Regions()}
+	t := &tapIter{it: it, sc: sc, countRegions: true}
+	if sc.budget != nil {
+		t.over = name.Regions()
+	}
+	return t
 }
 
 type tapIter struct {

@@ -194,13 +194,9 @@ func TestStreamBudgetLaws(t *testing.T) {
 			t.Fatalf("%s: charge not deterministic: %d then %d (err %v)", e, sCharged, sb2.Used(), err)
 		}
 		if sCharged <= 1 {
-			continue // NewBudget(0) is unlimited; nothing to trip
+			continue // nothing to trip
 		}
-		// One region short must trip the streaming drain.
-		if _, err := ev.StreamEval(context.Background(), e, nil, algebra.NewBudget(sCharged-1)); !errors.Is(err, qerr.ErrBudgetExceeded) {
-			t.Fatalf("%s: budget of %d: err %v, want ErrBudgetExceeded (charge is %d)",
-				e, sCharged-1, err, sCharged)
-		}
+		tripsOneShort(t, ev, e, sCharged)
 		checked++
 	}
 	if checked == 0 {
@@ -237,6 +233,18 @@ func TestStreamCancellation(t *testing.T) {
 	}
 	if canceled == 0 {
 		t.Fatal("no expression exercised cancellation")
+	}
+}
+
+// tripsOneShort: a drain of e that charges charged regions trips a budget of
+// one region less.
+func tripsOneShort(t *testing.T, ev *algebra.Evaluator, e algebra.Expr, charged int) {
+	t.Helper()
+	if charged <= 1 {
+		return // NewBudget(0) is unlimited; nothing to trip
+	}
+	if _, err := ev.StreamEval(context.Background(), e, nil, algebra.NewBudget(charged-1)); !errors.Is(err, qerr.ErrBudgetExceeded) {
+		t.Fatalf("%s: budget of %d: err %v, want ErrBudgetExceeded (charge is %d)", e, charged-1, err, charged)
 	}
 }
 
@@ -304,6 +312,14 @@ func TestStreamProbesMeterLikeTheSweeps(t *testing.T) {
 				if cost+2*set.Len() != streamedCost {
 					t.Fatalf("%s: charged %d, the streamed form %d: want a difference of 2·%d", p[0], cost, streamedCost, set.Len())
 				}
+				// The charge is a limit, not only a count: the probe passes
+				// under a budget of exactly what it charged and trips one
+				// region short of it, where the sweep trips 2·|N| later.
+				if _, err := ev.StreamEval(context.Background(), p[0], nil, algebra.NewBudget(cost)); err != nil {
+					t.Fatalf("%s: budget of %d, its own charge: %v", p[0], cost, err)
+				}
+				tripsOneShort(t, ev, p[0], cost)
+				tripsOneShort(t, ev, p[1], streamedCost)
 				probed++
 			}
 			// ⊂ keeps pulling its right side until it is past the end of

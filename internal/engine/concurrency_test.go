@@ -43,9 +43,6 @@ func maskNondet(st engine.Stats) engine.Stats {
 	// intermediate buffers), so it is as nondeterministic as the cache
 	// flags above under concurrent execution.
 	st.PeakBytes = 0
-	// The shared-execution counters are observational: they depend on
-	// which queries happened to overlap, not on what was computed.
-	st.SharedScans, st.CSEHits, st.ParseDedups = 0, 0, 0
 	return st
 }
 

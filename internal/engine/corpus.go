@@ -31,16 +31,6 @@ type Corpus struct {
 	// locking. Set it before the corpus starts serving; Execute itself is
 	// safe to call from many goroutines at once.
 	Parallelism int
-
-	// Materializing selects the materializing reference executor for every
-	// file added afterwards (see Engine.Materializing). Set it before
-	// adding files.
-	Materializing bool
-
-	// Shared enables shared execution (batched scans, cross-query CSE,
-	// phase-2 parse dedup; see shared.go) on every file added afterwards.
-	// Set it before adding files.
-	Shared bool
 }
 
 // NewCorpus creates an empty corpus over the catalog.
@@ -54,12 +44,7 @@ func (c *Corpus) Add(doc *text.Document, spec grammar.IndexSpec) error {
 	if err != nil {
 		return fmt.Errorf("engine: indexing %s: %w", doc.Name(), err)
 	}
-	eng := New(c.cat, in)
-	eng.Materializing = c.Materializing
-	if c.Shared {
-		eng.EnableSharedExecution()
-	}
-	c.engines = append(c.engines, eng)
+	c.engines = append(c.engines, New(c.cat, in))
 	return nil
 }
 
@@ -96,10 +81,6 @@ func (c *Corpus) AddAllContext(ctx context.Context, docs []*text.Document, spec 
 			return
 		}
 		engines[i] = New(c.cat, in)
-		engines[i].Materializing = c.Materializing
-		if c.Shared {
-			engines[i].EnableSharedExecution()
-		}
 	}
 	if c.Parallelism > 1 {
 		sem := make(chan struct{}, c.Parallelism)
@@ -313,9 +294,6 @@ func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts 
 		out.Stats.PlanCached = out.Stats.PlanCached || st.PlanCached
 		out.Stats.ResultCached = out.Stats.ResultCached || st.ResultCached
 		out.Stats.ResultCacheHits += st.ResultCacheHits
-		out.Stats.SharedScans += st.SharedScans
-		out.Stats.CSEHits += st.CSEHits
-		out.Stats.ParseDedups += st.ParseDedups
 		if st.Results == 0 {
 			continue
 		}

@@ -27,7 +27,6 @@ import (
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/index"
-	"qof/internal/mpm"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/stats"
@@ -53,24 +52,10 @@ type Engine struct {
 
 	// Parallelism bounds the number of worker goroutines parsing and
 	// filtering phase-2 candidate regions within one Execute call; values
-	// < 2 parse sequentially. Results and statistics are identical either
-	// way: candidates are merged back in document order.
+	// < 2 parse sequentially. Results are identical either way: candidates
+	// are merged back in document order. So are statistics, except that
+	// under a LIMIT the pool may have read ahead of the stop point.
 	Parallelism int
-
-	// Materializing selects the reference executor: phase 1 materializes
-	// every operator result before phase 2 starts, exactly as in the
-	// original implementation. The default (false) streams candidates
-	// through a pull-based iterator pipeline into phase 2, so LIMIT,
-	// budgets and cancellation stop the work early. Results are identical;
-	// the materializing path exists as the oracle for the differential
-	// harness and the peak-memory benchmarks. Configuration, like
-	// Parallelism: set it before the engine starts serving.
-	Materializing bool
-
-	// shared, when non-nil, is the cross-query shared-execution
-	// coordinator (batched scans, CSE, parse dedup); see shared.go.
-	// Enabled by EnableSharedExecution before serving starts.
-	shared *sharedState
 }
 
 // New creates an engine over the catalog and instance. Construction
@@ -135,30 +120,20 @@ type Stats struct {
 	ResultCached    bool
 	ResultCacheHits int
 
-	// Shared-execution counters (zero unless EnableSharedExecution):
-	// SharedScans counts word leaves answered from a batched multi-pattern
-	// scan, CSEHits subexpressions (or whole candidate sets) received from
-	// another query's in-flight evaluation, and ParseDedups phase-2 parses
-	// served by the shared parse table. Purely observational — the fields
-	// above (Candidates, Parsed, ParsedBytes, Results) are unchanged by
-	// sharing.
-	SharedScans int
-	CSEHits     int
-	ParseDedups int
-
 	// PeakBytes approximates the high-water mark of region-buffer memory
-	// the execution held: materialized operator results (all of them on
-	// the materializing path, only the unavoidable buffers — proximity
-	// targets, direct-operator sides — on the streaming path) plus the
-	// engine's candidate and result buffers, at 16 bytes per region. The
-	// peak-memory benchmarks compare the two executors through it.
+	// the execution held, at 16 bytes per region: every operator result of
+	// a set evaluation (its memo keeps them until the call ends), only the
+	// buffers a stream cannot avoid (proximity targets, direct-operator
+	// sides), plus the engine's candidate and result buffers.
 	PeakBytes int
 
 	// Wall-clock breakdown: query compilation + optimization, index
 	// evaluation (phase 1), and candidate parsing + filtering +
-	// projection (phase 2). On the streaming path phase 1 is pipeline
-	// construction and the two phases overlap; Phase2Time then covers the
-	// interleaved drain.
+	// projection (phase 2). For a plan that streams its candidates phase 1
+	// is pipeline construction and the two phases overlap; Phase2Time then
+	// covers the interleaved drain. For a plan that needs the complete
+	// candidate set phase 1 is its evaluation (a fast join's leaf chains
+	// and an index-only projection's chain count as phase 2).
 	CompileTime time.Duration
 	Phase1Time  time.Duration
 	Phase2Time  time.Duration
@@ -199,7 +174,7 @@ func (r *Result) Objects() ([]db.Value, error) {
 	nt := r.Plan.Var(r.Plan.Query.Select.Var).NT
 	out := make([]db.Value, 0, r.Regions.Len())
 	for _, reg := range r.Regions.Regions() {
-		v, err := r.eng.parseValueRaw(nt, reg, nil)
+		v, err := r.eng.parseValue(nt, reg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -230,8 +205,7 @@ type execEnv struct {
 	lim    Limits
 	budget *algebra.Budget // phase-1 region budget; nil = unlimited
 
-	bytesUsed   atomic.Int64 // phase-2 parsed bytes so far
-	parseDedups atomic.Int64 // phase-2 parses served by the shared table
+	bytesUsed atomic.Int64 // phase-2 parsed bytes so far
 }
 
 // poll returns the context error once the execution's context is done.
@@ -308,14 +282,6 @@ func (e *Engine) ExecutePrepared(ctx context.Context, p *compile.Prepared, lim L
 	if plan.Trivial {
 		return res, nil
 	}
-	if e.shared != nil {
-		scan, release := e.shared.enter(ctx, plan)
-		defer release()
-		if scan != nil {
-			es.ctx = mpm.NewContext(ctx, scan)
-		}
-		defer func() { res.Stats.ParseDedups = int(es.parseDedups.Load()) }()
-	}
 	if len(q.From) == 1 {
 		if err := e.executeSingle(es, q, plan, res); err != nil {
 			return nil, err
@@ -340,31 +306,32 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 	var ast algebra.Stats
 	s, err := e.ev.EvalContext(es.ctx, x, &ast, es.budget)
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
-	res.Stats.SharedScans += ast.SharedScans
-	res.Stats.CSEHits += ast.CSEHits
-	// Materializing evaluation keeps every operator result in its memo
-	// until the call ends, so the regions touched are the buffer peak.
+	// A set evaluation keeps every operator result in its memo until the
+	// call ends, so the regions touched are the buffer peak.
 	res.Stats.PeakBytes += ast.PeakBytes + regionBytes*ast.RegionsTouched
 	return s, err
 }
 
-// executeSingle runs the one-range-variable fast path.
+// executeSingle runs the one-range-variable fast path. The plan's shape
+// picks the phase-1 evaluator, and nothing a caller can set does: an
+// index-only projection and a Section 5.2 fast join need the complete
+// candidate set before they can answer, and a full scan has it already, so
+// those run on the set evaluator (algebra.EvalContext: per-call memo,
+// subexpression cache reads, small-side kernels); every other plan pulls its
+// candidates off an iterator pipeline (algebra.Stream) while phase 2 is
+// already parsing them. Either way the candidates reach phase 2 as an
+// iterator, so there is one parse-and-filter loop and a LIMIT stops it.
 func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, res *Result) error {
 	vp := &plan.Vars[0]
 	res.Stats.Exact = vp.Exact
 	phase1 := time.Now()
 	defer func() { res.Stats.Phase2Time = time.Since(phase1) - res.Stats.Phase1Time }()
 
-	// Streaming executor (the default): pull candidates off an iterator
-	// pipeline and parse them as they arrive, so LIMIT, budgets and
-	// cancellation stop the whole query early. The index-only projection
-	// and the fast join need the complete candidate set up front, so those
-	// plans keep the materializing phase 1 below.
-	if !e.Materializing && vp.Candidates != nil && plan.JoinFast == nil && !plan.IndexOnly() {
+	if vp.Candidates != nil && plan.JoinFast == nil && !plan.IndexOnly() {
 		return e.streamSingle(es, q, plan, vp, res, phase1)
 	}
 
-	// Phase 1: candidate regions from the index.
+	// Phase 1: the complete candidate set.
 	var candidates region.Set
 	switch {
 	case vp.Candidates != nil:
@@ -440,94 +407,16 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	}
 
 	// Phase 2: parse candidates, filter unless exact, project.
-	return e.phase2(es, q, plan, vp, candidates, res)
-}
-
-// phase2 parses every candidate region, filters non-exact plans through the
-// WHERE clause, and projects, optionally fanning the per-candidate work out
-// to Parallelism worker goroutines. Parsing and filtering are independent
-// per candidate, so the fan-out needs no locks: worker i writes only slot i.
-// The merge runs in document order afterwards, so results and statistics
-// are identical to the sequential evaluation.
-func (e *Engine) phase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, candidates region.Set, res *Result) error {
-	cands := candidates.Regions()
-	type candOut struct {
-		obj  db.Value
-		keep bool
-	}
-	outs := make([]candOut, len(cands))
-	process := func(i int) error {
-		obj, keep, err := e.processCandidate(es, plan, vp, cands[i])
-		if err != nil {
-			return err
-		}
-		if keep {
-			outs[i] = candOut{obj: obj, keep: true}
-		}
-		return nil
-	}
-
-	workers := e.Parallelism
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers > 1 {
-		var next atomic.Int64
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cands) {
-						return
-					}
-					if err := process(i); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := range cands {
-			if err := process(i); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Deterministic merge in document order. The reference semantics of
-	// LIMIT are "full evaluation, then clamp": every candidate is parsed
-	// and counted, and only the emission stops after k rows, truncating
-	// the kept regions at the same candidate where the streaming executor
-	// stops pulling — the two executors agree row for row and region for
-	// region.
-	em := newEmitter(q, plan, res)
-	for i, out := range outs {
-		res.Stats.countParsed(vp, cands[i])
-		if !out.keep || em.full() {
-			continue
-		}
-		em.emit(cands[i], out.obj)
-	}
-	em.finish()
-	return nil
+	src := candidates.Iter()
+	defer src.Close()
+	_, _, err := e.streamPhase2(es, q, plan, vp, src, res)
+	return err
 }
 
 // processCandidate does the per-candidate phase-2 work — poll, fault
-// injection, byte budget, parse, build, filter — shared by the sequential,
-// parallel, materializing and streaming paths. It parses with the plan's
-// read set, so obj holds what the filter and the projection navigate and
-// nothing else; a plan that reads nothing of its candidates (an exact
+// injection, byte budget, parse, build, filter — for the sequential and the
+// parallel drain alike. It parses with the plan's read set, so obj holds
+// what the filter and the projection navigate and nothing else; a plan that reads nothing of its candidates (an exact
 // whole-object select) has nothing to decide and nothing to build, and its
 // candidates pass unparsed and uncharged — but still through the poll and
 // the failpoint, so cancellation, LIMIT and injected faults see every
@@ -551,7 +440,7 @@ func (e *Engine) processCandidate(es *execEnv, plan *compile.Plan, vp *compile.V
 		if err := es.chargeBytes(r.Len()); err != nil {
 			return nil, false, err
 		}
-		if obj, err = e.parseValue(es, vp, r); err != nil {
+		if obj, err = e.parseValue(vp.NT, r, vp.Reads); err != nil {
 			return nil, false, err
 		}
 	}
@@ -570,7 +459,7 @@ func (st *Stats) countParsed(vp *compile.VarPlan, r region.Region) {
 // emitter accumulates kept candidates into the result with uniform LIMIT
 // clamping: once the row count reaches the limit no further candidate is
 // admitted, and a projected candidate straddling the boundary keeps its
-// region with its strings clamped to exactly k. Both executors emit through
+// region with its strings clamped to exactly k. Every drain emits through
 // it, which is what makes a limited answer a prefix of the full one.
 type emitter struct {
 	plan  *compile.Plan
@@ -621,53 +510,19 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	var src region.Iterator
 	fromCache := false
 	// Worthiness and the epoch-prefixed key are computed once and shared by
-	// the cache read, the CSE join and the publish below.
+	// the cache read and the publish below.
 	key, worthy := e.ev.SharedKey(vp.Candidates)
-	var shFlight *algebra.Flight
 	// A region budget must meter the actual phase-1 work, so budgeted
-	// queries bypass the cross-query cache and the CSE join, exactly like
-	// the materializing path.
+	// queries bypass the cross-query cache, exactly like the complete-set
+	// plans.
 	if es.budget == nil && worthy {
 		if s, ok := e.ev.CachedResultKey(key); ok {
 			res.Stats.ResultCached = true
 			res.Stats.ResultCacheHits++
 			src = s.Iter()
 			fromCache = true
-		} else if e.shared != nil && q.Limit == 0 {
-			// Whole-candidate-set CSE: concurrent streaming queries with the
-			// same candidate expression share one evaluation and drain.
-			// Limited queries bypass it — a limit-stopped leader cannot
-			// produce the full set — which also keeps their behavior
-			// byte-identical to unshared execution.
-			if ferr := faultinject.Hit(faultinject.EngineCSE); ferr == nil {
-				for src == nil {
-					fl, leader := e.shared.cse.Join(key)
-					if leader {
-						shFlight = fl
-						break
-					}
-					s, werr := fl.Wait(es.ctx)
-					if werr == nil {
-						res.Stats.CSEHits++
-						src = s.Iter()
-						fromCache = true // the leader already published it
-					} else if cerr := es.poll(); cerr != nil {
-						return cerr
-					}
-					// The leader failed (canceled, faulted, or panicked out)
-					// while this query is live: loop and take over.
-				}
-			}
 		}
 	}
-	// The flight must complete on every exit — error, cancel or panic
-	// unwind — so waiters never hang; success completes it below.
-	leaderDone := false
-	defer func() {
-		if shFlight != nil && !leaderDone {
-			e.shared.cse.Abort(key, shFlight)
-		}
-	}()
 	if src == nil {
 		it, err := e.ev.Stream(es.ctx, vp.Candidates, &ast, es.budget)
 		if err != nil {
@@ -680,7 +535,6 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 
 	all, complete, err := e.streamPhase2(es, q, plan, vp, src, res)
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
-	res.Stats.SharedScans += ast.SharedScans
 	res.Stats.Candidates = len(all)
 	res.Stats.PeakBytes += ast.PeakBytes + regionBytes*(ast.RegionsTouched+len(all))
 	if err != nil {
@@ -689,14 +543,9 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	if complete && !fromCache && worthy {
 		// The stream was drained in full, so the accumulated candidates
 		// are the exact phase-1 answer — safe to publish. A limit-stopped
-		// or failed drain never reaches this point, preserving the
-		// killed-runs-never-publish invariant for cache and waiters alike.
-		set := region.FromRegions(all)
-		e.ev.PublishResultKey(key, set)
-		if shFlight != nil {
-			leaderDone = true
-			e.shared.cse.Complete(key, shFlight, set, nil)
-		}
+		// or failed drain never reaches this point: killed runs never
+		// publish.
+		e.ev.PublishResultKey(key, region.FromRegions(all))
 	}
 	return nil
 }
@@ -1033,7 +882,7 @@ func (e *Engine) parseRegion(es *execEnv, vp *compile.VarPlan, r region.Region, 
 	if err := es.chargeBytes(r.Len()); err != nil {
 		return nil, err
 	}
-	v, err := e.parseValue(es, vp, r)
+	v, err := e.parseValue(vp.NT, r, vp.Reads)
 	if err != nil {
 		return nil, err
 	}
@@ -1041,22 +890,10 @@ func (e *Engine) parseRegion(es *execEnv, vp *compile.VarPlan, r region.Region, 
 	return v, nil
 }
 
-// parseValue parses one candidate region into the part of its database
-// value the plan reads, through the shared parse table when shared
-// execution is on. The caller has already polled cancellation and charged
-// its byte budget. Shared values are immutable by the same contract as
-// cached region sets: every consumer (filtering, projection) only reads
-// them.
-func (e *Engine) parseValue(es *execEnv, vp *compile.VarPlan, r region.Region) (db.Value, error) {
-	if e.shared == nil {
-		return e.parseValueRaw(vp.NT, r, vp.Reads)
-	}
-	return e.shared.parse(es, vp, r)
-}
-
-// parseValueRaw is the unshared parse: grammar parse plus value build,
-// both narrowed to reads (nil: the whole value).
-func (e *Engine) parseValueRaw(nt string, r region.Region, reads *grammar.ReadSet) (db.Value, error) {
+// parseValue parses one candidate region and builds the part of its
+// database value that reads names (nil: the whole value). The caller has
+// already polled cancellation and charged its byte budget.
+func (e *Engine) parseValue(nt string, r region.Region, reads *grammar.ReadSet) (db.Value, error) {
 	v, err := e.cat.Grammar.ParseValue(e.in.Document(), nt, r.Start, r.End, reads)
 	if err != nil {
 		return nil, fmt.Errorf("engine: parsing candidate %v as %s: %w", r, nt, err)

@@ -100,7 +100,7 @@ func byKey(vals []db.Value) []db.Value {
 // TestStatsCountWhatWasParsed: Parsed and ParsedBytes are the regions the
 // grammar ran over. An inexact plan parses every candidate — pruned or not,
 // the parser recognises the whole region — and an exact whole-object select
-// none, on both executors, sequential and parallel.
+// none, sequentially and in parallel.
 func TestStatsCountWhatWasParsed(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -118,12 +118,11 @@ func TestStatsCountWhatWasParsed(t *testing.T) {
 		{"value join", paperPartialIndex, valueJoinQuery, true},
 	} {
 		for _, mode := range []struct {
-			name          string
-			materializing bool
-			parallelism   int
-		}{{"streaming", false, 1}, {"streaming x4", false, 4}, {"materializing", true, 1}, {"materializing x4", true, 4}} {
+			name        string
+			parallelism int
+		}{{"sequential", 1}, {"x4", 4}} {
 			f := testutil.NewBibFixture(t, 80, c.spec, nil)
-			f.Eng.Materializing, f.Eng.Parallelism = mode.materializing, mode.parallelism
+			f.Eng.Parallelism = mode.parallelism
 			res, err := f.Eng.Execute(xsql.MustParse(c.src))
 			if err != nil {
 				t.Fatalf("%s (%s): %v", c.name, mode.name, err)

@@ -72,8 +72,6 @@ const (
 	ServePublish   = "serve.publish"   // per-shard corpus build in serve.Server.Publish
 	ServeReplica   = "serve.replica"   // failover attempt on a secondary replica
 	ServeHedge     = "serve.hedge"     // hedged attempt fired by the tail-latency timer
-	EngineCSE      = "engine.cse"      // cross-query CSE join (fires = bypass sharing, solo eval)
-	ScanMPM        = "scan.mpm"        // batched multi-pattern scan (fires = batch falls back to probes)
 )
 
 // Catalog lists every failpoint name in stable order.
@@ -83,7 +81,6 @@ func Catalog() []string {
 		PlanCacheGet, PlanCachePut, ResultCacheGet, ResultCachePut,
 		Phase2, CorpusFile, ServeShard, ServePublish,
 		ServeReplica, ServeHedge,
-		EngineCSE, ScanMPM,
 	}
 }
 

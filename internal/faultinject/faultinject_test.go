@@ -211,8 +211,8 @@ func TestHitNPlainRuleCoversAllInstances(t *testing.T) {
 
 func TestCatalogIsStable(t *testing.T) {
 	names := Catalog()
-	if len(names) != 15 {
-		t.Fatalf("Catalog has %d names, want 15", len(names))
+	if len(names) != 13 {
+		t.Fatalf("Catalog has %d names, want 13", len(names))
 	}
 	seen := make(map[string]bool)
 	for _, n := range names {

@@ -22,25 +22,22 @@ import (
 	"qof/internal/xsql"
 )
 
-// Harness runs queries and expressions through both engine executors — the
-// default streaming pipeline and the materializing reference — and the
-// oracle.
+// Harness runs queries through the engine and the oracle, and expressions
+// through both production evaluators and the naive reference evaluator.
 type Harness struct {
-	Name      string // e.g. "bibtex/spec1", for reports
-	In        *index.Instance
-	Eng       *engine.Engine // streaming executor (the default)
-	EngMat    *engine.Engine // materializing reference executor
-	EngShared *engine.Engine // streaming executor with shared execution on
-	Oracle    *refeval.Oracle
-	Ref       *refeval.Evaluator
+	Name   string // e.g. "bibtex/spec1", for reports
+	In     *index.Instance
+	Eng    *engine.Engine
+	Oracle *refeval.Oracle
+	Ref    *refeval.Evaluator
 }
 
 // limitLegKs are the LIMIT values the prefix leg re-runs every query with.
 var limitLegKs = []int{1, 3}
 
-// New builds a harness for one domain under one index specification. Both
-// engines run with phase-2 parallelism enabled so the worker pools —
-// including the streaming feeder/collector pipeline — are under test too.
+// New builds a harness for one domain under one index specification. The
+// engine runs with phase-2 parallelism enabled so the feeder/collector
+// pipeline is under test too.
 func New(d *qgen.Domain, specIdx int, spec grammar.IndexSpec) (*Harness, error) {
 	in, _, err := d.Cat.Grammar.BuildInstance(d.Doc, spec)
 	if err != nil {
@@ -52,20 +49,12 @@ func New(d *qgen.Domain, specIdx int, spec grammar.IndexSpec) (*Harness, error) 
 	}
 	eng := engine.New(d.Cat, in)
 	eng.Parallelism = 3
-	mat := engine.New(d.Cat, in)
-	mat.Parallelism = 3
-	mat.Materializing = true
-	shared := engine.New(d.Cat, in)
-	shared.Parallelism = 3
-	shared.EnableSharedExecution()
 	return &Harness{
-		Name:      fmt.Sprintf("%s/spec%d", d.Name, specIdx),
-		In:        in,
-		Eng:       eng,
-		EngMat:    mat,
-		EngShared: shared,
-		Oracle:    oracle,
-		Ref:       refeval.New(in),
+		Name:   fmt.Sprintf("%s/spec%d", d.Name, specIdx),
+		In:     in,
+		Eng:    eng,
+		Oracle: oracle,
+		Ref:    refeval.New(in),
 	}, nil
 }
 
@@ -82,39 +71,32 @@ func Harnesses(d *qgen.Domain) ([]*Harness, error) {
 	return out, nil
 }
 
-// CheckQuery executes q on each engine three times — the second and third
+// CheckQuery executes q on the engine three times — the second and third
 // runs must come from the plan cache, and by the third the cross-query
-// result cache is warm, so both cache layers of every executor (streaming,
-// materializing, and streaming with shared execution) are under
-// differential test — and on the oracle, and returns a mismatch report as
-// an error, or nil when all runs agree. When the query succeeds, the LIMIT
-// leg re-runs it with LIMIT k on both executors and checks the limited
-// answer against the full one.
+// result cache is warm, so both cache layers are under differential test —
+// and on the oracle, and returns a mismatch report as an error, or nil when
+// all runs agree. When the query succeeds, the LIMIT leg re-runs it with
+// LIMIT k and checks the limited answer against the full one.
 func (h *Harness) CheckQuery(q *xsql.Query) error {
 	want, oerr := h.Oracle.Query(q)
 	var full *engine.Result
-	for _, leg := range []struct {
-		mode string
-		eng  *engine.Engine
-	}{{"streaming", h.Eng}, {"materializing", h.EngMat}, {"shared", h.EngShared}} {
-		for run := 0; run < 3; run++ {
-			got, err := leg.eng.Execute(q)
-			if (err != nil) != (oerr != nil) {
-				return fmt.Errorf("%s: error disagreement on %s (%s run %d):\n  engine: %v\n  oracle: %v",
-					h.Name, q, leg.mode, run, err, oerr)
-			}
-			if err != nil {
-				continue // both sides reject the query the same way
-			}
-			if run >= 1 && !got.Stats.PlanCached {
-				return fmt.Errorf("%s: %s run %d of %s did not hit the plan cache", h.Name, leg.mode, run, q)
-			}
-			if msg := h.compare(q, got, want); msg != "" {
-				return fmt.Errorf("%s: mismatch on %s (%s run %d):\n%s\nplan:\n%s",
-					h.Name, q, leg.mode, run, msg, indent(got.Plan.Explain()))
-			}
-			full = got
+	for run := 0; run < 3; run++ {
+		got, err := h.Eng.Execute(q)
+		if (err != nil) != (oerr != nil) {
+			return fmt.Errorf("%s: error disagreement on %s (run %d):\n  engine: %v\n  oracle: %v",
+				h.Name, q, run, err, oerr)
 		}
+		if err != nil {
+			continue // both sides reject the query the same way
+		}
+		if run >= 1 && !got.Stats.PlanCached {
+			return fmt.Errorf("%s: run %d of %s did not hit the plan cache", h.Name, run, q)
+		}
+		if msg := h.compare(q, got, want); msg != "" {
+			return fmt.Errorf("%s: mismatch on %s (run %d):\n%s\nplan:\n%s",
+				h.Name, q, run, msg, indent(got.Plan.Explain()))
+		}
+		full = got
 	}
 	if oerr != nil || full == nil {
 		return nil
@@ -127,42 +109,30 @@ func (h *Harness) CheckQuery(q *xsql.Query) error {
 	return nil
 }
 
-// checkLimit runs q with LIMIT k through both executors and verifies the
-// three LIMIT invariants: the executors agree exactly, the limited regions
-// are a document-order prefix of the full sorted answer, and the row count
-// is min(k, full). For single-variable queries the projected strings are a
+// checkLimit runs q with LIMIT k and verifies the LIMIT invariants against
+// full, the oracle-checked unlimited answer: the limited regions are a
+// document-order prefix of the full sorted answer, and the row count is
+// min(k, full). For single-variable queries the projected strings are a
 // prefix of the full strings too; multi-variable emission order without a
 // limit is nested-loop order, so only the region and count invariants apply
 // there.
 func (h *Harness) checkLimit(q *xsql.Query, k int, full *engine.Result) error {
-	lq := q.WithLimit(k)
-	stream, serr := h.Eng.Execute(lq)
-	mat, merr := h.EngMat.Execute(lq)
-	shared, sherr := h.EngShared.Execute(lq)
-	if serr != nil || merr != nil || sherr != nil {
-		return fmt.Errorf("%s: LIMIT %d on %s failed:\n  streaming: %v\n  materializing: %v\n  shared: %v",
-			h.Name, k, q, serr, merr, sherr)
+	limited, err := h.Eng.Execute(q.WithLimit(k))
+	if err != nil {
+		return fmt.Errorf("%s: LIMIT %d on %s failed: %v", h.Name, k, q, err)
 	}
-	if stream.Projected != mat.Projected ||
-		!stream.Regions.Equal(mat.Regions) ||
-		!equalStrings(stream.Strings, mat.Strings) {
-		return fmt.Errorf("%s: LIMIT %d executor disagreement on %s:\n  streaming:     %v %v\n  materializing: %v %v",
-			h.Name, k, q, stream.Regions, stream.Strings, mat.Regions, mat.Strings)
-	}
-	if stream.Projected != shared.Projected ||
-		!stream.Regions.Equal(shared.Regions) ||
-		!equalStrings(stream.Strings, shared.Strings) {
-		return fmt.Errorf("%s: LIMIT %d shared-executor disagreement on %s:\n  streaming: %v %v\n  shared:    %v %v",
-			h.Name, k, q, stream.Regions, stream.Strings, shared.Regions, shared.Strings)
+	if limited.Projected != full.Projected {
+		return fmt.Errorf("%s: LIMIT %d on %s: projected %v, full answer %v",
+			h.Name, k, q, limited.Projected, full.Projected)
 	}
 	// Row count: exactly k rows unless the full answer is smaller.
-	rows, fullRows := stream.Stats.Results, full.Stats.Results
+	rows, fullRows := limited.Stats.Results, full.Stats.Results
 	if wantRows := min(k, fullRows); rows != wantRows {
 		return fmt.Errorf("%s: LIMIT %d on %s returned %d rows, want %d (full %d)",
 			h.Name, k, q, rows, wantRows, fullRows)
 	}
 	// Regions: a prefix of the full sorted answer.
-	lr, fr := stream.Regions.Regions(), full.Regions.Regions()
+	lr, fr := limited.Regions.Regions(), full.Regions.Regions()
 	if len(lr) > len(fr) {
 		return fmt.Errorf("%s: LIMIT %d on %s kept %d regions, full answer has %d",
 			h.Name, k, q, len(lr), len(fr))
@@ -173,27 +143,15 @@ func (h *Harness) checkLimit(q *xsql.Query, k int, full *engine.Result) error {
 				h.Name, k, q, i, lr[i], fr[i])
 		}
 	}
-	if stream.Projected && len(q.From) == 1 {
-		for i, s := range stream.Strings {
+	if limited.Projected && len(q.From) == 1 {
+		for i, s := range limited.Strings {
 			if i >= len(full.Strings) || s != full.Strings[i] {
 				return fmt.Errorf("%s: LIMIT %d on %s: strings are not a prefix of the full answer:\n  limited %v\n  full    %v",
-					h.Name, k, q, stream.Strings, full.Strings)
+					h.Name, k, q, limited.Strings, full.Strings)
 			}
 		}
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // compare checks the engine result against the oracle result. Regions are
@@ -230,19 +188,20 @@ func (h *Harness) compare(q *xsql.Query, got *engine.Result, want *refeval.Query
 	return compareMultiset("objects", gs, ws)
 }
 
-// CheckExpr evaluates e with the production evaluator — materializing and
-// streaming, each in both its universe-based and layered ⊃d configurations
-// — and with the naive reference evaluator, and reports any disagreement.
-// Errors must agree too (all sides reject unindexed names).
+// CheckExpr evaluates e with both production evaluators — the set evaluator
+// the complete-set plans run on and the stream pipeline every other plan
+// runs on, each in its universe-based and layered ⊃d configurations — and
+// with the naive reference evaluator, and reports any disagreement. Errors
+// must agree too (all sides reject unindexed names).
 func (h *Harness) CheckExpr(e algebra.Expr) error {
 	want, werr := h.Ref.Eval(e)
 	for _, layered := range []bool{false, true} {
-		for _, mode := range []string{"materializing", "streaming"} {
+		for _, mode := range []string{"set", "stream"} {
 			ev := algebra.NewEvaluator(h.In)
 			ev.UseLayeredDirect = layered
 			var got region.Set
 			var err error
-			if mode == "streaming" {
+			if mode == "stream" {
 				got, err = ev.StreamEval(context.Background(), e, nil, nil)
 			} else {
 				got, err = ev.Eval(e)

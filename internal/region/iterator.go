@@ -4,9 +4,9 @@ package region
 // materializing Set API has an iterator counterpart here that consumes its
 // operands lazily and emits regions in the canonical set order, so a
 // consumer that stops early (a LIMIT, a budget, a cancellation) never pays
-// for the part of the stream it does not read. The materializing kernels
-// remain the reference implementations; the streaming executor is verified
-// against them differentially (see docs/STREAMING.md).
+// for the part of the stream it does not read. The engine runs both forms
+// (the plan's shape picks, see docs/STREAMING.md); the iterators are checked
+// against the set kernels differentially, and those against naive.go.
 //
 // IncludingIter and IncludedIter below merge two streams. When the left
 // operand is a disjoint set in hand, IncludingSetIter and IncludedSetIter

@@ -297,16 +297,8 @@ func (s Set) Diff(t Set) Set {
 
 // Filter returns the subset of s whose regions satisfy keep.
 func (s Set) Filter(keep func(Region) bool) Set {
-	if s.IsEmpty() {
-		return Empty
-	}
-	out := make([]Region, 0, len(s.regions))
-	for _, r := range s.regions {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return trimmed(s, out)
+	out, _ := s.FilterCtl(keep, nil) // a nil checker cannot fail
+	return out
 }
 
 // Outermost implements the ω operation: the regions of s not included in any

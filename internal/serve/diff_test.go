@@ -1,10 +1,10 @@
 package serve_test
 
 // The end-to-end differential leg: qgen-generated queries from all three
-// domains are driven over HTTP through a sharded qofd daemon (one shard and
-// four shards, streaming; plus materializing shards as the oracle-executor
-// leg) and every response must be byte-identical to the envelope the direct
-// qof facade produces over one corpus holding the same files. LIMIT-prefix
+// domains are driven over HTTP through a sharded qofd daemon (one, two, four
+// and seven shards) and every response must be byte-identical to the
+// envelope the direct qof facade produces over one corpus holding the same
+// files. LIMIT-prefix
 // legs re-run succeeding queries with LIMIT k and check both the facade
 // agreement and the per-file prefix invariant.
 
@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"qof"
@@ -79,15 +78,9 @@ type daemonLeg struct {
 	ts     *httptest.Server
 }
 
-func startLeg(t *testing.T, name string, schema *qof.Schema, files map[string]string, shards int, materializing, shared bool) *daemonLeg {
+func startLeg(t *testing.T, name string, schema *qof.Schema, files map[string]string, shards int) *daemonLeg {
 	t.Helper()
-	return startLegCfg(t, name, files, serve.Config{
-		Schema:          schema,
-		Shards:          shards,
-		Parallelism:     2,
-		Materializing:   materializing,
-		SharedExecution: shared,
-	})
+	return startLegCfg(t, name, files, serve.Config{Schema: schema, Shards: shards, Parallelism: 2})
 }
 
 func startLegCfg(t *testing.T, name string, files map[string]string, cfg serve.Config) *daemonLeg {
@@ -162,10 +155,8 @@ func expected(t *testing.T, res *qof.CorpusResults, epoch uint64, shards, files 
 }
 
 // TestHTTPDifferential is the serving layer's differential guarantee: for
-// every generated query, the daemon's HTTP answer — sharded N=1 and N=4 on
-// the streaming executor, N=7 with shared execution, and sharded N=2 on
-// the materializing reference — is byte-identical to the direct facade's
-// answer over the same files.
+// every generated query, the daemon's HTTP answer — sharded N=1, 2, 4 and 7
+// — is byte-identical to the direct facade's answer over the same files.
 func TestHTTPDifferential(t *testing.T) {
 	for _, domain := range []string{"bibtex", "sgml", "logs"} {
 		domain := domain
@@ -180,19 +171,11 @@ func TestHTTPDifferential(t *testing.T) {
 			if err := direct.AddAll(files); err != nil {
 				t.Fatal(err)
 			}
-			directMat := schema.NewCorpus(qof.WithParallelism(2), qof.WithMaterializing())
-			if err := directMat.AddAll(files); err != nil {
-				t.Fatal(err)
-			}
 
-			legs := []*daemonLeg{
-				startLeg(t, domain+"/shards=1", schema, files, 1, false, false),
-				startLeg(t, domain+"/shards=4", schema, files, 4, false, false),
-				// Shared execution must be envelope-invisible: the leg is
-				// compared against the same unshared facade reference.
-				startLeg(t, domain+"/shards=7+shared", schema, files, 7, false, true),
+			var legs []*daemonLeg
+			for _, shards := range []int{1, 2, 4, 7} {
+				legs = append(legs, startLeg(t, fmt.Sprintf("%s/shards=%d", domain, shards), schema, files, shards))
 			}
-			matLeg := startLeg(t, domain+"/shards=2+materializing", schema, files, 2, true, false)
 
 			gen := qgen.NewQueryGen(qgenDomain(domain), diffQuerySeed)
 			n := queriesPerDomain(t)
@@ -211,18 +194,6 @@ func TestHTTPDifferential(t *testing.T) {
 						t.Fatalf("query %d %q: %s diverges from the direct facade:\n  got  %s\n  want %s",
 							i, src, leg.name, got, want)
 					}
-				}
-				// Materializing-oracle leg: the daemon's materializing shards
-				// against the facade's materializing corpus.
-				matRes, err := directMat.ExecuteContext(t.Context(), src, qof.WithPartialResults())
-				if err != nil {
-					t.Fatalf("query %d %q: direct materializing facade: %v", i, src, err)
-				}
-				got := canonical(t, matLeg.post(t, src))
-				want := expected(t, matRes, matLeg.srv.Epoch(), matLeg.shards, nFiles)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("query %d %q: %s diverges from the materializing facade:\n  got  %s\n  want %s",
-						i, src, matLeg.name, got, want)
 				}
 				if len(res.Hits) > 0 {
 					nonEmpty++
@@ -331,7 +302,7 @@ func TestHTTPDifferentialDegraded(t *testing.T) {
 	if err := direct.AddAll(files); err != nil {
 		t.Fatal(err)
 	}
-	leg := startLeg(t, "bibtex/shards=4", schema, files, 4, false, false)
+	leg := startLeg(t, "bibtex/shards=4", schema, files, 4)
 	const src = `SELECT r FROM References r`
 	res, err := direct.ExecuteContext(t.Context(), src,
 		qof.WithPartialResults(), qof.WithMaxRegions(1))
@@ -352,8 +323,8 @@ func TestHTTPDifferentialDegraded(t *testing.T) {
 }
 
 // TestHTTPDifferentialReplicated pins the tentpole invariant: replication
-// is envelope-invisible. The full shard grid (1, 2, 4, 7) on both
-// executors runs with two replicas per file, and every response must be
+// is envelope-invisible. The full shard grid (1, 2, 4, 7) runs with two
+// replicas per file, and every response must be
 // byte-identical to the direct single-corpus facade — replica copies must
 // never double-count hits, stats, or file totals. A final leg forces one
 // shard's breaker open and replays the workload: answers must come from
@@ -367,30 +338,15 @@ func TestHTTPDifferentialReplicated(t *testing.T) {
 	if err := direct.AddAll(files); err != nil {
 		t.Fatal(err)
 	}
-	directMat := schema.NewCorpus(qof.WithParallelism(2), qof.WithMaterializing())
-	if err := directMat.AddAll(files); err != nil {
-		t.Fatal(err)
-	}
 
-	type gridLeg struct {
-		leg *daemonLeg
-		mat bool
-	}
-	var legs []gridLeg
+	var legs []*daemonLeg
 	for _, shards := range []int{1, 2, 4, 7} {
-		for _, mat := range []bool{false, true} {
-			name := fmt.Sprintf("bibtex/shards=%d+r2", shards)
-			if mat {
-				name += "+materializing"
-			}
-			legs = append(legs, gridLeg{mat: mat, leg: startLegCfg(t, name, files, serve.Config{
-				Schema:        schema,
-				Shards:        shards,
-				Replicas:      2,
-				Parallelism:   2,
-				Materializing: mat,
-			})})
-		}
+		legs = append(legs, startLegCfg(t, fmt.Sprintf("bibtex/shards=%d+r2", shards), files, serve.Config{
+			Schema:      schema,
+			Shards:      shards,
+			Replicas:    2,
+			Parallelism: 2,
+		}))
 	}
 	// The forced-failover leg: shard 0's breaker is pinned open, so every
 	// group with primary 0 must route to its secondary replica.
@@ -410,20 +366,12 @@ func TestHTTPDifferentialReplicated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d %q: direct facade: %v", i, src, err)
 		}
-		matRes, err := directMat.ExecuteContext(t.Context(), src, qof.WithPartialResults())
-		if err != nil {
-			t.Fatalf("query %d %q: direct materializing facade: %v", i, src, err)
-		}
-		for _, gl := range legs {
-			ref := res
-			if gl.mat {
-				ref = matRes
-			}
-			got := canonical(t, gl.leg.post(t, src))
-			want := expected(t, ref, gl.leg.srv.Epoch(), gl.leg.shards, nFiles)
+		for _, leg := range legs {
+			got := canonical(t, leg.post(t, src))
+			want := expected(t, res, leg.srv.Epoch(), leg.shards, nFiles)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("query %d %q: %s diverges from the direct facade:\n  got  %s\n  want %s",
-					i, src, gl.leg.name, got, want)
+					i, src, leg.name, got, want)
 			}
 		}
 		got := canonical(t, broken.post(t, src))
@@ -441,67 +389,5 @@ func TestHTTPDifferentialReplicated(t *testing.T) {
 	}
 	if st := broken.srv.BreakerState(0); st != "open" {
 		t.Errorf("forced breaker reads %s after the workload, want open", st)
-	}
-}
-
-// TestHTTPSharedConcurrentDifferential stampedes a shared-execution daemon
-// with overlapping clients replaying a generated workload and checks every
-// response byte-identical to the sequential unshared facade reference: the
-// batching window, the cross-query CSE table and the parse-dedup table must
-// be invisible in the envelope no matter which queries happened to overlap.
-// Run under -race this is the serving layer's shared-execution gate.
-func TestHTTPSharedConcurrentDifferential(t *testing.T) {
-	files := domainFiles("bibtex")
-	schema := schemaFor("bibtex")
-	direct := schema.NewCorpus(qof.WithParallelism(2))
-	if err := direct.AddAll(files); err != nil {
-		t.Fatal(err)
-	}
-	leg := startLeg(t, "bibtex/shards=2+shared", schema, files, 2, false, true)
-
-	const nQueries = 40
-	gen := qgen.NewQueryGen(qgenDomain("bibtex"), diffQuerySeed+1)
-	queries := make([]string, 0, nQueries)
-	want := make(map[string][]byte, nQueries)
-	for len(queries) < nQueries {
-		src := gen.Query().String()
-		if _, ok := want[src]; ok {
-			continue
-		}
-		res, err := direct.ExecuteContext(t.Context(), src, qof.WithPartialResults())
-		if err != nil {
-			t.Fatalf("%q: direct facade: %v", src, err)
-		}
-		queries = append(queries, src)
-		want[src] = expected(t, res, leg.srv.Epoch(), leg.shards, len(files))
-	}
-
-	const clients = 8
-	const rounds = 3
-	var wg sync.WaitGroup
-	errc := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				// Stagger so clients overlap on the same query and on
-				// different queries of the mix.
-				for off := range queries {
-					src := queries[(c+r+off)%len(queries)]
-					got := canonical(t, leg.post(t, src))
-					if !bytes.Equal(got, want[src]) {
-						errc <- fmt.Errorf("client %d: %q diverged under shared execution:\n  got  %s\n  want %s",
-							c, src, got, want[src])
-						return
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
 	}
 }

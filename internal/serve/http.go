@@ -126,8 +126,7 @@ type errorBody struct {
 
 // retryAfterSeconds renders the shed backoff hint with jitter — uniform over
 // [base, 1.5×base], rounded up to whole seconds — so clients shed together
-// don't retry together and re-stampede the admission gate (and, with shared
-// execution, the batcher) in lockstep.
+// don't retry together and re-stampede the admission gate in lockstep.
 func (s *Server) retryAfterSeconds() int {
 	base := s.cfg.retryAfter()
 	d := base + time.Duration(rand.Int64N(int64(base)/2+1))
@@ -298,10 +297,6 @@ type MetricsBody struct {
 	CanceledTotal    uint64                   `json:"canceled_total"`
 	DegradedTotal    uint64                   `json:"degraded_total"`
 	Inflight         int64                    `json:"inflight"`
-	SharedQueries    uint64                   `json:"shared_queries_total"`
-	SharedScansTotal uint64                   `json:"shared_scans_total"`
-	CSEHitsTotal     uint64                   `json:"cse_hits_total"`
-	ParseDedupsTotal uint64                   `json:"parse_dedups_total"`
 	Replicas         int                      `json:"replicas"`
 	HedgesSent       uint64                   `json:"hedges_sent_total"`
 	HedgesWon        uint64                   `json:"hedges_won_total"`
@@ -319,14 +314,10 @@ type MetricsBody struct {
 
 // TenantMetrics are one tenant's counters.
 type TenantMetrics struct {
-	Queries       uint64 `json:"queries"`
-	Shed          uint64 `json:"shed"`
-	SharedQueries uint64 `json:"shared_queries,omitempty"`
-	SharedScans   uint64 `json:"shared_scans,omitempty"`
-	CSEHits       uint64 `json:"cse_hits,omitempty"`
-	ParseDedups   uint64 `json:"parse_dedups,omitempty"`
-	Hedges        uint64 `json:"hedges,omitempty"`
-	Failovers     uint64 `json:"failovers,omitempty"`
+	Queries   uint64 `json:"queries"`
+	Shed      uint64 `json:"shed"`
+	Hedges    uint64 `json:"hedges,omitempty"`
+	Failovers uint64 `json:"failovers,omitempty"`
 }
 
 // Metrics snapshots the server's counters.
@@ -339,10 +330,6 @@ func (s *Server) Metrics() MetricsBody {
 		CanceledTotal:    s.met.canceled.Load(),
 		DegradedTotal:    s.met.degraded.Load(),
 		Inflight:         s.met.inflight.Load(),
-		SharedQueries:    s.met.sharedQueries.Load(),
-		SharedScansTotal: s.met.sharedScans.Load(),
-		CSEHitsTotal:     s.met.cseHits.Load(),
-		ParseDedupsTotal: s.met.parseDedups.Load(),
 		Replicas:         s.cfg.replicas(),
 		HedgesSent:       s.met.hedgesSent.Load(),
 		HedgesWon:        s.met.hedgesWon.Load(),
@@ -369,14 +356,10 @@ func (s *Server) Metrics() MetricsBody {
 		for _, n := range names {
 			tc := s.met.tenant(n)
 			m.Tenants[n] = TenantMetrics{
-				Queries:       tc.queries.Load(),
-				Shed:          tc.shed.Load(),
-				SharedQueries: tc.sharedQueries.Load(),
-				SharedScans:   tc.sharedScans.Load(),
-				CSEHits:       tc.cseHits.Load(),
-				ParseDedups:   tc.parseDedups.Load(),
-				Hedges:        tc.hedges.Load(),
-				Failovers:     tc.failovers.Load(),
+				Queries:   tc.queries.Load(),
+				Shed:      tc.shed.Load(),
+				Hedges:    tc.hedges.Load(),
+				Failovers: tc.failovers.Load(),
 			}
 		}
 	}

@@ -19,14 +19,6 @@ type metrics struct {
 	degraded atomic.Uint64 // completed with at least one degraded file
 	inflight atomic.Int64  // admitted and still executing
 
-	// Shared-execution counters (Config.SharedExecution): how much work
-	// concurrent queries eliminated by sharing it. All zero when sharing is
-	// off or every query ran alone.
-	sharedQueries atomic.Uint64 // queries that shared any work
-	sharedScans   atomic.Uint64 // word lookups answered by batched scans
-	cseHits       atomic.Uint64 // evaluations received via cross-query CSE
-	parseDedups   atomic.Uint64 // phase-2 parses shared instead of repeated
-
 	// Replication counters: hedging, failover and breaker activity.
 	hedgesSent atomic.Uint64 // hedged attempts dispatched
 	hedgesWon  atomic.Uint64 // groups whose winning attempt was a hedge
@@ -53,12 +45,6 @@ type metrics struct {
 type tenantCounters struct {
 	queries atomic.Uint64 // submissions (admitted or shed)
 	shed    atomic.Uint64
-
-	// Per-tenant shared-execution counters, mirroring the server-wide ones.
-	sharedQueries atomic.Uint64
-	sharedScans   atomic.Uint64
-	cseHits       atomic.Uint64
-	parseDedups   atomic.Uint64
 
 	// Per-tenant replication counters.
 	hedges    atomic.Uint64

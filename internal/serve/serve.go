@@ -95,14 +95,6 @@ type Config struct {
 	// concurrently within one shard, and concurrent index builds during
 	// Publish). Values < 2 are sequential.
 	Parallelism int
-	// Materializing selects the materializing reference executor for
-	// every shard, for differential testing against the streaming default.
-	Materializing bool
-	// SharedExecution enables cross-query work sharing within each shard:
-	// batched multi-pattern scans, cross-query CSE and phase-2 parse dedup
-	// (the facade's WithSharedExecution). Responses are byte-identical
-	// either way; /metrics reports how much work was shared.
-	SharedExecution bool
 
 	// MaxInflight bounds the queries executing at once, server-wide;
 	// admission beyond it sheds with ErrShed. Values < 1 mean 64.
@@ -327,14 +319,7 @@ func (s *Server) PublishContext(ctx context.Context, files map[string]string) (u
 				errs[i] = err
 				return
 			}
-			opts := []qof.IndexOption{qof.WithParallelism(s.cfg.Parallelism)}
-			if s.cfg.Materializing {
-				opts = append(opts, qof.WithMaterializing())
-			}
-			if s.cfg.SharedExecution {
-				opts = append(opts, qof.WithSharedExecution())
-			}
-			c := s.cfg.Schema.NewCorpus(opts...)
+			c := s.cfg.Schema.NewCorpus(qof.WithParallelism(s.cfg.Parallelism))
 			if err := c.AddAllContext(ctx, perShard[i]); err != nil {
 				errs[i] = err
 				return
@@ -563,19 +548,6 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 		resp.Stats.ParsedBytes += o.res.Stats.ParsedBytes
 		resp.Stats.Exact = resp.Stats.Exact || o.res.Stats.Exact
 		resp.Stats.FullScan = resp.Stats.FullScan || o.res.Stats.FullScan
-		resp.Stats.SharedScans += o.res.Stats.SharedScans
-		resp.Stats.CSEHits += o.res.Stats.CSEHits
-		resp.Stats.ParseDedups += o.res.Stats.ParseDedups
-	}
-	if n := resp.Stats.SharedScans + resp.Stats.CSEHits + resp.Stats.ParseDedups; n > 0 {
-		s.met.sharedQueries.Add(1)
-		tc.sharedQueries.Add(1)
-		s.met.sharedScans.Add(uint64(resp.Stats.SharedScans))
-		tc.sharedScans.Add(uint64(resp.Stats.SharedScans))
-		s.met.cseHits.Add(uint64(resp.Stats.CSEHits))
-		tc.cseHits.Add(uint64(resp.Stats.CSEHits))
-		s.met.parseDedups.Add(uint64(resp.Stats.ParseDedups))
-		tc.parseDedups.Add(uint64(resp.Stats.ParseDedups))
 	}
 	// Partial mode returns an error alongside results when the context it
 	// ran under ended. A shard-local deadline is already reflected in that

@@ -519,74 +519,3 @@ func TestShardOf(t *testing.T) {
 		}
 	}
 }
-
-// TestSharedCountersFlowToMetrics proves the shared-execution counter
-// plumbing end to end: response Stats sum exactly into the server-wide and
-// per-tenant /metrics totals, and shared_queries_total counts precisely the
-// responses that shared any work. The stampede runs with the result cache
-// forced to miss (so every execution does its own phase 2 instead of
-// reading the first answer) and per-candidate phase-2 work stretched by an
-// injected delay, so the executions overlap — and therefore actually share
-// — on any scheduler, including a single CPU.
-func TestSharedCountersFlowToMetrics(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2, SharedExecution: true})
-	if _, err := srv.Publish(sampleFiles(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Configure(
-		faultinject.ResultCacheGet + "=error, " + faultinject.Phase2 + "=delay:2ms"); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Reset()
-	// A value join is never index-exact, so every candidate parses.
-	const joinQuery = `SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`
-	const clients = 12
-	responses := make([]*serve.Response, clients)
-	errs := make([]error, clients)
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			<-gate
-			responses[c], errs[c] = srv.Execute(context.Background(),
-				serve.Request{Query: joinQuery, Tenant: "stampede"})
-		}(c)
-	}
-	close(gate)
-	wg.Wait()
-	var scans, cse, dedups, sharedQueries uint64
-	for c := 0; c < clients; c++ {
-		if errs[c] != nil {
-			t.Fatalf("client %d: %v", c, errs[c])
-		}
-		st := responses[c].Stats
-		scans += uint64(st.SharedScans)
-		cse += uint64(st.CSEHits)
-		dedups += uint64(st.ParseDedups)
-		if st.SharedScans+st.CSEHits+st.ParseDedups > 0 {
-			sharedQueries++
-		}
-	}
-	m := srv.Metrics()
-	if m.SharedScansTotal != scans || m.CSEHitsTotal != cse || m.ParseDedupsTotal != dedups {
-		t.Errorf("server totals (scans=%d cse=%d dedups=%d) != response sums (%d, %d, %d)",
-			m.SharedScansTotal, m.CSEHitsTotal, m.ParseDedupsTotal, scans, cse, dedups)
-	}
-	if m.SharedQueries != sharedQueries {
-		t.Errorf("shared_queries_total = %d, want %d (responses with any shared work)",
-			m.SharedQueries, sharedQueries)
-	}
-	tm, ok := m.Tenants["stampede"]
-	if !ok {
-		t.Fatal("tenant counters missing from /metrics")
-	}
-	if tm.SharedScans != scans || tm.CSEHits != cse || tm.ParseDedups != dedups || tm.SharedQueries != sharedQueries {
-		t.Errorf("tenant counters %+v != response sums (scans=%d cse=%d dedups=%d shared=%d)",
-			tm, scans, cse, dedups, sharedQueries)
-	}
-	if scans+cse+dedups == 0 {
-		t.Error("stampede with forced overlap shared no work at all")
-	}
-}

@@ -107,7 +107,7 @@ func (s *Schema) IndexContext(ctx context.Context, name, content string, opts ..
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: s, eng: newEngine(s.cat, in, cfg)}, nil
+	return &File{schema: s, eng: newEngine(s.cat, in, cfg.parallelism)}, nil
 }
 
 // QueryContext is Query under a context and per-query resource budgets.
@@ -176,12 +176,9 @@ type FileError struct {
 }
 
 // CorpusStats aggregates execution statistics over the files of a corpus
-// query. The result-facing fields (Results through FullScan) are
-// partition-invariant: splitting the same files across several corpora (as
+// query. Every field is partition-invariant: splitting the same files across several corpora (as
 // the qofd shards do) and summing per-corpus stats yields the same totals as
-// one corpus holding them all. The shared-execution counters (SharedScans,
-// CSEHits, ParseDedups) are observational — they describe how much work this
-// execution shared with concurrent queries, which depends on scheduling.
+// one corpus holding them all.
 type CorpusStats struct {
 	// Results is the total number of result rows across files.
 	Results int
@@ -195,15 +192,6 @@ type CorpusStats struct {
 	Exact bool
 	// FullScan reports that the index offered no narrowing on some file.
 	FullScan bool
-	// SharedScans is the number of word-leaf lookups answered by a batched
-	// multi-pattern scan (shared execution; always 0 otherwise).
-	SharedScans int
-	// CSEHits is the number of subexpression or candidate-set evaluations
-	// this query received from a concurrent query via cross-query CSE.
-	CSEHits int
-	// ParseDedups is the number of phase-2 parses this query shared instead
-	// of performing itself.
-	ParseDedups int
 }
 
 // CorpusResults is the outcome of a corpus query run with ExecuteContext.
@@ -261,9 +249,6 @@ func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOp
 		ParsedBytes: res.Stats.ParsedBytes,
 		Exact:       res.Stats.Exact,
 		FullScan:    res.Stats.FullScan,
-		SharedScans: res.Stats.SharedScans,
-		CSEHits:     res.Stats.CSEHits,
-		ParseDedups: res.Stats.ParseDedups,
 	}}
 	for _, h := range res.Hits {
 		hit := CorpusHit{File: h.File, Values: append([]string(nil), h.Strings...)}

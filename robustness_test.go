@@ -33,26 +33,35 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := setup.Engine
-	join := xsql.MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`)
 	author := xsql.MustParse(`SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`)
 
-	// Both executors must honor the deadline mid-flight: the streaming
-	// iterator pipeline polls inside Next, the materializing reference
-	// inside its kernels and per parsed candidate.
-	for _, mode := range []struct {
-		name          string
-		materializing bool
-	}{{"streaming", false}, {"materializing", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			eng.Materializing = mode.materializing
-
-			// The query is far too big for 1ms: unconstrained it parses
-			// thousands of candidates. The deadline must interrupt it
-			// mid-flight.
+	// One query per way the plan's shape sends it, each far too big for
+	// 1ms. The join is a Section 5.2 fast-join plan: phase 1 is a complete
+	// set from the set evaluator, which polls inside its kernels, and
+	// phase 2 polls per candidate. The Title projection streams: the
+	// iterator pipeline polls inside Next while phase 2 parses thousands of
+	// candidates. The deadline must interrupt both mid-flight.
+	for _, c := range []struct {
+		name string
+		q    *xsql.Query
+		want int // ground-truth results; -1: whatever an unhurried run returns
+	}{
+		{"complete set", xsql.MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`), setup.Stats.SelfEditedByAuth},
+		{"streaming", xsql.MustParse(`SELECT r.Title FROM References r WHERE r.Abstract CONTAINS "system"`), -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := c.want
+			if want < 0 {
+				res, err := eng.Execute(c.q)
+				if err != nil || res.Stats.Parsed < 1000 {
+					t.Fatalf("unhurried run: %v, %v; want thousands of parsed candidates", res, err)
+				}
+				want = res.Stats.Results
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err = eng.ExecuteContext(ctx, join, engine.Limits{})
+			_, err = eng.ExecuteContext(ctx, c.q, engine.Limits{})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("1ms deadline: err = %v, want context.DeadlineExceeded", err)
@@ -64,12 +73,12 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 			// The killed run poisoned nothing: the same engine answers both
 			// the interrupted query and an unrelated one with ground-truth
 			// counts.
-			res, err := eng.Execute(join)
+			res, err := eng.Execute(c.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats.Results != setup.Stats.SelfEditedByAuth {
-				t.Errorf("join after deadline: %d results, want %d", res.Stats.Results, setup.Stats.SelfEditedByAuth)
+			if res.Stats.Results != want {
+				t.Errorf("after the deadline: %d results, want %d", res.Stats.Results, want)
 			}
 			res, err = eng.Execute(author)
 			if err != nil {
@@ -83,43 +92,63 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 }
 
 func TestFacadeQueryBudgets(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []qof.IndexOption
-	}{
-		{"streaming", nil},
-		{"materializing", []qof.IndexOption{qof.WithMaterializing()}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			f, err := qof.BibTeX().Index("b.bib", bibtex.SampleEntry, mode.opts...)
-			if err != nil {
-				t.Fatal(err)
+	// matrixQuery and the Title projection stream their candidates.
+	t.Run("streaming", func(t *testing.T) {
+		f, err := qof.BibTeX().Index("b.bib", bibtex.SampleEntry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.QueryContext(t.Context(), matrixQuery, qof.WithMaxRegions(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
+			t.Errorf("WithMaxRegions(1): err = %v, want ErrBudgetExceeded", err)
+		}
+		// The byte budget charges what phase 2 parses. matrixQuery is an
+		// exact whole-object select — spans, nothing parsed — so the
+		// budget is tried on a projection the index cannot answer (a
+		// Title region is quoted, not the value verbatim).
+		const titleQuery = `SELECT r.Title FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
+		if _, err := f.QueryContext(t.Context(), titleQuery, qof.WithMaxEvalBytes(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
+			t.Errorf("WithMaxEvalBytes(1): err = %v, want ErrBudgetExceeded", err)
+		}
+		if res, err := f.QueryContext(t.Context(), matrixQuery, qof.WithMaxEvalBytes(1)); err != nil || res.Stats.Parsed != 0 {
+			t.Errorf("WithMaxEvalBytes(1) on a query that parses nothing: res = %v, err = %v", res, err)
+		}
+		// Generous budgets do not interfere, and the budget-killed runs
+		// were never cached as wrong answers.
+		for _, src := range []string{matrixQuery, titleQuery} {
+			res, err := f.QueryContext(t.Context(), src,
+				qof.WithMaxRegions(1_000_000), qof.WithMaxEvalBytes(1<<30))
+			if err != nil || res.Len() != 1 {
+				t.Fatalf("generous budgets on %s: res = %v, err = %v", src, res, err)
 			}
-			if _, err := f.QueryContext(t.Context(), matrixQuery, qof.WithMaxRegions(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
-				t.Errorf("WithMaxRegions(1): err = %v, want ErrBudgetExceeded", err)
-			}
-			// The byte budget charges what phase 2 parses. matrixQuery is an
-			// exact whole-object select — spans, nothing parsed — so the
-			// budget is tried on a projection the index cannot answer (a
-			// Title region is quoted, not the value verbatim).
-			const titleQuery = `SELECT r.Title FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
-			if _, err := f.QueryContext(t.Context(), titleQuery, qof.WithMaxEvalBytes(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
-				t.Errorf("WithMaxEvalBytes(1): err = %v, want ErrBudgetExceeded", err)
-			}
-			if res, err := f.QueryContext(t.Context(), matrixQuery, qof.WithMaxEvalBytes(1)); err != nil || res.Stats.Parsed != 0 {
-				t.Errorf("WithMaxEvalBytes(1) on a query that parses nothing: res = %v, err = %v", res, err)
-			}
-			// Generous budgets do not interfere, and the budget-killed runs
-			// were never cached as wrong answers.
-			for _, src := range []string{matrixQuery, titleQuery} {
-				res, err := f.QueryContext(t.Context(), src,
-					qof.WithMaxRegions(1_000_000), qof.WithMaxEvalBytes(1<<30))
-				if err != nil || res.Len() != 1 {
-					t.Fatalf("generous budgets on %s: res = %v, err = %v", src, res, err)
-				}
-			}
-		})
-	}
+		}
+	})
+	// An index-only projection computes complete sets on the set evaluator,
+	// which charges the region budget per operator result; a full scan
+	// charges the byte budget the whole document before any candidate.
+	t.Run("complete set", func(t *testing.T) {
+		f, err := qof.BibTeX().Index("b.bib", bibtex.SampleEntry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const nameQuery = `SELECT r.Authors.Name.Last_Name FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
+		if _, err := f.QueryContext(t.Context(), nameQuery, qof.WithMaxRegions(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
+			t.Errorf("WithMaxRegions(1) on an index-only projection: err = %v, want ErrBudgetExceeded", err)
+		}
+		res, err := f.QueryContext(t.Context(), nameQuery, qof.WithMaxRegions(1_000_000))
+		if err != nil || res.Len() != 2 || !strings.Contains(res.Explain(), "index-only projection") {
+			t.Fatalf("%s: res = %v, err = %v, want both authors from an index-only plan", nameQuery, res, err)
+		}
+		scanned, err := qof.BibTeX().Index("b.bib", bibtex.SampleEntry, qof.WithRegions("Key"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scanned.QueryContext(t.Context(), matrixQuery, qof.WithMaxEvalBytes(1)); !errors.Is(err, qof.ErrBudgetExceeded) {
+			t.Errorf("WithMaxEvalBytes(1) on a full scan: err = %v, want ErrBudgetExceeded", err)
+		}
+		if res, err := scanned.QueryContext(t.Context(), matrixQuery, qof.WithMaxEvalBytes(1<<30)); err != nil || res.Len() != 1 || !res.Stats.FullScan {
+			t.Fatalf("full scan under a generous budget: res = %v, err = %v", res, err)
+		}
+	})
 }
 
 func TestFacadeCorpusFileTimeout(t *testing.T) {
