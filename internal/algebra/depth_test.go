@@ -47,3 +47,30 @@ func TestDepthLimit(t *testing.T) {
 		t.Fatalf("500000 open parentheses: got %v, want a budget error", err)
 	}
 }
+
+// TestStringLinear pins String's and Pretty's cost by allocation count, not
+// by a clock: one builder is handed down the tree, so an expression twice as
+// deep allocates for the builder's growth only — a handful more, not twice
+// as many (each node concatenating its children's strings would allocate
+// once per node). The forms nest on both sides, with parentheses, calls and
+// quoted words.
+func TestStringLinear(t *testing.T) {
+	forms := map[string]func(levels int) string{
+		"left":   func(n int) string { return strings.Repeat("(", n) + "A" + strings.Repeat(" > A)", n) },
+		"right":  func(n int) string { return "A" + strings.Repeat(" >d A", n) },
+		"select": func(n int) string { return strings.Repeat("contains(", n) + "A" + strings.Repeat(`, "w")`, n) },
+	}
+	for name, form := range forms {
+		for render, fn := range map[string]func(Expr) string{"String": Expr.String, "Pretty": Pretty} {
+			allocs := func(levels int) float64 {
+				e := MustParse(form(levels))
+				return testing.AllocsPerRun(20, func() { _ = fn(e) })
+			}
+			half, full := allocs(MaxDepth/2-1), allocs(MaxDepth-1)
+			if half > 16 || full > half+4 {
+				t.Errorf("%s %s allocates %.0f times at depth %d and %.0f at depth %d; want a builder's growth, not one per node",
+					name, render, half, MaxDepth/2, full, MaxDepth)
+			}
+		}
+	}
+}

@@ -525,9 +525,17 @@ func (ev *Evaluator) apply(ctx *evalCtx, op BinOp, l, r region.Set) (region.Set,
 		if ev.UseLayeredDirect {
 			return ev.layeredDirectlyIncluding(ctx.checker(), l, r)
 		}
-		return ev.in.Universe().DirectlyIncludingCtl(l, r, ctx.checker())
+		u, err := ev.in.UniverseCtl(ctx.checker())
+		if err != nil {
+			return region.Empty, err
+		}
+		return u.DirectlyIncludingCtl(l, r, ctx.checker())
 	case OpDirIncluded:
-		return ev.in.Universe().DirectlyIncludedCtl(l, r, ctx.checker())
+		u, err := ev.in.UniverseCtl(ctx.checker())
+		if err != nil {
+			return region.Empty, err
+		}
+		return u.DirectlyIncludedCtl(l, r, ctx.checker())
 	default:
 		return region.Empty, fmt.Errorf("algebra: unknown operator %v", op)
 	}

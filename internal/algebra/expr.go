@@ -21,6 +21,7 @@ package algebra
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // BinOp identifies a binary operator of the region algebra.
@@ -176,22 +177,99 @@ func (Unary) isExpr()  {}
 func (Select) isExpr() {}
 
 func (e Name) String() string   { return e.Ident }
-func (e Word) String() string   { return "word(" + strconv.Quote(e.W) + ")" }
-func (e Prefix) String() string { return "prefix(" + strconv.Quote(e.P) + ")" }
-func (e Match) String() string  { return "match(" + strconv.Quote(e.S) + ")" }
+func (e Word) String() string   { return exprString(e) }
+func (e Prefix) String() string { return exprString(e) }
+func (e Match) String() string  { return exprString(e) }
+func (e Binary) String() string { return exprString(e) }
+func (e Unary) String() string  { return exprString(e) }
+func (e Select) String() string { return exprString(e) }
 
-func (e Binary) String() string {
-	l := maybeParen(e.L, e.Op, true)
-	r := maybeParen(e.R, e.Op, false)
-	return l + " " + e.Op.String() + " " + r
+// exprString renders e through one builder handed down the tree, so the
+// cost is linear in the output: String on each node concatenating its
+// children's would be quadratic in the nesting depth. The builder stays on
+// the stack, and 64 bytes hold most expressions a plan evaluates.
+func exprString(e Expr) string {
+	var sb strings.Builder
+	sb.Grow(64)
+	writeExpr(&sb, e)
+	return sb.String()
 }
 
-func (e Unary) String() string {
-	return e.Op.String() + "(" + e.Arg.String() + ")"
+func writeExpr(sb *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case Name:
+		sb.WriteString(e.Ident)
+	case Word:
+		writeCall(sb, "word(", e.W)
+	case Prefix:
+		writeCall(sb, "prefix(", e.P)
+	case Match:
+		writeCall(sb, "match(", e.S)
+	case Binary:
+		writeChild(sb, e.L, needsParen(e.L, e.Op, true), false)
+		sb.WriteByte(' ')
+		sb.WriteString(e.Op.String())
+		sb.WriteByte(' ')
+		writeChild(sb, e.R, needsParen(e.R, e.Op, false), false)
+	case Unary:
+		sb.WriteString(e.Op.String())
+		sb.WriteByte('(')
+		writeExpr(sb, e.Arg)
+		sb.WriteByte(')')
+	case Select:
+		sb.WriteString(e.Mode.String())
+		sb.WriteByte('(')
+		writeExpr(sb, e.Arg)
+		sb.WriteString(", ")
+		writeQuoted(sb, e.W)
+		sb.WriteByte(')')
+	case Near:
+		sb.WriteString("near(")
+		writeExpr(sb, e.E)
+		sb.WriteString(", ")
+		writeExpr(sb, e.To)
+		sb.WriteString(", ")
+		sb.WriteString(strconv.Itoa(e.K))
+		sb.WriteByte(')')
+	case Freq:
+		sb.WriteString("freq(")
+		writeExpr(sb, e.Arg)
+		sb.WriteString(", ")
+		writeQuoted(sb, e.W)
+		sb.WriteString(", ")
+		sb.WriteString(strconv.Itoa(e.N))
+		sb.WriteByte(')')
+	}
 }
 
-func (e Select) String() string {
-	return e.Mode.String() + "(" + e.Arg.String() + ", " + strconv.Quote(e.W) + ")"
+// writeCall renders a one-string call: fn is the name with its parenthesis.
+func writeCall(sb *strings.Builder, fn, s string) {
+	sb.WriteString(fn)
+	writeQuoted(sb, s)
+	sb.WriteByte(')')
+}
+
+// writeQuoted writes s as a Go string literal, through a stack buffer for
+// the common short string.
+func writeQuoted(sb *strings.Builder, s string) {
+	var buf [64]byte
+	sb.Write(strconv.AppendQuote(buf[:0], s))
+}
+
+// writeChild writes an operand of a binary node, parenthesized when paren,
+// in the String form or, when pretty, in Pretty's.
+func writeChild(sb *strings.Builder, child Expr, paren, pretty bool) {
+	if paren {
+		sb.WriteByte('(')
+	}
+	if pretty {
+		writePretty(sb, child)
+	} else {
+		writeExpr(sb, child)
+	}
+	if paren {
+		sb.WriteByte(')')
+	}
 }
 
 // precedence levels for printing: higher binds tighter.
@@ -209,69 +287,75 @@ func prec(op BinOp) int {
 	}
 }
 
-// maybeParen parenthesizes a child when required so that the printed form
-// re-parses to the same tree.
-func maybeParen(child Expr, parent BinOp, leftChild bool) string {
+// needsParen reports whether a child must be parenthesized so that the
+// printed form re-parses to the same tree.
+func needsParen(child Expr, parent BinOp, leftChild bool) bool {
 	b, ok := child.(Binary)
 	if !ok {
-		return child.String()
+		return false
 	}
 	pc, pp := prec(b.Op), prec(parent)
 	switch {
-	case pc < pp:
-		return "(" + b.String() + ")"
-	case pc > pp:
-		return b.String()
+	case pc != pp:
+		return pc < pp
 	case parent.IsInclusion():
 		// Inclusion groups from the right: the left child of an
 		// inclusion needs parens, the right child does not.
-		if leftChild {
-			return "(" + b.String() + ")"
-		}
-		return b.String()
+		return leftChild
 	default:
 		// +,-,& group from the left.
-		if leftChild {
-			return b.String()
-		}
-		return "(" + b.String() + ")"
+		return !leftChild
 	}
 }
 
 // Pretty renders the expression with the paper's operator symbols (⊃, σ, ι…).
 func Pretty(e Expr) string {
+	var sb strings.Builder
+	writePretty(&sb, e)
+	return sb.String()
+}
+
+func writePretty(sb *strings.Builder, e Expr) {
 	switch e := e.(type) {
 	case Name:
-		return e.Ident
+		sb.WriteString(e.Ident)
 	case Word:
-		return strconv.Quote(e.W)
+		writeQuoted(sb, e.W)
 	case Prefix:
-		return strconv.Quote(e.P) + "…"
+		writeQuoted(sb, e.P)
+		sb.WriteString("…")
 	case Binary:
-		l, r := Pretty(e.L), Pretty(e.R)
-		if b, ok := e.L.(Binary); ok && (prec(b.Op) < prec(e.Op) || prec(b.Op) == prec(e.Op)) {
-			l = "(" + l + ")"
-		}
-		if b, ok := e.R.(Binary); ok && prec(b.Op) < prec(e.Op) {
-			r = "(" + r + ")"
-		}
-		return l + " " + e.Op.Pretty() + " " + r
+		b, ok := e.L.(Binary)
+		writeChild(sb, e.L, ok && prec(b.Op) <= prec(e.Op), true)
+		sb.WriteByte(' ')
+		sb.WriteString(e.Op.Pretty())
+		sb.WriteByte(' ')
+		b, ok = e.R.(Binary)
+		writeChild(sb, e.R, ok && prec(b.Op) < prec(e.Op), true)
 	case Unary:
 		if e.Op == OpInnermost {
-			return "ι(" + Pretty(e.Arg) + ")"
+			sb.WriteString("ι(")
+		} else {
+			sb.WriteString("ω(")
 		}
-		return "ω(" + Pretty(e.Arg) + ")"
+		writePretty(sb, e.Arg)
+		sb.WriteByte(')')
 	case Select:
 		switch e.Mode {
 		case SelContains:
-			return "σ" + strconv.Quote(e.W) + "(" + Pretty(e.Arg) + ")"
+			sb.WriteString("σ")
 		case SelEquals:
-			return "σ=" + strconv.Quote(e.W) + "(" + Pretty(e.Arg) + ")"
+			sb.WriteString("σ=")
 		default:
-			return "σ^" + strconv.Quote(e.W) + "(" + Pretty(e.Arg) + ")"
+			sb.WriteString("σ^")
 		}
+		writeQuoted(sb, e.W)
+		sb.WriteByte('(')
+		writePretty(sb, e.Arg)
+		sb.WriteByte(')')
+	default:
+		writeExpr(sb, e)
 	}
-	return e.String()
 }
 
 // Equal reports structural equality of two expressions.

@@ -13,9 +13,7 @@ package algebra
 // the inclusion operators like σ does.
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 
 	"qof/internal/region"
 )
@@ -40,13 +38,8 @@ type Freq struct {
 func (Near) isExpr() {}
 func (Freq) isExpr() {}
 
-func (e Near) String() string {
-	return fmt.Sprintf("near(%s, %s, %d)", e.E, e.To, e.K)
-}
-
-func (e Freq) String() string {
-	return fmt.Sprintf("freq(%s, %s, %d)", e.Arg, strconv.Quote(e.W), e.N)
-}
+func (e Near) String() string { return exprString(e) }
+func (e Freq) String() string { return exprString(e) }
 
 // evalNear computes the proximity selection. Targets are scanned forward
 // from the first start position ≥ r.Start and backward with a

@@ -280,7 +280,11 @@ func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary, l region.Iterator) (r
 			sc.meter(out.Len())
 			return out.Iter(), nil
 		}
-		candSet, err := ev.in.Universe().DirectContainersOf(S, sc.check)
+		u, err := ev.in.UniverseCtl(sc.check)
+		if err != nil {
+			return nil, err
+		}
+		candSet, err := u.DirectContainersOf(S, sc.check)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +295,10 @@ func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary, l region.Iterator) (r
 		if err != nil {
 			return nil, err
 		}
-		u := ev.in.Universe()
+		u, err := ev.in.UniverseCtl(sc.check)
+		if err != nil {
+			return nil, err
+		}
 		return region.FilterIter(l, func(r region.Region) bool { return u.DirectlyWithin(r, S) }), nil
 	default:
 		return nil, fmt.Errorf("algebra: unknown operator %v", e.Op)

@@ -19,8 +19,9 @@ import (
 // Define/DefineScoped/Drop are build-time operations and must not overlap
 // with queries, but every read path (Region, Words, Universe, ...) may be
 // called from any number of goroutines. The only mutable state after
-// building — the lazily computed universe here and the lazy sistring and
-// suffix arrays in WordIndex — is guarded internally.
+// building — the universe here, built on the first direct-inclusion
+// operator, and the lazy sistring and suffix arrays in WordIndex — is
+// guarded internally.
 type Instance struct {
 	words   *WordIndex
 	regions map[string]region.Set
@@ -131,20 +132,39 @@ func (in *Instance) Names() []string {
 	return names
 }
 
-// Universe returns the universe of all indexed regions, used by the direct
-// inclusion operators. It is cached until the instance changes; the cache
-// fill is guarded so concurrent queries may trigger it safely.
-func (in *Instance) Universe() *region.Universe {
+// UniverseCtl returns the universe of all indexed regions, which only the
+// direct-inclusion operators read: nothing builds it until the first ⊃d or
+// ⊂d asks. That first caller builds it under uniMu, polling its check (nil
+// for none), and it is kept until the instance changes. A build its check
+// aborts stores nothing, so the next caller builds again. Concurrent first
+// callers wait for the one building rather than build a copy each.
+func (in *Instance) UniverseCtl(check region.Checker) (*region.Universe, error) {
 	in.uniMu.Lock()
 	defer in.uniMu.Unlock()
 	if in.universe == nil {
-		sets := make([]region.Set, 0, len(in.regions))
-		for _, s := range in.regions {
-			sets = append(sets, s)
+		u, err := region.NewUniverse(in.sets(), check)
+		if err != nil {
+			return nil, err
 		}
-		in.universe = region.NewUniverse(sets...)
+		in.universe = u
 	}
-	return in.universe
+	return in.universe, nil
+}
+
+// sets returns the named sets, in no particular order.
+func (in *Instance) sets() []region.Set {
+	sets := make([]region.Set, 0, len(in.regions))
+	for _, s := range in.regions {
+		sets = append(sets, s)
+	}
+	return sets
+}
+
+// Universe is UniverseCtl unpolled, for callers outside a query (rig's
+// Definition 3.1 check, tests, the benchmark's kernel probe).
+func (in *Instance) Universe() *region.Universe {
+	u, _ := in.UniverseCtl(nil) // a nil checker cannot fail
+	return u
 }
 
 // RegionCount reports the total number of indexed regions across all names.

@@ -30,7 +30,7 @@ func TestCtlNilCheckerMatchesPlain(t *testing.T) {
 	if got, err := R.IncludedCtl(S, nil); err != nil || !got.Equal(R.Included(S)) {
 		t.Fatalf("IncludedCtl(nil) diverges (err=%v)", err)
 	}
-	u := NewUniverse(R, S)
+	u := universeOf(R, S)
 	if got, err := u.DirectlyIncludingCtl(R, S, nil); err != nil || !got.Equal(u.DirectlyIncluding(R, S)) {
 		t.Fatalf("DirectlyIncludingCtl(nil) diverges (err=%v)", err)
 	}
@@ -46,7 +46,7 @@ func TestCtlNilCheckerMatchesPlain(t *testing.T) {
 
 func TestCtlAborts(t *testing.T) {
 	R, S := randomCtlSets(t, 100, 2)
-	u := NewUniverse(R, S)
+	u := universeOf(R, S)
 	boom := errors.New("boom")
 	fail := func() error { return boom }
 	kernels := map[string]func() (Set, error){
@@ -88,6 +88,38 @@ func TestPollStride(t *testing.T) {
 	}
 }
 
+// TestNewUniversePolls: the build polls once per stride in each of its two
+// passes — per region read in the merge, per region of the union in the
+// forest sweep — and a failing poll in either abandons it with the
+// checker's error and no universe.
+func TestNewUniversePolls(t *testing.T) {
+	outer, inner, few := skewedSets(3*pollStride, 2, 3) // few repeats a third of inner
+	sets := []Set{outer, inner, few}
+	strides := func(n int) int { return (n + pollStride - 1) / pollStride }
+	merge := strides(outer.Len() + inner.Len() + few.Len())
+	sweep := strides(outer.Len() + inner.Len())
+	polls := 0
+	if _, err := NewUniverse(sets, func() error { polls++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if polls != merge+sweep {
+		t.Fatalf("polled %d times, want %d in the merge and %d in the sweep", polls, merge, sweep)
+	}
+	boom := errors.New("boom")
+	for _, at := range []int{2, merge + 2} { // mid-merge, mid-sweep
+		calls := 0
+		u, err := NewUniverse(sets, func() error {
+			if calls++; calls == at {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) || u != nil || calls != at {
+			t.Errorf("failing poll %d: universe %v, err %v, stopped after %d polls", at, u, err, calls)
+		}
+	}
+}
+
 // TestCtlAbortMidSweep trips the checker only after the first stride,
 // proving the abort also works from the middle of a sweep (the pooled
 // scratch buffers must be released on that path; poolescape in qoflint
@@ -125,7 +157,7 @@ func TestProbeKernelsAbort(t *testing.T) {
 	n := 3 * pollStride
 	outer, inner, _ := skewedSets(n, 2, 1)
 	nested := inner.Union(outer) // not disjoint: inner regions sit inside outer ones
-	u := NewUniverse(outer, inner)
+	u := universeOf(outer, inner)
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)

@@ -267,59 +267,118 @@ type Universe struct {
 	parent []int // forest parent indexes into all.regions, -1 for roots (nested only)
 }
 
-// NewUniverse builds the universe from the union of all instance sets.
-func NewUniverse(instances ...Set) *Universe {
-	all := Empty
-	for _, s := range instances {
-		all = all.Union(s)
+// NewUniverse builds the universe from the union of the instance sets: one
+// k-way merge into a slice of exactly the union's size, then one stack sweep
+// that builds the forest and finds any partial overlap. Both passes poll
+// check every pollStride regions; a non-nil return abandons the build.
+func NewUniverse(sets []Set, check Checker) (*Universe, error) {
+	all, err := mergeSets(sets, check)
+	if err != nil {
+		return nil, err
 	}
-	u := &Universe{all: all, nested: all.ProperlyNested()}
-	if u.nested {
-		u.parent = buildForest(all.regions)
+	parent, err := buildForest(all.regions, check)
+	if err != nil {
+		return nil, err
 	}
-	return u
+	return &Universe{all: all, nested: parent != nil, parent: parent}, nil
 }
 
 // All returns the union of every instance set in the universe.
 func (u *Universe) All() Set { return u.all }
 
-// ProperlyNested reports whether the universe regions form a forest
-// (no partial overlaps).
+// ProperlyNested reports whether the universe regions form a forest (no
+// partial overlaps). Region instances extracted from parse trees always do.
 func (u *Universe) ProperlyNested() bool { return u.nested }
 
-// MaxDepth returns the number of nesting levels in the universe: 0 for an
-// empty universe and 1 when no region strictly contains another. Depth is
-// only tracked through the forest, so a non-nested universe reports 1.
-func (u *Universe) MaxDepth() int {
-	if u.all.IsEmpty() {
-		return 0
+// mergeSets returns the union of sets in one k-way merge: the least of the
+// sets' next regions is taken each step, and a region several sets hold is
+// kept once. The output buffer is sized for the sum of the operands and
+// copied down to the union's size only when some region was held twice, so
+// the universe keeps no spare capacity. One set alone is the union as it
+// is, sharing its slice.
+//
+// qoflint:canonicalizer — the merge emits in (Start asc, End desc) order
+// and drops repeats; the disjoint flag is found in the same pass.
+func mergeSets(sets []Set, check Checker) (Set, error) {
+	rests, total := nonEmpty(sets)
+	if len(rests) == 1 {
+		return Set{regions: rests[0].regions, disjoint: rests[0].disjoint}, nil
 	}
-	if !u.nested {
-		return 1
-	}
-	// Containers sort before the regions they include, so parent[i] < i
-	// and a single forward pass computes every depth.
-	depth := make([]int, len(u.parent))
-	maxd := 1
-	for i, p := range u.parent {
-		if p < 0 {
-			depth[i] = 1
-		} else {
-			depth[i] = depth[p] + 1
+	out := make([]Region, 0, total)
+	disjoint := true
+	for i := 0; len(rests) > 0; i++ {
+		if err := poll(check, i); err != nil {
+			return Empty, err
 		}
-		maxd = max(maxd, depth[i])
+		var r Region
+		r, rests = popLeast(rests)
+		if n := len(out); n == 0 || out[n-1] != r {
+			if r.End < r.Start || n > 0 && out[n-1].End > r.Start {
+				disjoint = false
+			}
+			out = append(out, r)
+		}
 	}
-	return maxd
+	if len(out) < total {
+		out = append(make([]Region, 0, len(out)), out...)
+	}
+	return Set{regions: out, disjoint: disjoint}, nil
 }
 
-// buildForest computes, for regions sorted by (Start asc, End desc) with no
-// partial overlaps, the index of each region's tightest strict container
-// (-1 for roots) with a single stack sweep.
-func buildForest(rs []Region) []int {
+// nonEmpty returns the sets that hold a region and how many they hold.
+func nonEmpty(sets []Set) ([]Set, int) {
+	out := make([]Set, 0, len(sets))
+	total := 0
+	for _, s := range sets {
+		if !s.IsEmpty() {
+			out = append(out, s)
+			total += s.Len()
+		}
+	}
+	return out, total
+}
+
+// popLeast takes the least first region off the unread rests of the merged
+// sets, dropping a rest it empties. A scan of the k heads costs what a heap
+// of them would at the dozen or two names a spec has.
+func popLeast(rests []Set) (Region, []Set) {
+	m := 0
+	for i := 1; i < len(rests); i++ {
+		if rests[i].regions[0].Before(rests[m].regions[0]) {
+			m = i
+		}
+	}
+	r := rests[m].regions[0]
+	if rests[m].regions = rests[m].regions[1:]; rests[m].IsEmpty() {
+		rests[m] = rests[len(rests)-1]
+		rests = rests[:len(rests)-1]
+	}
+	return r, rests
+}
+
+// buildForest computes, for regions sorted by (Start asc, End desc), the
+// index of each region's tightest strict container (-1 for roots) with a
+// single stack sweep polling check every pollStride regions. It returns nil
+// when two regions partially overlap, where no forest exists: the stack
+// holds a chain of nested regions, and one popped because it ends before r
+// does, but after r starts, overlaps r.
+func buildForest(rs []Region, check Checker) ([]int, error) {
 	parent := make([]int, len(rs))
 	var stack []int
 	for i, r := range rs {
-		for len(stack) > 0 && !rs[stack[len(stack)-1]].StrictlyIncludes(r) {
+		if err := poll(check, i); err != nil {
+			return nil, err
+		}
+		// Pop what does not include r: each region is pushed and popped
+		// once, so the pops cost the sweep O(n).
+		for len(stack) > 0 {
+			top := rs[stack[len(stack)-1]]
+			if top.StrictlyIncludes(r) {
+				break
+			}
+			if top.End > r.Start {
+				return nil, nil
+			}
 			stack = stack[:len(stack)-1]
 		}
 		if len(stack) > 0 {
@@ -329,7 +388,7 @@ func buildForest(rs []Region) []int {
 		}
 		stack = append(stack, i)
 	}
-	return parent
+	return parent, nil
 }
 
 // Parent returns the tightest strict container of r in the universe and

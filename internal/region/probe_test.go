@@ -454,7 +454,7 @@ func TestDirectKernelsDoNotAllocatePerRegion(t *testing.T) {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
 	outer, inner := benchSets(2000, 5)
-	u := NewUniverse(outer, inner)
+	u := universeOf(outer, inner)
 	if !u.ProperlyNested() {
 		t.Fatal("fixture universe is not nested")
 	}

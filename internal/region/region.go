@@ -342,24 +342,6 @@ func (s Set) Innermost() Set {
 	return trimmed(s, out)
 }
 
-// ProperlyNested reports whether no two regions of the set partially
-// overlap, i.e. any two regions are either disjoint or nested. Region
-// instances extracted from parse trees are always properly nested.
-func (s Set) ProperlyNested() bool {
-	// Sweep in (Start asc, End desc) order with a stack of open regions.
-	var stack []int // open region end positions
-	for _, r := range s.regions {
-		for len(stack) > 0 && stack[len(stack)-1] <= r.Start {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) > 0 && stack[len(stack)-1] < r.End {
-			return false // r starts inside the top but ends outside it
-		}
-		stack = append(stack, r.End)
-	}
-	return true
-}
-
 // Memo is a slot beside a set for one structure derived from the whole set
 // by whoever holds it — the text index keeps a named set's value order
 // there. It lives exactly as long as the Set value it was attached to:

@@ -47,18 +47,10 @@ func BenchmarkNaiveIncluding(b *testing.B) {
 
 func BenchmarkDirectlyIncludingNested(b *testing.B) {
 	outer, inner := benchSets(2000, 5)
-	u := NewUniverse(outer, inner)
+	u := universeOf(outer, inner)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.DirectlyIncluding(outer, inner)
-	}
-}
-
-func BenchmarkUniverseBuild(b *testing.B) {
-	outer, inner := benchSets(2000, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewUniverse(outer, inner)
 	}
 }
 

@@ -147,21 +147,74 @@ func TestInnermostOutermostOverlapping(t *testing.T) {
 	}
 }
 
+// universeOf builds the universe of sets without a checker, which cannot
+// fail.
+func universeOf(sets ...Set) *Universe {
+	u, _ := NewUniverse(sets, nil)
+	return u
+}
+
+// TestNewUniverseMatchesUnion: the k-way merge is the union of the sets —
+// the same regions, the same disjoint flag, no spare capacity, a region
+// several sets hold kept once — and the forest sweep's nesting verdict is
+// the definition's: no two regions partially overlap.
+func TestNewUniverseMatchesUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		var sets []Set
+		if trial%2 == 0 {
+			sets = randomSets(rng, rng.Intn(40), 1+rng.Intn(5), 30)
+		} else {
+			sets = randomNestedSets(rng, 1+rng.Intn(5), 64)
+		}
+		if trial%3 == 0 { // a set held twice
+			sets = append(sets, sets[0])
+		}
+		if trial%5 == 0 { // empty regions, which touching ones include
+			p := rng.Intn(30)
+			sets = append(sets, mk(p, p, p+1, p+1))
+		}
+		want, nonEmpty := Empty, 0
+		for _, s := range sets {
+			want = want.Union(s)
+			if !s.IsEmpty() {
+				nonEmpty++
+			}
+		}
+		u := universeOf(sets...)
+		all := u.All()
+		// One non-empty set is the universe as it is, sharing its slice.
+		if !all.Equal(want) || all.Disjoint() != want.Disjoint() || nonEmpty > 1 && cap(all.Regions()) != all.Len() {
+			t.Fatalf("trial %d: merged %v (disjoint %v, cap %d), want %v (disjoint %v)",
+				trial, all, all.Disjoint(), cap(all.Regions()), want, want.Disjoint())
+		}
+		nested := true
+		for _, a := range all.Regions() {
+			for _, b := range all.Regions() {
+				nested = nested && !a.Overlaps(b)
+			}
+		}
+		if u.ProperlyNested() != nested {
+			t.Fatalf("trial %d: %v: ProperlyNested = %v, want %v", trial, all, u.ProperlyNested(), nested)
+		}
+	}
+}
+
 func TestProperlyNested(t *testing.T) {
-	if !mk(0, 100, 10, 40, 20, 30, 50, 60).ProperlyNested() {
+	if !universeOf(mk(0, 100, 10, 40, 20, 30, 50, 60)).ProperlyNested() {
 		t.Error("nested set misreported")
 	}
-	if mk(0, 10, 5, 15).ProperlyNested() {
+	if universeOf(mk(0, 10, 5, 15)).ProperlyNested() {
 		t.Error("overlapping set misreported")
 	}
-	if !Empty.ProperlyNested() {
+	if !universeOf(Empty).ProperlyNested() {
 		t.Error("empty set is nested")
 	}
-	if !mk(0, 5, 5, 10).ProperlyNested() {
+	if !universeOf(mk(0, 5, 5, 10)).ProperlyNested() {
 		t.Error("touching regions are nested")
 	}
 	// Same-start regions nest.
-	if !mk(0, 10, 0, 5).ProperlyNested() {
+	if !universeOf(mk(0, 10, 0, 5)).ProperlyNested() {
 		t.Error("same-start nesting misreported")
 	}
 }
@@ -201,7 +254,7 @@ func TestDirectInclusionPaperExample(t *testing.T) {
 	authors := mk(10, 60)
 	name := mk(20, 50)
 	last := mk(35, 45)
-	u := NewUniverse(ref, authors, name, last)
+	u := universeOf(ref, authors, name, last)
 	if !u.ProperlyNested() {
 		t.Fatal("universe should be properly nested")
 	}
@@ -229,7 +282,7 @@ func TestDirectInclusionPaperExample(t *testing.T) {
 }
 
 func TestUniverseParent(t *testing.T) {
-	u := NewUniverse(mk(0, 100, 10, 40, 20, 30, 50, 60))
+	u := universeOf(mk(0, 100, 10, 40, 20, 30, 50, 60))
 	p, ok := u.Parent(Region{20, 30})
 	if !ok || p != (Region{10, 40}) {
 		t.Errorf("Parent([20,30)) = %v,%v", p, ok)
@@ -243,7 +296,7 @@ func TestUniverseParent(t *testing.T) {
 }
 
 func TestBetween(t *testing.T) {
-	u := NewUniverse(mk(0, 100, 10, 40, 20, 30))
+	u := universeOf(mk(0, 100, 10, 40, 20, 30))
 	if !u.Between(Region{0, 100}, Region{20, 30}) {
 		t.Error("Between should see [10,40)")
 	}
@@ -343,7 +396,7 @@ func TestDirectInclusionMatchesNaiveOverlapping(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sets := randomSets(rng, 3+rng.Intn(25), 3, 30)
 		R, S := sets[0], sets[1]
-		u := NewUniverse(sets...)
+		u := universeOf(sets...)
 		all := u.All()
 		if got, want := u.DirectlyIncluding(R, S), NaiveDirectlyIncluding(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊃d=%v want %v", trial, R, S, all, got, want)
@@ -359,7 +412,7 @@ func TestDirectInclusionMatchesNaiveNested(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sets := randomNestedSets(rng, 3, 64)
 		R, S := sets[0], sets[1]
-		u := NewUniverse(sets...)
+		u := universeOf(sets...)
 		if !u.ProperlyNested() {
 			t.Fatalf("trial %d: generator produced overlap", trial)
 		}

@@ -1,11 +1,11 @@
 // Package stats collects per-instance statistics at index time: region
-// cardinalities per class, word occurrence frequencies from the inverted
-// index, and nesting-depth figures from the universe forest. The figures
-// feed algebra.EstimateCost — the cardinality-aware costing that orders
-// operand evaluation and prices the engine's result cache — replacing the
-// paper's purely static operator-count cost (Definition 3.4) with estimates
-// grounded in the actual instance, in the spirit of the statistics-driven
-// planners of the related file-querying systems.
+// cardinalities per class and word occurrence frequencies from the inverted
+// index. The figures feed algebra.EstimateCost — the cardinality-aware
+// costing that orders operand evaluation and prices the engine's result
+// cache — replacing the paper's purely static operator-count cost
+// (Definition 3.4) with estimates grounded in the actual instance, in the
+// spirit of the statistics-driven planners of the related file-querying
+// systems.
 package stats
 
 import (
@@ -25,19 +25,14 @@ type Stats struct {
 	Regions map[string]int
 	// WordOcc maps each distinct word to its occurrence count.
 	WordOcc map[string]int
-	// UniverseSize is the number of regions in the universe (the union of
-	// all instance sets).
-	UniverseSize int
-	// MaxDepth is the number of nesting levels in the universe forest
-	// (1 = flat, 0 = empty).
-	MaxDepth int
 	// Epoch is the instance epoch the statistics were collected at;
 	// comparing it against Instance.Epoch detects staleness.
 	Epoch uint64
 }
 
-// Collect gathers statistics from an instance. It forces the universe
-// build, which the direct-inclusion operators need anyway.
+// Collect gathers statistics from an instance. It reads the named sets'
+// lengths and the word index's counts, and builds nothing the instance
+// derives lazily (the universe waits for a direct-inclusion operator).
 func Collect(in *index.Instance) *Stats {
 	doc := in.Document()
 	st := &Stats{
@@ -54,9 +49,6 @@ func Collect(in *index.Instance) *Stats {
 	in.Words().ForEachWord(func(w string, occ int) {
 		st.WordOcc[w] = occ
 	})
-	u := in.Universe()
-	st.UniverseSize = u.All().Len()
-	st.MaxDepth = u.MaxDepth()
 	return st
 }
 
@@ -74,31 +66,4 @@ func (s *Stats) WordFreq(w string) int {
 		return 0
 	}
 	return s.WordOcc[w]
-}
-
-// Merge aggregates per-file statistics into corpus-level figures: counts
-// and cardinalities sum, depth takes the maximum, and the epoch is dropped
-// (a merged Stats does not describe any single instance).
-func Merge(all ...*Stats) *Stats {
-	out := &Stats{
-		Regions: make(map[string]int),
-		WordOcc: make(map[string]int),
-	}
-	for _, s := range all {
-		if s == nil {
-			continue
-		}
-		out.DocLen += s.DocLen
-		out.TotalTokens += s.TotalTokens
-		out.UniverseSize += s.UniverseSize
-		out.MaxDepth = max(out.MaxDepth, s.MaxDepth)
-		for name, n := range s.Regions {
-			out.Regions[name] += n
-		}
-		for w, n := range s.WordOcc {
-			out.WordOcc[w] += n
-		}
-	}
-	out.DistinctWords = len(out.WordOcc)
-	return out
 }

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"qof/internal/index"
@@ -43,12 +41,6 @@ func TestCollect(t *testing.T) {
 	if got := st.RegionCard("Nope"); got != 0 {
 		t.Errorf("RegionCard(Nope) = %d, want 0", got)
 	}
-	if st.UniverseSize != 4 {
-		t.Errorf("UniverseSize = %d, want 4", st.UniverseSize)
-	}
-	if st.MaxDepth != 2 {
-		t.Errorf("MaxDepth = %d, want 2 (Inner nests in Outer)", st.MaxDepth)
-	}
 	if st.Epoch != in.Epoch() {
 		t.Errorf("Epoch = %d, want %d", st.Epoch, in.Epoch())
 	}
@@ -58,74 +50,5 @@ func TestNilReceivers(t *testing.T) {
 	var st *Stats
 	if st.RegionCard("A") != 0 || st.WordFreq("w") != 0 {
 		t.Error("nil Stats accessors must return 0")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	in := testInstance(t)
-	st := Collect(in)
-	var buf bytes.Buffer
-	if err := Save(&buf, in, st); err != nil {
-		t.Fatal(err)
-	}
-	in2, st2, err := Load(&buf, in.Document())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range in.Names() {
-		if !in2.MustRegion(name).Equal(in.MustRegion(name)) {
-			t.Errorf("region %q differs after round trip", name)
-		}
-	}
-	if !reflect.DeepEqual(st, st2) {
-		t.Errorf("stats differ after round trip:\n got %+v\nwant %+v", st2, st)
-	}
-}
-
-func TestSaveCollectsWhenNil(t *testing.T) {
-	in := testInstance(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, in, nil); err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := Load(&buf, in.Document())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, Collect(in)) {
-		t.Errorf("Save(nil) did not persist freshly collected stats: %+v", st)
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	doc := text.NewDocument("t", "x")
-	if _, _, err := Load(bytes.NewReader([]byte("not an index")), doc); err == nil {
-		t.Error("expected error for bad magic")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := &Stats{
-		DocLen: 10, TotalTokens: 4, UniverseSize: 3, MaxDepth: 2,
-		Regions: map[string]int{"A": 2, "B": 1},
-		WordOcc: map[string]int{"x": 3, "y": 1},
-	}
-	b := &Stats{
-		DocLen: 20, TotalTokens: 6, UniverseSize: 5, MaxDepth: 1,
-		Regions: map[string]int{"A": 4},
-		WordOcc: map[string]int{"y": 2, "z": 5},
-	}
-	m := Merge(a, nil, b)
-	if m.DocLen != 30 || m.TotalTokens != 10 || m.UniverseSize != 8 {
-		t.Errorf("sums wrong: %+v", m)
-	}
-	if m.MaxDepth != 2 {
-		t.Errorf("MaxDepth = %d, want max(2,1)", m.MaxDepth)
-	}
-	if m.RegionCard("A") != 6 || m.RegionCard("B") != 1 {
-		t.Errorf("region sums wrong: %+v", m.Regions)
-	}
-	if m.WordFreq("y") != 3 || m.DistinctWords != 3 {
-		t.Errorf("word merge wrong: %+v", m.WordOcc)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"qof"
+	"qof/internal/algebra"
 	"qof/internal/bibtex"
 	"qof/internal/engine"
 	"qof/internal/experiments"
@@ -89,6 +90,40 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 			}
 		})
 	}
+
+	// A ⊃d is the one operator that reads the universe of all indexed
+	// regions (530k of them here), and nothing above has built it: its first
+	// use builds it inside the query, under the query's deadline. The killed
+	// build stored nothing, so the next run builds it again and answers what
+	// the layered program — which reads no universe — does.
+	t.Run("cold universe", func(t *testing.T) {
+		e := algebra.MustParse(`Name >d Last_Name`)
+		ev := algebra.NewEvaluator(setup.Instance)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err := ev.EvalContext(ctx, e, nil, nil)
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("1ms deadline: err = %v, want context.DeadlineExceeded", err)
+		}
+		if elapsed > deadlineLatencyBound {
+			t.Errorf("deadline honored after %v, want < %v", elapsed, deadlineLatencyBound)
+		}
+		got, err := ev.EvalContext(context.Background(), e, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layered := algebra.NewEvaluator(setup.Instance)
+		layered.UseLayeredDirect = true
+		want, err := layered.Eval(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.IsEmpty() {
+			t.Errorf("after the deadline: %d regions, layered ⊃d %d", got.Len(), want.Len())
+		}
+	})
 }
 
 func TestFacadeQueryBudgets(t *testing.T) {
