@@ -1,28 +1,23 @@
 // Command qoflint runs qof's project-specific analyzers (see
 // docs/LINTING.md) over packages of this module, in the spirit of a
 // golang.org/x/tools multichecker but self-contained: the analyzers
-// enforce the engine's concurrency, caching and region invariants that
-// ordinary vet checks cannot know about.
+// enforce the lock, pool and goroutine invariants that ordinary vet checks
+// cannot know about and that no test observes.
 //
 // Usage:
 //
 //	go run ./cmd/qoflint ./...             # whole module
 //	go run ./cmd/qoflint ./internal/region # one package
-//	go run ./cmd/qoflint -run lockcheck,epochbump ./...
-//	go run ./cmd/qoflint -json ./...
 //	go run ./cmd/qoflint -list
 //
 // Exit status: 0 clean, 1 findings, 2 operational failure. Findings are
-// printed as file:line:col: message [analyzer], or with -json as one JSON
-// object per line ({"pos": ..., "analyzer": ..., "message": ...}) for
-// machine consumers. A finding is suppressed by a
-// "//qoflint:allow <analyzer> <reason>" comment on, or just above, the
+// printed as file:line:col: message [analyzer]. A finding is suppressed by
+// a "//qoflint:allow <analyzer> <reason>" comment on, or just above, the
 // offending line (or in the function's doc comment to cover the whole
 // function).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -37,19 +32,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-// jsonFinding is the -json wire shape: stable field names, one object per
-// line, so CI artifacts diff cleanly and jq-style filters stay trivial.
-type jsonFinding struct {
-	Pos      string `json:"pos"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("qoflint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as one JSON object per line")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -58,20 +43,6 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintf(out, "%-12s %s\n", a.Name, firstLine(a.Doc))
 		}
 		return 0
-	}
-
-	analyzers := lint.All()
-	if *only != "" {
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			a := lint.Lookup(name)
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "qoflint: unknown analyzer %q (use -list)\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := fs.Args()
@@ -88,23 +59,15 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "qoflint:", err)
 		return 2
 	}
-	enc := json.NewEncoder(out)
 	findings := 0
 	for _, pkg := range pkgs {
-		found, err := lint.RunPackage(pkg, analyzers)
+		found, err := lint.RunPackage(pkg, lint.All())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qoflint:", err)
 			return 2
 		}
 		for _, f := range found {
-			if *asJSON {
-				if err := enc.Encode(jsonFinding{Pos: f.Pos.String(), Analyzer: f.Analyzer, Message: f.Message}); err != nil {
-					fmt.Fprintln(os.Stderr, "qoflint:", err)
-					return 2
-				}
-			} else {
-				fmt.Fprintln(out, f)
-			}
+			fmt.Fprintln(out, f)
 			findings++
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // Analyzer describes one analysis: a name, documentation, and a Run
 // function applied to one package at a time.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, -run selections and
+	// Name identifies the analyzer in diagnostics, -list output and
 	// qoflint:allow suppression comments. By convention it is a short
 	// lowercase word.
 	Name string

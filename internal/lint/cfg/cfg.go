@@ -1,10 +1,9 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves dataflow problems on them, using only the
 // standard library. It is the flow-analysis substrate of the qoflint
-// analyzers: PR 4's checks were syntax-level (source-order scans), which
-// cannot see that a lock is released on only one branch or that an
-// iterator leaks on an early error return. A CFG makes "on all paths"
-// questions answerable.
+// analyzers: a source-order scan cannot see that a lock is released on only
+// one branch, or that a goroutine escapes its join on an early return. A
+// CFG makes "on all paths" questions answerable.
 //
 // The graph is deliberately modest — basic blocks of statements with
 // edges for if/for/range/switch/select/goto/break/continue/return — and
@@ -37,20 +36,9 @@ type Block struct {
 	Succs []*Block
 	Preds []*Block
 
-	// Cond, when non-nil, is the branch condition evaluated at the end of
-	// the block: Succs[0] is the true edge and Succs[1] the false edge.
-	// Blocks ending in unconditional control flow leave it nil.
-	Cond ast.Expr
-
 	// Head marks loop heads (targets of a back edge); the dataflow solver
 	// applies widening here.
 	Head bool
-
-	// Stmt, set on loop heads built from a for or range statement, is that
-	// statement — so analyzers can apply per-loop-kind policy (exemptions,
-	// report positions) without re-deriving the AST context. Heads of
-	// goto-formed loops leave it nil.
-	Stmt ast.Stmt
 
 	// unreachable marks blocks synthesized after a terminating statement
 	// (return, break, goto ...) purely to hold any dead code that follows.
@@ -100,15 +88,13 @@ type builder struct {
 	breaks    []branchTarget
 	continues []branchTarget
 
-	labels  map[string]*Block   // label → block starting the labeled stmt
-	gotos   []pendingGoto       // resolved after the walk (forward gotos)
-	labeled map[string]ast.Stmt // label → the labeled statement, for break/continue LABEL
+	labels map[string]*Block // label → block starting the labeled stmt
+	gotos  []pendingGoto     // resolved after the walk (forward gotos)
 }
 
 type branchTarget struct {
 	label string
 	block *Block
-	stmt  ast.Stmt // the loop/switch statement this target belongs to
 }
 
 type pendingGoto struct {
@@ -161,10 +147,8 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 		b.edge(cur, start)
 		if b.labels == nil {
 			b.labels = make(map[string]*Block)
-			b.labeled = make(map[string]ast.Stmt)
 		}
 		b.labels[s.Label.Name] = start
-		b.labeled[s.Label.Name] = s.Stmt
 		return b.stmtWithLabel(start, s.Stmt, s.Label.Name)
 
 	case *ast.ReturnStmt:
@@ -271,7 +255,6 @@ func (b *builder) ifStmt(cur *Block, s *ast.IfStmt) *Block {
 		cur.Nodes = append(cur.Nodes, s.Init)
 	}
 	cur.Nodes = append(cur.Nodes, s.Cond)
-	cur.Cond = s.Cond
 
 	after := b.newBlock()
 	then := b.newBlock()
@@ -295,12 +278,10 @@ func (b *builder) forStmt(cur *Block, s *ast.ForStmt, label string) *Block {
 		cur.Nodes = append(cur.Nodes, s.Init)
 	}
 	head := b.newBlock()
-	head.Stmt = s
 	b.edge(cur, head)
 	after := b.newDeadBlock() // live only if the loop can exit
 	if s.Cond != nil {
 		head.Nodes = append(head.Nodes, s.Cond)
-		head.Cond = s.Cond
 	}
 
 	// continue targets the post statement when present, else the head.
@@ -313,8 +294,8 @@ func (b *builder) forStmt(cur *Block, s *ast.ForStmt, label string) *Block {
 		contTarget = post
 	}
 
-	b.breaks = append(b.breaks, branchTarget{label: label, block: after, stmt: s})
-	b.continues = append(b.continues, branchTarget{label: label, block: contTarget, stmt: s})
+	b.breaks = append(b.breaks, branchTarget{label: label, block: after})
+	b.continues = append(b.continues, branchTarget{label: label, block: contTarget})
 
 	body := b.newBlock()
 	b.edge(head, body) // Succs[0]: condition true (or unconditional)
@@ -331,15 +312,14 @@ func (b *builder) forStmt(cur *Block, s *ast.ForStmt, label string) *Block {
 
 func (b *builder) rangeStmt(cur *Block, s *ast.RangeStmt, label string) *Block {
 	head := b.newBlock()
-	head.Stmt = s
 	// The range statement itself is the head's node: it evaluates the
 	// operand and assigns the iteration variables each trip.
 	head.Nodes = append(head.Nodes, s)
 	b.edge(cur, head)
 	after := b.newBlock()
 
-	b.breaks = append(b.breaks, branchTarget{label: label, block: after, stmt: s})
-	b.continues = append(b.continues, branchTarget{label: label, block: head, stmt: s})
+	b.breaks = append(b.breaks, branchTarget{label: label, block: after})
+	b.continues = append(b.continues, branchTarget{label: label, block: head})
 
 	body := b.newBlock()
 	b.edge(head, body)  // Succs[0]: next element
@@ -359,7 +339,7 @@ func (b *builder) switchStmt(cur *Block, s *ast.SwitchStmt, label string) *Block
 	if s.Tag != nil {
 		cur.Nodes = append(cur.Nodes, s.Tag)
 	}
-	return b.caseClauses(cur, s.Body.List, s, label, func(clause *ast.CaseClause, blk *Block) {
+	return b.caseClauses(cur, s.Body.List, label, func(clause *ast.CaseClause, blk *Block) {
 		for _, e := range clause.List {
 			blk.Nodes = append(blk.Nodes, e)
 		}
@@ -371,16 +351,16 @@ func (b *builder) typeSwitchStmt(cur *Block, s *ast.TypeSwitchStmt, label string
 		cur.Nodes = append(cur.Nodes, s.Init)
 	}
 	cur.Nodes = append(cur.Nodes, s.Assign)
-	return b.caseClauses(cur, s.Body.List, s, label, nil)
+	return b.caseClauses(cur, s.Body.List, label, nil)
 }
 
 // caseClauses builds the dispatch structure shared by expression and type
 // switches: an edge from cur to every case block, fallthrough edges between
 // consecutive case bodies, and a default edge to after when no default
 // clause exists.
-func (b *builder) caseClauses(cur *Block, clauses []ast.Stmt, s ast.Stmt, label string, noteExprs func(*ast.CaseClause, *Block)) *Block {
+func (b *builder) caseClauses(cur *Block, clauses []ast.Stmt, label string, noteExprs func(*ast.CaseClause, *Block)) *Block {
 	after := b.newBlock()
-	b.breaks = append(b.breaks, branchTarget{label: label, block: after, stmt: s})
+	b.breaks = append(b.breaks, branchTarget{label: label, block: after})
 
 	hasDefault := false
 	blocks := make([]*Block, len(clauses))
@@ -424,7 +404,7 @@ func (b *builder) caseClauses(cur *Block, clauses []ast.Stmt, s ast.Stmt, label 
 
 func (b *builder) selectStmt(cur *Block, s *ast.SelectStmt, label string) *Block {
 	after := b.newBlock()
-	b.breaks = append(b.breaks, branchTarget{label: label, block: after, stmt: s})
+	b.breaks = append(b.breaks, branchTarget{label: label, block: after})
 	for _, c := range s.Body.List {
 		cc, ok := c.(*ast.CommClause)
 		if !ok {
@@ -480,40 +460,6 @@ func (b *builder) markLoopHeads() {
 	for _, blk := range b.graph.Blocks {
 		blk.unreachable = color[blk.Index] == white
 	}
-}
-
-// BackEdge is one loop-closing edge: From jumps back to the loop head To.
-type BackEdge struct {
-	From, To *Block
-}
-
-// BackEdges returns the loop-closing edges, found by the same grey-stack
-// DFS that marks heads: an edge into a block still on the DFS stack closes
-// a cycle. For the reducible graphs Go's structured statements produce,
-// the result is independent of visit order.
-func (g *CFG) BackEdges() []BackEdge {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, len(g.Blocks))
-	var out []BackEdge
-	var dfs func(*Block)
-	dfs = func(blk *Block) {
-		color[blk.Index] = grey
-		for _, s := range blk.Succs {
-			switch color[s.Index] {
-			case white:
-				dfs(s)
-			case grey:
-				out = append(out, BackEdge{From: blk, To: s})
-			}
-		}
-		color[blk.Index] = black
-	}
-	dfs(g.Entry)
-	return out
 }
 
 // Inspect walks one block node like ast.Inspect, visiting only what the

@@ -61,8 +61,8 @@ func TestStraightLine(t *testing.T) {
 func TestIfElse(t *testing.T) {
 	g := build(t, "x := 1\nif x > 0 {\n x = 2\n} else {\n x = 3\n}\n_ = x")
 	// Entry ends with the condition: two successors, then/else.
-	if g.Entry.Cond == nil || len(g.Entry.Succs) != 2 {
-		t.Fatalf("entry: cond=%v succs=%d\n%s", g.Entry.Cond, len(g.Entry.Succs), g)
+	if len(g.Entry.Succs) != 2 {
+		t.Fatalf("entry succs = %d, want 2\n%s", len(g.Entry.Succs), g)
 	}
 	then, els := g.Entry.Succs[0], g.Entry.Succs[1]
 	if len(then.Nodes) != 1 || len(els.Nodes) != 1 {
@@ -94,8 +94,8 @@ func TestForLoop(t *testing.T) {
 	if head == nil {
 		t.Fatalf("no loop head marked\n%s", g)
 	}
-	if head.Cond == nil || len(head.Succs) != 2 {
-		t.Errorf("loop head: cond=%v succs=%d, want cond + 2 succs\n%s", head.Cond, len(head.Succs), g)
+	if len(head.Succs) != 2 {
+		t.Errorf("loop head succs = %d, want 2 (body, after)\n%s", len(head.Succs), g)
 	}
 	if !reaches(head.Succs[0], head) {
 		t.Errorf("body must loop back to head\n%s", g)

@@ -50,17 +50,6 @@ type Flow[S any] interface {
 	Widen(prev, merged S) S
 }
 
-// EdgeRefiner is an optional Flow extension for path-sensitive problems: a
-// flow that implements it has Refine called as states propagate along the
-// out-edges of a branching block (Forward direction only), letting the
-// analysis narrow the state with what the branch condition established —
-// "err != nil was true on this edge, so the paired iterator is nil". from
-// is the branching block (its Cond is the condition) and branch is the
-// successor index: 0 for the true edge, 1 for the false edge.
-type EdgeRefiner[S any] interface {
-	Refine(from *Block, branch int, s S) S
-}
-
 // widenAfter is how many times a loop head is revisited before the solver
 // starts widening its input state.
 const widenAfter = 3
@@ -95,8 +84,6 @@ func Solve[S any](g *CFG, dir Dir, f Flow[S]) *Result[S] {
 		return b.Preds
 	}
 
-	refiner, _ := any(f).(EdgeRefiner[S])
-
 	visits := make(map[*Block]int)
 	queue := []*Block{start}
 	queued := map[*Block]bool{start: true}
@@ -107,12 +94,8 @@ func Solve[S any](g *CFG, dir Dir, f Flow[S]) *Result[S] {
 
 		out := f.Transfer(b, res.In[b])
 		res.Out[b] = out
-		for i, s := range next(b) {
-			eff := out
-			if refiner != nil && dir == Forward && b.Cond != nil && i < 2 {
-				eff = refiner.Refine(b, i, out)
-			}
-			merged := f.Merge(res.In[s], eff)
+		for _, s := range next(b) {
+			merged := f.Merge(res.In[s], out)
 			if s.Head {
 				visits[s]++
 				if visits[s] > widenAfter {

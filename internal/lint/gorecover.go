@@ -406,3 +406,13 @@ func (r *recoverChecker) nodeJoins(node ast.Node) bool {
 	})
 	return joins
 }
+
+func calleeName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}

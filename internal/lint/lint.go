@@ -1,15 +1,15 @@
 // Package lint hosts qof's project-specific static analyzers and the glue
 // that runs them: a registry, a per-package runner, and the
-// "qoflint:allow" suppression convention. The analyzers mechanically
-// enforce invariants that PRs 1–3 left to hand-maintained discipline:
-// mutex-guarded state, epoch bumps on index mutation, pooled-buffer
-// lifetimes, and canonical region-set construction. See docs/LINTING.md.
+// "qoflint:allow" suppression convention. The analyzers enforce the
+// invariants no test can see: mutex-guarded state, pooled-buffer lifetimes,
+// and panic isolation on goroutines. See docs/LINTING.md.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -22,24 +22,17 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		LockCheck,
-		EpochBump,
 		PoolEscape,
-		RegionOrder,
-		CtxPoll,
-		IterClose,
 		GoRecover,
-		BudgetCharge,
 	}
 }
 
-// Lookup returns the analyzer with the given name, or nil.
-func Lookup(name string) *analysis.Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
+// objOf resolves an identifier to the object it uses or defines.
+func objOf(pass *analysis.Pass, id *ast.Ident) types.Object {
+	if obj := pass.TypesInfo.Uses[id]; obj != nil {
+		return obj
 	}
-	return nil
+	return pass.TypesInfo.Defs[id]
 }
 
 // Finding is one diagnostic resolved to a printable position.
@@ -56,8 +49,7 @@ func (f Finding) String() string {
 // RunPackage applies the analyzers to one loaded package and returns the
 // surviving findings (after qoflint:allow suppression) in a fully
 // deterministic order: position, then analyzer, then message — total, so
-// repeated runs (and -json artifact diffs) are byte-stable even when one
-// line carries several findings.
+// repeated runs are byte-stable even when one line carries several findings.
 //
 // Analyzers listed in Requires run first and exactly once per package;
 // their results are shared with every dependent through pass.ResultOf.

@@ -14,32 +14,12 @@ func TestLockCheckFixture(t *testing.T) {
 	linttest.Run(t, lint.LockCheck, "testdata/lockcheck")
 }
 
-func TestEpochBumpFixture(t *testing.T) {
-	linttest.Run(t, lint.EpochBump, "testdata/epochbump")
-}
-
 func TestPoolEscapeFixture(t *testing.T) {
 	linttest.Run(t, lint.PoolEscape, "testdata/poolescape")
 }
 
-func TestRegionOrderFixture(t *testing.T) {
-	linttest.Run(t, lint.RegionOrder, "testdata/regionorder")
-}
-
-func TestCtxPollFixture(t *testing.T) {
-	linttest.Run(t, lint.CtxPoll, "testdata/ctxpoll")
-}
-
-func TestIterCloseFixture(t *testing.T) {
-	linttest.Run(t, lint.IterClose, "testdata/iterclose")
-}
-
 func TestGoRecoverFixture(t *testing.T) {
 	linttest.Run(t, lint.GoRecover, "testdata/gorecover")
-}
-
-func TestBudgetChargeFixture(t *testing.T) {
-	linttest.Run(t, lint.BudgetCharge, "testdata/budgetcharge")
 }
 
 // TestRepoIsClean runs the whole suite over the real tree: the invariants
@@ -74,7 +54,7 @@ func TestFactSharedAcrossAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	pkgs, err := l.Load("./internal/lint/testdata/ctxpoll")
+	pkgs, err := l.Load("./internal/lint/testdata/lockcheck")
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -105,16 +85,5 @@ func TestFactSharedAcrossAnalyzers(t *testing.T) {
 	}
 	if seen[0] != seen[1] {
 		t.Errorf("dependents got distinct fact results %p and %p; the fact must run once per package", seen[0], seen[1])
-	}
-}
-
-func TestLookup(t *testing.T) {
-	for _, a := range lint.All() {
-		if got := lint.Lookup(a.Name); got != a {
-			t.Errorf("Lookup(%q) = %v, want %v", a.Name, got, a)
-		}
-	}
-	if lint.Lookup("nosuch") != nil {
-		t.Error("Lookup(nosuch) should be nil")
 	}
 }

@@ -10,5 +10,5 @@ import (
 // TestRunMatchesFixture drives the harness itself over a real fixture: a
 // passing run proves expectations are parsed, claimed, and exhausted.
 func TestRunMatchesFixture(t *testing.T) {
-	linttest.Run(t, lint.RegionOrder, "../testdata/regionorder")
+	linttest.Run(t, lint.PoolEscape, "../testdata/poolescape")
 }

@@ -20,8 +20,11 @@ import (
 // path), and a deferred unlock leaves the counter raised until the
 // function returns. A lock taken on only one branch therefore does not
 // cover an access after the join — the source-order scan this replaces
-// missed exactly that case. Function literals are analyzed with the
-// lockset at their creation point.
+// missed exactly that case. A function literal is analyzed with the lockset
+// at its creation point, unless it escapes — returned, started with go, or
+// assigned to a field, an element or a variable declared outside the
+// function — in which case it may run after the creator's unlock and starts
+// from the empty lockset.
 var LockCheck = &analysis.Analyzer{
 	Name: "lockcheck",
 	Doc: "reports accesses to '// guarded by mu' annotated struct fields " +
@@ -229,11 +232,13 @@ func applyLockOps(pass *analysis.Pass, node ast.Node, held lockState) {
 // the given lockset) and replays each reachable block to report guarded
 // accesses made while the matching mutex is not held on every path. A
 // function literal encountered during replay is checked recursively with a
-// snapshot of the lockset at its creation point.
+// snapshot of the lockset at its creation point, or with the empty lockset
+// if it escapes.
 func checkLockBody(pass *analysis.Pass, cfgs *cfg.PackageCFGs, body *ast.BlockStmt, entry lockState, guards map[types.Object]guardInfo) {
 	g := cfgs.Of(body)
 	flow := lockFlow{pass: pass, entry: entry}
 	res := cfg.Solve[lockState](g, cfg.Forward, flow)
+	escapes := escapingLits(pass, body)
 	for _, b := range g.Blocks {
 		in := res.In[b]
 		if in == nil || !b.Reachable() {
@@ -244,20 +249,62 @@ func checkLockBody(pass *analysis.Pass, cfgs *cfg.PackageCFGs, body *ast.BlockSt
 			held[k] = v
 		}
 		for _, node := range b.Nodes {
-			replayNode(pass, cfgs, node, held, guards)
+			replayNode(pass, cfgs, node, held, guards, escapes)
 		}
 	}
 }
 
+// escapingLits returns the function literals of body (not those nested in
+// other literals) that may run after body's locks are released: returned,
+// started with go, or assigned to a field, an element, or a variable
+// declared outside body.
+func escapingLits(pass *analysis.Pass, body *ast.BlockStmt) map[*ast.FuncLit]bool {
+	escapes := make(map[*ast.FuncLit]bool)
+	mark := func(e ast.Expr) {
+		if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok {
+			escapes[lit] = true
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				mark(r)
+			}
+		case *ast.GoStmt:
+			mark(n.Call.Fun)
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok {
+					obj := objOf(pass, id)
+					if obj == nil || body.Pos() <= obj.Pos() && obj.Pos() < body.End() {
+						continue // blank, or a local of body
+					}
+				}
+				mark(n.Rhs[i])
+			}
+		}
+		return true
+	})
+	return escapes
+}
+
 // replayNode walks one block node with the current lockset, reporting
 // guarded accesses and applying lock operations in evaluation order.
-func replayNode(pass *analysis.Pass, cfgs *cfg.PackageCFGs, node ast.Node, held lockState, guards map[types.Object]guardInfo) {
+func replayNode(pass *analysis.Pass, cfgs *cfg.PackageCFGs, node ast.Node, held lockState, guards map[types.Object]guardInfo, escapes map[*ast.FuncLit]bool) {
 	cfg.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			snap := make(lockState, len(held))
-			for k, v := range held {
-				snap[k] = v
+			if !escapes[n] {
+				for k, v := range held {
+					snap[k] = v
+				}
 			}
 			checkLockBody(pass, cfgs, n.Body, snap, guards)
 			return false

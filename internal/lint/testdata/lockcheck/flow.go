@@ -8,8 +8,9 @@ package lockcheck
 import "sync"
 
 type Flow struct {
-	mu   sync.Mutex
-	data int // guarded by mu
+	mu     sync.Mutex
+	data   int // guarded by mu
+	onDone func()
 }
 
 // BadConditionalLock takes the lock on only one path; the access after the
@@ -130,4 +131,46 @@ func (f *Flow) GoodClosureSnapshot() int {
 	defer f.mu.Unlock()
 	get := func() int { return f.data }
 	return get()
+}
+
+// BadEscapingRelease is an admission acquire whose release closure is
+// created under the lock but returned: it runs after the deferred Unlock.
+func (f *Flow) BadEscapingRelease() (release func(), ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.data++
+	return func() {
+		f.data-- // want `access to f.data without holding f.mu`
+	}, true
+}
+
+// GoodEscapingRelease takes the lock inside the returned closure.
+func (f *Flow) GoodEscapingRelease() (release func(), ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.data++
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.data--
+	}, true
+}
+
+// BadGoUnderLock starts a goroutine while holding the lock; the goroutine
+// does not hold it.
+func (f *Flow) BadGoUnderLock() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	go func() {
+		f.data++ // want `access to f.data without holding f.mu`
+	}()
+}
+
+// BadStoredCallback stores a closure in a field that outlives the call.
+func (f *Flow) BadStoredCallback() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.onDone = func() {
+		f.data = 0 // want `access to f.data without holding f.mu`
+	}
 }

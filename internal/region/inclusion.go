@@ -295,10 +295,8 @@ func (u *Universe) ProperlyNested() bool { return u.nested }
 // kept once. The output buffer is sized for the sum of the operands and
 // copied down to the union's size only when some region was held twice, so
 // the universe keeps no spare capacity. One set alone is the union as it
-// is, sharing its slice.
-//
-// qoflint:canonicalizer — the merge emits in (Start asc, End desc) order
-// and drops repeats; the disjoint flag is found in the same pass.
+// is, sharing its slice. The merge emits in (Start asc, End desc) order and
+// drops repeats; the disjoint flag is found in the same pass.
 func mergeSets(sets []Set, check Checker) (Set, error) {
 	rests, total := nonEmpty(sets)
 	if len(rests) == 1 {

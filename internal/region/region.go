@@ -81,10 +81,9 @@ type Set struct {
 var Empty = Set{}
 
 // FromRegions builds a set from arbitrary regions, sorting and removing
-// duplicates. The input slice is not retained.
-//
-// qoflint:canonicalizer — this is the constructor that establishes the
-// (Start asc, End desc), duplicate-free invariant for untrusted input.
+// duplicates. The input slice is not retained. It is the constructor that
+// establishes the (Start asc, End desc), duplicate-free invariant for
+// untrusted input.
 func FromRegions(rs []Region) Set {
 	if len(rs) == 0 {
 		return Set{}
@@ -99,9 +98,6 @@ func FromRegions(rs []Region) Set {
 // points — and pays for nothing else: one pass verifies the order and finds
 // the disjoint flag, and only input that is out of order is sorted and
 // de-duplicated, in place.
-//
-// qoflint:canonicalizer — verified, and established by sorting when the
-// claim is wrong.
 func FromOrdered(rs []Region) Set {
 	sorted, disjoint := true, true
 	for i, r := range rs {
@@ -147,17 +143,13 @@ func isDisjoint(rs []Region) bool {
 }
 
 // fromSorted wraps a slice that is already sorted and duplicate-free.
-// Callers must not modify the slice afterwards.
-//
-// qoflint:canonicalizer — kernels that emit regions in sweep order wrap
-// their output here; the marker keeps raw Set literals out of their code.
+// Callers must not modify the slice afterwards. Kernels that emit regions
+// in sweep order wrap their output here.
 func fromSorted(rs []Region) Set { return Set{regions: rs, disjoint: isDisjoint(rs)} }
 
 // subsetOf wraps a sorted, duplicate-free selection of parent's regions. A
 // subset of a disjoint set is disjoint; otherwise the selection is checked,
 // which costs what the answer does.
-//
-// qoflint:canonicalizer
 func subsetOf(parent Set, rs []Region) Set {
 	return Set{regions: rs, disjoint: parent.disjoint || isDisjoint(rs)}
 }
