@@ -6,8 +6,11 @@ package engine_test
 // failpoint, LIMIT — and where the byte budget fires.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -18,6 +21,7 @@ import (
 	"qof/internal/engine"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
+	"qof/internal/index"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/scan"
@@ -276,5 +280,74 @@ func TestByteBudgetChargesWhatIsParsed(t *testing.T) {
 	res, err := exact.Eng.ExecuteContext(context.Background(), xsql.MustParse(changAuthorQuery), engine.Limits{MaxEvalBytes: 1})
 	if err != nil || res.Stats.Results == 0 || res.Stats.Parsed != 0 {
 		t.Errorf("an exact whole-object select under a one-byte budget: %+v, %v", res, err)
+	}
+}
+
+// TestLoadedIndexDisagreesWithDocument: an index file whose Reference table
+// passes Load's bounds checks but holds one region a byte left of the
+// document's reference, so its closing brace falls outside. Phase 2 parses
+// that candidate with every field it does not read recognised as a flat
+// symbol, fails, and runs it again on the general runner: the query fails,
+// without a panic, with the ParseError a full parse of the region reports.
+// The next query on a good index answers as the full scan does.
+func TestLoadedIndexDisagreesWithDocument(t *testing.T) {
+	good := testutil.NewBibFixture(t, 20, paperPartialIndex, nil)
+	refs := good.In.MustRegion(bibtex.NTReference).Regions()
+	k := len(refs) / 2
+	shifted := region.Region{Start: refs[k].Start - 1, End: refs[k].End - 1}
+	if refs[k-1].End > shifted.Start {
+		t.Fatalf("references %v and %v leave no byte between them", refs[k-1], refs[k])
+	}
+	forged := index.NewInstance(good.Doc)
+	for _, name := range good.In.Names() {
+		set := good.In.MustRegion(name)
+		if name == bibtex.NTReference {
+			rs := slices.Clone(refs)
+			rs[k] = shifted
+			set = region.FromRegions(rs)
+		}
+		forged.Define(name, set)
+	}
+	var saved bytes.Buffer
+	if err := forged.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := index.Load(&saved, good.Doc)
+	if err != nil {
+		t.Fatalf("Load refused a table inside the document's bounds: %v", err)
+	}
+	_, want := good.Cat.Grammar.ParseAs(good.Doc, bibtex.NTReference, shifted.Start, shifted.End)
+	if want == nil {
+		t.Fatalf("the shifted region %v parses", shifted)
+	}
+	q := xsql.MustParse(valueJoinQuery)
+	for _, parallelism := range []int{1, 3} {
+		eng := engine.New(good.Cat, loaded)
+		eng.Parallelism = parallelism
+		_, err := eng.Execute(q)
+		var perr *grammar.ParseError
+		if !errors.As(err, &perr) {
+			t.Fatalf("parallelism %d: %v, want a ParseError", parallelism, err)
+		}
+		if !reflect.DeepEqual(perr, want) {
+			t.Errorf("parallelism %d: %#v, a full parse of %v reports %#v", parallelism, perr, shifted, want)
+		}
+	}
+	res, err := good.Eng.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := scan.FullScan(good.Cat, good.Doc, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := objects(t, res)
+	if len(got) != len(base.Objects) || len(got) == 0 {
+		t.Fatalf("the good index answers %d objects, the full scan %d", len(got), len(base.Objects))
+	}
+	for i := range got {
+		if !db.Equal(got[i], base.Objects[i]) {
+			t.Errorf("object %d is\n  %s\nthe full scan built\n  %s", i, got[i], base.Objects[i])
+		}
 	}
 }

@@ -48,7 +48,9 @@ func (g *Grammar) RegexpTerminals() []string {
 // alternative also starts with. Head is shared by two alternatives of one
 // parent; Left and Right are different parents whose Words stand at the
 // same positions, so under a read set that reads one and not the other the
-// memo holds a Word built for the wrong need.
+// memo holds a Word built for the wrong need. Word has two alternatives so
+// that it is not flat: a flat symbol parsed quietly is recognised without
+// the memo, and Left's Words would leave no entry for Right to find.
 func SharedPrefixGrammar(t testing.TB) *Grammar {
 	t.Helper()
 	g := NewGrammar("S")
@@ -66,6 +68,7 @@ func SharedPrefixGrammar(t testing.TB) *Grammar {
 	g.AddProduction("Right", Lit("{"), Rep("Word", ","), Lit("}"))
 	g.AddProduction("Num", Lit("#"), Term("N"))
 	g.AddProduction("Word", Lit("'"), Term("W"))
+	g.AddProduction("Word", Lit(`"`), Term("W"), Lit(`"`))
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +85,40 @@ func (g *Grammar) ParseValueRebuilt(doc *text.Document, sym string, from, to int
 		return nil, r.rebuilt, err
 	}
 	return buildValue(node, doc.Content(), reads), r.rebuilt, nil
+}
+
+// ParseValueOn is ParseValue on a fresh runner. A general one never
+// recognises a flat symbol on its own: every non-terminal goes through
+// parseNT, with its memo, depth count and failure reports. Otherwise the
+// runner reports whether the parse failed and was run again on the general
+// runner.
+func (g *Grammar) ParseValueOn(general bool, doc *text.Document, sym string, from, to int, reads *ReadSet) (v db.Value, replayed bool, err error) {
+	if reads == nil {
+		reads = everything
+	}
+	r := &runner{general: general}
+	node, err := g.parseWith(r, doc, sym, from, to, reads)
+	replayed = r.general && !general
+	if err != nil {
+		return nil, replayed, err
+	}
+	return buildValue(node, doc.Content(), reads), replayed, nil
+}
+
+// FlatSymbols lists the non-terminals the parser classified as flat, in
+// definition order.
+func (g *Grammar) FlatSymbols() []string {
+	prog, err := g.program()
+	if err != nil {
+		panic(err)
+	}
+	var out []string
+	for id, h := range prog.flat {
+		if h > 0 {
+			out = append(out, prog.names[id])
+		}
+	}
+	return out
 }
 
 // SetNewInstance replaces the word-index side of BuildInstanceContext — the

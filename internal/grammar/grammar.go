@@ -184,6 +184,13 @@ type program struct {
 	ids   map[string]int
 	names []string  // symbol id -> non-terminal name, in definition order
 	prods [][]cProd // symbol id -> alternatives in order
+
+	// flat is, per symbol id, the height in non-terminals of a flat
+	// symbol's subtree (1 when its production names none), or 0 for a
+	// symbol that is not flat. A flat symbol has one production and
+	// reaches only flat symbols: it can neither recurse nor choose, so the
+	// runner recognises it quietly in one pass (recognise).
+	flat []int
 }
 
 type cProd struct {
@@ -365,5 +372,46 @@ func (g *Grammar) compile() *program {
 			pr.prods[id] = append(pr.prods[id], cp)
 		}
 	}
+	pr.flat = flatHeights(pr.prods)
 	return pr
+}
+
+// flatHeights classifies the symbols for program.flat by a depth-first walk:
+// meeting a symbol that is still on the walk's path means a cycle, and
+// nothing on a cycle is flat.
+func flatHeights(prods [][]cProd) []int {
+	const onPath, done = 1, 2
+	height := make([]int, len(prods))
+	state := make([]int8, len(prods))
+	var visit func(id int) int
+	visit = func(id int) int {
+		switch state[id] {
+		case onPath:
+			return 0
+		case done:
+			return height[id]
+		}
+		state[id] = onPath
+		h := 0
+		if len(prods[id]) == 1 {
+			h = 1
+			for _, e := range prods[id][0].elems {
+				if e.kind != ElemNT && e.kind != ElemRep {
+					continue
+				}
+				k := visit(e.sym)
+				if k == 0 {
+					h = 0
+					break
+				}
+				h = max(h, k+1)
+			}
+		}
+		height[id], state[id] = h, done
+		return h
+	}
+	for id := range prods {
+		visit(id)
+	}
+	return height
 }

@@ -125,6 +125,11 @@ func parseItems(pattern string, i int) ([]classItem, int, bool) {
 				return nil, 0, false
 			}
 		}
+		if !item.many && cls[0x80] {
+			// A negated class standing once matches one rune, which may be
+			// several bytes; a byte scanner would match one byte of it.
+			return nil, 0, false
+		}
 		items = append(items, item)
 	}
 	return items, i, true

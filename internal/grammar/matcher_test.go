@@ -100,6 +100,9 @@ func TestCompileSimpleRejectsComplex(t *testing.T) {
 		`x$`,
 		`[é]`,
 		`é`,
+		// A lone negated class matches a whole multi-byte rune.
+		`[^a-z]`,
+		`x[^"]y`,
 		`[a-`,
 		`[]`,
 		`\q`,
@@ -149,6 +152,90 @@ func TestBuiltinSchemasStillParse(t *testing.T) {
 	if len(tree.Find("Reference")) != 2 {
 		t.Fatal("references")
 	}
+}
+
+// Pieces of the terminal patterns FuzzTerminalPattern draws: classes
+// (negated, ranged, with a leading ] or a trailing -), escapes, plain bytes,
+// and what compileSimple must refuse — a non-ASCII literal, an unescaped
+// dot, a ? quantifier.
+var (
+	fuzzAtoms  = []string{`[a-z]`, `[A-Za-z0-9]`, `[^"]`, `[^<]`, `[^\n]`, `[0-9]`, `[ ]`, `[^a-z]`, `[]a]`, `[a-]`, `[a-z'-]`, `\.`, `\]`, `\n`, `-`, `a`, `z`, `,`, ` `, `é`, `.`}
+	fuzzQuants = []string{"", "*", "+", "?"}
+)
+
+// fuzzPattern decodes a recipe into a terminal pattern: items, then
+// nothing, the one starred group compileSimple accepts, or a near miss of
+// it (a group without its *, items after the group, a capturing group), and
+// sometimes a trailing ?. A recipe starting with 0xff is a pattern as it
+// stands, so the fuzzer can leave the grammar altogether.
+func fuzzPattern(recipe []byte) string {
+	if len(recipe) > 0 && recipe[0] == 0xff {
+		return string(recipe[1:])
+	}
+	next := func(n int) int {
+		if len(recipe) == 0 {
+			return 0
+		}
+		b := recipe[0]
+		recipe = recipe[1:]
+		return int(b) % n
+	}
+	var sb strings.Builder
+	items := func() {
+		for k := 1 + next(4); k > 0; k-- {
+			sb.WriteString(fuzzAtoms[next(len(fuzzAtoms))])
+			sb.WriteString(fuzzQuants[next(len(fuzzQuants))])
+		}
+	}
+	items()
+	switch next(6) {
+	case 2:
+		sb.WriteString("(?:")
+		items()
+		sb.WriteString(")*")
+	case 3:
+		sb.WriteString("(?:")
+		items()
+		sb.WriteString(")")
+	case 4:
+		sb.WriteString("(?:")
+		items()
+		sb.WriteString(")*")
+		items()
+	case 5:
+		sb.WriteString("(")
+		items()
+		sb.WriteString(")*")
+	}
+	if next(4) == 0 {
+		sb.WriteString("?")
+	}
+	return sb.String()
+}
+
+// FuzzTerminalPattern: whenever compileSimple turns a pattern into a byte
+// scanner, the scanner matches what the anchored regexp matches, on any
+// input. Its seeds are the committed corpus (testdata/fuzz), which runs
+// with every go test.
+func FuzzTerminalPattern(f *testing.F) {
+	f.Fuzz(func(t *testing.T, recipe []byte, input string) {
+		pattern := fuzzPattern(recipe)
+		re, err := regexp.Compile("^(?:" + pattern + ")")
+		if err != nil {
+			return // AddTerminal refuses it before compileSimple sees it
+		}
+		m := compileSimple(pattern)
+		if m == nil {
+			return
+		}
+		want := -1
+		if loc := re.FindStringIndex(input); loc != nil {
+			want = loc[1]
+		}
+		if got := m(input); got != want {
+			t.Fatalf("pattern %q on %q: scanner %d, regexp %d", pattern, input, got, want)
+		}
+	})
 }
 
 // TestPossessiveRefusalIsNeeded: the patterns compileSimple refuses for

@@ -137,6 +137,14 @@ func nextChunk(prev int) int {
 // under any need and a quiet lookup takes any match, but a lookup that must
 // hand back a node is served only by an entry parsed under the same need;
 // otherwise the non-terminal is parsed again and the entry overwritten.
+//
+// Flat symbols. A flat symbol (program.flat) entered quietly is recognised
+// by recognise: one pass over its production with nested flat symbols
+// called, and no memo, depth count, choice point or failure report. Its
+// result is the one parseNT would return — one production and no recursion
+// leave nothing to choose or remember — except that it reports no error. So
+// a parse that fails is run again with general set, every symbol through
+// parseNT, and its error is that run's.
 type runner struct {
 	prog      *program
 	skipSpace bool
@@ -158,6 +166,7 @@ type runner struct {
 	depth    int
 	rebuilt  int   // matches parsed again because their entry was built for another need
 	err      error // sticky: set once by a depth overflow, aborts the parse
+	general  bool  // no flat symbol is recognised by recognise
 }
 
 type memoEnt struct {
@@ -188,13 +197,26 @@ func (g *Grammar) parseWith(r *runner, doc *text.Document, sym string, from, to 
 	}
 	r.prog, r.skipSpace = prog, g.SkipSpace
 	r.doc, r.src = doc.Name(), doc.Content()[:to]
-	r.clearMemo()
 	if r.stack == nil {
 		// A fresh runner: skip the first few doublings of append.
 		r.stack = make([]*Node, 0, minChunk)
 	}
+	node, err := r.run(id, from, to, need)
+	if err != nil && !r.general {
+		// recognise reports no failures, so the error is the general
+		// runner's. That also drops a DepthError the general runner would
+		// not meet: one an entry recognise left unrecorded would spare.
+		r.general = true
+		r.furthest, r.expected, r.err, r.rebuilt = 0, r.expected[:0], nil, 0
+		node, err = r.run(id, from, to, need)
+	}
+	return node, err
+}
 
-	node, end, ok := r.parseNT(id, from, need)
+// run parses [from, to) as the symbol once.
+func (r *runner) run(sym, from, to int, need *ReadSet) (*Node, error) {
+	r.clearMemo()
+	node, end, ok := r.parseNT(sym, from, need)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -258,6 +280,13 @@ func (r *runner) fail(pos int, expected string) {
 func (r *runner) parseNT(sym, pos int, need *ReadSet) (*Node, int, bool) {
 	if r.err != nil {
 		return nil, 0, false
+	}
+	// A flat symbol is recognised only where parseNT could not overflow the
+	// depth inside it: its deepest non-terminal would be entered at depth
+	// r.depth+h-1.
+	if h := r.prog.flat[sym]; need == nil && h > 0 && r.depth+h <= maxDepth && !r.general {
+		end := r.recognise(sym, pos)
+		return nil, end, end >= 0
 	}
 	if r.live > 0 {
 		if e := r.lookup(sym, pos); e != nil {
@@ -397,6 +426,49 @@ func (r *runner) parseProd(p *cProd, pos int, need *ReadSet) (*Node, int, bool) 
 	n := r.newNode(p.prod.LHS, p.prod, start, cur, r.seal(base))
 	n.nts = nts
 	return n, cur, true
+}
+
+// recognise matches the flat symbol at pos as a quiet parseProd of its one
+// production would, and returns the end of the match or -1.
+func (r *runner) recognise(sym, pos int) int {
+	p := &r.prog.prods[sym][0]
+	cur := r.skip(pos)
+	for i := range p.elems {
+		e := &p.elems[i]
+		cur = r.skip(cur)
+		switch e.kind {
+		case ElemLit:
+			if !hasPrefixAt(r.src, cur, e.text) {
+				return -1
+			}
+			cur += len(e.text)
+		case ElemTerm:
+			n := e.match(r.src[cur:])
+			if n <= 0 {
+				return -1
+			}
+			cur += n
+		case ElemNT:
+			if cur = r.recognise(e.sym, cur); cur < 0 {
+				return -1
+			}
+		case ElemRep:
+			for at := cur; ; {
+				end := r.recognise(e.sym, at)
+				if end < 0 {
+					break
+				}
+				cur, at = end, r.skip(end)
+				if e.text != "" {
+					if !hasPrefixAt(r.src, at, e.text) {
+						break
+					}
+					at += len(e.text)
+				}
+			}
+		}
+	}
+	return cur
 }
 
 // newNode fills the next slot of the node slab; prod is nil for a terminal

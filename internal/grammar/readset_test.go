@@ -426,24 +426,7 @@ func TestReadSetMemoServesOnlyItsNeed(t *testing.T) {
 	}
 	// Every input of the parser differential, under every one-path read set
 	// the grammar has up to four steps deep.
-	var all [][]db.Step
-	var extend func(prefix []db.Step, nt string, depth int)
-	extend = func(prefix []db.Step, nt string, depth int) {
-		all = append(all, prefix)
-		if depth == 0 {
-			return
-		}
-		seen := map[string]bool{}
-		for _, p := range g.Productions(nt) {
-			for _, e := range p.RHS {
-				if (e.Kind == grammar.ElemNT || e.Kind == grammar.ElemRep) && !seen[e.Name] {
-					seen[e.Name] = true
-					extend(append(append([]db.Step(nil), prefix...), db.Step{Attr: e.Name}), e.Name, depth-1)
-				}
-			}
-		}
-	}
-	extend(nil, "S", 4)
+	all := onePaths(g, "S", 4)
 	for i, src := range sharedPrefixInputs {
 		doc := text.NewDocument(fmt.Sprintf("choice%d", i), src)
 		for _, p := range all {

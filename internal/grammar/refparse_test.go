@@ -314,6 +314,7 @@ var sharedPrefixInputs = []string{
 	"{'a,'b}!",
 	"{'a,'b}?",
 	"({'a}?) ; {'b,'c}! ; ({}?)!",
+	`{'a,"b"}? ; <"c">:'d`,
 	"",
 	// Failures: the error comes from the furthest alternative.
 	"<'a,'b>?#1",
@@ -323,4 +324,5 @@ var sharedPrefixInputs = []string{
 	"<'a>:'c ; ; <'b>=#2",
 	"{'a,'b}",
 	"{'a,'b?",
+	`{'a,"b}!`,
 }

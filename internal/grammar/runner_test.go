@@ -237,6 +237,50 @@ func TestFirstUseConcurrent(t *testing.T) {
 	}
 }
 
+// TestFlatDepthBoundary: S → "(" S ")" | F nests S as deep as the input's
+// parentheses, then enters the flat F → "<" G ">" (height 2) quietly. At
+// every depth around the limit the parse that recognises F on its own ends
+// as the general runner's does: F and G fit up to maxDepth−height, G trips
+// the limit one level deeper and F itself at maxDepth.
+func TestFlatDepthBoundary(t *testing.T) {
+	g := NewGrammar("S")
+	g.MustAddTerminal("W", `[a-z]+`)
+	g.AddProduction("S", Lit("("), NT("S"), Lit(")"))
+	g.AddProduction("S", NT("F"))
+	g.AddProduction("F", Lit("<"), NT("G"), Lit(">"))
+	g.AddProduction("G", Term("W"))
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	prog, _ := g.program()
+	h := prog.flat[prog.ids["F"]]
+	if h != 2 || prog.flat[prog.ids["S"]] != 0 {
+		t.Fatalf("F has height %d and S %d, want 2 and 0 (not flat)", h, prog.flat[prog.ids["S"]])
+	}
+	quiet, err := g.CompileReads("S", [][]db.Step{db.PathOf("Nope")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := maxDepth - h - 1; d <= maxDepth; d++ {
+		// The innermost S is entered at depth d-1 and F at d.
+		doc := text.NewDocument("deep", strings.Repeat("(", d-1)+"<x>"+strings.Repeat(")", d-1))
+		want, werr := g.parseWith(&runner{general: true}, doc, "S", 0, doc.Len(), quiet)
+		got, gerr := g.parseWith(new(runner), doc, "S", 0, doc.Len(), quiet)
+		if !reflect.DeepEqual(werr, gerr) || (want == nil) != (got == nil) {
+			t.Fatalf("F at depth %d: general runner %v, %v; fused %v, %v", d, want, werr, got, gerr)
+		}
+		var derr *DepthError
+		switch {
+		case d <= maxDepth-h && werr != nil:
+			t.Errorf("F at depth %d: %v, want a parse", d, werr)
+		case d == maxDepth-h+1 && (!errors.As(werr, &derr) || derr.Sym != "G"):
+			t.Errorf("F at depth %d: %v, want the limit tripped entering G", d, werr)
+		case d == maxDepth && (!errors.As(werr, &derr) || derr.Sym != "F"):
+			t.Errorf("F at depth %d: %v, want the limit tripped entering F", d, werr)
+		}
+	}
+}
+
 // TestLeftRecursionIsAnError: A → A "x" recurses without consuming input.
 // Every entry point reports it as a typed budget error naming the symbol
 // and the offset, and the grammar still parses what does not reach the

@@ -11,11 +11,8 @@
 // statement is an opaque value here (its body runs at some other time);
 // analyzers that care recurse into it with its own CFG.
 //
-// Defer is modeled two ways at once: the DeferStmt appears as an ordinary
-// node at its registration point (so forward analyses know *from when* a
-// deferred effect is pending on a path), and the graph records every
-// DeferStmt in Defers so exit-time reasoning (deferred unlocks, deferred
-// closes) can apply their effects at the virtual Exit block.
+// A DeferStmt is an ordinary node at its registration point, so a forward
+// analysis knows from when a deferred effect is pending on a path.
 package cfg
 
 import (
@@ -53,11 +50,6 @@ type CFG struct {
 	Entry  *Block
 	Exit   *Block // virtual: every return and the final fallthrough edge here
 	Blocks []*Block
-
-	// Defers lists every defer statement in the body (outside nested
-	// function literals), in source order. Whether a given defer is live at
-	// Exit on a given path is a dataflow question; the list is the catalog.
-	Defers []*ast.DeferStmt
 }
 
 // New builds the CFG for a function body. A nil body yields a two-block
@@ -176,11 +168,6 @@ func (b *builder) stmt(cur *Block, s ast.Stmt) *Block {
 
 	case *ast.SelectStmt:
 		return b.selectStmt(cur, s, "")
-
-	case *ast.DeferStmt:
-		b.graph.Defers = append(b.graph.Defers, s)
-		cur.Nodes = append(cur.Nodes, s)
-		return cur
 
 	case *ast.ExprStmt:
 		cur.Nodes = append(cur.Nodes, s)

@@ -242,26 +242,6 @@ func TestPanicCutsFlow(t *testing.T) {
 	}
 }
 
-func TestDefersRecorded(t *testing.T) {
-	g := build(t, "defer f1()\nif true {\n defer f2()\n}")
-	if len(g.Defers) != 2 {
-		t.Errorf("recorded %d defers, want 2", len(g.Defers))
-	}
-	// The defer statements also appear as nodes at their registration
-	// points.
-	nodes := 0
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if _, ok := n.(*ast.DeferStmt); ok {
-				nodes++
-			}
-		}
-	}
-	if nodes != 2 {
-		t.Errorf("defer nodes in blocks = %d, want 2", nodes)
-	}
-}
-
 func TestFuncLitIsOpaque(t *testing.T) {
 	g := build(t, "f := func() {\n for {\n }\n}\nf()")
 	for _, b := range g.Blocks {
@@ -325,7 +305,7 @@ func (reachFlow) Transfer(b *Block, s int) int {
 
 func TestForwardSolve(t *testing.T) {
 	g := build(t, "x := 1\nif x > 0 {\n poll()\n}\n_ = x")
-	res := Solve[int](g, Forward, reachFlow{})
+	res := Solve[int](g, reachFlow{})
 	// Exit merges the polled and unpolled paths: may-analysis says 2.
 	if got := res.In[g.Exit]; got != 2 {
 		t.Errorf("may-reach at exit = %d, want 2\n%s", got, g)
@@ -350,12 +330,12 @@ func (mustFlow) Merge(a, b int) int {
 
 func TestMustSolveJoins(t *testing.T) {
 	g := build(t, "x := 1\nif x > 0 {\n poll()\n}\n_ = x")
-	res := Solve[int](g, Forward, mustFlow{})
+	res := Solve[int](g, mustFlow{})
 	if got := res.In[g.Exit]; got != 1 {
 		t.Errorf("must-reach at exit = %d, want 1 (one path unpolled)\n%s", got, g)
 	}
 	g2 := build(t, "x := 1\nif x > 0 {\n poll()\n} else {\n poll()\n}\n_ = x")
-	res2 := Solve[int](g2, Forward, mustFlow{})
+	res2 := Solve[int](g2, mustFlow{})
 	if got := res2.In[g2.Exit]; got != 2 {
 		t.Errorf("must-reach at exit = %d, want 2 (both paths polled)\n%s", got, g2)
 	}
@@ -363,7 +343,7 @@ func TestMustSolveJoins(t *testing.T) {
 
 func TestSolveLoopFixpoint(t *testing.T) {
 	g := build(t, "for i := 0; i < 10; i++ {\n poll()\n}\n_ = 1")
-	res := Solve[int](g, Forward, reachFlow{})
+	res := Solve[int](g, reachFlow{})
 	if got := res.In[g.Exit]; got != 2 {
 		t.Errorf("loop poll must reach exit: got %d\n%s", got, g)
 	}
@@ -414,25 +394,8 @@ func TestWideningTerminates(t *testing.T) {
 	// widened to 99 and the body's lock() bumps it once more on the way
 	// out, so the stable exit state is 100.
 	g := build(t, "for {\n lock()\n if done() {\n  break\n }\n}\n_ = 1")
-	res := Solve[int](g, Forward, counterFlow{})
+	res := Solve[int](g, counterFlow{})
 	if got := res.In[g.Exit]; got != 100 {
 		t.Errorf("widened counter at exit = %d, want 100", got)
-	}
-}
-
-func TestBackwardSolve(t *testing.T) {
-	// Backward must-analysis: "every path from here reaches a poll before
-	// exit". Transfer in a backward problem sees the block after its
-	// successors.
-	g := build(t, "x := 1\nif x > 0 {\n poll()\n}\n_ = x")
-	res := Solve[int](g, Backward, mustFlow{})
-	// From the entry, one path (the else edge) exits without polling.
-	if got := res.Out[g.Entry]; got != 1 {
-		t.Errorf("backward must-poll from entry = %d, want 1\n%s", got, g)
-	}
-	g2 := build(t, "poll()\n_ = 1")
-	res2 := Solve[int](g2, Backward, mustFlow{})
-	if got := res2.Out[g2.Entry]; got != 2 {
-		t.Errorf("backward must-poll from entry = %d, want 2\n%s", got, g2)
 	}
 }

@@ -1,25 +1,13 @@
 package cfg
 
 // A generic worklist dataflow solver over a CFG: meet-over-paths
-// approximated by a fixpoint, forward or backward, with widening applied at
-// loop heads so lattices of unbounded height (counters) still terminate.
+// approximated by a fixpoint, forward along the edges, with widening applied
+// at loop heads so lattices of unbounded height (counters) still terminate.
 //
 // The state type S is supplied by the analysis along with the lattice
 // operations. States must be treated as immutable values: Transfer and
 // Merge return fresh states rather than mutating their inputs, because the
 // solver retains states across iterations.
-
-// Dir selects the direction of a dataflow problem.
-type Dir int
-
-const (
-	// Forward propagates states along edges: In(b) = merge of Out(preds),
-	// Out(b) = Transfer(b, In(b)); the boundary state enters at Entry.
-	Forward Dir = iota
-	// Backward propagates against edges: Out(b) = merge of In(succs),
-	// In(b) = Transfer(b, Out(b)); the boundary state enters at Exit.
-	Backward
-)
 
 // Flow is one dataflow problem: the lattice and transfer function.
 type Flow[S any] interface {
@@ -27,13 +15,10 @@ type Flow[S any] interface {
 	// identity of Merge.
 	Bottom() S
 
-	// Boundary is the state at the graph boundary: Entry's input for a
-	// forward problem, Exit's input for a backward one.
+	// Boundary is the state at the graph boundary: Entry's input.
 	Boundary() S
 
-	// Transfer pushes a state through a block's nodes (in execution order
-	// for Forward problems; the solver calls it with the block regardless
-	// of direction, the implementation reverses iteration for Backward).
+	// Transfer pushes a state through a block's nodes in execution order.
 	Transfer(b *Block, s S) S
 
 	// Merge joins two states where paths meet. It must be monotone,
@@ -56,33 +41,22 @@ const widenAfter = 3
 
 // Result holds the solved states per block.
 type Result[S any] struct {
-	// In is the state entering each block: before its first node (Forward)
-	// or after its last (Backward).
+	// In is the state entering each block, before its first node.
 	In map[*Block]S
 	// Out is Transfer applied to In — the state leaving the block.
 	Out map[*Block]S
 }
 
-// Solve runs the worklist algorithm to fixpoint and returns the per-block
-// states. Unreachable blocks keep Bottom.
-func Solve[S any](g *CFG, dir Dir, f Flow[S]) *Result[S] {
+// Solve runs the worklist algorithm forward to fixpoint and returns the
+// per-block states. Unreachable blocks keep Bottom.
+func Solve[S any](g *CFG, f Flow[S]) *Result[S] {
 	res := &Result[S]{In: make(map[*Block]S), Out: make(map[*Block]S)}
 	for _, b := range g.Blocks {
 		res.In[b] = f.Bottom()
 		res.Out[b] = f.Bottom()
 	}
 	start := g.Entry
-	if dir == Backward {
-		start = g.Exit
-	}
 	res.In[start] = f.Boundary()
-
-	next := func(b *Block) []*Block {
-		if dir == Forward {
-			return b.Succs
-		}
-		return b.Preds
-	}
 
 	visits := make(map[*Block]int)
 	queue := []*Block{start}
@@ -94,7 +68,7 @@ func Solve[S any](g *CFG, dir Dir, f Flow[S]) *Result[S] {
 
 		out := f.Transfer(b, res.In[b])
 		res.Out[b] = out
-		for _, s := range next(b) {
+		for _, s := range b.Succs {
 			merged := f.Merge(res.In[s], out)
 			if s.Head {
 				visits[s]++

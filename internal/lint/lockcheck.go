@@ -237,7 +237,7 @@ func applyLockOps(pass *analysis.Pass, node ast.Node, held lockState) {
 func checkLockBody(pass *analysis.Pass, cfgs *cfg.PackageCFGs, body *ast.BlockStmt, entry lockState, guards map[types.Object]guardInfo) {
 	g := cfgs.Of(body)
 	flow := lockFlow{pass: pass, entry: entry}
-	res := cfg.Solve[lockState](g, cfg.Forward, flow)
+	res := cfg.Solve[lockState](g, flow)
 	escapes := escapingLits(pass, body)
 	for _, b := range g.Blocks {
 		in := res.In[b]

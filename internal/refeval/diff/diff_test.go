@@ -1,10 +1,14 @@
 package diff_test
 
 import (
+	"strings"
 	"testing"
 
+	"qof/internal/db"
 	"qof/internal/qgen"
 	"qof/internal/refeval/diff"
+	"qof/internal/sgml"
+	"qof/internal/xsql"
 )
 
 // Fixed seeds: a failure reproduces from the seed and query index alone.
@@ -78,5 +82,47 @@ func TestDifferentialExprs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWideReadSetWidensToEverything: a chain of ?X steps over sgml's
+// recursive Section names three attributes per step, so past 85 steps its
+// read trie passes the compiler's 256-node bound and the read set widens to
+// the whole value. Explain says so, and on every index specification the
+// answers are the oracle's — with Section, which is not flat, parsed by the
+// general runner at every level.
+func TestWideReadSetWidensToEverything(t *testing.T) {
+	d := qgen.SGML(corpusSeed)
+	chain := func(steps int) string { return "s." + strings.Repeat("?X.", steps) + sgml.NTTitle }
+	for steps, wide := range map[int]bool{80: false, 90: true} {
+		q := xsql.MustParse(`SELECT s FROM Sections s WHERE ` + chain(steps) + ` CONTAINS "needle"`)
+		reads, err := d.Cat.Grammar.CompileReads(sgml.NTSection, [][]db.Step{xsql.CondPaths(q.Where)[0].Steps()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads.Everything() != wide {
+			t.Errorf("%d ?X steps: read set %q, want widened %v", steps, reads, wide)
+		}
+	}
+	// The short path gives the query answers to disagree on.
+	q := xsql.MustParse(`SELECT s FROM Sections s WHERE ` + chain(90) + ` CONTAINS "needle" OR s.Para CONTAINS "needle"`)
+	hs, err := diff.Harnesses(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hs {
+		if err := h.CheckQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Eng.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if explain := res.Plan.Explain(); !strings.Contains(explain, "phase 2 reads: everything\n") {
+			t.Errorf("%s: Explain does not say the read set widened:\n%s", h.Name, explain)
+		}
+		if res.Regions.Len() == 0 {
+			t.Errorf("%s: no answers; the comparison is vacuous", h.Name)
+		}
 	}
 }

@@ -8,6 +8,7 @@ package text
 
 import (
 	"fmt"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -118,25 +119,30 @@ func Tokenize(s string) []Token {
 
 // ContainsWholeWord reports whether w occurs in s delimited by word
 // boundaries on both sides. w may be a phrase (internal separators are
-// matched literally); only its ends must fall on word boundaries.
+// matched literally); only its ends must fall on word boundaries. The search
+// jumps from one occurrence of w to the next and resumes a byte past a
+// rejected one, so overlapping occurrences are all tried.
 func ContainsWholeWord(s, w string) bool {
 	if w == "" {
 		return false
 	}
-	for i := 0; i+len(w) <= len(s); i++ {
-		if s[i:i+len(w)] != w {
-			continue
+	starts, ends := startsWithWordRune(w), endsWithWordRune(w)
+	for from := 0; ; {
+		j := strings.Index(s[from:], w)
+		if j < 0 {
+			return false
 		}
-		if r, _ := utf8.DecodeLastRuneInString(s[:i]); i > 0 && IsWordRune(r) && startsWithWordRune(w) {
+		i := from + j
+		from = i + 1
+		if r, _ := utf8.DecodeLastRuneInString(s[:i]); i > 0 && IsWordRune(r) && starts {
 			continue
 		}
 		end := i + len(w)
-		if r, _ := utf8.DecodeRuneInString(s[end:]); end < len(s) && IsWordRune(r) && endsWithWordRune(w) {
+		if r, _ := utf8.DecodeRuneInString(s[end:]); end < len(s) && IsWordRune(r) && ends {
 			continue
 		}
 		return true
 	}
-	return false
 }
 
 func startsWithWordRune(s string) bool {

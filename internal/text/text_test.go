@@ -153,6 +153,76 @@ func TestContainsWholeWordMatchesTokenization(t *testing.T) {
 	}
 }
 
+// containsWholeWordRef is ContainsWholeWord as it was before it searched
+// with strings.Index: the same boundary tests at every byte offset.
+func containsWholeWordRef(s, w string) bool {
+	if w == "" {
+		return false
+	}
+	for i := 0; i+len(w) <= len(s); i++ {
+		if s[i:i+len(w)] != w {
+			continue
+		}
+		if r, _ := utf8.DecodeLastRuneInString(s[:i]); i > 0 && IsWordRune(r) && startsWithWordRune(w) {
+			continue
+		}
+		end := i + len(w)
+		if r, _ := utf8.DecodeRuneInString(s[end:]); end < len(s) && IsWordRune(r) && endsWithWordRune(w) {
+			continue
+		}
+		return true
+	}
+	return false
+}
+
+// TestContainsWholeWordMatchesReference: the search agrees with the
+// per-offset loop on overlapping occurrences, on a first hit inside a word
+// followed by a whole-word one, and on random strings of ASCII, multi-byte
+// and invalid UTF-8 pieces, for words drawn from the same pieces and from
+// the string itself.
+func TestContainsWholeWordMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		s, w string
+		want bool
+	}{
+		{"aaa", "aa", false},
+		{"aa aaa", "aa", true},
+		{"aaa aa", "aa", true},
+		{"a-a-a", "a-a", true},
+		{"xa-a-a", "a-a", true}, // only the overlapping second occurrence is whole
+		{"xChang Chang", "Chang", true},
+		{"Changing Chang", "Chang", true},
+		{"Changing Changs", "Chang", false},
+		{"日本日本 日本", "日本", true},
+		{"é-é", "-", true},
+		{"ab", "ab ", false},
+	} {
+		if got, ref := ContainsWholeWord(c.s, c.w), containsWholeWordRef(c.s, c.w); got != c.want || ref != c.want {
+			t.Errorf("ContainsWholeWord(%q, %q) = %v, reference %v, want %v", c.s, c.w, got, ref, c.want)
+		}
+	}
+	pieces := []string{"a", "a", "b", "Z", "9", " ", " ", "-", ".", "é", "日", "١", "—", "\xc3", "\xa9", "\xff"}
+	rng := rand.New(rand.NewSource(11))
+	draw := func(n int) string {
+		var sb strings.Builder
+		for ; n > 0; n-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return sb.String()
+	}
+	for trial := 0; trial < 20000; trial++ {
+		s := draw(rng.Intn(16))
+		w := draw(1 + rng.Intn(3))
+		if len(s) > 0 && trial%2 == 0 {
+			i := rng.Intn(len(s))
+			w = s[i : i+1+rng.Intn(min(4, len(s)-i))]
+		}
+		if got, want := ContainsWholeWord(s, w), containsWholeWordRef(s, w); got != want {
+			t.Fatalf("ContainsWholeWord(%q, %q) = %v, reference %v", s, w, got, want)
+		}
+	}
+}
+
 func TestDocument(t *testing.T) {
 	d := NewDocument("bib.bib", "AUTHOR = \"Chang\"")
 	if d.Name() != "bib.bib" {
