@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"qof/internal/advisor"
 	"qof/internal/bibtex"
@@ -70,8 +71,11 @@ type indexConfig struct {
 // IndexOption configures Index, Load and NewCorpus.
 type IndexOption func(*indexConfig)
 
-func applyOptions(opts []IndexOption) indexConfig {
-	var cfg indexConfig
+// applyOptions collects opts over a default parallelism: runtime.GOMAXPROCS
+// for a File, sequential (0) for a Corpus, whose unit of parallelism is the
+// file.
+func applyOptions(parallelism int, opts []IndexOption) indexConfig {
+	cfg := indexConfig{parallelism: parallelism}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -93,9 +97,11 @@ func WithScopedRegion(name, within string) IndexOption {
 
 // WithParallelism sets the degree of parallelism for query execution:
 // on a File, up to n worker goroutines parse and filter candidate regions
-// within one query; on a Corpus, up to n files are queried concurrently.
-// Values below 2 evaluate sequentially (the default). Results are identical
-// either way — parallel execution preserves document order and statistics.
+// within one query (default runtime.GOMAXPROCS(0)); on a Corpus, up to n
+// files are queried concurrently (default sequential). Values below 2
+// evaluate sequentially. Results and their order are identical either way,
+// and so are statistics, except that under a LIMIT a parallel File reports
+// the candidates it had read ahead of the stop point.
 func WithParallelism(n int) IndexOption {
 	return func(c *indexConfig) { c.parallelism = n }
 }
@@ -117,7 +123,7 @@ func (s *Schema) Index(name, content string, opts ...IndexOption) (*File, error)
 // ignored (the persisted index fixes them); WithParallelism applies.
 func (s *Schema) Load(r io.Reader, name, content string, opts ...IndexOption) (f *File, err error) {
 	defer catchPanic(&err, "loading %s", name)
-	cfg := applyOptions(opts)
+	cfg := applyOptions(runtime.GOMAXPROCS(0), opts)
 	in, err := index.Load(r, text.NewDocument(name, content))
 	if err != nil {
 		return nil, err
@@ -272,7 +278,7 @@ type Corpus struct {
 // against up to n files concurrently. The Corpus is safe for concurrent
 // queries once every file is added.
 func (s *Schema) NewCorpus(opts ...IndexOption) *Corpus {
-	cfg := applyOptions(opts)
+	cfg := applyOptions(0, opts)
 	ec := engine.NewCorpus(s.cat)
 	ec.Parallelism = cfg.parallelism
 	return &Corpus{schema: s, c: ec}
@@ -280,7 +286,7 @@ func (s *Schema) NewCorpus(opts ...IndexOption) *Corpus {
 
 // Add indexes a document and adds it to the corpus.
 func (c *Corpus) Add(name, content string, opts ...IndexOption) error {
-	cfg := applyOptions(opts)
+	cfg := applyOptions(0, opts)
 	return c.c.Add(text.NewDocument(name, content), cfg.spec)
 }
 

@@ -3,12 +3,14 @@ package qof_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"qof"
 	"qof/internal/bibtex"
+	"qof/internal/testutil"
 )
 
 func TestFacadeQuery(t *testing.T) {
@@ -356,5 +358,47 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestFileParallelByDefault: a File parses one query's candidates on
+// runtime.GOMAXPROCS(0) goroutines unless WithParallelism says otherwise,
+// and answers identically either way. CI runs it at -cpu 1,4.
+func TestFileParallelByDefault(t *testing.T) {
+	content, _ := bibtex.Generate(bibtex.DefaultConfig(200))
+	// Indexed on Reference alone, every reference is a candidate of the
+	// negation and is parsed.
+	const q = `SELECT r.Key FROM References r WHERE NOT r.Authors.Name.Last_Name = "Chang"`
+	want := ""
+	for _, c := range []struct {
+		name    string
+		opts    []qof.IndexOption
+		workers bool
+	}{
+		{"default", nil, runtime.GOMAXPROCS(0) > 1},
+		{"WithParallelism(1)", []qof.IndexOption{qof.WithParallelism(1)}, false},
+		{"WithParallelism(4)", []qof.IndexOption{qof.WithParallelism(4)}, true},
+	} {
+		file, err := qof.BibTeX().Index("p.bib", content, append(c.opts, qof.WithRegions("Reference"))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := testutil.NewGoroutineProbe()
+		base := runtime.NumGoroutine()
+		res, err := file.QueryContext(probe, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Parsed < 2 {
+			t.Fatalf("%s: parsed %d candidates; nothing to hand a worker", c.name, res.Stats.Parsed)
+		}
+		if got := fmt.Sprint(res.Values, res.Stats); want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("%s: answer differs:\n got %s\nwant %s", c.name, got, want)
+		}
+		if workers := probe.Max() > base; workers != c.workers {
+			t.Errorf("%s at GOMAXPROCS %d: workers ran %v, want %v", c.name, runtime.GOMAXPROCS(0), workers, c.workers)
+		}
 	}
 }

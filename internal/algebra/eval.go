@@ -324,22 +324,24 @@ func (ev *Evaluator) resultKey(exprKey string) string {
 // SharedKey returns the epoch-prefixed cross-query key for e and whether e
 // is worth caching at all, computing both exactly once for callers that need
 // the key for more than one operation (a cache read and a publish share one
-// Cost walk and one key allocation).
-func (ev *Evaluator) SharedKey(e Expr) (string, bool) {
+// Cost walk and one key allocation). rendered is e.String(), which a caller
+// holding a compiled plan rendered once when the plan was made. An unworthy
+// e has the empty key.
+func (ev *Evaluator) SharedKey(e Expr, rendered string) (string, bool) {
 	switch e.(type) {
 	case Binary, Select, Unary, Near, Freq:
 		if ev.Results == nil || !ev.cacheWorthy(e) {
 			return "", false
 		}
-		return ev.resultKey(e.String()), true
+		return ev.resultKey(rendered), true
 	}
 	return "", false
 }
 
 // CachedResultKey reads the cross-query cache under a key obtained from
-// SharedKey.
+// SharedKey; the empty key misses without a lookup.
 func (ev *Evaluator) CachedResultKey(key string) (region.Set, bool) {
-	if ev.Results == nil {
+	if ev.Results == nil || key == "" {
 		return region.Empty, false
 	}
 	return ev.Results.Get(key)
@@ -352,16 +354,6 @@ func (ev *Evaluator) PublishResultKey(key string, s region.Set) {
 	if ev.Results != nil {
 		ev.Results.Put(key, s)
 	}
-}
-
-// CachedResult returns the cross-query cached result for e when present,
-// letting the engine skip evaluation setup entirely on repeated queries.
-func (ev *Evaluator) CachedResult(e Expr) (region.Set, bool) {
-	key, ok := ev.SharedKey(e)
-	if !ok {
-		return region.Empty, false
-	}
-	return ev.Results.Get(key)
 }
 
 func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {

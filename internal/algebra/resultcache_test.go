@@ -25,16 +25,20 @@ func (c *mapCache) Put(key string, s region.Set) {
 
 // TestEvaluatorResultCache checks the evaluator side of the cross-query
 // result cache: costly expressions are stored and served, cheap leaves are
-// not, and CachedResult answers without evaluating.
+// not, and a keyed read answers without evaluating.
 func TestEvaluatorResultCache(t *testing.T) {
 	in := fixture(t)
 	ev := NewEvaluator(in)
 	cache := &mapCache{m: make(map[string]region.Set)}
 	ev.Results = cache
+	cached := func(e Expr) (region.Set, bool) {
+		key, _ := ev.SharedKey(e, e.String())
+		return ev.CachedResultKey(key)
+	}
 
 	costly := MustParse(`Reference > Authors > contains(Last_Name, "Chang")`)
-	if _, ok := ev.CachedResult(costly); ok {
-		t.Fatal("CachedResult hit before any evaluation")
+	if _, ok := cached(costly); ok {
+		t.Fatal("cached read hit before any evaluation")
 	}
 	want, err := ev.Eval(costly)
 	if err != nil {
@@ -54,8 +58,8 @@ func TestEvaluatorResultCache(t *testing.T) {
 	if !got.Equal(want) {
 		t.Errorf("cached result %v differs from computed %v", got, want)
 	}
-	if s, ok := ev.CachedResult(costly); !ok || !s.Equal(want) {
-		t.Errorf("CachedResult = %v, %v; want %v, true", s, ok, want)
+	if s, ok := cached(costly); !ok || !s.Equal(want) {
+		t.Errorf("cached read = %v, %v; want %v, true", s, ok, want)
 	}
 
 	// A bare name is below the cost threshold: evaluated, never cached.
@@ -67,14 +71,14 @@ func TestEvaluatorResultCache(t *testing.T) {
 	if cache.puts != before {
 		t.Error("cheap leaf was stored in the result cache")
 	}
-	if _, ok := ev.CachedResult(cheap); ok {
-		t.Error("CachedResult served a below-threshold expression")
+	if _, ok := cached(cheap); ok {
+		t.Error("cached read served a below-threshold expression")
 	}
 
 	// Keys embed the instance epoch: a mutation makes the cached entry
 	// unreachable even though the map still holds it.
 	in.Define("Bump", region.FromRegions([]region.Region{{Start: 0, End: 1}}))
-	if _, ok := ev.CachedResult(costly); ok {
-		t.Error("CachedResult survived an instance mutation")
+	if _, ok := cached(costly); ok {
+		t.Error("cached read survived an instance mutation")
 	}
 }

@@ -193,6 +193,9 @@ type VarPlan struct {
 	// satisfy the WHERE conditions on this variable. nil means the index
 	// offers no narrowing (evaluate by scanning the class extent).
 	Candidates algebra.Expr
+	// CandidatesKey is Candidates rendered (String), once per plan: the
+	// cross-query result cache keys on it for every file the plan runs on.
+	CandidatesKey string
 	// Original is the pre-optimization expression, for EXPLAIN and the
 	// optimization benchmarks.
 	Original algebra.Expr
@@ -258,7 +261,8 @@ type Plan struct {
 // ordered by one file's statistics (optimizer.OrderOperands). A compiled plan
 // is shared by every file under its indexing choice; the order is the one
 // part that follows a file's bytes, so each execution applies it to its own
-// copy. A plan with nothing to order, or nil statistics, is returned as it is.
+// copy, and renders CandidatesKey again only where the order changed. A plan
+// with nothing to order, or nil statistics, is returned as it is.
 func (p *Plan) Ordered(st *stats.Stats) *Plan {
 	if st == nil || !p.orderable {
 		return p
@@ -266,8 +270,12 @@ func (p *Plan) Ordered(st *stats.Stats) *Plan {
 	out := *p
 	out.Vars = append([]VarPlan(nil), p.Vars...)
 	for i := range out.Vars {
-		if vp := &out.Vars[i]; vp.Candidates != nil {
-			vp.Candidates = optimizer.OrderOperands(vp.Candidates, st)
+		vp := &out.Vars[i]
+		if vp.Candidates == nil {
+			continue
+		}
+		if ordered := optimizer.OrderOperands(vp.Candidates, st); !algebra.Equal(ordered, vp.Candidates) {
+			vp.Candidates, vp.CandidatesKey = ordered, ordered.String()
 		}
 	}
 	return &out
@@ -453,6 +461,7 @@ func (c *Catalog) compile(q *xsql.Query, indexed *Choice) (*Plan, error) {
 		vp.Original = orig
 		if expr != nil {
 			vp.Candidates, vp.Rewrites = c.optimizeExpr(expr, indexed.rig)
+			vp.CandidatesKey = vp.Candidates.String()
 			plan.orderable = plan.orderable || optimizer.Orderable(vp.Candidates)
 		}
 		plan.Vars = append(plan.Vars, vp)

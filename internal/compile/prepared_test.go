@@ -393,7 +393,8 @@ func entry(key, title, abstract string) string {
 
 // TestOperandOrderIsPerFile: the plan is shared, the operand order is not.
 // Two files whose statistics order an AND's operands oppositely run the same
-// prepared query, each in the order its own full compile gives.
+// prepared query, each in the order its own full compile gives, and each
+// keys its result cache on the order it runs.
 func TestOperandOrderIsPerFile(t *testing.T) {
 	cat := bibtex.Catalog()
 	// The estimator knows a word that occurs nowhere selects nothing, and
@@ -424,6 +425,9 @@ func TestOperandOrderIsPerFile(t *testing.T) {
 		got, want := res.Plan.Vars[0].Candidates.String(), full.Vars[0].Candidates.String()
 		if got != want {
 			t.Errorf("%s ran\n  %s\nits own full compile orders\n  %s", docs[i].Name(), got, want)
+		}
+		if key := res.Plan.Vars[0].CandidatesKey; key != got {
+			t.Errorf("%s ran\n  %s\nbut keys its result cache on\n  %s", docs[i].Name(), got, key)
 		}
 		if res.Explain() != full.Explain() {
 			t.Errorf("%s explains\n%s\nits own full compile explains\n%s", docs[i].Name(), res.Explain(), full.Explain())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qof/internal/compile"
@@ -67,45 +68,20 @@ func (c *Corpus) AddAll(docs []*text.Document, spec grammar.IndexSpec) error {
 // isolated and reported as that document's error, wrapping qerr.ErrInternal.
 func (c *Corpus) AddAllContext(ctx context.Context, docs []*text.Document, spec grammar.IndexSpec) error {
 	engines := make([]*Engine, len(docs))
-	errs := make([]error, len(docs))
-	build := func(i int) {
-		defer func() {
-			if p := recover(); p != nil {
-				errs[i] = fmt.Errorf("engine: indexing %s: panic: %v: %w",
-					docs[i].Name(), p, qerr.ErrInternal)
-			}
-		}()
+	errs := fanOut(c.Parallelism, len(docs), func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		in, _, err := c.cat.Grammar.BuildInstanceContext(ctx, docs[i], spec)
 		if err != nil {
-			errs[i] = fmt.Errorf("engine: indexing %s: %w", docs[i].Name(), err)
-			return
+			return err
 		}
 		engines[i] = New(c.cat, in)
-	}
-	if c.Parallelism > 1 {
-		sem := make(chan struct{}, c.Parallelism)
-		var wg sync.WaitGroup
-		for i := range docs {
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("engine: indexing %s: %w", docs[i].Name(), err)
-				continue
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				build(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range docs {
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("engine: indexing %s: %w", docs[i].Name(), err)
-				continue
-			}
-			build(i)
+		return nil
+	})
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("engine: indexing %s: %w", docs[i].Name(), err)
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
@@ -113,6 +89,50 @@ func (c *Corpus) AddAllContext(ctx context.Context, docs []*text.Document, spec 
 	}
 	c.engines = append(c.engines, engines...)
 	return nil
+}
+
+// fanOut runs do(0) … do(n−1) on the caller's goroutine and min(parallelism,
+// n)−1 helpers, each pulling the next index from a shared counter, and
+// returns the errors by index. A panic in do(i) is do(i)'s error, wrapping
+// qerr.ErrInternal, so one bad file fails alone.
+func fanOut(parallelism, n int, do func(i int) error) []error {
+	f := &fan{do: do, errs: make([]error, n)}
+	for h := 1; h < min(parallelism, n); h++ {
+		f.wg.Add(1)
+		go f.help()
+	}
+	f.pull()
+	f.wg.Wait()
+	return f.errs
+}
+
+// fan is one fanOut call's shared state.
+type fan struct {
+	do   func(i int) error
+	errs []error
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+func (f *fan) help() {
+	defer f.wg.Done()
+	f.pull()
+}
+
+// pull runs the next index until none is left.
+func (f *fan) pull() {
+	for i := int(f.next.Add(1)) - 1; i < len(f.errs); i = int(f.next.Add(1)) - 1 {
+		f.run(i)
+	}
+}
+
+func (f *fan) run(i int) {
+	defer func() {
+		if p := recover(); p != nil {
+			f.errs[i] = fmt.Errorf("panic: %v: %w", p, qerr.ErrInternal)
+		}
+	}()
+	f.errs[i] = f.do(i)
 }
 
 // Len reports the number of files in the corpus.
@@ -230,15 +250,9 @@ func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts 
 		engines = sel
 	}
 	results := make([]*Result, len(engines))
-	errs := make([]error, len(engines))
-	run := func(eng *Engine) (res *Result, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				res, err = nil, fmt.Errorf("panic: %v: %w", p, qerr.ErrInternal)
-			}
-		}()
+	errs := fanOut(c.Parallelism, len(engines), func(i int) (err error) {
 		if err := faultinject.Hit(faultinject.CorpusFile); err != nil {
-			return nil, err
+			return err
 		}
 		fctx := ctx
 		if opts.FileTimeout > 0 {
@@ -246,30 +260,9 @@ func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts 
 			fctx, cancel = context.WithTimeout(ctx, opts.FileTimeout)
 			defer cancel()
 		}
-		return eng.ExecutePrepared(fctx, p, opts.Limits)
-	}
-	if c.Parallelism > 1 && len(engines) > 1 {
-		// One file runs on the caller's goroutine; run isolates its panics.
-		// Acquire the semaphore before spawning, so at most Parallelism
-		// goroutines exist at any moment — launching one goroutine per
-		// file would defeat the bound on large corpora.
-		sem := make(chan struct{}, c.Parallelism)
-		var wg sync.WaitGroup
-		for i, eng := range engines {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int, eng *Engine) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				results[i], errs[i] = run(eng)
-			}(i, eng)
-		}
-		wg.Wait()
-	} else {
-		for i, eng := range engines {
-			results[i], errs[i] = run(eng)
-		}
-	}
+		results[i], err = engines[i].ExecutePrepared(fctx, p, opts.Limits)
+		return err
+	})
 	out := &CorpusResult{}
 	var failed []error
 	for i, eng := range engines {

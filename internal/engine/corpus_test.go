@@ -2,10 +2,12 @@ package engine_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"qof/internal/bibtex"
 	"qof/internal/engine"
+	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/testutil"
 	"qof/internal/text"
@@ -174,5 +176,42 @@ func TestCorpusParallel(t *testing.T) {
 		if a.Hits[i].File != b.Hits[i].File || !a.Hits[i].Regions.Equal(b.Hits[i].Regions) {
 			t.Errorf("hit %d differs", i)
 		}
+	}
+}
+
+// TestCorpusFanOutBound: a 16-file corpus at Parallelism 4 runs its files on
+// the caller's goroutine and three helpers, never more, and answers as the
+// sequential corpus does.
+func TestCorpusFanOutBound(t *testing.T) {
+	defer faultinject.Reset()
+	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
+	c := engine.NewCorpus(cat)
+	if err := c.AddAll(testutil.BibCorpusDocs(t, 16, 30), grammar.IndexSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	q := xsql.MustParse(changAuthorQuery)
+	want, err := c.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Parallelism = 4
+	// Every file stalls a little, so the helpers overlap.
+	if err := faultinject.Configure("corpus.file=delay:2ms"); err != nil {
+		t.Fatal(err)
+	}
+	probe := testutil.NewGoroutineProbe()
+	base := runtime.NumGoroutine()
+	got, err := c.ExecuteContext(probe, q, engine.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corpusSnapshot(got) != corpusSnapshot(want) {
+		t.Errorf("parallel corpus answer differs:\n got %s\nwant %s", corpusSnapshot(got), corpusSnapshot(want))
+	}
+	switch extra := probe.Max() - base; {
+	case extra > 3:
+		t.Errorf("%d goroutines beside the caller's, want at most 3", extra)
+	case extra < 1:
+		t.Errorf("no helper ran beside the caller")
 	}
 }

@@ -50,11 +50,12 @@ type Engine struct {
 
 	choice atomic.Pointer[choiceAt] // the indexing choice as of an instance epoch
 
-	// Parallelism bounds the number of worker goroutines parsing and
-	// filtering phase-2 candidate regions within one Execute call; values
-	// < 2 parse sequentially. Results are identical either way: candidates
-	// are merged back in document order. So are statistics, except that
-	// under a LIMIT the pool may have read ahead of the stop point.
+	// Parallelism bounds the worker goroutines that parse and filter one
+	// Execute call's phase-2 candidates; values < 2 parse them on the
+	// caller's goroutine. Answers and their order are the same either way,
+	// and so are statistics, except that under a LIMIT Candidates counts
+	// what the drain had cut ahead of the stop point: at most
+	// (Parallelism+1)·maxChunk − 1 more than a sequential run.
 	Parallelism int
 }
 
@@ -198,14 +199,14 @@ type Limits struct {
 }
 
 // execEnv carries one execution's cancellation and budget state across the
-// engine's phases. The byte budget is atomic because parallel phase-2
-// workers charge it concurrently.
+// engine's phases. Only the execution's own goroutine charges the byte
+// budget: phase-2 workers get an execEnv without one.
 type execEnv struct {
 	ctx    context.Context
 	lim    Limits
 	budget *algebra.Budget // phase-1 region budget; nil = unlimited
 
-	bytesUsed atomic.Int64 // phase-2 parsed bytes so far
+	bytesUsed int // phase-2 parsed bytes so far
 }
 
 // poll returns the context error once the execution's context is done.
@@ -221,7 +222,7 @@ func (es *execEnv) chargeBytes(n int) error {
 	if es.lim.MaxEvalBytes <= 0 {
 		return nil
 	}
-	if es.bytesUsed.Add(int64(n)) > int64(es.lim.MaxEvalBytes) {
+	if es.bytesUsed += n; es.bytesUsed > es.lim.MaxEvalBytes {
 		return fmt.Errorf("engine: eval-bytes budget of %d exceeded: %w",
 			es.lim.MaxEvalBytes, qerr.ErrBudgetExceeded)
 	}
@@ -338,7 +339,8 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 		// A region budget must meter the actual phase-1 work, so budgeted
 		// queries bypass the cross-query cache: a warm cache would
 		// otherwise decide whether the budget applies at all.
-		if s, ok := e.ev.CachedResult(vp.Candidates); ok && es.budget == nil {
+		key, _ := e.ev.SharedKey(vp.Candidates, vp.CandidatesKey)
+		if s, ok := e.ev.CachedResultKey(key); ok && es.budget == nil {
 			// The whole candidate expression was answered by the
 			// cross-query result cache: phase 1 is a lookup.
 			candidates = s
@@ -414,8 +416,8 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 }
 
 // processCandidate does the per-candidate phase-2 work — poll, fault
-// injection, byte budget, parse, build, filter — for the sequential and the
-// parallel drain alike. It parses with the plan's read set, so obj holds
+// injection, byte budget (a worker's execEnv has none: the drain charged the
+// candidate when it cut it), parse, build, filter. It parses with the plan's read set, so obj holds
 // what the filter and the projection navigate and nothing else; a plan that reads nothing of its candidates (an exact
 // whole-object select) has nothing to decide and nothing to build, and its
 // candidates pass unparsed and uncharged — but still through the poll and
@@ -511,7 +513,7 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	fromCache := false
 	// Worthiness and the epoch-prefixed key are computed once and shared by
 	// the cache read and the publish below.
-	key, worthy := e.ev.SharedKey(vp.Candidates)
+	key, worthy := e.ev.SharedKey(vp.Candidates, vp.CandidatesKey)
 	// A region budget must meter the actual phase-1 work, so budgeted
 	// queries bypass the cross-query cache, exactly like the complete-set
 	// plans.
@@ -550,17 +552,23 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	return nil
 }
 
-// streamPhase2 drains the candidate iterator through phase 2, sequentially
-// or with a worker pool, and reports the candidates pulled and whether the
-// stream was consumed to exhaustion (false when the LIMIT stopped it).
+// streamPhase2 drains the candidate iterator through phase 2 and reports the
+// candidates pulled and whether the stream was consumed to exhaustion (false
+// when the LIMIT stopped it). The caller's goroutine is the iterator's only
+// consumer, and it processes the first candidate itself. It processes the
+// others itself as well — the sequential drain — unless Parallelism is at
+// least 2 and the plan parses its candidates (one that parses nothing has
+// too little work per candidate to hand off); then drainChunks takes the
+// rest. A LIMIT that the first candidate meets therefore starts no goroutine.
 func (e *Engine) streamPhase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result) (all []region.Region, complete bool, err error) {
 	em := newEmitter(q, plan, res)
 	defer em.finish()
-	if e.Parallelism > 1 {
-		return e.streamPhase2Parallel(es, q, plan, vp, src, res, em)
-	}
+	parallel := e.Parallelism > 1 && !vp.Reads.Empty()
 	for !em.full() {
-		r, ok, err := src.Next()
+		if parallel && len(all) > 0 {
+			return e.drainChunks(es, plan, vp, src, res, em, all)
+		}
+		r, ok, err := nextCandidate(src)
 		if err != nil {
 			return all, false, fmt.Errorf("engine: evaluating candidates: %w", err)
 		}
@@ -580,136 +588,129 @@ func (e *Engine) streamPhase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	return all, false, nil
 }
 
-// streamPhase2Parallel overlaps candidate production and parsing: a feeder
-// goroutine (the iterator's only consumer) streams candidates to a worker
-// pool, and the collector merges worker output back in document order, so
-// results are identical to the sequential drain. Early termination closes
-// done; every goroutine selects on it, and the drain loops below join them
-// all before returning — no goroutine outlives the call.
-//
-// Under a LIMIT the feeder may have read ahead of the stop point, so the
-// Candidates/Parsed statistics of a limited parallel run can exceed the
-// sequential ones; results are still deterministic because emission is
-// strictly in document order.
-func (e *Engine) streamPhase2Parallel(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result, em *emitter) (all []region.Region, complete bool, err error) {
-	type feedItem struct {
-		i int
-		r region.Region
-	}
-	type outItem struct {
-		i    int
-		r    region.Region
-		obj  db.Value
-		keep bool
-		err  error
-	}
-	workers := e.Parallelism
-	feed := make(chan feedItem, workers)
-	outc := make(chan outItem, workers)
-	done := make(chan struct{})
-	var stopOnce sync.Once
-	stop := func() { stopOnce.Do(func() { close(done) }) }
-	defer stop()
-
-	var feedErr error
-	feedComplete := false
-	feederDone := make(chan struct{})
-	go func() {
-		defer close(feederDone)
-		defer close(feed)
-		// Registered last so it runs first: feedErr must be set before the
-		// channel closes release the collector.
-		defer func() {
-			if p := recover(); p != nil {
-				feedErr = fmt.Errorf("engine: phase 2 feeder panic: %v: %w", p, qerr.ErrInternal)
-			}
-		}()
-		for i := 0; ; i++ {
-			r, ok, err := src.Next()
-			if err != nil {
-				feedErr = err
-				return
-			}
-			if !ok {
-				feedComplete = true
-				return
-			}
-			all = append(all, r)
-			select {
-			case feed <- feedItem{i: i, r: r}:
-			case <-done:
-				return
-			}
+// nextCandidate pulls the drain's next candidate. A panic in a phase-1
+// operator surfaces here, on the drain's goroutine, and fails this query
+// with ErrInternal, so the drain still joins its workers.
+func nextCandidate(src region.Iterator) (r region.Region, ok bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("engine: candidate stream panic: %v: %w", p, qerr.ErrInternal)
 		}
 	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range feed {
-				obj, keep, err := e.processCandidate(es, plan, vp, it.r)
-				select {
-				case outc <- outItem{i: it.i, r: it.r, obj: obj, keep: keep, err: err}:
-				case <-done:
-					return
+	return src.Next()
+}
+
+// maxChunk caps the candidates in one chunk. Chunks double from two up to
+// it, so a drain that a LIMIT stops early has cut little ahead, and a long
+// one pays one hand-off per maxChunk candidates.
+const maxChunk = 64
+
+// chunk is a run of consecutive candidates that one worker takes through
+// processCandidate in document order.
+type chunk struct {
+	rs   []region.Region // the candidates: a window onto the drain's all
+	out  []processed     // one per candidate processed, in order
+	err  error           // the failure that stopped the chunk after out
+	done chan struct{}   // closed by the worker when it is through
+}
+
+// processed is processCandidate's answer for one candidate.
+type processed struct {
+	obj  db.Value
+	keep bool
+}
+
+// drainChunks is the rest of a parallel drain, after streamPhase2 ran the
+// first candidate (all) inline. The caller cuts the candidates into chunks
+// of 2, 4, … up to maxChunk, charging the byte budget for each as it cuts
+// it, keeps at most Parallelism+1 chunks in flight, and starts a worker per
+// chunk in flight up to Parallelism. It emits each finished chunk strictly
+// in document order, candidate by candidate, so the answer, Parsed and the
+// first error in document order — a spent budget included — are the
+// sequential drain's; only Candidates counts what was cut ahead of a LIMIT.
+// Every worker is joined before it returns.
+func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result, em *emitter, all []region.Region) (_ []region.Region, complete bool, err error) {
+	var (
+		work    = make(chan *chunk, e.Parallelism+1) // sized to the in-flight bound: a send never blocks
+		wg      sync.WaitGroup
+		stop    atomic.Bool // the drain is over: workers skip what is left
+		workers int
+		fifo    []*chunk // cut and not yet emitted, in document order
+		size    = 2
+		eof     bool
+		cutErr  error // what stopped the cutting: the stream's failure or the budget's
+	)
+	wes := &execEnv{ctx: es.ctx} // the workers' view: the caller charged what they parse
+	worker := func() {
+		defer wg.Done()
+		for c := range work {
+			c.out = make([]processed, 0, len(c.rs))
+			for _, r := range c.rs {
+				if stop.Load() {
+					break
 				}
+				obj, keep, err := e.processCandidate(wes, plan, vp, r)
+				if err != nil {
+					c.err = err
+					break
+				}
+				c.out = append(c.out, processed{obj: obj, keep: keep})
 			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(outc)
-	}()
-
-	// In-order collector: workers finish out of order, so completed items
-	// wait in pending until their document-order turn comes up.
-	pending := make(map[int]outItem)
-	nextIdx := 0
-	var procErr error
-collect:
-	for oi := range outc {
-		pending[oi.i] = oi
-		for {
-			cur, ok := pending[nextIdx]
-			if !ok {
-				continue collect
-			}
-			delete(pending, nextIdx)
-			nextIdx++
-			if cur.err != nil {
-				procErr = cur.err
-				break collect
-			}
-			res.Stats.countParsed(vp, cur.r)
-			if cur.keep {
-				em.emit(cur.r, cur.obj)
-			}
-			if em.full() {
-				break collect
-			}
+			close(c.done)
 		}
 	}
-	// Join everything: closing done releases blocked senders, draining outc
-	// lets the workers finish their in-flight items, and feederDone
-	// guarantees the iterator has no concurrent consumer once we return.
-	stop()
-	for range outc {
+	for !em.full() && err == nil {
+		for !eof && cutErr == nil && len(fifo) <= e.Parallelism {
+			lo := len(all)
+			for len(all)-lo < size {
+				r, ok, err := nextCandidate(src)
+				if err != nil {
+					cutErr = fmt.Errorf("engine: evaluating candidates: %w", err)
+					break
+				}
+				if !ok {
+					eof = true
+					break
+				}
+				if cutErr = es.chargeBytes(r.Len()); cutErr != nil {
+					break
+				}
+				all = append(all, r)
+			}
+			if len(all) == lo {
+				break
+			}
+			c := &chunk{rs: all[lo:len(all):len(all)], done: make(chan struct{})}
+			fifo = append(fifo, c)
+			work <- c
+			if workers < len(fifo) && workers < e.Parallelism {
+				wg.Add(1)
+				go worker()
+				workers++
+			}
+			size = min(2*size, maxChunk)
+		}
+		if len(fifo) == 0 {
+			err, complete = cutErr, cutErr == nil
+			break
+		}
+		c := fifo[0]
+		fifo = fifo[:copy(fifo, fifo[1:])]
+		<-c.done
+		for i := 0; i < len(c.out) && !em.full(); i++ {
+			res.Stats.countParsed(vp, c.rs[i])
+			if c.out[i].keep {
+				em.emit(c.rs[i], c.out[i].obj)
+			}
+		}
+		if !em.full() {
+			err = c.err
+		}
 	}
-	<-feederDone
-
-	if procErr != nil {
-		return all, false, procErr
-	}
-	if feedErr != nil {
-		return all, false, fmt.Errorf("engine: evaluating candidates: %w", feedErr)
-	}
-	if em.full() && q.Limit > 0 {
-		return all, false, nil
-	}
-	// No error and no early stop: the feeder ran to exhaustion and every
-	// item passed through the collector.
-	return all, feedComplete, nil
+	stop.Store(true)
+	close(work)
+	wg.Wait()
+	return all, complete, err
 }
 
 // joinFastCandidates implements Section 5.2's join strategy: locate the

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qof/internal/bibtex"
 	"qof/internal/engine"
 	"qof/internal/grammar"
 	"qof/internal/xsql"
@@ -65,12 +66,23 @@ func ServeConcurrent(eng *engine.Engine, queries []*xsql.Query, workers, total i
 	return elapsed, nil
 }
 
+// phase2Queries are X2's phase-2 sweep: the benchmark's phase2_parse shape.
+// On the paper's partial index {Reference, Key, Last_Name} a CONTAINS on the
+// unindexed Abstract or Keywords makes every reference with the word
+// anywhere in it a candidate, and each is parsed to see where the word is.
+var phase2Queries = []string{
+	`SELECT r FROM References r WHERE r.Abstract CONTAINS "term150"`,
+	`SELECT r.Title FROM References r WHERE r.Keywords CONTAINS "term150"`,
+	`SELECT r FROM References r WHERE r.Abstract CONTAINS "term300"`,
+	`SELECT r.Title FROM References r WHERE r.Keywords CONTAINS "term300"`,
+}
+
 // X2 is an extension experiment: concurrent query serving. Mode "clients"
 // drives N goroutines of mixed queries against one shared engine and reports
 // throughput (the multi-member shared-access setting of Section 2); mode
-// "phase2" runs a parse-heavy projection with N phase-2 workers and reports
-// single-query throughput. Speedups are relative to the 1-worker row of the
-// same mode; on a single-CPU host they hover around 1.0x by construction.
+// "phase2" runs phase2Queries from one caller with N phase-2 workers and
+// reports single-query throughput. Speedups are relative to the 1-worker row
+// of the same mode, and no mode can beat the host's core count.
 func X2(opt Options) (*Table, error) {
 	t := &Table{
 		ID:     "X2",
@@ -78,7 +90,7 @@ func X2(opt Options) (*Table, error) {
 		Header: []string{"mode", "workers", "queries", "elapsed_ms", "qps", "speedup"},
 		Notes: []string{
 			"clients: N goroutines share one Engine; work-stealing over a mixed query list",
-			"phase2: one caller, Engine.Parallelism=N workers parse/filter candidates",
+			"phase2: one caller, Engine.Parallelism=N; CONTAINS selects on the partial index {Reference, Key, Last_Name}, every candidate parsed",
 		},
 	}
 	n := opt.Sizes[0]
@@ -107,26 +119,36 @@ func X2(opt Options) (*Table, error) {
 		})
 	}
 
-	// Phase-2 sweep: a projection over every reference parses each candidate,
-	// so the per-query worker pool has real work to divide.
-	parseHeavy := mustQuery(`SELECT r.Key FROM References r`)
-	phase2Total := 4 * opt.Repeats
-	base = 0
-	for _, w := range ConcurrencyWorkers {
-		setup.Engine.Parallelism = w
-		elapsed, err := ServeConcurrent(setup.Engine, []*xsql.Query{parseHeavy}, 1, phase2Total)
+	partial, err := NewBibtexSetup(n, grammar.IndexSpec{Names: []string{bibtex.NTReference, bibtex.NTKey, bibtex.NTLastName}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	parseHeavy := make([]*xsql.Query, len(phase2Queries))
+	for i, src := range phase2Queries {
+		parseHeavy[i] = mustQuery(src)
+		res, err := partial.Engine.Execute(parseHeavy[i])
 		if err != nil {
 			return nil, err
 		}
-		qps := float64(phase2Total) / elapsed.Seconds()
+		if res.Stats.Parsed == 0 {
+			return nil, fmt.Errorf("x2: %s parsed nothing; the phase-2 sweep would measure no phase 2", src)
+		}
+	}
+	base = 0
+	for _, w := range ConcurrencyWorkers {
+		partial.Engine.Parallelism = w
+		elapsed, err := ServeConcurrent(partial.Engine, parseHeavy, 1, total)
+		if err != nil {
+			return nil, err
+		}
+		qps := float64(total) / elapsed.Seconds()
 		if w == ConcurrencyWorkers[0] {
 			base = qps
 		}
 		t.Rows = append(t.Rows, []string{
-			"phase2", itoa(w), itoa(phase2Total), ms(elapsed), fmtQPS(qps), fmtSpeedup(qps, base),
+			"phase2", itoa(w), itoa(total), ms(elapsed), fmtQPS(qps), fmtSpeedup(qps, base),
 		})
 	}
-	setup.Engine.Parallelism = 0
 
 	// One more run of the mixed list: by now every plan is cached.
 	hits := 0

@@ -2,8 +2,8 @@
 // differential-testing harness: every generated query runs through both and
 // any disagreement fails with a report that names the query, the plan and
 // both results. The engine side deliberately exercises its whole machinery —
-// optimized plans, the plan cache (every query executes twice), and the
-// parallel phase-2 worker pool — while the oracle side uses none of it.
+// optimized plans, the plan cache (every query executes repeatedly), and
+// phase 2 both inline and on workers — while the oracle side uses none of it.
 package diff
 
 import (
@@ -35,9 +35,11 @@ type Harness struct {
 // limitLegKs are the LIMIT values the prefix leg re-runs every query with.
 var limitLegKs = []int{1, 3}
 
-// New builds a harness for one domain under one index specification. The
-// engine runs with phase-2 parallelism enabled so the feeder/collector
-// pipeline is under test too.
+// parallelisms are the engine's phase-2 settings every query runs at: the
+// inline drain and the chunked one. The engine is left at the last.
+var parallelisms = []int{1, 4}
+
+// New builds a harness for one domain under one index specification.
 func New(d *qgen.Domain, specIdx int, spec grammar.IndexSpec) (*Harness, error) {
 	in, _, err := d.Cat.Grammar.BuildInstance(d.Doc, spec)
 	if err != nil {
@@ -48,7 +50,7 @@ func New(d *qgen.Domain, specIdx int, spec grammar.IndexSpec) (*Harness, error) 
 		return nil, err
 	}
 	eng := engine.New(d.Cat, in)
-	eng.Parallelism = 3
+	eng.Parallelism = parallelisms[len(parallelisms)-1]
 	return &Harness{
 		Name:   fmt.Sprintf("%s/spec%d", d.Name, specIdx),
 		In:     in,
@@ -71,42 +73,83 @@ func Harnesses(d *qgen.Domain) ([]*Harness, error) {
 	return out, nil
 }
 
-// CheckQuery executes q on the engine three times — the second and third
-// runs must come from the plan cache, and by the third the cross-query
-// result cache is warm, so both cache layers are under differential test —
-// and on the oracle, and returns a mismatch report as an error, or nil when
-// all runs agree. When the query succeeds, the LIMIT leg re-runs it with
-// LIMIT k and checks the limited answer against the full one.
+// CheckQuery executes q on the engine three times at each of the harness's
+// parallelisms — every run after the first must come from the plan cache,
+// and by the third the cross-query result cache is warm, so both cache
+// layers are under differential test — and on the oracle, and returns a
+// mismatch report as an error, or nil when all runs agree. The last runs at
+// each parallelism must agree on every repeatable statistic. When the query
+// succeeds, the LIMIT leg re-runs it with LIMIT k at each parallelism and
+// checks the limited answer against the full one.
 func (h *Harness) CheckQuery(q *xsql.Query) error {
 	want, oerr := h.Oracle.Query(q)
-	var full *engine.Result
-	for run := 0; run < 3; run++ {
-		got, err := h.Eng.Execute(q)
-		if (err != nil) != (oerr != nil) {
-			return fmt.Errorf("%s: error disagreement on %s (run %d):\n  engine: %v\n  oracle: %v",
-				h.Name, q, run, err, oerr)
+	full := make([]*engine.Result, len(parallelisms))
+	for pi, par := range parallelisms {
+		h.Eng.Parallelism = par
+		for run := 0; run < 3; run++ {
+			got, err := h.Eng.Execute(q)
+			if (err != nil) != (oerr != nil) {
+				return fmt.Errorf("%s: error disagreement on %s (parallelism %d, run %d):\n  engine: %v\n  oracle: %v",
+					h.Name, q, par, run, err, oerr)
+			}
+			if err != nil {
+				continue // both sides reject the query the same way
+			}
+			if (pi > 0 || run >= 1) && !got.Stats.PlanCached {
+				return fmt.Errorf("%s: run %d of %s at parallelism %d did not hit the plan cache", h.Name, run, q, par)
+			}
+			if msg := h.compare(q, got, want); msg != "" {
+				return fmt.Errorf("%s: mismatch on %s (parallelism %d, run %d):\n%s\nplan:\n%s",
+					h.Name, q, par, run, msg, indent(got.Plan.Explain()))
+			}
+			full[pi] = got
 		}
-		if err != nil {
-			continue // both sides reject the query the same way
-		}
-		if run >= 1 && !got.Stats.PlanCached {
-			return fmt.Errorf("%s: run %d of %s did not hit the plan cache", h.Name, run, q)
-		}
-		if msg := h.compare(q, got, want); msg != "" {
-			return fmt.Errorf("%s: mismatch on %s (run %d):\n%s\nplan:\n%s",
-				h.Name, q, run, msg, indent(got.Plan.Explain()))
-		}
-		full = got
 	}
-	if oerr != nil || full == nil {
+	if oerr != nil || full[0] == nil {
 		return nil
 	}
+	for pi := 1; pi < len(full); pi++ {
+		if a, b := repeatable(full[0].Stats), repeatable(full[pi].Stats); a != b {
+			return fmt.Errorf("%s: statistics of %s differ at parallelism %d and %d:\n  %+v\n  %+v",
+				h.Name, q, parallelisms[0], parallelisms[pi], a, b)
+		}
+	}
 	for _, k := range limitLegKs {
-		if err := h.checkLimit(q, k, full); err != nil {
-			return err
+		var seq engine.Stats
+		for pi, par := range parallelisms {
+			h.Eng.Parallelism = par
+			limited, err := h.checkLimit(q, k, full[0])
+			if err != nil {
+				return err
+			}
+			st := repeatable(limited.Stats)
+			if pi == 0 {
+				seq = st
+				continue
+			}
+			// Workers may have cut candidates past the stop point: that shows
+			// in Candidates and in the buffer bytes counted for them, and
+			// nowhere else.
+			if st.Candidates < seq.Candidates || st.PeakBytes < seq.PeakBytes {
+				return fmt.Errorf("%s: LIMIT %d on %s at parallelism %d read less than sequentially:\n  %+v\n  %+v",
+					h.Name, k, q, par, seq, st)
+			}
+			st.Candidates, st.PeakBytes = seq.Candidates, seq.PeakBytes
+			if st != seq {
+				return fmt.Errorf("%s: LIMIT %d on %s: statistics differ at parallelism %d and %d:\n  %+v\n  %+v",
+					h.Name, k, q, parallelisms[0], par, seq, st)
+			}
 		}
 	}
 	return nil
+}
+
+// repeatable is st without what differs between two runs of one plan: the
+// wall-clock times, and whether the plan was compiled or already cached.
+func repeatable(st engine.Stats) engine.Stats {
+	st.CompileTime, st.Phase1Time, st.Phase2Time = 0, 0, 0
+	st.PlanCached = false
+	return st
 }
 
 // checkLimit runs q with LIMIT k and verifies the LIMIT invariants against
@@ -115,43 +158,43 @@ func (h *Harness) CheckQuery(q *xsql.Query) error {
 // min(k, full). For single-variable queries the projected strings are a
 // prefix of the full strings too; multi-variable emission order without a
 // limit is nested-loop order, so only the region and count invariants apply
-// there.
-func (h *Harness) checkLimit(q *xsql.Query, k int, full *engine.Result) error {
+// there. It returns the limited result.
+func (h *Harness) checkLimit(q *xsql.Query, k int, full *engine.Result) (*engine.Result, error) {
 	limited, err := h.Eng.Execute(q.WithLimit(k))
 	if err != nil {
-		return fmt.Errorf("%s: LIMIT %d on %s failed: %v", h.Name, k, q, err)
+		return nil, fmt.Errorf("%s: LIMIT %d on %s failed: %v", h.Name, k, q, err)
 	}
 	if limited.Projected != full.Projected {
-		return fmt.Errorf("%s: LIMIT %d on %s: projected %v, full answer %v",
+		return nil, fmt.Errorf("%s: LIMIT %d on %s: projected %v, full answer %v",
 			h.Name, k, q, limited.Projected, full.Projected)
 	}
 	// Row count: exactly k rows unless the full answer is smaller.
 	rows, fullRows := limited.Stats.Results, full.Stats.Results
 	if wantRows := min(k, fullRows); rows != wantRows {
-		return fmt.Errorf("%s: LIMIT %d on %s returned %d rows, want %d (full %d)",
+		return nil, fmt.Errorf("%s: LIMIT %d on %s returned %d rows, want %d (full %d)",
 			h.Name, k, q, rows, wantRows, fullRows)
 	}
 	// Regions: a prefix of the full sorted answer.
 	lr, fr := limited.Regions.Regions(), full.Regions.Regions()
 	if len(lr) > len(fr) {
-		return fmt.Errorf("%s: LIMIT %d on %s kept %d regions, full answer has %d",
+		return nil, fmt.Errorf("%s: LIMIT %d on %s kept %d regions, full answer has %d",
 			h.Name, k, q, len(lr), len(fr))
 	}
 	for i := range lr {
 		if lr[i] != fr[i] {
-			return fmt.Errorf("%s: LIMIT %d on %s: region %d is %v, full answer has %v — not a prefix",
+			return nil, fmt.Errorf("%s: LIMIT %d on %s: region %d is %v, full answer has %v — not a prefix",
 				h.Name, k, q, i, lr[i], fr[i])
 		}
 	}
 	if limited.Projected && len(q.From) == 1 {
 		for i, s := range limited.Strings {
 			if i >= len(full.Strings) || s != full.Strings[i] {
-				return fmt.Errorf("%s: LIMIT %d on %s: strings are not a prefix of the full answer:\n  limited %v\n  full    %v",
+				return nil, fmt.Errorf("%s: LIMIT %d on %s: strings are not a prefix of the full answer:\n  limited %v\n  full    %v",
 					h.Name, k, q, limited.Strings, full.Strings)
 			}
 		}
 	}
-	return nil
+	return limited, nil
 }
 
 // compare checks the engine result against the oracle result. Regions are

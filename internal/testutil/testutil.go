@@ -6,7 +6,10 @@
 package testutil
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"qof/internal/bibtex"
@@ -92,3 +95,31 @@ func BibCorpusDocs(t testing.TB, files, refs int) []*text.Document {
 	}
 	return docs
 }
+
+// GoroutineProbe is a context that never ends and records, at every poll,
+// the most goroutines it has seen running. Passed to a query, it shows how
+// many goroutines ran beside the query's own while it worked.
+type GoroutineProbe struct {
+	context.Context
+	done chan struct{}
+	max  *atomic.Int64
+}
+
+// NewGoroutineProbe returns a probe that has seen nothing yet.
+func NewGoroutineProbe() GoroutineProbe {
+	return GoroutineProbe{Context: context.Background(), done: make(chan struct{}), max: new(atomic.Int64)}
+}
+
+// Done returns a channel that is never closed, so the engine polls Err.
+func (p GoroutineProbe) Done() <-chan struct{} { return p.done }
+
+// Err records the goroutine count and reports nothing done.
+func (p GoroutineProbe) Err() error {
+	n := int64(runtime.NumGoroutine())
+	for m := p.max.Load(); n > m && !p.max.CompareAndSwap(m, n); m = p.max.Load() {
+	}
+	return nil
+}
+
+// Max reports the most goroutines seen at one poll.
+func (p GoroutineProbe) Max() int { return int(p.max.Load()) }

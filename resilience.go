@@ -12,6 +12,7 @@ package qof
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -101,7 +102,7 @@ func catchPanic(err *error, format string, args ...any) {
 // cancellation at stage boundaries, so an abandoned build stops promptly.
 func (s *Schema) IndexContext(ctx context.Context, name, content string, opts ...IndexOption) (f *File, err error) {
 	defer catchPanic(&err, "indexing %s", name)
-	cfg := applyOptions(opts)
+	cfg := applyOptions(runtime.GOMAXPROCS(0), opts)
 	doc := text.NewDocument(name, content)
 	in, _, err := s.cat.Grammar.BuildInstanceContext(ctx, doc, cfg.spec)
 	if err != nil {
@@ -156,7 +157,7 @@ func (f *File) EvalContext(ctx context.Context, src string) (spans []Span, err e
 // added.
 func (c *Corpus) AddAllContext(ctx context.Context, files map[string]string, opts ...IndexOption) (err error) {
 	defer catchPanic(&err, "adding %d files", len(files))
-	cfg := applyOptions(opts)
+	cfg := applyOptions(0, opts)
 	names := make([]string, 0, len(files))
 	for name := range files {
 		names = append(names, name)
