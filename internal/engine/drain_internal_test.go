@@ -79,7 +79,9 @@ func drain(t *testing.T, e *Engine, q *xsql.Query, par int, es *execEnv, fault *
 	defer fault.Close()
 	e.Parallelism = par
 	res := &Result{Plan: plan, eng: e}
-	_, complete, err := e.streamPhase2(es, q, plan, vp, fault, res)
+	em := newEmitter(q, plan, res)
+	_, complete, err := e.streamPhase2(es, plan, vp, fault, res, em)
+	em.finish()
 	return res, complete, err
 }
 

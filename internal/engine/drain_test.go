@@ -22,16 +22,25 @@ import (
 // TestPhase2FaultsAtChunkBoundaries fires the engine.phase2 failpoint — an
 // error, a panic, or a cancel seen by the next poll — at the k-th candidate
 // processed, for k at the first candidates and on both sides of the chunk
-// boundaries. The query fails as it does sequentially: errors.Is matches and,
-// except for a panic, whose message names whichever candidate a worker had,
-// so does the text. No stream or goroutine is left behind.
+// boundaries, on a single-variable query and on a join, whose variables'
+// candidates go through the same drain. The query fails as it does
+// sequentially: errors.Is matches and, except for a panic, whose message
+// names whichever candidate a worker had, so does the text. No stream or
+// goroutine is left behind.
 func TestPhase2FaultsAtChunkBoundaries(t *testing.T) {
 	defer faultinject.Reset()
 	f := testutil.NewBibFixture(t, 200, paperPartialIndex, nil)
-	q := xsql.MustParse(valueJoinQuery) // every reference is a candidate, and parsed
-	if _, err := f.Eng.Execute(q); err != nil {
-		t.Fatal(err)
+	// Every reference is a candidate, and parsed: once, or once per variable.
+	for _, src := range []string{valueJoinQuery, yearJoinQuery} {
+		q := xsql.MustParse(src)
+		if _, err := f.Eng.Execute(q); err != nil {
+			t.Fatal(err)
+		}
+		faultsAtChunkBoundaries(t, f.Eng, q)
 	}
+}
+
+func faultsAtChunkBoundaries(t *testing.T, eng *engine.Engine, q *xsql.Query) {
 	baseGoroutines, baseStreams := runtime.NumGoroutine(), algebra.OpenStreams()
 	for _, k := range []int{1, 2, 3, 4, 63, 64, 65, 127, 128} {
 		for kind, want := range map[string]error{
@@ -41,7 +50,7 @@ func TestPhase2FaultsAtChunkBoundaries(t *testing.T) {
 		} {
 			var seqErr error
 			for _, par := range []int{1, 4} {
-				f.Eng.Parallelism = par
+				eng.Parallelism = par
 				ctx, spec := context.Context(context.Background()), fmt.Sprintf("engine.phase2=%s@%d", kind, k)
 				if kind == "cancel" {
 					// The delay of nothing only counts candidates for the cancel.
@@ -50,15 +59,15 @@ func TestPhase2FaultsAtChunkBoundaries(t *testing.T) {
 				if err := faultinject.Configure(spec); err != nil {
 					t.Fatal(err)
 				}
-				_, err := f.Eng.ExecuteContext(ctx, q, engine.Limits{})
+				_, err := eng.ExecuteContext(ctx, q, engine.Limits{})
 				faultinject.Reset()
 				if !errors.Is(err, want) {
-					t.Fatalf("%s at %d, parallelism %d: %v, want %v", kind, k, par, err, want)
+					t.Fatalf("%s: %s at %d, parallelism %d: %v, want %v", q, kind, k, par, err, want)
 				}
 				if par == 1 {
 					seqErr = err
 				} else if kind != "panic" && err.Error() != seqErr.Error() {
-					t.Errorf("%s at %d: parallelism %d fails with %q, sequentially %q", kind, k, par, err, seqErr)
+					t.Errorf("%s: %s at %d: parallelism %d fails with %q, sequentially %q", q, kind, k, par, err, seqErr)
 				}
 			}
 		}

@@ -331,43 +331,9 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	if vp.Candidates != nil && plan.JoinFast == nil && !plan.IndexOnly() {
 		return e.streamSingle(es, q, plan, vp, res, phase1)
 	}
-
-	// Phase 1: the complete candidate set.
-	var candidates region.Set
-	switch {
-	case vp.Candidates != nil:
-		// A region budget must meter the actual phase-1 work, so budgeted
-		// queries bypass the cross-query cache: a warm cache would
-		// otherwise decide whether the budget applies at all.
-		key, _ := e.ev.SharedKey(vp.Candidates, vp.CandidatesKey)
-		if s, ok := e.ev.CachedResultKey(key); ok && es.budget == nil {
-			// The whole candidate expression was answered by the
-			// cross-query result cache: phase 1 is a lookup.
-			candidates = s
-			res.Stats.ResultCached = true
-			res.Stats.ResultCacheHits++
-		} else {
-			var err error
-			candidates, err = e.evalExpr(es, vp.Candidates, res)
-			if err != nil {
-				return fmt.Errorf("engine: evaluating candidates: %w", err)
-			}
-		}
-	default:
-		// The index offers nothing: parse the whole document and use
-		// every object region as a candidate.
-		res.Stats.FullScan = true
-		doc := e.in.Document()
-		if err := es.chargeBytes(doc.Len()); err != nil {
-			return err
-		}
-		tree, err := e.cat.Grammar.Parse(doc)
-		if err != nil {
-			return fmt.Errorf("engine: full scan parse: %w", err)
-		}
-		res.Stats.ParsedBytes += doc.Len()
-		candidates = grammar.ExtractRegions(tree, vp.NT)[vp.NT]
-		res.Stats.Parsed += candidates.Len()
+	candidates, err := e.candidateSet(es, vp, res)
+	if err != nil {
+		return err
 	}
 	res.Stats.Candidates = candidates.Len()
 	res.Stats.Phase1Time = time.Since(phase1)
@@ -411,8 +377,48 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	// Phase 2: parse candidates, filter unless exact, project.
 	src := candidates.Iter()
 	defer src.Close()
-	_, _, err := e.streamPhase2(es, q, plan, vp, src, res)
+	em := newEmitter(q, plan, res)
+	defer em.finish()
+	_, _, err = e.streamPhase2(es, plan, vp, src, res, em)
 	return err
+}
+
+// candidateSet is phase 1 of a plan that needs one variable's complete
+// candidate set: the cross-query result cache's copy, the set evaluator's
+// answer, or — when the index offers no narrowing — a full scan, which
+// parses the document under the index need {NT} and takes every NT region.
+// A full scan charges the byte budget the whole document first, and counts
+// it in ParsedBytes and every region it found in Parsed; phase 2 then counts
+// what it parses of each candidate on top.
+func (e *Engine) candidateSet(es *execEnv, vp *compile.VarPlan, res *Result) (region.Set, error) {
+	if vp.Candidates == nil {
+		res.Stats.FullScan = true
+		doc := e.in.Document()
+		if err := es.chargeBytes(doc.Len()); err != nil {
+			return region.Empty, err
+		}
+		named, _, err := e.cat.Grammar.Regions(es.ctx, doc, grammar.IndexSpec{Names: []string{vp.NT}})
+		if err != nil {
+			return region.Empty, fmt.Errorf("engine: full scan parse: %w", err)
+		}
+		res.Stats.Parsed += named[vp.NT].Len()
+		res.Stats.ParsedBytes += doc.Len()
+		return named[vp.NT], nil
+	}
+	// A region budget must meter the actual phase-1 work, so budgeted
+	// queries bypass the cross-query cache: a warm cache would otherwise
+	// decide whether the budget applies at all.
+	key, _ := e.ev.SharedKey(vp.Candidates, vp.CandidatesKey)
+	if s, ok := e.ev.CachedResultKey(key); ok && es.budget == nil {
+		res.Stats.ResultCached = true
+		res.Stats.ResultCacheHits++
+		return s, nil
+	}
+	s, err := e.evalExpr(es, vp.Candidates, res)
+	if err != nil {
+		return region.Empty, fmt.Errorf("engine: evaluating candidates: %w", err)
+	}
+	return s, nil
 }
 
 // processCandidate does the per-candidate phase-2 work — poll, fault
@@ -449,8 +455,8 @@ func (e *Engine) processCandidate(es *execEnv, plan *compile.Plan, vp *compile.V
 	return obj, vp.Exact || plan.Filter.EvalOne(obj), nil
 }
 
-// countParsed accounts one candidate that went through processCandidate or
-// parseRegion: parsed, unless the plan reads nothing of it.
+// countParsed accounts one candidate that went through processCandidate:
+// parsed, unless the plan reads nothing of it.
 func (st *Stats) countParsed(vp *compile.VarPlan, r region.Region) {
 	if !vp.Reads.Empty() {
 		st.Parsed++
@@ -462,13 +468,17 @@ func (st *Stats) countParsed(vp *compile.VarPlan, r region.Region) {
 // clamping: once the row count reaches the limit no further candidate is
 // admitted, and a projected candidate straddling the boundary keeps its
 // region with its strings clamped to exactly k. Every drain emits through
-// it, which is what makes a limited answer a prefix of the full one.
+// it, which is what makes a limited answer a prefix of the full one. A join
+// variable's drain emits into a binder instead: no limit, every candidate
+// kept with its value, and nothing published — the join decides.
 type emitter struct {
 	plan  *compile.Plan
 	res   *Result
 	limit int
 	rows  int
 	kept  []region.Region
+	bind  bool       // a join variable's binder
+	objs  []db.Value // a binder's values, one per kept region
 }
 
 func newEmitter(q *xsql.Query, plan *compile.Plan, res *Result) *emitter {
@@ -478,11 +488,15 @@ func newEmitter(q *xsql.Query, plan *compile.Plan, res *Result) *emitter {
 // full reports that the limit is reached and emission has stopped.
 func (em *emitter) full() bool { return em.limit > 0 && em.rows >= em.limit }
 
-// emit admits one kept candidate: a whole-object select records its region,
-// a path select also projects from obj, the value phase 2 built for it. The
-// caller checks full() first.
+// emit admits one kept candidate: a binder records its region and value, a
+// whole-object select its region, and a path select also projects from obj,
+// the value phase 2 built for it. The caller checks full() first.
 func (em *emitter) emit(r region.Region, obj db.Value) {
 	em.kept = append(em.kept, r)
+	if em.bind {
+		em.objs = append(em.objs, obj)
+		return
+	}
 	if !em.res.Projected {
 		em.rows++
 		return
@@ -535,7 +549,9 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	defer src.Close()
 	res.Stats.Phase1Time = time.Since(phase1)
 
-	all, complete, err := e.streamPhase2(es, q, plan, vp, src, res)
+	em := newEmitter(q, plan, res)
+	all, complete, err := e.streamPhase2(es, plan, vp, src, res, em)
+	em.finish()
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
 	res.Stats.Candidates = len(all)
 	res.Stats.PeakBytes += ast.PeakBytes + regionBytes*(ast.RegionsTouched+len(all))
@@ -552,17 +568,16 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	return nil
 }
 
-// streamPhase2 drains the candidate iterator through phase 2 and reports the
-// candidates pulled and whether the stream was consumed to exhaustion (false
-// when the LIMIT stopped it). The caller's goroutine is the iterator's only
-// consumer, and it processes the first candidate itself. It processes the
-// others itself as well — the sequential drain — unless Parallelism is at
-// least 2 and the plan parses its candidates (one that parses nothing has
-// too little work per candidate to hand off); then drainChunks takes the
-// rest. A LIMIT that the first candidate meets therefore starts no goroutine.
-func (e *Engine) streamPhase2(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result) (all []region.Region, complete bool, err error) {
-	em := newEmitter(q, plan, res)
-	defer em.finish()
+// streamPhase2 drains the candidate iterator through phase 2 into em and
+// reports the candidates pulled and whether the stream was consumed to
+// exhaustion (false when the LIMIT stopped it). The caller's goroutine is
+// the iterator's only consumer, and it processes the first candidate
+// itself. It processes the others itself as well — the sequential drain —
+// unless Parallelism is at least 2 and the plan parses its candidates (one
+// that parses nothing has too little work per candidate to hand off); then
+// drainChunks takes the rest. A LIMIT that the first candidate meets
+// therefore starts no goroutine.
+func (e *Engine) streamPhase2(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result, em *emitter) (all []region.Region, complete bool, err error) {
 	parallel := e.Parallelism > 1 && !vp.Reads.Empty()
 	for !em.full() {
 		if parallel && len(all) > 0 {
@@ -763,132 +778,74 @@ func (e *Engine) joinFastCandidates(es *execEnv, jf *compile.JoinFastPlan, candi
 	return region.FromRegions(matched), true, nil
 }
 
-// executeMulti runs multi-variable queries with a nested-loop join over
-// per-variable candidates; comparisons are evaluated in the database
-// (Section 5.2: joins are beyond the indexing engine).
+// executeMulti runs a multi-variable query: each variable's complete
+// candidate set goes through the phase-2 drain unfiltered and unlimited,
+// binding every candidate to what the plan reads of it, and a nested-loop
+// join over the bindings evaluates the WHERE clause in the database (Section
+// 5.2: joins are beyond the indexing engine). The select variable is the
+// outermost loop and the first assignment the clause accepts emits its
+// candidate, so matches come out in document order, each once, and a LIMIT
+// stops the join.
 func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, res *Result) error {
-	type binding struct {
-		regions []region.Region
-		objects []db.Value
-	}
-	bindings := make([]binding, len(plan.Vars))
+	binds := make([]*emitter, len(plan.Vars))
+	sel := 0
 	for i := range plan.Vars {
-		if err := es.poll(); err != nil {
-			return err
+		vp := plan.Vars[i]
+		if vp.Var == q.Select.Var {
+			sel = i
 		}
-		vp := &plan.Vars[i]
-		var cands region.Set
-		if vp.Candidates != nil {
-			var err error
-			cands, err = e.evalExpr(es, vp.Candidates, res)
-			if err != nil {
-				return fmt.Errorf("engine: candidates for %s: %w", vp.Var, err)
-			}
-		} else {
-			res.Stats.FullScan = true
-			if err := es.chargeBytes(e.in.Document().Len()); err != nil {
-				return err
-			}
-			tree, err := e.cat.Grammar.Parse(e.in.Document())
-			if err != nil {
-				return err
-			}
-			res.Stats.ParsedBytes += e.in.Document().Len()
-			cands = grammar.ExtractRegions(tree, vp.NT)[vp.NT]
+		cands, err := e.candidateSet(es, &vp, res)
+		if err != nil {
+			return err
 		}
 		res.Stats.Candidates += cands.Len()
-		b := binding{regions: cands.Regions()}
-		for _, r := range cands.Regions() {
-			obj, err := e.parseRegion(es, vp, r, &res.Stats)
-			if err != nil {
-				return err
-			}
-			b.objects = append(b.objects, obj)
-		}
-		bindings[i] = b
-	}
-	// Nested-loop join with residual evaluation. Each assignment binds
-	// every variable, then the WHERE clause decides; the select
-	// variable's distinct matches form the result.
-	selVar := q.Select.Var
-	seen := make(map[region.Region]bool)
-	type match struct {
-		r   region.Region
-		obj db.Value
-	}
-	var matches []match
-	vals := make([]db.Value, len(plan.Vars))
-	idx := make([]int, len(plan.Vars))
-	var loop func(i int) error
-	loop = func(i int) error {
-		if i < len(plan.Vars) {
-			for k := range bindings[i].objects {
-				idx[i] = k
-				vals[i] = bindings[i].objects[k]
-				if err := loop(i + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Poll per assignment: the cross product can dwarf any single
-		// binding, so the join itself must be cancelable.
-		if err := es.poll(); err != nil {
+		vp.Exact = true // the join applies the WHERE clause, not the drain
+		binds[i] = &emitter{bind: true}
+		src := cands.Iter()
+		_, _, err = e.streamPhase2(es, plan, &vp, src, res, binds[i])
+		src.Close()
+		if err != nil {
 			return err
 		}
-		if !plan.Filter.Eval(vals) {
-			return nil
-		}
-		for j := range plan.Vars {
-			if plan.Vars[j].Var != selVar {
-				continue
-			}
-			r := bindings[j].regions[idx[j]]
-			if seen[r] {
-				continue
-			}
-			seen[r] = true
-			matches = append(matches, match{r: r, obj: bindings[j].objects[idx[j]]})
-		}
-		return nil
 	}
-	if err := loop(0); err != nil {
-		return err
-	}
-	// A LIMIT on a join truncates in document order — the matches are
-	// re-sorted first, so the limited answer is a prefix of the full sorted
-	// answer regardless of nested-loop enumeration order. Without a limit,
-	// emission keeps the historical loop order.
-	if q.Limit > 0 {
-		sort.Slice(matches, func(i, j int) bool { return matches[i].r.Before(matches[j].r) })
+	vals := make([]db.Value, len(plan.Vars))
+	var match func(i int) (bool, error)
+	match = func(i int) (bool, error) {
+		if i == sel {
+			i++
+		}
+		if i == len(plan.Vars) {
+			// Poll per assignment: the cross product can dwarf any single
+			// binding, so the join itself must be cancelable.
+			if err := es.poll(); err != nil {
+				return false, err
+			}
+			return plan.Filter.Eval(vals), nil
+		}
+		for _, v := range binds[i].objs {
+			vals[i] = v
+			if ok, err := match(i + 1); ok || err != nil {
+				return ok, err
+			}
+		}
+		return false, nil
 	}
 	em := newEmitter(q, plan, res)
-	for _, m := range matches {
+	defer em.finish()
+	for k, r := range binds[sel].kept {
 		if em.full() {
 			break
 		}
-		em.emit(m.r, m.obj)
+		vals[sel] = binds[sel].objs[k]
+		ok, err := match(0)
+		if err != nil {
+			return err
+		}
+		if ok {
+			em.emit(r, vals[sel])
+		}
 	}
-	em.finish()
 	return nil
-}
-
-// parseRegion builds what the plan reads of one candidate region of a join
-// variable, updating statistics; a variable the query reads nothing of is
-// not parsed and binds nil, where no path of the filter finds anything.
-func (e *Engine) parseRegion(es *execEnv, vp *compile.VarPlan, r region.Region, st *Stats) (db.Value, error) {
-	if vp.Reads.Empty() {
-		return nil, nil
-	}
-	if err := es.chargeBytes(r.Len()); err != nil {
-		return nil, err
-	}
-	v, err := e.parseValue(vp.NT, r, vp.Reads)
-	if err != nil {
-		return nil, err
-	}
-	st.countParsed(vp, r)
-	return v, nil
 }
 
 // parseValue parses one candidate region and builds the part of its

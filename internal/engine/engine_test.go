@@ -3,6 +3,8 @@ package engine_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"qof/internal/bibtex"
@@ -93,17 +95,40 @@ func TestPartialIndexingExactPerSection63(t *testing.T) {
 	}
 }
 
+// TestFullScanFallback also pins the full scan's statistics, one rule for a
+// single variable and for each variable of a join: the scan counts the whole
+// document in ParsedBytes and every region it found in Parsed, and phase 2
+// counts each candidate it parses on top.
 func TestFullScanFallback(t *testing.T) {
 	f := testutil.NewBibFixture(t, 30, grammar.IndexSpec{Names: []string{bibtex.NTKey}}, nil)
-	res, err := f.Eng.Execute(xsql.MustParse(changAuthorQuery))
-	if err != nil {
-		t.Fatal(err)
+	refs := testutil.NewBibFixture(t, 30, grammar.IndexSpec{}, nil).In.MustRegion(bibtex.NTReference) // the same document, fully indexed
+	refBytes := 0
+	for _, r := range refs.Regions() {
+		refBytes += r.Len()
 	}
-	if !res.Stats.FullScan {
-		t.Error("expected full-scan fallback")
-	}
-	if res.Stats.Results != f.St.TargetAsAuthor {
-		t.Fatalf("results = %d, want %d", res.Stats.Results, f.St.TargetAsAuthor)
+	for _, c := range []struct {
+		src     string
+		vars    int
+		results int
+	}{
+		{changAuthorQuery, 1, f.St.TargetAsAuthor},
+		{`SELECT r FROM References r, References s WHERE r.Year = s.Year`, 2, refs.Len()},
+	} {
+		res, err := f.Eng.Execute(xsql.MustParse(c.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stats.FullScan {
+			t.Errorf("%s: expected full-scan fallback", c.src)
+		}
+		if res.Stats.Results != c.results {
+			t.Fatalf("%s: results = %d, want %d", c.src, res.Stats.Results, c.results)
+		}
+		st, n := res.Stats, c.vars
+		if st.Candidates != n*refs.Len() || st.Parsed != 2*n*refs.Len() || st.ParsedBytes != n*(f.Doc.Len()+refBytes) {
+			t.Errorf("%s: candidates %d, parsed %d regions and %d bytes; want %d, %d and %d",
+				c.src, st.Candidates, st.Parsed, st.ParsedBytes, n*refs.Len(), 2*n*refs.Len(), n*(f.Doc.Len()+refBytes))
+		}
 	}
 }
 
@@ -333,21 +358,34 @@ func TestPaperFlagshipQuery(t *testing.T) {
 	}
 }
 
+// TestMultiVarJoin: a join answers what the full-scan baseline does,
+// whichever variable it selects, with its drains at a File's default
+// parallelism (GOMAXPROCS), and projects in document order.
 func TestMultiVarJoin(t *testing.T) {
 	f := testutil.NewBibFixture(t, 12, grammar.IndexSpec{}, nil)
-	// References whose key is referred to by some other reference.
-	q := xsql.MustParse(
-		`SELECT r FROM References r, References s WHERE s.Referred.RefKey = r.Key`)
-	res, err := f.Eng.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := scan.FullScan(f.Cat, f.Doc, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Regions.Len() != len(base.Objects) {
-		t.Fatalf("engine %d, baseline %d", res.Regions.Len(), len(base.Objects))
+	f.Eng.Parallelism = runtime.GOMAXPROCS(0)
+	for _, src := range []string{
+		// References whose key is referred to by some other reference.
+		`SELECT r FROM References r, References s WHERE s.Referred.RefKey = r.Key`,
+		// The references referring to them: the select variable comes second.
+		`SELECT s.Key FROM References r, References s WHERE s.Referred.RefKey = r.Key`,
+	} {
+		q := xsql.MustParse(src)
+		res, err := f.Eng.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := scan.FullScan(f.Cat, f.Doc, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Results == 0 || res.Stats.Results != len(base.Objects)+len(base.Strings) {
+			t.Fatalf("%s: engine %d, baseline %d", src, res.Stats.Results, len(base.Objects)+len(base.Strings))
+		}
+		// Keys are numbered in document order.
+		if !sameMultiset(res.Strings, base.Strings) || !slices.IsSorted(res.Strings) {
+			t.Errorf("%s: engine %v, baseline %v", src, res.Strings, base.Strings)
+		}
 	}
 }
 

@@ -34,6 +34,8 @@ const (
 	// A value join is never index-exact; without a full index the region
 	// join of Section 5.2 is out too, so every candidate parses.
 	valueJoinQuery = `SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`
+	// A two-variable join: every reference is a candidate of each variable.
+	yearJoinQuery = `SELECT r FROM References r, References s WHERE r.Year = s.Year`
 )
 
 var paperPartialIndex = grammar.IndexSpec{Names: []string{bibtex.NTReference, bibtex.NTKey, bibtex.NTLastName}}

@@ -1,6 +1,7 @@
 package grammar_test
 
 import (
+	"context"
 	"testing"
 
 	"qof/internal/bibtex"
@@ -41,6 +42,37 @@ func BenchmarkBuildInstance(b *testing.B) {
 			b.SetBytes(int64(doc.Len()))
 			for i := 0; i < b.N; i++ {
 				if _, _, err := g.BuildInstance(doc, specs[name]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFullScanRegions is a full scan's phase 1 at 20 000 references,
+// one class's regions two ways: from the whole parse tree (tree: Parse, then
+// ExtractRegions) and from Regions under the index need {Reference} (need),
+// which builds the Reference nodes and the root and recognises the rest.
+func BenchmarkFullScanRegions(b *testing.B) {
+	g, doc := buildCorpus(b, 20000)
+	for name, regions := range map[string]func() error{
+		"tree": func() error {
+			tree, err := g.Parse(doc)
+			if err == nil {
+				grammar.ExtractRegions(tree, bibtex.NTReference)
+			}
+			return err
+		},
+		"need": func() error {
+			_, _, err := g.Regions(context.Background(), doc, grammar.IndexSpec{Names: []string{bibtex.NTReference}})
+			return err
+		},
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(doc.Len()))
+			for i := 0; i < b.N; i++ {
+				if err := regions(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -111,16 +111,15 @@ func (g *Grammar) BuildInstance(doc *text.Document, spec IndexSpec) (*index.Inst
 var newInstance = index.NewInstance
 
 // BuildInstanceContext is BuildInstance under a context: cancellation is
-// checked at stage boundaries (before the parse, before region extraction,
-// and between index definitions), so an abandoned build stops promptly
+// checked at stage boundaries (before the parse, after it, and between
+// index definitions), so an abandoned build stops promptly
 // without ever publishing a partially defined instance.
 //
-// The file is parsed under the spec's index need (indexNeed), so subtrees
-// that reach no indexed name are recognised and nothing is built for them,
-// and the word index is built on a second goroutine while the parse runs.
-// That goroutine is this function's: it is joined on every path out,
-// a panicking parse included, and a panic inside it is raised again here,
-// on the caller's goroutine, where the caller's recover can see it.
+// The file's regions come from Regions, and the word index is built on a
+// second goroutine while it parses. That goroutine is this function's: it is
+// joined on every path out, a panicking parse included, and a panic inside
+// it is raised again here, on the caller's goroutine, where the caller's
+// recover can see it.
 func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, spec IndexSpec) (*index.Instance, *Node, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -129,14 +128,6 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 		return nil, nil, fmt.Errorf("grammar: building index for %s: %w", doc.Name(), err)
 	}
 	if err := index.CheckDocument(doc); err != nil {
-		return nil, nil, err
-	}
-	names := spec.Names
-	if names == nil {
-		names = g.FullIndexSpec().Names
-	}
-	need, err := g.indexNeed(names, spec.Scoped)
-	if err != nil {
 		return nil, nil, err
 	}
 	var (
@@ -149,9 +140,9 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 		defer func() { crashed = recover() }()
 		in = newInstance(doc)
 	}()
-	tree, err := func() (*Node, error) {
+	named, scoped, err := func() (map[string]region.Set, []region.Set, error) {
 		defer func() { <-joined }()
-		return g.parseWith(new(runner), doc, g.root, 0, doc.Len(), need)
+		return g.Regions(ctx, doc, spec)
 	}()
 	if crashed != nil {
 		panic(crashed)
@@ -159,22 +150,49 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	for name, set := range ExtractRegions(tree, names...) {
+	for name, set := range named {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
 		in.Define(name, set)
 	}
-	for _, sc := range spec.Scoped {
+	for i, sc := range spec.Scoped {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		in.DefineScoped(sc.Name, sc.Within, ExtractScopedRegions(tree, sc.Name, sc.Within))
+		in.DefineScoped(sc.Name, sc.Within, scoped[i])
 	}
 	return in, nil, nil
+}
+
+// Regions parses the document under spec's index need (indexNeed) and
+// returns the regions of each indexed name — every non-terminal but the
+// root when Names is nil — and of each scoped entry, in spec.Scoped's order.
+// Subtrees that reach no indexed name are recognised and nothing is built
+// for them, so asking for one class's regions builds that class's nodes and
+// their ancestors, not the whole parse tree; the errors are Parse's. The
+// context is checked once, after the parse.
+func (g *Grammar) Regions(ctx context.Context, doc *text.Document, spec IndexSpec) (map[string]region.Set, []region.Set, error) {
+	names := spec.Names
+	if names == nil {
+		names = g.FullIndexSpec().Names
+	}
+	need, err := g.indexNeed(names, spec.Scoped)
+	if err != nil {
+		return nil, nil, err
+	}
+	tree, err := g.parseWith(new(runner), doc, g.root, 0, doc.Len(), need)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	scoped := make([]region.Set, len(spec.Scoped))
+	for i, sc := range spec.Scoped {
+		scoped[i] = ExtractScopedRegions(tree, sc.Name, sc.Within)
+	}
+	return ExtractRegions(tree, names...), scoped, nil
 }
 
 // indexNeed compiles an index spec into the need its build parses under:

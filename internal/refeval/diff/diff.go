@@ -154,11 +154,10 @@ func repeatable(st engine.Stats) engine.Stats {
 
 // checkLimit runs q with LIMIT k and verifies the LIMIT invariants against
 // full, the oracle-checked unlimited answer: the limited regions are a
-// document-order prefix of the full sorted answer, and the row count is
-// min(k, full). For single-variable queries the projected strings are a
-// prefix of the full strings too; multi-variable emission order without a
-// limit is nested-loop order, so only the region and count invariants apply
-// there. It returns the limited result.
+// document-order prefix of the full sorted answer, the row count is
+// min(k, full), and the projected strings are a prefix of the full strings
+// (every query, joins included, emits in document order). It returns the
+// limited result.
 func (h *Harness) checkLimit(q *xsql.Query, k int, full *engine.Result) (*engine.Result, error) {
 	limited, err := h.Eng.Execute(q.WithLimit(k))
 	if err != nil {
@@ -186,7 +185,7 @@ func (h *Harness) checkLimit(q *xsql.Query, k int, full *engine.Result) (*engine
 				h.Name, k, q, i, lr[i], fr[i])
 		}
 	}
-	if limited.Projected && len(q.From) == 1 {
+	if limited.Projected {
 		for i, s := range limited.Strings {
 			if i >= len(full.Strings) || s != full.Strings[i] {
 				return nil, fmt.Errorf("%s: LIMIT %d on %s: strings are not a prefix of the full answer:\n  limited %v\n  full    %v",

@@ -9,6 +9,7 @@ package qof_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,11 +38,13 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 	author := xsql.MustParse(`SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`)
 
 	// One query per way the plan's shape sends it, each far too big for
-	// 1ms. The join is a Section 5.2 fast-join plan: phase 1 is a complete
-	// set from the set evaluator, which polls inside its kernels, and
-	// phase 2 polls per candidate. The Title projection streams: the
+	// 1ms. The complete set is a Section 5.2 fast-join plan: phase 1 is a
+	// complete set from the set evaluator, which polls inside its kernels,
+	// and phase 2 polls per candidate. The Title projection streams: the
 	// iterator pipeline polls inside Next while phase 2 parses thousands of
-	// candidates. The deadline must interrupt both mid-flight.
+	// candidates. The two-variable join parses 20k candidates per variable
+	// through the same drain before its nested loop, which polls per
+	// assignment. The deadline must interrupt all three mid-flight.
 	for _, c := range []struct {
 		name string
 		q    *xsql.Query
@@ -49,6 +52,8 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 	}{
 		{"complete set", xsql.MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`), setup.Stats.SelfEditedByAuth},
 		{"streaming", xsql.MustParse(`SELECT r.Title FROM References r WHERE r.Abstract CONTAINS "system"`), -1},
+		// Every reference has a year, so each matches at least itself.
+		{"join", xsql.MustParse(`SELECT r FROM References r, References s WHERE r.Year = s.Year`), setup.Stats.NumRefs},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := c.want
@@ -182,6 +187,35 @@ func TestFacadeQueryBudgets(t *testing.T) {
 		}
 		if res, err := scanned.QueryContext(t.Context(), matrixQuery, qof.WithMaxEvalBytes(1<<30)); err != nil || res.Len() != 1 || !res.Stats.FullScan {
 			t.Fatalf("full scan under a generous budget: res = %v, err = %v", res, err)
+		}
+	})
+	// A join parses each variable's candidates through the phase-2 drain,
+	// so a budget of one document's bytes runs out in the second variable's
+	// drain, inline or on workers.
+	t.Run("join", func(t *testing.T) {
+		src, _ := bibtex.Generate(bibtex.DefaultConfig(40))
+		const yearJoin = `SELECT r.Key FROM References r, References s WHERE r.Year = s.Year`
+		for _, par := range []int{1, 4} {
+			f, err := qof.BibTeX().Index("j.bib", src, qof.WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := f.QueryContext(t.Context(), yearJoin)
+			if err != nil || want.Len() != 40 {
+				t.Fatalf("parallelism %d: unbudgeted join: res = %v, err = %v", par, want, err)
+			}
+			if _, err := f.QueryContext(t.Context(), yearJoin, qof.WithMaxEvalBytes(len(src))); !errors.Is(err, qof.ErrBudgetExceeded) {
+				t.Errorf("parallelism %d: WithMaxEvalBytes(%d) on a join: err = %v, want ErrBudgetExceeded", par, len(src), err)
+			}
+			got, err := f.QueryContext(t.Context(), yearJoin, qof.WithMaxEvalBytes(1<<30))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Stats.PlanCached = want.Stats.PlanCached // a repeat's plan is cached
+			if !slices.Equal(got.Values, want.Values) || got.Stats != want.Stats {
+				t.Errorf("parallelism %d: join under a generous budget: %v %+v, err = %v; unbudgeted %v %+v",
+					par, got.Values, got.Stats, err, want.Values, want.Stats)
+			}
 		}
 	})
 }
