@@ -50,8 +50,8 @@ type domainBench struct {
 	Speedup           float64 `json:"speedup"`
 	SpeedupRegression bool    `json:"speedup_regression"`
 	// LimitKOpsSec is the baseline workload rerun with LIMIT benchLimitK on
-	// every query, with the result cache off (truncated streams never
-	// publish to it anyway). Comparing against
+	// every query, with the result cache off, so every run streams (with
+	// it on, a repeat would be a cache hit from its third run). Comparing against
 	// Baseline.OpsPerSec shows what early termination buys per domain.
 	LimitKOpsSec float64 `json:"limit_k_ops_sec"`
 	// CancelLatencyUsMax is the worst observed time, in microseconds, for

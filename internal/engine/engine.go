@@ -320,7 +320,8 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 // those run on the set evaluator (algebra.EvalContext: per-call memo,
 // subexpression cache reads, small-side kernels); every other plan pulls its
 // candidates off an iterator pipeline (algebra.Stream) while phase 2 is
-// already parsing them. Either way the candidates reach phase 2 as an
+// already parsing them, unless it is a LIMIT query's repeat (streamSingle's
+// doorkeeper). Either way the candidates reach phase 2 as an
 // iterator, so there is one parse-and-filter loop and a LIMIT stops it.
 func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, res *Result) error {
 	vp := &plan.Vars[0]
@@ -520,23 +521,33 @@ func (em *emitter) finish() {
 // candidates off it, parsing and filtering while phase 1 is still
 // producing. The pipeline stops as soon as the LIMIT is satisfied, a budget
 // trips, or the context is done; only a complete successful drain publishes
-// the candidate set to the cross-query result cache.
+// the candidate set to the cross-query result cache. A drain that the LIMIT
+// stopped publishes nothing and records its key in the cache's doorkeeper
+// instead, so the key's next miss runs the set evaluator, which publishes the
+// whole set on success, and drains that: a first miss streams, a repeat pays
+// one set evaluation, and every later repeat is a cache hit. Budgeted
+// queries neither read the cache nor record in it.
 func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, res *Result, phase1 time.Time) error {
 	var ast algebra.Stats
 	var src region.Iterator
-	fromCache := false
+	streamed := false
 	// Worthiness and the epoch-prefixed key are computed once and shared by
-	// the cache read and the publish below.
+	// the cache read, the doorkeeper and the publish below. A region budget
+	// must meter the actual phase-1 work, so budgeted queries bypass the
+	// cross-query cache, exactly like the complete-set plans.
 	key, worthy := e.ev.SharedKey(vp.Candidates, vp.CandidatesKey)
-	// A region budget must meter the actual phase-1 work, so budgeted
-	// queries bypass the cross-query cache, exactly like the complete-set
-	// plans.
-	if es.budget == nil && worthy {
+	cacheable := worthy && es.budget == nil
+	if cacheable {
 		if s, ok := e.ev.CachedResultKey(key); ok {
 			res.Stats.ResultCached = true
 			res.Stats.ResultCacheHits++
 			src = s.Iter()
-			fromCache = true
+		} else if e.results.Recorded(key) {
+			s, err := e.evalExpr(es, vp.Candidates, res)
+			if err != nil {
+				return fmt.Errorf("engine: evaluating candidates: %w", err)
+			}
+			src = s.Iter()
 		}
 	}
 	if src == nil {
@@ -544,7 +555,7 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 		if err != nil {
 			return fmt.Errorf("engine: evaluating candidates: %w", err)
 		}
-		src = it
+		src, streamed = it, true
 	}
 	defer src.Close()
 	res.Stats.Phase1Time = time.Since(phase1)
@@ -555,15 +566,16 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
 	res.Stats.Candidates = len(all)
 	res.Stats.PeakBytes += ast.PeakBytes + regionBytes*(ast.RegionsTouched+len(all))
-	if err != nil {
+	if err != nil || !streamed || !worthy {
 		return err
 	}
-	if complete && !fromCache && worthy {
+	if complete {
 		// The stream was drained in full, so the accumulated candidates
 		// are the exact phase-1 answer — safe to publish. A limit-stopped
-		// or failed drain never reaches this point: killed runs never
-		// publish.
+		// or failed drain never publishes: a partial set is never cached.
 		e.ev.PublishResultKey(key, region.FromRegions(all))
+	} else if cacheable {
+		e.results.Record(key)
 	}
 	return nil
 }

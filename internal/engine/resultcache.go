@@ -23,14 +23,23 @@ const resultCacheCap = 256
 // evaluation for repeated subexpressions, including ones shared between
 // different queries.
 //
+// Beside the sets it keeps a doorkeeper, the admission filter of TinyLFU
+// (Einziger, Friedman & Manes): the keys whose candidate stream a LIMIT
+// stopped, so published nothing. A recorded key's next miss builds the whole
+// set, which publishes, so a query repeated under a LIMIT streams once and is
+// a cache hit from its third run on, while a one-off LIMIT query never pays
+// for more than its stream. The doorkeeper holds at most cap keys and is
+// cleared whole when full; its keys carry the epoch like the sets'.
+//
 // Region sets are immutable, so a cached set is shared by any number of
 // concurrent executions; the cache itself is safe for concurrent use. It
 // implements algebra.ResultCache.
 type ResultCache struct {
-	mu  sync.Mutex
-	cap int                      // immutable after construction
-	ll  *list.List               // guarded by mu; front = most recently used
-	m   map[string]*list.Element // guarded by mu
+	mu   sync.Mutex
+	cap  int                      // immutable after construction
+	ll   *list.List               // guarded by mu; front = most recently used
+	m    map[string]*list.Element // guarded by mu
+	seen map[string]struct{}      // guarded by mu; the doorkeeper
 
 	hits, misses int // guarded by mu
 }
@@ -46,7 +55,7 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &ResultCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+	return &ResultCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element), seen: make(map[string]struct{})}
 }
 
 // Get returns the cached set for the key, marking it most recently used.
@@ -88,6 +97,29 @@ func (rc *ResultCache) Put(key string, s region.Set) {
 		rc.ll.Remove(oldest)
 		delete(rc.m, oldest.Value.(*resultEntry).key)
 	}
+}
+
+// Record admits the key to the doorkeeper: a LIMIT stopped its stream, so
+// its set is still unpublished. A full doorkeeper is cleared first.
+func (rc *ResultCache) Record(key string) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if _, ok := rc.seen[key]; ok {
+		return
+	}
+	if len(rc.seen) >= rc.cap {
+		clear(rc.seen)
+	}
+	rc.seen[key] = struct{}{}
+}
+
+// Recorded reports whether the doorkeeper holds the key: its next miss is
+// worth building the whole set for.
+func (rc *ResultCache) Recorded(key string) bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	_, ok := rc.seen[key]
+	return ok
 }
 
 // Len reports the number of cached sets.

@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,53 +79,55 @@ func TestResultCacheRepeatedQuery(t *testing.T) {
 	}
 }
 
-// TestLimitStoppedStreamNeverCached: a streaming execution that LIMIT stops
-// early drains only a prefix of the candidate stream, so it must never
-// publish to the cross-query result cache — only a complete drain is a
-// cacheable answer. A later full run still publishes, after which a limited
-// run may legitimately read the cached set (and clamp it).
-func TestLimitStoppedStreamNeverCached(t *testing.T) {
+// TestLimitStoppedStreamPublishesNoPartialSet: a streaming execution that a
+// LIMIT stops early drains only a prefix of the candidate stream, so it must
+// never publish that prefix — only a complete set is a cacheable answer. The
+// full query that follows computes its whole answer and publishes it, after
+// which a limited run legitimately reads the cached set, clamped to the limit.
+func TestLimitStoppedStreamPublishesNoPartialSet(t *testing.T) {
 	f := testutil.NewBibFixture(t, 40, grammar.IndexSpec{}, nil)
 	full := xsql.MustParse(cacheProbeQuery)
-	probe, err := f.Eng.Execute(full)
+	want, err := f.Eng.Execute(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.Stats.Results < 2 {
-		t.Fatalf("fixture too small: %d results, need >= 2 for LIMIT to truncate", probe.Stats.Results)
+	if want.Stats.Results < 2 {
+		t.Fatalf("fixture too small: %d results, need >= 2 for LIMIT to truncate", want.Stats.Results)
 	}
 	// Fresh engine so the probe's published result doesn't serve the
-	// limited runs.
+	// limited run.
 	f = testutil.NewBibFixture(t, 40, grammar.IndexSpec{}, nil)
 	lq := full.WithLimit(1)
-	for run := 0; run < 3; run++ {
-		res, err := f.Eng.Execute(lq)
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if res.Stats.Results != 1 {
-			t.Fatalf("run %d: %d results, want 1", run, res.Stats.Results)
-		}
-		if res.Stats.ResultCached {
-			t.Errorf("run %d: truncated stream served from the result cache", run)
-		}
-	}
-	if hits, _ := f.Eng.CacheCounters(); hits != 0 {
-		t.Errorf("result cache served %d hits after only LIMIT-stopped runs", hits)
-	}
-	// A complete drain publishes as usual...
-	if _, err := f.Eng.Execute(full); err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Eng.Execute(full)
+	res, err := f.Eng.Execute(lq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats.ResultCached {
-		t.Error("full run after LIMIT runs did not publish to the result cache")
+	if res.Stats.Results != 1 || res.Stats.ResultCached {
+		t.Fatalf("limited first run: results=%d cached=%v, want 1 row streamed", res.Stats.Results, res.Stats.ResultCached)
 	}
-	// ...and the warm cache legitimately serves a subsequent limited run,
-	// still clamped to the limit.
+	if n := engine.CachedSets(f.Eng); n != 0 {
+		t.Errorf("LIMIT-stopped stream left %d sets in the result cache", n)
+	}
+	// The full query finds no partial set to read, computes the whole
+	// answer and publishes it...
+	res, err = f.Eng.Execute(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ResultCached || !res.Regions.Equal(want.Regions) {
+		t.Errorf("full run after a LIMIT run: cached=%v regions=%v, want %v computed",
+			res.Stats.ResultCached, res.Regions, want.Regions)
+	}
+	res, err = f.Eng.Execute(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.ResultCached || !res.Regions.Equal(want.Regions) {
+		t.Errorf("full repeat: cached=%v regions=%v, want %v from the cache",
+			res.Stats.ResultCached, res.Regions, want.Regions)
+	}
+	// ...and the warm cache serves a subsequent limited run, still clamped
+	// to the limit.
 	res, err = f.Eng.Execute(lq)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +136,116 @@ func TestLimitStoppedStreamNeverCached(t *testing.T) {
 		t.Errorf("limited run on warm cache: cached=%v results=%d, want cached 1 row",
 			res.Stats.ResultCached, res.Stats.Results)
 	}
+}
+
+// cancelAfter is a context that answers its first polls with nil and every
+// later one with context.Canceled, so an execution polling it dies at a
+// fixed point partway through.
+type cancelAfter struct {
+	context.Context
+	done  chan struct{}
+	polls int // polls left before the cancel
+}
+
+func newCancelAfter(polls int) *cancelAfter {
+	return &cancelAfter{Context: context.Background(), done: make(chan struct{}), polls: polls}
+}
+
+// Done returns a channel that is never closed, so the engine polls Err.
+func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfter) Err() error {
+	if c.polls--; c.polls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLimitRepeatStreamsOnceThenPublishes pins the doorkeeper's sequence on
+// one engine: a LIMIT query's first miss streams and publishes nothing, its
+// second miss runs the set evaluator and publishes the whole set, and its
+// third run is a cache hit. Budgeted runs neither read, record nor take the
+// set path; a second miss killed mid-evaluation publishes nothing and leaves
+// the key recorded; an index mutation orphans the recorded key.
+func TestLimitRepeatStreamsOnceThenPublishes(t *testing.T) {
+	f := testutil.NewBibFixture(t, 40, grammar.IndexSpec{}, nil)
+	full := xsql.MustParse(cacheProbeQuery)
+	want, err := f.Eng.Execute(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 1
+	if want.Stats.Candidates <= limit {
+		t.Fatalf("fixture too small: %d candidates, need > %d", want.Stats.Candidates, limit)
+	}
+	f = testutil.NewBibFixture(t, 40, grammar.IndexSpec{}, nil)
+	lq := full.WithLimit(limit)
+	run := func(name string, lim engine.Limits) *engine.Result {
+		t.Helper()
+		res, err := f.Eng.ExecuteContext(context.Background(), lq, lim)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stats.Results != limit || !res.Regions.Equal(region.FromRegions(want.Regions.Regions()[:limit])) {
+			t.Fatalf("%s: %v, want the first %d of %v", name, res.Regions, limit, want.Regions)
+		}
+		return res
+	}
+	budget := engine.Limits{MaxRegions: 1 << 30}
+	expect := func(name string, res *engine.Result, cached bool, sets int) {
+		t.Helper()
+		if res != nil && res.Stats.ResultCached != cached {
+			t.Errorf("%s: ResultCached = %v, want %v", name, res.Stats.ResultCached, cached)
+		}
+		if n := engine.CachedSets(f.Eng); n != sets {
+			t.Errorf("%s: %d sets in the result cache, want %d", name, n, sets)
+		}
+	}
+
+	// Budgeted runs record nothing: every one streams, and so does the
+	// first unbudgeted run after them.
+	for i := 0; i < 3; i++ {
+		expect("budgeted before any record", run("budgeted", budget), false, 0)
+	}
+	first := run("run 1", engine.Limits{})
+	expect("run 1", first, false, 0)
+	if first.Stats.Candidates >= want.Stats.Candidates {
+		t.Errorf("run 1 pulled %d candidates, want fewer than the full set's %d", first.Stats.Candidates, want.Stats.Candidates)
+	}
+	// The key is recorded now, but a budgeted run still streams: the set
+	// path would have published.
+	expect("budgeted after the record", run("budgeted", budget), false, 0)
+
+	// A second miss killed in the set evaluation publishes nothing...
+	if _, err := f.Eng.ExecuteContext(newCancelAfter(2), lq, engine.Limits{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("second miss under a mid-evaluation cancel: %v, want context.Canceled", err)
+	}
+	expect("killed second miss", nil, false, 0)
+	// ...and leaves the key recorded: the next miss publishes the set (and
+	// the evaluation's worthy subexpressions with it).
+	second := run("run 2", engine.Limits{})
+	published := engine.CachedSets(f.Eng)
+	if second.Stats.ResultCached || published == 0 {
+		t.Fatalf("run 2: cached=%v with %d sets in the result cache, want a miss that publishes",
+			second.Stats.ResultCached, published)
+	}
+	third := run("run 3", engine.Limits{})
+	expect("run 3", third, true, published)
+	if third.Stats.Candidates != limit {
+		t.Errorf("run 3 pulled %d candidates off the cached set, want %d", third.Stats.Candidates, limit)
+	}
+	// A budgeted run never reads the published set.
+	expect("budgeted after the publish", run("budgeted", budget), false, published)
+
+	// Define moves the epoch: the recorded key and the published sets are
+	// orphaned, so the next miss streams again and publishes nothing.
+	f.In.Define("Extra", region.FromRegions([]region.Region{{Start: 0, End: 5}}))
+	expect("first miss after Define", run("after Define", engine.Limits{}), false, published)
+	run("second miss after Define", engine.Limits{})
+	if n := engine.CachedSets(f.Eng); n <= published {
+		t.Errorf("second miss after Define: %d sets in the result cache, want more than %d", n, published)
+	}
+	expect("hit after Define", run("after Define", engine.Limits{}), true, engine.CachedSets(f.Eng))
 }
 
 // TestResultCacheInvalidation drives every index-mutating operation and
@@ -258,6 +372,9 @@ func TestResultCacheStress(t *testing.T) {
 		xsql.MustParse(cacheProbeQuery),
 		xsql.MustParse(`SELECT r.Key FROM References r WHERE r.Title CONTAINS "Systems"`),
 		xsql.MustParse(`SELECT r FROM References r WHERE r.Year = "1991"`),
+		// A LIMIT repeat records its key, then publishes on its next miss,
+		// racing the other readers across the engine swaps.
+		xsql.MustParse(cacheProbeQuery + ` LIMIT 1`),
 	}
 	const readers = 4
 	const iters = 40

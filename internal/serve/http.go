@@ -163,13 +163,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	bodies.Put(buf)
 }
 
+// maxBodyBytes caps a POSTed query request: 1 MiB.
+const maxBodyBytes = 1 << 20
+
 // decodeQueryRequest accepts POST (JSON body) and GET (query parameters),
-// returning the HTTP status to use when it fails.
-func decodeQueryRequest(r *http.Request) (QueryRequest, int, error) {
+// returning the HTTP status to use when it fails. A body over maxBodyBytes
+// is refused whole with 413, never decoded truncated.
+func decodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, int, error) {
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return req, http.StatusRequestEntityTooLarge, errors.New("request body over the 1 MiB limit")
+		}
 		if err != nil {
 			return req, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
 		}
@@ -209,7 +217,7 @@ func decodeQueryRequest(r *http.Request) (QueryRequest, int, error) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, status, err := decodeQueryRequest(r)
+	req, status, err := decodeQueryRequest(w, r)
 	if err != nil {
 		writeJSON(w, status, errorBody{Error: err.Error()})
 		return

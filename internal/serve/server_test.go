@@ -320,6 +320,45 @@ func TestHTTPDecoding(t *testing.T) {
 	}
 }
 
+// TestHTTPBodyTooLarge pins the 1 MiB cap on a POSTed request: a body of
+// exactly 1 MiB is decoded and answered, one byte more is refused with 413
+// and a message naming the limit rather than decoded truncated.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(sampleFiles(2)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	query, err := json.Marshal(serve.QueryRequest{Query: changQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		size int
+		want int
+	}{
+		{1 << 20, http.StatusOK},
+		{1<<20 + 1, http.StatusRequestEntityTooLarge},
+	} {
+		// JSON allows trailing whitespace, so the padded body is a valid
+		// request of exactly c.size bytes.
+		body := string(query) + strings.Repeat(" ", c.size-len(query))
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%d-byte body = %d %s, want %d", c.size, resp.StatusCode, msg, c.want)
+		}
+		if c.want == http.StatusRequestEntityTooLarge && !strings.Contains(string(msg), "1 MiB") {
+			t.Errorf("413 body %s does not name the 1 MiB limit", msg)
+		}
+	}
+}
+
 // TestHTTPShed saturates a MaxInflight=1 server with a held query and
 // asserts the second request is shed with 429 and the Retry-After hint.
 func TestHTTPShed(t *testing.T) {
