@@ -28,7 +28,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -73,12 +75,51 @@ func releaseAfterReload(h http.Handler) http.Handler {
 // tenant deadline bounds a handler, so ReadTimeout and WriteTimeout stay
 // unset; these bound what comes before one runs: a request line and headers
 // that never finish arriving (slowloris), a keep-alive connection that never
-// sends another request, a header block without end.
+// sends another request, a header block without end. bodyTimeout, below,
+// bounds the body that follows.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute
 	maxHeaderBytes    = 64 << 10
 )
+
+// bodyTimeout bounds how long a POSTed body may take to arrive once its
+// headers have: the header timeout ends before the body, and the tenant
+// deadline starts only once the body is decoded. A body that misses it is
+// answered 408 and its connection closed. Tests shorten readBodyTimeout.
+const bodyTimeout = 5 * time.Second
+
+var readBodyTimeout = bodyTimeout
+
+// boundBody reads a POSTed body whole, under readBodyTimeout, before h
+// runs, and hands h the bytes. It reads at most one byte past
+// serve.MaxBodyBytes, so h still refuses an oversized body whole.
+func boundBody(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			rc := http.NewResponseController(w)
+			_ = rc.SetReadDeadline(time.Now().Add(readBodyTimeout)) // a net/http connection always takes one
+			body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxBodyBytes+1))
+			if err != nil {
+				// A deadline that passed stays: it also bounds the server's
+				// drain of the rest of the body.
+				status := http.StatusBadRequest
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					status = http.StatusRequestTimeout
+					w.Header().Set("Connection", "close")
+				}
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(status)
+				_ = json.NewEncoder(w).Encode(map[string]string{"error": "reading body: " + err.Error()}) // a client gone is no error of ours
+				return
+			}
+			// Left behind, the deadline would cancel the query the body carries.
+			_ = rc.SetReadDeadline(time.Time{})
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	})
+}
 
 func newServer(h http.Handler) *http.Server {
 	return &http.Server{
@@ -134,11 +175,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	dom := fs.String("domain", "bibtex", "file format: bibtex, logs, sgml, src")
 	shards := fs.Int("shards", 1, "engine shards to place documents across")
-	replicas := fs.Int("replicas", 2, "engine replicas per document (clamped to shards; 1 disables replication)")
+	replicas := fs.Int("replicas", 2, "shards routing to each document's one engine (clamped to shards; 1 disables replication)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "delay before hedging a slow replica attempt (0 = adaptive p99, negative disables)")
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive replica faults that open its circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
-	par := fs.Int("parallelism", runtime.GOMAXPROCS(0), "files evaluated concurrently within each shard")
+	par := fs.Int("parallelism", runtime.GOMAXPROCS(0), "files evaluated concurrently within each shard, and indexed concurrently on publish")
 	maxInflight := fs.Int("max-inflight", 64, "queries executing at once before shedding")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-query deadline")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard deadline; a slow shard degrades instead of stalling the query (0 = none)")
@@ -239,7 +280,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "qofd: %d files, %d shards x%d replicas, domain %s, epoch %d on http://%s\n",
 		len(files), *shards, r, *dom, srv.Epoch(), ln.Addr())
 
-	hs := newServer(releaseAfterReload(srv.Handler()))
+	hs := newServer(boundBody(releaseAfterReload(srv.Handler())))
 	errc := make(chan error, 2)
 	go func() { errc <- hs.Serve(ln) }()
 	if *debugAddr != "" {

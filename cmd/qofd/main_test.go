@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -394,5 +396,61 @@ func TestDaemonSlowClient(t *testing.T) {
 		if r.d < readHeaderTimeout-time.Second || r.d > readHeaderTimeout+3*time.Second {
 			t.Errorf("%s: the dribbling connection was held %v, want the header timeout %v", r.addr, r.d, readHeaderTimeout)
 		}
+	}
+}
+
+// TestDaemonSlowBody: a POST whose body stalls halfway is answered 408 once
+// the (shortened) body deadline passes, on /query and on /reload, and its
+// connection is closed; a whole POST beside it is answered 200.
+func TestDaemonSlowBody(t *testing.T) {
+	const bound = 200 * time.Millisecond
+	readBodyTimeout = bound
+	t.Cleanup(func() { readBodyTimeout = bodyTimeout }) // runs after the daemon's shutdown
+	base := startDaemon(t, []string{"-domain", "bibtex", "-dir", writeCorpus(t, 1)})
+	body, err := json.Marshal(map[string]string{"query": daemonQuery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/query", "/reload"} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: qofd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+			path, len(body), body[:len(body)/2])
+		start := time.Now()
+		conn.SetReadDeadline(start.Add(10 * time.Second))
+		br := bufio.NewReader(conn)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%s: no answer to a stalled body: %v", path, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if waited := time.Since(start); resp.StatusCode != http.StatusRequestTimeout || waited < bound || waited > 10*bound {
+			t.Errorf("%s: stalled body answered %d %s after %v, want 408 after about %v", path, resp.StatusCode, msg, waited, bound)
+		}
+		if _, err := br.ReadByte(); err != io.EOF || !resp.Close {
+			t.Errorf("%s: the connection stayed open after a 408 (next read: %v)", path, err)
+		}
+	}
+	resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(msg, []byte(`"complete":true`)) {
+		t.Fatalf("a whole body: status %d, body %s", resp.StatusCode, msg)
+	}
+	// Read ahead of the handler, an oversized body is still refused whole.
+	resp, err = http.Post(base+"/query", "application/json", strings.NewReader(strings.Repeat(" ", 1<<20+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a body over 1 MiB: status %d, want 413", resp.StatusCode)
 	}
 }

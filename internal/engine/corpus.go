@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"qof/internal/compile"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
+	"qof/internal/index"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/text"
@@ -45,8 +47,15 @@ func (c *Corpus) Add(doc *text.Document, spec grammar.IndexSpec) error {
 	if err != nil {
 		return fmt.Errorf("engine: indexing %s: %w", doc.Name(), err)
 	}
-	c.engines = append(c.engines, New(c.cat, in))
+	c.engines = append(c.engines, newIndexed(c.cat, in, spec))
 	return nil
+}
+
+// newIndexed makes the engine of an instance indexed under spec.
+func newIndexed(cat *compile.Catalog, in *index.Instance, spec grammar.IndexSpec) *Engine {
+	e := New(cat, in)
+	e.spec = spec
+	return e
 }
 
 // AddAll indexes the documents and adds them to the corpus in the given
@@ -68,27 +77,93 @@ func (c *Corpus) AddAll(docs []*text.Document, spec grammar.IndexSpec) error {
 // isolated and reported as that document's error, wrapping qerr.ErrInternal.
 func (c *Corpus) AddAllContext(ctx context.Context, docs []*text.Document, spec grammar.IndexSpec) error {
 	engines := make([]*Engine, len(docs))
-	errs := fanOut(c.Parallelism, len(docs), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		in, _, err := c.cat.Grammar.BuildInstanceContext(ctx, docs[i], spec)
-		if err != nil {
-			return err
-		}
-		engines[i] = New(c.cat, in)
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: indexing %s: %w", docs[i].Name(), err)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+	if _, err := c.indexInto(ctx, engines, docs, spec); err != nil {
 		return err
 	}
 	c.engines = append(c.engines, engines...)
 	return nil
+}
+
+// Reindex returns a new corpus over docs, in the given order and with c's
+// Parallelism, as AddAllContext would build it on an empty corpus — except
+// that a document whose name and content equal a file of c indexed under the
+// same spec keeps that file's engine (its index, result cache and
+// statistics) instead of being indexed again. It reports how many documents
+// it indexed. c is never changed; on error it returns no corpus and the
+// joined, per-document attributed error.
+func (c *Corpus) Reindex(ctx context.Context, docs []*text.Document, spec grammar.IndexSpec) (*Corpus, int, error) {
+	old := make(map[string]*Engine, len(c.engines))
+	for _, e := range c.engines {
+		old[e.in.Document().Name()] = e
+	}
+	engines := make([]*Engine, len(docs))
+	for i, d := range docs {
+		if e := old[d.Name()]; e != nil && sameSpec(e.spec, spec) && e.in.Document().Content() == d.Content() {
+			engines[i] = e
+		}
+	}
+	built, err := c.indexInto(ctx, engines, docs, spec)
+	if err != nil {
+		return nil, built, err
+	}
+	return &Corpus{cat: c.cat, engines: engines, Parallelism: c.Parallelism}, built, nil
+}
+
+// indexInto builds the engine of every document whose slot in engines is
+// nil, in one fan-out under c.Parallelism, and reports how many it built.
+// Its error is AddAllContext's: one attributed error per failed document.
+func (c *Corpus) indexInto(ctx context.Context, engines []*Engine, docs []*text.Document, spec grammar.IndexSpec) (int, error) {
+	var todo []int
+	for i, e := range engines {
+		if e == nil {
+			todo = append(todo, i)
+		}
+	}
+	errs := fanOut(c.Parallelism, len(todo), func(k int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		in, _, err := c.cat.Grammar.BuildInstanceContext(ctx, docs[todo[k]], spec)
+		if err != nil {
+			return err
+		}
+		engines[todo[k]] = newIndexed(c.cat, in, spec)
+		return nil
+	})
+	for k, err := range errs {
+		if err != nil {
+			errs[k] = fmt.Errorf("engine: indexing %s: %w", docs[todo[k]].Name(), err)
+		}
+	}
+	return len(todo), errors.Join(errs...)
+}
+
+// sameSpec reports whether two index specs name the same regions.
+func sameSpec(a, b grammar.IndexSpec) bool {
+	return slices.Equal(a.Names, b.Names) && slices.Equal(a.Scoped, b.Scoped)
+}
+
+// Subset returns a corpus over the named files, in c's order and with c's
+// Parallelism: a view that builds nothing and shares each file's engine —
+// its index, result cache and statistics — with c and every other view of
+// it. Names not in c are ignored.
+func (c *Corpus) Subset(names []string) *Corpus {
+	return &Corpus{cat: c.cat, engines: c.named(names), Parallelism: c.Parallelism}
+}
+
+// named returns the engines of the named files, in corpus order.
+func (c *Corpus) named(names []string) []*Engine {
+	want := make(map[string]bool, len(names))
+	for _, f := range names {
+		want[f] = true
+	}
+	sel := make([]*Engine, 0, len(names))
+	for _, eng := range c.engines {
+		if want[eng.in.Document().Name()] {
+			sel = append(sel, eng)
+		}
+	}
+	return sel
 }
 
 // fanOut runs do(0) … do(n−1) on the caller's goroutine and min(parallelism,
@@ -237,17 +312,7 @@ func (c *Corpus) ExecuteContext(ctx context.Context, q *xsql.Query, opts ExecOpt
 func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts ExecOptions) (*CorpusResult, error) {
 	engines := c.engines
 	if opts.Files != nil {
-		want := make(map[string]bool, len(opts.Files))
-		for _, f := range opts.Files {
-			want[f] = true
-		}
-		sel := make([]*Engine, 0, len(opts.Files))
-		for _, eng := range c.engines {
-			if want[eng.Instance().Document().Name()] {
-				sel = append(sel, eng)
-			}
-		}
-		engines = sel
+		engines = c.named(opts.Files)
 	}
 	results := make([]*Result, len(engines))
 	errs := fanOut(c.Parallelism, len(engines), func(i int) (err error) {

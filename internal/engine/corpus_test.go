@@ -215,3 +215,46 @@ func TestCorpusFanOutBound(t *testing.T) {
 		t.Errorf("no helper ran beside the caller")
 	}
 }
+
+// TestCorpusReindexKeepsUnchanged: Reindex builds exactly the documents
+// that are new or changed, or whose spec changed, and hands every other one
+// the old corpus's engine; the old corpus is untouched, and a Subset shares
+// the engines it names.
+func TestCorpusReindexKeepsUnchanged(t *testing.T) {
+	cat := bibtex.Catalog()
+	docs := testutil.BibCorpusDocs(t, 4, 20)
+	old := engine.NewCorpus(cat)
+	old.Parallelism = 2
+	if err := old.AddAll(docs[:3], grammar.IndexSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	was := engine.Engines(old)
+	edited := text.NewDocument(docs[1].Name(), docs[1].Content()+"\n")
+	next := []*text.Document{docs[0], edited, docs[3]} // docs[2] dropped, docs[3] new
+	c, built, err := old.Reindex(t.Context(), next, grammar.IndexSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := engine.Engines(c)
+	if built != 2 || len(now) != 3 || c.Parallelism != 2 {
+		t.Fatalf("built %d, %d files, parallelism %d; want 2, 3, 2", built, len(now), c.Parallelism)
+	}
+	if now[0] != was[0] || now[1] == was[1] {
+		t.Error("Reindex did not keep exactly the unchanged file's engine")
+	}
+	for i, e := range now {
+		if got := e.Instance().Document(); got.Name() != next[i].Name() || got.Content() != next[i].Content() {
+			t.Errorf("file %d is %s, want %s", i, got.Name(), next[i].Name())
+		}
+	}
+	if old.Len() != 3 || engine.Engines(old)[1] != was[1] {
+		t.Error("Reindex changed the corpus it was called on")
+	}
+	if _, built, err := c.Reindex(t.Context(), next, grammar.IndexSpec{Names: []string{"Reference", "Key"}}); err != nil || built != 3 {
+		t.Errorf("Reindex under another spec built %d files (%v), want all 3", built, err)
+	}
+	sub := engine.Engines(c.Subset([]string{docs[3].Name(), docs[0].Name(), "absent.bib"}))
+	if len(sub) != 2 || sub[0] != now[0] || sub[1] != now[2] {
+		t.Error("Subset does not share the named files' engines in corpus order")
+	}
+}

@@ -47,6 +47,7 @@ type Engine struct {
 	ev      *algebra.Evaluator
 	results *ResultCache
 	st      *stats.Stats
+	spec    grammar.IndexSpec // what a Corpus indexed it under, for Reindex
 
 	choice atomic.Pointer[choiceAt] // the indexing choice as of an instance epoch
 

@@ -69,7 +69,7 @@ const (
 	Phase2         = "engine.phase2"   // per-candidate work in the phase-2 pool
 	CorpusFile     = "corpus.file"     // per-file evaluation in Corpus.Execute*
 	ServeShard     = "serve.shard"     // primary-replica attempt in serve.Server.Execute
-	ServePublish   = "serve.publish"   // per-shard corpus build in serve.Server.Publish
+	ServePublish   = "serve.publish"   // per-shard step of serve.Server.Publish, after the build
 	ServeReplica   = "serve.replica"   // failover attempt on a secondary replica
 	ServeHedge     = "serve.hedge"     // hedged attempt fired by the tail-latency timer
 )

@@ -163,17 +163,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	bodies.Put(buf)
 }
 
-// maxBodyBytes caps a POSTed query request: 1 MiB.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes caps a POSTed request body: 1 MiB.
+const MaxBodyBytes = 1 << 20
 
 // decodeQueryRequest accepts POST (JSON body) and GET (query parameters),
-// returning the HTTP status to use when it fails. A body over maxBodyBytes
+// returning the HTTP status to use when it fails. A body over MaxBodyBytes
 // is refused whole with 413, never decoded truncated.
 func decodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, int, error) {
 	var req QueryRequest
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return req, http.StatusRequestEntityTooLarge, errors.New("request body over the 1 MiB limit")
@@ -254,7 +254,7 @@ type ReplicaHealth struct {
 	Failures     int    `json:"consecutive_failures"`
 	ForcedOpen   bool   `json:"forced_open,omitempty"`
 	PrimaryFiles int    `json:"primary_files"`
-	ReplicaFiles int    `json:"replica_files"` // copies held, primaries included
+	ReplicaFiles int    `json:"replica_files"` // files routed here, primaries included
 }
 
 // healthBody is the /healthz response.
@@ -269,15 +269,9 @@ type healthBody struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	set := s.set.Load()
-	if set == nil {
+	if set.epoch == 0 {
 		writeJSON(w, http.StatusServiceUnavailable, healthBody{Status: "no-corpus"})
 		return
-	}
-	copies := make([]int, len(set.shards))
-	for _, g := range set.groups {
-		for _, sh := range g.replicas {
-			copies[sh] += len(g.files)
-		}
 	}
 	body := healthBody{
 		Status: "ok", Epoch: set.epoch, Shards: len(set.shards), Files: len(set.files),
@@ -287,7 +281,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		state, fails, forced := s.breakers[i].snapshot()
 		body.Shard = append(body.Shard, ReplicaHealth{
 			Shard: i, Breaker: state, Failures: fails, ForcedOpen: forced,
-			PrimaryFiles: len(set.byShard[i]), ReplicaFiles: copies[i],
+			PrimaryFiles: len(set.byShard[i]), ReplicaFiles: len(set.onShard[i]),
 		})
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -355,9 +349,8 @@ func (s *Server) Metrics() MetricsBody {
 		MaxInflight:      s.cfg.maxInflight(),
 		AdmittedInflight: s.adm.inflight(),
 	}
-	if set := s.set.Load(); set != nil {
-		m.Epoch, m.Shards, m.Files = set.epoch, len(set.shards), len(set.files)
-	}
+	set := s.set.Load()
+	m.Epoch, m.Shards, m.Files = set.epoch, len(set.shards), len(set.files)
 	names := s.met.tenantNames()
 	if len(names) > 0 {
 		m.Tenants = make(map[string]TenantMetrics, len(names))
@@ -388,10 +381,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	epoch, err := s.PublishContext(r.Context(), files)
+	epoch, built, err := s.publish(r.Context(), files)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, healthBody{Status: "ok", Epoch: epoch, Shards: s.cfg.shards(), Files: len(files)})
+	writeJSON(w, http.StatusOK, struct {
+		healthBody
+		Built  int `json:"built"`  // files indexed for this epoch
+		Reused int `json:"reused"` // files that kept their engine
+	}{healthBody{Status: "ok", Epoch: epoch, Shards: s.cfg.shards(), Files: len(files)}, built, len(files) - built})
 }

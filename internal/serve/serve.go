@@ -1,25 +1,26 @@
 // Package serve implements qofd's serving layer: a stdlib-only, sharded,
 // multi-tenant HTTP/JSON query daemon over the qof facade.
 //
-// A published corpus is placed by rendezvous hashing across N shards, each
-// an independent *qof.Corpus, with every file on R replicas (Config.
-// Replicas, default 2). A query is admitted (fair-share admission control
-// with load shedding under saturation), scattered to every replica group
-// under per-shard deadlines, and the per-group results are gathered back
-// into global document order — so a sharded answer is byte-identical to
-// the answer the direct facade gives over one corpus holding every file.
-// A slow primary is hedged to the next replica after a delay derived from
-// the live attempt-latency histogram; a faulted primary fails over; a
-// replica that keeps failing wholesale trips its circuit breaker and is
-// routed around until a half-open probe brings it back. Only when every
-// replica of a group is exhausted does the group degrade to partial
-// answers with shard and file attribution.
+// A published corpus is indexed once, one engine per file, and placed by
+// rendezvous hashing across N shards, every file on R replicas (Config.
+// Replicas, default 2): each shard is a view over its files' engines, so a
+// replica is a route, not a copy. A query is admitted (fair-share
+// admission control with load shedding under saturation), scattered to
+// every replica group under per-shard deadlines, and the per-group results
+// are gathered back into global document order — so a sharded answer is
+// byte-identical to the answer the direct facade gives over one corpus
+// holding every file. A slow primary is hedged to the next replica after a
+// delay derived from the live attempt-latency histogram; a faulted primary
+// fails over; a replica that keeps failing wholesale trips its circuit
+// breaker and is routed around until a half-open probe brings it back. Only
+// when every replica of a group is exhausted does the group degrade to
+// partial answers with shard and file attribution.
 //
 // Corpora are hot-reloaded with the swap-on-publish pattern the result
-// cache already uses: Publish builds a complete new shard set off to the
-// side and atomically swaps it in under a bumped epoch; in-flight queries
-// keep the set they started with. See docs/SERVING.md for the full
-// contract.
+// cache already uses: Publish builds a new shard set off to the side, only
+// indexing new or changed files, and atomically swaps it in under a bumped
+// epoch; in-flight queries keep the set they started with. See
+// docs/SERVING.md for the full contract.
 package serve
 
 import (
@@ -74,7 +75,7 @@ type Config struct {
 	// Shards is the number of engine shards documents are hashed across.
 	// Values < 1 mean one shard.
 	Shards int
-	// Replicas is the number of engine replicas each file is placed on
+	// Replicas is the number of shards routing to each file's one engine
 	// (rendezvous hashing over the shards; see Placement). 0 means 2;
 	// values are clamped to [1, Shards]. 1 disables replication, and with
 	// it hedging and failover.
@@ -91,9 +92,9 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker rejects routing before
 	// admitting a half-open probe. Values <= 0 mean 1s.
 	BreakerCooldown time.Duration
-	// Parallelism is each shard's corpus parallelism (files evaluated
-	// concurrently within one shard, and concurrent index builds during
-	// Publish). Values < 2 are sequential.
+	// Parallelism is the number of files evaluated concurrently within one
+	// shard, and of files indexed concurrently during Publish. Values < 2
+	// are sequential.
 	Parallelism int
 
 	// MaxInflight bounds the queries executing at once, server-wide;
@@ -185,16 +186,18 @@ func (c *Config) retryAfter() time.Duration {
 // within one answer.
 type shardSet struct {
 	epoch   uint64
-	shards  []*qof.Corpus
-	files   []string   // every published file name, sorted (global order)
-	byShard [][]string // files whose primary replica is shard i, sorted
-	groups  []group    // replica groups, in order of first file
+	all     *qof.Corpus   // every file's one engine
+	shards  []*qof.Corpus // shard i's view over the engines of onShard[i]
+	files   []string      // every published file name, sorted (global order)
+	byShard [][]string    // files whose primary replica is shard i, sorted
+	onShard [][]string    // files placed on shard i, primaries included, sorted
+	groups  []group       // replica groups, in order of first file
 }
 
 // group is the dispatch unit of a scatter: the files sharing one ordered
-// rendezvous placement. Every replica of a group holds exactly the group's
-// files (among others), so any one replica can serve the whole group and
-// the winner's statistics count each file exactly once.
+// rendezvous placement. Every replica of a group views the group's files
+// (among others), so any one replica can serve the whole group and the
+// winner's statistics count each file exactly once.
 type group struct {
 	replicas []int    // ordered placement; replicas[0] is the primary
 	files    []string // the group's files, sorted
@@ -226,30 +229,26 @@ func New(cfg Config) (*Server, error) {
 	for i := range breakers {
 		breakers[i] = newBreaker(cfg.breakerThreshold(), cfg.breakerCooldown())
 	}
-	return &Server{
+	s := &Server{
 		cfg:      cfg,
 		adm:      newAdmission(cfg.maxInflight()),
 		met:      newMetrics(),
 		breakers: breakers,
-	}, nil
+	}
+	// Generation 0 holds no file: every publish reindexes the one before it.
+	s.set.Store(&shardSet{all: cfg.Schema.NewCorpus(qof.WithParallelism(cfg.Parallelism))})
+	return s, nil
 }
 
 // Epoch reports the currently published corpus generation (0 before the
 // first Publish).
 func (s *Server) Epoch() uint64 {
-	if set := s.set.Load(); set != nil {
-		return set.epoch
-	}
-	return 0
+	return s.set.Load().epoch
 }
 
 // Files reports the published file names in global document order.
 func (s *Server) Files() []string {
-	set := s.set.Load()
-	if set == nil {
-		return nil
-	}
-	return append([]string(nil), set.files...)
+	return append([]string(nil), s.set.Load().files...)
 }
 
 // Publish indexes files into a fresh shard set and swaps it in under the
@@ -259,13 +258,18 @@ func (s *Server) Publish(files map[string]string) (uint64, error) {
 }
 
 // PublishContext builds the new generation completely before anything
-// becomes visible: per-shard corpora are built (concurrently, each with
-// the configured intra-shard parallelism), and only if every shard builds
-// does the swap happen — a failed publish leaves the previous generation
-// serving untouched. Every failing shard is reported, not just the first:
-// the returned error joins one attributed error per failed shard, and
-// each shard's own error joins one attributed error per failed file.
+// becomes visible: each new or changed file is indexed once (an unchanged
+// one keeps its engine), then every shard takes its view (concurrently), and
+// only if all of it succeeds does the swap happen — a failed publish leaves
+// the previous generation serving untouched. Every failure is reported, not
+// just the first: one attributed error per failed file or shard.
 func (s *Server) PublishContext(ctx context.Context, files map[string]string) (uint64, error) {
+	epoch, _, err := s.publish(ctx, files)
+	return epoch, err
+}
+
+// publish is PublishContext, also reporting how many files it indexed.
+func (s *Server) publish(ctx context.Context, files map[string]string) (uint64, int, error) {
 	s.publishMu.Lock()
 	defer s.publishMu.Unlock()
 
@@ -277,21 +281,18 @@ func (s *Server) PublishContext(ctx context.Context, files map[string]string) (u
 	}
 	sort.Strings(names)
 	byShard := make([][]string, n)
-	perShard := make([]map[string]string, n)
-	for i := range perShard {
-		perShard[i] = make(map[string]string)
-	}
-	// Group files by their full ordered placement: every shard indexes a
-	// copy of each file placed on it, and files sharing a placement form
-	// one dispatch group (names are sorted, so group membership and order
-	// are deterministic).
+	onShard := make([][]string, n)
+	// Group files by their full ordered placement: every replica of a file
+	// routes to its one engine, and files sharing a placement form one
+	// dispatch group (names are sorted, so group membership and order are
+	// deterministic).
 	var groups []group
 	groupAt := make(map[string]int)
 	for _, name := range names {
 		pl := Placement(name, n, r)
 		byShard[pl[0]] = append(byShard[pl[0]], name)
 		for _, sh := range pl {
-			perShard[sh][name] = files[name]
+			onShard[sh] = append(onShard[sh], name)
 		}
 		key := fmt.Sprint(pl)
 		gi, ok := groupAt[key]
@@ -303,6 +304,11 @@ func (s *Server) PublishContext(ctx context.Context, files map[string]string) (u
 		groups[gi].files = append(groups[gi].files, name)
 	}
 
+	old := s.set.Load()
+	all, built, err := old.all.Reindex(ctx, files)
+	if err != nil {
+		return old.epoch, built, fmt.Errorf("serve: %w", err)
+	}
 	shards := make([]*qof.Corpus, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -319,12 +325,7 @@ func (s *Server) PublishContext(ctx context.Context, files map[string]string) (u
 				errs[i] = err
 				return
 			}
-			c := s.cfg.Schema.NewCorpus(qof.WithParallelism(s.cfg.Parallelism))
-			if err := c.AddAllContext(ctx, perShard[i]); err != nil {
-				errs[i] = err
-				return
-			}
-			shards[i] = c
+			shards[i] = all.Subset(onShard[i]...)
 		}(i)
 	}
 	wg.Wait()
@@ -334,15 +335,11 @@ func (s *Server) PublishContext(ctx context.Context, files map[string]string) (u
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
-		return s.Epoch(), err
+		return old.epoch, built, err
 	}
 
-	epoch := uint64(1)
-	if old := s.set.Load(); old != nil {
-		epoch = old.epoch + 1
-	}
-	s.set.Store(&shardSet{epoch: epoch, shards: shards, files: names, byShard: byShard, groups: groups})
-	return epoch, nil
+	s.set.Store(&shardSet{epoch: old.epoch + 1, all: all, shards: shards, files: names, byShard: byShard, onShard: onShard, groups: groups})
+	return old.epoch + 1, built, nil
 }
 
 // Request is one query submission.
@@ -439,7 +436,7 @@ func tighten(cap, req int) int {
 // learns the answer was cut short, with the partial answer attached).
 func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	set := s.set.Load()
-	if set == nil {
+	if set.epoch == 0 {
 		return nil, ErrNoCorpus
 	}
 	// Validating prepares: every group below finds the query parsed.
@@ -483,7 +480,7 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	// are small — at most the number of distinct placements). Each group's
 	// dispatcher hedges, fails over and fails open among the group's
 	// replicas; each attempt is panic-isolated and deadline-bounded on its
-	// own, so one bad replica degrades nothing while another holds a copy.
+	// own, so one bad replica degrades nothing while another routes to its files.
 	outs := make([]groupOut, len(set.groups))
 	var wg sync.WaitGroup
 	for gi := range set.groups {

@@ -158,6 +158,28 @@ func (f *File) EvalContext(ctx context.Context, src string) (spans []Span, err e
 func (c *Corpus) AddAllContext(ctx context.Context, files map[string]string, opts ...IndexOption) (err error) {
 	defer catchPanic(&err, "adding %d files", len(files))
 	cfg := applyOptions(0, opts)
+	return c.c.AddAllContext(ctx, sortedDocs(files), cfg.spec)
+}
+
+// Reindex returns a new corpus over files with c's parallelism, indexed as
+// AddAllContext would index them into an empty corpus — except that a file
+// of c whose name and content are unchanged, and which was indexed under the
+// same options, keeps its index, result cache and statistics instead of
+// being indexed again. It reports how many files it indexed; the rest are
+// shared with c. WithParallelism is ignored. c is never changed; on error
+// Reindex returns no corpus and one attributed error per failed file.
+func (c *Corpus) Reindex(ctx context.Context, files map[string]string, opts ...IndexOption) (out *Corpus, built int, err error) {
+	defer catchPanic(&err, "reindexing %d files", len(files))
+	cfg := applyOptions(0, opts)
+	ec, built, err := c.c.Reindex(ctx, sortedDocs(files), cfg.spec)
+	if err != nil {
+		return nil, built, err
+	}
+	return &Corpus{schema: c.schema, c: ec}, built, nil
+}
+
+// sortedDocs makes the documents of files in name order.
+func sortedDocs(files map[string]string) []*text.Document {
 	names := make([]string, 0, len(files))
 	for name := range files {
 		names = append(names, name)
@@ -167,7 +189,7 @@ func (c *Corpus) AddAllContext(ctx context.Context, files map[string]string, opt
 	for i, name := range names {
 		docs[i] = text.NewDocument(name, files[name])
 	}
-	return c.c.AddAllContext(ctx, docs, cfg.spec)
+	return docs
 }
 
 // FileError attributes a failure to one corpus file.
