@@ -56,7 +56,7 @@ func writeJSONResult(w io.Writer, doc *text.Document, q *xsql.Query, res *engine
 	} else {
 		for _, r := range res.Regions.Regions() {
 			out.Objects = append(out.Objects, jsonSpan{
-				Start: r.Start, End: r.End, Text: doc.Slice(r.Start, r.End),
+				Start: int(r.Start), End: int(r.End), Text: doc.Slice(int(r.Start), int(r.End)),
 			})
 		}
 	}

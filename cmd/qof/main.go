@@ -316,7 +316,7 @@ func cmdQuery(args []string) error {
 		} else {
 			for i, r := range res.Regions.Regions() {
 				fmt.Printf("-- %s at [%d,%d)\n", q.Select.Var, r.Start, r.End)
-				fmt.Println(strings.TrimSpace(doc.Slice(r.Start, r.End)))
+				fmt.Println(strings.TrimSpace(doc.Slice(int(r.Start), int(r.End))))
 				_ = i
 			}
 		}
@@ -367,7 +367,7 @@ func cmdEval(args []string) error {
 	fmt.Printf("%s -> %d regions\n", algebra.Pretty(expr), set.Len())
 	for _, r := range set.Regions() {
 		if *showText {
-			fmt.Printf("[%d,%d) %q\n", r.Start, r.End, doc.Slice(r.Start, r.End))
+			fmt.Printf("[%d,%d) %q\n", r.Start, r.End, doc.Slice(int(r.Start), int(r.End)))
 		} else {
 			fmt.Printf("[%d,%d)\n", r.Start, r.End)
 		}

@@ -221,9 +221,14 @@ func convertResults(eng *engine.Engine, res *engine.Result) *Results {
 		return out
 	}
 	for _, r := range res.Regions.Regions() {
-		out.Spans = append(out.Spans, Span{Start: r.Start, End: r.End, Text: doc.Slice(r.Start, r.End)})
+		out.Spans = append(out.Spans, spanOf(doc, r))
 	}
 	return out
+}
+
+// spanOf is the public form of a region of doc: offsets widen to int.
+func spanOf(doc *text.Document, r region.Region) Span {
+	return Span{Start: int(r.Start), End: int(r.End), Text: doc.Slice(int(r.Start), int(r.End))}
 }
 
 // Eval evaluates a raw region-algebra expression (see the algebra package
@@ -236,8 +241,11 @@ func (f *File) Eval(src string) ([]Span, error) {
 // region of the given name) is replaced by newText, re-parsing only the
 // replacement. It returns the updated file; the receiver is unchanged.
 func (f *File) Replace(regionName string, span Span, newText string) (*File, error) {
-	_, in, err := engine.ReplaceRegion(f.schema.cat, f.eng.Instance(), regionName,
-		regionOf(span), newText)
+	r, err := f.regionOf(span)
+	if err != nil {
+		return nil, err
+	}
+	_, in, err := engine.ReplaceRegion(f.schema.cat, f.eng.Instance(), regionName, r, newText)
 	if err != nil {
 		return nil, err
 	}
@@ -247,8 +255,11 @@ func (f *File) Replace(regionName string, span Span, newText string) (*File, err
 // InsertAfter inserts newText (a complete occurrence of regionName's
 // format) immediately after the span, parsing only the insertion.
 func (f *File) InsertAfter(regionName string, span Span, newText string) (*File, error) {
-	_, in, err := engine.InsertAfter(f.schema.cat, f.eng.Instance(), regionName,
-		regionOf(span), newText)
+	r, err := f.regionOf(span)
+	if err != nil {
+		return nil, err
+	}
+	_, in, err := engine.InsertAfter(f.schema.cat, f.eng.Instance(), regionName, r, newText)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +269,11 @@ func (f *File) InsertAfter(regionName string, span Span, newText string) (*File,
 // Delete removes the span (an indexed region of regionName) without any
 // re-parsing.
 func (f *File) Delete(regionName string, span Span) (*File, error) {
-	_, in, err := engine.DeleteRegion(f.schema.cat, f.eng.Instance(), regionName, regionOf(span))
+	r, err := f.regionOf(span)
+	if err != nil {
+		return nil, err
+	}
+	_, in, err := engine.DeleteRegion(f.schema.cat, f.eng.Instance(), regionName, r)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +356,12 @@ func (s *Schema) Advise(queries ...string) ([]string, string, error) {
 	return rec.Names, rec.String(), nil
 }
 
-func regionOf(s Span) (r regionT) { r.Start, r.End = s.Start, s.End; return }
-
-// regionT aliases the internal region type for the facade's conversions.
-type regionT = region.Region
+// regionOf narrows a caller's span to a region of the file. A span outside
+// [0, Len] is refused before the narrowing, which would otherwise wrap an
+// offset past math.MaxInt32 onto a real region.
+func (f *File) regionOf(s Span) (region.Region, error) {
+	if n := f.eng.Instance().Document().Len(); s.Start < 0 || s.End > n || s.Start > s.End {
+		return region.Region{}, fmt.Errorf("qof: span [%d,%d) is not within the file's %d bytes", s.Start, s.End, n)
+	}
+	return region.Of(s.Start, s.End), nil
+}

@@ -137,6 +137,40 @@ func TestFacadeReplace(t *testing.T) {
 	}
 }
 
+// TestEditRejectsOutOfRangeSpan: a span 2³² bytes past a real region
+// would narrow onto that region's 32-bit offsets. Every edit refuses it
+// and leaves the file as it was; the real span still edits.
+func TestEditRejectsOutOfRangeSpan(t *testing.T) {
+	file, err := qof.BibTeX().Index("s.bib", bibtex.SampleEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := file.Eval("Key")
+	if err != nil || len(keys) == 0 {
+		t.Fatalf("Eval(Key) = %v, %v", keys, err)
+	}
+	far := keys[0]
+	far.Start += 1 << 32
+	far.End += 1 << 32
+	before := file.Content()
+	for name, edit := range map[string]func(qof.Span) (*qof.File, error){
+		"Replace":     func(s qof.Span) (*qof.File, error) { return file.Replace("Key", s, "Edited99") },
+		"InsertAfter": func(s qof.Span) (*qof.File, error) { return file.InsertAfter("Key", s, "Edited99") },
+		"Delete":      func(s qof.Span) (*qof.File, error) { return file.Delete("Key", s) },
+	} {
+		if edited, err := edit(far); err == nil {
+			t.Errorf("%s accepted span [%d,%d): file became %q", name, far.Start, far.End, edited.Content())
+		}
+		if file.Content() != before {
+			t.Fatalf("%s changed the file", name)
+		}
+	}
+	edited, err := file.Replace("Key", keys[0], "Edited99")
+	if err != nil || !strings.Contains(edited.Content(), "Edited99") {
+		t.Fatalf("Replace at the real span: %v", err)
+	}
+}
+
 func TestFacadeCorpus(t *testing.T) {
 	schema := qof.BibTeX()
 	corpus := schema.NewCorpus()

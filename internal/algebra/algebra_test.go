@@ -33,18 +33,18 @@ func fixture(t testing.TB) *index.Instance {
 			continue
 		}
 		end := lineStart + strings.IndexByte(line, ']') + 1
-		refs = append(refs, region.Region{Start: lineStart, End: end})
+		refs = append(refs, region.Of(lineStart, end))
 		aStart := lineStart + strings.Index(line, "AUTHOR")
 		eStart := lineStart + strings.Index(line, "EDITOR")
-		authors = append(authors, region.Region{Start: aStart, End: eStart - 1})
-		editors = append(editors, region.Region{Start: eStart, End: end - 2})
+		authors = append(authors, region.Of(aStart, eStart-1))
+		editors = append(editors, region.Of(eStart, end-2))
 
 		addName := func(kwStart, kwLen, limit int) {
 			nStart := kwStart + kwLen + 1
-			names = append(names, region.Region{Start: nStart, End: limit})
+			names = append(names, region.Of(nStart, limit))
 			sp := nStart + strings.IndexByte(content[nStart:limit], ' ')
-			firsts = append(firsts, region.Region{Start: nStart, End: sp})
-			lasts = append(lasts, region.Region{Start: sp + 1, End: limit})
+			firsts = append(firsts, region.Of(nStart, sp))
+			lasts = append(lasts, region.Of(sp+1, limit))
 		}
 		addName(aStart, len("AUTHOR"), eStart-1)
 		addName(eStart, len("EDITOR"), end-2)
@@ -115,7 +115,7 @@ func TestProjectionChain(t *testing.T) {
 	doc := in.Document()
 	var texts []string
 	for _, r := range got.Regions() {
-		texts = append(texts, doc.Slice(r.Start, r.End))
+		texts = append(texts, doc.Slice(int(r.Start), int(r.End)))
 	}
 	if texts[0] != "Chang" || texts[1] != "Corliss" {
 		t.Fatalf("texts = %v", texts)
@@ -427,7 +427,7 @@ func randomNestedInstance(rng *rand.Rand) (*index.Instance, []string) {
 			return
 		}
 		n := names[rng.Intn(len(names))]
-		groups[n] = append(groups[n], region.Region{Start: lo, End: hi})
+		groups[n] = append(groups[n], region.Of(lo, hi))
 		mid := lo + 1 + rng.Intn(hi-lo-1)
 		if rng.Intn(4) > 0 {
 			subdivide(lo, mid, depth+1)

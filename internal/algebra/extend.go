@@ -41,25 +41,31 @@ func (Freq) isExpr() {}
 func (e Near) String() string { return exprString(e) }
 func (e Freq) String() string { return exprString(e) }
 
-// evalNear computes the proximity selection. Targets are scanned forward
-// from the first start position ≥ r.Start and backward with a
-// prefix-maximum of end positions bounding how far back a target could
-// still reach within k bytes.
+// evalNear computes the proximity selection.
 func evalNear(E, To region.Set, k int) region.Set {
 	if E.IsEmpty() || To.IsEmpty() {
 		return region.Empty
 	}
+	return E.Filter(nearTest(To, k))
+}
+
+// nearTest returns the proximity test for one region: targets are scanned
+// forward from the first start position ≥ r.Start and backward with a
+// prefix-maximum of end positions bounding how far back a target could
+// still reach within k bytes. Positions mix with the caller's k, so the
+// arithmetic is in int.
+func nearTest(To region.Set, k int) func(region.Region) bool {
 	targets := To.Regions()
 	// prefMaxEnd[i] = max End among targets[0:i].
 	prefMaxEnd := make([]int, len(targets)+1)
 	prefMaxEnd[0] = -1 << 62
 	for i, t := range targets {
-		prefMaxEnd[i+1] = max(prefMaxEnd[i], t.End)
+		prefMaxEnd[i+1] = max(prefMaxEnd[i], int(t.End))
 	}
-	return E.Filter(func(r region.Region) bool {
+	return func(r region.Region) bool {
 		i := sort.Search(len(targets), func(i int) bool { return targets[i].Start >= r.Start })
 		for j := i; j < len(targets); j++ {
-			if targets[j].Start-r.End > k {
+			if int(targets[j].Start)-int(r.End) > k {
 				break // later targets start even further right
 			}
 			if gap(r, targets[j]) <= k {
@@ -67,7 +73,7 @@ func evalNear(E, To region.Set, k int) region.Set {
 			}
 		}
 		for j := i - 1; j >= 0; j-- {
-			if prefMaxEnd[j+1] < r.Start-k {
+			if prefMaxEnd[j+1] < int(r.Start)-k {
 				break // no earlier target reaches within k
 			}
 			if gap(r, targets[j]) <= k {
@@ -75,7 +81,7 @@ func evalNear(E, To region.Set, k int) region.Set {
 			}
 		}
 		return false
-	})
+	}
 }
 
 // gap returns the byte distance between two regions (0 if they touch or
@@ -83,9 +89,9 @@ func evalNear(E, To region.Set, k int) region.Set {
 func gap(a, b region.Region) int {
 	switch {
 	case b.Start >= a.End:
-		return b.Start - a.End
+		return int(b.Start) - int(a.End)
 	case a.Start >= b.End:
-		return a.Start - b.End
+		return int(a.Start) - int(b.End)
 	default:
 		return 0
 	}

@@ -61,7 +61,7 @@ func randomSet(rng *rand.Rand, n, span int) region.Set {
 	for i := 0; i < rng.Intn(n)+1; i++ {
 		a := rng.Intn(span)
 		b := a + rng.Intn(span-a) + 1
-		rs = append(rs, region.Region{Start: a, End: b})
+		rs = append(rs, region.Of(a, b))
 	}
 	return region.FromRegions(rs)
 }

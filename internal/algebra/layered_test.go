@@ -15,7 +15,7 @@ import (
 func regs(pairs ...int) region.Set {
 	rs := make([]region.Region, 0, len(pairs)/2)
 	for i := 0; i+1 < len(pairs); i += 2 {
-		rs = append(rs, region.Region{Start: pairs[i], End: pairs[i+1]})
+		rs = append(rs, region.Of(pairs[i], pairs[i+1]))
 	}
 	return region.FromRegions(rs)
 }

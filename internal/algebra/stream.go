@@ -79,10 +79,6 @@ func (r *rootIter) Close() {
 	r.Iterator.Close()
 }
 
-// regionBytes is the in-memory footprint of one region.Region (two ints),
-// the unit PeakBytes accounting uses.
-const regionBytes = 16
-
 // streamPollStride is how many Next calls each operator tap lets pass
 // between cancellation polls. The region package uses the same stride for
 // its materializing sweeps.
@@ -102,7 +98,7 @@ type streamCtx struct {
 // meter records n regions' worth of freshly materialized buffer and updates
 // the peak. Buffers live as long as the pipeline, so live never shrinks.
 func (sc *streamCtx) meter(n int) {
-	sc.live += n * regionBytes
+	sc.live += n * region.Bytes
 	if sc.stats != nil && sc.live > sc.stats.PeakBytes {
 		sc.stats.PeakBytes = sc.live
 	}
@@ -438,39 +434,13 @@ func (ev *Evaluator) streamFreq(arg region.Iterator, e Freq) region.Iterator {
 }
 
 // streamNear applies the proximity selection as a filter over the streaming
-// left side against materialized targets, with evalNear's two-directional
-// scan per region.
+// left side against materialized targets, with evalNear's test per region.
 func streamNear(l region.Iterator, to region.Set, k int) region.Iterator {
 	if to.IsEmpty() {
 		l.Close()
 		return region.Empty.Iter()
 	}
-	targets := to.Regions()
-	prefMaxEnd := make([]int, len(targets)+1)
-	prefMaxEnd[0] = -1 << 62
-	for i, t := range targets {
-		prefMaxEnd[i+1] = max(prefMaxEnd[i], t.End)
-	}
-	return region.FilterIter(l, func(r region.Region) bool {
-		i := sort.Search(len(targets), func(i int) bool { return targets[i].Start >= r.Start })
-		for j := i; j < len(targets); j++ {
-			if targets[j].Start-r.End > k {
-				break
-			}
-			if gap(r, targets[j]) <= k {
-				return true
-			}
-		}
-		for j := i - 1; j >= 0; j-- {
-			if prefMaxEnd[j+1] < r.Start-k {
-				break
-			}
-			if gap(r, targets[j]) <= k {
-				return true
-			}
-		}
-		return false
-	})
+	return region.FilterIter(l, nearTest(to, k))
 }
 
 // tap wraps an iterator with the pipeline's cross-cutting concerns:

@@ -124,10 +124,10 @@ func TestGeneratedRegionsNestStrictly(t *testing.T) {
 		t.Fatalf("instance violates derived RIG: %v", err)
 	}
 	// No two regions of different names coincide (strict-inclusion model).
-	seen := make(map[[2]int]string)
+	seen := make(map[[2]int32]string)
 	for _, name := range in.Names() {
 		for _, r := range in.MustRegion(name).Regions() {
-			k := [2]int{r.Start, r.End}
+			k := [2]int32{r.Start, r.End}
 			if other, ok := seen[k]; ok && other != name {
 				t.Fatalf("regions coincide: %s and %s at %v", other, name, r)
 			}

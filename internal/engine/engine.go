@@ -123,7 +123,7 @@ type Stats struct {
 	ResultCacheHits int
 
 	// PeakBytes approximates the high-water mark of region-buffer memory
-	// the execution held, at 16 bytes per region: every operator result of
+	// the execution held, at region.Bytes a region: every operator result of
 	// a set evaluation (its memo keeps them until the call ends), only the
 	// buffers a stream cannot avoid (proximity targets, direct-operator
 	// sides), plus the engine's candidate and result buffers.
@@ -140,10 +140,6 @@ type Stats struct {
 	Phase1Time  time.Duration
 	Phase2Time  time.Duration
 }
-
-// regionBytes is the in-memory footprint of one region (two ints), the unit
-// of PeakBytes accounting.
-const regionBytes = 16
 
 // Result is the outcome of a query.
 type Result struct {
@@ -310,7 +306,7 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
 	// A set evaluation keeps every operator result in its memo until the
 	// call ends, so the regions touched are the buffer peak.
-	res.Stats.PeakBytes += ast.PeakBytes + regionBytes*ast.RegionsTouched
+	res.Stats.PeakBytes += ast.PeakBytes + region.Bytes*ast.RegionsTouched
 	return s, err
 }
 
@@ -514,7 +510,7 @@ func (em *emitter) emit(r region.Region, obj db.Value) {
 // finish publishes the kept regions into the result.
 func (em *emitter) finish() {
 	em.res.Regions = region.FromRegions(em.kept)
-	em.res.Stats.PeakBytes += regionBytes * len(em.kept)
+	em.res.Stats.PeakBytes += region.Bytes * len(em.kept)
 }
 
 // streamSingle is the streaming single-variable executor: phase 1 is an
@@ -566,7 +562,7 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	em.finish()
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
 	res.Stats.Candidates = len(all)
-	res.Stats.PeakBytes += ast.PeakBytes + regionBytes*(ast.RegionsTouched+len(all))
+	res.Stats.PeakBytes += ast.PeakBytes + region.Bytes*(ast.RegionsTouched+len(all))
 	if err != nil || !streamed || !worthy {
 		return err
 	}
@@ -865,7 +861,7 @@ func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, re
 // database value that reads names (nil: the whole value). The caller has
 // already polled cancellation and charged its byte budget.
 func (e *Engine) parseValue(nt string, r region.Region, reads *grammar.ReadSet) (db.Value, error) {
-	v, err := e.cat.Grammar.ParseValue(e.in.Document(), nt, r.Start, r.End, reads)
+	v, err := e.cat.Grammar.ParseValue(e.in.Document(), nt, int(r.Start), int(r.End), reads)
 	if err != nil {
 		return nil, fmt.Errorf("engine: parsing candidate %v as %s: %w", r, nt, err)
 	}

@@ -22,7 +22,7 @@ const cacheProbeQuery = `SELECT r FROM References r WHERE r.Authors.Name.Last_Na
 func TestResultCacheLRU(t *testing.T) {
 	rc := engine.NewResultCache(2)
 	set := func(start int) region.Set {
-		return region.FromRegions([]region.Region{{Start: start, End: start + 1}})
+		return region.FromRegions([]region.Region{region.Of(start, start+1)})
 	}
 	rc.Put("a", set(0))
 	rc.Put("b", set(1))

@@ -33,14 +33,15 @@ func ReplaceRegion(cat *compile.Catalog, in *index.Instance, nt string, r region
 	if !set.Contains(r) {
 		return nil, nil, fmt.Errorf("engine: %v is not an indexed %s region", r, nt)
 	}
-	oldDoc := in.Document()
-	content := oldDoc.Content()
-	newContent := content[:r.Start] + newText + content[r.End:]
-	newDoc := text.NewDocument(oldDoc.Name(), newContent)
+	content := in.Document().Content()
+	newDoc, err := editedDocument(in, content[:r.Start]+newText+content[r.End:])
+	if err != nil {
+		return nil, nil, err
+	}
 	delta := len(newText) - r.Len()
 
 	// Parse only the replacement, at its final position.
-	subtree, err := cat.Grammar.ParseAs(newDoc, nt, r.Start, r.Start+len(newText))
+	subtree, err := cat.Grammar.ParseAs(newDoc, nt, r.Start, r.Start+int32(len(newText)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: replacement does not parse as %s: %w", nt, err)
 	}
@@ -62,13 +63,14 @@ func InsertAfter(cat *compile.Catalog, in *index.Instance, nt string, r region.R
 	if !set.Contains(r) {
 		return nil, nil, fmt.Errorf("engine: %v is not an indexed %s region", r, nt)
 	}
-	oldDoc := in.Document()
-	content := oldDoc.Content()
+	content := in.Document().Content()
 	at := r.End
-	newContent := content[:at] + newText + content[at:]
-	newDoc := text.NewDocument(oldDoc.Name(), newContent)
+	newDoc, err := editedDocument(in, content[:at]+newText+content[at:])
+	if err != nil {
+		return nil, nil, err
+	}
 
-	subtree, err := cat.Grammar.ParseAs(newDoc, nt, at, at+len(newText))
+	subtree, err := cat.Grammar.ParseAs(newDoc, nt, at, at+int32(len(newText)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: insertion does not parse as %s: %w", nt, err)
 	}
@@ -88,21 +90,31 @@ func DeleteRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.
 	if !set.Contains(r) {
 		return nil, nil, fmt.Errorf("engine: %v is not an indexed %s region", r, nt)
 	}
-	oldDoc := in.Document()
-	content := oldDoc.Content()
-	newDoc := text.NewDocument(oldDoc.Name(), content[:r.Start]+content[r.End:])
+	content := in.Document().Content()
+	newDoc, err := editedDocument(in, content[:r.Start]+content[r.End:])
+	if err != nil {
+		return nil, nil, err
+	}
 	return spliceInstance(cat, in, newDoc, nil, r, -r.Len())
+}
+
+// editedDocument is in's document with the edited content, refused when
+// the edit grew it past the limit: positions in it must fit a region
+// before anything is parsed at them.
+func editedDocument(in *index.Instance, content string) (*text.Document, error) {
+	doc := text.NewDocument(in.Document().Name(), content)
+	if err := index.CheckDocument(doc); err != nil {
+		return nil, err
+	}
+	return doc, nil
 }
 
 // spliceInstance rebuilds the instance around an edit: the word index is
 // spliced (only the edit window is re-tokenized), regions are spliced per
 // spliceSet, and the (possibly nil) freshly parsed subtree contributes the
-// replacement regions.
+// replacement regions. newDoc has passed index.CheckDocument.
 func spliceInstance(cat *compile.Catalog, in *index.Instance, newDoc *text.Document, subtree *grammar.Node, edit region.Region, delta int) (*text.Document, *index.Instance, error) {
-	if err := index.CheckDocument(newDoc); err != nil {
-		return nil, nil, err // an edit can grow a document past the limit
-	}
-	newIn := index.SpliceInstance(in, newDoc, edit.Start, edit.End, edit.End+delta)
+	newIn := index.SpliceInstance(in, newDoc, int(edit.Start), int(edit.End), int(edit.End)+delta)
 	var fresh map[string]region.Set
 	if subtree != nil {
 		fresh = grammar.ExtractRegions(subtree, in.Names()...)
@@ -133,18 +145,19 @@ func spliceInstance(cat *compile.Catalog, in *index.Instance, newDoc *text.Docum
 // regions inside the replaced region (the subtree re-supplies them), shift
 // regions after, and stretch regions enclosing the edit.
 func spliceSet(s region.Set, edit region.Region, delta int) (region.Set, error) {
+	d := int32(delta) // the edited document passed CheckDocument, so every shifted position fits
 	var out []region.Region
 	for _, x := range s.Regions() {
 		switch {
 		case x.End <= edit.Start:
 			out = append(out, x)
 		case x.Start >= edit.End:
-			out = append(out, region.Region{Start: x.Start + delta, End: x.End + delta})
+			out = append(out, region.Region{Start: x.Start + d, End: x.End + d})
 		case edit.Includes(x):
 			// Inside the replaced region (including the region itself):
 			// superseded by the re-parsed subtree.
 		case x.StrictlyIncludes(edit):
-			out = append(out, region.Region{Start: x.Start, End: x.End + delta})
+			out = append(out, region.Region{Start: x.Start, End: x.End + d})
 		default:
 			return region.Empty, fmt.Errorf("region %v partially overlaps the edit %v", x, edit)
 		}

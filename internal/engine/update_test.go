@@ -220,7 +220,7 @@ func TestInsertDeleteNestedSections(t *testing.T) {
 	// Delete it again: back to a rebuild of the shrunk doc.
 	var inserted region.Region
 	for _, r := range in2.MustRegion(sgml.NTSection).Regions() {
-		if doc2.Slice(r.Start, r.End) == `<sec><t>inserted</t><p>fresh words</p></sec>` {
+		if doc2.Slice(int(r.Start), int(r.End)) == `<sec><t>inserted</t><p>fresh words</p></sec>` {
 			inserted = r
 		}
 	}

@@ -29,7 +29,7 @@ func TestPhase2AllocationCeilings(t *testing.T) {
 		}
 	})
 	unpooled := testing.AllocsPerRun(100, func() {
-		n, err := g.ParseAs(doc, bibtex.NTReference, ref.Start, ref.End)
+		n, err := g.ParseAs(doc, bibtex.NTReference, int32(ref.Start), int32(ref.End))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,12 @@ package grammar_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"qof/internal/bibtex"
 	"qof/internal/grammar"
+	"qof/internal/index"
 	"qof/internal/text"
 )
 
@@ -14,7 +16,9 @@ import (
 // takes — the paper's partial index (most of the file recognised quietly),
 // the full index (every non-terminal kept) and a selective one (the scoped
 // extractor's walk). A setup_s regression in bench/ bisects to this, to
-// index's BenchmarkWordIndexBuild, or to stats.
+// index's BenchmarkWordIndexBuild, or to stats. Each spec also reports
+// retained-B/region, what a built instance keeps per region beyond its
+// word index (retainedPerRegion): a memory regression bisects the same way.
 
 func buildCorpus(tb testing.TB, refs int) (*grammar.Grammar, *text.Document) {
 	tb.Helper()
@@ -38,15 +42,55 @@ func BenchmarkBuildInstance(b *testing.B) {
 	specs := buildSpecs()
 	for _, name := range []string{"partial", "full", "scoped"} {
 		b.Run(name, func(b *testing.B) {
+			perRegion := retainedPerRegion(b, g, doc, specs[name])
 			b.ReportAllocs()
 			b.SetBytes(int64(doc.Len()))
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := g.BuildInstance(doc, specs[name]); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(perRegion, "retained-B/region")
 		})
 	}
+}
+
+// retainedPerRegion is the heap one built instance retains, less what the
+// document's word index alone retains, over the instance's region count:
+// the named sets' bytes per region, region.Bytes plus slack. Heap growth
+// is read across each build with a collection on either side, as
+// BenchmarkWordIndexBuild reads retained-B/token.
+func retainedPerRegion(b *testing.B, g *grammar.Grammar, doc *text.Document, spec grammar.IndexSpec) float64 {
+	b.Helper()
+	// A first build fills the parser's pools, so neither measurement
+	// counts them.
+	if _, _, err := g.BuildInstance(doc, spec); err != nil {
+		b.Fatal(err)
+	}
+	words := retained(func() any { return index.NewWordIndex(doc) })
+	var in *index.Instance
+	all := retained(func() any {
+		var err error
+		if in, _, err = g.BuildInstance(doc, spec); err != nil {
+			b.Fatal(err)
+		}
+		return in
+	})
+	return (all - words) / float64(in.RegionCount())
+}
+
+// retained is the heap's growth across build, after a collection each
+// side, with what build returned still live.
+func retained(build func() any) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(x)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }
 
 // BenchmarkFullScanRegions is a full scan's phase 1 at 20 000 references,

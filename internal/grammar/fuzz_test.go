@@ -95,7 +95,7 @@ func TestParseAsArbitraryRanges(t *testing.T) {
 		a := rng.Intn(doc.Len() + 1)
 		b := a + rng.Intn(doc.Len()-a+1)
 		sym := syms[rng.Intn(len(syms))]
-		node, err := g.ParseAs(doc, sym, a, b)
+		node, err := g.ParseAs(doc, sym, int32(a), int32(b))
 		if err != nil {
 			continue
 		}
@@ -109,7 +109,7 @@ func TestParseAsArbitraryRanges(t *testing.T) {
 	n := doc.Len()
 	for _, rg := range [][2]int{{-1, n}, {0, n + 1}, {n + 1, n + 2}, {-5, -2}, {10, 3}, {n, 0}} {
 		for _, parse := range []func() error{
-			func() error { _, err := g.ParseAs(doc, "Reference", rg[0], rg[1]); return err },
+			func() error { _, err := g.ParseAs(doc, "Reference", int32(rg[0]), int32(rg[1])); return err },
 			func() error { _, err := g.ParseValue(doc, "Reference", rg[0], rg[1], nil); return err },
 		} {
 			err := parse()

@@ -110,7 +110,7 @@ func BenchmarkParseAsOneReference(b *testing.B) {
 	ref := tree.Find("Reference")[10]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.ParseAs(doc, "Reference", ref.Start, ref.End); err != nil {
+		if _, err := g.ParseAs(doc, "Reference", int32(ref.Start), int32(ref.End)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -376,7 +376,7 @@ func TestExtractRegionsExplicitNames(t *testing.T) {
 func TestParseAsRegion(t *testing.T) {
 	g, doc, tree := parseMini(t)
 	ref := tree.Find("Reference")[1]
-	sub, err := g.ParseAs(doc, "Reference", ref.Start, ref.End)
+	sub, err := g.ParseAs(doc, "Reference", int32(ref.Start), int32(ref.End))
 	if err != nil {
 		t.Fatalf("ParseAs: %v", err)
 	}
@@ -388,7 +388,7 @@ func TestParseAsRegion(t *testing.T) {
 		t.Errorf("Key = %v", key)
 	}
 	// Unknown symbol.
-	if _, err := g.ParseAs(doc, "Nope", 0, doc.Len()); err == nil {
+	if _, err := g.ParseAs(doc, "Nope", 0, int32(doc.Len())); err == nil {
 		t.Error("unknown symbol accepted")
 	}
 }

@@ -48,15 +48,16 @@ func (e *DepthError) Unwrap() error { return qerr.ErrBudgetExceeded }
 // tree. Trailing whitespace is permitted; any other trailing content is an
 // error.
 func (g *Grammar) Parse(doc *text.Document) (*Node, error) {
-	return g.ParseAs(doc, g.root, 0, doc.Len())
+	return g.parseWith(new(runner), doc, g.root, 0, doc.Len(), everything)
 }
 
 // ParseAs parses the byte range [from, to) of the document as the given
 // non-terminal; the region must be fully consumed up to trailing
-// whitespace. The tree is the caller's: its nodes are cut from slabs the
-// parse allocated, so holding any one *Node keeps its slab alive.
-func (g *Grammar) ParseAs(doc *text.Document, sym string, from, to int) (*Node, error) {
-	return g.parseWith(new(runner), doc, sym, from, to, everything)
+// whitespace. The bounds are a region's endpoints. The tree is the
+// caller's: its nodes are cut from slabs the parse allocated, so holding
+// any one *Node keeps its slab alive.
+func (g *Grammar) ParseAs(doc *text.Document, sym string, from, to int32) (*Node, error) {
+	return g.parseWith(new(runner), doc, sym, int(from), int(to), everything)
 }
 
 // ParseValue parses [from, to) as the non-terminal and returns the part of

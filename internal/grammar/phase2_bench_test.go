@@ -38,7 +38,7 @@ func BenchmarkParseAsReference(b *testing.B) {
 	b.SetBytes(int64(ref.End - ref.Start))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := g.ParseAs(doc, bibtex.NTReference, ref.Start, ref.End)
+		n, err := g.ParseAs(doc, bibtex.NTReference, int32(ref.Start), int32(ref.End))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -205,7 +205,7 @@ func sameTree(a, b *grammar.Node) error {
 func checkSame(t *testing.T, g *grammar.Grammar, doc *text.Document, sym string, from, to int) {
 	t.Helper()
 	want, werr := refParseAs(g, doc, sym, from, to)
-	got, gerr := g.ParseAs(doc, sym, from, to)
+	got, gerr := g.ParseAs(doc, sym, int32(from), int32(to))
 	where := fmt.Sprintf("%s as %s [%d,%d)", doc.Name(), sym, from, to)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("%s: reference error %v, runner error %v", where, werr, gerr)

@@ -33,7 +33,7 @@ func ExtractRegions(tree *Node, names ...string) map[string]region.Set {
 			rs = new([]region.Region)
 			groups[n.Sym] = rs
 		}
-		*rs = append(*rs, region.Region{Start: n.Start, End: n.End})
+		*rs = append(*rs, region.Of(n.Start, n.End))
 		return true
 	})
 	// Names requested but absent in the tree index as empty sets.
@@ -54,7 +54,7 @@ func ExtractScopedRegions(tree *Node, name, within string) region.Set {
 	walk = func(n *Node, inside bool) {
 		if !n.Term {
 			if inside && n.Sym == name {
-				rs = append(rs, region.Region{Start: n.Start, End: n.End})
+				rs = append(rs, region.Of(n.Start, n.End))
 			}
 			if n.Sym == within {
 				inside = true

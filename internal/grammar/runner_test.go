@@ -225,7 +225,7 @@ func TestFirstUseConcurrent(t *testing.T) {
 					t.Errorf("round %d, goroutine %d: %s, want %s", round, w, v, want)
 				}
 				// BuildValue on an unpooled tree of the same fresh grammar.
-				if tree, err := g.ParseAs(doc, "Reference", n.Start, n.End); err != nil {
+				if tree, err := g.ParseAs(doc, "Reference", int32(n.Start), int32(n.End)); err != nil {
 					t.Error(err)
 				} else if got := BuildValue(tree, content); !reflect.DeepEqual(got, v) {
 					t.Errorf("round %d, goroutine %d: ParseAs+BuildValue %s, ParseValue %s", round, w, got, v)
@@ -306,7 +306,7 @@ func TestLeftRecursionIsAnError(t *testing.T) {
 			t.Errorf("%s: %+v, want symbol A at offset 3 of lr", name, derr)
 		}
 	}
-	_, err := g.ParseAs(doc, "S", 0, doc.Len())
+	_, err := g.ParseAs(doc, "S", 0, int32(doc.Len()))
 	check("ParseAs", err)
 	_, err = g.ParseValue(doc, "S", 0, doc.Len(), nil)
 	check("ParseValue", err)

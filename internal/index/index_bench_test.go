@@ -78,7 +78,7 @@ func BenchmarkSelectContaining(b *testing.B) {
 	var rs []region.Region
 	step := doc.Len() / 1000
 	for i := 0; i < 1000; i++ {
-		rs = append(rs, region.Region{Start: i * step, End: i*step + step - 1})
+		rs = append(rs, region.Of(i*step, i*step+step-1))
 	}
 	set := region.FromRegions(rs)
 	b.ResetTimer()
@@ -93,7 +93,7 @@ func BenchmarkSaveLoad(b *testing.B) {
 	var rs []region.Region
 	step := doc.Len() / 2000
 	for i := 0; i < 2000; i++ {
-		rs = append(rs, region.Region{Start: i * step, End: i*step + step - 1})
+		rs = append(rs, region.Of(i*step, i*step+step-1))
 	}
 	in.Define("R", region.FromRegions(rs))
 	var buf bytes.Buffer
@@ -119,13 +119,13 @@ func nameInstance(n, k int) *Instance {
 	var names, records []region.Region
 	for i := 0; i < n; i++ {
 		if i%10 == 0 {
-			records = append(records, region.Region{Start: sb.Len(), End: sb.Len()})
+			records = append(records, region.Of(sb.Len(), sb.Len()))
 		}
 		start := sb.Len()
 		fmt.Fprintf(&sb, "Name%04d", rng.Intn(k))
-		names = append(names, region.Region{Start: start, End: sb.Len()})
+		names = append(names, region.Of(start, sb.Len()))
 		sb.WriteString(", ")
-		records[len(records)-1].End = sb.Len()
+		records[len(records)-1].End = int32(sb.Len())
 	}
 	in := NewInstance(text.NewDocument("names", sb.String()))
 	in.Define("Name", region.FromRegions(names))

@@ -100,7 +100,7 @@ func TestMatchPointsEqualsOldConstruction(t *testing.T) {
 		occ := occurrences(doc, w)
 		rs := make([]region.Region, len(occ))
 		for i, tok := range occ {
-			rs[i] = region.Region{Start: tok.Start, End: tok.End}
+			rs[i] = region.Of(tok.Start, tok.End)
 		}
 		want := region.FromRegions(rs)
 		got := x.MatchPoints(w)
@@ -162,7 +162,7 @@ func TestPrefixMatchesExhaustive(t *testing.T) {
 		var want []region.Region
 		for _, tok := range text.Tokenize(doc.Content()) {
 			if strings.HasPrefix(doc.Token(tok), prefix) {
-				want = append(want, region.Region{Start: tok.Start, End: tok.End})
+				want = append(want, region.Of(tok.Start, tok.End))
 			}
 		}
 		if !got.Equal(region.FromRegions(want)) {
@@ -194,7 +194,7 @@ func TestSelectContaining(t *testing.T) {
 func TestSelectContainingWholeWordsOnly(t *testing.T) {
 	doc := text.NewDocument("t", "the Changing of Chang here")
 	x := NewWordIndex(doc)
-	whole := region.FromRegions([]region.Region{{Start: 0, End: doc.Len()}})
+	whole := region.FromRegions([]region.Region{region.Of(0, doc.Len())})
 	// "Chang" as a whole word occurs once (inside "Changing" must not count).
 	got := x.SelectContaining(whole, "Chang")
 	if got.Len() != 1 {
@@ -211,7 +211,7 @@ func TestSelectEquals(t *testing.T) {
 	// Equality is raw text equality: a region holding `"1982"` (with
 	// quotes) equals exactly that.
 	start := strings.Index(sampleBib, `"1982"`)
-	s := region.FromRegions([]region.Region{{Start: start, End: start + 6}})
+	s := region.FromRegions([]region.Region{region.Of(start, start+6)})
 	if got := x.SelectEquals(s, `"1982"`); got.Len() != 1 {
 		t.Errorf("SelectEquals(quoted) = %v", got)
 	}
@@ -220,13 +220,13 @@ func TestSelectEquals(t *testing.T) {
 	}
 	// A bare region equals its text.
 	ystart := strings.Index(sampleBib, "1982")
-	y := region.FromRegions([]region.Region{{Start: ystart, End: ystart + 4}})
+	y := region.FromRegions([]region.Region{region.Of(ystart, ystart+4)})
 	if got := x.SelectEquals(y, "1982"); got.Len() != 1 {
 		t.Errorf("SelectEquals(bare region) = %v", got)
 	}
 	// Multi-word equality.
 	astart := strings.Index(sampleBib, `G. F. Corliss and Y. F. Chang`)
-	a := region.FromRegions([]region.Region{{Start: astart, End: astart + 29}})
+	a := region.FromRegions([]region.Region{region.Of(astart, astart+29)})
 	if got := x.SelectEquals(a, "G. F. Corliss and Y. F. Chang"); got.Len() != 1 {
 		t.Errorf("multi-word SelectEquals = %v", got)
 	}
@@ -240,7 +240,7 @@ func lineRegion(t *testing.T, kw string) region.Region {
 		t.Fatalf("keyword %q not in sample", kw)
 	}
 	end := start + strings.IndexByte(sampleBib[start:], '\n')
-	return region.Region{Start: start, End: end}
+	return region.Of(start, end)
 }
 
 func TestInstanceBasics(t *testing.T) {
@@ -249,7 +249,7 @@ func TestInstanceBasics(t *testing.T) {
 	if in.Has("Reference") {
 		t.Error("empty instance has no regions")
 	}
-	in.Define("Reference", region.FromRegions([]region.Region{{Start: 0, End: doc.Len()}}))
+	in.Define("Reference", region.FromRegions([]region.Region{region.Of(0, doc.Len())}))
 	in.Define("Author", region.FromRegions([]region.Region{{Start: 23, End: 60}}))
 	if !in.Has("Reference") || !in.Has("Author") {
 		t.Error("Has")
@@ -356,7 +356,7 @@ func TestSaveLoadPreservesScopes(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	doc := text.NewDocument("sample.bib", sampleBib)
 	in := NewInstance(doc)
-	in.Define("Reference", region.FromRegions([]region.Region{{Start: 0, End: doc.Len()}}))
+	in.Define("Reference", region.FromRegions([]region.Region{region.Of(0, doc.Len())}))
 	in.Define("Author", region.FromRegions([]region.Region{{Start: 23, End: 60}, {Start: 23, End: 40}}))
 	in.Define("Empty", region.Empty)
 
@@ -430,7 +430,7 @@ func TestSaveLoadLargeRandom(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		a := rng.Intn(doc.Len())
 		b := a + rng.Intn(doc.Len()-a)
-		rs = append(rs, region.Region{Start: a, End: b + 1})
+		rs = append(rs, region.Of(a, b+1))
 	}
 	in.Define("R", region.FromRegions(rs))
 	var buf bytes.Buffer
@@ -498,7 +498,7 @@ func TestLoadFuzzedBytesNeverPanics(t *testing.T) {
 			}
 			for _, name := range got.Names() {
 				for _, r := range got.MustRegion(name).Regions() {
-					if r.Start < 0 || r.End > doc.Len() || r.Start > r.End {
+					if r.Start < 0 || int(r.End) > doc.Len() || r.Start > r.End {
 						t.Fatalf("trial %d: out-of-bounds region %v accepted", trial, r)
 					}
 				}

@@ -176,13 +176,14 @@ func (in *Instance) RegionCount() int {
 	return n
 }
 
-// SizeBytes reports what the index structures hold in memory: 16 bytes (two
-// int endpoints) a region in the named sets plus the word index's
-// dictionary and positions slab. It is used by the indexing-tradeoff
-// experiments and deliberately excludes the document text itself and what
-// queries derive lazily (universe, value orders, sistring array).
+// SizeBytes reports what the index structures hold in memory:
+// region.Bytes (two int32 endpoints, eight bytes) a region in the named
+// sets plus the word index's dictionary and positions slab. It is used by
+// the indexing-tradeoff experiments and deliberately excludes the document
+// text itself and what queries derive lazily (universe, value orders,
+// sistring array).
 func (in *Instance) SizeBytes() int {
-	return 16*in.RegionCount() + in.words.sizeBytes()
+	return region.Bytes*in.RegionCount() + in.words.sizeBytes()
 }
 
 // Restrict returns a new instance over the same document keeping only the

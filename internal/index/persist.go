@@ -71,10 +71,10 @@ func (in *Instance) Save(w io.Writer) error {
 		writeString(bw, in.scopes[name])
 		s := in.regions[name]
 		writeUvarint(bw, uint64(s.Len()))
-		prev := 0
+		prev := int32(0)
 		for _, r := range s.Regions() {
 			writeUvarint(bw, uint64(r.Start-prev))
-			writeUvarint(bw, uint64(r.End-r.Start))
+			writeUvarint(bw, uint64(r.Len()))
 			prev = r.Start
 		}
 	}
@@ -177,7 +177,7 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 				return nil, fmt.Errorf("%w: region table for %q", ErrCorrupt, name)
 			}
 			prev += ds
-			rs = append(rs, region.Region{Start: int(prev), End: int(prev + ln)})
+			rs = append(rs, region.Of(int(prev), int(prev+ln)))
 		}
 		in.install(name, region.FromRegions(rs))
 	}

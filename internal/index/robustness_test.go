@@ -126,7 +126,7 @@ func TestLoadBitFlips(t *testing.T) {
 		}
 		for _, name := range got.Names() {
 			for _, r := range got.MustRegion(name).Regions() {
-				if r.Start < 0 || r.End > doc.Len() || r.Start > r.End {
+				if r.Start < 0 || int(r.End) > doc.Len() || r.Start > r.End {
 					t.Fatalf("bit %d: out-of-bounds region %v accepted", bit, r)
 				}
 			}
@@ -147,7 +147,7 @@ func TestDocumentTooLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := f.In.MustRegion(bibtex.NTReference)
-	first := f.Doc.Slice(refs.At(0).Start, refs.At(0).End)
+	first := f.Doc.Slice(int(refs.At(0).Start), int(refs.At(0).End))
 
 	t.Run("at the limit", func(t *testing.T) {
 		defer index.SetMaxDocLen(f.Doc.Len())()

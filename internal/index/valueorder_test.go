@@ -83,7 +83,7 @@ func lines(in *index.Instance) {
 	var rs []region.Region
 	for pos := 0; pos < len(content); {
 		end := pos + strings.IndexByte(content[pos:], '\n')
-		rs = append(rs, region.Region{Start: pos, End: end})
+		rs = append(rs, region.Of(pos, end))
 		pos = end + 1
 	}
 	in.Define("Line", region.FromRegions(rs))

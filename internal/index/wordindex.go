@@ -173,7 +173,7 @@ func (x *WordIndex) ForEachWord(fn func(w string, occurrences int)) {
 // length. It is a region.Points, so the region kernels take it as it is.
 type Postings struct {
 	starts []uint32
-	width  int
+	width  int32
 }
 
 // Postings returns the posting list of the exact word w.
@@ -182,7 +182,7 @@ func (x *WordIndex) Postings(w string) Postings {
 	if !found {
 		return Postings{}
 	}
-	return Postings{starts: x.post[x.offs[i]:x.offs[i+1]], width: len(w)}
+	return Postings{starts: x.post[x.offs[i]:x.offs[i+1]], width: int32(len(w))}
 }
 
 // Len reports the number of occurrences.
@@ -190,7 +190,7 @@ func (p Postings) Len() int { return len(p.starts) }
 
 // At returns the i-th occurrence as a region the width of the word.
 func (p Postings) At(i int) region.Region {
-	start := int(p.starts[i])
+	start := int32(p.starts[i])
 	return region.Region{Start: start, End: start + p.width}
 }
 
@@ -224,7 +224,7 @@ func (x *WordIndex) PrefixMatchPoints(prefix string) region.Set {
 		}
 		// The word at start is the token the tokenizer finds there.
 		if tok, _ := text.NextToken(content, int(start)); tok.Len() >= len(prefix) {
-			rs = append(rs, region.Region(tok))
+			rs = append(rs, region.Of(tok.Start, tok.End))
 		}
 	}
 	return region.FromRegions(rs)
@@ -244,7 +244,7 @@ func (x *WordIndex) SubstringMatchPoints(s string) region.Set {
 	offsets := x.suffixes.Lookup([]byte(s), -1)
 	rs := make([]region.Region, len(offsets))
 	for i, off := range offsets {
-		rs[i] = region.Region{Start: off, End: off + len(s)}
+		rs[i] = region.Of(off, off+len(s))
 	}
 	return region.FromRegions(rs)
 }

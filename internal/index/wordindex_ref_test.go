@@ -48,7 +48,7 @@ func newRefWordIndex(doc *text.Document) *refWordIndex {
 func (x *refWordIndex) occurrences(w string) []region.Region {
 	out := make([]region.Region, 0, len(x.byWord[w]))
 	for _, ti := range x.byWord[w] {
-		out = append(out, region.Region(x.tokens[ti]))
+		out = append(out, region.Of(x.tokens[ti].Start, x.tokens[ti].End))
 	}
 	return out
 }
@@ -69,7 +69,7 @@ func (x *refWordIndex) prefixMatchPoints(prefix string) region.Set {
 	var rs []region.Region
 	for _, tok := range x.tokens {
 		if strings.HasPrefix(x.doc.Content()[tok.Start:], prefix) && tok.Len() >= len(prefix) {
-			rs = append(rs, region.Region(tok))
+			rs = append(rs, region.Of(tok.Start, tok.End))
 		}
 	}
 	return region.FromRegions(rs)
@@ -80,7 +80,7 @@ func (x *refWordIndex) substringMatchPoints(s string) region.Set {
 	content := x.doc.Content()
 	for i := 0; s != "" && i+len(s) <= len(content); i++ {
 		if content[i:i+len(s)] == s {
-			rs = append(rs, region.Region{Start: i, End: i + len(s)})
+			rs = append(rs, region.Of(i, i+len(s)))
 		}
 	}
 	return region.FromRegions(rs)
@@ -121,7 +121,7 @@ func (x *refWordIndex) save(in *index.Instance) []byte {
 		str(name)
 		str(in.Scope(name))
 		rs := in.MustRegion(name).Regions()
-		table(len(rs), func(i int) (int, int) { return rs[i].Start, rs[i].End })
+		table(len(rs), func(i int) (int, int) { return int(rs[i].Start), int(rs[i].End) })
 	}
 	bw.Flush()
 	return buf.Bytes()
@@ -248,7 +248,7 @@ func TestWordIndexMatchesReferenceOnUnicode(t *testing.T) {
 	probes := []string{"", "é", "h", "hé", "ünï", "naïve", "abc", "日本", "\xc3", "\xa9", "b", "١"}
 	for i, content := range unicodeDocs {
 		doc := text.NewDocument(fmt.Sprintf("unicode#%d", i), content)
-		all := region.FromRegions([]region.Region{{Start: 0, End: len(content)}, {Start: len(content) / 2, End: len(content)}})
+		all := region.FromRegions([]region.Region{region.Of(0, len(content)), region.Of(len(content)/2, len(content))})
 		checkAgainstReference(t, doc, []region.Set{all}, probes)
 	}
 }
@@ -286,7 +286,7 @@ func TestSaveMatchesReferenceWriter(t *testing.T) {
 	}
 	for i, content := range unicodeDocs {
 		in := index.NewInstance(text.NewDocument(fmt.Sprintf("unicode#%d", i), content))
-		in.Define("All", region.FromRegions([]region.Region{{Start: 0, End: len(content)}}))
+		in.Define("All", region.FromRegions([]region.Region{region.Of(0, len(content))}))
 		check(in)
 	}
 }

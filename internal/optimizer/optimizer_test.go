@@ -389,7 +389,7 @@ func genInstance(rng *rand.Rand, g *rig.Graph, root string, span int) *index.Ins
 	groups := make(map[string][]region.Region)
 	var build func(name string, lo, hi, depth int)
 	build = func(name string, lo, hi, depth int) {
-		groups[name] = append(groups[name], region.Region{Start: lo, End: hi})
+		groups[name] = append(groups[name], region.Of(lo, hi))
 		succ := g.Successors(name)
 		if len(succ) == 0 || depth > 4 || hi-lo < 6 {
 			return

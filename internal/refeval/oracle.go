@@ -67,7 +67,7 @@ func (o *Oracle) classExtent(nt string) *extent {
 	}
 	ext := &extent{}
 	for _, node := range o.tree.Find(nt) {
-		ext.regions = append(ext.regions, region.Region{Start: node.Start, End: node.End})
+		ext.regions = append(ext.regions, region.Of(node.Start, node.End))
 		ext.objects = append(ext.objects, grammar.BuildValue(node, o.doc.Content()))
 	}
 	o.extents[nt] = ext

@@ -68,7 +68,7 @@ func (ev *Evaluator) eval(e algebra.Expr) ([]region.Region, error) {
 		var out []region.Region
 		for _, tok := range ev.tokens {
 			if strings.HasPrefix(content[tok.Start:tok.End], e.P) {
-				out = append(out, region.Region{Start: tok.Start, End: tok.End})
+				out = append(out, region.Of(tok.Start, tok.End))
 			}
 		}
 		return out, nil
@@ -80,7 +80,7 @@ func (ev *Evaluator) eval(e algebra.Expr) ([]region.Region, error) {
 		var out []region.Region
 		for i := 0; i+len(e.S) <= len(content); i++ {
 			if content[i:i+len(e.S)] == e.S {
-				out = append(out, region.Region{Start: i, End: i + len(e.S)})
+				out = append(out, region.Of(i, i+len(e.S)))
 			}
 		}
 		return out, nil
@@ -165,7 +165,7 @@ func (ev *Evaluator) wordRegions(w string) []region.Region {
 	var out []region.Region
 	for _, tok := range ev.tokens {
 		if content[tok.Start:tok.End] == w {
-			out = append(out, region.Region{Start: tok.Start, End: tok.End})
+			out = append(out, region.Of(tok.Start, tok.End))
 		}
 	}
 	return out
@@ -180,7 +180,7 @@ func (ev *Evaluator) selectRegions(arg []region.Region, mode algebra.SelMode, w 
 		switch mode {
 		case algebra.SelContains:
 			for _, tok := range ev.tokens {
-				if tok.Start >= r.Start && tok.End <= r.End && content[tok.Start:tok.End] == w {
+				if tok.Start >= int(r.Start) && tok.End <= int(r.End) && content[tok.Start:tok.End] == w {
 					keep = true
 					break
 				}
@@ -208,7 +208,7 @@ func (ev *Evaluator) freq(arg []region.Region, w string, n int) []region.Region 
 	for _, r := range arg {
 		count := 0
 		for _, tok := range ev.tokens {
-			if tok.Start >= r.Start && tok.End <= r.End && content[tok.Start:tok.End] == w {
+			if tok.Start >= int(r.Start) && tok.End <= int(r.End) && content[tok.Start:tok.End] == w {
 				count++
 			}
 		}
@@ -228,9 +228,9 @@ func near(E, To []region.Region, k int) []region.Region {
 			gap := 0
 			switch {
 			case t.Start >= r.End:
-				gap = t.Start - r.End
+				gap = int(t.Start) - int(r.End)
 			case r.Start >= t.End:
-				gap = r.Start - t.End
+				gap = int(r.Start) - int(t.End)
 			}
 			if gap <= k {
 				out = append(out, r)

@@ -15,7 +15,7 @@ func randomCtlSets(t *testing.T, n int, seed int64) (Set, Set) {
 		rs := make([]Region, n)
 		for i := range rs {
 			start := rng.Intn(10 * n)
-			rs[i] = Region{Start: start, End: start + 1 + rng.Intn(50)}
+			rs[i] = Of(start, start+1+rng.Intn(50))
 		}
 		return FromRegions(rs)
 	}
@@ -75,7 +75,7 @@ func TestPollStride(t *testing.T) {
 	n := 3*pollStride + 10
 	rs := make([]Region, n)
 	for i := range rs {
-		rs[i] = Region{Start: 2 * i, End: 2*i + 1}
+		rs[i] = Of(2*i, 2*i+1)
 	}
 	s := FromRegions(rs)
 	polls := 0

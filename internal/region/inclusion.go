@@ -186,7 +186,7 @@ func containerBesides(cands []Region, r Region) bool {
 }
 
 // lowerBoundStart returns the first index i with regions[i].Start >= v.
-func lowerBoundStart(rs []Region, v int) int {
+func lowerBoundStart(rs []Region, v int32) int {
 	lo, hi := 0, len(rs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -200,7 +200,7 @@ func lowerBoundStart(rs []Region, v int) int {
 }
 
 // upperBoundStart returns the first index i with regions[i].Start > v.
-func upperBoundStart(rs []Region, v int) int {
+func upperBoundStart(rs []Region, v int32) int {
 	lo, hi := 0, len(rs)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -218,7 +218,7 @@ func upperBoundStart(rs []Region, v int) int {
 // levels live in one pooled scratch buffer; callers release the table when
 // done with it.
 type minTable struct {
-	rows [][]int
+	rows [][]int32
 	buf  *intBuf
 }
 
@@ -231,7 +231,7 @@ func newMinTable(rs []Region) minTable {
 	}
 	buf := getIntBuf()
 	flat := buf.ints(total)
-	rows := make([][]int, 1, levels)
+	rows := make([][]int32, 1, levels)
 	rows[0] = flat[:n]
 	for i, r := range rs {
 		rows[0][i] = r.End
@@ -252,7 +252,7 @@ func newMinTable(rs []Region) minTable {
 func (t minTable) release() { putIntBuf(t.buf) }
 
 // min returns the minimum end in the half-open index range [lo, hi).
-func (t minTable) min(lo, hi int) int {
+func (t minTable) min(lo, hi int) int32 {
 	k := bits.Len(uint(hi-lo)) - 1
 	return min(t.rows[k][lo], t.rows[k][hi-(1<<k)])
 }

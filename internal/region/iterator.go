@@ -303,6 +303,9 @@ func OutermostIter(a Iterator) Iterator {
 	return &outermostIter{a: cursor{it: a}, maxEnd: minInt}
 }
 
+// minInt is below every int32 position. The iterators start their running
+// maximum End there, and lastEnd returns it for an empty set, so no region
+// can tie with the sentinel.
 const minInt = -1 << 62
 
 type outermostIter struct {
@@ -324,8 +327,8 @@ func (it *outermostIter) Next() (Region, bool, error) {
 			return it.finish()
 		}
 		it.a.advance()
-		if r.End > it.maxEnd {
-			it.maxEnd = r.End
+		if int(r.End) > it.maxEnd {
+			it.maxEnd = int(r.End)
 			return r, true, nil
 		}
 	}
@@ -339,12 +342,14 @@ func (it *outermostIter) Close() {
 // InnermostIter streams ι(a). A region r is innermost iff no later region s
 // (in canonical order every region r could include arrives after it) has
 // s.End ≤ r.End, so r's fate is unknown until either a later region starts
-// at or past r.End (r survives) or a region included in r arrives (r is
-// out). Candidates wait in a pending list; surviving pendings never include
-// one another, so their Starts and Ends are both increasing, flushes are
-// prefix flushes, and the emission order is the input order. The pending
-// list is bounded by the input's partial-overlap degree — at most one entry
-// for properly nested inputs.
+// past r.End (r survives) or a region included in r arrives (r is out). A
+// region starting exactly at r.End does not settle r: the empty region
+// [r.End, r.End) sorts after every other region starting there, and r
+// includes it. Candidates wait in a pending list; surviving pendings never
+// include one another, so their Starts and Ends are both increasing,
+// flushes are prefix flushes, and the emission order is the input order.
+// The pending list is bounded by the input's partial-overlap degree — at
+// most two entries for properly nested inputs.
 func InnermostIter(a Iterator) Iterator {
 	return &innermostIter{a: cursor{it: a}}
 }
@@ -381,10 +386,10 @@ func (it *innermostIter) Next() (Region, bool, error) {
 			continue
 		}
 		it.a.advance()
-		// Pendings ending at or before s.Start can never include a later
-		// region (later Starts are ≥ s.Start): they are innermost.
+		// Pendings ending before s.Start can never include a later region
+		// (later Starts are ≥ s.Start): they are innermost.
 		cut := 0
-		for cut < len(it.pending) && it.pending[cut].End <= s.Start {
+		for cut < len(it.pending) && it.pending[cut].End < s.Start {
 			cut++
 		}
 		it.ready = append(it.ready, it.pending[:cut]...)
@@ -561,9 +566,9 @@ func (it *includedIter) Next() (Region, bool, error) {
 			}
 			it.s.advance()
 			switch {
-			case s.End > it.maxEnd:
-				it.maxEnd, it.nMax, it.exMax = s.End, 1, s
-			case s.End == it.maxEnd:
+			case int(s.End) > it.maxEnd:
+				it.maxEnd, it.nMax, it.exMax = int(s.End), 1, s
+			case int(s.End) == it.maxEnd:
 				it.nMax++
 			}
 		}
@@ -572,7 +577,7 @@ func (it *includedIter) Next() (Region, bool, error) {
 		// outright. maxEnd == r.End means every container ends exactly at
 		// r.End: strictness needs one besides r itself, i.e. two of them or
 		// a single one that is not r.
-		if it.maxEnd > r.End || (it.maxEnd == r.End && (it.nMax >= 2 || it.exMax != r)) {
+		if end := int(r.End); it.maxEnd > end || (it.maxEnd == end && (it.nMax >= 2 || it.exMax != r)) {
 			return r, true, nil
 		}
 	}

@@ -67,6 +67,12 @@ func TestIteratorTieCases(t *testing.T) {
 	if got := collect(t, IncludedIter(one.Iter(), one.Iter())); !got.IsEmpty() {
 		t.Errorf("singleton ⊂ itself: got %v, want empty", got.Regions())
 	}
+	// An empty region on r.End is inside r, though it sorts after a
+	// region that starts there: r is not innermost.
+	E := mk(0, 2, 2, 5, 2, 2)
+	if got, want := collect(t, InnermostIter(E.Iter())), E.Innermost(); !got.Equal(want) {
+		t.Errorf("ι with an empty region on an End: got %v, want %v", got.Regions(), want.Regions())
+	}
 }
 
 // TestIteratorExhaustionSticky: once an iterator reports exhaustion, every

@@ -3,13 +3,14 @@ package region
 import "sync"
 
 // The inclusion kernels need integer scratch (range-minimum tables, prefix
-// maxima) proportional to the operand sizes. Under concurrent query serving
-// those buffers dominated the allocation profile, so they are recycled
-// through a pool instead of allocated per call.
+// maxima, over region ends and so int32) proportional to the operand sizes.
+// Under concurrent query serving those buffers dominated the allocation
+// profile, so they are recycled through a pool instead of allocated per
+// call.
 
 // intBuf is a pooled integer scratch buffer. Kernels acquire one with
 // getIntBuf, slice it with ints, and return it with putIntBuf.
-type intBuf struct{ s []int }
+type intBuf struct{ s []int32 }
 
 var intPool = sync.Pool{New: func() any { return new(intBuf) }}
 
@@ -18,9 +19,9 @@ func putIntBuf(b *intBuf) { intPool.Put(b) }
 
 // ints returns a length-n view of the buffer, growing it when needed.
 // Contents are unspecified; callers must overwrite before reading.
-func (b *intBuf) ints(n int) []int {
+func (b *intBuf) ints(n int) []int32 {
 	if cap(b.s) < n {
-		b.s = make([]int, n)
+		b.s = make([]int32, n)
 	}
 	return b.s[:n]
 }

@@ -25,7 +25,7 @@ import "sort"
 
 // seekStart returns the first index i ≥ from with rs[i].Start ≥ v, where
 // Starts do not decrease from `from` on.
-func seekStart(rs []Region, from, v int) int {
+func seekStart(rs []Region, from int, v int32) int {
 	n := len(rs)
 	if from >= n || rs[from].Start >= v {
 		return from
@@ -50,7 +50,7 @@ func seekStart(rs []Region, from, v int) int {
 
 // seekEnd returns the first index i ≥ from with rs[i].End > v, where Ends
 // do not decrease from `from` on.
-func seekEnd(rs []Region, from, v int) int {
+func seekEnd(rs []Region, from int, v int32) int {
 	n := len(rs)
 	if from >= n || rs[from].End > v {
 		return from
@@ -350,13 +350,13 @@ func (it *holdingIter) Close() { it.done = true }
 
 // lastEnd returns the End of the last region of a disjoint slice, the
 // greatest there is: a region starting after it neither lies in a region of
-// rs nor holds one, and nor does any that sorts later. minInt when rs is
-// empty.
+// rs nor holds one, and nor does any that sorts later. minInt, below every
+// int32 position, when rs is empty.
 func lastEnd(rs []Region) int {
 	if len(rs) == 0 {
 		return minInt
 	}
-	return rs[len(rs)-1].End
+	return int(rs[len(rs)-1].End)
 }
 
 // IncludingSetIter streams R ⊃ s for a disjoint set R held in hand and a
@@ -396,7 +396,7 @@ func (it *includingSetIter) Next() (Region, bool, error) {
 		if err != nil {
 			return it.fail(err)
 		}
-		if !ok || s.Start > it.end {
+		if !ok || int(s.Start) > it.end {
 			it.eof = true
 			it.next = it.w.flush()
 			continue
@@ -446,7 +446,7 @@ func (it *includedSetIter) Next() (Region, bool, error) {
 		if err != nil {
 			return it.fail(err)
 		}
-		if !ok || s.Start > it.end {
+		if !ok || int(s.Start) > it.end {
 			return it.finish()
 		}
 		it.from, it.to = it.w.step(s)

@@ -39,31 +39,31 @@ func genSet(rng *rand.Rand, sh shape, n int) Set {
 		switch sh {
 		case shapeDisjoint:
 			l := 1 + rng.Intn(4)
-			rs = append(rs, Region{pos, pos + l})
+			rs = append(rs, Of(pos, pos+l))
 			pos += l + rng.Intn(3)
 		case shapeZeroLength:
 			l := rng.Intn(3)
-			rs = append(rs, Region{pos, pos + l})
+			rs = append(rs, Of(pos, pos+l))
 			pos += l
 			if l == 0 || rng.Intn(2) == 0 {
 				pos += 1 + rng.Intn(2) // an empty region never shares its Start
 			}
 		case shapeNested:
 			l := 2 + rng.Intn(12)
-			rs = append(rs, Region{pos, pos + l})
+			rs = append(rs, Of(pos, pos+l))
 			for in, at := rng.Intn(4), pos; in > 0 && len(rs) < n; in-- {
 				il := 1 + rng.Intn(l)
 				at += rng.Intn(l - il + 1)
-				rs = append(rs, Region{at, at + il})
+				rs = append(rs, Of(at, at+il))
 				l = il
 			}
 			pos += 2 + rng.Intn(12)
 		case shapeOverlap:
-			rs = append(rs, Region{pos, pos + rng.Intn(8)})
+			rs = append(rs, Of(pos, pos+rng.Intn(8)))
 			pos += rng.Intn(4)
 		case shapeSharedStart:
 			for k := 1 + rng.Intn(3); k > 0; k-- {
-				rs = append(rs, Region{pos, pos + rng.Intn(6)})
+				rs = append(rs, Of(pos, pos+rng.Intn(6)))
 			}
 			pos += rng.Intn(4)
 		}
@@ -409,9 +409,9 @@ func TestSelectiveKernelsAllocateForTheAnswer(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		perCall := (after.TotalAlloc - before.TotalAlloc) / runs
-		// 16 bytes a region; a few hundred bytes of slack for growth
+		// Bytes a region; a few hundred bytes of slack for growth
 		// steps and the interface box Holding takes its points in.
-		if limit := uint64(16*c.want*3 + 256); perCall > limit {
+		if limit := uint64(Bytes*c.want*3 + 256); perCall > limit {
 			t.Errorf("%s: %d bytes allocated per call, want at most %d (the answer is %d regions)", c.name, perCall, limit, c.want)
 		}
 	}

@@ -6,7 +6,10 @@
 //
 // A region is a half-open byte range [Start, End) of the indexed text and is
 // identified by its pair of positions, exactly as in the paper ("each region
-// ... is defined by a pair of positions in the text"). A Set is a
+// ... is defined by a pair of positions in the text"). The positions are
+// int32, so a region is eight bytes (Bytes): every named set, cached answer
+// and kernel buffer is a slice of them, and the probe kernels' galloping
+// searches are bound by the cache lines that slice spans. A Set is a
 // duplicate-free slice of regions sorted by (Start ascending, End
 // descending), so that under proper nesting outer regions precede the
 // regions they include.
@@ -18,16 +21,28 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Region is a half-open byte range [Start, End) of the indexed text.
+// Region is a half-open byte range [Start, End) of the indexed text. Its
+// endpoints are 32-bit: index.CheckDocument refuses a document over
+// math.MaxInt32 bytes, so every position fits, and a region is eight bytes.
 type Region struct {
-	Start int
-	End   int
+	Start int32
+	End   int32
 }
 
+// Bytes is the in-memory footprint of one Region: the unit in which the
+// engine's PeakBytes and the index's SizeBytes count what sets hold.
+const Bytes = int(unsafe.Sizeof(Region{}))
+
+// Of builds the region [start, end) from int positions, which must lie in
+// [0, math.MaxInt32]: positions the text index or a parse of an accepted
+// document produced.
+func Of(start, end int) Region { return Region{int32(start), int32(end)} }
+
 // Len reports the byte length of the region.
-func (r Region) Len() int { return r.End - r.Start }
+func (r Region) Len() int { return int(r.End) - int(r.Start) }
 
 // Includes reports whether r includes s: the endpoints of s are within those
 // of r (r ⊇ s, inclusive of equality), per the paper's definition of ⊃.
@@ -300,7 +315,7 @@ func (s Set) Outermost() Set {
 		return Empty
 	}
 	out := make([]Region, 0, len(s.regions))
-	maxEnd := -1
+	maxEnd := int32(-1)
 	for _, r := range s.regions {
 		// Everything earlier in (Start asc, End desc) order has
 		// start ≤ r.Start; such a region includes r iff its end ≥ r.End.
@@ -315,12 +330,18 @@ func (s Set) Outermost() Set {
 // Innermost implements the ι operation: the regions of s that include no
 // other region of s (the minimal elements of s under inclusion).
 func (s Set) Innermost() Set {
-	out := make([]Region, 0, len(s.regions))
-	minEnd := int(^uint(0) >> 1) // max int
-	for i := len(s.regions) - 1; i >= 0; i-- {
-		// Everything later in order has start ≥ r.Start (same-start
-		// regions later have smaller end); such a region is included
-		// in r iff its end ≤ r.End.
+	if s.IsEmpty() {
+		return Empty
+	}
+	// The last region is innermost: nothing sorts after it. Before it,
+	// everything later in order has start ≥ r.Start (same-start regions
+	// later have smaller end); such a region is included in r iff its
+	// end ≤ r.End. No sentinel: a region may end at math.MaxInt32.
+	n := len(s.regions)
+	out := make([]Region, 1, n)
+	out[0] = s.regions[n-1]
+	minEnd := out[0].End
+	for i := n - 2; i >= 0; i-- {
 		r := s.regions[i]
 		if r.End < minEnd {
 			out = append(out, r)

@@ -12,10 +12,10 @@ func benchSets(nOuter, nInner int) (outer, inner Set) {
 	var os, is []Region
 	for i := 0; i < nOuter; i++ {
 		base := i * (span + 5)
-		os = append(os, Region{Start: base, End: base + span})
+		os = append(os, Of(base, base+span))
 		for j := 0; j < nInner; j++ {
 			s := base + 2 + j*10
-			is = append(is, Region{Start: s, End: s + 6})
+			is = append(is, Of(s, s+6))
 		}
 	}
 	return FromRegions(os), FromRegions(is)
@@ -67,7 +67,7 @@ func BenchmarkInnermost(b *testing.B) {
 	var rs []Region
 	for i := 0; i < 10000; i++ {
 		s := rng.Intn(100000)
-		rs = append(rs, Region{Start: s, End: s + 1 + rng.Intn(500)})
+		rs = append(rs, Of(s, s+1+rng.Intn(500)))
 	}
 	set := FromRegions(rs)
 	b.ResetTimer()
@@ -81,7 +81,7 @@ func BenchmarkFromRegions(b *testing.B) {
 	rs := make([]Region, 10000)
 	for i := range rs {
 		s := rng.Intn(100000)
-		rs[i] = Region{Start: s, End: s + 1 + rng.Intn(100)}
+		rs[i] = Of(s, s+1+rng.Intn(100))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

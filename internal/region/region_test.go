@@ -12,9 +12,17 @@ func mk(pairs ...int) Set {
 	}
 	rs := make([]Region, 0, len(pairs)/2)
 	for i := 0; i < len(pairs); i += 2 {
-		rs = append(rs, Region{Start: pairs[i], End: pairs[i+1]})
+		rs = append(rs, Of(pairs[i], pairs[i+1]))
 	}
 	return FromRegions(rs)
+}
+
+// TestRegionIsEightBytes guards the footprint every named set, cached
+// answer and kernel buffer is sized by: two int32 endpoints.
+func TestRegionIsEightBytes(t *testing.T) {
+	if Bytes != 8 {
+		t.Fatalf("a Region is %d bytes, want 8", Bytes)
+	}
 }
 
 func TestRegionPredicates(t *testing.T) {
@@ -319,7 +327,7 @@ func randomSets(rng *rand.Rand, n, k, span int) []Set {
 			a, b = b, a
 		}
 		g := rng.Intn(k)
-		groups[g] = append(groups[g], Region{a, b + 1})
+		groups[g] = append(groups[g], Of(a, b+1))
 	}
 	sets := make([]Set, k)
 	for i := range sets {
@@ -338,7 +346,7 @@ func randomNestedSets(rng *rand.Rand, k, span int) []Set {
 			return
 		}
 		g := rng.Intn(k)
-		groups[g] = append(groups[g], Region{lo, hi})
+		groups[g] = append(groups[g], Of(lo, hi))
 		mid := lo + 1 + rng.Intn(hi-lo-1)
 		if rng.Intn(3) > 0 {
 			subdivide(lo, mid, depth+1)
@@ -436,7 +444,7 @@ func TestSetAlgebraLaws(t *testing.T) {
 			if a > b {
 				a, b = b, a
 			}
-			rs = append(rs, Region{a, b + 1})
+			rs = append(rs, Of(a, b+1))
 		}
 		return FromRegions(rs)
 	}
@@ -489,7 +497,7 @@ func TestMinTable(t *testing.T) {
 		n := 1 + rng.Intn(60)
 		rs := make([]Region, n)
 		for i := range rs {
-			rs[i] = Region{i, i + 1 + rng.Intn(100)}
+			rs[i] = Of(i, i+1+rng.Intn(100))
 		}
 		tab := newMinTable(rs)
 		for q := 0; q < 50; q++ {

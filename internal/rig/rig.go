@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"qof/internal/index"
+	"qof/internal/region"
 )
 
 // Graph is a region inclusion graph. Nodes are region names; an edge
@@ -296,12 +297,10 @@ func (g *Graph) Satisfies(in *index.Instance) error {
 	names := in.Names()
 	// Map each region to the names holding it, so that a direct container
 	// can be attributed to its region name(s).
-	type key struct{ start, end int }
-	holders := make(map[key][]string)
+	holders := make(map[region.Region][]string)
 	for _, n := range names {
 		for _, r := range in.MustRegion(n).Regions() {
-			k := key{r.Start, r.End}
-			holders[k] = append(holders[k], n)
+			holders[r] = append(holders[r], n)
 		}
 	}
 	for _, b := range names {
@@ -316,7 +315,7 @@ func (g *Graph) Satisfies(in *index.Instance) error {
 				if u.Between(p, r) {
 					continue
 				}
-				for _, a := range holders[key{p.Start, p.End}] {
+				for _, a := range holders[p] {
 					if !g.HasEdge(a, b) {
 						return fmt.Errorf("rig: instance violates graph: %s region %v directly includes %s region %v but edge (%s, %s) is absent",
 							a, p, b, r, a, b)

@@ -326,7 +326,7 @@ func buildInstance(t *testing.T) *index.Instance {
 	def := func(name string, pairs ...int) {
 		rs := make([]region.Region, 0, len(pairs)/2)
 		for i := 0; i < len(pairs); i += 2 {
-			rs = append(rs, region.Region{Start: pairs[i], End: pairs[i+1]})
+			rs = append(rs, region.Of(pairs[i], pairs[i+1]))
 		}
 		in.Define(name, region.FromRegions(rs))
 	}

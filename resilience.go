@@ -146,7 +146,7 @@ func (f *File) EvalContext(ctx context.Context, src string) (spans []Span, err e
 	doc := f.eng.Instance().Document()
 	spans = make([]Span, 0, set.Len())
 	for _, r := range set.Regions() {
-		spans = append(spans, Span{Start: r.Start, End: r.End, Text: doc.Slice(r.Start, r.End)})
+		spans = append(spans, spanOf(doc, r))
 	}
 	return spans, nil
 }
@@ -276,7 +276,7 @@ func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOp
 	for _, h := range res.Hits {
 		hit := CorpusHit{File: h.File, Values: append([]string(nil), h.Strings...)}
 		for _, r := range h.Regions.Regions() {
-			hit.Spans = append(hit.Spans, Span{Start: r.Start, End: r.End})
+			hit.Spans = append(hit.Spans, Span{Start: int(r.Start), End: int(r.End)})
 		}
 		out.Hits = append(out.Hits, hit)
 	}
