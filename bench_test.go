@@ -296,7 +296,7 @@ func BenchmarkX1IncrementalUpdate(b *testing.B) {
 	target := s.Instance.MustRegion(bibtex.NTReference).At(benchRefs / 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.ReplaceRegion(s.Cat, s.Instance, bibtex.NTReference, target, benchEditedReference); err != nil {
+		if _, err := engine.ReplaceRegion(s.Cat, s.Instance, bibtex.NTReference, target, benchEditedReference); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -241,39 +241,35 @@ func (f *File) Eval(src string) ([]Span, error) {
 // region of the given name) is replaced by newText, re-parsing only the
 // replacement. It returns the updated file; the receiver is unchanged.
 func (f *File) Replace(regionName string, span Span, newText string) (*File, error) {
-	r, err := f.regionOf(span)
-	if err != nil {
-		return nil, err
-	}
-	_, in, err := engine.ReplaceRegion(f.schema.cat, f.eng.Instance(), regionName, r, newText)
-	if err != nil {
-		return nil, err
-	}
-	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, f.eng.Parallelism)}, nil
+	return f.edited(span, func(r region.Region) (*index.Instance, error) {
+		return engine.ReplaceRegion(f.schema.cat, f.eng.Instance(), regionName, r, newText)
+	})
 }
 
 // InsertAfter inserts newText (a complete occurrence of regionName's
 // format) immediately after the span, parsing only the insertion.
 func (f *File) InsertAfter(regionName string, span Span, newText string) (*File, error) {
-	r, err := f.regionOf(span)
-	if err != nil {
-		return nil, err
-	}
-	_, in, err := engine.InsertAfter(f.schema.cat, f.eng.Instance(), regionName, r, newText)
-	if err != nil {
-		return nil, err
-	}
-	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, f.eng.Parallelism)}, nil
+	return f.edited(span, func(r region.Region) (*index.Instance, error) {
+		return engine.InsertAfter(f.schema.cat, f.eng.Instance(), regionName, r, newText)
+	})
 }
 
 // Delete removes the span (an indexed region of regionName) without any
 // re-parsing.
 func (f *File) Delete(regionName string, span Span) (*File, error) {
+	return f.edited(span, func(r region.Region) (*index.Instance, error) {
+		return engine.DeleteRegion(f.schema.cat, f.eng.Instance(), regionName, r)
+	})
+}
+
+// edited is the file after edit, applied to the span's region; the new file
+// executes as the receiver does.
+func (f *File) edited(span Span, edit func(region.Region) (*index.Instance, error)) (*File, error) {
 	r, err := f.regionOf(span)
 	if err != nil {
 		return nil, err
 	}
-	_, in, err := engine.DeleteRegion(f.schema.cat, f.eng.Instance(), regionName, r)
+	in, err := edit(r)
 	if err != nil {
 		return nil, err
 	}

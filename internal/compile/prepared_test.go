@@ -234,7 +234,7 @@ func TestChoiceFollowsTheInstance(t *testing.T) {
 	}
 
 	ref := f.In.MustRegion("Reference").Regions()[0]
-	_, spliced, err := engine.DeleteRegion(f.Cat, f.In, "Reference", ref)
+	spliced, err := engine.DeleteRegion(f.Cat, f.In, "Reference", ref)
 	if err != nil {
 		t.Fatal(err)
 	}

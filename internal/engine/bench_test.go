@@ -3,8 +3,11 @@ package engine_test
 import (
 	"testing"
 
+	"qof/internal/bibtex"
 	"qof/internal/engine"
 	"qof/internal/grammar"
+	"qof/internal/index"
+	"qof/internal/region"
 	"qof/internal/testutil"
 	"qof/internal/xsql"
 )
@@ -40,6 +43,60 @@ func BenchmarkColdLimit(b *testing.B) {
 				candidates += res.Stats.Candidates
 			}
 			b.ReportMetric(float64(candidates)/float64(b.N), "candidates/op")
+		})
+	}
+}
+
+// BenchmarkReplaceRegion times one edit at 20k references: a reference in
+// the middle of the file replaced, under the full index, the paper's
+// partial one and the advisor's recommendation for the Chang query with
+// its selective option. The widened cases are reported apart: the edited
+// Name may sit in an Editors the instance does not index, so the edit
+// re-extracts its enclosing Reference (reference) or, with no indexed name
+// to widen to, the whole document (document).
+func BenchmarkReplaceRegion(b *testing.B) {
+	middle := func(s region.Set) region.Region { return s.At(s.Len() / 2) }
+	for _, bc := range []struct {
+		name    string
+		spec    grammar.IndexSpec
+		nt      string
+		pick    func(*index.Instance) region.Region
+		newText string
+	}{
+		{"full", grammar.IndexSpec{}, bibtex.NTReference,
+			func(in *index.Instance) region.Region { return middle(in.MustRegion(bibtex.NTReference)) }, editedReference},
+		{"partial", grammar.IndexSpec{Names: []string{bibtex.NTReference, bibtex.NTKey, bibtex.NTLastName}}, bibtex.NTReference,
+			func(in *index.Instance) region.Region { return middle(in.MustRegion(bibtex.NTReference)) }, editedReference},
+		{"advisor-scoped", grammar.IndexSpec{
+			Names:  []string{bibtex.NTAuthors, bibtex.NTReference},
+			Scoped: []grammar.ScopedName{{Name: bibtex.NTLastName, Within: bibtex.NTName}},
+		}, bibtex.NTReference,
+			func(in *index.Instance) region.Region { return middle(in.MustRegion(bibtex.NTReference)) }, editedReference},
+		{"widened-reference", grammar.IndexSpec{
+			Names:  []string{bibtex.NTReference},
+			Scoped: []grammar.ScopedName{{Name: bibtex.NTName, Within: bibtex.NTEditors}},
+		}, bibtex.NTName,
+			func(in *index.Instance) region.Region { return middle(in.MustRegion(bibtex.NTName)) }, "Q. Zed"},
+		{"widened-document", grammar.IndexSpec{
+			Names:  []string{bibtex.NTName},
+			Scoped: []grammar.ScopedName{{Name: bibtex.NTLastName, Within: bibtex.NTEditors}},
+		}, bibtex.NTName,
+			func(in *index.Instance) region.Region {
+				// The Name around an editor's Last_Name.
+				last := middle(in.MustRegion(bibtex.NTLastName))
+				return in.MustRegion(bibtex.NTName).Filter(func(r region.Region) bool { return r.Includes(last) }).At(0)
+			}, "Q. Zed"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := testutil.NewBibFixture(b, 20000, bc.spec, nil)
+			target := bc.pick(f.In)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.ReplaceRegion(f.Cat, f.In, bc.nt, target, bc.newText); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

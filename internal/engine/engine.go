@@ -395,7 +395,7 @@ func (e *Engine) candidateSet(es *execEnv, vp *compile.VarPlan, res *Result) (re
 		if err := es.chargeBytes(doc.Len()); err != nil {
 			return region.Empty, err
 		}
-		named, _, err := e.cat.Grammar.Regions(es.ctx, doc, grammar.IndexSpec{Names: []string{vp.NT}})
+		named, _, err := e.cat.Grammar.Regions(es.ctx, doc, grammar.IndexSpec{Names: []string{vp.NT}}, e.cat.Grammar.Root(), 0, int32(doc.Len()))
 		if err != nil {
 			return region.Empty, fmt.Errorf("engine: full scan parse: %w", err)
 		}

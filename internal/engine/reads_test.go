@@ -318,7 +318,7 @@ func TestLoadedIndexDisagreesWithDocument(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load refused a table inside the document's bounds: %v", err)
 	}
-	_, want := good.Cat.Grammar.ParseAs(good.Doc, bibtex.NTReference, shifted.Start, shifted.End)
+	_, want := good.Cat.Grammar.ParseValue(good.Doc, bibtex.NTReference, int(shifted.Start), int(shifted.End), nil)
 	if want == nil {
 		t.Fatalf("the shifted region %v parses", shifted)
 	}

@@ -314,7 +314,7 @@ func TestResultCacheSplice(t *testing.T) {
 		t.Fatal(err)
 	}
 	refs := f.In.MustRegion(bibtex.NTReference)
-	_, in2, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(3), editedReference)
+	in2, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(3), editedReference)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestResultCacheStress(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			in := cur.Load().Instance()
 			refs := in.MustRegion(bibtex.NTReference)
-			_, in2, err := engine.ReplaceRegion(f.Cat, in, bibtex.NTReference, refs.At(i%refs.Len()), editedReference)
+			in2, err := engine.ReplaceRegion(f.Cat, in, bibtex.NTReference, refs.At(i%refs.Len()), editedReference)
 			if err != nil {
 				errc <- err
 				return

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"qof/internal/compile"
 	"qof/internal/grammar"
@@ -10,175 +12,166 @@ import (
 	"qof/internal/text"
 )
 
-// ReplaceRegion applies an in-place edit to the document: the text of one
-// indexed region occurrence (say, one Reference) is replaced by newText,
-// which must parse as the same non-terminal. It returns a new document and
-// a new index instance reflecting the edit.
+// ReplaceRegion replaces the text of one indexed region occurrence (say, one
+// Reference) by newText, which must parse as the same non-terminal, and
+// returns the instance over the edited document (its Document()).
 //
-// The paper defers index maintenance to the underlying text system ("we
-// assume that this is a service given by the underlying text indexing
-// system", §1); this is that service: only the replacement text is parsed
-// and re-tokenized — regions before the edit are kept, regions after it
-// are shifted, enclosing regions are widened or narrowed, and word-index
-// positions are kept, shifted or dropped by the edit's byte delta — so the
-// dominant costs of indexing stay proportional to the edit, not to the
-// file. (The sistring and suffix arrays, whose order after an edit changes
-// globally exactly as in PAT, are lazy and rebuild on first prefix/substring
-// search.)
-func ReplaceRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.Region, newText string) (*text.Document, *index.Instance, error) {
-	set, ok := in.Region(nt)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: region name %q is not indexed", nt)
-	}
-	if !set.Contains(r) {
-		return nil, nil, fmt.Errorf("engine: %v is not an indexed %s region", r, nt)
-	}
-	content := in.Document().Content()
-	newDoc, err := editedDocument(in, content[:r.Start]+newText+content[r.End:])
-	if err != nil {
-		return nil, nil, err
-	}
-	delta := len(newText) - r.Len()
-
-	// Parse only the replacement, at its final position.
-	subtree, err := cat.Grammar.ParseAs(newDoc, nt, r.Start, r.Start+int32(len(newText)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: replacement does not parse as %s: %w", nt, err)
-	}
-	return spliceInstance(cat, in, newDoc, subtree, r, delta)
+// The paper defers index maintenance to the underlying text system (§1);
+// this is that service, and an edit is correct exactly when it yields the
+// instance a build of the edited document would. Regions before the edit
+// are kept, regions after it shifted and enclosing ones stretched, and
+// word-index positions kept, shifted or dropped; what lies inside is
+// extracted again by Grammar.Regions, the build's own extractor, over the
+// replacement alone where the instance can decide every scope — so the
+// parse stays proportional to the edit, not to the file. (The sistring and
+// suffix arrays, whose order after an edit changes globally exactly as in
+// PAT, are lazy and rebuild on first prefix/substring search.)
+func ReplaceRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.Region, newText string) (*index.Instance, error) {
+	return edit(cat, in, nt, r, r, &newText)
 }
 
-// InsertAfter inserts newText immediately after an indexed region of the
-// given name, parsing only the insertion. The text must be a complete
-// occurrence of the same non-terminal valid in that position (for
-// repetition contexts with a separator, the caller includes it). Like
-// ReplaceRegion it returns a new document and instance; correctness is
-// guaranteed by construction for separator-free repetitions and verified in
-// general by the caller's tests against a rebuild.
-func InsertAfter(cat *compile.Catalog, in *index.Instance, nt string, r region.Region, newText string) (*text.Document, *index.Instance, error) {
-	set, ok := in.Region(nt)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: region name %q is not indexed", nt)
-	}
-	if !set.Contains(r) {
-		return nil, nil, fmt.Errorf("engine: %v is not an indexed %s region", r, nt)
-	}
-	content := in.Document().Content()
-	at := r.End
-	newDoc, err := editedDocument(in, content[:at]+newText+content[at:])
-	if err != nil {
-		return nil, nil, err
-	}
-
-	subtree, err := cat.Grammar.ParseAs(newDoc, nt, at, at+int32(len(newText)))
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: insertion does not parse as %s: %w", nt, err)
-	}
-	// An insertion is a replacement of the empty region [at, at).
-	return spliceInstance(cat, in, newDoc, subtree, region.Region{Start: at, End: at}, len(newText))
+// InsertAfter inserts newText, a complete occurrence of the same
+// non-terminal valid in that position (with its separator, if the
+// repetition has one), immediately after an indexed region of the name.
+func InsertAfter(cat *compile.Catalog, in *index.Instance, nt string, r region.Region, newText string) (*index.Instance, error) {
+	return edit(cat, in, nt, r, region.Region{Start: r.End, End: r.End}, &newText)
 }
 
-// DeleteRegion removes an indexed region's text entirely (plus nothing
-// else: callers own separator hygiene). No parsing happens at all — removal
-// cannot introduce new structure; regions inside the deleted span vanish,
-// later regions shift, and enclosing regions shrink.
-func DeleteRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.Region) (*text.Document, *index.Instance, error) {
-	set, ok := in.Region(nt)
-	if !ok {
-		return nil, nil, fmt.Errorf("engine: region name %q is not indexed", nt)
-	}
-	if !set.Contains(r) {
-		return nil, nil, fmt.Errorf("engine: %v is not an indexed %s region", r, nt)
-	}
-	content := in.Document().Content()
-	newDoc, err := editedDocument(in, content[:r.Start]+content[r.End:])
-	if err != nil {
-		return nil, nil, err
-	}
-	return spliceInstance(cat, in, newDoc, nil, r, -r.Len())
+// DeleteRegion removes an indexed region's text (callers own separator
+// hygiene) and parses nothing: a removal adds no structure and moves no
+// region into or out of a scope.
+func DeleteRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.Region) (*index.Instance, error) {
+	return edit(cat, in, nt, r, r, nil)
 }
 
-// editedDocument is in's document with the edited content, refused when
-// the edit grew it past the limit: positions in it must fit a region
-// before anything is parsed at them.
-func editedDocument(in *index.Instance, content string) (*text.Document, error) {
-	doc := text.NewDocument(in.Document().Name(), content)
+// edit is every edit: old — the indexed nt region r, or the empty region
+// after it for an insertion — becomes *newText, or goes when newText is nil.
+// The word index is spliced over old, and every region set around the range
+// reextract extracts again.
+func edit(cat *compile.Catalog, in *index.Instance, nt string, r, old region.Region, newText *string) (*index.Instance, error) {
+	set, ok := in.Region(nt)
+	if !ok {
+		return nil, fmt.Errorf("engine: region name %q is not indexed", nt)
+	}
+	if !set.Contains(r) {
+		return nil, fmt.Errorf("engine: %v is not an indexed %s region", r, nt)
+	}
+	var with string
+	if newText != nil {
+		with = *newText
+	}
+	content := in.Document().Content()
+	doc := text.NewDocument(in.Document().Name(), content[:old.Start]+with+content[old.End:])
+	// Positions in the edited document must fit a region before anything
+	// is parsed at them; then every shifted position fits too.
 	if err := index.CheckDocument(doc); err != nil {
 		return nil, err
 	}
-	return doc, nil
+	delta := int32(len(with)) - int32(old.Len())
+	span, fresh := old, map[string]region.Set(nil)
+	if newText != nil {
+		var err error
+		if span, fresh, err = reextract(cat, in, doc, nt, old, delta); err != nil {
+			return nil, err
+		}
+	}
+	out := index.SpliceInstance(in, doc, int(old.Start), int(old.End), int(old.End+delta))
+	for _, name := range in.Names() {
+		spliced, err := spliceSet(in.MustRegion(name), span, delta)
+		if err != nil {
+			return nil, fmt.Errorf("engine: region index %q: %w", name, err)
+		}
+		merged := spliced.Union(fresh[name])
+		if within := in.Scope(name); within != "" {
+			out.DefineScoped(name, within, merged)
+		} else {
+			out.Define(name, merged)
+		}
+	}
+	return out, nil
 }
 
-// spliceInstance rebuilds the instance around an edit: the word index is
-// spliced (only the edit window is re-tokenized), regions are spliced per
-// spliceSet, and the (possibly nil) freshly parsed subtree contributes the
-// replacement regions. newDoc has passed index.CheckDocument.
-func spliceInstance(cat *compile.Catalog, in *index.Instance, newDoc *text.Document, subtree *grammar.Node, edit region.Region, delta int) (*text.Document, *index.Instance, error) {
-	newIn := index.SpliceInstance(in, newDoc, int(edit.Start), int(edit.End), int(edit.End)+delta)
-	var fresh map[string]region.Set
-	if subtree != nil {
-		fresh = grammar.ExtractRegions(subtree, in.Names()...)
-	}
+// reextract runs Grammar.Regions for every name of in over a range of the
+// edited document, and returns the range as it was in the old one. The
+// range is old, parsed as nt, unless the instance cannot decide a scope
+// there: one not indexed globally from which the RIG has a path down to nt,
+// so that an occurrence of it may enclose old unseen. Then the edit must
+// still parse as nt on its own, and the range widens to the smallest region
+// enclosing old of a globally indexed name no such scope can enclose, or to
+// the root over the whole document. In the spec Regions runs under, a scoped
+// name whose scope has a globally indexed occurrence enclosing the range is
+// a plain name: everything the parse sees is in scope.
+func reextract(cat *compile.Catalog, in *index.Instance, doc *text.Document, nt string, old region.Region, delta int32) (region.Region, map[string]region.Set, error) {
+	g, ctx := cat.Grammar, context.Background()
+	global := func(name string) bool { return in.Has(name) && in.Scope(name) == "" }
+	var blind []string
 	for _, name := range in.Names() {
-		spliced, err := spliceSet(in.MustRegion(name), edit, delta)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: region index %q: %w", name, err)
+		if w := in.Scope(name); w != "" && !global(w) && cat.RIG.HasPath(w, nt) {
+			blind = append(blind, w)
 		}
-		var add region.Set
-		if subtree != nil {
-			add = fresh[name]
-			if within := in.Scope(name); within != "" {
-				add = scopedSubtreeRegions(in, subtree, name, within, edit)
+	}
+	sym, span := nt, old
+	if len(blind) > 0 {
+		if _, _, err := g.Regions(ctx, doc, grammar.IndexSpec{Names: []string{nt}}, nt, old.Start, old.End+delta); err != nil {
+			return span, nil, fmt.Errorf("engine: new text does not parse as %s: %w", nt, err)
+		}
+		sym, span = g.Root(), region.Region{End: int32(in.Document().Len())}
+		for _, name := range in.Names() {
+			if !global(name) || slices.ContainsFunc(blind, func(w string) bool { return cat.RIG.HasPath(w, name) }) {
+				continue
+			}
+			for _, x := range in.MustRegion(name).Regions() {
+				if encloses(x, old) && x.Len() < span.Len() {
+					sym, span = name, x
+				}
 			}
 		}
-		merged := spliced.Union(add)
-		if within := in.Scope(name); within != "" {
-			newIn.DefineScoped(name, within, merged)
+	}
+	var spec grammar.IndexSpec
+	for _, name := range in.Names() {
+		w := in.Scope(name)
+		if w != "" && !(global(w) && slices.ContainsFunc(in.MustRegion(w).Regions(), func(x region.Region) bool { return encloses(x, span) })) {
+			spec.Scoped = append(spec.Scoped, grammar.ScopedName{Name: name, Within: w})
 		} else {
-			newIn.Define(name, merged)
+			spec.Names = append(spec.Names, name)
 		}
 	}
-	return newDoc, newIn, nil
+	named, scoped, err := g.Regions(ctx, doc, spec, sym, span.Start, span.End+delta)
+	if err != nil {
+		return span, nil, fmt.Errorf("engine: the edited %s does not parse as %s: %w", nt, sym, err)
+	}
+	for i, sc := range spec.Scoped {
+		named[sc.Name] = scoped[i]
+	}
+	return span, named, nil
 }
 
-// spliceSet maps one region set across the edit: keep regions before, drop
-// regions inside the replaced region (the subtree re-supplies them), shift
-// regions after, and stretch regions enclosing the edit.
-func spliceSet(s region.Set, edit region.Region, delta int) (region.Set, error) {
-	d := int32(delta) // the edited document passed CheckDocument, so every shifted position fits
+// encloses reports whether x strictly includes the edited range e and
+// reaches past it on both sides where e is empty: the regions spliceSet
+// stretches.
+func encloses(x, e region.Region) bool {
+	return x.End > e.Start && x.Start < e.End && x.StrictlyIncludes(e)
+}
+
+// spliceSet maps one region set across the edited range: keep regions
+// before, drop regions inside it (the re-extraction supplies them), shift
+// regions after, and stretch regions enclosing it.
+func spliceSet(s region.Set, span region.Region, delta int32) (region.Set, error) {
 	var out []region.Region
 	for _, x := range s.Regions() {
 		switch {
-		case x.End <= edit.Start:
+		case x.End <= span.Start:
 			out = append(out, x)
-		case x.Start >= edit.End:
-			out = append(out, region.Region{Start: x.Start + d, End: x.End + d})
-		case edit.Includes(x):
-			// Inside the replaced region (including the region itself):
-			// superseded by the re-parsed subtree.
-		case x.StrictlyIncludes(edit):
-			out = append(out, region.Region{Start: x.Start, End: x.End + d})
+		case x.Start >= span.End:
+			out = append(out, region.Region{Start: x.Start + delta, End: x.End + delta})
+		case encloses(x, span):
+			out = append(out, region.Region{Start: x.Start, End: x.End + delta})
+		case span.Includes(x):
+			// Inside the range (including the range itself): superseded
+			// by the re-extraction.
 		default:
-			return region.Empty, fmt.Errorf("region %v partially overlaps the edit %v", x, edit)
+			return region.Empty, fmt.Errorf("region %v partially overlaps the edit %v", x, span)
 		}
 	}
 	return region.FromRegions(out), nil
-}
-
-// scopedSubtreeRegions extracts the scoped name's regions from the
-// replacement subtree: if the edit already sits inside a scope region, the
-// whole subtree is in scope; otherwise only occurrences under scope
-// regions inside the subtree qualify.
-func scopedSubtreeRegions(in *index.Instance, subtree *grammar.Node, name, within string, edit region.Region) region.Set {
-	if ws, ok := in.Region(within); ok {
-		for _, w := range ws.Regions() {
-			if w.StrictlyIncludes(edit) {
-				return grammar.ExtractRegions(subtree, name)[name]
-			}
-		}
-	}
-	// The scope container may itself be part of the subtree; also cover
-	// the case where the scope is not separately indexed by locating
-	// scope occurrences syntactically.
-	return grammar.ExtractScopedRegions(subtree, name, within)
 }

@@ -1,13 +1,16 @@
 package engine_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"qof/internal/algebra"
 	"qof/internal/bibtex"
+	"qof/internal/compile"
 	"qof/internal/engine"
 	"qof/internal/grammar"
+	"qof/internal/index"
 	"qof/internal/region"
 	"qof/internal/sgml"
 	"qof/internal/testutil"
@@ -29,55 +32,97 @@ KEYWORDS = "updates",
 ABSTRACT = "an edited reference",
 }`
 
+// editorName picks, in f's instance of Name, a name inside an EDITOR field:
+// whether it is one, only a build that indexes Editors can say.
+func editorName(t *testing.T, f *testutil.BibFixture) region.Region {
+	t.Helper()
+	full, _, err := f.Cat.Grammar.BuildInstance(f.Doc, grammar.IndexSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	editors := full.MustRegion(bibtex.NTEditors)
+	for _, r := range f.In.MustRegion(bibtex.NTName).Regions() {
+		if !editors.Filter(func(e region.Region) bool { return e.Includes(r) }).IsEmpty() {
+			return r
+		}
+	}
+	t.Fatal("no editor name in the fixture")
+	return region.Region{}
+}
+
+// assertRebuilt fails unless in, an edited instance built under spec, is
+// the instance a build of its document yields: the same names, sets and
+// scopes.
+func assertRebuilt(t *testing.T, what string, cat *compile.Catalog, in *index.Instance, spec grammar.IndexSpec) {
+	t.Helper()
+	rebuilt, _, err := cat.Grammar.BuildInstance(in.Document(), spec)
+	if err != nil {
+		t.Fatalf("%s: rebuild: %v", what, err)
+	}
+	if got, want := in.Names(), rebuilt.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("%s: names %v, rebuild has %v", what, got, want)
+	}
+	for _, name := range rebuilt.Names() {
+		if got, want := in.MustRegion(name), rebuilt.MustRegion(name); !got.Equal(want) {
+			t.Errorf("%s: spliced %q (%d regions) differs from rebuild (%d):\n spliced %v\n rebuilt %v",
+				what, name, got.Len(), want.Len(), got, want)
+		}
+		if in.Scope(name) != rebuilt.Scope(name) {
+			t.Errorf("%s: scope %q: %q vs %q", what, name, in.Scope(name), rebuilt.Scope(name))
+		}
+	}
+}
+
 func TestReplaceRegionMatchesRebuild(t *testing.T) {
-	for _, spec := range []grammar.IndexSpec{
-		{},
-		{Names: []string{bibtex.NTReference, bibtex.NTKey, bibtex.NTLastName}},
-		{
+	references := func(f *testutil.BibFixture) region.Region { return f.In.MustRegion(bibtex.NTReference).At(7) }
+	for _, tc := range []struct {
+		name    string
+		refs    int
+		spec    grammar.IndexSpec
+		nt      string
+		pick    func(*testutil.BibFixture) region.Region
+		newText string
+	}{
+		{"full", 20, grammar.IndexSpec{}, bibtex.NTReference, references, editedReference},
+		{"partial", 20, grammar.IndexSpec{Names: []string{bibtex.NTReference, bibtex.NTKey, bibtex.NTLastName}},
+			bibtex.NTReference, references, editedReference},
+		{"scoped", 20, grammar.IndexSpec{
 			Names:  []string{bibtex.NTReference},
 			Scoped: []grammar.ScopedName{{Name: bibtex.NTLastName, Within: bibtex.NTAuthors}},
-		},
+		}, bibtex.NTReference, references, editedReference},
+		// The scope is not indexed and may enclose the edited Name: the
+		// re-extraction widens to the enclosing Reference, where the edited
+		// Name's own Editors is seen.
+		{"scope-unindexed-reference", 5, grammar.IndexSpec{
+			Names:  []string{bibtex.NTReference},
+			Scoped: []grammar.ScopedName{{Name: bibtex.NTName, Within: bibtex.NTEditors}},
+		}, bibtex.NTName, func(f *testutil.BibFixture) region.Region { return f.In.MustRegion(bibtex.NTName).At(0) }, "Q. Zed"},
+		// As above, with no indexed name to widen to but the root: the
+		// Last_Name of an editor's Name stays in scope.
+		{"scope-unindexed-document", 5, grammar.IndexSpec{
+			Names:  []string{bibtex.NTName},
+			Scoped: []grammar.ScopedName{{Name: bibtex.NTLastName, Within: bibtex.NTEditors}},
+		}, bibtex.NTName, func(f *testutil.BibFixture) region.Region { return editorName(t, f) }, "Q. Zed"},
 	} {
-		f := testutil.NewBibFixture(t, 20, spec, nil)
-		refs := f.In.MustRegion(bibtex.NTReference)
-		target := refs.At(7)
-
-		doc2, in2, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, target, editedReference)
-		if err != nil {
-			t.Fatalf("spec %v: ReplaceRegion: %v", spec, err)
-		}
-		// Ground truth: rebuild from scratch over the edited document.
-		rebuilt, _, err := f.Cat.Grammar.BuildInstance(doc2, spec)
-		if err != nil {
-			t.Fatalf("rebuild: %v", err)
-		}
-		if got, want := in2.Names(), rebuilt.Names(); strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Fatalf("names: %v vs %v", got, want)
-		}
-		for _, name := range rebuilt.Names() {
-			if !in2.MustRegion(name).Equal(rebuilt.MustRegion(name)) {
-				t.Errorf("spec %v: spliced %q differs from rebuild:\n spliced %v\n rebuilt %v",
-					spec, name, in2.MustRegion(name), rebuilt.MustRegion(name))
+		t.Run(tc.name, func(t *testing.T) {
+			f := testutil.NewBibFixture(t, tc.refs, tc.spec, nil)
+			in2, err := engine.ReplaceRegion(f.Cat, f.In, tc.nt, tc.pick(f), tc.newText)
+			if err != nil {
+				t.Fatalf("ReplaceRegion: %v", err)
 			}
-			if in2.Scope(name) != rebuilt.Scope(name) {
-				t.Errorf("scope %q: %q vs %q", name, in2.Scope(name), rebuilt.Scope(name))
+			assertRebuilt(t, "replace", f.Cat, in2, tc.spec)
+			if tc.nt != bibtex.NTReference {
+				return
 			}
-		}
-		// Queries over the edited corpus see the new data.
-		eng := engine.New(f.Cat, in2)
-		res, err := eng.Execute(xsql.MustParse(`SELECT r.Key FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, s := range res.Strings {
-			if s == "Edited01" {
-				found = true
+			// Queries over the edited corpus see the new data.
+			res, err := engine.New(f.Cat, in2).Execute(xsql.MustParse(`SELECT r.Key FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !found {
-			t.Errorf("spec %v: edited reference not found: %v", spec, res.Strings)
-		}
+			if !slices.Contains(res.Strings, "Edited01") {
+				t.Errorf("edited reference not found: %v", res.Strings)
+			}
+		})
 	}
 }
 
@@ -96,19 +141,11 @@ func TestReplaceRegionNested(t *testing.T) {
 	}
 	target := inner.At(inner.Len() / 2)
 	replacement := `<sec><t>patched</t><p>fresh needle text</p><p>and more words here</p></sec>`
-	doc2, in2, err := engine.ReplaceRegion(cat, in, sgml.NTSection, target, replacement)
+	in2, err := engine.ReplaceRegion(cat, in, sgml.NTSection, target, replacement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, _, err := cat.Grammar.BuildInstance(doc2, grammar.IndexSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range rebuilt.Names() {
-		if !in2.MustRegion(name).Equal(rebuilt.MustRegion(name)) {
-			t.Errorf("spliced %q differs from rebuild", name)
-		}
-	}
+	assertRebuilt(t, "replace nested", cat, in2, grammar.IndexSpec{})
 	// The patched section is findable.
 	eng := engine.New(cat, in2)
 	res, err := eng.Execute(xsql.MustParse(`SELECT s.Title FROM Sections s WHERE s.Title = "patched"`))
@@ -124,17 +161,17 @@ func TestReplaceRegionErrors(t *testing.T) {
 	f := testutil.NewBibFixture(t, 5, grammar.IndexSpec{}, nil)
 	refs := f.In.MustRegion(bibtex.NTReference)
 	// Replacement that does not parse.
-	if _, _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0), "garbage"); err == nil {
+	if _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0), "garbage"); err == nil {
 		t.Error("garbage replacement accepted")
 	}
 	// Not an indexed region.
 	bogus := refs.At(0)
 	bogus.Start++
-	if _, _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, bogus, editedReference); err == nil {
+	if _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, bogus, editedReference); err == nil {
 		t.Error("non-indexed region accepted")
 	}
 	// Unknown name.
-	if _, _, err := engine.ReplaceRegion(f.Cat, f.In, "Nope", refs.At(0), editedReference); err == nil {
+	if _, err := engine.ReplaceRegion(f.Cat, f.In, "Nope", refs.At(0), editedReference); err == nil {
 		t.Error("unknown name accepted")
 	}
 }
@@ -145,19 +182,11 @@ func TestInsertAndDeleteMatchRebuild(t *testing.T) {
 
 	// Insert a new reference after the 4th (newline-prefixed to keep the
 	// layout tidy; whitespace is insignificant to the grammar).
-	doc2, in2, err := engine.InsertAfter(f.Cat, f.In, bibtex.NTReference, refs.At(4), "\n"+editedReference)
+	in2, err := engine.InsertAfter(f.Cat, f.In, bibtex.NTReference, refs.At(4), "\n"+editedReference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, _, err := f.Cat.Grammar.BuildInstance(doc2, grammar.IndexSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range rebuilt.Names() {
-		if !in2.MustRegion(name).Equal(rebuilt.MustRegion(name)) {
-			t.Errorf("insert: spliced %q differs from rebuild", name)
-		}
-	}
+	assertRebuilt(t, "insert", f.Cat, in2, grammar.IndexSpec{})
 	if got := in2.MustRegion(bibtex.NTReference).Len(); got != 16 {
 		t.Fatalf("references after insert = %d", got)
 	}
@@ -174,19 +203,11 @@ func TestInsertAndDeleteMatchRebuild(t *testing.T) {
 	// Delete the 8th reference from the updated corpus.
 	refs2 := in2.MustRegion(bibtex.NTReference)
 	target := refs2.At(8)
-	doc3, in3, err := engine.DeleteRegion(f.Cat, in2, bibtex.NTReference, target)
+	in3, err := engine.DeleteRegion(f.Cat, in2, bibtex.NTReference, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt3, _, err := f.Cat.Grammar.BuildInstance(doc3, grammar.IndexSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range rebuilt3.Names() {
-		if !in3.MustRegion(name).Equal(rebuilt3.MustRegion(name)) {
-			t.Errorf("delete: spliced %q differs from rebuild", name)
-		}
-	}
+	assertRebuilt(t, "delete", f.Cat, in3, grammar.IndexSpec{})
 	if got := in3.MustRegion(bibtex.NTReference).Len(); got != 15 {
 		t.Fatalf("references after delete = %d", got)
 	}
@@ -203,60 +224,44 @@ func TestInsertDeleteNestedSections(t *testing.T) {
 	secs := in.MustRegion(sgml.NTSection)
 	mid := secs.At(secs.Len() / 2)
 	// Insert a sibling section right after a nested one: ancestors stretch.
-	doc2, in2, err := engine.InsertAfter(cat, in, sgml.NTSection, mid,
+	in2, err := engine.InsertAfter(cat, in, sgml.NTSection, mid,
 		`<sec><t>inserted</t><p>fresh words</p></sec>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, _, err := cat.Grammar.BuildInstance(doc2, grammar.IndexSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range rebuilt.Names() {
-		if !in2.MustRegion(name).Equal(rebuilt.MustRegion(name)) {
-			t.Fatalf("insert nested: %q differs from rebuild", name)
-		}
-	}
+	assertRebuilt(t, "insert nested", cat, in2, grammar.IndexSpec{})
 	// Delete it again: back to a rebuild of the shrunk doc.
 	var inserted region.Region
 	for _, r := range in2.MustRegion(sgml.NTSection).Regions() {
-		if doc2.Slice(int(r.Start), int(r.End)) == `<sec><t>inserted</t><p>fresh words</p></sec>` {
+		if in2.Document().Slice(int(r.Start), int(r.End)) == `<sec><t>inserted</t><p>fresh words</p></sec>` {
 			inserted = r
 		}
 	}
 	if inserted == (region.Region{}) {
 		t.Fatal("inserted section not found")
 	}
-	doc3, in3, err := engine.DeleteRegion(cat, in2, sgml.NTSection, inserted)
+	in3, err := engine.DeleteRegion(cat, in2, sgml.NTSection, inserted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt3, _, err := cat.Grammar.BuildInstance(doc3, grammar.IndexSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range rebuilt3.Names() {
-		if !in3.MustRegion(name).Equal(rebuilt3.MustRegion(name)) {
-			t.Fatalf("delete nested: %q differs from rebuild", name)
-		}
-	}
+	assertRebuilt(t, "delete nested", cat, in3, grammar.IndexSpec{})
 }
 
 func TestInsertDeleteErrors(t *testing.T) {
 	f := testutil.NewBibFixture(t, 3, grammar.IndexSpec{}, nil)
 	refs := f.In.MustRegion(bibtex.NTReference)
-	if _, _, err := engine.InsertAfter(f.Cat, f.In, bibtex.NTReference, refs.At(0), "garbage"); err == nil {
+	if _, err := engine.InsertAfter(f.Cat, f.In, bibtex.NTReference, refs.At(0), "garbage"); err == nil {
 		t.Error("garbage insertion accepted")
 	}
-	if _, _, err := engine.InsertAfter(f.Cat, f.In, "Nope", refs.At(0), editedReference); err == nil {
+	if _, err := engine.InsertAfter(f.Cat, f.In, "Nope", refs.At(0), editedReference); err == nil {
 		t.Error("unknown name accepted")
 	}
 	bogus := refs.At(0)
 	bogus.End--
-	if _, _, err := engine.DeleteRegion(f.Cat, f.In, bibtex.NTReference, bogus); err == nil {
+	if _, err := engine.DeleteRegion(f.Cat, f.In, bibtex.NTReference, bogus); err == nil {
 		t.Error("non-indexed region delete accepted")
 	}
-	if _, _, err := engine.DeleteRegion(f.Cat, f.In, "Nope", refs.At(0)); err == nil {
+	if _, err := engine.DeleteRegion(f.Cat, f.In, "Nope", refs.At(0)); err == nil {
 		t.Error("unknown name delete accepted")
 	}
 }

@@ -45,10 +45,11 @@ func X1(opt Options) (*Table, error) {
 		target := setup.Instance.MustRegion(bibtex.NTReference).At(n / 2)
 
 		// Correctness first: splice equals rebuild.
-		doc2, spliced, err := engine.ReplaceRegion(setup.Cat, setup.Instance, bibtex.NTReference, target, editedReference)
+		spliced, err := engine.ReplaceRegion(setup.Cat, setup.Instance, bibtex.NTReference, target, editedReference)
 		if err != nil {
 			return nil, err
 		}
+		doc2 := spliced.Document()
 		rebuilt, _, err := setup.Cat.Grammar.BuildInstance(doc2, grammar.IndexSpec{})
 		if err != nil {
 			return nil, err
@@ -60,7 +61,7 @@ func X1(opt Options) (*Table, error) {
 		}
 
 		spliceTime, err := MedianTime(opt.Repeats, func() error {
-			_, _, err := engine.ReplaceRegion(setup.Cat, setup.Instance, bibtex.NTReference, target, editedReference)
+			_, err := engine.ReplaceRegion(setup.Cat, setup.Instance, bibtex.NTReference, target, editedReference)
 			return err
 		})
 		if err != nil {

@@ -108,7 +108,7 @@ func BenchmarkFullScanRegions(b *testing.B) {
 			return err
 		},
 		"need": func() error {
-			_, _, err := g.Regions(context.Background(), doc, grammar.IndexSpec{Names: []string{bibtex.NTReference}})
+			_, _, err := g.Regions(context.Background(), doc, grammar.IndexSpec{Names: []string{bibtex.NTReference}}, g.Root(), 0, int32(doc.Len()))
 			return err
 		},
 	} {

@@ -22,6 +22,13 @@ var (
 	MutatedInputs = mutatedInputs
 )
 
+// ExtractRegions and ExtractScopedRegions are Regions' tree walkers, for the
+// tests that extract from a whole parse tree to check Regions against.
+var (
+	ExtractRegions       = extractRegions
+	ExtractScopedRegions = extractScopedRegions
+)
+
 const MiniDoc = miniDoc
 
 // TerminalMatch runs the terminal class's matcher at the start of s, as the
@@ -119,6 +126,13 @@ func (g *Grammar) FlatSymbols() []string {
 		}
 	}
 	return out
+}
+
+// Count reports the number of nodes in the subtree.
+func (n *Node) Count() int {
+	total := 0
+	n.Walk(func(*Node) bool { total++; return true })
+	return total
 }
 
 // SetNewInstance replaces the word-index side of BuildInstanceContext — the

@@ -94,7 +94,7 @@ func BenchmarkExtractRegions(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ExtractRegions(tree, names...)
+				extractRegions(tree, names...)
 			}
 		})
 	}

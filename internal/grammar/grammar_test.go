@@ -351,17 +351,17 @@ func TestPartialAndScopedIndexing(t *testing.T) {
 	if tree, err = g.Parse(doc); err != nil {
 		t.Fatal(err)
 	}
-	if got := ExtractScopedRegions(tree, "Last_Name", "Editors").Len(); got != 2 {
+	if got := extractScopedRegions(tree, "Last_Name", "Editors").Len(); got != 2 {
 		t.Errorf("editor last names = %d", got)
 	}
-	if got := ExtractScopedRegions(tree, "Last_Name", "Nope").Len(); got != 0 {
+	if got := extractScopedRegions(tree, "Last_Name", "Nope").Len(); got != 0 {
 		t.Errorf("scoped within unknown = %d", got)
 	}
 }
 
 func TestExtractRegionsExplicitNames(t *testing.T) {
 	_, _, tree := parseMini(t)
-	m := ExtractRegions(tree, "Reference", "Ghost")
+	m := extractRegions(tree, "Reference", "Ghost")
 	if m["Reference"].Len() != 2 {
 		t.Errorf("Reference = %v", m["Reference"])
 	}

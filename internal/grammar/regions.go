@@ -10,12 +10,12 @@ import (
 	"qof/internal/text"
 )
 
-// ExtractRegions collects the regions of the given non-terminal names from
+// extractRegions collects the regions of the given non-terminal names from
 // a parse tree: one region per occurrence, exactly "the set of all regions
 // corresponding to occurrences of Ai in the parse tree of the file"
 // (Section 4.2). With no names, every non-terminal in the tree is
 // extracted.
-func ExtractRegions(tree *Node, names ...string) map[string]region.Set {
+func extractRegions(tree *Node, names ...string) map[string]region.Set {
 	// A slice per name behind a pointer: a node costs one map probe.
 	groups := make(map[string]*[]region.Region, len(names))
 	for _, n := range names {
@@ -44,11 +44,12 @@ func ExtractRegions(tree *Node, names ...string) map[string]region.Set {
 	return out
 }
 
-// ExtractScopedRegions collects regions of name occurring inside an
+// extractScopedRegions collects regions of name occurring inside an
 // occurrence of within — the paper's selective indexing ("instead of
 // indexing all the Name regions ... index only those that reside in some
-// Authors region", Section 7).
-func ExtractScopedRegions(tree *Node, name, within string) region.Set {
+// Authors region", Section 7). The tree's root counts: a name under a root
+// that is itself a within occurrence is in scope.
+func extractScopedRegions(tree *Node, name, within string) region.Set {
 	var rs []region.Region
 	var walk func(n *Node, inside bool)
 	walk = func(n *Node, inside bool) {
@@ -142,7 +143,7 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 	}()
 	named, scoped, err := func() (map[string]region.Set, []region.Set, error) {
 		defer func() { <-joined }()
-		return g.Regions(ctx, doc, spec)
+		return g.Regions(ctx, doc, spec, g.root, 0, int32(doc.Len()))
 	}()
 	if crashed != nil {
 		panic(crashed)
@@ -165,23 +166,24 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 	return in, nil, nil
 }
 
-// Regions parses the document under spec's index need (indexNeed) and
-// returns the regions of each indexed name — every non-terminal but the
-// root when Names is nil — and of each scoped entry, in spec.Scoped's order.
-// Subtrees that reach no indexed name are recognised and nothing is built
-// for them, so asking for one class's regions builds that class's nodes and
-// their ancestors, not the whole parse tree; the errors are Parse's. The
-// context is checked once, after the parse.
-func (g *Grammar) Regions(ctx context.Context, doc *text.Document, spec IndexSpec) (map[string]region.Set, []region.Set, error) {
+// Regions parses [from, to) of the document as sym under spec's index need
+// (indexNeed) and returns the regions of each indexed name — every
+// non-terminal but the root when Names is nil — and of each scoped entry, in
+// spec.Scoped's order, counting only scope occurrences inside the range. A
+// build and a full scan pass the root and the whole document, an edit the
+// range it re-extracts. Subtrees that reach no indexed name are recognised
+// and nothing is built for them; the errors are ParseAs's. The context is
+// checked once, after the parse.
+func (g *Grammar) Regions(ctx context.Context, doc *text.Document, spec IndexSpec, sym string, from, to int32) (map[string]region.Set, []region.Set, error) {
 	names := spec.Names
 	if names == nil {
 		names = g.FullIndexSpec().Names
 	}
-	need, err := g.indexNeed(names, spec.Scoped)
+	need, err := g.indexNeed(sym, names, spec.Scoped)
 	if err != nil {
 		return nil, nil, err
 	}
-	tree, err := g.parseWith(new(runner), doc, g.root, 0, doc.Len(), need)
+	tree, err := g.parseWith(new(runner), doc, sym, int(from), int(to), need)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,14 +192,14 @@ func (g *Grammar) Regions(ctx context.Context, doc *text.Document, spec IndexSpe
 	}
 	scoped := make([]region.Set, len(spec.Scoped))
 	for i, sc := range spec.Scoped {
-		scoped[i] = ExtractScopedRegions(tree, sc.Name, sc.Within)
+		scoped[i] = extractScopedRegions(tree, sc.Name, sc.Within)
 	}
-	return ExtractRegions(tree, names...), scoped, nil
+	return extractRegions(tree, names...), scoped, nil
 }
 
-// indexNeed compiles an index spec into the need its build parses under:
-// one node per non-terminal, and child(sym) non-nil exactly when sym is
-// indexed (a global name, a scoped name or its scope) or some indexed
+// indexNeed compiles an index spec into the need a parse of start parses
+// under: one node per non-terminal, and child(sym) non-nil exactly when sym
+// is indexed (a global name, a scoped name or its scope) or some indexed
 // non-terminal is reachable beneath it. all is false throughout, so no
 // terminal leaf is made. The extractors then walk a tree that holds every
 // occurrence of an indexed name with its ancestors, and nothing else.
@@ -206,16 +208,17 @@ func (g *Grammar) Regions(ctx context.Context, doc *text.Document, spec IndexSpe
 // is a cycle in it, not an unrolling — so it must never reach String,
 // Describe, paths or prune, which recurse over a trie and would not end.
 // It is made here, handed to parseWith, and goes nowhere else.
-func (g *Grammar) indexNeed(names []string, scoped []ScopedName) (*ReadSet, error) {
+func (g *Grammar) indexNeed(start string, names []string, scoped []ScopedName) (*ReadSet, error) {
 	prog, err := g.program()
 	if err != nil {
 		return nil, err
 	}
+	root := prog.ids[start] // an unknown start is parseWith's error, before the need is read
 	live := make([]bool, len(prog.names))
 	for id := range live {
-		// ExtractRegions reads "no names" as "every non-terminal", and the
+		// extractRegions reads "no names" as "every non-terminal", and the
 		// extractors are handed a root, indexed or not.
-		live[id] = len(names) == 0 || prog.names[id] == g.root
+		live[id] = len(names) == 0 || id == root
 	}
 	mark := func(name string) {
 		if id, ok := prog.ids[name]; ok {
@@ -243,5 +246,5 @@ func (g *Grammar) indexNeed(names []string, scoped []ScopedName) (*ReadSet, erro
 			}
 		}
 	}
-	return &nodes[prog.ids[g.root]], nil
+	return &nodes[root], nil
 }

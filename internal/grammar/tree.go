@@ -51,13 +51,6 @@ func (n *Node) Walk(visit func(*Node) bool) {
 	}
 }
 
-// Count reports the number of nodes in the subtree.
-func (n *Node) Count() int {
-	total := 0
-	n.Walk(func(*Node) bool { total++; return true })
-	return total
-}
-
 // Dump renders the subtree as an indented outline with regions — the form
 // used to reproduce the paper's parse-tree figures (Figures 2 and 3). When
 // src is non-empty, terminal leaves include their matched text.

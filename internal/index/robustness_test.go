@@ -157,18 +157,18 @@ func TestDocumentTooLarge(t *testing.T) {
 		if _, err := index.Load(bytes.NewReader(saved.Bytes()), f.Doc); err != nil {
 			t.Errorf("Load: %v", err)
 		}
-		if _, _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0), first); err != nil {
+		if _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0), first); err != nil {
 			t.Errorf("ReplaceRegion by a text as long: %v", err)
 		}
-		if _, _, err := engine.DeleteRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0)); err != nil {
+		if _, err := engine.DeleteRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0)); err != nil {
 			t.Errorf("DeleteRegion: %v", err)
 		}
 		// One byte more, and the edits that grow the document are refused.
 		longer := strings.Replace(first, "{", "{X", 1)
-		if _, _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0), longer); !errors.Is(err, index.ErrDocumentTooLarge) {
+		if _, err := engine.ReplaceRegion(f.Cat, f.In, bibtex.NTReference, refs.At(0), longer); !errors.Is(err, index.ErrDocumentTooLarge) {
 			t.Errorf("ReplaceRegion growing past the limit: err = %v, want ErrDocumentTooLarge", err)
 		}
-		if _, _, err := engine.InsertAfter(f.Cat, f.In, bibtex.NTReference, refs.At(0), "\n"+first); !errors.Is(err, index.ErrDocumentTooLarge) {
+		if _, err := engine.InsertAfter(f.Cat, f.In, bibtex.NTReference, refs.At(0), "\n"+first); !errors.Is(err, index.ErrDocumentTooLarge) {
 			t.Errorf("InsertAfter growing past the limit: err = %v, want ErrDocumentTooLarge", err)
 		}
 	})

@@ -69,6 +69,11 @@ func BibTeX(seed int64) *Domain {
 				Names:  []string{bibtex.NTReference, bibtex.NTAuthors},
 				Scoped: []grammar.ScopedName{{Name: bibtex.NTLastName, Within: bibtex.NTAuthors}},
 			},
+			// A scope the instance does not index: only a parse sees it.
+			{
+				Names:  []string{bibtex.NTReference},
+				Scoped: []grammar.ScopedName{{Name: bibtex.NTName, Within: bibtex.NTEditors}},
+			},
 		},
 	}
 }
@@ -96,6 +101,11 @@ func SGML(seed int64) *Domain {
 			{Names: []string{sgml.NTDoc, sgml.NTSection, sgml.NTPara}},
 			{Names: []string{sgml.NTSection, sgml.NTTitle}},
 			{Names: []string{sgml.NTDoc, sgml.NTSection}},
+			// A scope the instance does not index, and which nests.
+			{
+				Names:  []string{sgml.NTPara},
+				Scoped: []grammar.ScopedName{{Name: sgml.NTTitle, Within: sgml.NTSection}},
+			},
 		},
 	}
 }
