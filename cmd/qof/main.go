@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -251,7 +250,6 @@ func cmdQuery(args []string) error {
 			return fmt.Errorf("-index applies to single-file queries")
 		}
 		corpus := engine.NewCorpus(d.catalog())
-		corpus.Parallelism = runtime.GOMAXPROCS(0)
 		var docs []*text.Document
 		for _, path := range fs.Args()[:fs.NArg()-1] {
 			doc, err := readDoc(path)

@@ -64,7 +64,6 @@ func runServing(quick bool) (servingBench, error) {
 	srv, err := serve.New(serve.Config{
 		Schema:      qof.BibTeX(),
 		Shards:      4,
-		Parallelism: 2,
 		MaxInflight: 16,
 		RetryAfter:  time.Second,
 	})

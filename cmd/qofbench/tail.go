@@ -110,11 +110,10 @@ func runTail(quick bool) (tailBench, error) {
 // each sample is one query's full scatter-gather, with no queueing noise.
 func tailLegRun(files map[string]string, slow int, hedge time.Duration, n int) (tailLeg, serve.MetricsBody, error) {
 	srv, err := serve.New(serve.Config{
-		Schema:      qof.BibTeX(),
-		Shards:      4,
-		Replicas:    2,
-		Parallelism: 2,
-		HedgeAfter:  hedge,
+		Schema:     qof.BibTeX(),
+		Shards:     4,
+		Replicas:   2,
+		HedgeAfter: hedge,
 	})
 	if err != nil {
 		return tailLeg{}, serve.MetricsBody{}, err

@@ -41,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"syscall"
@@ -179,7 +178,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	hedgeAfter := fs.Duration("hedge-after", 0, "delay before hedging a slow replica attempt (0 = adaptive p99, negative disables)")
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive replica faults that open its circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
-	par := fs.Int("parallelism", runtime.GOMAXPROCS(0), "files evaluated concurrently within each shard, and indexed concurrently on publish")
 	maxInflight := fs.Int("max-inflight", 64, "queries executing at once before shedding")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-query deadline")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard deadline; a slow shard degrades instead of stalling the query (0 = none)")
@@ -246,7 +244,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		HedgeAfter:       *hedgeAfter,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		Parallelism:      *par,
 		MaxInflight:      *maxInflight,
 		DefaultTimeout:   *timeout,
 		ShardTimeout:     *shardTimeout,

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"qof/internal/advisor"
 	"qof/internal/bibtex"
@@ -61,25 +60,22 @@ func (s *Schema) Prepare(src string) error {
 	return err
 }
 
-// indexConfig collects the effects of IndexOptions: the indexing choice
-// plus execution configuration for the resulting File or Corpus.
+// indexConfig collects the effects of IndexOptions: the indexing choice.
 type indexConfig struct {
-	spec        grammar.IndexSpec
-	parallelism int
+	spec grammar.IndexSpec
 }
 
-// IndexOption configures Index, Load and NewCorpus.
+// IndexOption configures Index, Load and a corpus's Add, AddAll and
+// Reindex.
 type IndexOption func(*indexConfig)
 
-// applyOptions collects opts over a default parallelism: runtime.GOMAXPROCS
-// for a File, sequential (0) for a Corpus, whose unit of parallelism is the
-// file.
-func applyOptions(parallelism int, opts []IndexOption) indexConfig {
-	cfg := indexConfig{parallelism: parallelism}
+// applyOptions collects opts into the index spec they choose.
+func applyOptions(opts []IndexOption) grammar.IndexSpec {
+	var cfg indexConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return cfg
+	return cfg.spec
 }
 
 // WithRegions restricts indexing to the given region names (partial
@@ -93,17 +89,6 @@ func WithScopedRegion(name, within string) IndexOption {
 	return func(c *indexConfig) {
 		c.spec.Scoped = append(c.spec.Scoped, grammar.ScopedName{Name: name, Within: within})
 	}
-}
-
-// WithParallelism sets the degree of parallelism for query execution:
-// on a File, up to n worker goroutines parse and filter candidate regions
-// within one query (default runtime.GOMAXPROCS(0)); on a Corpus, up to n
-// files are queried concurrently (default sequential). Values below 2
-// evaluate sequentially. Results and their order are identical either way,
-// and so are statistics, except that under a LIMIT a parallel File reports
-// the candidates it had read ahead of the stop point.
-func WithParallelism(n int) IndexOption {
-	return func(c *indexConfig) { c.parallelism = n }
 }
 
 // File is an indexed document ready for querying.
@@ -120,23 +105,14 @@ func (s *Schema) Index(name, content string, opts ...IndexOption) (*File, error)
 
 // Load re-attaches a persisted index (written by Save) to the document
 // content, verifying it has not changed. Indexing-choice options are
-// ignored (the persisted index fixes them); WithParallelism applies.
+// ignored: the persisted index fixes them.
 func (s *Schema) Load(r io.Reader, name, content string, opts ...IndexOption) (f *File, err error) {
 	defer catchPanic(&err, "loading %s", name)
-	cfg := applyOptions(runtime.GOMAXPROCS(0), opts)
 	in, err := index.Load(r, text.NewDocument(name, content))
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: s, eng: newEngine(s.cat, in, cfg.parallelism)}, nil
-}
-
-// newEngine makes a file's engine; edits (Replace, InsertAfter, Delete) pass
-// the original's parallelism so the new File executes the same way.
-func newEngine(cat *compile.Catalog, in *index.Instance, parallelism int) *engine.Engine {
-	eng := engine.New(cat, in)
-	eng.Parallelism = parallelism
-	return eng
+	return &File{schema: s, eng: engine.New(s.cat, in)}, nil
 }
 
 // Save persists the file's indexes.
@@ -262,8 +238,7 @@ func (f *File) Delete(regionName string, span Span) (*File, error) {
 	})
 }
 
-// edited is the file after edit, applied to the span's region; the new file
-// executes as the receiver does.
+// edited is the file after edit, applied to the span's region.
 func (f *File) edited(span Span, edit func(region.Region) (*index.Instance, error)) (*File, error) {
 	r, err := f.regionOf(span)
 	if err != nil {
@@ -273,7 +248,7 @@ func (f *File) edited(span Span, edit func(region.Region) (*index.Instance, erro
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: f.schema, eng: newEngine(f.schema.cat, in, f.eng.Parallelism)}, nil
+	return &File{schema: f.schema, eng: engine.New(f.schema.cat, in)}, nil
 }
 
 // Content returns the file's current text.
@@ -285,34 +260,29 @@ type Corpus struct {
 	c      *engine.Corpus
 }
 
-// NewCorpus creates an empty corpus. With WithParallelism(n), queries run
-// against up to n files concurrently. The Corpus is safe for concurrent
+// NewCorpus creates an empty corpus. The Corpus is safe for concurrent
 // queries once every file is added.
-func (s *Schema) NewCorpus(opts ...IndexOption) *Corpus {
-	cfg := applyOptions(0, opts)
-	ec := engine.NewCorpus(s.cat)
-	ec.Parallelism = cfg.parallelism
-	return &Corpus{schema: s, c: ec}
+func (s *Schema) NewCorpus() *Corpus {
+	return &Corpus{schema: s, c: engine.NewCorpus(s.cat)}
 }
 
 // Add indexes a document and adds it to the corpus.
 func (c *Corpus) Add(name, content string, opts ...IndexOption) error {
-	cfg := applyOptions(0, opts)
-	return c.c.Add(text.NewDocument(name, content), cfg.spec)
+	return c.c.Add(text.NewDocument(name, content), applyOptions(opts))
 }
 
 // AddAll indexes the named documents and adds them to the corpus in order.
-// With WithParallelism on the corpus, the index builds run concurrently;
-// the result is identical to sequential Adds. On error nothing is added,
-// and the returned error joins one attributed error per failed document.
+// The index builds run on the caller and on idle helpers; the result is
+// identical to sequential Adds. On error nothing is added, and the returned
+// error joins one attributed error per failed document.
 func (c *Corpus) AddAll(files map[string]string, opts ...IndexOption) error {
 	return c.AddAllContext(context.Background(), files, opts...)
 }
 
-// Subset returns a corpus over the named files of c, in c's order and with
-// c's parallelism, that indexes nothing: each file keeps its one index,
-// result cache and statistics, shared with c and with every other subset,
-// so a query through any of them warms them all. Names not in c are ignored.
+// Subset returns a corpus over the named files of c, in c's order, that
+// indexes nothing: each file keeps its one index, result cache and
+// statistics, shared with c and with every other subset, so a query through
+// any of them warms them all. Names not in c are ignored.
 func (c *Corpus) Subset(names ...string) *Corpus {
 	return &Corpus{schema: c.schema, c: c.c.Subset(names)}
 }

@@ -10,6 +10,7 @@ import (
 
 	"qof"
 	"qof/internal/bibtex"
+	"qof/internal/pool"
 	"qof/internal/testutil"
 )
 
@@ -190,8 +191,9 @@ func TestFacadeCorpus(t *testing.T) {
 		t.Fatalf("hits = %+v", hits)
 	}
 
-	// AddAll with parallel builds answers identically (files sort by name).
-	bulk := schema.NewCorpus(qof.WithParallelism(2))
+	// AddAll, building on the caller and on helpers, answers identically
+	// (files sort by name).
+	bulk := schema.NewCorpus()
 	if err := bulk.AddAll(map[string]string{"a.bib": bibtex.SampleEntry, "b.bib": gen}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,16 +313,17 @@ func TestFacadeInsertDelete(t *testing.T) {
 }
 
 // TestFacadeConcurrentQueries shares one File and one Corpus among many
-// goroutines (with WithParallelism engaged on both) and checks every
-// result against a sequential baseline. Run under -race it proves the
-// public API is safe for concurrent readers.
+// goroutines (with three helpers to contend for) and checks every result
+// against a sequential baseline. Run under -race it proves the public API
+// is safe for concurrent readers.
 func TestFacadeConcurrentQueries(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	content, _ := bibtex.Generate(bibtex.DefaultConfig(50))
-	file, err := qof.BibTeX().Index("c.bib", content, qof.WithParallelism(4))
+	file, err := qof.BibTeX().Index("c.bib", content)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := qof.BibTeX().NewCorpus(qof.WithParallelism(4))
+	corpus := qof.BibTeX().NewCorpus()
 	if err := corpus.Add("a.bib", bibtex.SampleEntry); err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +398,10 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestFileParallelByDefault: a File parses one query's candidates on
-// runtime.GOMAXPROCS(0) goroutines unless WithParallelism says otherwise,
-// and answers identically either way. CI runs it at -cpu 1,4.
+// TestFileParallelByDefault: a File parses one query's candidates on its
+// caller's goroutine and on the process's helpers — GOMAXPROCS−1 of them
+// unless a test pins the budget — and answers identically with any budget.
+// It starts no goroutine either way. CI runs it at -cpu 1,4.
 func TestFileParallelByDefault(t *testing.T) {
 	content, _ := bibtex.Generate(bibtex.DefaultConfig(200))
 	// Indexed on Reference alone, every reference is a candidate of the
@@ -406,14 +410,16 @@ func TestFileParallelByDefault(t *testing.T) {
 	want := ""
 	for _, c := range []struct {
 		name    string
-		opts    []qof.IndexOption
-		workers bool
+		helpers int // pinned budget; −1 keeps the default
 	}{
-		{"default", nil, runtime.GOMAXPROCS(0) > 1},
-		{"WithParallelism(1)", []qof.IndexOption{qof.WithParallelism(1)}, false},
-		{"WithParallelism(4)", []qof.IndexOption{qof.WithParallelism(4)}, true},
+		{"default", -1},
+		{"0 helpers", 0},
+		{"3 helpers", 3},
 	} {
-		file, err := qof.BibTeX().Index("p.bib", content, append(c.opts, qof.WithRegions("Reference"))...)
+		if c.helpers >= 0 {
+			t.Cleanup(pool.SetHelpers(c.helpers))
+		}
+		file, err := qof.BibTeX().Index("p.bib", content, qof.WithRegions("Reference"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,15 +430,18 @@ func TestFileParallelByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Stats.Parsed < 2 {
-			t.Fatalf("%s: parsed %d candidates; nothing to hand a worker", c.name, res.Stats.Parsed)
+			t.Fatalf("%s: parsed %d candidates; nothing to hand a helper", c.name, res.Stats.Parsed)
 		}
 		if got := fmt.Sprint(res.Values, res.Stats); want == "" {
 			want = got
 		} else if got != want {
 			t.Errorf("%s: answer differs:\n got %s\nwant %s", c.name, got, want)
 		}
-		if workers := probe.Max() > base; workers != c.workers {
-			t.Errorf("%s at GOMAXPROCS %d: workers ran %v, want %v", c.name, runtime.GOMAXPROCS(0), workers, c.workers)
+		if helped, budget := probe.MaxBusy() > 0, pool.Size(); helped != (budget > 0) {
+			t.Errorf("%s at GOMAXPROCS %d: helpers ran %v with a budget of %d", c.name, runtime.GOMAXPROCS(0), helped, budget)
+		}
+		if started := probe.Max() - base; started > 0 {
+			t.Errorf("%s: %d goroutines started", c.name, started)
 		}
 	}
 }

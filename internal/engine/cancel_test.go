@@ -20,6 +20,7 @@ import (
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/testutil"
@@ -192,9 +193,9 @@ func waitGoroutines(t *testing.T, base int) {
 // context.Canceled — and afterwards the engine must serve correctly with no
 // leaked workers.
 func TestCancelMidParallelPhase2(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	base := runtime.NumGoroutine()
 	f := testutil.NewBibFixture(t, 400, grammar.IndexSpec{Names: []string{"Reference"}}, nil)
-	f.Eng.Parallelism = 4
 	q := xsql.MustParse(changAuthorQuery)
 	want, err := f.Eng.Execute(q)
 	if err != nil {
@@ -256,9 +257,9 @@ func TestCancelMidParallelPhase2(t *testing.T) {
 // document-order prefix or fails with a clean context.Canceled. No
 // goroutines may survive the storm. Run under -race.
 func TestLimitStopsParallelStream(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	base := runtime.NumGoroutine()
 	f := testutil.NewBibFixture(t, 400, grammar.IndexSpec{Names: []string{"Reference"}}, nil)
-	f.Eng.Parallelism = 4
 	full, err := f.Eng.Execute(xsql.MustParse(changAuthorQuery))
 	if err != nil {
 		t.Fatal(err)
@@ -322,12 +323,12 @@ func TestLimitStopsParallelStream(t *testing.T) {
 // corpus must either ingest everything or be left unchanged with every
 // unbuilt file attributed in the joined error; no goroutines may leak.
 func TestCancelMidAddAll(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	base := runtime.NumGoroutine()
 	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
 	docs := testutil.BibCorpusDocs(t, 12, 40)
 	for round := 0; round < 10; round++ {
 		c := engine.NewCorpus(cat)
-		c.Parallelism = 4
 		ctx, cancel := context.WithCancel(context.Background())
 		go func(round int) {
 			time.Sleep(time.Duration(round) * 200 * time.Microsecond)
@@ -358,10 +359,10 @@ func TestCancelMidAddAll(t *testing.T) {
 // TestCorpusExecuteContextCancel cancels corpus queries running across
 // parallel per-file goroutines.
 func TestCorpusExecuteContextCancel(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	base := runtime.NumGoroutine()
 	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
 	c := engine.NewCorpus(cat)
-	c.Parallelism = 4
 	if err := c.AddAll(testutil.BibCorpusDocs(t, 8, 60), grammar.IndexSpec{}); err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +491,7 @@ func TestPhase2DepthOverflowIsABudgetError(t *testing.T) {
 	in.Define("Item", region.FromRegions([]region.Region{{Start: 0, End: 4}, {Start: 5, End: 9}, {Start: 10, End: 12}}))
 	eng := engine.New(cat, in)
 	for _, par := range []int{1, 4} {
-		eng.Parallelism = par
+		t.Cleanup(pool.SetHelpers(par - 1))
 		_, err := eng.Execute(xsql.MustParse(`SELECT i FROM Items i WHERE i.Word = "a"`))
 		var derr *grammar.DepthError
 		if !errors.Is(err, qerr.ErrBudgetExceeded) || errors.Is(err, qerr.ErrInternal) || !errors.As(err, &derr) {

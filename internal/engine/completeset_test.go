@@ -19,6 +19,7 @@ import (
 	"qof/internal/engine"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
+	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/refeval"
 	"qof/internal/testutil"
@@ -48,8 +49,8 @@ func TestLimitOnCompleteSetPlans(t *testing.T) {
 	for _, c := range completeSetPlans {
 		for _, par := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/x%d", c.name, par), func(t *testing.T) {
+				t.Cleanup(pool.SetHelpers(par - 1))
 				f := testutil.NewBibFixture(t, 120, c.spec, nil)
-				f.Eng.Parallelism = par
 				q := xsql.MustParse(c.src)
 				full, err := f.Eng.Execute(q)
 				if err != nil {
@@ -126,8 +127,8 @@ func TestCompleteSetPlansLeakNothing(t *testing.T) {
 	for _, c := range completeSetPlans {
 		for _, par := range []int{1, 3} {
 			name := fmt.Sprintf("%s/x%d", c.name, par)
+			t.Cleanup(pool.SetHelpers(par - 1))
 			f := testutil.NewBibFixture(t, 120, c.spec, nil)
-			f.Eng.Parallelism = par
 			q := xsql.MustParse(c.src)
 			full, err := f.Eng.Execute(q)
 			if err != nil {

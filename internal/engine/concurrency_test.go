@@ -14,6 +14,7 @@ import (
 	"qof/internal/bibtex"
 	"qof/internal/engine"
 	"qof/internal/grammar"
+	"qof/internal/pool"
 	"qof/internal/testutil"
 	"qof/internal/xsql"
 )
@@ -112,8 +113,8 @@ func TestEngineExecuteConcurrent(t *testing.T) {
 	})
 
 	t.Run("FullIndexParallelPhase2", func(t *testing.T) {
+		t.Cleanup(pool.SetHelpers(3)) // overlapping calls contend for the helpers
 		f := testutil.NewBibFixture(t, 80, grammar.IndexSpec{}, nil)
-		f.Eng.Parallelism = 4 // overlapping calls each spin up worker pools
 		runEngineConcurrent(t, f.Eng, queries, 8, 4)
 	})
 
@@ -149,6 +150,7 @@ func corpusSnapshot(res *engine.CorpusResult) string {
 }
 
 func TestCorpusExecuteConcurrent(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	cat := bibtex.Catalog()
 	corpus := engine.NewCorpus(cat)
 	for i := 0; i < 6; i++ {
@@ -159,7 +161,6 @@ func TestCorpusExecuteConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	corpus.Parallelism = 4
 
 	queries := parseAll(t, concurrentQueries)
 	want := make([]string, len(queries))
@@ -200,10 +201,11 @@ func TestCorpusExecuteConcurrent(t *testing.T) {
 	}
 }
 
-// TestPhase2ParallelMatchesSequential pins down the worker-pool merge: for
-// every parallelism degree the result set, the result order and the parsing
-// statistics must be identical to the sequential run.
+// TestPhase2ParallelMatchesSequential pins down the chunked drain's merge:
+// for every helper budget the result set, the result order and the parsing
+// statistics must be identical to the sequential run's.
 func TestPhase2ParallelMatchesSequential(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(0))
 	f := testutil.NewBibFixture(t, 80, grammar.IndexSpec{
 		Names: []string{bibtex.NTReference, bibtex.NTKey, bibtex.NTLastName},
 	}, nil)
@@ -216,15 +218,15 @@ func TestPhase2ParallelMatchesSequential(t *testing.T) {
 		}
 		want[i] = snapshot(res)
 	}
-	for _, par := range []int{0, 1, 2, 3, 4, 8, 64} {
-		f.Eng.Parallelism = par
+	for _, helpers := range []int{0, 1, 2, 3, 7} {
+		t.Cleanup(pool.SetHelpers(helpers))
 		for i, q := range queries {
 			res, err := f.Eng.Execute(q)
 			if err != nil {
-				t.Fatalf("parallelism %d: %s: %v", par, q, err)
+				t.Fatalf("%d helpers: %s: %v", helpers, q, err)
 			}
 			if got := snapshot(res); got != want[i] {
-				t.Errorf("parallelism %d: %s:\n got %s\nwant %s", par, q, got, want[i])
+				t.Errorf("%d helpers: %s:\n got %s\nwant %s", helpers, q, got, want[i])
 			}
 		}
 	}

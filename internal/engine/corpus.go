@@ -5,15 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"qof/internal/compile"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/index"
-	"qof/internal/qerr"
+	"qof/internal/pool"
 	"qof/internal/region"
 	"qof/internal/text"
 	"qof/internal/xsql"
@@ -27,13 +25,6 @@ import (
 type Corpus struct {
 	cat     *compile.Catalog
 	engines []*Engine
-
-	// Parallelism bounds the number of files queried concurrently: 0 and
-	// 1 evaluate sequentially, N > 1 runs at most N files at a time.
-	// Engines are independent per file, so parallel execution needs no
-	// locking. Set it before the corpus starts serving; Execute itself is
-	// safe to call from many goroutines at once.
-	Parallelism int
 }
 
 // NewCorpus creates an empty corpus over the catalog.
@@ -59,13 +50,14 @@ func newIndexed(cat *compile.Catalog, in *index.Instance, spec grammar.IndexSpec
 }
 
 // AddAll indexes the documents and adds them to the corpus in the given
-// order. When Parallelism is set, the per-document index builds (parse,
-// region extraction, word index, statistics) run concurrently — they are
-// independent per file — but the corpus always ends up identical to
-// sequential Adds: engines are appended in document order, and on error the
-// corpus is left unchanged. Every failing file is reported, not just the
-// first: the returned error joins one attributed error per failed document
-// (errors.Is still matches each underlying cause).
+// order. The per-document index builds (parse, region extraction, word
+// index, statistics) run on the caller and on idle helpers (package pool)
+// — they are independent per file — but the corpus always ends up
+// identical to sequential Adds: engines are appended in document order,
+// and on error the corpus is left unchanged. Every failing file is
+// reported, not just the first: the returned error joins one attributed
+// error per failed document (errors.Is still matches each underlying
+// cause).
 func (c *Corpus) AddAll(docs []*text.Document, spec grammar.IndexSpec) error {
 	return c.AddAllContext(context.Background(), docs, spec)
 }
@@ -84,10 +76,10 @@ func (c *Corpus) AddAllContext(ctx context.Context, docs []*text.Document, spec 
 	return nil
 }
 
-// Reindex returns a new corpus over docs, in the given order and with c's
-// Parallelism, as AddAllContext would build it on an empty corpus — except
-// that a document whose name and content equal a file of c indexed under the
-// same spec keeps that file's engine (its index, result cache and
+// Reindex returns a new corpus over docs, in the given order, as
+// AddAllContext would build it on an empty corpus — except that a document
+// whose name and content equal a file of c indexed under the same spec
+// keeps that file's engine (its index, result cache and
 // statistics) instead of being indexed again. It reports how many documents
 // it indexed. c is never changed; on error it returns no corpus and the
 // joined, per-document attributed error.
@@ -106,12 +98,12 @@ func (c *Corpus) Reindex(ctx context.Context, docs []*text.Document, spec gramma
 	if err != nil {
 		return nil, built, err
 	}
-	return &Corpus{cat: c.cat, engines: engines, Parallelism: c.Parallelism}, built, nil
+	return &Corpus{cat: c.cat, engines: engines}, built, nil
 }
 
 // indexInto builds the engine of every document whose slot in engines is
-// nil, in one fan-out under c.Parallelism, and reports how many it built.
-// Its error is AddAllContext's: one attributed error per failed document.
+// nil, in one fan-out, and reports how many it built. Its error is
+// AddAllContext's: one attributed error per failed document.
 func (c *Corpus) indexInto(ctx context.Context, engines []*Engine, docs []*text.Document, spec grammar.IndexSpec) (int, error) {
 	var todo []int
 	for i, e := range engines {
@@ -119,7 +111,7 @@ func (c *Corpus) indexInto(ctx context.Context, engines []*Engine, docs []*text.
 			todo = append(todo, i)
 		}
 	}
-	errs := fanOut(c.Parallelism, len(todo), func(k int) error {
+	errs := pool.Each(len(todo), func(k int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -143,12 +135,12 @@ func sameSpec(a, b grammar.IndexSpec) bool {
 	return slices.Equal(a.Names, b.Names) && slices.Equal(a.Scoped, b.Scoped)
 }
 
-// Subset returns a corpus over the named files, in c's order and with c's
-// Parallelism: a view that builds nothing and shares each file's engine —
-// its index, result cache and statistics — with c and every other view of
-// it. Names not in c are ignored.
+// Subset returns a corpus over the named files, in c's order: a view that
+// builds nothing and shares each file's engine — its index, result cache
+// and statistics — with c and every other view of it. Names not in c are
+// ignored.
 func (c *Corpus) Subset(names []string) *Corpus {
-	return &Corpus{cat: c.cat, engines: c.named(names), Parallelism: c.Parallelism}
+	return &Corpus{cat: c.cat, engines: c.named(names)}
 }
 
 // named returns the engines of the named files, in corpus order.
@@ -164,50 +156,6 @@ func (c *Corpus) named(names []string) []*Engine {
 		}
 	}
 	return sel
-}
-
-// fanOut runs do(0) … do(n−1) on the caller's goroutine and min(parallelism,
-// n)−1 helpers, each pulling the next index from a shared counter, and
-// returns the errors by index. A panic in do(i) is do(i)'s error, wrapping
-// qerr.ErrInternal, so one bad file fails alone.
-func fanOut(parallelism, n int, do func(i int) error) []error {
-	f := &fan{do: do, errs: make([]error, n)}
-	for h := 1; h < min(parallelism, n); h++ {
-		f.wg.Add(1)
-		go f.help()
-	}
-	f.pull()
-	f.wg.Wait()
-	return f.errs
-}
-
-// fan is one fanOut call's shared state.
-type fan struct {
-	do   func(i int) error
-	errs []error
-	next atomic.Int64
-	wg   sync.WaitGroup
-}
-
-func (f *fan) help() {
-	defer f.wg.Done()
-	f.pull()
-}
-
-// pull runs the next index until none is left.
-func (f *fan) pull() {
-	for i := int(f.next.Add(1)) - 1; i < len(f.errs); i = int(f.next.Add(1)) - 1 {
-		f.run(i)
-	}
-}
-
-func (f *fan) run(i int) {
-	defer func() {
-		if p := recover(); p != nil {
-			f.errs[i] = fmt.Errorf("panic: %v: %w", p, qerr.ErrInternal)
-		}
-	}()
-	f.errs[i] = f.do(i)
 }
 
 // Len reports the number of files in the corpus.
@@ -289,8 +237,8 @@ type ExecOptions struct {
 	Files []string
 }
 
-// Execute runs the query against every file (in parallel when Parallelism
-// is set), merging the per-file results in corpus order. Queries with
+// Execute runs the query against every file (on the caller and on idle
+// helpers), merging the per-file results in corpus order. Queries with
 // several range variables range over objects of the same file (cross-file
 // joins are out of scope, as in the paper).
 func (c *Corpus) Execute(q *xsql.Query) (*CorpusResult, error) {
@@ -315,7 +263,7 @@ func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts 
 		engines = c.named(opts.Files)
 	}
 	results := make([]*Result, len(engines))
-	errs := fanOut(c.Parallelism, len(engines), func(i int) (err error) {
+	errs := pool.Each(len(engines), func(i int) (err error) {
 		if err := faultinject.Hit(faultinject.CorpusFile); err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"qof/internal/engine"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
+	"qof/internal/pool"
 	"qof/internal/testutil"
 	"qof/internal/text"
 	"qof/internal/xsql"
@@ -90,7 +91,7 @@ func TestCorpusAddAll(t *testing.T) {
 		}
 	}
 	bulk := engine.NewCorpus(cat)
-	bulk.Parallelism = 4
+	t.Cleanup(pool.SetHelpers(3))
 	if err := bulk.AddAll(docs, grammar.IndexSpec{}); err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +121,8 @@ func TestCorpusAddAll(t *testing.T) {
 // TestCorpusAddAllError checks that a bad document fails the whole bulk add
 // and leaves the corpus unchanged.
 func TestCorpusAddAllError(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	corpus := engine.NewCorpus(bibtex.Catalog())
-	corpus.Parallelism = 4
 	good, _ := testutil.BibDoc(t, "ok.bib", 5, nil)
 	docs := []*text.Document{good, text.NewDocument("bad.bib", "not bibtex")}
 	if err := corpus.AddAll(docs, grammar.IndexSpec{}); err == nil {
@@ -144,7 +145,6 @@ func TestCorpusParallel(t *testing.T) {
 	cat := bibtex.Catalog()
 	seq := engine.NewCorpus(cat)
 	par := engine.NewCorpus(cat)
-	par.Parallelism = 4
 	for i := 0; i < 6; i++ {
 		mut := func(cfg *bibtex.Config) {
 			cfg.Seed = int64(i)
@@ -160,10 +160,12 @@ func TestCorpusParallel(t *testing.T) {
 		}
 	}
 	q := xsql.MustParse(changAuthorQuery)
+	t.Cleanup(pool.SetHelpers(0))
 	a, err := seq.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(pool.SetHelpers(3))
 	b, err := par.Execute(q)
 	if err != nil {
 		t.Fatal(err)
@@ -179,11 +181,13 @@ func TestCorpusParallel(t *testing.T) {
 	}
 }
 
-// TestCorpusFanOutBound: a 16-file corpus at Parallelism 4 runs its files on
-// the caller's goroutine and three helpers, never more, and answers as the
-// sequential corpus does.
+// TestCorpusFanOutBound: a 16-file corpus runs its files on the caller's
+// goroutine and on the process's helpers, never more than the budget at
+// once and never on a goroutine of its own, and answers as the sequential
+// corpus does.
 func TestCorpusFanOutBound(t *testing.T) {
 	defer faultinject.Reset()
+	t.Cleanup(pool.SetHelpers(0))
 	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
 	c := engine.NewCorpus(cat)
 	if err := c.AddAll(testutil.BibCorpusDocs(t, 16, 30), grammar.IndexSpec{}); err != nil {
@@ -194,7 +198,7 @@ func TestCorpusFanOutBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Parallelism = 4
+	t.Cleanup(pool.SetHelpers(3))
 	// Every file stalls a little, so the helpers overlap.
 	if err := faultinject.Configure("corpus.file=delay:2ms"); err != nil {
 		t.Fatal(err)
@@ -208,11 +212,14 @@ func TestCorpusFanOutBound(t *testing.T) {
 	if corpusSnapshot(got) != corpusSnapshot(want) {
 		t.Errorf("parallel corpus answer differs:\n got %s\nwant %s", corpusSnapshot(got), corpusSnapshot(want))
 	}
-	switch extra := probe.Max() - base; {
-	case extra > 3:
-		t.Errorf("%d goroutines beside the caller's, want at most 3", extra)
-	case extra < 1:
+	switch busy := probe.MaxBusy(); {
+	case busy > pool.Size():
+		t.Errorf("%d helpers busy at once, the budget is %d", busy, pool.Size())
+	case busy < 1:
 		t.Errorf("no helper ran beside the caller")
+	}
+	if extra := probe.Max() - base; extra > 0 {
+		t.Errorf("%d goroutines started; the fan-out may only take helpers", extra)
 	}
 }
 
@@ -224,7 +231,6 @@ func TestCorpusReindexKeepsUnchanged(t *testing.T) {
 	cat := bibtex.Catalog()
 	docs := testutil.BibCorpusDocs(t, 4, 20)
 	old := engine.NewCorpus(cat)
-	old.Parallelism = 2
 	if err := old.AddAll(docs[:3], grammar.IndexSpec{}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +242,8 @@ func TestCorpusReindexKeepsUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := engine.Engines(c)
-	if built != 2 || len(now) != 3 || c.Parallelism != 2 {
-		t.Fatalf("built %d, %d files, parallelism %d; want 2, 3, 2", built, len(now), c.Parallelism)
+	if built != 2 || len(now) != 3 {
+		t.Fatalf("built %d, %d files; want 2, 3", built, len(now))
 	}
 	if now[0] != was[0] || now[1] == was[1] {
 		t.Error("Reindex did not keep exactly the unchanged file's engine")

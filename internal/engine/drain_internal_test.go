@@ -11,6 +11,7 @@ import (
 	"qof/internal/algebra"
 	"qof/internal/bibtex"
 	"qof/internal/grammar"
+	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/text"
@@ -62,8 +63,13 @@ func drainFixture(t *testing.T, n int, src string) (*Engine, *xsql.Query) {
 	return New(cat, in), xsql.MustParse(src)
 }
 
-// drain runs streamPhase2 at the given parallelism over q's candidate
-// stream as fault wraps it, under es, and closes the stream.
+// The most helpers a test in this package pins is 7: start them before any
+// test takes a goroutine count.
+func init() { pool.SetHelpers(7)() }
+
+// drain runs streamPhase2 with par goroutines parsing — the caller and
+// par−1 helpers — over q's candidate stream as fault wraps it, under es,
+// and closes the stream.
 func drain(t *testing.T, e *Engine, q *xsql.Query, par int, es *execEnv, fault *faultIter) (*Result, bool, error) {
 	t.Helper()
 	plan, _, err := e.cat.PrepareQuery(q).Plan(e.indexingChoice())
@@ -77,7 +83,7 @@ func drain(t *testing.T, e *Engine, q *xsql.Query, par int, es *execEnv, fault *
 	}
 	fault.Iterator = it
 	defer fault.Close()
-	e.Parallelism = par
+	defer pool.SetHelpers(par - 1)()
 	res := &Result{Plan: plan, eng: e}
 	em := newEmitter(q, plan, res)
 	_, complete, err := e.streamPhase2(es, plan, vp, fault, res, em)
@@ -189,7 +195,7 @@ func TestDrainChunkBoundaries(t *testing.T) {
 // TestLimitReadAheadBound pins what a LIMIT costs the chunked drain: the
 // answer and every statistic but Candidates are the sequential drain's, and
 // Candidates exceeds the sequential count by less than the in-flight bound,
-// Parallelism+1 chunks of at most maxChunk candidates. A LIMIT that the
+// 2·helpers+2 chunks of at most maxChunk candidates. A LIMIT that the
 // first candidate meets reads nothing ahead. A byte budget is spent as the
 // sequential drain spends it: what was cut ahead is not charged against a
 // LIMIT-stopped query, so the budget that sufficed sequentially suffices,
@@ -199,40 +205,42 @@ func TestLimitReadAheadBound(t *testing.T) {
 	readAhead := 0
 	for _, k := range []int{1, 2, 3, 4, 10, 64, 100, 200} {
 		lq := q.WithLimit(k)
-		e.Parallelism = 1
+		restore := pool.SetHelpers(0)
 		seq, err := e.Execute(lq)
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if seq.Stats.Results != k {
 			t.Fatalf("LIMIT %d: %d rows; the fixture is too small", k, seq.Stats.Results)
 		}
-		for _, par := range []int{2, 4, 8} {
-			e.Parallelism = par
+		for _, helpers := range []int{1, 3, 7} {
+			restore := pool.SetHelpers(helpers)
 			got, err := e.Execute(lq)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(got.Strings) != fmt.Sprint(seq.Strings) || !got.Regions.Equal(seq.Regions) {
-				t.Fatalf("LIMIT %d, parallelism %d: answer differs from the sequential one", k, par)
+				t.Fatalf("LIMIT %d, %d helpers: answer differs from the sequential one", k, helpers)
 			}
 			g, s := got.Stats, seq.Stats
 			if g.Parsed != s.Parsed || g.ParsedBytes != s.ParsedBytes || g.Results != s.Results {
-				t.Errorf("LIMIT %d, parallelism %d: parsed %d (%d bytes), %d rows; sequentially %d (%d bytes), %d rows",
-					k, par, g.Parsed, g.ParsedBytes, g.Results, s.Parsed, s.ParsedBytes, s.Results)
+				t.Errorf("LIMIT %d, %d helpers: parsed %d (%d bytes), %d rows; sequentially %d (%d bytes), %d rows",
+					k, helpers, g.Parsed, g.ParsedBytes, g.Results, s.Parsed, s.ParsedBytes, s.Results)
 			}
 			extra := g.Candidates - s.Candidates
-			if extra < 0 || extra >= (par+1)*maxChunk || (k == 1 && extra != 0) {
-				t.Errorf("LIMIT %d, parallelism %d: %d candidates cut, sequentially %d: read ahead %d, bound %d",
-					k, par, g.Candidates, s.Candidates, extra, (par+1)*maxChunk)
+			if extra < 0 || extra >= (2*helpers+2)*maxChunk || (k == 1 && extra != 0) {
+				t.Errorf("LIMIT %d, %d helpers: %d candidates cut, sequentially %d: read ahead %d, bound %d",
+					k, helpers, g.Candidates, s.Candidates, extra, (2*helpers+2)*maxChunk)
 			}
 			readAhead = max(readAhead, extra)
 			if _, err := e.ExecuteContext(context.Background(), lq, Limits{MaxEvalBytes: s.ParsedBytes}); err != nil {
-				t.Errorf("LIMIT %d, parallelism %d: the sequential run's %d bytes no longer suffice: %v", k, par, s.ParsedBytes, err)
+				t.Errorf("LIMIT %d, %d helpers: the sequential run's %d bytes no longer suffice: %v", k, helpers, s.ParsedBytes, err)
 			}
 			if _, err := e.ExecuteContext(context.Background(), lq, Limits{MaxEvalBytes: s.ParsedBytes - 1}); !errors.Is(err, qerr.ErrBudgetExceeded) {
-				t.Errorf("LIMIT %d, parallelism %d: %d bytes, one short of the sequential run's: %v", k, par, s.ParsedBytes-1, err)
+				t.Errorf("LIMIT %d, %d helpers: %d bytes, one short of the sequential run's: %v", k, helpers, s.ParsedBytes-1, err)
 			}
+			restore()
 		}
 	}
 	if readAhead == 0 {

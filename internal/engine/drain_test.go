@@ -14,6 +14,7 @@ import (
 	"qof/internal/engine"
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
+	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/testutil"
 	"qof/internal/xsql"
@@ -50,7 +51,7 @@ func faultsAtChunkBoundaries(t *testing.T, eng *engine.Engine, q *xsql.Query) {
 		} {
 			var seqErr error
 			for _, par := range []int{1, 4} {
-				eng.Parallelism = par
+				t.Cleanup(pool.SetHelpers(par - 1))
 				ctx, spec := context.Context(context.Background()), fmt.Sprintf("engine.phase2=%s@%d", kind, k)
 				if kind == "cancel" {
 					// The delay of nothing only counts candidates for the cancel.
@@ -78,11 +79,12 @@ func faultsAtChunkBoundaries(t *testing.T, eng *engine.Engine, q *xsql.Query) {
 	waitGoroutines(t, baseGoroutines)
 }
 
-// TestUnparsedPlanStartsNoGoroutine: at Parallelism 4 a plan that parses its
-// candidates hands them to workers, and one that reads nothing of them (an
-// exact whole-object select) processes every candidate on the caller's
-// goroutine and starts none.
+// TestUnparsedPlanStartsNoGoroutine: with three helpers a plan that parses
+// its candidates hands chunks to helpers, and one that reads nothing of
+// them (an exact whole-object select) processes every candidate on the
+// caller's goroutine and takes none. Neither starts a goroutine.
 func TestUnparsedPlanStartsNoGoroutine(t *testing.T) {
+	t.Cleanup(pool.SetHelpers(3))
 	for _, c := range []struct {
 		name   string
 		spec   grammar.IndexSpec
@@ -92,7 +94,6 @@ func TestUnparsedPlanStartsNoGoroutine(t *testing.T) {
 		{"inexact select", paperPartialIndex, true},
 	} {
 		f := testutil.NewBibFixture(t, 200, c.spec, nil)
-		f.Eng.Parallelism = 4
 		q := xsql.MustParse(changAuthorQuery)
 		probe := testutil.NewGoroutineProbe()
 		base := runtime.NumGoroutine()
@@ -103,11 +104,14 @@ func TestUnparsedPlanStartsNoGoroutine(t *testing.T) {
 		if (res.Stats.Parsed > 0) != c.parses || res.Stats.Candidates < 2 {
 			t.Fatalf("%s: not the plan under test: %+v", c.name, res.Stats)
 		}
-		switch started := probe.Max() - base; {
-		case c.parses && started <= 0:
-			t.Errorf("%s: the probe saw no worker; it cannot see one either", c.name)
-		case !c.parses && started > 0:
-			t.Errorf("%s: %d goroutines started for a plan that parses nothing", c.name, started)
+		switch busy := probe.MaxBusy(); {
+		case c.parses && busy == 0:
+			t.Errorf("%s: the probe saw no helper; it cannot see one either", c.name)
+		case !c.parses && busy > 0:
+			t.Errorf("%s: %d helpers taken for a plan that parses nothing", c.name, busy)
+		}
+		if started := probe.Max() - base; started > 0 {
+			t.Errorf("%s: %d goroutines started", c.name, started)
 		}
 	}
 }

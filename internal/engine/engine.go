@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,6 +26,7 @@ import (
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/stats"
@@ -39,8 +39,7 @@ import (
 // number of goroutines. The catalog, instance and evaluator are read-only
 // during execution, per-query state lives in the Result, and the catalog's
 // prepared queries — plans belong to the schema, not to a file's engine —
-// synchronize internally. The Parallelism field is configuration — set it
-// before the engine starts serving.
+// synchronize internally.
 type Engine struct {
 	cat     *compile.Catalog
 	in      *index.Instance
@@ -50,14 +49,6 @@ type Engine struct {
 	spec    grammar.IndexSpec // what a Corpus indexed it under, for Reindex
 
 	choice atomic.Pointer[choiceAt] // the indexing choice as of an instance epoch
-
-	// Parallelism bounds the worker goroutines that parse and filter one
-	// Execute call's phase-2 candidates; values < 2 parse them on the
-	// caller's goroutine. Answers and their order are the same either way,
-	// and so are statistics, except that under a LIMIT Candidates counts
-	// what the drain had cut ahead of the stop point: at most
-	// (Parallelism+1)·maxChunk − 1 more than a sequential run.
-	Parallelism int
 }
 
 // New creates an engine over the catalog and instance. Construction
@@ -88,8 +79,8 @@ func (e *Engine) Catalog() *compile.Catalog { return e.cat }
 func (e *Engine) IndexStats() *stats.Stats { return e.st }
 
 // DisableResultCache turns off the cross-query result cache. It is
-// configuration, like Parallelism: call it before the engine starts
-// serving. Benchmarks use it to isolate the cache's contribution.
+// configuration: call it before the engine starts serving. Benchmarks use
+// it to isolate the cache's contribution.
 func (e *Engine) DisableResultCache() {
 	e.ev.Results = nil
 	e.results = nil
@@ -582,14 +573,14 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 // exhaustion (false when the LIMIT stopped it). The caller's goroutine is
 // the iterator's only consumer, and it processes the first candidate
 // itself. It processes the others itself as well — the sequential drain —
-// unless Parallelism is at least 2 and the plan parses its candidates (one
-// that parses nothing has too little work per candidate to hand off); then
-// drainChunks takes the rest. A LIMIT that the first candidate meets
-// therefore starts no goroutine.
+// unless the helper budget (package pool) is not zero and the plan parses
+// its candidates (one that parses nothing has too little work per
+// candidate to hand off); then drainChunks takes the rest. A LIMIT that
+// the first candidate meets therefore takes no helper.
 func (e *Engine) streamPhase2(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result, em *emitter) (all []region.Region, complete bool, err error) {
-	parallel := e.Parallelism > 1 && !vp.Reads.Empty()
+	chunked := !vp.Reads.Empty() && pool.Size() > 0
 	for !em.full() {
-		if parallel && len(all) > 0 {
+		if chunked && len(all) > 0 {
 			return e.drainChunks(es, plan, vp, src, res, em, all)
 		}
 		r, ok, err := nextCandidate(src)
@@ -629,13 +620,24 @@ func nextCandidate(src region.Iterator) (r region.Region, ok bool, err error) {
 // one pays one hand-off per maxChunk candidates.
 const maxChunk = 64
 
-// chunk is a run of consecutive candidates that one worker takes through
-// processCandidate in document order.
+// chunk is a run of consecutive candidates that one goroutine — a helper
+// or the drain's caller — takes through processCandidate in document order.
 type chunk struct {
-	rs   []region.Region // the candidates: a window onto the drain's all
-	out  []processed     // one per candidate processed, in order
-	err  error           // the failure that stopped the chunk after out
-	done chan struct{}   // closed by the worker when it is through
+	rs      []region.Region // the candidates: a window onto the drain's all
+	out     []processed     // one per candidate processed, in order
+	err     error           // the failure that stopped the chunk after out
+	claimed atomic.Bool     // taken by the goroutine that parses it
+	done    chan struct{}   // closed when the chunk is through
+}
+
+// isDone reports whether c is through.
+func isDone(c *chunk) bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // processed is processCandidate's answer for one candidate.
@@ -644,47 +646,58 @@ type processed struct {
 	keep bool
 }
 
-// drainChunks is the rest of a parallel drain, after streamPhase2 ran the
+// drainChunks is the rest of a chunked drain, after streamPhase2 ran the
 // first candidate (all) inline. The caller cuts the candidates into chunks
 // of 2, 4, … up to maxChunk, charging the byte budget for each as it cuts
-// it, keeps at most Parallelism+1 chunks in flight, and starts a worker per
-// chunk in flight up to Parallelism. It emits each finished chunk strictly
-// in document order, candidate by candidate, so the answer, Parsed and the
-// first error in document order — a spent budget included — are the
-// sequential drain's; only Candidates counts what was cut ahead of a LIMIT.
-// Every worker is joined before it returns.
+// it, keeps at most 2·helpers+2 chunks in flight, offers each to the
+// helpers in cut order and takes idle helpers up to the budget; a helper
+// parses offered chunks until the drain ends. Whoever claims a chunk first
+// parses it. The caller claims the oldest chunk when nobody has, and while
+// a helper has it, the newest ones, so the helpers keep the chunks next in
+// line and a lone query keeps every core. It emits each finished chunk
+// strictly in document order, so the answer, Parsed and the first error in
+// document order — a spent budget included — are the sequential drain's;
+// only Candidates counts what was cut ahead of a LIMIT, fewer than
+// (2·helpers+2)·maxChunk. Every helper it took is through before it
+// returns.
 func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result, em *emitter, all []region.Region) (_ []region.Region, complete bool, err error) {
 	var (
-		work    = make(chan *chunk, e.Parallelism+1) // sized to the in-flight bound: a send never blocks
-		wg      sync.WaitGroup
-		stop    atomic.Bool // the drain is over: workers skip what is left
-		workers int
-		fifo    []*chunk // cut and not yet emitted, in document order
+		helpers = pool.Size()
+		work    = make(chan *chunk, 2*helpers+2) // chunks offered to helpers: at most the chunks in flight
+		group   pool.Group                       // the helpers taken
+		stop    atomic.Bool                      // the drain is over: what is left is skipped
+		taken   int                              // helpers taken: each parses chunks until work closes
+		fifo    []*chunk                         // cut and not yet emitted, in document order
 		size    = 2
 		eof     bool
 		cutErr  error // what stopped the cutting: the stream's failure or the budget's
 	)
-	wes := &execEnv{ctx: es.ctx} // the workers' view: the caller charged what they parse
-	worker := func() {
-		defer wg.Done()
-		for c := range work {
-			c.out = make([]processed, 0, len(c.rs))
-			for _, r := range c.rs {
-				if stop.Load() {
-					break
-				}
-				obj, keep, err := e.processCandidate(wes, plan, vp, r)
-				if err != nil {
-					c.err = err
-					break
-				}
-				c.out = append(c.out, processed{obj: obj, keep: keep})
+	wes := &execEnv{ctx: es.ctx} // the chunks' view: the caller charged what they parse
+	run := func(c *chunk) {
+		if !c.claimed.CompareAndSwap(false, true) {
+			return
+		}
+		c.out = make([]processed, 0, len(c.rs))
+		for _, r := range c.rs {
+			if stop.Load() {
+				break
 			}
-			close(c.done)
+			obj, keep, err := e.processCandidate(wes, plan, vp, r)
+			if err != nil {
+				c.err = err
+				break
+			}
+			c.out = append(c.out, processed{obj: obj, keep: keep})
+		}
+		close(c.done)
+	}
+	help := func() {
+		for c := range work {
+			run(c)
 		}
 	}
 	for !em.full() && err == nil {
-		for !eof && cutErr == nil && len(fifo) <= e.Parallelism {
+		for !eof && cutErr == nil && len(fifo) <= 2*helpers+1 {
 			lo := len(all)
 			for len(all)-lo < size {
 				r, ok, err := nextCandidate(src)
@@ -706,11 +719,12 @@ func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPla
 			}
 			c := &chunk{rs: all[lo:len(all):len(all)], done: make(chan struct{})}
 			fifo = append(fifo, c)
-			work <- c
-			if workers < len(fifo) && workers < e.Parallelism {
-				wg.Add(1)
-				go worker()
-				workers++
+			select {
+			case work <- c:
+			default: // the helpers are behind; the caller parses it
+			}
+			if taken < helpers && group.TryGo(help) {
+				taken++
 			}
 			size = min(2*size, maxChunk)
 		}
@@ -720,6 +734,10 @@ func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPla
 		}
 		c := fifo[0]
 		fifo = fifo[:copy(fifo, fifo[1:])]
+		run(c) // unless a helper has it
+		for i := len(fifo) - 1; i >= 0 && !isDone(c); i-- {
+			run(fifo[i]) // the newest first: helpers take the oldest
+		}
 		<-c.done
 		for i := 0; i < len(c.out) && !em.full(); i++ {
 			res.Stats.countParsed(vp, c.rs[i])
@@ -733,7 +751,7 @@ func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPla
 	}
 	stop.Store(true)
 	close(work)
-	wg.Wait()
+	group.Wait()
 	return all, complete, err
 }
 

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -359,11 +358,10 @@ func TestPaperFlagshipQuery(t *testing.T) {
 }
 
 // TestMultiVarJoin: a join answers what the full-scan baseline does,
-// whichever variable it selects, with its drains at a File's default
-// parallelism (GOMAXPROCS), and projects in document order.
+// whichever variable it selects, with its drains under the default helper
+// budget (GOMAXPROCS−1), and projects in document order.
 func TestMultiVarJoin(t *testing.T) {
 	f := testutil.NewBibFixture(t, 12, grammar.IndexSpec{}, nil)
-	f.Eng.Parallelism = runtime.GOMAXPROCS(0)
 	for _, src := range []string{
 		// References whose key is referred to by some other reference.
 		`SELECT r FROM References r, References s WHERE s.Referred.RefKey = r.Key`,

@@ -22,6 +22,7 @@ import (
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/region"
 	"qof/internal/scan"
@@ -127,8 +128,8 @@ func TestStatsCountWhatWasParsed(t *testing.T) {
 			name        string
 			parallelism int
 		}{{"sequential", 1}, {"x4", 4}} {
+			t.Cleanup(pool.SetHelpers(mode.parallelism - 1))
 			f := testutil.NewBibFixture(t, 80, c.spec, nil)
-			f.Eng.Parallelism = mode.parallelism
 			res, err := f.Eng.Execute(xsql.MustParse(c.src))
 			if err != nil {
 				t.Fatalf("%s (%s): %v", c.name, mode.name, err)
@@ -324,8 +325,8 @@ func TestLoadedIndexDisagreesWithDocument(t *testing.T) {
 	}
 	q := xsql.MustParse(valueJoinQuery)
 	for _, parallelism := range []int{1, 3} {
+		t.Cleanup(pool.SetHelpers(parallelism - 1))
 		eng := engine.New(good.Cat, loaded)
-		eng.Parallelism = parallelism
 		_, err := eng.Execute(q)
 		var perr *grammar.ParseError
 		if !errors.As(err, &perr) {

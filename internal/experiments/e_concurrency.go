@@ -9,6 +9,7 @@ import (
 	"qof/internal/bibtex"
 	"qof/internal/engine"
 	"qof/internal/grammar"
+	"qof/internal/pool"
 	"qof/internal/xsql"
 )
 
@@ -80,8 +81,9 @@ var phase2Queries = []string{
 // X2 is an extension experiment: concurrent query serving. Mode "clients"
 // drives N goroutines of mixed queries against one shared engine and reports
 // throughput (the multi-member shared-access setting of Section 2); mode
-// "phase2" runs phase2Queries from one caller with N phase-2 workers and
-// reports single-query throughput. Speedups are relative to the 1-worker row
+// "phase2" runs phase2Queries from one caller with the helper budget
+// pinned at N−1, so N goroutines parse, and reports single-query
+// throughput. Speedups are relative to the 1-worker row
 // of the same mode, and no mode can beat the host's core count.
 func X2(opt Options) (*Table, error) {
 	t := &Table{
@@ -90,7 +92,7 @@ func X2(opt Options) (*Table, error) {
 		Header: []string{"mode", "workers", "queries", "elapsed_ms", "qps", "speedup"},
 		Notes: []string{
 			"clients: N goroutines share one Engine; work-stealing over a mixed query list",
-			"phase2: one caller, Engine.Parallelism=N; CONTAINS selects on the partial index {Reference, Key, Last_Name}, every candidate parsed",
+			"phase2: one caller and N−1 helpers (pool.SetHelpers); CONTAINS selects on the partial index {Reference, Key, Last_Name}, every candidate parsed",
 		},
 	}
 	n := opt.Sizes[0]
@@ -136,8 +138,9 @@ func X2(opt Options) (*Table, error) {
 	}
 	base = 0
 	for _, w := range ConcurrencyWorkers {
-		partial.Engine.Parallelism = w
+		restore := pool.SetHelpers(w - 1)
 		elapsed, err := ServeConcurrent(partial.Engine, parseHeavy, 1, total)
+		restore()
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,8 @@
 //
 //	error        Hit returns an error wrapping ErrInjected
 //	panic        Hit panics with an InjectedPanic value
-//	delay:DUR    Hit sleeps for DUR (e.g. delay:20ms), then returns nil
+//	delay:DUR    Hit sleeps for DUR (e.g. delay:20ms), then returns nil;
+//	             HitN's sleep ends early when its context ends
 //
 // and the optional trigger selects which hits fire:
 //
@@ -33,6 +34,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -239,28 +241,31 @@ func Hit(name string) error {
 	if !active.Load() {
 		return nil
 	}
-	return hitSlow(name)
+	return hitSlow(context.Background(), name)
 }
 
-// HitN is Hit with an instance selector: it evaluates both the plain
-// failpoint name and the instance-scoped "name#n" directive, so a test can
-// target one member of a replicated set ("serve.shard#2=delay:40ms" stalls
-// only shard 2's primary attempts) while "serve.shard=..." still covers all
-// of them. The plain rule is consulted first; n < 0 skips the selector.
-func HitN(name string, n int) error {
+// HitN is Hit with an instance selector and the context of the work it
+// guards: it evaluates both the plain failpoint name and the
+// instance-scoped "name#n" directive, so a test can target one member of a
+// replicated set ("serve.shard#2=delay:40ms" stalls only shard 2's primary
+// attempts) while "serve.shard=..." still covers all of them. The plain
+// rule is consulted first; n < 0 skips the selector. A delay ends when ctx
+// does: a stalled attempt that is canceled stops stalling and goes on, as
+// real work polling its context would, to find its context done.
+func HitN(ctx context.Context, name string, n int) error {
 	if !active.Load() {
 		return nil
 	}
-	if err := hitSlow(name); err != nil {
+	if err := hitSlow(ctx, name); err != nil {
 		return err
 	}
 	if n < 0 {
 		return nil
 	}
-	return hitSlow(name + "#" + strconv.Itoa(n))
+	return hitSlow(ctx, name+"#"+strconv.Itoa(n))
 }
 
-func hitSlow(name string) error {
+func hitSlow(ctx context.Context, name string) error {
 	mu.Lock()
 	r := rules[name]
 	mu.Unlock()
@@ -275,7 +280,12 @@ func hitSlow(name string) error {
 	case kindPanic:
 		panic(InjectedPanic{Name: name})
 	case kindDelay:
-		time.Sleep(r.delay)
+		t := time.NewTimer(r.delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
 		return nil
 	default:
 		return fmt.Errorf("%s: %w", name, ErrInjected)

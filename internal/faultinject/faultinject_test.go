@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -176,10 +177,10 @@ func TestHitNInstanceSelector(t *testing.T) {
 	if err := Configure("serve.shard#2=error"); err != nil {
 		t.Fatal(err)
 	}
-	if err := HitN(ServeShard, 0); err != nil {
+	if err := HitN(context.Background(), ServeShard, 0); err != nil {
 		t.Fatalf("HitN(serve.shard, 0): %v", err)
 	}
-	if err := HitN(ServeShard, 2); !errors.Is(err, ErrInjected) {
+	if err := HitN(context.Background(), ServeShard, 2); !errors.Is(err, ErrInjected) {
 		t.Fatalf("HitN(serve.shard, 2) = %v, want ErrInjected", err)
 	}
 	if err := Hit(ServeShard); err != nil {
@@ -196,16 +197,34 @@ func TestHitNPlainRuleCoversAllInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < 3; n++ {
-		if err := HitN(ServeReplica, n); !errors.Is(err, ErrInjected) {
+		if err := HitN(context.Background(), ServeReplica, n); !errors.Is(err, ErrInjected) {
 			t.Fatalf("HitN(serve.replica, %d) = %v, want ErrInjected", n, err)
 		}
 	}
 	// n < 0 skips the instance selector entirely.
-	if err := HitN(ServeHedge, -1); err != nil {
+	if err := HitN(context.Background(), ServeHedge, -1); err != nil {
 		t.Fatalf("HitN(serve.hedge, -1) unconfigured: %v", err)
 	}
 	if got := Hits(ServeReplica); got != 3 {
 		t.Fatalf("Hits(serve.replica) = %d, want 3", got)
+	}
+}
+
+// TestHitNDelayEndsWithContext: a delay stalls HitN only until its context
+// ends, so a canceled attempt stops stalling at once.
+func TestHitNDelayEndsWithContext(t *testing.T) {
+	defer Reset()
+	if err := Configure("serve.shard#1=delay:10s"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := HitN(ctx, ServeShard, 1); err != nil {
+		t.Fatalf("HitN under a 20ms deadline = %v, want nil: a delay never fails", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("the delay outlived its context by %v", d)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 	"qof/internal/text"
 )
 
-// waitGoroutines polls until the goroutine count is back at base: the
-// build's goroutine closes its channel as its last act, so it may still be
-// on its way out when BuildInstanceContext returns.
+// waitGoroutines polls until the goroutine count is back at base. The
+// build's word-index side runs on a helper (package pool) or on the caller,
+// and helpers never exit, so the count should already be there.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -33,7 +33,7 @@ func waitGoroutines(t *testing.T, base int) {
 // TestBuildJoinsItsGoroutine: on every path out of BuildInstanceContext —
 // success, a document that does not parse, a context canceled before the
 // build, the IndexBuild failpoint's error and panic, a panic on either side
-// — the word-index goroutine has finished if it was started, nothing is
+// — the word-index side has finished if it was started, nothing is
 // left running, and a panic arrives on the calling goroutine with the value
 // it was raised with. Run under -race.
 func TestBuildJoinsItsGoroutine(t *testing.T) {
@@ -160,7 +160,7 @@ func TestBuildJoinsItsGoroutine(t *testing.T) {
 				in, tree, err = c.g.BuildInstanceContext(ctx, c.doc, IndexSpec{Names: []string{"Reference", "Key"}})
 			}()
 			// Read before anything else can run: the build is back, so its
-			// goroutine must be.
+			// word-index side must be.
 			if s, f := started.Load(), finished.Load(); s != c.starts || f != s {
 				t.Errorf("word-index side started %d times and had finished %d when the build returned; want %d and %d", s, f, c.starts, c.starts)
 			}

@@ -209,7 +209,7 @@ func TestBuildHandPickedSpecs(t *testing.T) {
 	}
 }
 
-// TestBuildPanicIsInternalError: a panic on the build's second goroutine
+// TestBuildPanicIsInternalError: a panic on the build's word-index side
 // comes back through the facade as ErrInternal — File and Corpus, which
 // names the file — and the schema indexes and answers afterwards.
 func TestBuildPanicIsInternalError(t *testing.T) {
@@ -228,7 +228,7 @@ func TestBuildPanicIsInternalError(t *testing.T) {
 	if !errors.Is(err, qof.ErrInternal) || !strings.Contains(err.Error(), "out of cheese") || !strings.Contains(err.Error(), "bad.bib") {
 		t.Fatalf("IndexContext: %v, want ErrInternal naming bad.bib and carrying the panic's value", err)
 	}
-	corpus := schema.NewCorpus(qof.WithParallelism(2))
+	corpus := schema.NewCorpus()
 	err = corpus.AddAll(map[string]string{"a.bib": src, "bad2.bib": src, "c.bib": src})
 	if !errors.Is(err, qof.ErrInternal) || !strings.Contains(err.Error(), "bad2.bib") || strings.Contains(err.Error(), "a.bib") {
 		t.Fatalf("AddAll: %v, want ErrInternal attributed to bad2.bib alone", err)

@@ -6,6 +6,7 @@ import (
 
 	"qof/internal/faultinject"
 	"qof/internal/index"
+	"qof/internal/pool"
 	"qof/internal/region"
 	"qof/internal/text"
 )
@@ -108,7 +109,7 @@ func (g *Grammar) BuildInstance(doc *text.Document, spec IndexSpec) (*index.Inst
 }
 
 // newInstance builds the word index; a variable so that a test can make the
-// build's second goroutine panic. Nothing else writes it.
+// build's word-index side panic. Nothing else writes it.
 var newInstance = index.NewInstance
 
 // BuildInstanceContext is BuildInstance under a context: cancellation is
@@ -116,11 +117,12 @@ var newInstance = index.NewInstance
 // index definitions), so an abandoned build stops promptly
 // without ever publishing a partially defined instance.
 //
-// The file's regions come from Regions, and the word index is built on a
-// second goroutine while it parses. That goroutine is this function's: it is
-// joined on every path out, a panicking parse included, and a panic inside
-// it is raised again here, on the caller's goroutine, where the caller's
-// recover can see it.
+// The file's regions come from Regions, and the word index is built on an
+// idle helper (package pool) while it parses, or first, on the caller's
+// goroutine, when no helper is idle. The helper's work is joined on every
+// path out, a panicking parse included, and a panic inside it is raised
+// again here, on the caller's goroutine, where the caller's recover can see
+// it.
 func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, spec IndexSpec) (*index.Instance, *Node, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -136,11 +138,14 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 		crashed any
 		joined  = make(chan struct{})
 	)
-	go func() {
+	words := func() {
 		defer close(joined)
 		defer func() { crashed = recover() }()
 		in = newInstance(doc)
-	}()
+	}
+	if !pool.TryGo(words) {
+		words()
+	}
 	named, scoped, err := func() (map[string]region.Set, []region.Set, error) {
 		defer func() { <-joined }()
 		return g.Regions(ctx, doc, spec, g.root, 0, int32(doc.Len()))

@@ -3,7 +3,7 @@
 // any disagreement fails with a report that names the query, the plan and
 // both results. The engine side deliberately exercises its whole machinery —
 // optimized plans, the plan cache (every query executes repeatedly), and
-// phase 2 both inline and on workers — while the oracle side uses none of it.
+// phase 2 both inline and on helpers — while the oracle side uses none of it.
 package diff
 
 import (
@@ -11,11 +11,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"qof/internal/algebra"
 	"qof/internal/engine"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/pool"
 	"qof/internal/qgen"
 	"qof/internal/refeval"
 	"qof/internal/region"
@@ -35,9 +37,13 @@ type Harness struct {
 // limitLegKs are the LIMIT values the prefix leg re-runs every query with.
 var limitLegKs = []int{1, 3}
 
-// parallelisms are the engine's phase-2 settings every query runs at: the
-// inline drain and the chunked one. The engine is left at the last.
-var parallelisms = []int{1, 4}
+// helperCounts are the helper budgets (package pool) every query runs
+// under: the inline drain and the chunked one.
+var helperCounts = []int{0, 3}
+
+// helpersMu serializes the checks, which pin the process's helper budget,
+// across harnesses in parallel tests.
+var helpersMu sync.Mutex
 
 // New builds a harness for one domain under one index specification.
 func New(d *qgen.Domain, specIdx int, spec grammar.IndexSpec) (*Harness, error) {
@@ -49,12 +55,10 @@ func New(d *qgen.Domain, specIdx int, spec grammar.IndexSpec) (*Harness, error) 
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(d.Cat, in)
-	eng.Parallelism = parallelisms[len(parallelisms)-1]
 	return &Harness{
 		Name:   fmt.Sprintf("%s/spec%d", d.Name, specIdx),
 		In:     in,
-		Eng:    eng,
+		Eng:    engine.New(d.Cat, in),
 		Oracle: oracle,
 		Ref:    refeval.New(in),
 	}, nil
@@ -73,33 +77,36 @@ func Harnesses(d *qgen.Domain) ([]*Harness, error) {
 	return out, nil
 }
 
-// CheckQuery executes q on the engine three times at each of the harness's
-// parallelisms — every run after the first must come from the plan cache,
-// and by the third the cross-query result cache is warm, so both cache
-// layers are under differential test — and on the oracle, and returns a
-// mismatch report as an error, or nil when all runs agree. The last runs at
-// each parallelism must agree on every repeatable statistic. When the query
-// succeeds, the LIMIT leg re-runs it with LIMIT k at each parallelism and
-// checks the limited answer against the full one.
+// CheckQuery executes q on the engine three times under each of the
+// helper budgets — every run after the first must come from the plan
+// cache, and by the third the cross-query result cache is warm, so both
+// cache layers are under differential test — and on the oracle, and
+// returns a mismatch report as an error, or nil when all runs agree. The
+// last runs under each budget must agree on every repeatable statistic.
+// When the query succeeds, the LIMIT leg re-runs it with LIMIT k under
+// each budget and checks the limited answer against the full one.
 func (h *Harness) CheckQuery(q *xsql.Query) error {
 	want, oerr := h.Oracle.Query(q)
-	full := make([]*engine.Result, len(parallelisms))
-	for pi, par := range parallelisms {
-		h.Eng.Parallelism = par
+	helpersMu.Lock()
+	defer helpersMu.Unlock()
+	defer pool.SetHelpers(helperCounts[0])() // restores the budget the sweeps below replace
+	full := make([]*engine.Result, len(helperCounts))
+	for pi, par := range helperCounts {
+		pool.SetHelpers(par)
 		for run := 0; run < 3; run++ {
 			got, err := h.Eng.Execute(q)
 			if (err != nil) != (oerr != nil) {
-				return fmt.Errorf("%s: error disagreement on %s (parallelism %d, run %d):\n  engine: %v\n  oracle: %v",
+				return fmt.Errorf("%s: error disagreement on %s (%d helpers, run %d):\n  engine: %v\n  oracle: %v",
 					h.Name, q, par, run, err, oerr)
 			}
 			if err != nil {
 				continue // both sides reject the query the same way
 			}
 			if (pi > 0 || run >= 1) && !got.Stats.PlanCached {
-				return fmt.Errorf("%s: run %d of %s at parallelism %d did not hit the plan cache", h.Name, run, q, par)
+				return fmt.Errorf("%s: run %d of %s with %d helpers did not hit the plan cache", h.Name, run, q, par)
 			}
 			if msg := h.compare(q, got, want); msg != "" {
-				return fmt.Errorf("%s: mismatch on %s (parallelism %d, run %d):\n%s\nplan:\n%s",
+				return fmt.Errorf("%s: mismatch on %s (%d helpers, run %d):\n%s\nplan:\n%s",
 					h.Name, q, par, run, msg, indent(got.Plan.Explain()))
 			}
 			full[pi] = got
@@ -110,14 +117,14 @@ func (h *Harness) CheckQuery(q *xsql.Query) error {
 	}
 	for pi := 1; pi < len(full); pi++ {
 		if a, b := repeatable(full[0].Stats), repeatable(full[pi].Stats); a != b {
-			return fmt.Errorf("%s: statistics of %s differ at parallelism %d and %d:\n  %+v\n  %+v",
-				h.Name, q, parallelisms[0], parallelisms[pi], a, b)
+			return fmt.Errorf("%s: statistics of %s differ with %d and %d helpers:\n  %+v\n  %+v",
+				h.Name, q, helperCounts[0], helperCounts[pi], a, b)
 		}
 	}
 	for _, k := range limitLegKs {
 		var seq engine.Stats
-		for pi, par := range parallelisms {
-			h.Eng.Parallelism = par
+		for pi, par := range helperCounts {
+			pool.SetHelpers(par)
 			limited, err := h.checkLimit(q, k, full[0])
 			if err != nil {
 				return err
@@ -127,17 +134,17 @@ func (h *Harness) CheckQuery(q *xsql.Query) error {
 				seq = st
 				continue
 			}
-			// Workers may have cut candidates past the stop point: that shows
+			// Helpers may have cut candidates past the stop point: that shows
 			// in Candidates and in the buffer bytes counted for them, and
 			// nowhere else.
 			if st.Candidates < seq.Candidates || st.PeakBytes < seq.PeakBytes {
-				return fmt.Errorf("%s: LIMIT %d on %s at parallelism %d read less than sequentially:\n  %+v\n  %+v",
+				return fmt.Errorf("%s: LIMIT %d on %s with %d helpers read less than sequentially:\n  %+v\n  %+v",
 					h.Name, k, q, par, seq, st)
 			}
 			st.Candidates, st.PeakBytes = seq.Candidates, seq.PeakBytes
 			if st != seq {
-				return fmt.Errorf("%s: LIMIT %d on %s: statistics differ at parallelism %d and %d:\n  %+v\n  %+v",
-					h.Name, k, q, parallelisms[0], par, seq, st)
+				return fmt.Errorf("%s: LIMIT %d on %s: statistics differ with %d and %d helpers:\n  %+v\n  %+v",
+					h.Name, k, q, helperCounts[0], par, seq, st)
 			}
 		}
 	}

@@ -73,7 +73,7 @@ type chaosOracle struct {
 
 func buildOracle(t *testing.T, schema *qof.Schema, files map[string]string, queries []string) *chaosOracle {
 	t.Helper()
-	direct := schema.NewCorpus(qof.WithParallelism(2))
+	direct := schema.NewCorpus()
 	if err := direct.AddAll(files); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,6 @@ func TestChaosSoak(t *testing.T) {
 		Schema:           schema,
 		Shards:           chaosShards,
 		Replicas:         2,
-		Parallelism:      2,
 		MaxInflight:      24,
 		HedgeAfter:       time.Millisecond,
 		BreakerThreshold: 3,

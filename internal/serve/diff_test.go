@@ -80,7 +80,7 @@ type daemonLeg struct {
 
 func startLeg(t *testing.T, name string, schema *qof.Schema, files map[string]string, shards int) *daemonLeg {
 	t.Helper()
-	return startLegCfg(t, name, files, serve.Config{Schema: schema, Shards: shards, Parallelism: 2})
+	return startLegCfg(t, name, files, serve.Config{Schema: schema, Shards: shards})
 }
 
 func startLegCfg(t *testing.T, name string, files map[string]string, cfg serve.Config) *daemonLeg {
@@ -167,7 +167,7 @@ func TestHTTPDifferential(t *testing.T) {
 			schema := schemaFor(domain)
 
 			// The direct facade reference: one corpus, every file.
-			direct := schema.NewCorpus(qof.WithParallelism(2))
+			direct := schema.NewCorpus()
 			if err := direct.AddAll(files); err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +334,7 @@ func TestHTTPDifferentialReplicated(t *testing.T) {
 	files := domainFiles("bibtex")
 	nFiles := len(files)
 	schema := schemaFor("bibtex")
-	direct := schema.NewCorpus(qof.WithParallelism(2))
+	direct := schema.NewCorpus()
 	if err := direct.AddAll(files); err != nil {
 		t.Fatal(err)
 	}
@@ -342,19 +342,17 @@ func TestHTTPDifferentialReplicated(t *testing.T) {
 	var legs []*daemonLeg
 	for _, shards := range []int{1, 2, 4, 7} {
 		legs = append(legs, startLegCfg(t, fmt.Sprintf("bibtex/shards=%d+r2", shards), files, serve.Config{
-			Schema:      schema,
-			Shards:      shards,
-			Replicas:    2,
-			Parallelism: 2,
+			Schema:   schema,
+			Shards:   shards,
+			Replicas: 2,
 		}))
 	}
 	// The forced-failover leg: shard 0's breaker is pinned open, so every
 	// group with primary 0 must route to its secondary replica.
 	broken := startLegCfg(t, "bibtex/shards=2+r2+breaker-open", files, serve.Config{
-		Schema:      schema,
-		Shards:      2,
-		Replicas:    2,
-		Parallelism: 2,
+		Schema:   schema,
+		Shards:   2,
+		Replicas: 2,
 	})
 	broken.srv.ForceBreaker(0, true)
 

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,7 @@ import (
 
 	"qof"
 	"qof/internal/faultinject"
+	"qof/internal/pool"
 	"qof/internal/qerr"
 )
 
@@ -92,9 +94,8 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker rejects routing before
 	// admitting a half-open probe. Values <= 0 mean 1s.
 	BreakerCooldown time.Duration
-	// Parallelism is the number of files evaluated concurrently within one
-	// shard, and of files indexed concurrently during Publish. Values < 2
-	// are sequential.
+	// Deprecated: Parallelism is ignored. Queries and publishes spread
+	// their work over the process's GOMAXPROCS−1 helpers (package pool).
 	Parallelism int
 
 	// MaxInflight bounds the queries executing at once, server-wide;
@@ -236,7 +237,7 @@ func New(cfg Config) (*Server, error) {
 		breakers: breakers,
 	}
 	// Generation 0 holds no file: every publish reindexes the one before it.
-	s.set.Store(&shardSet{all: cfg.Schema.NewCorpus(qof.WithParallelism(cfg.Parallelism))})
+	s.set.Store(&shardSet{all: cfg.Schema.NewCorpus()})
 	return s, nil
 }
 
@@ -310,25 +311,13 @@ func (s *Server) publish(ctx context.Context, files map[string]string) (uint64, 
 		return old.epoch, built, fmt.Errorf("serve: %w", err)
 	}
 	shards := make([]*qof.Corpus, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("panic: %v: %w", p, qerr.ErrInternal)
-				}
-			}()
-			if err := faultinject.Hit(faultinject.ServePublish); err != nil {
-				errs[i] = err
-				return
-			}
-			shards[i] = all.Subset(onShard[i]...)
-		}(i)
-	}
-	wg.Wait()
+	errs := pool.Each(n, func(i int) error {
+		if err := faultinject.Hit(faultinject.ServePublish); err != nil {
+			return err
+		}
+		shards[i] = all.Subset(onShard[i]...)
+		return nil
+	})
 	for i := range errs {
 		if errs[i] != nil {
 			errs[i] = fmt.Errorf("serve: shard %d: %w", i, errs[i])
@@ -453,6 +442,10 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 		return nil, ErrShed
 	}
 	defer release()
+	// An admitted query runs on this goroutine to the end, so a burst would
+	// queue in the scheduler, unseen by admission. Yielding once lets every
+	// request that already arrived reach admission and be counted or shed.
+	runtime.Gosched()
 	s.met.queries.Add(1)
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
@@ -476,26 +469,23 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 		opts = append(opts, qof.WithFileTimeout(s.cfg.FileTimeout))
 	}
 
-	// Scatter: one dispatcher goroutine per replica group (group counts
-	// are small — at most the number of distinct placements). Each group's
-	// dispatcher hedges, fails over and fails open among the group's
-	// replicas; each attempt is panic-isolated and deadline-bounded on its
-	// own, so one bad replica degrades nothing while another routes to its files.
-	outs := make([]groupOut, len(set.groups))
-	var wg sync.WaitGroup
-	for gi := range set.groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					outs[gi] = groupOut{err: fmt.Errorf("panic: %v: %w", p, qerr.ErrInternal)}
-				}
-			}()
-			outs[gi] = s.runGroup(ctx, set, set.groups[gi], req.Query, opts)
-		}(gi)
+	// Scatter: every group is routed and armed now, then pulled by this
+	// goroutine and idle helpers; each hedges, fails over and fails open
+	// among its replicas, and each attempt is panic-isolated and
+	// deadline-bounded, so one bad replica degrades nothing.
+	hedge, tc, armed := s.hedgeDelay(), s.met.tenant(req.Tenant), time.Now()
+	ds := make([]*dispatch, len(set.groups))
+	for gi, g := range set.groups {
+		ds[gi] = s.dispatchGroup(ctx, set, g, tc, req.Query, opts, hedge)
 	}
-	wg.Wait()
+	if hedge > 0 && time.Since(armed) >= hedge {
+		runtime.Gosched() // the hedges are due already: let them start before the primaries
+	}
+	outs := make([]*qof.CorpusResults, len(ds))
+	errs := pool.Each(len(ds), func(gi int) (err error) {
+		outs[gi], err = ds[gi].run()
+		return err
+	})
 
 	// Gather: merge per-group hits and failures back into global document
 	// order. A group whose every routed replica failed wholesale (injected
@@ -506,45 +496,26 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	hits := make(map[string]qof.CorpusHit)
 	degraded := make(map[string]ShardFileError)
 	var interrupted error
-	tc := s.met.tenant(req.Tenant)
 	for gi, o := range outs {
 		g := set.groups[gi]
-		if o.hedges > 0 {
-			s.met.hedgesSent.Add(uint64(o.hedges))
-			tc.hedges.Add(uint64(o.hedges))
-		}
-		if o.hedgeWon {
-			s.met.hedgesWon.Add(1)
-		}
-		if o.failovers > 0 {
-			s.met.failovers.Add(uint64(o.failovers))
-			tc.failovers.Add(uint64(o.failovers))
-		}
-		if o.failedOpen {
-			s.met.failedOpen.Add(1)
-		}
-		if o.res == nil {
-			err := o.err
-			if err == nil {
-				err = errors.New("serve: shard returned no result")
-			}
+		if o == nil {
 			for _, f := range g.files {
-				degraded[f] = ShardFileError{File: f, Shard: g.replicas[0], Err: err}
+				degraded[f] = ShardFileError{File: f, Shard: g.replicas[0], Err: errs[gi]}
 			}
 			continue
 		}
-		for _, h := range o.res.Hits {
+		for _, h := range o.Hits {
 			hits[h.File] = h
 		}
-		for _, fe := range o.res.Degraded {
+		for _, fe := range o.Degraded {
 			degraded[fe.File] = ShardFileError{File: fe.File, Shard: g.replicas[0], Err: fe.Err}
 		}
-		resp.Stats.Results += o.res.Stats.Results
-		resp.Stats.Candidates += o.res.Stats.Candidates
-		resp.Stats.Parsed += o.res.Stats.Parsed
-		resp.Stats.ParsedBytes += o.res.Stats.ParsedBytes
-		resp.Stats.Exact = resp.Stats.Exact || o.res.Stats.Exact
-		resp.Stats.FullScan = resp.Stats.FullScan || o.res.Stats.FullScan
+		resp.Stats.Results += o.Stats.Results
+		resp.Stats.Candidates += o.Stats.Candidates
+		resp.Stats.Parsed += o.Stats.Parsed
+		resp.Stats.ParsedBytes += o.Stats.ParsedBytes
+		resp.Stats.Exact = resp.Stats.Exact || o.Stats.Exact
+		resp.Stats.FullScan = resp.Stats.FullScan || o.Stats.FullScan
 	}
 	// Partial mode returns an error alongside results when the context it
 	// ran under ended. A shard-local deadline is already reflected in that
@@ -575,30 +546,8 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	return resp, nil
 }
 
-// attemptOut is one replica attempt's outcome. res is nil exactly when the
-// attempt failed wholesale (injected fault, panic); in partial mode a
-// completed attempt always carries a result, even when some of its files
-// degraded or the query context ended mid-flight.
-type attemptOut struct {
-	res   *qof.CorpusResults
-	err   error
-	shard int
-	hedge bool
-}
-
-// groupOut is one group dispatch's outcome, with the counters Execute
-// attributes to the server and the tenant.
-type groupOut struct {
-	res        *qof.CorpusResults
-	err        error // non-nil only when every routed replica failed
-	hedges     int   // hedged attempts sent
-	hedgeWon   bool  // the winning attempt was a hedge
-	failovers  int   // attempts routed to a non-primary replica
-	failedOpen bool  // served with every replica's breaker open
-}
-
-// hedgeDelay resolves the configured hedge policy to a concrete delay; 0
-// means hedging is off for this dispatch.
+// hedgeDelay resolves the configured hedge policy to a concrete delay, once
+// per query; 0 means hedging is off.
 func (s *Server) hedgeDelay() time.Duration {
 	if s.cfg.HedgeAfter < 0 {
 		return 0
@@ -613,134 +562,184 @@ func (s *Server) hedgeDelay() time.Duration {
 		return 25 * time.Millisecond
 	}
 	d := time.Duration(s.met.legHist.quantile(0.99) * float64(time.Millisecond))
-	if d < time.Millisecond {
-		d = time.Millisecond
+	return min(max(d, time.Millisecond), 2*time.Second)
+}
+
+// dispatch is one group's race between the attempts run by the goroutine
+// that gets to the group and those its hedge timer starts, which share the
+// placement walk and the outcome under mu.
+type dispatch struct {
+	s         *Server
+	set       *shardSet
+	g         group
+	tc        *tenantCounters
+	ctx, ictx context.Context // the query's, and the dispatcher's attempts'
+	query     string
+	opts      []qof.QueryOption
+	sh        int    // the primary attempt's replica
+	point     string // and its failpoint
+	timer     *time.Timer
+	hedged    chan struct{} // closed when the timer's attempts are over
+
+	mu      sync.Mutex
+	next    int                // the placement walk's position
+	res     *qof.CorpusResults // the winning attempt's
+	err     error              // the last wholesale failure
+	over    bool               // the dispatcher returned: the timer starts nothing more
+	inline  context.CancelFunc // cancels the dispatcher's attempts
+	hcancel context.CancelFunc // cancels the timer goroutine's attempt
+}
+
+// dispatchGroup routes a group's primary attempt (around open breakers,
+// failing open to the primary when every breaker is open) and, when hedging
+// is on and the group has a second replica, arms its hedge timer — when the
+// query starts, so a group queued behind a stalled one is hedged on time.
+func (s *Server) dispatchGroup(ctx context.Context, set *shardSet, g group, tc *tenantCounters, query string, opts []qof.QueryOption, hedge time.Duration) *dispatch {
+	d := &dispatch{s: s, set: set, g: g, tc: tc, ctx: ctx, query: query, hcancel: func() {}}
+	d.opts = append(append(make([]qof.QueryOption, 0, len(opts)+1), opts...), qof.WithFiles(g.files...))
+	d.ictx, d.inline = context.WithCancel(ctx)
+	d.point = faultinject.ServeShard
+	var routed bool
+	if d.sh, routed = d.pick(d.point, nil); !routed {
+		// Every replica's breaker is open: fail open to the primary rather
+		// than refuse the group — an answer attempt beats certain
+		// degradation, and its outcome feeds the breaker.
+		d.sh = g.replicas[0]
+		s.met.failedOpen.Add(1)
+	} else if d.sh != g.replicas[0] {
+		d.point = faultinject.ServeReplica
 	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
+	if hedge > 0 && len(g.replicas) > 1 {
+		d.hedged = make(chan struct{})
+		d.timer = time.AfterFunc(hedge, func() {
+			defer close(d.hedged)
+			d.race()
+		})
 	}
 	return d
 }
 
-// runGroup dispatches one replica group: primary attempt first (routing
-// around open breakers, failing open to the primary when every breaker is
-// open), a hedged attempt on the next replica when the primary is slow, and
-// failover attempts when an attempt fails wholesale. The first completed
-// attempt wins and every other attempt's context is canceled immediately;
-// only when every routed replica failed does the group report an error.
-func (s *Server) runGroup(ctx context.Context, set *shardSet, g group, query string, opts []qof.QueryOption) groupOut {
-	gopts := make([]qof.QueryOption, len(opts), len(opts)+1)
-	copy(gopts, opts)
-	gopts = append(gopts, qof.WithFiles(g.files...))
-
-	// Buffered past the attempt count, so a loser finishing after the
-	// dispatcher returned never blocks on its send.
-	outs := make(chan attemptOut, len(g.replicas)+1)
-	cancels := make([]context.CancelFunc, 0, len(g.replicas)+1)
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
-
-	// pick walks the placement order, skipping replicas whose breaker
-	// rejects routing (an open breaker admits one probe per cooldown).
-	next := 0
-	pick := func() (int, bool) {
-		for next < len(g.replicas) {
-			sh := g.replicas[next]
-			next++
-			if s.breakers[sh].admit(s.met) {
-				return sh, true
-			}
-		}
-		return 0, false
-	}
-
-	var out groupOut
-	pending := 0
-	primary := g.replicas[0]
-	first, routed := pick()
-	point := faultinject.ServeShard
-	if !routed {
-		// Every replica's breaker is open: fail open to the primary rather
-		// than refuse the group — an answer attempt beats certain
-		// degradation, and its outcome feeds the breaker.
-		first = primary
-		out.failedOpen = true
-	} else if first != primary {
+// run finishes the group on the calling goroutine: the primary attempt
+// runs here, and so does a failover after an attempt here fails wholesale. The hedge timer's goroutine, the
+// only one a query may start, runs a hedged attempt on the next replica and
+// fails over from it in turn. The first attempt to answer wins and every
+// other attempt's context is canceled at once, so a winning hedge ends the
+// stalled attempt here; only when every routed replica failed does the
+// group report an error, the last failure.
+func (d *dispatch) run() (*qof.CorpusResults, error) {
+	// A primary that a hedge beat to it runs canceled and ends at once.
+	sh, point, routed := d.sh, d.point, true
+	for routed && !d.offer(d.s.attempt(d.ictx, d.ctx, d.set, sh, point, d.query, d.opts)) {
 		point = faultinject.ServeReplica
-		out.failovers++
+		sh, routed = d.pick(point, nil)
 	}
-	actx, cancel := context.WithCancel(ctx)
-	cancels = append(cancels, cancel)
-	pending++
-	go s.attempt(actx, ctx, set, first, point, query, gopts, outs)
-
-	var hedgeC <-chan time.Time
-	if d := s.hedgeDelay(); d > 0 && len(g.replicas) > 1 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
+	if d.timer != nil && !d.timer.Stop() && !d.answered() {
+		<-d.hedged // every replica is tried: only the timer's attempts can still answer
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.over = true // a timer that fires from here on starts nothing
+	d.inline()
+	d.hcancel()
+	if d.res == nil && d.err == nil {
+		d.err = errors.New("serve: no replica answered")
+	}
+	return d.res, d.err
+}
 
-	for {
-		select {
-		case o := <-outs:
-			pending--
-			if o.res != nil {
-				out.res = o.res
-				out.hedgeWon = o.hedge
-				return out
-			}
-			if o.err != nil {
-				out.err = o.err
-			}
-			if sh, ok := pick(); ok {
-				out.failovers++
-				fctx, fcancel := context.WithCancel(ctx)
-				cancels = append(cancels, fcancel)
-				pending++
-				go s.attempt(fctx, ctx, set, sh, faultinject.ServeReplica, query, gopts, outs)
-			} else if pending == 0 {
-				if out.err == nil {
-					out.err = errors.New("serve: no replica answered")
-				}
-				return out
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if sh, ok := pick(); ok {
-				out.hedges++
-				hctx, hcancel := context.WithCancel(ctx)
-				cancels = append(cancels, hcancel)
-				pending++
-				go s.attempt(hctx, ctx, set, sh, faultinject.ServeHedge, query, gopts, outs)
-			}
+// answered reports whether an attempt has won.
+func (d *dispatch) answered() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.res != nil
+}
+
+// race runs the timer goroutine's attempts: a hedge, then failovers from
+// it, until an attempt wins, the dispatcher returns or no replica is left.
+func (d *dispatch) race() {
+	for point := faultinject.ServeHedge; ; point = faultinject.ServeReplica {
+		hctx, cancel := context.WithCancel(d.ctx)
+		sh, ok := d.pick(point, cancel)
+		won := ok && d.offer(d.s.attempt(hctx, d.ctx, d.set, sh, point, d.query, d.opts))
+		cancel()
+		if won || !ok {
+			return
 		}
 	}
 }
 
-// attempt runs one replica attempt and delivers its outcome on outs. It is
-// panic-isolated, observes its own latency into the histogram driving the
-// adaptive hedge delay, and feeds the replica's breaker — a completed
-// result (even a partially degraded one) is a success; a wholesale failure
-// counts against the replica unless the dispatcher canceled the attempt or
-// the query's own context ended.
-func (s *Server) attempt(actx, qctx context.Context, set *shardSet, shard int, point string, query string, opts []qof.QueryOption, outs chan<- attemptOut) {
+// pick walks the placement order for an attempt at point, skipping
+// replicas whose breaker rejects routing (an open breaker admits one probe
+// per cooldown), and counts the attempt it routes; a timer attempt's cancel
+// becomes hcancel. Once an attempt has won or the dispatcher has returned
+// it routes nothing.
+func (d *dispatch) pick(point string, cancel context.CancelFunc) (int, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.res == nil && !d.over && d.next < len(d.g.replicas) {
+		sh := d.g.replicas[d.next]
+		d.next++
+		if !d.s.breakers[sh].admit(d.s.met) {
+			continue
+		}
+		switch {
+		case point == faultinject.ServeHedge:
+			d.s.met.hedgesSent.Add(1)
+			d.tc.hedges.Add(1)
+		case point == faultinject.ServeReplica || sh != d.g.replicas[0]:
+			d.s.met.failovers.Add(1)
+			d.tc.failovers.Add(1)
+		}
+		if cancel != nil {
+			d.hcancel = cancel
+		}
+		return sh, true
+	}
+	return 0, false
+}
+
+// offer settles one attempt's outcome and reports whether the group has
+// its answer. The first result wins and cancels every other attempt; a
+// wholesale failure only records its error.
+func (d *dispatch) offer(res *qof.CorpusResults, hedge bool, err error) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch {
+	case d.res != nil:
+	case res != nil:
+		d.res = res
+		if hedge {
+			d.s.met.hedgesWon.Add(1)
+		}
+		d.inline()
+		d.hcancel()
+	case err != nil:
+		d.err = err
+	}
+	return d.res != nil
+}
+
+// attempt runs one replica attempt at the failpoint point and returns its
+// outcome: a nil result exactly when the attempt failed wholesale (injected
+// fault, panic); in partial mode a completed attempt always carries a
+// result, even when some of its files degraded or the query context ended
+// mid-flight. It is panic-isolated, observes its own latency into the
+// histogram driving the adaptive hedge delay, and feeds the replica's
+// breaker — a completed result (even a partially degraded one) is a
+// success; a wholesale failure counts against the replica unless its
+// attempt was canceled or the query's own context ended.
+func (s *Server) attempt(actx, qctx context.Context, set *shardSet, shard int, point string, query string, opts []qof.QueryOption) (res *qof.CorpusResults, hedge bool, err error) {
 	start := time.Now()
-	out := attemptOut{shard: shard, hedge: point == faultinject.ServeHedge}
 	defer func() {
 		if p := recover(); p != nil {
-			out.res, out.err = nil, fmt.Errorf("panic: %v: %w", p, qerr.ErrInternal)
+			res, err = nil, fmt.Errorf("panic: %v: %w", p, qerr.ErrInternal)
 		}
 		s.met.legHist.observe(time.Since(start))
-		s.recordAttempt(shard, out.res != nil, actx, qctx)
-		outs <- out
+		s.recordAttempt(shard, res != nil, actx, qctx)
 	}()
-	if err := faultinject.HitN(point, shard); err != nil {
-		out.err = err
-		return
+	hedge = point == faultinject.ServeHedge
+	if err := faultinject.HitN(actx, point, shard); err != nil {
+		return nil, hedge, err
 	}
 	sctx := actx
 	if s.cfg.ShardTimeout > 0 {
@@ -748,7 +747,8 @@ func (s *Server) attempt(actx, qctx context.Context, set *shardSet, shard int, p
 		sctx, cancel = context.WithTimeout(actx, s.cfg.ShardTimeout)
 		defer cancel()
 	}
-	out.res, out.err = set.shards[shard].ExecuteContext(sctx, query, opts...)
+	res, err = set.shards[shard].ExecuteContext(sctx, query, opts...)
+	return res, hedge, err
 }
 
 // recordAttempt feeds one attempt outcome to the shard's breaker. A

@@ -39,7 +39,7 @@ type reloadResult struct {
 func reloadLeg(t *testing.T, next *atomic.Pointer[map[string]string]) (*serve.Server, string) {
 	t.Helper()
 	srv := newServer(t, serve.Config{
-		Shards: 4, Replicas: 2, Parallelism: 2,
+		Shards: 4, Replicas: 2,
 		Reload: func(context.Context) (map[string]string, error) { return *next.Load(), nil },
 	})
 	if _, err := srv.Publish(*next.Load()); err != nil {
@@ -268,7 +268,7 @@ func TestHedgeAndFailoverOnColdSharedEngine(t *testing.T) {
 		// A high breaker threshold keeps every route open: with all primaries
 		// faulted, breakers would otherwise open on both replicas of a group.
 		srv := newServer(t, serve.Config{
-			Shards: 4, Replicas: 2, HedgeAfter: time.Millisecond, Parallelism: 2, BreakerThreshold: 1000,
+			Shards: 4, Replicas: 2, HedgeAfter: time.Millisecond, BreakerThreshold: 1000,
 		})
 		if _, err := srv.Publish(files); err != nil {
 			t.Fatal(err)
@@ -344,7 +344,7 @@ func BenchmarkPublish(b *testing.B) {
 				before := liveHeapMB()
 				b.StartTimer()
 				srv, err := serve.New(serve.Config{
-					Schema: qof.BibTeX(), Shards: 4, Replicas: r, Parallelism: runtime.GOMAXPROCS(0),
+					Schema: qof.BibTeX(), Shards: 4, Replicas: r,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -52,7 +52,7 @@ func waitGoroutines(t *testing.T, base int) {
 // observe a half-swapped shard set.
 func TestStressReload(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := newServer(t, serve.Config{Shards: 4, Parallelism: 2})
+	srv := newServer(t, serve.Config{Shards: 4})
 	// Odd epochs serve v1 (3 files), even epochs v2 (5 files).
 	v1, v2 := sampleFiles(3), sampleFiles(5)
 	if _, err := srv.Publish(v1); err != nil {

@@ -17,6 +17,7 @@ import (
 	"qof/internal/engine"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/pool"
 	"qof/internal/text"
 )
 
@@ -97,29 +98,46 @@ func BibCorpusDocs(t testing.TB, files, refs int) []*text.Document {
 }
 
 // GoroutineProbe is a context that never ends and records, at every poll,
-// the most goroutines it has seen running. Passed to a query, it shows how
-// many goroutines ran beside the query's own while it worked.
+// the most goroutines it has seen running and the most helpers (package
+// pool) it has seen busy. Passed to a query, it shows whether the query
+// started goroutines and how many helpers ran beside its own goroutine
+// while it worked.
 type GoroutineProbe struct {
 	context.Context
-	done chan struct{}
-	max  *atomic.Int64
+	done    chan struct{}
+	max     *atomic.Int64
+	maxBusy *atomic.Int64
 }
 
-// NewGoroutineProbe returns a probe that has seen nothing yet.
+// NewGoroutineProbe returns a probe that has seen nothing yet, once no
+// helper is still finishing earlier work, so the helpers it sees busy are
+// the query's.
 func NewGoroutineProbe() GoroutineProbe {
-	return GoroutineProbe{Context: context.Background(), done: make(chan struct{}), max: new(atomic.Int64)}
+	for pool.Busy() > 0 {
+		runtime.Gosched()
+	}
+	return GoroutineProbe{Context: context.Background(), done: make(chan struct{}), max: new(atomic.Int64), maxBusy: new(atomic.Int64)}
 }
 
 // Done returns a channel that is never closed, so the engine polls Err.
 func (p GoroutineProbe) Done() <-chan struct{} { return p.done }
 
-// Err records the goroutine count and reports nothing done.
+// Err records the goroutine and busy-helper counts and reports nothing
+// done.
 func (p GoroutineProbe) Err() error {
-	n := int64(runtime.NumGoroutine())
-	for m := p.max.Load(); n > m && !p.max.CompareAndSwap(m, n); m = p.max.Load() {
-	}
+	raise(p.max, int64(runtime.NumGoroutine()))
+	raise(p.maxBusy, int64(pool.Busy()))
 	return nil
+}
+
+// raise sets m to n if n is larger.
+func raise(m *atomic.Int64, n int64) {
+	for v := m.Load(); n > v && !m.CompareAndSwap(v, n); v = m.Load() {
+	}
 }
 
 // Max reports the most goroutines seen at one poll.
 func (p GoroutineProbe) Max() int { return int(p.max.Load()) }
+
+// MaxBusy reports the most busy helpers seen at one poll.
+func (p GoroutineProbe) MaxBusy() int { return int(p.maxBusy.Load()) }

@@ -12,7 +12,6 @@ package qof
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -102,13 +101,12 @@ func catchPanic(err *error, format string, args ...any) {
 // cancellation at stage boundaries, so an abandoned build stops promptly.
 func (s *Schema) IndexContext(ctx context.Context, name, content string, opts ...IndexOption) (f *File, err error) {
 	defer catchPanic(&err, "indexing %s", name)
-	cfg := applyOptions(runtime.GOMAXPROCS(0), opts)
 	doc := text.NewDocument(name, content)
-	in, _, err := s.cat.Grammar.BuildInstanceContext(ctx, doc, cfg.spec)
+	in, _, err := s.cat.Grammar.BuildInstanceContext(ctx, doc, applyOptions(opts))
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: s, eng: newEngine(s.cat, in, cfg.parallelism)}, nil
+	return &File{schema: s, eng: engine.New(s.cat, in)}, nil
 }
 
 // QueryContext is Query under a context and per-query resource budgets.
@@ -157,21 +155,19 @@ func (f *File) EvalContext(ctx context.Context, src string) (spans []Span, err e
 // added.
 func (c *Corpus) AddAllContext(ctx context.Context, files map[string]string, opts ...IndexOption) (err error) {
 	defer catchPanic(&err, "adding %d files", len(files))
-	cfg := applyOptions(0, opts)
-	return c.c.AddAllContext(ctx, sortedDocs(files), cfg.spec)
+	return c.c.AddAllContext(ctx, sortedDocs(files), applyOptions(opts))
 }
 
-// Reindex returns a new corpus over files with c's parallelism, indexed as
-// AddAllContext would index them into an empty corpus — except that a file
-// of c whose name and content are unchanged, and which was indexed under the
-// same options, keeps its index, result cache and statistics instead of
-// being indexed again. It reports how many files it indexed; the rest are
-// shared with c. WithParallelism is ignored. c is never changed; on error
-// Reindex returns no corpus and one attributed error per failed file.
+// Reindex returns a new corpus over files, indexed as AddAllContext would
+// index them into an empty corpus — except that a file of c whose name and
+// content are unchanged, and which was indexed under the same options, keeps
+// its index, result cache and statistics instead of being indexed again. It
+// reports how many files it indexed; the rest are shared with c. c is never
+// changed; on error Reindex returns no corpus and one attributed error per
+// failed file.
 func (c *Corpus) Reindex(ctx context.Context, files map[string]string, opts ...IndexOption) (out *Corpus, built int, err error) {
 	defer catchPanic(&err, "reindexing %d files", len(files))
-	cfg := applyOptions(0, opts)
-	ec, built, err := c.c.Reindex(ctx, sortedDocs(files), cfg.spec)
+	ec, built, err := c.c.Reindex(ctx, sortedDocs(files), applyOptions(opts))
 	if err != nil {
 		return nil, built, err
 	}

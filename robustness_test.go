@@ -20,6 +20,7 @@ import (
 	"qof/internal/engine"
 	"qof/internal/experiments"
 	"qof/internal/grammar"
+	"qof/internal/pool"
 	"qof/internal/xsql"
 )
 
@@ -191,12 +192,13 @@ func TestFacadeQueryBudgets(t *testing.T) {
 	})
 	// A join parses each variable's candidates through the phase-2 drain,
 	// so a budget of one document's bytes runs out in the second variable's
-	// drain, inline or on workers.
+	// drain, inline or on helpers.
 	t.Run("join", func(t *testing.T) {
 		src, _ := bibtex.Generate(bibtex.DefaultConfig(40))
 		const yearJoin = `SELECT r.Key FROM References r, References s WHERE r.Year = s.Year`
 		for _, par := range []int{1, 4} {
-			f, err := qof.BibTeX().Index("j.bib", src, qof.WithParallelism(par))
+			t.Cleanup(pool.SetHelpers(par - 1))
+			f, err := qof.BibTeX().Index("j.bib", src)
 			if err != nil {
 				t.Fatal(err)
 			}
