@@ -27,12 +27,6 @@ type benchReport struct {
 	Rounds  int           `json:"rounds"`
 	Queries int           `json:"queries_per_domain"`
 	Domains []domainBench `json:"domains"`
-	// Serving storms the sharded HTTP daemon far past its admission limit
-	// and reports latency quantiles, shed rate and leak accounting.
-	Serving servingBench `json:"serving"`
-	// Tail compares tail latency with and without hedged requests when one
-	// replica's primary attempts intermittently stall.
-	Tail tailBench `json:"tail"`
 }
 
 // benchLimitK is the LIMIT used for the limit_k_ops_sec workload.
@@ -115,15 +109,6 @@ func runJSONBench(path string, quick bool) error {
 			return fmt.Errorf("domain %s: %w", d.Name, err)
 		}
 		report.Domains = append(report.Domains, db)
-	}
-	serving, err := runServing(quick)
-	if err != nil {
-		return fmt.Errorf("serving: %w", err)
-	}
-	report.Serving = serving
-	report.Tail, err = runTail(quick)
-	if err != nil {
-		return fmt.Errorf("tail: %w", err)
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

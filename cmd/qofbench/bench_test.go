@@ -52,41 +52,4 @@ func TestRunJSONBench(t *testing.T) {
 			t.Errorf("%s: LIMIT workload not measured", d.Name)
 		}
 	}
-	// The serving storm: every submission accounted for, shedding engaged,
-	// some queries served, bounded tail latency, nothing leaked.
-	sv := r.Serving
-	if sv.Ok+sv.Shed != sv.Submitted || sv.Submitted != sv.Clients*2 {
-		t.Errorf("serving books don't balance: %+v", sv)
-	}
-	if sv.Shed == 0 {
-		t.Errorf("serving storm never shed at %dx oversubscription: %+v", sv.Clients/sv.MaxInflight, sv)
-	}
-	if sv.Ok == 0 || sv.QPS <= 0 {
-		t.Errorf("serving storm served nothing: %+v", sv)
-	}
-	if sv.P999Ms <= 0 || sv.P999Ms > 30000 {
-		t.Errorf("serving p999 %v ms unbounded: %+v", sv.P999Ms, sv)
-	}
-	if sv.P50Ms > sv.P999Ms {
-		t.Errorf("serving quantiles inverted: %+v", sv)
-	}
-	if sv.GoroutineLeak != 0 {
-		t.Errorf("serving storm leaked %d goroutines", sv.GoroutineLeak)
-	}
-	// The tail section: hedging must actually race (hedges sent and won).
-	// How far it collapses the slow-shard tail is a wall-clock ratio, read
-	// off the committed report and not asserted under go test.
-	tl := r.Tail
-	if tl.Queries == 0 || tl.Replicas != 2 {
-		t.Errorf("tail header wrong: %+v", tl)
-	}
-	if tl.Unhedged.P999Ms <= 0 || tl.Hedged.P999Ms <= 0 {
-		t.Errorf("tail legs not measured: %+v", tl)
-	}
-	if tl.HedgesSent == 0 || tl.HedgesWon == 0 {
-		t.Errorf("hedged leg never raced: sent=%d won=%d", tl.HedgesSent, tl.HedgesWon)
-	}
-	if tl.P999Ratio <= 0 {
-		t.Errorf("tail p999 ratio not computed: %+v", tl)
-	}
 }

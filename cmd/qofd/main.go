@@ -1,11 +1,11 @@
-// Command qofd is the sharded multi-tenant query daemon: it indexes a set
-// of files under one of the built-in schemas, hashes them across N engine
-// shards, and serves XSQL queries over HTTP/JSON with fair-share admission
-// control, per-tenant budgets, partial-answer degradation and hot reload.
+// Command qofd is the multi-tenant query daemon: it indexes a set of files
+// under one of the built-in schemas into one corpus and serves XSQL queries
+// over HTTP/JSON with fair-share admission control, per-tenant budgets,
+// partial-answer degradation and hot reload.
 //
 // Usage:
 //
-//	qofd -domain bibtex [-addr :8080] [-shards 4] [flags] FILE...
+//	qofd -domain bibtex [-addr :8080] [flags] FILE...
 //	qofd -domain logs -dir /var/corpora/logs
 //
 // Endpoints:
@@ -23,8 +23,8 @@
 // by default and kept apart from the query address so that exposing queries
 // never exposes profiles.
 //
-// A query answered by a sharded daemon is byte-identical to the same query
-// against a single corpus holding every file; see docs/SERVING.md.
+// A query answered by the daemon is byte-identical to the same query
+// against the facade's corpus of the same files; see docs/SERVING.md.
 package main
 
 import (
@@ -173,15 +173,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("qofd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	dom := fs.String("domain", "bibtex", "file format: bibtex, logs, sgml, src")
-	shards := fs.Int("shards", 1, "engine shards to place documents across")
-	replicas := fs.Int("replicas", 2, "shards routing to each document's one engine (clamped to shards; 1 disables replication)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "delay before hedging a slow replica attempt (0 = adaptive p99, negative disables)")
-	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive replica faults that open its circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
+	// Accepted and ignored: the benchmark's child (bench/daemon.go) still
+	// passes them, until ROADMAP.md's item "thaw the benchmark" (item 1)
+	// drops them.
+	fs.Int("shards", 1, "ignored (deprecated): the daemon serves one corpus")
+	fs.Int("replicas", 1, "ignored (deprecated): the daemon serves one corpus")
 	maxInflight := fs.Int("max-inflight", 64, "queries executing at once before shedding")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-query deadline")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-shard deadline; a slow shard degrades instead of stalling the query (0 = none)")
-	fileTimeout := fs.Duration("file-timeout", 0, "per-file deadline within a shard (0 = none)")
+	fileTimeout := fs.Duration("file-timeout", 0, "per-file deadline; a slow file degrades instead of stalling the query (0 = none)")
 	maxRegions := fs.Int("max-regions", 0, "default per-file region budget (0 = unlimited)")
 	maxBytes := fs.Int("max-bytes", 0, "default per-file parsed-bytes budget (0 = unlimited)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
@@ -238,19 +237,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Schema:           schema,
-		Shards:           *shards,
-		Replicas:         *replicas,
-		HedgeAfter:       *hedgeAfter,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		MaxInflight:      *maxInflight,
-		DefaultTimeout:   *timeout,
-		ShardTimeout:     *shardTimeout,
-		FileTimeout:      *fileTimeout,
-		DefaultLimits:    serve.Limits{MaxRegions: *maxRegions, MaxEvalBytes: *maxBytes},
-		RetryAfter:       *retryAfter,
-		Reload:           load,
+		Schema:         schema,
+		MaxInflight:    *maxInflight,
+		DefaultTimeout: *timeout,
+		FileTimeout:    *fileTimeout,
+		DefaultLimits:  serve.Limits{MaxRegions: *maxRegions, MaxEvalBytes: *maxBytes},
+		RetryAfter:     *retryAfter,
+		Reload:         load,
 	})
 	if err != nil {
 		return err
@@ -267,15 +260,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	r := *replicas
-	if r > *shards {
-		r = *shards
-	}
-	if r < 1 {
-		r = 1
-	}
-	fmt.Fprintf(stdout, "qofd: %d files, %d shards x%d replicas, domain %s, epoch %d on http://%s\n",
-		len(files), *shards, r, *dom, srv.Epoch(), ln.Addr())
+	fmt.Fprintf(stdout, "qofd: %d files, domain %s, epoch %d on http://%s\n",
+		len(files), *dom, srv.Epoch(), ln.Addr())
 
 	hs := newServer(boundBody(releaseAfterReload(srv.Handler())))
 	errc := make(chan error, 2)

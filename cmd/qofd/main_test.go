@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"qof/internal/bibtex"
+	"qof/internal/qgen"
 )
 
 // syncBuffer lets the test poll run's startup line while run keeps writing.
@@ -180,68 +181,78 @@ func TestDaemonPositionalFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m struct {
-		Files  int `json:"files"`
-		Shards int `json:"shards"`
+		Files int `json:"files"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if m.Files != 2 || m.Shards != 1 {
-		t.Fatalf("metrics files=%d shards=%d, want 2/1", m.Files, m.Shards)
+	if m.Files != 2 {
+		t.Fatalf("metrics files=%d, want 2", m.Files)
 	}
 }
 
-// TestDaemonReplicationFlags boots a replicated daemon and checks that the
-// -replicas, -hedge-after and breaker flags land in the serving config: the
-// startup line reports the replica count, /metrics exposes it with the
-// hedging and breaker counters, and /healthz lists per-shard breaker state.
+// TestDaemonReplicationFlags: -shards and -replicas are accepted and
+// ignored. A daemon started with the benchmark child's flags answers every
+// query with the envelope bytes of a default daemon over the same files,
+// elapsed_us aside, and its /metrics reads the hedge and failover counters
+// the benchmark child reports as 0.
 func TestDaemonReplicationFlags(t *testing.T) {
-	dir := writeCorpus(t, 4)
-	base := startDaemon(t, []string{"-domain", "bibtex", "-shards", "2", "-replicas", "2",
-		"-hedge-after", "5ms", "-breaker-threshold", "3", "-breaker-cooldown", "200ms", "-dir", dir})
+	dir := t.TempDir()
+	for i := int64(0); i < 4; i++ {
+		d := qgen.BibTeX(1994 + i)
+		if err := os.WriteFile(filepath.Join(dir, d.Doc.Name()), []byte(d.Doc.Content()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := startDaemon(t, []string{"-domain", "bibtex", "-dir", dir})
+	flagged := startDaemon(t, []string{"-domain", "bibtex", "-shards", "4", "-replicas", "2", "-dir", dir})
+	envelope := func(base, query string) []byte {
+		t.Helper()
+		body, err := json.Marshal(map[string]string{"query": query})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", query, resp.StatusCode, err)
+		}
+		env["elapsed_us"] = 0
+		out, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	gen := qgen.NewQueryGen(qgen.BibTeX(1994), 733)
+	for i := 0; i < 60; i++ {
+		q := gen.Query().String()
+		if got, want := envelope(flagged, q), envelope(plain, q); !bytes.Equal(got, want) {
+			t.Fatalf("%s: -shards 4 -replicas 2 answers\n  %s\nwhere the default daemon answers\n  %s", q, got, want)
+		}
+	}
 
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(flagged + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m struct {
-		Shards       int     `json:"shards"`
-		Replicas     int     `json:"replicas"`
-		HedgeDelayMs float64 `json:"hedge_delay_ms"`
-	}
+	var m map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if m.Shards != 2 || m.Replicas != 2 {
-		t.Fatalf("metrics shards=%d replicas=%d, want 2/2", m.Shards, m.Replicas)
-	}
-	if m.HedgeDelayMs != 5 {
-		t.Fatalf("metrics hedge_delay_ms = %v, want 5 (fixed -hedge-after)", m.HedgeDelayMs)
-	}
-
-	resp, err = http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Replicas int `json:"replicas"`
-		Shard    []struct {
-			Breaker string `json:"breaker"`
-		} `json:"shard_health"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health.Replicas != 2 || len(health.Shard) != 2 {
-		t.Fatalf("healthz replicas=%d shard_health=%d entries, want 2/2", health.Replicas, len(health.Shard))
-	}
-	for i, sh := range health.Shard {
-		if sh.Breaker != "closed" {
-			t.Fatalf("shard %d breaker = %q at startup, want closed", i, sh.Breaker)
+	for _, name := range []string{"hedges_sent_total", "hedges_won_total", "failovers_total"} {
+		if v, ok := m[name]; !ok || v != 0.0 {
+			t.Errorf("/metrics %s = %v (present %v), want 0", name, v, ok)
 		}
+	}
+	if m["queries_total"] != 60.0 {
+		t.Errorf("/metrics queries_total = %v, want 60", m["queries_total"])
 	}
 }
 
@@ -263,6 +274,12 @@ func TestDaemonBadInvocations(t *testing.T) {
 		// flags, not accepted and ignored.
 		{"-shared", []string{"-shared", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -shared"},
 		{"-materializing", []string{"-materializing", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -materializing"},
+		// So are the flags of replication, hedging, breakers and shard
+		// deadlines: the daemon serves one corpus.
+		{"-hedge-after", []string{"-hedge-after", "5ms", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -hedge-after"},
+		{"-breaker-threshold", []string{"-breaker-threshold", "3", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -breaker-threshold"},
+		{"-breaker-cooldown", []string{"-breaker-cooldown", "1s", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -breaker-cooldown"},
+		{"-shard-timeout", []string{"-shard-timeout", "1s", "-domain", "bibtex", "-dir", dir}, "flag provided but not defined: -shard-timeout"},
 	} {
 		err := run(context.Background(), c.args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

@@ -279,14 +279,6 @@ func (c *Corpus) AddAll(files map[string]string, opts ...IndexOption) error {
 	return c.AddAllContext(context.Background(), files, opts...)
 }
 
-// Subset returns a corpus over the named files of c, in c's order, that
-// indexes nothing: each file keeps its one index, result cache and
-// statistics, shared with c and with every other subset, so a query through
-// any of them warms them all. Names not in c are ignored.
-func (c *Corpus) Subset(names ...string) *Corpus {
-	return &Corpus{schema: c.schema, c: c.c.Subset(names)}
-}
-
 // CorpusHit is one file's results.
 type CorpusHit struct {
 	File   string

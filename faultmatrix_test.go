@@ -56,11 +56,7 @@ type matrixCase struct {
 	// degrades marks failpoints whose error kind must NOT fail the
 	// operation: cache faults turn into a forced miss or a dropped entry.
 	degrades bool
-	// panicDegrades marks failpoints whose panic kind must not fail the
-	// operation either: a panicking hedged attempt loses the race while
-	// the primary still answers completely.
-	panicDegrades bool
-	setup         func(t *testing.T) (op, check func() error)
+	setup    func(t *testing.T) (op, check func() error)
 }
 
 func fileFixture(t *testing.T) *qof.File {
@@ -146,70 +142,9 @@ func matrixCases() []matrixCase {
 				}
 				return op, check
 			}},
-		{point: faultinject.ServeShard,
-			setup: func(t *testing.T) (func() error, func() error) {
-				// One replica per file: with no copy to fail over to, a
-				// faulted scatter leg degrades rather than fails, and the
-				// typed cause must survive through DegradedError.
-				srv := serveFixture(t, 1)
-				op := func() error {
-					resp, err := srv.Execute(t.Context(), serve.Request{Query: matrixQuery})
-					if err != nil {
-						return err
-					}
-					return resp.DegradedError()
-				}
-				return op, func() error { return serveHealthy(t, srv) }
-			}},
-		{point: faultinject.ServeReplica,
-			setup: func(t *testing.T) (func() error, func() error) {
-				// Two replicas, with the primary of a.bib pinned open so its
-				// group deterministically routes to the secondary — whose
-				// failover attempt then faults. With both replicas down the
-				// group degrades with the typed cause; after Reset the
-				// secondary is healthy again and failover completes the
-				// answer even though the pin stays.
-				srv := serveFixture(t, 2)
-				srv.ForceBreaker(serve.ShardOf("a.bib", 2), true)
-				op := func() error {
-					resp, err := srv.Execute(t.Context(), serve.Request{Query: matrixQuery})
-					if err != nil {
-						return err
-					}
-					return resp.DegradedError()
-				}
-				return op, func() error { return serveHealthy(t, srv) }
-			}},
-		{point: faultinject.ServeHedge, degrades: true, panicDegrades: true,
-			setup: func(t *testing.T) (func() error, func() error) {
-				// Two replicas and a near-zero hedge delay: every group
-				// hedges to its secondary almost immediately. A faulted
-				// hedge loses the race while the healthy primary answers,
-				// so the response stays complete whatever the kind. The
-				// timer still races the primary, so the operation retries
-				// until a hedge actually crossed the failpoint.
-				srv := serveFixtureCfg(t, serve.Config{
-					Schema: qof.BibTeX(), Shards: 2, Replicas: 2,
-					HedgeAfter: time.Nanosecond,
-				})
-				op := func() error {
-					var firstErr error
-					for round := 0; round < 500 && faultinject.Hits(faultinject.ServeHedge) == 0; round++ {
-						resp, err := srv.Execute(t.Context(), serve.Request{Query: matrixQuery})
-						if err != nil {
-							return err
-						}
-						if err := resp.DegradedError(); err != nil && firstErr == nil {
-							firstErr = err
-						}
-					}
-					return firstErr
-				}
-				return op, func() error { return serveHealthy(t, srv) }
-			}},
 		{point: faultinject.ServePublish,
 			setup: func(t *testing.T) (func() error, func() error) {
-				srv := serveFixture(t, 2)
+				srv := serveFixture(t)
 				op := func() error {
 					_, err := srv.Publish(map[string]string{
 						"a.bib": bibtex.SampleEntry, "b.bib": bibtex.SampleEntry, "c.bib": bibtex.SampleEntry,
@@ -229,17 +164,10 @@ func matrixCases() []matrixCase {
 	}
 }
 
-// serveFixture builds a published 2-shard daemon with the given replica
-// count for the serve.* cases.
-func serveFixture(t *testing.T, replicas int) *serve.Server {
+// serveFixture builds a published daemon for the serve.publish case.
+func serveFixture(t *testing.T) *serve.Server {
 	t.Helper()
-	return serveFixtureCfg(t, serve.Config{Schema: qof.BibTeX(), Shards: 2, Replicas: replicas})
-}
-
-// serveFixtureCfg builds and publishes a daemon under an explicit config.
-func serveFixtureCfg(t *testing.T, cfg serve.Config) *serve.Server {
-	t.Helper()
-	srv, err := serve.New(cfg)
+	srv, err := serve.New(serve.Config{Schema: qof.BibTeX()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +251,6 @@ func TestFaultMatrix(t *testing.T) {
 				case kind == "error":
 					if !errors.Is(err, faultinject.ErrInjected) {
 						t.Errorf("err = %v, want ErrInjected", err)
-					}
-				case kind == "panic" && mc.panicDegrades:
-					if err != nil {
-						t.Errorf("losing-attempt panic failed the operation: %v", err)
 					}
 				case kind == "panic":
 					if !errors.Is(err, qof.ErrInternal) {

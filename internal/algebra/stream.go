@@ -56,7 +56,7 @@ import (
 
 // openStreams counts the root pipelines Stream has handed out that are not
 // yet closed. Leak-accounting tests use OpenStreams to prove every pipeline
-// is closed — including the ones a canceled hedge loser abandons mid-drain.
+// is closed — including the ones a canceled query abandons mid-drain.
 var openStreams atomic.Int64
 
 // OpenStreams reports the number of streaming pipelines currently open

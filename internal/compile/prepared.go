@@ -55,7 +55,7 @@ func (p *Prepared) Plan(ch *Choice) (plan *Plan, cached bool, err error) {
 }
 
 // Prepare returns the prepared form of the query text. A text seen lately
-// costs one lookup, on whichever file, shard or replica of the schema it runs.
+// costs one lookup, on whichever file of the schema it runs.
 func (c *Catalog) Prepare(src string) (*Prepared, error) {
 	if p := c.prepared.get(src); p != nil {
 		return p, nil

@@ -135,29 +135,6 @@ func sameSpec(a, b grammar.IndexSpec) bool {
 	return slices.Equal(a.Names, b.Names) && slices.Equal(a.Scoped, b.Scoped)
 }
 
-// Subset returns a corpus over the named files, in c's order: a view that
-// builds nothing and shares each file's engine — its index, result cache
-// and statistics — with c and every other view of it. Names not in c are
-// ignored.
-func (c *Corpus) Subset(names []string) *Corpus {
-	return &Corpus{cat: c.cat, engines: c.named(names)}
-}
-
-// named returns the engines of the named files, in corpus order.
-func (c *Corpus) named(names []string) []*Engine {
-	want := make(map[string]bool, len(names))
-	for _, f := range names {
-		want[f] = true
-	}
-	sel := make([]*Engine, 0, len(names))
-	for _, eng := range c.engines {
-		if want[eng.in.Document().Name()] {
-			sel = append(sel, eng)
-		}
-	}
-	return sel
-}
-
 // Len reports the number of files in the corpus.
 func (c *Corpus) Len() int { return len(c.engines) }
 
@@ -230,11 +207,6 @@ type ExecOptions struct {
 	// remaining files are merged normally. Without Partial, any failure
 	// makes the whole Execute fail (reporting every failed file, joined).
 	Partial bool
-	// Files restricts the execution to the named files, preserving corpus
-	// order; names not present in the corpus are ignored. Nil means every
-	// file. The serving layer uses this to run one replica group's files
-	// against a shard that also holds copies of other groups' files.
-	Files []string
 }
 
 // Execute runs the query against every file (on the caller and on idle
@@ -258,12 +230,8 @@ func (c *Corpus) ExecuteContext(ctx context.Context, q *xsql.Query, opts ExecOpt
 // fails without opts.Partial, the returned error joins one attributed error
 // per failed file.
 func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts ExecOptions) (*CorpusResult, error) {
-	engines := c.engines
-	if opts.Files != nil {
-		engines = c.named(opts.Files)
-	}
-	results := make([]*Result, len(engines))
-	errs := pool.Each(len(engines), func(i int) (err error) {
+	results := make([]*Result, len(c.engines))
+	errs := pool.Each(len(c.engines), func(i int) (err error) {
 		if err := faultinject.Hit(faultinject.CorpusFile); err != nil {
 			return err
 		}
@@ -273,12 +241,12 @@ func (c *Corpus) ExecutePrepared(ctx context.Context, p *compile.Prepared, opts 
 			fctx, cancel = context.WithTimeout(ctx, opts.FileTimeout)
 			defer cancel()
 		}
-		results[i], err = engines[i].ExecutePrepared(fctx, p, opts.Limits)
+		results[i], err = c.engines[i].ExecutePrepared(fctx, p, opts.Limits)
 		return err
 	})
 	out := &CorpusResult{}
 	var failed []error
-	for i, eng := range engines {
+	for i, eng := range c.engines {
 		name := eng.Instance().Document().Name()
 		if errs[i] != nil {
 			if opts.Partial {

@@ -225,8 +225,7 @@ func TestCorpusFanOutBound(t *testing.T) {
 
 // TestCorpusReindexKeepsUnchanged: Reindex builds exactly the documents
 // that are new or changed, or whose spec changed, and hands every other one
-// the old corpus's engine; the old corpus is untouched, and a Subset shares
-// the engines it names.
+// the old corpus's engine; the old corpus is untouched.
 func TestCorpusReindexKeepsUnchanged(t *testing.T) {
 	cat := bibtex.Catalog()
 	docs := testutil.BibCorpusDocs(t, 4, 20)
@@ -258,9 +257,5 @@ func TestCorpusReindexKeepsUnchanged(t *testing.T) {
 	}
 	if _, built, err := c.Reindex(t.Context(), next, grammar.IndexSpec{Names: []string{"Reference", "Key"}}); err != nil || built != 3 {
 		t.Errorf("Reindex under another spec built %d files (%v), want all 3", built, err)
-	}
-	sub := engine.Engines(c.Subset([]string{docs[3].Name(), docs[0].Name(), "absent.bib"}))
-	if len(sub) != 2 || sub[0] != now[0] || sub[1] != now[2] {
-		t.Error("Subset does not share the named files' engines in corpus order")
 	}
 }

@@ -16,8 +16,7 @@
 //
 //	error        Hit returns an error wrapping ErrInjected
 //	panic        Hit panics with an InjectedPanic value
-//	delay:DUR    Hit sleeps for DUR (e.g. delay:20ms), then returns nil;
-//	             HitN's sleep ends early when its context ends
+//	delay:DUR    Hit sleeps for DUR (e.g. delay:20ms), then returns nil
 //
 // and the optional trigger selects which hits fire:
 //
@@ -34,7 +33,6 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -70,10 +68,7 @@ const (
 	ResultCachePut = "resultcache.put" // engine.ResultCache.Put (fires = entry dropped)
 	Phase2         = "engine.phase2"   // per-candidate work in the phase-2 pool
 	CorpusFile     = "corpus.file"     // per-file evaluation in Corpus.Execute*
-	ServeShard     = "serve.shard"     // primary-replica attempt in serve.Server.Execute
-	ServePublish   = "serve.publish"   // per-shard step of serve.Server.Publish, after the build
-	ServeReplica   = "serve.replica"   // failover attempt on a secondary replica
-	ServeHedge     = "serve.hedge"     // hedged attempt fired by the tail-latency timer
+	ServePublish   = "serve.publish"   // serve.Server.Publish, after the build and before the swap
 )
 
 // Catalog lists every failpoint name in stable order.
@@ -81,8 +76,7 @@ func Catalog() []string {
 	return []string{
 		IndexBuild, PersistSave, PersistLoad,
 		PlanCacheGet, PlanCachePut, ResultCacheGet, ResultCachePut,
-		Phase2, CorpusFile, ServeShard, ServePublish,
-		ServeReplica, ServeHedge,
+		Phase2, CorpusFile, ServePublish,
 	}
 }
 
@@ -241,31 +235,10 @@ func Hit(name string) error {
 	if !active.Load() {
 		return nil
 	}
-	return hitSlow(context.Background(), name)
+	return hitSlow(name)
 }
 
-// HitN is Hit with an instance selector and the context of the work it
-// guards: it evaluates both the plain failpoint name and the
-// instance-scoped "name#n" directive, so a test can target one member of a
-// replicated set ("serve.shard#2=delay:40ms" stalls only shard 2's primary
-// attempts) while "serve.shard=..." still covers all of them. The plain
-// rule is consulted first; n < 0 skips the selector. A delay ends when ctx
-// does: a stalled attempt that is canceled stops stalling and goes on, as
-// real work polling its context would, to find its context done.
-func HitN(ctx context.Context, name string, n int) error {
-	if !active.Load() {
-		return nil
-	}
-	if err := hitSlow(ctx, name); err != nil {
-		return err
-	}
-	if n < 0 {
-		return nil
-	}
-	return hitSlow(ctx, name+"#"+strconv.Itoa(n))
-}
-
-func hitSlow(ctx context.Context, name string) error {
+func hitSlow(name string) error {
 	mu.Lock()
 	r := rules[name]
 	mu.Unlock()
@@ -280,12 +253,7 @@ func hitSlow(ctx context.Context, name string) error {
 	case kindPanic:
 		panic(InjectedPanic{Name: name})
 	case kindDelay:
-		t := time.NewTimer(r.delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
+		time.Sleep(r.delay)
 		return nil
 	default:
 		return fmt.Errorf("%s: %w", name, ErrInjected)

@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -170,68 +169,10 @@ func TestConfigureRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestHitNInstanceSelector(t *testing.T) {
-	defer Reset()
-	// Only instance 2 is configured: other instances and plain Hit stay
-	// silent, and the instance-scoped rule counts its own hits.
-	if err := Configure("serve.shard#2=error"); err != nil {
-		t.Fatal(err)
-	}
-	if err := HitN(context.Background(), ServeShard, 0); err != nil {
-		t.Fatalf("HitN(serve.shard, 0): %v", err)
-	}
-	if err := HitN(context.Background(), ServeShard, 2); !errors.Is(err, ErrInjected) {
-		t.Fatalf("HitN(serve.shard, 2) = %v, want ErrInjected", err)
-	}
-	if err := Hit(ServeShard); err != nil {
-		t.Fatalf("Hit(serve.shard) with only #2 configured: %v", err)
-	}
-	if got := Hits("serve.shard#2"); got != 1 {
-		t.Fatalf("Hits(serve.shard#2) = %d, want 1", got)
-	}
-}
-
-func TestHitNPlainRuleCoversAllInstances(t *testing.T) {
-	defer Reset()
-	if err := Configure("serve.replica=error"); err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < 3; n++ {
-		if err := HitN(context.Background(), ServeReplica, n); !errors.Is(err, ErrInjected) {
-			t.Fatalf("HitN(serve.replica, %d) = %v, want ErrInjected", n, err)
-		}
-	}
-	// n < 0 skips the instance selector entirely.
-	if err := HitN(context.Background(), ServeHedge, -1); err != nil {
-		t.Fatalf("HitN(serve.hedge, -1) unconfigured: %v", err)
-	}
-	if got := Hits(ServeReplica); got != 3 {
-		t.Fatalf("Hits(serve.replica) = %d, want 3", got)
-	}
-}
-
-// TestHitNDelayEndsWithContext: a delay stalls HitN only until its context
-// ends, so a canceled attempt stops stalling at once.
-func TestHitNDelayEndsWithContext(t *testing.T) {
-	defer Reset()
-	if err := Configure("serve.shard#1=delay:10s"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := HitN(ctx, ServeShard, 1); err != nil {
-		t.Fatalf("HitN under a 20ms deadline = %v, want nil: a delay never fails", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("the delay outlived its context by %v", d)
-	}
-}
-
 func TestCatalogIsStable(t *testing.T) {
 	names := Catalog()
-	if len(names) != 13 {
-		t.Fatalf("Catalog has %d names, want 13", len(names))
+	if len(names) != 10 {
+		t.Fatalf("Catalog has %d names, want 10", len(names))
 	}
 	seen := make(map[string]bool)
 	for _, n := range names {

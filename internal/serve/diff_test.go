@@ -1,12 +1,11 @@
 package serve_test
 
 // The end-to-end differential leg: qgen-generated queries from all three
-// domains are driven over HTTP through a sharded qofd daemon (one, two, four
-// and seven shards) and every response must be byte-identical to the
-// envelope the direct qof facade produces over one corpus holding the same
-// files. LIMIT-prefix
-// legs re-run succeeding queries with LIMIT k and check both the facade
-// agreement and the per-file prefix invariant.
+// domains are driven over HTTP through a qofd daemon and every response must
+// be byte-identical to the envelope the direct qof facade produces over one
+// corpus holding the same files. LIMIT-prefix legs re-run succeeding
+// queries with LIMIT k and check both the facade agreement and the per-file
+// prefix invariant.
 
 import (
 	"bytes"
@@ -72,20 +71,14 @@ func schemaFor(name string) *qof.Schema {
 
 // daemonLeg is one running qofd under test.
 type daemonLeg struct {
-	name   string
-	shards int
-	srv    *serve.Server
-	ts     *httptest.Server
+	name string
+	srv  *serve.Server
+	ts   *httptest.Server
 }
 
-func startLeg(t *testing.T, name string, schema *qof.Schema, files map[string]string, shards int) *daemonLeg {
+func startLeg(t *testing.T, name string, schema *qof.Schema, files map[string]string) *daemonLeg {
 	t.Helper()
-	return startLegCfg(t, name, files, serve.Config{Schema: schema, Shards: shards})
-}
-
-func startLegCfg(t *testing.T, name string, files map[string]string, cfg serve.Config) *daemonLeg {
-	t.Helper()
-	srv, err := serve.New(cfg)
+	srv, err := serve.New(serve.Config{Schema: schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +87,7 @@ func startLegCfg(t *testing.T, name string, files map[string]string, cfg serve.C
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return &daemonLeg{name: name, shards: cfg.Shards, srv: srv, ts: ts}
+	return &daemonLeg{name: name, srv: srv, ts: ts}
 }
 
 // post drives one query over HTTP and returns the raw response body.
@@ -139,12 +132,11 @@ func canonical(t *testing.T, raw []byte) []byte {
 
 // expected builds the envelope bytes the daemon must produce, from a direct
 // facade execution of the same query over one corpus holding every file.
-func expected(t *testing.T, res *qof.CorpusResults, epoch uint64, shards, files int) []byte {
+func expected(t *testing.T, res *qof.CorpusResults, epoch uint64, files int) []byte {
 	t.Helper()
-	hits, degraded := serve.HitsFromCorpus(res, shards)
 	env := serve.NewEnvelope(&serve.Response{
-		Epoch: epoch, Shards: shards, Files: files,
-		Hits: hits, Degraded: degraded, Stats: res.Stats,
+		Epoch: epoch, Files: files,
+		Hits: res.Hits, Degraded: res.Degraded, Stats: res.Stats,
 	})
 	env.ElapsedUs = 0
 	out, err := json.Marshal(env)
@@ -155,8 +147,8 @@ func expected(t *testing.T, res *qof.CorpusResults, epoch uint64, shards, files 
 }
 
 // TestHTTPDifferential is the serving layer's differential guarantee: for
-// every generated query, the daemon's HTTP answer — sharded N=1, 2, 4 and 7
-// — is byte-identical to the direct facade's answer over the same files.
+// every generated query, the daemon's HTTP answer is byte-identical to the
+// direct facade's answer over the same files.
 func TestHTTPDifferential(t *testing.T) {
 	for _, domain := range []string{"bibtex", "sgml", "logs"} {
 		domain := domain
@@ -172,10 +164,7 @@ func TestHTTPDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var legs []*daemonLeg
-			for _, shards := range []int{1, 2, 4, 7} {
-				legs = append(legs, startLeg(t, fmt.Sprintf("%s/shards=%d", domain, shards), schema, files, shards))
-			}
+			leg := startLeg(t, domain, schema, files)
 
 			gen := qgen.NewQueryGen(qgenDomain(domain), diffQuerySeed)
 			n := queriesPerDomain(t)
@@ -187,13 +176,10 @@ func TestHTTPDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("query %d %q: direct facade: %v", i, src, err)
 				}
-				for _, leg := range legs {
-					got := canonical(t, leg.post(t, src))
-					want := expected(t, res, leg.srv.Epoch(), leg.shards, nFiles)
-					if !bytes.Equal(got, want) {
-						t.Fatalf("query %d %q: %s diverges from the direct facade:\n  got  %s\n  want %s",
-							i, src, leg.name, got, want)
-					}
+				got := canonical(t, leg.post(t, src))
+				if want := expected(t, res, leg.srv.Epoch(), nFiles); !bytes.Equal(got, want) {
+					t.Fatalf("query %d %q: %s diverges from the direct facade:\n  got  %s\n  want %s",
+						i, src, leg.name, got, want)
 				}
 				if len(res.Hits) > 0 {
 					nonEmpty++
@@ -208,13 +194,10 @@ func TestHTTPDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("query %d %q: direct facade: %v", i, lsrc, err)
 						}
-						for _, leg := range legs {
-							got := canonical(t, leg.post(t, lsrc))
-							want := expected(t, lres, leg.srv.Epoch(), leg.shards, nFiles)
-							if !bytes.Equal(got, want) {
-								t.Fatalf("query %d %q: %s diverges from the direct facade:\n  got  %s\n  want %s",
-									i, lsrc, leg.name, got, want)
-							}
+						got := canonical(t, leg.post(t, lsrc))
+						if want := expected(t, lres, leg.srv.Epoch(), nFiles); !bytes.Equal(got, want) {
+							t.Fatalf("query %d %q: %s diverges from the direct facade:\n  got  %s\n  want %s",
+								i, lsrc, leg.name, got, want)
 						}
 						if len(q.From) == 1 {
 							projected := len(q.Select.Segs) > 0
@@ -302,7 +285,7 @@ func TestHTTPDifferentialDegraded(t *testing.T) {
 	if err := direct.AddAll(files); err != nil {
 		t.Fatal(err)
 	}
-	leg := startLeg(t, "bibtex/shards=4", schema, files, 4)
+	leg := startLeg(t, "bibtex", schema, files)
 	const src = `SELECT r FROM References r`
 	res, err := direct.ExecuteContext(t.Context(), src,
 		qof.WithPartialResults(), qof.WithMaxRegions(1))
@@ -313,79 +296,11 @@ func TestHTTPDifferentialDegraded(t *testing.T) {
 		t.Fatalf("facade degraded %d files, want %d", len(res.Degraded), len(files))
 	}
 	got := canonical(t, leg.postReq(t, serve.QueryRequest{Query: src, MaxRegions: 1}))
-	want := expected(t, res, leg.srv.Epoch(), 4, len(files))
+	want := expected(t, res, leg.srv.Epoch(), len(files))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("degraded envelope diverges:\n  got  %s\n  want %s", got, want)
 	}
 	if !strings.Contains(string(got), `"degraded"`) {
 		t.Fatalf("degraded envelope lost its degradation: %s", got)
-	}
-}
-
-// TestHTTPDifferentialReplicated pins the tentpole invariant: replication
-// is envelope-invisible. The full shard grid (1, 2, 4, 7) runs with two
-// replicas per file, and every response must be
-// byte-identical to the direct single-corpus facade — replica copies must
-// never double-count hits, stats, or file totals. A final leg forces one
-// shard's breaker open and replays the workload: answers must come from
-// failover to the surviving replica (complete and still byte-identical),
-// not from degradation.
-func TestHTTPDifferentialReplicated(t *testing.T) {
-	files := domainFiles("bibtex")
-	nFiles := len(files)
-	schema := schemaFor("bibtex")
-	direct := schema.NewCorpus()
-	if err := direct.AddAll(files); err != nil {
-		t.Fatal(err)
-	}
-
-	var legs []*daemonLeg
-	for _, shards := range []int{1, 2, 4, 7} {
-		legs = append(legs, startLegCfg(t, fmt.Sprintf("bibtex/shards=%d+r2", shards), files, serve.Config{
-			Schema:   schema,
-			Shards:   shards,
-			Replicas: 2,
-		}))
-	}
-	// The forced-failover leg: shard 0's breaker is pinned open, so every
-	// group with primary 0 must route to its secondary replica.
-	broken := startLegCfg(t, "bibtex/shards=2+r2+breaker-open", files, serve.Config{
-		Schema:   schema,
-		Shards:   2,
-		Replicas: 2,
-	})
-	broken.srv.ForceBreaker(0, true)
-
-	gen := qgen.NewQueryGen(qgenDomain("bibtex"), diffQuerySeed+2)
-	n := queriesPerDomain(t) / 4
-	for i := 0; i < n; i++ {
-		src := gen.Query().String()
-		res, err := direct.ExecuteContext(t.Context(), src, qof.WithPartialResults())
-		if err != nil {
-			t.Fatalf("query %d %q: direct facade: %v", i, src, err)
-		}
-		for _, leg := range legs {
-			got := canonical(t, leg.post(t, src))
-			want := expected(t, res, leg.srv.Epoch(), leg.shards, nFiles)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("query %d %q: %s diverges from the direct facade:\n  got  %s\n  want %s",
-					i, src, leg.name, got, want)
-			}
-		}
-		got := canonical(t, broken.post(t, src))
-		want := expected(t, res, broken.srv.Epoch(), broken.shards, nFiles)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("query %d %q: %s diverges with shard 0's breaker open:\n  got  %s\n  want %s",
-				i, src, broken.name, got, want)
-		}
-	}
-	// The broken leg must have answered by failover, never by writing off
-	// the shard: the envelopes above are complete, and the failover counter
-	// proves the secondary actually served.
-	if got := broken.srv.Metrics().FailoversTotal; got == 0 {
-		t.Error("breaker-open leg recorded no failovers; shard 0 files were never rerouted")
-	}
-	if st := broken.srv.BreakerState(0); st != "open" {
-		t.Errorf("forced breaker reads %s after the workload, want open", st)
 	}
 }

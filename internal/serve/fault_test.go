@@ -1,9 +1,9 @@
 package serve_test
 
-// Satellite fault matrix for the serving layer: per-shard failpoints must
-// degrade the answer to a partial one with correct shard and file
-// attribution — never fail or hang the query — and the daemon must serve
-// complete answers again the moment the fault clears.
+// Fault suite for the serving layer: a faulted, slow or deadlined file must
+// degrade the answer to a partial one with correct file attribution — never
+// fail or hang the query — and the daemon must serve complete answers again
+// the moment the fault clears.
 
 import (
 	"context"
@@ -16,55 +16,36 @@ import (
 	"qof/internal/serve"
 )
 
-// TestShardFaultDegrades injects error and panic faults into exactly one
-// scatter leg (trigger @1: the first shard to reach the failpoint) and
-// asserts the partial-answer contract. Replicas is pinned to 1: with a
-// single copy per file there is no replica to fail over to, so the fault
-// must surface as attributed degradation (TestShardFaultFailsOver proves
-// the replicated behavior).
-func TestShardFaultDegrades(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2, Replicas: 1})
+// TestFileFaultDegrades injects error and panic faults into exactly one
+// file's evaluation (trigger @1: the first file to reach the failpoint) and
+// asserts the partial-answer contract.
+func TestFileFaultDegrades(t *testing.T) {
+	srv := newServer(t, serve.Config{})
 	if _, err := srv.Publish(sampleFiles(6)); err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"error", "panic"} {
-		if err := faultinject.Configure(faultinject.ServeShard + "=" + kind + "@1"); err != nil {
+		if err := faultinject.Configure(faultinject.CorpusFile + "=" + kind + "@1"); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
 		faultinject.Reset()
 		if err != nil {
-			t.Fatalf("%s: shard fault failed the query outright: %v", kind, err)
-		}
-		if resp.Complete() || len(resp.Degraded) == 0 {
-			t.Fatalf("%s: faulted shard produced a complete answer", kind)
+			t.Fatalf("%s: a file fault failed the query outright: %v", kind, err)
 		}
 		want := error(faultinject.ErrInjected)
 		if kind == "panic" {
 			want = qof.ErrInternal
 		}
-		// Every degraded file belongs to the one faulted shard, is placed
-		// there by the hash, and carries the typed cause.
-		faulted := resp.Degraded[0].Shard
-		for _, d := range resp.Degraded {
-			if d.Shard != faulted {
-				t.Errorf("%s: degradation spans shards %d and %d, want one", kind, faulted, d.Shard)
-			}
-			if got := serve.ShardOf(d.File, 2); got != d.Shard {
-				t.Errorf("%s: %s attributed to shard %d, hashes to %d", kind, d.File, d.Shard, got)
-			}
-			if !errors.Is(d.Err, want) {
-				t.Errorf("%s: %s failed with %v, want %v", kind, d.File, d.Err, want)
-			}
+		if len(resp.Degraded) != 1 || !errors.Is(resp.Degraded[0].Err, want) {
+			t.Fatalf("%s: degraded %v, want one file failing with %v", kind, resp.DegradedError(), want)
 		}
-		if got := len(resp.Hits) + len(resp.Degraded); got != 6 {
-			t.Errorf("%s: hits %d + degraded %d != 6 files", kind, len(resp.Hits), len(resp.Degraded))
+		if len(resp.Hits) != 5 {
+			t.Errorf("%s: %d hits beside one degraded file, want 5", kind, len(resp.Hits))
 		}
-		// The surviving shard answered correctly: every hit has the known
-		// single result and hashes to the healthy shard.
 		for _, h := range resp.Hits {
-			if serve.ShardOf(h.File, 2) == faulted {
-				t.Errorf("%s: hit %s hashes to the faulted shard %d", kind, h.File, faulted)
+			if h.File == resp.Degraded[0].File {
+				t.Errorf("%s: %s both answered and degraded", kind, h.File)
 			}
 		}
 		if err := resp.DegradedError(); !errors.Is(err, want) {
@@ -79,191 +60,84 @@ func TestShardFaultDegrades(t *testing.T) {
 	}
 }
 
-// TestShardFaultFailsOver: with the default two replicas per file, a
-// primary attempt failing wholesale (error or panic) fails over to the
-// secondary and the answer stays complete — replication turns what used to
-// be degradation into a correct answer.
-func TestShardFaultFailsOver(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2})
-	if _, err := srv.Publish(sampleFiles(6)); err != nil {
+// TestCorpusPanicDegradesEveryFile: a panic the facade recovers outside any
+// one file's evaluation — here in the plan-cache lookup of the query the
+// validation has just found prepared — leaves the corpus no result, and
+// every file degrades with ErrInternal instead of the query failing.
+func TestCorpusPanicDegradesEveryFile(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(sampleFiles(3)); err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"error", "panic"} {
-		// Every primary attempt faults; failover attempts (serve.replica)
-		// are left healthy.
-		if err := faultinject.Configure(faultinject.ServeShard + "=" + kind); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
-		hits := faultinject.Hits(faultinject.ServeShard)
-		faultinject.Reset()
-		if err != nil {
-			t.Fatalf("%s: faulted primaries failed the query outright: %v", kind, err)
-		}
-		if !resp.Complete() || len(resp.Hits) != 6 {
-			t.Fatalf("%s: failover did not complete the answer: hits=%d degraded=%v",
-				kind, len(resp.Hits), resp.DegradedError())
-		}
-		if hits == 0 {
-			t.Fatalf("%s: the serve.shard failpoint was never reached", kind)
-		}
-	}
-	m := srv.Metrics()
-	if m.FailoversTotal == 0 {
-		t.Fatalf("failovers_total = 0 after primary faults; metrics = %+v", m)
-	}
-	// Faults cleared: the daemon serves complete answers directly.
-	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
-	if err != nil || !resp.Complete() || len(resp.Hits) != 6 {
-		t.Fatalf("post-fault query: hits=%d err=%v degraded=%v", len(resp.Hits), err, resp.DegradedError())
-	}
-}
-
-// TestBreakerTripsAndRecovers: a replica that fails every attempt
-// wholesale trips its breaker after the threshold; queries route around it
-// and stay complete. Once the fault clears and the cooldown elapses, a
-// half-open probe closes the breaker again.
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	srv := newServer(t, serve.Config{
-		Shards: 2, Replicas: 2,
-		BreakerThreshold: 2, BreakerCooldown: 20 * time.Millisecond,
-	})
-	if _, err := srv.Publish(sampleFiles(6)); err != nil {
+	if _, err := srv.Execute(t.Context(), serve.Request{Query: changQuery}); err != nil { // prepares it
 		t.Fatal(err)
 	}
-	// Shard 0 fails every attempt routed to it, whatever the attempt kind.
-	spec := faultinject.ServeShard + "#0=error," +
-		faultinject.ServeReplica + "#0=error," +
-		faultinject.ServeHedge + "#0=error"
-	if err := faultinject.Configure(spec); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.BreakerState(0) != "open" {
-		if time.Now().After(deadline) {
-			faultinject.Reset()
-			t.Fatalf("breaker 0 never opened; state = %q", srv.BreakerState(0))
-		}
-		resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
-		if err != nil {
-			faultinject.Reset()
-			t.Fatalf("query failed while shard 0 faulted: %v", err)
-		}
-		if !resp.Complete() {
-			faultinject.Reset()
-			t.Fatalf("answer degraded while shard 1 held every file: %v", resp.DegradedError())
-		}
-	}
-	// Open breaker: queries keep completing without touching shard 0.
-	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
-	if err != nil || !resp.Complete() || len(resp.Hits) != 6 {
-		t.Fatalf("query with breaker open: hits=%d err=%v degraded=%v",
-			len(resp.Hits), err, resp.DegradedError())
-	}
-	faultinject.Reset()
-
-	// Fault cleared: after the cooldown a probe closes the breaker.
-	for srv.BreakerState(0) != "closed" {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker 0 never closed; state = %q", srv.BreakerState(0))
-		}
-		time.Sleep(5 * time.Millisecond)
-		if _, err := srv.Execute(t.Context(), serve.Request{Query: changQuery}); err != nil {
-			t.Fatalf("recovery query: %v", err)
-		}
-	}
-	m := srv.Metrics()
-	if m.BreakerOpens == 0 || m.BreakerHalfOpens == 0 || m.BreakerCloses == 0 {
-		t.Fatalf("breaker transitions missing from metrics: opens=%d half=%d closes=%d",
-			m.BreakerOpens, m.BreakerHalfOpens, m.BreakerCloses)
-	}
-}
-
-// TestForcedBreakerFailsOver: pinning a breaker open routes every group
-// away from the shard (failover, not degradation), and successes cannot
-// close a pinned breaker; releasing the pin closes it.
-func TestForcedBreakerFailsOver(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2, Replicas: 2})
-	if _, err := srv.Publish(sampleFiles(6)); err != nil {
-		t.Fatal(err)
-	}
-	srv.ForceBreaker(0, true)
-	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
-	if err != nil || !resp.Complete() || len(resp.Hits) != 6 {
-		t.Fatalf("forced-open query: hits=%d err=%v degraded=%v", len(resp.Hits), err, resp.DegradedError())
-	}
-	if got := srv.BreakerState(0); got != "open" {
-		t.Fatalf("breaker 0 state = %q after successes, want pinned open", got)
-	}
-	if m := srv.Metrics(); m.FailoversTotal == 0 {
-		t.Fatal("forced-open breaker produced no failovers")
-	}
-	srv.ForceBreaker(0, false)
-	if got := srv.BreakerState(0); got != "closed" {
-		t.Fatalf("breaker 0 state = %q after release, want closed", got)
-	}
-}
-
-// TestShardDelayFault: a slow shard under no deadline just makes the query
-// slower — the answer stays complete.
-func TestShardDelayFault(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2})
-	if _, err := srv.Publish(sampleFiles(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Configure(faultinject.ServeShard + "=delay:30ms"); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
-	faultinject.Reset()
-	if err != nil || !resp.Complete() || len(resp.Hits) != 4 {
-		t.Fatalf("delayed shard: hits=%d err=%v degraded=%v", len(resp.Hits), err, resp.DegradedError())
-	}
-}
-
-// TestShardDeadlineDegrades: per-file work slower than the shard deadline
-// degrades those files with context.DeadlineExceeded, while the query-level
-// call still succeeds — a slow shard is a partial answer, not a failed or
-// interrupted query.
-func TestShardDeadlineDegrades(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2, ShardTimeout: 20 * time.Millisecond})
-	if _, err := srv.Publish(sampleFiles(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.Configure(faultinject.CorpusFile + "=delay:80ms"); err != nil {
+	// Hit 1 is the validation's lookup, hit 2 the corpus execution's.
+	if err := faultinject.Configure(faultinject.PlanCacheGet + "=panic@2"); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
 	faultinject.Reset()
 	if err != nil {
-		t.Fatalf("shard deadline interrupted the query: %v", err)
+		t.Fatalf("a recovered panic failed the query: %v", err)
 	}
-	if resp.Complete() {
-		t.Fatal("80ms/file under a 20ms shard deadline produced a complete answer")
+	if len(resp.Hits) != 0 || len(resp.Degraded) != 3 {
+		t.Fatalf("hits %d, degraded %d, want 0 and 3", len(resp.Hits), len(resp.Degraded))
+	}
+	for _, d := range resp.Degraded {
+		if !errors.Is(d.Err, qof.ErrInternal) {
+			t.Errorf("%s degraded with %v, want ErrInternal", d.File, d.Err)
+		}
+	}
+}
+
+// TestFileDelayFault: a slow file under no deadline just makes the query
+// slower — the answer stays complete.
+func TestFileDelayFault(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(sampleFiles(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Configure(faultinject.CorpusFile + "=delay:30ms"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
+	faultinject.Reset()
+	if err != nil || !resp.Complete() || len(resp.Hits) != 4 {
+		t.Fatalf("delayed file: hits=%d err=%v degraded=%v", len(resp.Hits), err, resp.DegradedError())
+	}
+}
+
+// TestFileDeadlineDegrades: files that miss Config.FileTimeout degrade with
+// context.DeadlineExceeded while the query-level call still succeeds — a
+// slow file is a partial answer, not a failed or interrupted query.
+func TestFileDeadlineDegrades(t *testing.T) {
+	srv := newServer(t, serve.Config{FileTimeout: time.Nanosecond}) // expires before any file's first poll
+	if _, err := srv.Publish(sampleFiles(4)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
+	if err != nil {
+		t.Fatalf("a file deadline interrupted the query: %v", err)
+	}
+	if len(resp.Degraded) != 4 || len(resp.Hits) != 0 {
+		t.Fatalf("hits %d, degraded %d under a 1ns file deadline, want 0 and 4", len(resp.Hits), len(resp.Degraded))
 	}
 	for _, d := range resp.Degraded {
 		if !errors.Is(d.Err, context.DeadlineExceeded) {
 			t.Errorf("%s degraded with %v, want DeadlineExceeded", d.File, d.Err)
 		}
-		if got := serve.ShardOf(d.File, 2); got != d.Shard {
-			t.Errorf("%s attributed to shard %d, hashes to %d", d.File, d.Shard, got)
-		}
 	}
-	if got := len(resp.Hits) + len(resp.Degraded); got != 4 {
-		t.Errorf("hits %d + degraded %d != 4 files", len(resp.Hits), len(resp.Degraded))
-	}
-	// Deadlines cleared, the daemon is healthy.
-	resp, err = srv.Execute(t.Context(), serve.Request{Query: changQuery})
-	if err != nil || !resp.Complete() || len(resp.Hits) != 4 {
-		t.Fatalf("post-deadline query: hits=%d err=%v", len(resp.Hits), err)
+	if m := srv.Metrics(); m.DegradedTotal != 1 || m.OkTotal != 1 {
+		t.Errorf("degraded_total=%d ok_total=%d, want 1/1", m.DegradedTotal, m.OkTotal)
 	}
 }
 
-// TestQueryDeadlineInterrupts: unlike a shard deadline, the query-level
+// TestQueryDeadlineInterrupts: unlike a file deadline, the query-level
 // deadline expiring reports interruption to the caller (HTTP: 504), with
 // the partial answer attached.
 func TestQueryDeadlineInterrupts(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2})
+	srv := newServer(t, serve.Config{})
 	if _, err := srv.Publish(sampleFiles(4)); err != nil {
 		t.Fatal(err)
 	}

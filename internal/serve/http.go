@@ -2,9 +2,9 @@ package serve
 
 // The HTTP/JSON surface: POST|GET /query, GET /healthz, GET /metrics and
 // (when Config.Reload is set) POST /reload. The envelope is deterministic
-// — hits and degradations in global document order, no map iteration —
-// so the same corpus produces byte-identical result bytes regardless of
-// shard count (the elapsed_us field is the one timing-dependent value).
+// — hits and degradations in document order, no map iteration — so the
+// same corpus produces byte-identical result bytes on every run (the
+// elapsed_us field is the one timing-dependent value).
 
 import (
 	"bytes"
@@ -17,8 +17,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"qof"
 )
 
 // QueryRequest is the /query request body. GET requests map q, tenant,
@@ -34,7 +32,6 @@ type QueryRequest struct {
 // Envelope is the /query response body.
 type Envelope struct {
 	Epoch     uint64          `json:"epoch"`
-	Shards    int             `json:"shards"`
 	Files     int             `json:"files"`
 	Complete  bool            `json:"complete"`
 	Hits      []EnvelopeHit   `json:"hits"`
@@ -57,10 +54,9 @@ type EnvelopeSpan struct {
 	End   int `json:"end"`
 }
 
-// EnvelopeError attributes one degraded file to its shard.
+// EnvelopeError is one degraded file and why.
 type EnvelopeError struct {
 	File  string `json:"file"`
-	Shard int    `json:"shard"`
 	Error string `json:"error"`
 }
 
@@ -80,7 +76,6 @@ type EnvelopeStats struct {
 func NewEnvelope(r *Response) *Envelope {
 	env := &Envelope{
 		Epoch:    r.Epoch,
-		Shards:   r.Shards,
 		Files:    r.Files,
 		Complete: r.Complete(),
 		Hits:     make([]EnvelopeHit, 0, len(r.Hits)),
@@ -102,21 +97,9 @@ func NewEnvelope(r *Response) *Envelope {
 		env.Hits = append(env.Hits, eh)
 	}
 	for _, d := range r.Degraded {
-		env.Degraded = append(env.Degraded, EnvelopeError{File: d.File, Shard: d.Shard, Error: d.Err.Error()})
+		env.Degraded = append(env.Degraded, EnvelopeError{File: d.File, Error: d.Err.Error()})
 	}
 	return env
-}
-
-// HitsFromCorpus converts direct-facade corpus results into Response form,
-// assigning each degraded file the shard it would live on under n shards.
-// The differential harness uses it to predict a sharded daemon's envelope
-// from an unsharded facade run.
-func HitsFromCorpus(res *qof.CorpusResults, n int) ([]qof.CorpusHit, []ShardFileError) {
-	var degraded []ShardFileError
-	for _, fe := range res.Degraded {
-		degraded = append(degraded, ShardFileError{File: fe.File, Shard: ShardOf(fe.File, n), Err: fe.Err})
-	}
-	return res.Hits, degraded
 }
 
 // errorBody is every non-200 response.
@@ -246,68 +229,40 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ReplicaHealth is one engine shard's health in /healthz: its breaker
-// state, failure run, and how many files it carries.
-type ReplicaHealth struct {
-	Shard        int    `json:"shard"`
-	Breaker      string `json:"breaker"` // closed | open | half-open
-	Failures     int    `json:"consecutive_failures"`
-	ForcedOpen   bool   `json:"forced_open,omitempty"`
-	PrimaryFiles int    `json:"primary_files"`
-	ReplicaFiles int    `json:"replica_files"` // files routed here, primaries included
-}
-
 // healthBody is the /healthz response.
 type healthBody struct {
-	Status   string          `json:"status"`
-	Epoch    uint64          `json:"epoch"`
-	Shards   int             `json:"shards"`
-	Files    int             `json:"files"`
-	Replicas int             `json:"replicas,omitempty"`
-	Shard    []ReplicaHealth `json:"shard_health,omitempty"`
+	Status string `json:"status"`
+	Epoch  uint64 `json:"epoch"`
+	Files  int    `json:"files"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	set := s.set.Load()
-	if set.epoch == 0 {
+	gen := s.gen.Load()
+	if gen.epoch == 0 {
 		writeJSON(w, http.StatusServiceUnavailable, healthBody{Status: "no-corpus"})
 		return
 	}
-	body := healthBody{
-		Status: "ok", Epoch: set.epoch, Shards: len(set.shards), Files: len(set.files),
-		Replicas: s.cfg.replicas(),
-	}
-	for i := range set.shards {
-		state, fails, forced := s.breakers[i].snapshot()
-		body.Shard = append(body.Shard, ReplicaHealth{
-			Shard: i, Breaker: state, Failures: fails, ForcedOpen: forced,
-			PrimaryFiles: len(set.byShard[i]), ReplicaFiles: len(set.onShard[i]),
-		})
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, healthBody{Status: "ok", Epoch: gen.epoch, Files: len(gen.files)})
 }
 
 // MetricsBody is the /metrics response.
 type MetricsBody struct {
-	Epoch            uint64                   `json:"epoch"`
-	Shards           int                      `json:"shards"`
-	Files            int                      `json:"files"`
-	QueriesTotal     uint64                   `json:"queries_total"`
-	OkTotal          uint64                   `json:"ok_total"`
-	ShedTotal        uint64                   `json:"shed_total"`
-	BadQueryTotal    uint64                   `json:"bad_query_total"`
-	CanceledTotal    uint64                   `json:"canceled_total"`
-	DegradedTotal    uint64                   `json:"degraded_total"`
-	Inflight         int64                    `json:"inflight"`
-	Replicas         int                      `json:"replicas"`
+	Epoch         uint64 `json:"epoch"`
+	Files         int    `json:"files"`
+	QueriesTotal  uint64 `json:"queries_total"`
+	OkTotal       uint64 `json:"ok_total"`
+	ShedTotal     uint64 `json:"shed_total"`
+	BadQueryTotal uint64 `json:"bad_query_total"`
+	CanceledTotal uint64 `json:"canceled_total"`
+	DegradedTotal uint64 `json:"degraded_total"`
+	Inflight      int64  `json:"inflight"`
+	// Deprecated: HedgesSent, HedgesWon and FailoversTotal always read 0:
+	// the server neither hedges nor fails over. They stay only because the
+	// benchmark (bench/trace.go) still reads them, until ROADMAP.md's item
+	// "thaw the benchmark" (item 1) moves it off them.
 	HedgesSent       uint64                   `json:"hedges_sent_total"`
 	HedgesWon        uint64                   `json:"hedges_won_total"`
 	FailoversTotal   uint64                   `json:"failovers_total"`
-	FailedOpenTotal  uint64                   `json:"failed_open_total"`
-	BreakerOpens     uint64                   `json:"breaker_opens_total"`
-	BreakerHalfOpens uint64                   `json:"breaker_half_opens_total"`
-	BreakerCloses    uint64                   `json:"breaker_closes_total"`
-	HedgeDelayMs     float64                  `json:"hedge_delay_ms"`
 	LatencyMs        map[string]float64       `json:"latency_ms"`
 	Tenants          map[string]TenantMetrics `json:"tenants,omitempty"`
 	MaxInflight      int                      `json:"max_inflight"`
@@ -316,31 +271,23 @@ type MetricsBody struct {
 
 // TenantMetrics are one tenant's counters.
 type TenantMetrics struct {
-	Queries   uint64 `json:"queries"`
-	Shed      uint64 `json:"shed"`
-	Hedges    uint64 `json:"hedges,omitempty"`
-	Failovers uint64 `json:"failovers,omitempty"`
+	Queries uint64 `json:"queries"`
+	Shed    uint64 `json:"shed"`
 }
 
 // Metrics snapshots the server's counters.
 func (s *Server) Metrics() MetricsBody {
+	gen := s.gen.Load()
 	m := MetricsBody{
-		QueriesTotal:     s.met.queries.Load(),
-		OkTotal:          s.met.ok.Load(),
-		ShedTotal:        s.met.shed.Load(),
-		BadQueryTotal:    s.met.badQuery.Load(),
-		CanceledTotal:    s.met.canceled.Load(),
-		DegradedTotal:    s.met.degraded.Load(),
-		Inflight:         s.met.inflight.Load(),
-		Replicas:         s.cfg.replicas(),
-		HedgesSent:       s.met.hedgesSent.Load(),
-		HedgesWon:        s.met.hedgesWon.Load(),
-		FailoversTotal:   s.met.failovers.Load(),
-		FailedOpenTotal:  s.met.failedOpen.Load(),
-		BreakerOpens:     s.met.breakerOpens.Load(),
-		BreakerHalfOpens: s.met.breakerHalfOpens.Load(),
-		BreakerCloses:    s.met.breakerCloses.Load(),
-		HedgeDelayMs:     float64(s.hedgeDelay()) / float64(time.Millisecond),
+		Epoch:         gen.epoch,
+		Files:         len(gen.files),
+		QueriesTotal:  s.met.queries.Load(),
+		OkTotal:       s.met.ok.Load(),
+		ShedTotal:     s.met.shed.Load(),
+		BadQueryTotal: s.met.badQuery.Load(),
+		CanceledTotal: s.met.canceled.Load(),
+		DegradedTotal: s.met.degraded.Load(),
+		Inflight:      s.met.inflight.Load(),
 		LatencyMs: map[string]float64{
 			"p50":  s.met.hist.quantile(0.50),
 			"p99":  s.met.hist.quantile(0.99),
@@ -349,19 +296,12 @@ func (s *Server) Metrics() MetricsBody {
 		MaxInflight:      s.cfg.maxInflight(),
 		AdmittedInflight: s.adm.inflight(),
 	}
-	set := s.set.Load()
-	m.Epoch, m.Shards, m.Files = set.epoch, len(set.shards), len(set.files)
 	names := s.met.tenantNames()
 	if len(names) > 0 {
 		m.Tenants = make(map[string]TenantMetrics, len(names))
 		for _, n := range names {
 			tc := s.met.tenant(n)
-			m.Tenants[n] = TenantMetrics{
-				Queries:   tc.queries.Load(),
-				Shed:      tc.shed.Load(),
-				Hedges:    tc.hedges.Load(),
-				Failovers: tc.failovers.Load(),
-			}
+			m.Tenants[n] = TenantMetrics{Queries: tc.queries.Load(), Shed: tc.shed.Load()}
 		}
 	}
 	return m
@@ -390,5 +330,5 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		healthBody
 		Built  int `json:"built"`  // files indexed for this epoch
 		Reused int `json:"reused"` // files that kept their engine
-	}{healthBody{Status: "ok", Epoch: epoch, Shards: s.cfg.shards(), Files: len(files)}, built, len(files) - built})
+	}{healthBody{Status: "ok", Epoch: epoch, Files: len(files)}, built, len(files) - built})
 }

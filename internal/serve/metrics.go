@@ -19,21 +19,7 @@ type metrics struct {
 	degraded atomic.Uint64 // completed with at least one degraded file
 	inflight atomic.Int64  // admitted and still executing
 
-	// Replication counters: hedging, failover and breaker activity.
-	hedgesSent atomic.Uint64 // hedged attempts dispatched
-	hedgesWon  atomic.Uint64 // groups whose winning attempt was a hedge
-	failovers  atomic.Uint64 // attempts routed to a non-primary replica
-	failedOpen atomic.Uint64 // groups served with every breaker open
-
-	breakerOpens     atomic.Uint64 // closed/half-open → open transitions
-	breakerHalfOpens atomic.Uint64 // open → half-open probe admissions
-	breakerCloses    atomic.Uint64 // open/half-open → closed transitions
-
 	hist latencyHist
-
-	// legHist observes every replica attempt (not whole queries); its p99
-	// drives the adaptive hedge delay.
-	legHist latencyHist
 
 	mu      sync.Mutex
 	tenants map[string]*tenantCounters // guarded by mu; values have atomic fields
@@ -45,10 +31,6 @@ type metrics struct {
 type tenantCounters struct {
 	queries atomic.Uint64 // submissions (admitted or shed)
 	shed    atomic.Uint64
-
-	// Per-tenant replication counters.
-	hedges    atomic.Uint64
-	failovers atomic.Uint64
 }
 
 func newMetrics() *metrics {
@@ -95,15 +77,6 @@ func (h *latencyHist) observe(d time.Duration) {
 		i++
 	}
 	h.buckets[i].Add(1)
-}
-
-// count reports the number of observations.
-func (h *latencyHist) count() uint64 {
-	var total uint64
-	for i := range h.buckets {
-		total += h.buckets[i].Load()
-	}
-	return total
 }
 
 // quantile returns the approximate q-quantile (0 < q < 1) in milliseconds,

@@ -83,7 +83,7 @@ func TestNoCorpus(t *testing.T) {
 // TestPublishEpochs: every successful publish bumps the epoch by one, and
 // queries answer from the generation current when they were admitted.
 func TestPublishEpochs(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2})
+	srv := newServer(t, serve.Config{})
 	for want := uint64(1); want <= 3; want++ {
 		epoch, err := srv.Publish(sampleFiles(int(want) + 1))
 		if err != nil {
@@ -105,29 +105,27 @@ func TestPublishEpochs(t *testing.T) {
 	}
 }
 
-// TestPublishReportsEveryShard is the AddAll-style error-reporting fix at
-// the shard level: when several shards fail to build, the publish error
+// TestPublishReportsEveryFile is the AddAll-style error-reporting contract
+// at the daemon: when several files fail to index, the publish error
 // attributes every one of them, not just the first, and the previous
 // generation keeps serving untouched.
-func TestPublishReportsEveryShard(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 4})
-	if _, err := srv.Publish(sampleFiles(8)); err != nil {
+func TestPublishReportsEveryFile(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(sampleFiles(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := faultinject.Configure(faultinject.ServePublish + "=error"); err != nil {
+	if err := faultinject.Configure(faultinject.IndexBuild + "=error"); err != nil {
 		t.Fatal(err)
 	}
-	_, err := srv.Publish(sampleFiles(8))
+	_, err := srv.Publish(sampleFiles(5)) // doc-02 .. doc-04 are new
 	faultinject.Reset()
-	if err == nil {
-		t.Fatal("publish succeeded with every shard build faulted")
-	}
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("publish error %v does not wrap ErrInjected", err)
 	}
-	for i := 0; i < 4; i++ {
-		if want := fmt.Sprintf("shard %d", i); !strings.Contains(err.Error(), want) {
-			t.Errorf("publish error lacks %q attribution: %v", want, err)
+	for i := 0; i < 5; i++ {
+		name := fmt.Sprintf("doc-%02d.bib", i)
+		if got, want := strings.Contains(err.Error(), name), i >= 2; got != want {
+			t.Errorf("publish error names %s: %v, want %v: %v", name, got, want, err)
 		}
 	}
 	// The failed publish must be invisible: old epoch, old answers.
@@ -135,28 +133,53 @@ func TestPublishReportsEveryShard(t *testing.T) {
 		t.Fatalf("failed publish moved the epoch to %d", got)
 	}
 	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
-	if err != nil || !resp.Complete() || len(resp.Hits) != 8 {
+	if err != nil || !resp.Complete() || len(resp.Hits) != 2 {
 		t.Fatalf("previous generation no longer serves: hits=%d err=%v", len(resp.Hits), err)
 	}
 }
 
-// TestPublishPartialShardFailure: when only one shard build fails, exactly
-// that shard is attributed and the swap still does not happen.
-func TestPublishPartialShardFailure(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 3})
-	if err := faultinject.Configure(faultinject.ServePublish + "=error@2"); err != nil {
+// TestPublishFaultKeepsOldGeneration: a fault in the step after the build,
+// error or panic, fails the publish with its typed cause and swaps nothing
+// in — not on the first publish, and not on a later one, whose previous
+// generation keeps serving.
+func TestPublishFaultKeepsOldGeneration(t *testing.T) {
+	srv := newServer(t, serve.Config{})
+	for _, c := range []struct {
+		kind string
+		want error
+	}{
+		{"error", faultinject.ErrInjected},
+		{"panic", qof.ErrInternal},
+	} {
+		if err := faultinject.Configure(faultinject.ServePublish + "=" + c.kind); err != nil {
+			t.Fatal(err)
+		}
+		_, err := srv.Publish(sampleFiles(3))
+		faultinject.Reset()
+		if !errors.Is(err, c.want) {
+			t.Fatalf("%s: publish error = %v, want %v", c.kind, err, c.want)
+		}
+		if got := srv.Epoch(); got != 0 {
+			t.Fatalf("%s: failed first publish set epoch %d", c.kind, got)
+		}
+		if _, err := srv.Execute(t.Context(), serve.Request{Query: changQuery}); !errors.Is(err, serve.ErrNoCorpus) {
+			t.Fatalf("%s: a failed first publish serves: %v", c.kind, err)
+		}
+	}
+	if _, err := srv.Publish(sampleFiles(3)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := srv.Publish(sampleFiles(6))
+	if err := faultinject.Configure(faultinject.ServePublish + "=error"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := srv.Publish(sampleFiles(4))
 	faultinject.Reset()
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("publish error = %v, want ErrInjected", err)
+	if !errors.Is(err, faultinject.ErrInjected) || srv.Epoch() != 1 {
+		t.Fatalf("faulted second publish: err=%v epoch=%d, want ErrInjected at epoch 1", err, srv.Epoch())
 	}
-	if n := strings.Count(err.Error(), "shard "); n != 1 {
-		t.Errorf("error attributes %d shards, want exactly 1: %v", n, err)
-	}
-	if got := srv.Epoch(); got != 0 {
-		t.Fatalf("failed first publish set epoch %d", got)
+	resp, err := srv.Execute(t.Context(), serve.Request{Query: changQuery})
+	if err != nil || !resp.Complete() || len(resp.Hits) != 3 {
+		t.Fatalf("previous generation no longer serves: hits=%d err=%v", len(resp.Hits), err)
 	}
 }
 
@@ -188,11 +211,11 @@ func TestExecuteBadQuery(t *testing.T) {
 // TestHostileQueryRefused: query text nested past the parsers' limit — 400 KB
 // of NOTs fit under the 1 MiB body cap, and used to cost seconds of
 // normalizing per file — is a bad query: HTTP 400, counted in bad_query_total,
-// and refused by the validation parse, so it is never admitted and no shard,
+// and refused by the validation parse, so it is never admitted and no
 // corpus or engine sees it. What is asserted is where it stopped, not how
 // fast.
 func TestHostileQueryRefused(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2})
+	srv := newServer(t, serve.Config{})
 	if _, err := srv.Publish(sampleFiles(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +392,7 @@ func TestHTTPShed(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if err := faultinject.Configure(faultinject.ServeShard + "=delay:400ms"); err != nil {
+	if err := faultinject.Configure(faultinject.CorpusFile + "=delay:400ms"); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Reset()
@@ -431,7 +454,7 @@ func TestTenantHardCapShedsOnlyThatTenant(t *testing.T) {
 	if _, err := srv.Publish(sampleFiles(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := faultinject.Configure(faultinject.ServeShard + "=delay:300ms"); err != nil {
+	if err := faultinject.Configure(faultinject.CorpusFile + "=delay:300ms"); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Reset()
@@ -469,7 +492,6 @@ func TestTenantHardCapShedsOnlyThatTenant(t *testing.T) {
 func TestReloadEndpoint(t *testing.T) {
 	generation := 0
 	srv := newServer(t, serve.Config{
-		Shards: 2,
 		Reload: func(ctx context.Context) (map[string]string, error) {
 			generation++
 			return sampleFiles(generation + 1), nil
@@ -507,7 +529,7 @@ func TestReloadEndpoint(t *testing.T) {
 
 // TestMetricsEndpoint spot-checks the counter plumbing end to end.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := newServer(t, serve.Config{Shards: 2})
+	srv := newServer(t, serve.Config{})
 	if _, err := srv.Publish(sampleFiles(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -530,31 +552,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.QueriesTotal != 3 || m.OkTotal != 3 || m.ShedTotal != 0 {
 		t.Fatalf("metrics = queries:%d ok:%d shed:%d, want 3/3/0", m.QueriesTotal, m.OkTotal, m.ShedTotal)
 	}
-	if m.Epoch != 1 || m.Shards != 2 || m.Files != 3 {
-		t.Fatalf("metrics corpus = epoch:%d shards:%d files:%d", m.Epoch, m.Shards, m.Files)
+	if m.Epoch != 1 || m.Files != 3 {
+		t.Fatalf("metrics corpus = epoch:%d files:%d", m.Epoch, m.Files)
 	}
 	if m.Tenants["m"].Queries != 3 {
 		t.Fatalf("tenant queries = %d, want 3", m.Tenants["m"].Queries)
 	}
 	if m.LatencyMs["p50"] <= 0 {
 		t.Error("p50 latency missing after 3 queries")
-	}
-}
-
-// TestShardOf pins the placement function: deterministic, in range, and
-// the single-shard case is always shard 0.
-func TestShardOf(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		name := fmt.Sprintf("doc-%02d.bib", i)
-		if got := serve.ShardOf(name, 1); got != 0 {
-			t.Fatalf("ShardOf(%q, 1) = %d", name, got)
-		}
-		got := serve.ShardOf(name, 4)
-		if got < 0 || got > 3 {
-			t.Fatalf("ShardOf(%q, 4) = %d out of range", name, got)
-		}
-		if again := serve.ShardOf(name, 4); again != got {
-			t.Fatalf("ShardOf(%q, 4) unstable: %d then %d", name, got, again)
-		}
 	}
 }

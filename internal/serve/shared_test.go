@@ -1,13 +1,12 @@
 package serve_test
 
-// One engine per file: a publish indexes each file once and every replica of
-// it runs that engine; a reload indexes only what is new or changed. The
-// index.build failpoint makes "built nothing" an exact check, not a timing.
+// One engine per file: a publish indexes each file once, and a reload
+// indexes only what is new or changed. The index.build failpoint makes
+// "built nothing" an exact check, not a timing.
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -34,12 +33,11 @@ type reloadResult struct {
 	Error  string `json:"error"`
 }
 
-// reloadLeg starts a 4-shard, 2-replica daemon whose /reload publishes
-// whatever next holds, and publishes it once.
+// reloadLeg starts a daemon whose /reload publishes whatever next holds,
+// and publishes it once.
 func reloadLeg(t *testing.T, next *atomic.Pointer[map[string]string]) (*serve.Server, string) {
 	t.Helper()
 	srv := newServer(t, serve.Config{
-		Shards: 4, Replicas: 2,
 		Reload: func(context.Context) (map[string]string, error) { return *next.Load(), nil },
 	})
 	if _, err := srv.Publish(*next.Load()); err != nil {
@@ -189,61 +187,17 @@ func TestReloadRebuildsOnlyChanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = string(expected(t, res, 0, 4, len(v2)))
+		want[i] = string(expected(t, res, 0, len(v2)))
 	}
 	sameAnswers(t, "after reloading a changed file", queries, answers(t, srv, queries), want)
 }
 
-// TestReplicasShareOneEngine: whatever the replication, every file has
-// exactly one engine across all the shards that view it, and a reload of
-// unchanged files keeps it.
-func TestReplicasShareOneEngine(t *testing.T) {
-	for _, r := range []int{2, 4} {
-		srv := newServer(t, serve.Config{Shards: 4, Replicas: r})
-		files := sampleFiles(16)
-		if _, err := srv.Publish(files); err != nil {
-			t.Fatal(err)
-		}
-		engineOf := make(map[string]uintptr)
-		views := make(map[string]int)
-		owner := make(map[uintptr]string)
-		for _, view := range serve.ShardEngines(srv) {
-			for name, e := range view {
-				if prev, ok := engineOf[name]; ok && prev != e {
-					t.Fatalf("R=%d: %s runs on two engines", r, name)
-				}
-				if o, ok := owner[e]; ok && o != name {
-					t.Fatalf("R=%d: %s and %s share an engine", r, o, name)
-				}
-				engineOf[name], owner[e] = e, name
-				views[name]++
-			}
-		}
-		for name := range files {
-			if views[name] != r {
-				t.Errorf("R=%d: %s is viewed by %d shards", r, name, views[name])
-			}
-		}
-		if _, err := srv.Publish(files); err != nil {
-			t.Fatal(err)
-		}
-		for sh, view := range serve.ShardEngines(srv) {
-			for name, e := range view {
-				if e != engineOf[name] {
-					t.Errorf("R=%d: shard %d runs %s on a new engine after an unchanged reload", r, sh, name)
-				}
-			}
-		}
-	}
-}
-
-// TestHedgeAndFailoverOnColdSharedEngine: the first query ever of a class
-// that builds lazy state on the index (an equality selection sorts its
-// region set's values once per instance) races on one shared engine from
-// eight clients, each attempt hedged or failed over to a second route to
-// the same engine. Every answer must be the direct facade's, and nothing
-// may outlive the queries. Run under -race.
-func TestHedgeAndFailoverOnColdSharedEngine(t *testing.T) {
+// TestColdEngineConcurrentFirstQuery: the first query ever of a class that
+// builds lazy state on the index (an equality selection sorts its region
+// set's values once per instance) races on each file's one engine from
+// eight clients. Every answer must be the direct facade's, and nothing may
+// outlive the queries. Run under -race.
+func TestColdEngineConcurrentFirstQuery(t *testing.T) {
 	base := runtime.NumGoroutine()
 	baseStreams := algebra.OpenStreams()
 	const src = `SELECT r.Key FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
@@ -256,60 +210,41 @@ func TestHedgeAndFailoverOnColdSharedEngine(t *testing.T) {
 	if err != nil || len(res.Hits) == 0 {
 		t.Fatalf("direct facade: %d hits, %v; the query must select something", len(res.Hits), err)
 	}
-	want := string(expected(t, res, 1, 4, len(files)))
+	want := string(expected(t, res, 1, len(files)))
 
-	for _, leg := range []struct {
-		name, fault string
-		raced       func(serve.MetricsBody) bool
-	}{
-		{"hedge", faultinject.ServeShard + "=delay:20ms", func(m serve.MetricsBody) bool { return m.HedgesWon > 0 }},
-		{"failover", faultinject.ServeShard + "=error", func(m serve.MetricsBody) bool { return m.FailoversTotal > 0 }},
-	} {
-		// A high breaker threshold keeps every route open: with all primaries
-		// faulted, breakers would otherwise open on both replicas of a group.
-		srv := newServer(t, serve.Config{
-			Shards: 4, Replicas: 2, HedgeAfter: time.Millisecond, BreakerThreshold: 1000,
-		})
-		if _, err := srv.Publish(files); err != nil {
-			t.Fatal(err)
-		}
-		if err := faultinject.Configure(leg.fault); err != nil {
-			t.Fatal(err)
-		}
-		const clients = 8
-		got := make([]string, clients)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				<-start
-				resp, err := srv.Execute(context.Background(), serve.Request{Query: src})
-				if err != nil {
-					got[c] = err.Error()
-					return
-				}
-				got[c] = string(canonicalEnvelope(t, resp))
-			}(c)
-		}
-		close(start)
-		wg.Wait()
-		faultinject.Reset()
-		for c, g := range got {
-			if g != want {
-				t.Errorf("%s: client %d:\n  got  %s\n  want %s", leg.name, c, g, want)
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(files); err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	got := make([]string, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			resp, err := srv.Execute(context.Background(), serve.Request{Query: src})
+			if err != nil {
+				got[c] = err.Error()
+				return
 			}
-		}
-		if m := srv.Metrics(); !leg.raced(m) {
-			t.Errorf("%s: nothing raced: hedges won %d, failovers %d", leg.name, m.HedgesWon, m.FailoversTotal)
+			got[c] = string(canonicalEnvelope(t, resp))
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	for c, g := range got {
+		if g != want {
+			t.Errorf("client %d:\n  got  %s\n  want %s", c, g, want)
 		}
 	}
 	waitGoroutines(t, base)
 	deadline := time.Now().Add(5 * time.Second)
 	for algebra.OpenStreams() != baseStreams {
 		if time.Now().After(deadline) {
-			t.Fatalf("open streams = %d, started with %d: a loser leaked its iterator", algebra.OpenStreams(), baseStreams)
+			t.Fatalf("open streams = %d, started with %d: a query leaked its iterator", algebra.OpenStreams(), baseStreams)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -327,39 +262,32 @@ func canonicalEnvelope(t *testing.T, resp *serve.Response) []byte {
 	return b
 }
 
-// BenchmarkPublish publishes 16 generated files of 1250 references on 4
-// shards, with one replica per file and with two, and reports the live heap
-// the published generation holds: a forced collection each side. Replicas
-// route to one engine per file, so the two read alike.
+// BenchmarkPublish publishes 16 generated files of 1250 references and
+// reports the live heap the published generation holds: a forced
+// collection each side.
 func BenchmarkPublish(b *testing.B) {
 	files := make(map[string]string)
 	for _, d := range testutil.BibCorpusDocs(b, 16, 1250) {
 		files[d.Name()] = d.Content()
 	}
-	for _, r := range []int{1, 2} {
-		b.Run(fmt.Sprintf("replicas=%d", r), func(b *testing.B) {
-			var heap float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				before := liveHeapMB()
-				b.StartTimer()
-				srv, err := serve.New(serve.Config{
-					Schema: qof.BibTeX(), Shards: 4, Replicas: r,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := srv.Publish(files); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				heap += liveHeapMB() - before
-				runtime.KeepAlive(srv)
-				b.StartTimer()
-			}
-			b.ReportMetric(heap/float64(b.N), "heap-MB/op")
-		})
+	var heap float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeapMB()
+		b.StartTimer()
+		srv, err := serve.New(serve.Config{Schema: qof.BibTeX()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.Publish(files); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		heap += liveHeapMB() - before
+		runtime.KeepAlive(srv)
+		b.StartTimer()
 	}
+	b.ReportMetric(heap/float64(b.N), "heap-MB/op")
 }
 
 // liveHeapMB is the live heap after a forced collection, in MB.

@@ -1,9 +1,9 @@
 package serve_test
 
-// Satellite stress suite, meant to run under -race: concurrent queries
-// racing hot reloads, a cancel-storm of disconnecting HTTP clients, and
-// shedding under saturation — each followed by goroutine-leak accounting
-// and a health check.
+// Stress suite, meant to run under -race: concurrent queries racing hot
+// reloads, a cancel-storm of disconnecting HTTP clients, shedding under
+// saturation and the goroutines a query may use — each followed by
+// goroutine-leak accounting and a health check.
 
 import (
 	"context"
@@ -19,8 +19,8 @@ import (
 	"testing"
 	"time"
 
-	"qof/internal/algebra"
 	"qof/internal/faultinject"
+	"qof/internal/qgen"
 	"qof/internal/serve"
 )
 
@@ -44,15 +44,15 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestStressReload runs a worker pool of queries against a 4-shard server
-// while another goroutine republishes alternating corpus generations. Every
+// TestStressReload runs a worker pool of queries against a server while
+// another goroutine republishes alternating corpus generations. Every
 // answer must be complete and internally consistent with the single
 // generation that served it: epoch parity determines the corpus version, so
 // files and hit counts must match that version exactly — a query must never
-// observe a half-swapped shard set.
+// observe a half-swapped generation.
 func TestStressReload(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := newServer(t, serve.Config{Shards: 4})
+	srv := newServer(t, serve.Config{})
 	// Odd epochs serve v1 (3 files), even epochs v2 (5 files).
 	v1, v2 := sampleFiles(3), sampleFiles(5)
 	if _, err := srv.Publish(v1); err != nil {
@@ -115,7 +115,7 @@ func TestStressReload(t *testing.T) {
 // goroutines, cancellations counted, and a clean answer afterwards.
 func TestStressCancelStorm(t *testing.T) {
 	base := runtime.NumGoroutine()
-	srv := newServer(t, serve.Config{Shards: 2, MaxInflight: 128})
+	srv := newServer(t, serve.Config{MaxInflight: 128})
 	if _, err := srv.Publish(sampleFiles(6)); err != nil {
 		t.Fatal(err)
 	}
@@ -169,85 +169,17 @@ func TestStressCancelStorm(t *testing.T) {
 	}
 }
 
-// TestStressHedgeLoserCleanup forces every query to hedge — primary
-// attempts sleep on an injected delay while the hedge timer fires after
-// 1ms — so each answer is produced by the secondary and each primary
-// becomes a canceled loser still unwinding after its group returned.
-// Afterwards the books must balance exactly: goroutine count back to
-// base (no detached loser lives on) and the algebra layer's open-stream
-// counter back to where it started (every loser's root iterator was
-// closed, not abandoned mid-pipeline).
-func TestStressHedgeLoserCleanup(t *testing.T) {
-	base := runtime.NumGoroutine()
-	baseStreams := algebra.OpenStreams()
-	srv := newServer(t, serve.Config{Shards: 2, Replicas: 2, HedgeAfter: time.Millisecond})
-	if _, err := srv.Publish(sampleFiles(6)); err != nil {
-		t.Fatal(err)
-	}
-	// Only primary attempts (serve.shard) stall; hedges (serve.hedge) run
-	// unimpeded and win every race.
-	if err := faultinject.Configure(faultinject.ServeShard + "=delay:25ms"); err != nil {
-		t.Fatal(err)
-	}
-	const storm = 24
-	var wg sync.WaitGroup
-	errc := make(chan error, storm)
-	for i := 0; i < storm; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := srv.Execute(context.Background(), serve.Request{Query: changQuery})
-			if err != nil {
-				errc <- err
-				return
-			}
-			if !resp.Complete() || len(resp.Hits) != 6 {
-				errc <- fmt.Errorf("hedged answer: hits=%d degraded=%v, want 6 complete",
-					len(resp.Hits), resp.DegradedError())
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	faultinject.Reset()
-
-	m := srv.Metrics()
-	if m.HedgesSent == 0 || m.HedgesWon == 0 {
-		t.Fatalf("hedges sent=%d won=%d; the storm never raced", m.HedgesSent, m.HedgesWon)
-	}
-	// Losers are still sleeping on the injected delay when Execute returns;
-	// they must all unwind without leaking a goroutine or an open iterator.
-	waitGoroutines(t, base)
-	deadline := time.Now().Add(5 * time.Second)
-	for algebra.OpenStreams() != baseStreams {
-		if time.Now().After(deadline) {
-			t.Fatalf("open streams = %d after storm, started with %d: hedge losers leaked iterators",
-				algebra.OpenStreams(), baseStreams)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// Canceled losers must not have been booked as faults.
-	for sh := 0; sh < 2; sh++ {
-		if st := srv.BreakerState(sh); st != "closed" {
-			t.Errorf("breaker %d = %s after hedge storm, want closed", sh, st)
-		}
-	}
-}
-
-// TestStressShedding saturates a small server far past MaxInflight and
-// checks the books afterwards: every submission either completed or was
-// shed (the counts add up), a nonzero number were shed, and no capacity or
-// goroutines leaked.
+// TestStressShedding saturates a small server far past MaxInflight with
+// queries a per-file delay holds in, and checks the books afterwards: every
+// submission either completed or was shed (the counts add up), a nonzero
+// number were shed, and no capacity or goroutines leaked.
 func TestStressShedding(t *testing.T) {
 	base := runtime.NumGoroutine()
 	srv := newServer(t, serve.Config{MaxInflight: 4})
 	if _, err := srv.Publish(sampleFiles(2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := faultinject.Configure(faultinject.ServeShard + "=delay:20ms"); err != nil {
+	if err := faultinject.Configure(faultinject.CorpusFile + "=delay:20ms"); err != nil {
 		t.Fatal(err)
 	}
 	const clients = 32
@@ -289,4 +221,131 @@ func TestStressShedding(t *testing.T) {
 		t.Errorf("inflight admitted=%d executing=%d after drain, want 0/0", m.AdmittedInflight, m.Inflight)
 	}
 	waitGoroutines(t, base)
+}
+
+// TestStressShedBurst storms the daemon over HTTP with a burst of cheap,
+// undelayed queries far above MaxInflight, with no failpoint holding them
+// in. An admitted query runs to the end on its handler's goroutine, so only
+// the yield after admission lets the rest of the burst reach admission and
+// be shed rather than queue unseen: some must be shed, every submission is
+// answered 200 or 429 and counted so by the daemon, and nothing leaks.
+func TestStressShedBurst(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := newServer(t, serve.Config{MaxInflight: 16})
+	files := make(map[string]string)
+	for i := 0; i < 8; i++ {
+		d := qgen.BibTeX(int64(2026 + i))
+		files[d.Doc.Name()] = d.Doc.Content()
+	}
+	if _, err := srv.Publish(files); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	const clients, perClient = 200, 2
+	client := &http.Client{Transport: &http.Transport{MaxIdleConns: clients, MaxIdleConnsPerHost: clients}}
+	target := ts.URL + "/query?q=" + url.QueryEscape(`SELECT r FROM References r WHERE r STARTS "Ch"`)
+	var ok, shed, other atomic.Uint64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < perClient; r++ {
+				resp, err := client.Get(target)
+				if err != nil {
+					other.Add(1)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK:
+					ok.Add(1)
+				case http.StatusTooManyRequests:
+					shed.Add(1)
+				default:
+					other.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ts.Close()
+	client.CloseIdleConnections()
+
+	if ok.Load()+shed.Load() != clients*perClient || other.Load() != 0 {
+		t.Errorf("ok %d + shed %d != %d submitted (%d neither)", ok.Load(), shed.Load(), clients*perClient, other.Load())
+	}
+	if shed.Load() == 0 {
+		t.Errorf("a burst of %d clients never shed at MaxInflight 16", clients)
+	}
+	if ok.Load() == 0 {
+		t.Error("the burst served nothing")
+	}
+	if m := srv.Metrics(); m.OkTotal != ok.Load() || m.ShedTotal != shed.Load() {
+		t.Errorf("daemon counted ok=%d shed=%d, clients saw %d/%d", m.OkTotal, m.ShedTotal, ok.Load(), shed.Load())
+	}
+	t.Logf("%d submitted: %d ok, %d shed", clients*perClient, ok.Load(), shed.Load())
+	waitGoroutines(t, base)
+}
+
+// TestPeakGoroutinesBounded: N clients querying a 16-file server at once
+// never run more goroutines than the clients themselves, the helpers and a
+// few the test and the runtime own: a query runs on its caller's goroutine
+// and hands files only to idle helpers, and starts none of its own.
+func TestPeakGoroutinesBounded(t *testing.T) {
+	files := make(map[string]string, 16)
+	for i := 0; i < 16; i++ {
+		d := qgen.BibTeX(int64(100 + i))
+		files[fmt.Sprintf("f%02d.bib", i)] = d.Doc.Content()
+	}
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(files); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		changQuery,
+		`SELECT r.Key FROM References r WHERE r.Title CONTAINS "data"`,
+		`SELECT r FROM References r WHERE NOT r.Authors.Name.Last_Name = "Chang"`,
+	}
+	const clients, perClient = 16, 20
+	var (
+		stop sync.WaitGroup
+		done atomic.Bool
+		peak atomic.Int64
+	)
+	stop.Add(1)
+	go func() { // the sampler, counted in base
+		defer stop.Done()
+		for !done.Load() {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	base := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				q := queries[(c+i)%len(queries)]
+				if _, err := srv.Execute(t.Context(), serve.Request{Query: q}); err != nil {
+					t.Errorf("client %d: %s: %v", c, q, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	done.Store(true)
+	stop.Wait()
+	// The helpers started with the process and are in base already; the
+	// bound counts them again, as GOMAXPROCS, in case a test grew them.
+	const slack = 4
+	if bound := base + clients + runtime.GOMAXPROCS(0) + slack; int(peak.Load()) > bound {
+		t.Errorf("peak %d goroutines under %d clients, bound %d (base %d)", peak.Load(), clients, bound, base)
+	}
 }

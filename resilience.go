@@ -36,7 +36,6 @@ type queryConfig struct {
 	lim         engine.Limits
 	fileTimeout time.Duration
 	partial     bool
-	files       []string
 }
 
 // QueryOption configures a single query execution (QueryContext,
@@ -78,14 +77,6 @@ func WithFileTimeout(d time.Duration) QueryOption {
 // with attribution, and the remaining files' results are returned.
 func WithPartialResults() QueryOption {
 	return func(c *queryConfig) { c.partial = true }
-}
-
-// WithFiles restricts a corpus query to the named files, preserving corpus
-// order; names not in the corpus are ignored. It has no effect on
-// single-file queries. The serving layer uses it to evaluate one replica
-// group's files on a shard that also carries copies of other files.
-func WithFiles(names ...string) QueryOption {
-	return func(c *queryConfig) { c.files = append([]string(nil), names...) }
 }
 
 // catchPanic converts a panic crossing an API boundary into an error
@@ -195,9 +186,9 @@ type FileError struct {
 }
 
 // CorpusStats aggregates execution statistics over the files of a corpus
-// query. Every field is partition-invariant: splitting the same files across several corpora (as
-// the qofd shards do) and summing per-corpus stats yields the same totals as
-// one corpus holding them all.
+// query. Every field is partition-invariant: splitting the same files
+// across several corpora and summing per-corpus stats yields the same
+// totals as one corpus holding them all.
 type CorpusStats struct {
 	// Results is the total number of result rows across files.
 	Results int
@@ -256,7 +247,6 @@ func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOp
 		Limits:      cfg.lim,
 		FileTimeout: cfg.fileTimeout,
 		Partial:     cfg.partial,
-		Files:       cfg.files,
 	})
 	if res == nil {
 		return nil, err
