@@ -6,12 +6,8 @@
 // Usage:
 //
 //	qofbench [-exp all|e1,e4,...] [-quick] [-sizes 1000,5000,20000] [-repeats 5]
-//	qofbench -json bench.json [-quick]
 //
-// With -json the experiment tables are skipped; instead a repeated-query
-// workload per qgen domain is measured twice — result cache off and on —
-// and ops/sec, allocs/op and cache hit rates are written as JSON
-// (see docs/PERFORMANCE.md for how to read the figures).
+// The repository's end-to-end benchmark is `go run ./bench`.
 package main
 
 import (
@@ -29,15 +25,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use reduced sizes for a fast smoke run")
 	sizes := flag.String("sizes", "", "override corpus sizes, e.g. 1000,5000,20000")
 	repeats := flag.Int("repeats", 0, "override timed repetitions per cell")
-	jsonOut := flag.String("json", "", "write the machine-readable cache benchmark to this file and exit")
 	flag.Parse()
-
-	if *jsonOut != "" {
-		if err := runJSONBench(*jsonOut, *quick); err != nil {
-			fatalf("json bench: %v", err)
-		}
-		return
-	}
 
 	opt := experiments.Default()
 	if *quick {

@@ -457,38 +457,3 @@ func TestAlgebraParseNeverPanics(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCommonSubexpressionCache(t *testing.T) {
-	in := fixture(t)
-	ev := NewEvaluator(in)
-	ev.Stats = &Stats{}
-	// The full Chang chain occurs twice; the second occurrence must come
-	// from the cache.
-	const chang = `Reference > Authors > contains(Last_Name, "Chang")`
-	e := MustParse(`(` + chang + `) + ((` + chang + `) & (Reference > Editors))`)
-	got, err := ev.Eval(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Stats.CacheHits != 1 {
-		t.Errorf("cache hits = %d, want 1: %+v", ev.Stats.CacheHits, ev.Stats)
-	}
-	// Same answer as evaluating the Chang chain alone (the intersection
-	// keeps the same single reference here).
-	want := evalStr(t, in, chang)
-	if !got.Equal(want) {
-		t.Fatalf("cached %v vs %v", got, want)
-	}
-	// The cache resets between Eval calls.
-	ev2 := NewEvaluator(in)
-	ev2.Stats = &Stats{}
-	if _, err := ev2.Eval(MustParse(`Reference > Authors`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev2.Eval(MustParse(`Reference > Authors`)); err != nil {
-		t.Fatal(err)
-	}
-	if ev2.Stats.CacheHits != 0 {
-		t.Errorf("cache leaked across Eval calls: %+v", ev2.Stats)
-	}
-}

@@ -39,10 +39,10 @@ func EstimateCost(e Expr, st *stats.Stats) Estimate {
 		// Binary search over the sistring array plus a scan of the hits;
 		// the number of matches is unknown, so only the token total
 		// bounds it.
-		return Estimate{Card: st.TotalTokens, Cost: 1 + lg(st.TotalTokens)}
+		return Estimate{Card: st.TotalTokens(), Cost: 1 + lg(st.TotalTokens())}
 	case Match:
 		// Suffix-array lookup; occurrences have distinct starts.
-		return Estimate{Card: st.DocLen, Cost: 1 + lg(st.DocLen)}
+		return Estimate{Card: st.DocLen(), Cost: 1 + lg(st.DocLen())}
 	case Select:
 		arg := EstimateCost(e.Arg, st)
 		card := arg.Card

@@ -24,7 +24,6 @@ type Stats struct {
 	Ops             int // operator applications
 	DirectOps       int // of which ⊃d/⊂d
 	RegionsTouched  int // total regions in intermediate results
-	CacheHits       int // subexpressions answered from the per-call CSE memo
 	ResultCacheHits int // subexpressions answered from the cross-query cache
 	ShortCircuits   int // binary operators skipped via a provably empty operand
 	PeakBytes       int // high-water mark of buffered region bytes (streaming evaluation)
@@ -33,11 +32,11 @@ type Stats struct {
 // Evaluator evaluates region-algebra expressions against one index instance.
 // The zero value is not usable; construct with NewEvaluator.
 //
-// An Evaluator holds no per-query state: the CSE memo and the statistics of
-// one evaluation live in a per-call context, so a single Evaluator serves
-// any number of concurrent Eval/EvalStats calls with no locking, provided
-// the configuration fields (UseLayeredDirect, Stats) are not mutated while
-// calls are in flight. Concurrent callers that want statistics should pass
+// An Evaluator holds no per-query state: the statistics, controls and
+// pending cache writes of one evaluation live in a per-call context, so a
+// single Evaluator serves any number of concurrent Eval/EvalStats calls
+// with no locking, provided the configuration fields (UseLayeredDirect,
+// Stats) are not mutated while calls are in flight. Concurrent callers that want statistics should pass
 // a per-call *Stats to EvalStats rather than sharing the Stats field.
 type Evaluator struct {
 	in *index.Instance
@@ -137,15 +136,12 @@ type pendingPut struct {
 	set region.Set
 }
 
-// evalCtx is the state of one evaluation call: the CSE memo, the stats
-// sink, and the cancellation and budget controls. Keeping it out of the
-// Evaluator is what makes overlapping calls safe without locks.
+// evalCtx is the state of one evaluation call: the stats sink, and the
+// cancellation and budget controls. Keeping it out of the Evaluator is what
+// makes overlapping calls safe without locks. There is no per-call memo of
+// subexpression results: a duplicated subexpression evaluates twice, which
+// costs less than rendering a memo key at every operator.
 type evalCtx struct {
-	// memo caches subexpression results within one Eval call, so common
-	// subexpressions of composite queries are evaluated once (the goal
-	// Section 5.2 states for boolean selection criteria). Expressions
-	// are pure, so caching never changes results.
-	memo  map[string]region.Set
 	stats *Stats
 
 	// cctx, when non-nil, is the evaluation's context: eval polls it at
@@ -199,25 +195,23 @@ func (ctx *evalCtx) checker() region.Checker {
 	return ctx.chk
 }
 
-// Eval evaluates e and returns the resulting region set. Within one call,
-// identical subexpressions are computed once. Statistics accumulate into
-// the Stats field when set.
+// Eval evaluates e and returns the resulting region set. Statistics
+// accumulate into the Stats field when set.
 func (ev *Evaluator) Eval(e Expr) (region.Set, error) {
 	return ev.EvalStats(e, ev.Stats)
 }
 
-// ctxPool recycles evaluation contexts (and their memo maps) across calls:
-// under concurrent serving every query used to allocate a fresh map. The
-// kernel checker closure is allocated here, once per pooled context.
+// ctxPool recycles evaluation contexts across calls. The kernel checker
+// closure is allocated here, once per pooled context.
 var ctxPool = sync.Pool{New: func() any {
-	ctx := &evalCtx{memo: make(map[string]region.Set, 8)}
+	ctx := &evalCtx{}
 	ctx.chk = ctx.poll
 	return ctx
 }}
 
 // EvalStats evaluates e, accumulating statistics into st when non-nil.
 // This is the entry point for concurrent callers: each call gets its own
-// memo and stats sink, so overlapping calls on one Evaluator never contend.
+// stats sink, so overlapping calls on one Evaluator never contend.
 func (ev *Evaluator) EvalStats(e Expr, st *Stats) (region.Set, error) {
 	return ev.EvalContext(context.Background(), e, st, nil)
 }
@@ -242,7 +236,6 @@ func (ev *Evaluator) EvalContext(cctx context.Context, e Expr, st *Stats, b *Bud
 			ev.Results.Put(p.key, p.set)
 		}
 	}
-	clear(ctx.memo)
 	for i := range ctx.pending {
 		ctx.pending[i] = pendingPut{}
 	}
@@ -257,20 +250,13 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 	if err := ctx.poll(); err != nil {
 		return region.Empty, err
 	}
-	var key, rkey string
+	var rkey string
 	switch e.(type) {
 	case Binary, Select, Unary, Near, Freq:
-		key = e.String()
-		if cached, ok := ctx.memo[key]; ok {
-			if ctx.stats != nil {
-				ctx.stats.CacheHits++
-			}
-			return cached, nil
-		}
 		// Worthiness and the epoch-prefixed key are computed once here and
 		// shared by the cache read and the deferred write.
 		if ev.Results != nil && ev.cacheWorthy(e) {
-			rkey = ctx.resultKey(ev, key)
+			rkey = ctx.resultKey(ev, e.String())
 			// Budgeted evaluations bypass cache reads (writes still happen):
 			// a cached subexpression skips the very work the budget meters,
 			// which would make budget enforcement depend on cache state.
@@ -279,7 +265,6 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 					if ctx.stats != nil {
 						ctx.stats.ResultCacheHits++
 					}
-					ctx.memo[key] = s
 					return s, nil
 				}
 			}
@@ -294,13 +279,10 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 	if err := ctx.budget.charge(out.Len()); err != nil {
 		return region.Empty, err
 	}
-	if key != "" {
-		ctx.memo[key] = out
-		if rkey != "" {
-			// Held back until the whole evaluation succeeds: a killed
-			// evaluation must never publish cache entries.
-			ctx.pending = append(ctx.pending, pendingPut{key: rkey, set: out})
-		}
+	if rkey != "" {
+		// Held back until the whole evaluation succeeds: a killed
+		// evaluation must never publish cache entries.
+		ctx.pending = append(ctx.pending, pendingPut{key: rkey, set: out})
 	}
 	return out, nil
 }

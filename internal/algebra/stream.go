@@ -21,17 +21,18 @@ package algebra
 // the property tests in stream_test.go. How a stream differs from a set
 // evaluation:
 //
-//   - No CSE memo and no subexpression result-cache reads: duplicated
-//     subexpressions are re-evaluated. The engine still serves a whole
-//     candidate expression from the cross-query cache (CachedResultKey) and
-//     publishes fully drained streams (PublishResultKey).
+//   - No subexpression result-cache reads. Duplicated subexpressions are
+//     re-evaluated, as they are by the set evaluator: neither keeps a
+//     per-call memo. The engine still serves a whole candidate expression
+//     from the cross-query cache (CachedResultKey) and publishes fully
+//     drained streams (PublishResultKey).
 //   - Budget charging is per region as it flows through each operator — the
 //     per-region analogue of the set evaluator's per-result charge. Totals
-//     for a full drain are close but not ordered: the memo and the
-//     empty-operand short-circuit can make the set evaluation cheaper,
-//     while merge iterators that exhaust one operand early make the stream
-//     cheaper. A partially consumed stream charges only for the prefix
-//     actually pulled.
+//     for a full drain are close but not ordered: the empty-operand
+//     short-circuit can make the set evaluation cheaper, while merge
+//     iterators that exhaust one operand early make the stream cheaper. A
+//     partially consumed stream charges only for the prefix actually
+//     pulled.
 //   - Stats.Ops/DirectOps count pipeline construction; RegionsTouched
 //     counts regions actually emitted; PeakBytes records the high-water
 //     mark of buffers the pipeline had to materialize (proximity targets,

@@ -2,6 +2,7 @@ package db
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -256,5 +257,55 @@ func TestAnyStringStopsEarly(t *testing.T) {
 	}
 	if AnyString(nil, nil, func(string) bool { return true }) {
 		t.Error("nil value")
+	}
+}
+
+// TestAnyStringManyStars: with two or more stars AnyString skips the
+// (value, remaining steps) pairs it has explored. On every path of up to
+// four steps over a tree whose attributes A and B nest four deep, the
+// strings it shows pred are the distinct strings NavigateStrings (which
+// explores every split) reaches, and HasLeaf agrees with them.
+func TestAnyStringManyStars(t *testing.T) {
+	var tree func(name string, depth int) Value
+	tree = func(name string, depth int) Value {
+		if depth == 0 {
+			return String(name)
+		}
+		tp := NewTuple(2).Put("A", tree(name+"a", depth-1)).Put("B", tree(name+"b", depth-1))
+		if depth%2 == 0 {
+			return NewSet(tp, String(name))
+		}
+		return tp
+	}
+	root := tree("", 4)
+	kinds := []Step{{Star: true}, {Any: true}, {Attr: "A"}, {Attr: "B"}}
+	var paths [][]Step
+	var grow func(p []Step)
+	grow = func(p []Step) {
+		paths = append(paths, p)
+		if len(p) == 4 {
+			return
+		}
+		for _, k := range kinds {
+			grow(append(p[:len(p):len(p)], k))
+		}
+	}
+	grow(nil)
+	all := Strings(root)
+	for _, p := range paths {
+		want := SortedUnique(NavigateStrings(root, p))
+		var got []string
+		AnyString(root, p, func(s string) bool {
+			got = append(got, s)
+			return false
+		})
+		if got = SortedUnique(got); !slices.Equal(got, want) {
+			t.Errorf("path %v: AnyString sees %q, NavigateStrings reaches %q", p, got, want)
+		}
+		for _, w := range all {
+			if HasLeaf(root, p, w) != slices.Contains(want, w) {
+				t.Errorf("path %v: HasLeaf(%q) disagrees with NavigateStrings' %q", p, w, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -99,27 +100,58 @@ func PathOf(attrs ...string) []Step {
 // path to every element. It returns every value the path reaches.
 func Navigate(v Value, steps []Step) []Value {
 	var out []Value
-	reach(v, steps, func(r Value) bool {
+	w := walk{visit: func(r Value) bool {
 		out = append(out, r)
 		return false
-	})
+	}}
+	w.reach(v, steps)
 	return out
+}
+
+// walk is one path navigation: visit sees every value the path reaches.
+// failed, when not nil, holds the (value, remaining steps) pairs from which
+// the walk reached nothing that visit accepted. A path with two or more
+// stars reaches one value by every split of the descents among its stars,
+// which is exponential in the number of stars; skipping a pair already
+// explored makes a walk O(values × steps).
+type walk struct {
+	visit  func(Value) bool
+	failed map[failure]struct{}
+}
+
+type failure struct {
+	v    Value
+	left int // len(steps) still to apply
 }
 
 // reach calls visit on every value the path reaches from v, in navigation
 // order, and reports whether a visit returned true; it stops at the first
 // that does.
-func reach(v Value, steps []Step, visit func(Value) bool) bool {
+func (w *walk) reach(v Value, steps []Step) bool {
 	if v == nil {
 		return false
 	}
 	if len(steps) == 0 {
-		return visit(v)
+		return w.visit(v)
 	}
+	key := failure{v, len(steps)}
+	if _, failed := w.failed[key]; failed {
+		return false
+	}
+	if w.step(v, steps) {
+		return true
+	}
+	if w.failed != nil {
+		w.failed[key] = struct{}{}
+	}
+	return false
+}
+
+func (w *walk) step(v Value, steps []Step) bool {
 	switch val := v.(type) {
 	case *Set:
 		for _, e := range val.elems {
-			if reach(e, steps, visit) {
+			if w.reach(e, steps) {
 				return true
 			}
 		}
@@ -129,50 +161,61 @@ func reach(v Value, steps []Step, visit func(Value) bool) bool {
 		case step.Star:
 			// Zero steps consumed here, or descend one attribute
 			// keeping the star.
-			if reach(v, steps[1:], visit) {
+			if w.reach(v, steps[1:]) {
 				return true
 			}
 			for i := range val.attrs {
-				if reach(val.attrs[i].value, steps, visit) {
+				if w.reach(val.attrs[i].value, steps) {
 					return true
 				}
 			}
 		case step.Any:
 			for i := range val.attrs {
-				if reach(val.attrs[i].value, steps[1:], visit) {
+				if w.reach(val.attrs[i].value, steps[1:]) {
 					return true
 				}
 			}
 		default:
 			child, ok := val.Get(step.Attr)
-			return ok && reach(child, steps[1:], visit)
+			return ok && w.reach(child, steps[1:])
 		}
 	case String:
 		if steps[0].Star {
 			// A star may consume zero steps at a leaf.
-			return reach(v, steps[1:], visit)
+			return w.reach(v, steps[1:])
 		}
 	}
 	return false
 }
 
 // NavigateStrings evaluates the path and flattens the results to their
-// atomic strings, the form used by projections and joins.
+// atomic strings, the form used by projections. It keeps every string as
+// often as the path reaches it, so it does not skip explored pairs.
 func NavigateStrings(v Value, steps []Step) []string {
 	var out []string
-	AnyString(v, steps, func(s string) bool {
+	collect := func(s string) bool {
 		out = append(out, s)
 		return false
-	})
+	}
+	w := walk{visit: func(r Value) bool { return anyLeaf(r, collect) }}
+	w.reach(v, steps)
 	return out
 }
 
 // AnyString reports whether some atomic string the path reaches satisfies
 // pred, stopping at the first that does. It is the allocation-free form of
-// NavigateStrings for existential comparisons.
+// NavigateStrings for existential comparisons, and the filters' navigation:
+// pred sees every string the path reaches at least once (unless it returns
+// true), and a path with several stars costs O(values × steps).
 func AnyString(v Value, steps []Step, pred func(string) bool) bool {
-	return reach(v, steps, func(r Value) bool { return anyLeaf(r, pred) })
+	w := walk{visit: func(r Value) bool { return anyLeaf(r, pred) }}
+	if i := slices.IndexFunc(steps, isStar); i >= 0 && slices.ContainsFunc(steps[i+1:], isStar) {
+		w.failed = make(map[failure]struct{})
+	}
+	return w.reach(v, steps)
 }
+
+func isStar(s Step) bool { return s.Star }
 
 // HasLeaf reports whether the path reaches some atomic string equal to w.
 func HasLeaf(v Value, steps []Step, w string) bool {

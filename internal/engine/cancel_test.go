@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -22,12 +23,19 @@ import (
 	"qof/internal/index"
 	"qof/internal/pool"
 	"qof/internal/qerr"
+	"qof/internal/qgen"
 	"qof/internal/region"
 	"qof/internal/testutil"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
 
+// TestExecuteContextPreCanceled: a query under an already-canceled context
+// returns context.Canceled and no other error, and the engine then answers
+// it. Every generated query of every qgen domain and spec runs so, each on a
+// cold engine, and its answer afterwards must be a fresh engine's: a
+// pre-canceled context fires every poll point on its first check, so a
+// query that answers or fails some other way has a path without one.
 func TestExecuteContextPreCanceled(t *testing.T) {
 	f := testutil.NewBibFixture(t, 40, grammar.IndexSpec{}, nil)
 	q := xsql.MustParse(changAuthorQuery)
@@ -43,6 +51,32 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 	}
 	if res.Stats.Results == 0 {
 		t.Fatal("execute after cancel returned no results")
+	}
+
+	for _, d := range qgen.Domains(1994) {
+		gen := qgen.NewQueryGen(d, 7)
+		for si, spec := range d.Specs {
+			in, _, err := d.Cat.Grammar.BuildInstance(d.Doc, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 25; i++ {
+				q := gen.Query()
+				eng := engine.New(d.Cat, in)
+				if _, err := eng.ExecuteContext(ctx, q, engine.Limits{}); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s spec %d: pre-canceled %q: %v, want context.Canceled", d.Name, si, q, err)
+				}
+				got, gerr := eng.Execute(q)
+				want, werr := engine.New(d.Cat, in).Execute(q)
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("%s spec %d: %q after a cancel: %v, a fresh engine says %v", d.Name, si, q, gerr, werr)
+				}
+				if werr == nil && (!got.Regions.Equal(want.Regions) || !slices.Equal(got.Strings, want.Strings)) {
+					t.Fatalf("%s spec %d: %q after a cancel answers %d regions and %d strings, a fresh engine %d and %d",
+						d.Name, si, q, got.Regions.Len(), len(got.Strings), want.Regions.Len(), len(want.Strings))
+				}
+			}
+		}
 	}
 }
 
@@ -504,5 +538,41 @@ func TestPhase2DepthOverflowIsABudgetError(t *testing.T) {
 		if err != nil || res.Stats.Results != 1 || res.Stats.Parsed == 0 {
 			t.Fatalf("parallelism %d: after the overflow: %v, %+v", par, err, res)
 		}
+	}
+}
+
+// TestRepeatedStarFilters: a filter whose path repeats *X answers as the
+// single-*X filter does, well inside its deadline. Navigation used to try
+// every split of the descents among the stars, O(steps^depth) a candidate
+// with no poll point, so .*X repeated 1000 times ran past a 20 s deadline.
+func TestRepeatedStarFilters(t *testing.T) {
+	cat, in := testutil.NewBibInstance(t, 50, grammar.IndexSpec{})
+	eng := engine.New(cat, in)
+	run := func(where string) *engine.Result {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		start := time.Now()
+		res, err := eng.ExecuteContext(ctx, xsql.MustParse(`SELECT r FROM References r WHERE `+where), engine.Limits{})
+		if err != nil {
+			t.Fatalf("%d-byte condition: %v after %v", len(where), err, time.Since(start))
+		}
+		return res
+	}
+	stars := strings.Repeat(".*X", 1000)
+	for _, c := range []struct{ where, single string }{
+		{`r` + stars + ` = "Chang"`, `r.*X = "Chang"`},
+		{`r` + stars + ` = r.Key`, `r.*X = r.Key`},
+	} {
+		want := run(c.single)
+		if want.Regions.Len() == 0 {
+			t.Fatalf("%s answers nothing: the comparison is vacuous", c.single)
+		}
+		if got := run(c.where); !got.Regions.Equal(want.Regions) {
+			t.Errorf("with .*X x1000 it answers %d references, %s answers %d", got.Regions.Len(), c.single, want.Regions.Len())
+		}
+	}
+	if got := run(`r` + strings.Repeat(".*X.?Y", 300) + ` = "Chang"`); got.Regions.Len() != 0 {
+		t.Errorf("(.*X.?Y) x300 needs 300 levels of nesting, yet answers %d references", got.Regions.Len())
 	}
 }

@@ -51,10 +51,10 @@ type Engine struct {
 	choice atomic.Pointer[choiceAt] // the indexing choice as of an instance epoch
 }
 
-// New creates an engine over the catalog and instance. Construction
-// collects index statistics (region cardinalities, word frequencies,
-// nesting depth) that drive cardinality-aware operand ordering, and sets up
-// the cross-query result cache.
+// New creates an engine over the catalog and instance, with a statistics
+// view of the instance (region cardinalities, word frequencies, read in
+// place) that drives cardinality-aware operand ordering, and the
+// cross-query result cache.
 func New(cat *compile.Catalog, in *index.Instance) *Engine {
 	e := &Engine{
 		cat:     cat,
@@ -74,8 +74,7 @@ func (e *Engine) Instance() *index.Instance { return e.in }
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *compile.Catalog { return e.cat }
 
-// IndexStats returns the statistics collected over the instance when the
-// engine was built.
+// IndexStats returns the statistics view of the engine's instance.
 func (e *Engine) IndexStats() *stats.Stats { return e.st }
 
 // DisableResultCache turns off the cross-query result cache. It is
@@ -115,9 +114,10 @@ type Stats struct {
 
 	// PeakBytes approximates the high-water mark of region-buffer memory
 	// the execution held, at region.Bytes a region: every operator result of
-	// a set evaluation (its memo keeps them until the call ends), only the
-	// buffers a stream cannot avoid (proximity targets, direct-operator
-	// sides), plus the engine's candidate and result buffers.
+	// a set evaluation (an upper bound, since a result lives only until its
+	// parent has run), only the buffers a stream cannot avoid (proximity
+	// targets, direct-operator sides), plus the engine's candidate and
+	// result buffers.
 	PeakBytes int
 
 	// Wall-clock breakdown: query compilation + optimization, index
@@ -295,8 +295,8 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 	var ast algebra.Stats
 	s, err := e.ev.EvalContext(es.ctx, x, &ast, es.budget)
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
-	// A set evaluation keeps every operator result in its memo until the
-	// call ends, so the regions touched are the buffer peak.
+	// A set evaluation holds each operator result until its parent has
+	// run, so the regions touched bound the buffer peak from above.
 	res.Stats.PeakBytes += ast.PeakBytes + region.Bytes*ast.RegionsTouched
 	return s, err
 }
@@ -305,8 +305,8 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 // picks the phase-1 evaluator, and nothing a caller can set does: an
 // index-only projection and a Section 5.2 fast join need the complete
 // candidate set before they can answer, and a full scan has it already, so
-// those run on the set evaluator (algebra.EvalContext: per-call memo,
-// subexpression cache reads, small-side kernels); every other plan pulls its
+// those run on the set evaluator (algebra.EvalContext: subexpression
+// cache reads, small-side kernels); every other plan pulls its
 // candidates off an iterator pipeline (algebra.Stream) while phase 2 is
 // already parsing them, unless it is a LIMIT query's repeat (streamSingle's
 // doorkeeper). Either way the candidates reach phase 2 as an

@@ -160,8 +160,8 @@ func (x *WordIndex) sizeBytes() int {
 }
 
 // ForEachWord calls fn for every distinct word with its occurrence count,
-// in sorted word order. It is the statistics collector's view of the
-// inverted index.
+// in sorted word order: the whole dictionary, for checks that compare it
+// against a reference.
 func (x *WordIndex) ForEachWord(fn func(w string, occurrences int)) {
 	for i, w := range x.words {
 		fn(w, int(x.offs[i+1]-x.offs[i]))

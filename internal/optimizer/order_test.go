@@ -1,23 +1,35 @@
 package optimizer
 
 import (
+	"strings"
 	"testing"
 
 	"qof/internal/algebra"
+	"qof/internal/index"
+	"qof/internal/region"
 	"qof/internal/stats"
+	"qof/internal/text"
 )
 
-// orderStats fabricates statistics where Small is much cheaper than Big.
+// orderStats indexes a small instance where Small (2 regions) is much
+// cheaper than Mid (50) and Big (500), and the word w occurs 3 times.
 func orderStats() *stats.Stats {
-	return &stats.Stats{
-		DocLen: 1000, TotalTokens: 200, DistinctWords: 50,
-		Regions: map[string]int{"Small": 2, "Big": 500, "Mid": 50},
-		WordOcc: map[string]int{"w": 3},
+	in := index.NewInstance(text.NewDocument("order", strings.Repeat("w x ", 3)+strings.Repeat("y ", 500)))
+	for name, n := range map[string]int{"Small": 2, "Mid": 50, "Big": 500} {
+		rs := make([]region.Region, n)
+		for i := range rs {
+			rs[i] = region.Region{Start: int32(2 * i), End: int32(2*i + 1)}
+		}
+		in.Define(name, region.FromRegions(rs))
 	}
+	return stats.Collect(in)
 }
 
 func TestOrderOperands(t *testing.T) {
 	st := orderStats()
+	if st.RegionCard("Big") != 500 || st.RegionCard("Mid") != 50 || st.RegionCard("Small") != 2 || st.WordFreq("w") != 3 {
+		t.Fatal("the fixture's cardinalities are not the ones the cases assume")
+	}
 	for _, tc := range []struct{ in, want string }{
 		// Commutative operators get the cheap side first.
 		{`Big & Small`, `Small & Big`},

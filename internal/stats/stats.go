@@ -1,63 +1,38 @@
-// Package stats collects per-instance statistics at index time: region
-// cardinalities per class and word occurrence frequencies from the inverted
-// index. The figures feed algebra.EstimateCost — the cardinality-aware
-// costing that orders operand evaluation and prices the engine's result
-// cache — replacing the paper's purely static operator-count cost
-// (Definition 3.4) with estimates grounded in the actual instance, in the
-// spirit of the statistics-driven planners of the related file-querying
-// systems.
+// Package stats reads the figures algebra.EstimateCost needs off an index
+// instance: region cardinalities per class and word occurrence frequencies.
+// They order operand evaluation by estimates grounded in the instance,
+// where the paper's cost (Definition 3.4) counts operators alone.
 package stats
 
-import (
-	"qof/internal/index"
-)
+import "qof/internal/index"
 
-// Stats summarizes one instance. A Stats value is immutable after Collect
-// and may be shared by any number of concurrent readers.
+// Stats is a view of one instance: it copies nothing and reads the
+// instance at call time, so it never describes an older version of it. A
+// region count is a set's length and a word count a posting list's (one
+// binary search over the dictionary). Like the instance, a Stats may be
+// shared by any number of concurrent readers.
 type Stats struct {
-	// DocLen is the document length in bytes.
-	DocLen int
-	// TotalTokens is the number of word occurrences in the document.
-	TotalTokens int
-	// DistinctWords is the vocabulary size.
-	DistinctWords int
-	// Regions maps each indexed region name to its cardinality.
-	Regions map[string]int
-	// WordOcc maps each distinct word to its occurrence count.
-	WordOcc map[string]int
-	// Epoch is the instance epoch the statistics were collected at;
-	// comparing it against Instance.Epoch detects staleness.
-	Epoch uint64
+	in *index.Instance
 }
 
-// Collect gathers statistics from an instance. It reads the named sets'
-// lengths and the word index's counts, and builds nothing the instance
-// derives lazily (the universe waits for a direct-inclusion operator).
-func Collect(in *index.Instance) *Stats {
-	doc := in.Document()
-	st := &Stats{
-		DocLen:        doc.Len(),
-		TotalTokens:   in.Words().TokenCount(),
-		DistinctWords: in.Words().WordCount(),
-		Regions:       make(map[string]int),
-		WordOcc:       make(map[string]int, in.Words().WordCount()),
-		Epoch:         in.Epoch(),
-	}
-	for _, name := range in.Names() {
-		st.Regions[name] = in.MustRegion(name).Len()
-	}
-	in.Words().ForEachWord(func(w string, occ int) {
-		st.WordOcc[w] = occ
-	})
-	return st
-}
+// Collect returns the statistics view of an instance. It builds nothing,
+// not even what the instance derives lazily (the universe waits for a
+// direct-inclusion operator).
+func Collect(in *index.Instance) *Stats { return &Stats{in: in} }
+
+// DocLen returns the document length in bytes.
+func (s *Stats) DocLen() int { return s.in.Document().Len() }
+
+// TotalTokens returns the number of word occurrences in the document.
+func (s *Stats) TotalTokens() int { return s.in.Words().TokenCount() }
 
 // RegionCard returns the cardinality of a region name (0 if unindexed).
 func (s *Stats) RegionCard(name string) int {
 	if s == nil {
 		return 0
 	}
-	return s.Regions[name]
+	set, _ := s.in.Region(name)
+	return set.Len()
 }
 
 // WordFreq returns the occurrence count of the exact word w.
@@ -65,5 +40,5 @@ func (s *Stats) WordFreq(w string) int {
 	if s == nil {
 		return 0
 	}
-	return s.WordOcc[w]
+	return s.in.Words().Postings(w).Len()
 }

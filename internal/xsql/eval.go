@@ -159,13 +159,13 @@ func (n *filterNode) eval(vals []db.Value) bool {
 			return strings.HasPrefix(s, n.word)
 		})
 	case opPaths:
-		ls := db.NavigateStrings(vals[n.slot], n.steps)
-		if len(ls) == 0 {
-			return false
-		}
-		seen := make(map[string]bool, len(ls))
-		for _, s := range ls {
+		seen := make(map[string]bool)
+		db.AnyString(vals[n.slot], n.steps, func(s string) bool {
 			seen[s] = true
+			return false
+		})
+		if len(seen) == 0 {
+			return false
 		}
 		return db.AnyString(vals[n.rslot], n.rsteps, func(s string) bool { return seen[s] })
 	case opAnd:
