@@ -8,8 +8,8 @@
 // inventory):
 //
 //   - internal/text, internal/index: the text-indexing substrate (word
-//     index with PAT-style sistring search, named region indexes,
-//     persistence);
+//     index with PAT-style prefix search, named region indexes,
+//     persistence); an index instance is made once and never changes;
 //   - internal/region, internal/algebra: the PAT region algebra and its
 //     evaluator;
 //   - internal/rig, internal/optimizer: region inclusion graphs and the

@@ -349,9 +349,9 @@ func recordParent(parents map[string]map[string]bool, full []string) {
 // emptyInstance builds an instance over an empty document indexing the
 // given names, used only so that compilation sees the indexing choice.
 func emptyInstance(names []string) *index.Instance {
-	in := index.NewInstance(text.NewDocument("advisor-verify", ""))
+	sets := make(map[string]region.Set, len(names))
 	for _, n := range names {
-		in.Define(n, region.Empty)
+		sets[n] = region.Empty
 	}
-	return in
+	return index.New(index.NewWordIndex(text.NewDocument("advisor-verify", "")), sets, nil)
 }

@@ -24,7 +24,6 @@ func fixture(t testing.TB) *index.Instance {
 	content := "[ AUTHOR Verena Chang EDITOR Alan Corliss ]\n" +
 		"[ AUTHOR Gaston Corliss EDITOR Yf Chang ]\n"
 	doc := text.NewDocument("fixture.bib", content)
-	in := index.NewInstance(doc)
 
 	var refs, authors, editors, names, firsts, lasts []region.Region
 	lineStart := 0
@@ -50,12 +49,14 @@ func fixture(t testing.TB) *index.Instance {
 		addName(eStart, len("EDITOR"), end-2)
 		lineStart += len(line)
 	}
-	in.Define("Reference", region.FromRegions(refs))
-	in.Define("Authors", region.FromRegions(authors))
-	in.Define("Editors", region.FromRegions(editors))
-	in.Define("Name", region.FromRegions(names))
-	in.Define("First_Name", region.FromRegions(firsts))
-	in.Define("Last_Name", region.FromRegions(lasts))
+	in := index.New(index.NewWordIndex(doc), map[string]region.Set{
+		"Reference":  region.FromRegions(refs),
+		"Authors":    region.FromRegions(authors),
+		"Editors":    region.FromRegions(editors),
+		"Name":       region.FromRegions(names),
+		"First_Name": region.FromRegions(firsts),
+		"Last_Name":  region.FromRegions(lasts),
+	}, nil)
 	if !in.Universe().ProperlyNested() {
 		t.Fatal("fixture instance is not properly nested")
 	}
@@ -156,8 +157,14 @@ func TestSetAndNestOps(t *testing.T) {
 }
 
 func TestEvalNotIndexed(t *testing.T) {
-	in := fixture(t)
-	in.Drop("Name")
+	full := fixture(t)
+	sets := map[string]region.Set{}
+	for _, n := range full.Names() {
+		if n != "Name" {
+			sets[n] = full.MustRegion(n)
+		}
+	}
+	in := index.New(full.Words(), sets, nil)
 	_, err := NewEvaluator(in).Eval(MustParse(`Reference > Name`))
 	if !errors.Is(err, ErrNotIndexed) {
 		t.Fatalf("err = %v, want ErrNotIndexed", err)
@@ -166,15 +173,14 @@ func TestEvalNotIndexed(t *testing.T) {
 
 func TestEvalStats(t *testing.T) {
 	in := fixture(t)
-	ev := NewEvaluator(in)
-	ev.Stats = &Stats{}
-	if _, err := ev.Eval(MustParse(`Reference >d Authors > contains(Last_Name, "Chang")`)); err != nil {
+	var st Stats
+	if _, err := NewEvaluator(in).EvalStats(MustParse(`Reference >d Authors > contains(Last_Name, "Chang")`), &st); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Stats.Ops != 3 || ev.Stats.DirectOps != 1 {
-		t.Errorf("stats = %+v", ev.Stats)
+	if st.Ops != 3 || st.DirectOps != 1 {
+		t.Errorf("stats = %+v", st)
 	}
-	if ev.Stats.RegionsTouched == 0 {
+	if st.RegionsTouched == 0 {
 		t.Error("RegionsTouched = 0")
 	}
 }
@@ -418,7 +424,6 @@ func TestLayeredDirectMatchesNaiveRandomNested(t *testing.T) {
 func randomNestedInstance(rng *rand.Rand) (*index.Instance, []string) {
 	content := strings.Repeat("x ", 64)
 	doc := text.NewDocument("rand", content)
-	in := index.NewInstance(doc)
 	names := []string{"A", "B", "C"}
 	groups := make(map[string][]region.Region)
 	var subdivide func(lo, hi, depth int)
@@ -437,10 +442,11 @@ func randomNestedInstance(rng *rand.Rand) (*index.Instance, []string) {
 		}
 	}
 	subdivide(0, len(content), 0)
+	sets := make(map[string]region.Set)
 	for _, n := range names {
-		in.Define(n, region.FromRegions(groups[n]))
+		sets[n] = region.FromRegions(groups[n])
 	}
-	return in, names
+	return index.New(index.NewWordIndex(doc), sets, nil), names
 }
 
 func TestAlgebraParseNeverPanics(t *testing.T) {

@@ -36,7 +36,7 @@ func EstimateCost(e Expr, st *stats.Stats) Estimate {
 	case Word:
 		return Estimate{Card: st.WordFreq(e.W), Cost: 1}
 	case Prefix:
-		// Binary search over the sistring array plus a scan of the hits;
+		// Binary search over the dictionary plus a sort of the hits;
 		// the number of matches is unknown, so only the token total
 		// bounds it.
 		return Estimate{Card: st.TotalTokens(), Cost: 1 + lg(st.TotalTokens())}

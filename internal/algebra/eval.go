@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"qof/internal/index"
@@ -35,9 +34,8 @@ type Stats struct {
 // An Evaluator holds no per-query state: the statistics, controls and
 // pending cache writes of one evaluation live in a per-call context, so a
 // single Evaluator serves any number of concurrent Eval/EvalStats calls
-// with no locking, provided the configuration fields (UseLayeredDirect,
-// Stats) are not mutated while calls are in flight. Concurrent callers that want statistics should pass
-// a per-call *Stats to EvalStats rather than sharing the Stats field.
+// with no locking, provided its configuration fields are not mutated while
+// calls are in flight.
 type Evaluator struct {
 	in *index.Instance
 
@@ -47,19 +45,12 @@ type Evaluator struct {
 	// properly nested instances.
 	UseLayeredDirect bool
 
-	// Stats, when non-nil, accumulates statistics across Eval calls. It is
-	// read at the start of each Eval call; concurrent Eval calls sharing
-	// one Stats would race, so concurrent callers use EvalStats instead.
-	Stats *Stats
-
 	// Results, when non-nil, is a cross-query cache of subexpression
-	// results (the engine's LRU). Only expressions whose static Cost
-	// reaches ResultMinCost are consulted and stored, and keys embed the
-	// instance epoch so index mutations invalidate stale entries.
+	// results (the engine's LRU), keyed by the expression's text: an
+	// evaluator reads one instance, and an instance never changes. Only
+	// expressions whose static Cost reaches DefaultResultMinCost are
+	// consulted and stored.
 	Results ResultCache
-
-	// ResultMinCost gates Results; 0 means DefaultResultMinCost.
-	ResultMinCost int
 
 	// CostStats, when non-nil, enables cardinality-aware operand
 	// ordering: for operators that are empty whenever one operand is,
@@ -159,23 +150,9 @@ type evalCtx struct {
 	budget *Budget
 
 	// pending holds result-cache writes until the evaluation completes;
-	// a failed evaluation discards them (see satellite: canceled, timed
-	// out or budget-killed evaluations must never be cached).
+	// a failed evaluation discards them (canceled, timed out or
+	// budget-killed evaluations must never be cached).
 	pending []pendingPut
-
-	// rkPrefix memoizes the epoch prefix of result-cache keys for one
-	// evaluation — the epoch is stable within a call, so the strconv
-	// formatting runs once instead of once per cache-worthy node.
-	rkPrefix string
-}
-
-// resultKey returns the epoch-prefixed cross-query key for exprKey,
-// memoizing the epoch prefix across the call.
-func (ctx *evalCtx) resultKey(ev *Evaluator, exprKey string) string {
-	if ctx.rkPrefix == "" {
-		ctx.rkPrefix = strconv.FormatUint(ev.in.Epoch(), 36) + "|"
-	}
-	return ctx.rkPrefix + exprKey
 }
 
 // poll returns the context error once the evaluation's context is done.
@@ -195,10 +172,9 @@ func (ctx *evalCtx) checker() region.Checker {
 	return ctx.chk
 }
 
-// Eval evaluates e and returns the resulting region set. Statistics
-// accumulate into the Stats field when set.
+// Eval evaluates e and returns the resulting region set.
 func (ev *Evaluator) Eval(e Expr) (region.Set, error) {
-	return ev.EvalStats(e, ev.Stats)
+	return ev.EvalStats(e, nil)
 }
 
 // ctxPool recycles evaluation contexts across calls. The kernel checker
@@ -241,7 +217,6 @@ func (ev *Evaluator) EvalContext(cctx context.Context, e Expr, st *Stats, b *Bud
 	}
 	ctx.pending = ctx.pending[:0]
 	ctx.stats, ctx.cctx, ctx.budget = nil, nil, nil
-	ctx.rkPrefix = ""
 	ctxPool.Put(ctx)
 	return out, err
 }
@@ -253,10 +228,10 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 	var rkey string
 	switch e.(type) {
 	case Binary, Select, Unary, Near, Freq:
-		// Worthiness and the epoch-prefixed key are computed once here and
-		// shared by the cache read and the deferred write.
-		if ev.Results != nil && ev.cacheWorthy(e) {
-			rkey = ctx.resultKey(ev, e.String())
+		// Worthiness and the key are computed once here and shared by the
+		// cache read and the deferred write.
+		if ev.Results != nil && CostAtLeast(e, DefaultResultMinCost) {
+			rkey = e.String()
 			// Budgeted evaluations bypass cache reads (writes still happen):
 			// a cached subexpression skips the very work the budget meters,
 			// which would make budget enforcement depend on cache state.
@@ -287,35 +262,18 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 	return out, nil
 }
 
-// cacheWorthy reports whether e is expensive enough for the cross-query
-// cache.
-func (ev *Evaluator) cacheWorthy(e Expr) bool {
-	minCost := ev.ResultMinCost
-	if minCost == 0 {
-		minCost = DefaultResultMinCost
-	}
-	return CostAtLeast(e, minCost)
-}
-
-// resultKey embeds the instance epoch so mutations (Define/Drop/Splice)
-// orphan every previously cached entry.
-func (ev *Evaluator) resultKey(exprKey string) string {
-	return strconv.FormatUint(ev.in.Epoch(), 36) + "|" + exprKey
-}
-
-// SharedKey returns the epoch-prefixed cross-query key for e and whether e
-// is worth caching at all, computing both exactly once for callers that need
-// the key for more than one operation (a cache read and a publish share one
-// Cost walk and one key allocation). rendered is e.String(), which a caller
-// holding a compiled plan rendered once when the plan was made. An unworthy
-// e has the empty key.
+// SharedKey returns the cross-query key for e and whether e is worth
+// caching at all, for callers that need the key for more than one operation
+// (a cache read and a publish share one Cost walk). rendered is e.String(),
+// which a caller holding a compiled plan rendered once when the plan was
+// made, and it is the key. An unworthy e has the empty key.
 func (ev *Evaluator) SharedKey(e Expr, rendered string) (string, bool) {
 	switch e.(type) {
 	case Binary, Select, Unary, Near, Freq:
-		if ev.Results == nil || !ev.cacheWorthy(e) {
+		if ev.Results == nil || !CostAtLeast(e, DefaultResultMinCost) {
 			return "", false
 		}
-		return ev.resultKey(rendered), true
+		return rendered, true
 	}
 	return "", false
 }

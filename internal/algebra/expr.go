@@ -141,8 +141,8 @@ type Name struct{ Ident string }
 // Word denotes the match points of the exact word W (the word index).
 type Word struct{ W string }
 
-// Prefix denotes the match points of every word starting with P (PAT
-// sistring search).
+// Prefix denotes the match points of every word starting with P (PAT's
+// prefix search, over the word index's sorted dictionary).
 type Prefix struct{ P string }
 
 // Match denotes the match points of every occurrence of the substring S

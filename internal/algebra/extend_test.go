@@ -34,9 +34,6 @@ func TestNearBasic(t *testing.T) {
 
 func TestNearMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	doc := text.NewDocument("n", "x")
-	in := index.NewInstance(doc)
-	_ = in
 	for trial := 0; trial < 200; trial++ {
 		E := randomSet(rng, 25, 60)
 		To := randomSet(rng, 25, 60)
@@ -70,8 +67,9 @@ func TestFreq(t *testing.T) {
 	// "Corliss" appears twice in the second reference's line? Build a
 	// dedicated doc: a region with repeated words.
 	doc := text.NewDocument("f", "[ alpha beta alpha gamma alpha ] [ beta beta ]")
-	in := index.NewInstance(doc)
-	in.Define("Block", region.FromRegions([]region.Region{{Start: 0, End: 32}, {Start: 33, End: 46}}))
+	in := index.New(index.NewWordIndex(doc), map[string]region.Set{
+		"Block": region.FromRegions([]region.Region{{Start: 0, End: 32}, {Start: 33, End: 46}}),
+	}, nil)
 	ev := NewEvaluator(in)
 
 	cases := []struct {
@@ -136,13 +134,12 @@ func TestExtendedCostAndStats(t *testing.T) {
 		t.Errorf("Cost = %d", Cost(e))
 	}
 	in := fixture(t)
-	ev := NewEvaluator(in)
-	ev.Stats = &Stats{}
-	if _, err := ev.Eval(MustParse(`near(Authors, Editors, 3)`)); err != nil {
+	var st Stats
+	if _, err := NewEvaluator(in).EvalStats(MustParse(`near(Authors, Editors, 3)`), &st); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Stats.Ops != 1 {
-		t.Errorf("stats = %+v", ev.Stats)
+	if st.Ops != 1 {
+		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -177,10 +177,7 @@ func TestLayeredDirectEdgeCases(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			doc := text.NewDocument(tc.name, "0123456789012345678901234567890123456789")
-			in := index.NewInstance(doc)
-			for name, s := range tc.define {
-				in.Define(name, s)
-			}
+			in := index.New(index.NewWordIndex(doc), tc.define, nil)
 			e := algebra.MustParse(tc.expr)
 
 			universe := algebra.NewEvaluator(in)

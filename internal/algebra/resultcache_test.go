@@ -75,10 +75,9 @@ func TestEvaluatorResultCache(t *testing.T) {
 		t.Error("cached read served a below-threshold expression")
 	}
 
-	// Keys embed the instance epoch: a mutation makes the cached entry
-	// unreachable even though the map still holds it.
-	in.Define("Bump", region.FromRegions([]region.Region{{Start: 0, End: 1}}))
-	if _, ok := cached(costly); ok {
-		t.Error("cached read survived an instance mutation")
+	// The key is the expression's text: the evaluator reads one instance,
+	// and an instance never changes.
+	if key, ok := ev.SharedKey(costly, costly.String()); !ok || key != costly.String() {
+		t.Errorf("SharedKey = %q, %v; want the expression's text", key, ok)
 	}
 }

@@ -30,8 +30,9 @@ type Choice struct {
 	rig *rig.Graph
 }
 
-// Choice resolves the instance's current indexing choice: Define and Drop
-// change it, a splice keeps it; who holds on to the answer keys it by the Epoch.
+// Choice resolves the instance's indexing choice. An instance never changes,
+// so its choice is fixed, and a splice keeps its parent's: an engine resolves
+// it once.
 func (c *Catalog) Choice(in *index.Instance) *Choice {
 	names := in.Names()
 	var sb strings.Builder

@@ -195,9 +195,9 @@ func TestCorpusMixedSpecs(t *testing.T) {
 	}
 }
 
-// TestChoiceFollowsTheInstance: Define and Drop on a live instance change its
-// indexing choice, and the next execution compiles for the new one; an
-// instance spliced by an edit keeps the choice and compiles nothing.
+// TestChoiceFollowsTheInstance: instances built with and without a name
+// have their own indexing choices, and an engine over each compiles for its
+// own; an instance spliced by an edit keeps the choice and compiles nothing.
 func TestChoiceFollowsTheInstance(t *testing.T) {
 	f := testutil.NewBibFixture(t, 40, grammar.IndexSpec{}, nil)
 	_, compiles := compile.CountPreparation(t)
@@ -210,26 +210,33 @@ func TestChoiceFollowsTheInstance(t *testing.T) {
 		}
 		return res
 	}
+	// over is an engine over f's sets but omit, on f's word index.
+	over := func(omit string) *engine.Engine {
+		sets := map[string]region.Set{}
+		for _, n := range f.In.Names() {
+			if n != omit {
+				sets[n] = f.In.MustRegion(n)
+			}
+		}
+		return engine.New(f.Cat, index.New(f.In.Words(), sets, nil))
+	}
 	base := exec(f.Eng)
 	if !base.Stats.Exact || compiles.Load() != 1 {
 		t.Fatalf("full index: exact=%v after %d compiles", base.Stats.Exact, compiles.Load())
 	}
 
 	// Without the leaf the index can only narrow by word containment.
-	lastNames := f.In.MustRegion("Last_Name")
-	f.In.Drop("Last_Name")
-	dropped := exec(f.Eng)
+	dropped := exec(over("Last_Name"))
 	if dropped.Stats.PlanCached || compiles.Load() != 2 {
-		t.Errorf("after Drop: cached=%v, %d compiles, want a recompile", dropped.Stats.PlanCached, compiles.Load())
+		t.Errorf("without Last_Name: cached=%v, %d compiles, want a recompile", dropped.Stats.PlanCached, compiles.Load())
 	}
 	if dropped.Stats.Exact || !dropped.Regions.Equal(base.Regions) {
-		t.Errorf("after Drop: exact=%v regions=%v, want a filtered superset plan and %v", dropped.Stats.Exact, dropped.Regions, base.Regions)
+		t.Errorf("without Last_Name: exact=%v regions=%v, want a filtered superset plan and %v", dropped.Stats.Exact, dropped.Regions, base.Regions)
 	}
 
-	f.In.Define("Last_Name", lastNames)
-	restored := exec(f.Eng)
+	restored := exec(over(""))
 	if !restored.Stats.PlanCached || !restored.Stats.Exact || compiles.Load() != 2 {
-		t.Errorf("after Define: cached=%v exact=%v, %d compiles: the first choice's plan should have been found",
+		t.Errorf("with Last_Name again: cached=%v exact=%v, %d compiles: the first choice's plan should have been found",
 			restored.Stats.PlanCached, restored.Stats.Exact, compiles.Load())
 	}
 

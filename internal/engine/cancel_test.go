@@ -521,8 +521,9 @@ func TestPhase2DepthOverflowIsABudgetError(t *testing.T) {
 	// The index is built by hand: the third Item region holds text the
 	// first alternative rejects, which a stale or foreign index can do.
 	doc := text.NewDocument("lr.txt", "['a] ['b] a!")
-	in := index.NewInstance(doc)
-	in.Define("Item", region.FromRegions([]region.Region{{Start: 0, End: 4}, {Start: 5, End: 9}, {Start: 10, End: 12}}))
+	in := index.New(index.NewWordIndex(doc), map[string]region.Set{
+		"Item": region.FromRegions([]region.Region{{Start: 0, End: 4}, {Start: 5, End: 9}, {Start: 10, End: 12}}),
+	}, nil)
 	eng := engine.New(cat, in)
 	for _, par := range []int{1, 4} {
 		t.Cleanup(pool.SetHelpers(par - 1))

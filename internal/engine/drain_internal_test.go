@@ -72,7 +72,7 @@ func init() { pool.SetHelpers(7)() }
 // and closes the stream.
 func drain(t *testing.T, e *Engine, q *xsql.Query, par int, es *execEnv, fault *faultIter) (*Result, bool, error) {
 	t.Helper()
-	plan, _, err := e.cat.PrepareQuery(q).Plan(e.indexingChoice())
+	plan, _, err := e.cat.PrepareQuery(q).Plan(e.choice)
 	if err != nil {
 		t.Fatal(err)
 	}

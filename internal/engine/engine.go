@@ -47,8 +47,7 @@ type Engine struct {
 	results *ResultCache
 	st      *stats.Stats
 	spec    grammar.IndexSpec // what a Corpus indexed it under, for Reindex
-
-	choice atomic.Pointer[choiceAt] // the indexing choice as of an instance epoch
+	choice  *compile.Choice   // the instance's indexing choice, resolved once
 }
 
 // New creates an engine over the catalog and instance, with a statistics
@@ -62,6 +61,7 @@ func New(cat *compile.Catalog, in *index.Instance) *Engine {
 		ev:      algebra.NewEvaluator(in),
 		results: NewResultCache(resultCacheCap),
 		st:      stats.Collect(in),
+		choice:  cat.Choice(in),
 	}
 	e.ev.Results = e.results
 	e.ev.CostStats = e.st
@@ -217,23 +217,6 @@ func (es *execEnv) chargeBytes(n int) error {
 	return nil
 }
 
-type choiceAt struct {
-	epoch  uint64
-	choice *compile.Choice
-}
-
-// indexingChoice resolves the instance's current indexing choice: two loads,
-// until a Define or Drop on the live instance moves its epoch.
-func (e *Engine) indexingChoice() *compile.Choice {
-	epoch := e.in.Epoch()
-	c := e.choice.Load()
-	if c == nil || c.epoch != epoch {
-		c = &choiceAt{epoch: epoch, choice: e.cat.Choice(e.in)}
-		e.choice.Store(c)
-	}
-	return c.choice
-}
-
 // Execute compiles and runs the query. The catalog keeps prepared queries by
 // normalized text, so repeats skip compilation on every file of the schema.
 func (e *Engine) Execute(q *xsql.Query) (*Result, error) {
@@ -259,7 +242,7 @@ func (e *Engine) ExecutePrepared(ctx context.Context, p *compile.Prepared, lim L
 		return nil, err
 	}
 	start := time.Now()
-	plan, cached, err := p.Plan(e.indexingChoice())
+	plan, cached, err := p.Plan(e.choice)
 	if err != nil {
 		return nil, err
 	}
@@ -519,7 +502,7 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	var ast algebra.Stats
 	var src region.Iterator
 	streamed := false
-	// Worthiness and the epoch-prefixed key are computed once and shared by
+	// Worthiness and the key are computed once and shared by
 	// the cache read, the doorkeeper and the publish below. A region budget
 	// must meter the actual phase-1 work, so budgeted queries bypass the
 	// cross-query cache, exactly like the complete-set plans.

@@ -301,16 +301,14 @@ func TestLoadedIndexDisagreesWithDocument(t *testing.T) {
 	if refs[k-1].End > shifted.Start {
 		t.Fatalf("references %v and %v leave no byte between them", refs[k-1], refs[k])
 	}
-	forged := index.NewInstance(good.Doc)
+	sets := make(map[string]region.Set)
 	for _, name := range good.In.Names() {
-		set := good.In.MustRegion(name)
-		if name == bibtex.NTReference {
-			rs := slices.Clone(refs)
-			rs[k] = shifted
-			set = region.FromRegions(rs)
-		}
-		forged.Define(name, set)
+		sets[name] = good.In.MustRegion(name)
 	}
+	rs := slices.Clone(refs)
+	rs[k] = shifted
+	sets[bibtex.NTReference] = region.FromRegions(rs)
+	forged := index.New(good.In.Words(), sets, nil)
 	var saved bytes.Buffer
 	if err := forged.Save(&saved); err != nil {
 		t.Fatal(err)

@@ -15,9 +15,9 @@ import (
 const resultCacheCap = 256
 
 // ResultCache is a bounded LRU cache of evaluated region sets keyed by
-// (instance epoch, canonical expression string) — the evaluator builds the
-// keys, embedding the epoch so Define/Drop/Splice invalidate by construction
-// (stale entries age out of the LRU rather than being swept). It is the
+// canonical expression string. It belongs to one engine, hence to one
+// instance, which never changes, so an entry never goes stale: an edit makes
+// a new instance, and the new instance gets a new engine. It is the
 // cross-query sibling of compile.PlanCache: the plan cache skips parsing
 // and optimization for repeated query texts, this cache skips phase-1 index
 // evaluation for repeated subexpressions, including ones shared between
@@ -29,7 +29,7 @@ const resultCacheCap = 256
 // set, which publishes, so a query repeated under a LIMIT streams once and is
 // a cache hit from its third run on, while a one-off LIMIT query never pays
 // for more than its stream. The doorkeeper holds at most cap keys and is
-// cleared whole when full; its keys carry the epoch like the sets'.
+// cleared whole when full.
 //
 // Region sets are immutable, so a cached set is shared by any number of
 // concurrent executions; the cache itself is safe for concurrent use. It

@@ -23,9 +23,9 @@ import (
 // word-index positions kept, shifted or dropped; what lies inside is
 // extracted again by Grammar.Regions, the build's own extractor, over the
 // replacement alone where the instance can decide every scope — so the
-// parse stays proportional to the edit, not to the file. (The sistring and
-// suffix arrays, whose order after an edit changes globally exactly as in
-// PAT, are lazy and rebuild on first prefix/substring search.)
+// parse stays proportional to the edit, not to the file. (The suffix array,
+// whose order after an edit changes globally exactly as in PAT, is lazy and
+// the new instance builds its own on first substring search.)
 func ReplaceRegion(cat *compile.Catalog, in *index.Instance, nt string, r region.Region, newText string) (*index.Instance, error) {
 	return edit(cat, in, nt, r, r, &newText)
 }
@@ -75,20 +75,15 @@ func edit(cat *compile.Catalog, in *index.Instance, nt string, r, old region.Reg
 			return nil, err
 		}
 	}
-	out := index.SpliceInstance(in, doc, int(old.Start), int(old.End), int(old.End+delta))
+	sets, scopes := make(map[string]region.Set), make(map[string]string)
 	for _, name := range in.Names() {
 		spliced, err := spliceSet(in.MustRegion(name), span, delta)
 		if err != nil {
 			return nil, fmt.Errorf("engine: region index %q: %w", name, err)
 		}
-		merged := spliced.Union(fresh[name])
-		if within := in.Scope(name); within != "" {
-			out.DefineScoped(name, within, merged)
-		} else {
-			out.Define(name, merged)
-		}
+		sets[name], scopes[name] = spliced.Union(fresh[name]), in.Scope(name)
 	}
-	return out, nil
+	return index.New(in.Words().Splice(doc, int(old.Start), int(old.End), int(old.End+delta)), sets, scopes), nil
 }
 
 // reextract runs Grammar.Regions for every name of in over a range of the

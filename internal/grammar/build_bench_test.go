@@ -12,7 +12,7 @@ import (
 )
 
 // The index build as one stage: parse under the spec's need, word index
-// beside it, extraction, Define. The three specs are the shapes a build
+// beside it, extraction, index.New. The three specs are the shapes a build
 // takes — the paper's partial index (most of the file recognised quietly),
 // the full index (every non-terminal kept) and a selective one (the scoped
 // extractor's walk). A setup_s regression in bench/ bisects to this, to

@@ -62,15 +62,15 @@ func TestBuildJoinsItsGoroutine(t *testing.T) {
 	// the time the build is back, whichever way it comes back.
 	var started, finished atomic.Int32
 	wordPanics := false
-	defer func(old func(*text.Document) *index.Instance) { newInstance = old }(newInstance)
-	newInstance = func(doc *text.Document) *index.Instance {
+	defer func(old func(*text.Document) *index.WordIndex) { newWordIndex = old }(newWordIndex)
+	newWordIndex = func(doc *text.Document) *index.WordIndex {
 		started.Add(1)
 		defer finished.Add(1)
 		if wordPanics {
 			panic("word-index side")
 		}
 		time.Sleep(2 * time.Millisecond) // outlast the parse of a short file
-		return index.NewInstance(doc)
+		return index.NewWordIndex(doc)
 	}
 
 	cases := []struct {

@@ -21,7 +21,7 @@ import (
 
 // The build's differential oracle: an instance assembled the way the build
 // worked before it parsed under an index need — the whole tree from Parse,
-// both extractors over all of it, Define and DefineScoped — saved with
+// both extractors over all of it, one index.New — saved with
 // index.Save. The build must save to the same bytes on every spec, and fail
 // on the same documents with the same error.
 
@@ -30,18 +30,15 @@ func treeBuiltInstance(g *grammar.Grammar, doc *text.Document, spec grammar.Inde
 	if err != nil {
 		return nil, err
 	}
-	in := index.NewInstance(doc)
 	names := spec.Names
 	if names == nil {
 		names = g.FullIndexSpec().Names
 	}
-	for name, set := range grammar.ExtractRegions(tree, names...) {
-		in.Define(name, set)
-	}
+	sets, scopes := grammar.ExtractRegions(tree, names...), map[string]string{}
 	for _, sc := range spec.Scoped {
-		in.DefineScoped(sc.Name, sc.Within, grammar.ExtractScopedRegions(tree, sc.Name, sc.Within))
+		sets[sc.Name], scopes[sc.Name] = grammar.ExtractScopedRegions(tree, sc.Name, sc.Within), sc.Within
 	}
-	return in, nil
+	return index.New(index.NewWordIndex(doc), sets, scopes), nil
 }
 
 func saved(t *testing.T, in *index.Instance) []byte {
@@ -215,11 +212,11 @@ func TestBuildHandPickedSpecs(t *testing.T) {
 func TestBuildPanicIsInternalError(t *testing.T) {
 	src, _ := bibtex.Generate(bibtex.DefaultConfig(20))
 	schema := qof.BibTeX()
-	restore := grammar.SetNewInstance(func(doc *text.Document) *index.Instance {
+	restore := grammar.SetNewWordIndex(func(doc *text.Document) *index.WordIndex {
 		if strings.HasPrefix(doc.Name(), "bad") {
 			panic("word index: out of cheese")
 		}
-		return index.NewInstance(doc)
+		return index.NewWordIndex(doc)
 	})
 	defer restore()
 
@@ -250,7 +247,7 @@ func TestBuildPanicIsInternalError(t *testing.T) {
 // TestBuildAllocatesWhatTheSpecNames pins the build's cost without a clock,
 // on a 500-reference file: under the paper's partial spec everything the
 // build does beside the word index — parse under the need, extraction,
-// Define — allocates at most 45% of the bytes Parse alone does (41% when
+// index.New — allocates at most 45% of the bytes Parse alone does (41% when
 // written: the pruned tree holds three symbols' nodes and their ancestors,
 // a quarter of the nodes, in slabs cut for half again as many, and the
 // extractor's groups are a sixth of it); under the full spec, which keeps
@@ -289,7 +286,7 @@ func TestBuildAllocatesWhatTheSpecNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	words := bytesOf(func() { index.NewInstance(doc) })
+	words := bytesOf(func() { index.NewWordIndex(doc) })
 	partial, full := bytesOf(build(specs["partial"])), bytesOf(build(specs["full"]))
 	t.Logf("bytes allocated on %d bytes of text: Parse %d, word index %d, partial build %d, full build %d, tree-built full instance %d",
 		doc.Len(), parse, words, partial, full, treeBuilt)

@@ -135,11 +135,11 @@ func (n *Node) Count() int {
 	return total
 }
 
-// SetNewInstance replaces the word-index side of BuildInstanceContext — the
-// function its second goroutine runs — for a test, and returns the function
-// that restores it.
-func SetNewInstance(f func(*text.Document) *index.Instance) (restore func()) {
-	old := newInstance
-	newInstance = f
-	return func() { newInstance = old }
+// SetNewWordIndex replaces the word-index side of BuildInstanceContext —
+// the function its second goroutine runs — for a test, and returns the
+// function that restores it.
+func SetNewWordIndex(f func(*text.Document) *index.WordIndex) (restore func()) {
+	old := newWordIndex
+	newWordIndex = f
+	return func() { newWordIndex = old }
 }

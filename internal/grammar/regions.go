@@ -99,23 +99,21 @@ func (g *Grammar) FullIndexSpec() IndexSpec {
 }
 
 // BuildInstance parses the document and builds the region-index instance
-// described by spec (plus the word index, which index.NewInstance always
-// provides). The second result is always nil: the build keeps no parse tree
-// — what it parses is pruned to the spec, and BuildValue over that would
-// yield partial values. Callers that want a tree call Parse. (The result
+// described by spec, with the document's word index. The second result is
+// always nil: the build keeps no parse tree — what it parses is pruned to
+// the spec, and BuildValue over that would yield partial values. Callers that want a tree call Parse. (The result
 // stays in the signature for bench/, which may not change with this code.)
 func (g *Grammar) BuildInstance(doc *text.Document, spec IndexSpec) (*index.Instance, *Node, error) {
 	return g.BuildInstanceContext(context.Background(), doc, spec)
 }
 
-// newInstance builds the word index; a variable so that a test can make the
-// build's word-index side panic. Nothing else writes it.
-var newInstance = index.NewInstance
+// newWordIndex builds the word index; a variable so that a test can make
+// the build's word-index side panic. Nothing else writes it.
+var newWordIndex = index.NewWordIndex
 
 // BuildInstanceContext is BuildInstance under a context: cancellation is
-// checked at stage boundaries (before the parse, after it, and between
-// index definitions), so an abandoned build stops promptly
-// without ever publishing a partially defined instance.
+// checked before the parse and after it, so an abandoned build stops
+// promptly and publishes nothing.
 //
 // The file's regions come from Regions, and the word index is built on an
 // idle helper (package pool) while it parses, or first, on the caller's
@@ -134,14 +132,14 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 		return nil, nil, err
 	}
 	var (
-		in      *index.Instance
+		x       *index.WordIndex
 		crashed any
 		joined  = make(chan struct{})
 	)
 	words := func() {
 		defer close(joined)
 		defer func() { crashed = recover() }()
-		in = newInstance(doc)
+		x = newWordIndex(doc)
 	}
 	if !pool.TryGo(words) {
 		words()
@@ -156,19 +154,14 @@ func (g *Grammar) BuildInstanceContext(ctx context.Context, doc *text.Document, 
 	if err != nil {
 		return nil, nil, err
 	}
-	for name, set := range named {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		in.Define(name, set)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
+	scopes := make(map[string]string, len(spec.Scoped))
 	for i, sc := range spec.Scoped {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		in.DefineScoped(sc.Name, sc.Within, scoped[i])
+		named[sc.Name], scopes[sc.Name] = scoped[i], sc.Within
 	}
-	return in, nil, nil
+	return index.New(x, named, scopes), nil, nil
 }
 
 // Regions parses [from, to) of the document as sym under spec's index need

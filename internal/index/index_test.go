@@ -146,7 +146,8 @@ func TestPrefixSearch(t *testing.T) {
 
 func TestPrefixMatchesExhaustive(t *testing.T) {
 	// Property: PrefixMatchPoints(p) equals the brute-force scan over
-	// tokens, for random documents and prefixes.
+	// tokens, for random documents and prefixes, beside the empty prefix,
+	// a whole word, one with a separator in it and one past every word.
 	rng := rand.New(rand.NewSource(7))
 	alpha := []string{"ab", "abc", "b", "ba", "c", "ca", "cab"}
 	for trial := 0; trial < 100; trial++ {
@@ -157,16 +158,17 @@ func TestPrefixMatchesExhaustive(t *testing.T) {
 		}
 		doc := text.NewDocument("t", sb.String())
 		x := NewWordIndex(doc)
-		prefix := alpha[rng.Intn(len(alpha))]
-		got := x.PrefixMatchPoints(prefix)
-		var want []region.Region
-		for _, tok := range text.Tokenize(doc.Content()) {
-			if strings.HasPrefix(doc.Token(tok), prefix) {
-				want = append(want, region.Of(tok.Start, tok.End))
+		for _, prefix := range []string{alpha[rng.Intn(len(alpha))], "", "cab", "ab c", "~"} {
+			got := x.PrefixMatchPoints(prefix)
+			var want []region.Region
+			for _, tok := range text.Tokenize(doc.Content()) {
+				if strings.HasPrefix(doc.Token(tok), prefix) {
+					want = append(want, region.Of(tok.Start, tok.End))
+				}
 			}
-		}
-		if !got.Equal(region.FromRegions(want)) {
-			t.Fatalf("trial %d: prefix %q: got %v want %v", trial, prefix, got, region.FromRegions(want))
+			if !got.Equal(region.FromRegions(want)) {
+				t.Fatalf("trial %d: prefix %q: got %v want %v", trial, prefix, got, region.FromRegions(want))
+			}
 		}
 	}
 }
@@ -243,14 +245,22 @@ func lineRegion(t *testing.T, kw string) region.Region {
 	return region.Of(start, end)
 }
 
+// sets makes the map New takes from name/regions pairs.
+func sets(kv ...any) map[string]region.Set {
+	m := make(map[string]region.Set)
+	for i := 0; i < len(kv); i += 2 {
+		m[kv[i].(string)] = region.FromRegions(kv[i+1].([]region.Region))
+	}
+	return m
+}
+
 func TestInstanceBasics(t *testing.T) {
 	doc := text.NewDocument("sample.bib", sampleBib)
-	in := NewInstance(doc)
-	if in.Has("Reference") {
+	if New(NewWordIndex(doc), nil, nil).Has("Reference") {
 		t.Error("empty instance has no regions")
 	}
-	in.Define("Reference", region.FromRegions([]region.Region{region.Of(0, doc.Len())}))
-	in.Define("Author", region.FromRegions([]region.Region{{Start: 23, End: 60}}))
+	s := sets("Reference", []region.Region{region.Of(0, doc.Len())}, "Author", []region.Region{{Start: 23, End: 60}})
+	in := New(NewWordIndex(doc), s, nil)
 	if !in.Has("Reference") || !in.Has("Author") {
 		t.Error("Has")
 	}
@@ -274,72 +284,38 @@ func TestInstanceBasics(t *testing.T) {
 		}()
 		in.MustRegion("Nope")
 	}()
-	u := in.Universe()
-	if u.All().Len() != 2 {
+	if u := in.Universe(); u.All().Len() != 2 {
 		t.Errorf("Universe = %v", u.All())
 	}
-	// Universe cache invalidation.
-	in.Define("Editor", region.FromRegions([]region.Region{{Start: 100, End: 130}}))
-	if in.Universe().All().Len() != 3 {
-		t.Error("universe not rebuilt after Define")
+	// New does not keep the caller's map: adding to it later changes
+	// nothing the instance holds.
+	s["Editor"] = region.FromRegions([]region.Region{{Start: 100, End: 130}})
+	if in.Has("Editor") || in.Universe().All().Len() != 2 {
+		t.Error("the instance follows the map it was made from")
 	}
-	in.Drop("Editor")
-	if in.Universe().All().Len() != 2 {
-		t.Error("universe not rebuilt after Drop")
+	if in.MustRegion("Author").Memo() == nil {
+		t.Error("New must give each set a memo")
 	}
 	if in.SizeBytes() <= 0 {
 		t.Error("SizeBytes")
 	}
 }
 
-func TestRestrict(t *testing.T) {
-	doc := text.NewDocument("d", "a b c")
-	in := NewInstance(doc)
-	in.Define("A", region.FromRegions([]region.Region{{Start: 0, End: 1}}))
-	in.Define("B", region.FromRegions([]region.Region{{Start: 2, End: 3}}))
-	r := in.Restrict("A", "Missing")
-	if !r.Has("A") || r.Has("B") || r.Has("Missing") {
-		t.Errorf("Restrict: %v", r.Names())
-	}
-	if r.Document() != doc {
-		t.Error("Restrict must share document")
-	}
-}
-
 func TestDefineScoped(t *testing.T) {
 	doc := text.NewDocument("d", "a b c d")
-	in := NewInstance(doc)
-	in.DefineScoped("Name", "Authors", region.FromRegions([]region.Region{{Start: 0, End: 1}}))
-	if in.Scope("Name") != "Authors" {
-		t.Errorf("Scope = %q", in.Scope("Name"))
+	one := []region.Region{{Start: 0, End: 1}}
+	in := New(NewWordIndex(doc), sets("Name", one, "Ref", one), map[string]string{"Name": "Authors", "Missing": "Editors"})
+	if in.Scope("Name") != "Authors" || in.Scope("Ref") != "" {
+		t.Errorf("Scope(Name) = %q, Scope(Ref) = %q", in.Scope("Name"), in.Scope("Ref"))
 	}
-	if in.Scope("Missing") != "" {
-		t.Error("unknown scope")
-	}
-	// Redefining globally clears the scope.
-	in.Define("Name", region.FromRegions([]region.Region{{Start: 0, End: 1}}))
-	if in.Scope("Name") != "" {
-		t.Error("Define must clear scope")
-	}
-	in.DefineScoped("Name", "Editors", region.Empty)
-	in.Drop("Name")
-	if in.Scope("Name") != "" {
-		t.Error("Drop must clear scope")
-	}
-	// Restrict keeps scopes.
-	in.DefineScoped("Last", "Authors", region.Empty)
-	in.Define("Ref", region.Empty)
-	r := in.Restrict("Last", "Ref")
-	if r.Scope("Last") != "Authors" || r.Scope("Ref") != "" {
-		t.Error("Restrict scope propagation")
+	if in.Scope("Missing") != "" || in.Has("Missing") {
+		t.Error("a scope without a set indexes nothing")
 	}
 }
 
 func TestSaveLoadPreservesScopes(t *testing.T) {
 	doc := text.NewDocument("d", "a b c d")
-	in := NewInstance(doc)
-	in.Define("Ref", region.FromRegions([]region.Region{{Start: 0, End: 7}}))
-	in.DefineScoped("Name", "Authors", region.FromRegions([]region.Region{{Start: 2, End: 3}}))
+	in := New(NewWordIndex(doc), sets("Ref", []region.Region{{Start: 0, End: 7}}, "Name", []region.Region{{Start: 2, End: 3}}), map[string]string{"Name": "Authors"})
 	var buf bytes.Buffer
 	if err := in.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -355,10 +331,10 @@ func TestSaveLoadPreservesScopes(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	doc := text.NewDocument("sample.bib", sampleBib)
-	in := NewInstance(doc)
-	in.Define("Reference", region.FromRegions([]region.Region{region.Of(0, doc.Len())}))
-	in.Define("Author", region.FromRegions([]region.Region{{Start: 23, End: 60}, {Start: 23, End: 40}}))
-	in.Define("Empty", region.Empty)
+	in := New(NewWordIndex(doc), sets(
+		"Reference", []region.Region{region.Of(0, doc.Len())},
+		"Author", []region.Region{{Start: 23, End: 60}, {Start: 23, End: 40}},
+		"Empty", []region.Region(nil)), nil)
 
 	var buf bytes.Buffer
 	if err := in.Save(&buf); err != nil {
@@ -388,7 +364,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsChangedDocument(t *testing.T) {
 	doc := text.NewDocument("sample.bib", sampleBib)
-	in := NewInstance(doc)
+	in := New(NewWordIndex(doc), nil, nil)
 	var buf bytes.Buffer
 	if err := in.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -425,14 +401,13 @@ func TestSaveLoadLargeRandom(t *testing.T) {
 		sb.WriteByte(' ')
 	}
 	doc := text.NewDocument("big", sb.String())
-	in := NewInstance(doc)
 	var rs []region.Region
 	for i := 0; i < 500; i++ {
 		a := rng.Intn(doc.Len())
 		b := a + rng.Intn(doc.Len()-a)
 		rs = append(rs, region.Of(a, b+1))
 	}
-	in.Define("R", region.FromRegions(rs))
+	in := New(NewWordIndex(doc), sets("R", rs), nil)
 	var buf bytes.Buffer
 	if err := in.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -473,8 +448,7 @@ func TestLoadFuzzedBytesNeverPanics(t *testing.T) {
 	// Corrupting a valid index file must produce errors, not panics or
 	// bogus instances that violate the document bounds.
 	doc := text.NewDocument("f", strings.Repeat("word ", 40))
-	in := NewInstance(doc)
-	in.Define("R", region.FromRegions([]region.Region{{Start: 0, End: 10}, {Start: 20, End: 30}}))
+	in := New(NewWordIndex(doc), sets("R", []region.Region{{Start: 0, End: 10}, {Start: 20, End: 30}}), nil)
 	var buf bytes.Buffer
 	if err := in.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -536,7 +510,7 @@ func checkSplice(t *testing.T, oldContent string, a, b int, repl string) {
 			t.Fatalf("edit [%d,%d)->%q on %q: dictionary word %q is not a substring of the new document", a, b, repl, oldContent, w)
 		}
 	}
-	// Prefix search works on the spliced index (lazy sistrings).
+	// Prefix search works on the spliced index.
 	if !got.PrefixMatchPoints("al").Equal(want.PrefixMatchPoints("al")) {
 		t.Fatalf("edit [%d,%d)->%q on %q: prefix search differs", a, b, repl, oldContent)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"qof/internal/region"
 	"qof/internal/text"
@@ -15,34 +14,40 @@ import (
 // with the document's word index. It is the store the region algebra
 // evaluates against.
 //
-// An Instance is safe for concurrent readers once indexing is finished:
-// Define/DefineScoped/Drop are build-time operations and must not overlap
-// with queries, but every read path (Region, Words, Universe, ...) may be
-// called from any number of goroutines. The only mutable state after
-// building — the universe here, built on the first direct-inclusion
-// operator, and the lazy sistring and suffix arrays in WordIndex — is
-// guarded internally.
+// An Instance is a value: New makes it complete and nothing changes its
+// contents after, so any number of goroutines may read it. An edit makes a
+// new instance. The only state built after New — the universe here, built
+// on the first direct-inclusion operator, a name's value order, and the
+// suffix array in WordIndex — is derived, lazy and guarded internally.
 type Instance struct {
 	words   *WordIndex
 	regions map[string]region.Set
 	scopes  map[string]string // name -> surrounding region name for selective indexes
 
 	uniMu    sync.Mutex
-	universe *region.Universe // guarded by uniMu; lazily built, nil when stale
-
-	// epoch counts the mutations applied to this instance. Caches keyed by
-	// instance contents (the engine's cross-query result cache) include the
-	// epoch in their keys so Define/Drop/Splice invalidate them.
-	epoch atomic.Uint64
+	universe *region.Universe // guarded by uniMu; lazily built
 }
 
-// NewInstance creates an empty instance over the document.
-func NewInstance(doc *text.Document) *Instance {
-	return &Instance{
-		words:   NewWordIndex(doc),
-		regions: make(map[string]region.Set),
+// New returns the instance over words' document that indexes each set of
+// sets under its name, selectively inside scopes[name] when that is not ""
+// (Section 7 of the paper: "index only those that reside in some Authors
+// region"; query compilation uses such a name only on paths passing through
+// its scope). Every instance — built, loaded or edited — comes from New. It
+// attaches to each set a fresh memo, the slot where the word index keeps
+// the name's value order (valueorder.go). The maps are not retained.
+func New(words *WordIndex, sets map[string]region.Set, scopes map[string]string) *Instance {
+	in := &Instance{
+		words:   words,
+		regions: make(map[string]region.Set, len(sets)),
 		scopes:  make(map[string]string),
 	}
+	for name, s := range sets {
+		in.regions[name] = s.WithMemo()
+		if w := scopes[name]; w != "" {
+			in.scopes[name] = w
+		}
+	}
+	return in
 }
 
 // Document returns the indexed document.
@@ -51,54 +56,9 @@ func (in *Instance) Document() *text.Document { return in.words.Document() }
 // Words returns the word index of the document.
 func (in *Instance) Words() *WordIndex { return in.words }
 
-// Define installs (or replaces) the instance of the region name as a global
-// (unscoped) index.
-func (in *Instance) Define(name string, s region.Set) {
-	in.install(name, s)
-	delete(in.scopes, name)
-	in.invalidateUniverse()
-}
-
-// install stores s under name with a fresh memo beside it: the slot where
-// the word index keeps the name's value order (valueorder.go). Whatever was
-// derived from the set the name held before goes with that set.
-func (in *Instance) install(name string, s region.Set) {
-	in.regions[name] = s.WithMemo()
-}
-
-// DefineScoped installs a selectively indexed region name whose instance
-// covers only occurrences inside `within` regions (Section 7 of the paper:
-// "index only those that reside in some Authors region"). Query compilation
-// uses the name only on paths passing through the scope.
-func (in *Instance) DefineScoped(name, within string, s region.Set) {
-	in.install(name, s)
-	in.scopes[name] = within
-	in.invalidateUniverse()
-}
-
 // Scope returns the scope of a selectively indexed name ("" for global or
 // unindexed names).
 func (in *Instance) Scope(name string) string { return in.scopes[name] }
-
-// Drop removes a region name from the instance, e.g. to simulate a more
-// partial indexing choice.
-func (in *Instance) Drop(name string) {
-	delete(in.regions, name)
-	delete(in.scopes, name)
-	in.invalidateUniverse()
-}
-
-func (in *Instance) invalidateUniverse() {
-	in.uniMu.Lock()
-	in.universe = nil
-	in.uniMu.Unlock()
-	in.epoch.Add(1)
-}
-
-// Epoch returns the instance's mutation counter. It increases on every
-// Define, DefineScoped and Drop, and a spliced instance starts one past its
-// parent, so equal epochs on one instance imply identical region contents.
-func (in *Instance) Epoch() uint64 { return in.epoch.Load() }
 
 // Has reports whether the region name is indexed.
 func (in *Instance) Has(name string) bool {
@@ -135,7 +95,7 @@ func (in *Instance) Names() []string {
 // UniverseCtl returns the universe of all indexed regions, which only the
 // direct-inclusion operators read: nothing builds it until the first ⊃d or
 // ⊂d asks. That first caller builds it under uniMu, polling its check (nil
-// for none), and it is kept until the instance changes. A build its check
+// for none), and it is kept for the instance's life. A build its check
 // aborts stores nothing, so the next caller builds again. Concurrent first
 // callers wait for the one building rather than build a copy each.
 func (in *Instance) UniverseCtl(check region.Checker) (*region.Universe, error) {
@@ -181,27 +141,7 @@ func (in *Instance) RegionCount() int {
 // sets plus the word index's dictionary and positions slab. It is used by
 // the indexing-tradeoff experiments and deliberately excludes the document
 // text itself and what queries derive lazily (universe, value orders,
-// sistring array).
+// suffix array).
 func (in *Instance) SizeBytes() int {
 	return region.Bytes*in.RegionCount() + in.words.sizeBytes()
-}
-
-// Restrict returns a new instance over the same document keeping only the
-// given region names (names that are not indexed are ignored). It models the
-// paper's partial indexing: same document, fewer region indices.
-func (in *Instance) Restrict(names ...string) *Instance {
-	out := &Instance{
-		words:   in.words,
-		regions: make(map[string]region.Set, len(names)),
-		scopes:  make(map[string]string),
-	}
-	for _, n := range names {
-		if s, ok := in.regions[n]; ok {
-			out.regions[n] = s
-			if w, ok := in.scopes[n]; ok {
-				out.scopes[n] = w
-			}
-		}
-	}
-	return out
 }

@@ -142,8 +142,7 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 	if seen != nTok {
 		return nil, errTokenTable
 	}
-	in := NewInstanceFromWords(words)
-
+	sets, scopes := make(map[string]region.Set), make(map[string]string)
 	nNames, err := readUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading class count: %w", err)
@@ -158,7 +157,7 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 			return nil, fmt.Errorf("index: reading scope for %q: %w", name, err)
 		}
 		if scope != "" {
-			in.scopes[name] = scope
+			scopes[name] = scope
 		}
 		cnt, err := readUvarint(br)
 		if err != nil {
@@ -179,9 +178,9 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 			prev += ds
 			rs = append(rs, region.Of(int(prev), int(prev+ln)))
 		}
-		in.install(name, region.FromRegions(rs))
+		sets[name] = region.FromRegions(rs)
 	}
-	return in, nil
+	return New(words, sets, scopes), nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) {

@@ -14,8 +14,7 @@ import (
 func savedIndex(t *testing.T) (*text.Document, []byte) {
 	t.Helper()
 	doc := text.NewDocument("t", "alpha beta gamma")
-	in := NewInstance(doc)
-	in.Define("Word", region.FromRegions([]region.Region{{Start: 0, End: 5}, {Start: 6, End: 10}}))
+	in := New(NewWordIndex(doc), sets("Word", []region.Region{{Start: 0, End: 5}, {Start: 6, End: 10}}), nil)
 	var buf bytes.Buffer
 	if err := in.Save(&buf); err != nil {
 		t.Fatal(err)

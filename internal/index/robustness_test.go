@@ -184,8 +184,8 @@ func TestDocumentTooLarge(t *testing.T) {
 }
 
 // TestLazyStructuresFirstUseConcurrent: eight goroutines make the first use
-// of everything the index builds lazily — sistring array, suffix array,
-// value order, universe — and agree with a goroutine that had it to itself.
+// of everything the index builds lazily — suffix array, value order,
+// universe — and of prefix search beside them, and agree with a goroutine that had it to itself.
 // Run under -race.
 func TestLazyStructuresFirstUseConcurrent(t *testing.T) {
 	spec := grammar.IndexSpec{Names: []string{bibtex.NTReference, bibtex.NTKey, bibtex.NTLastName}}

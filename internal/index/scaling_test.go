@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -42,6 +43,28 @@ func TestBuildAndSpliceAllocationsDoNotScale(t *testing.T) {
 		if got := testing.AllocsPerRun(2, func() { x.Splice(edited, start, oldEnd, newEnd) }); got > 12 {
 			t.Errorf("%d references: Splice allocates %.0f times, ceiling 12", n, got)
 		}
+	}
+}
+
+// TestPrefixMatchPointsFirstCallIsSmall: prefix search reads the sorted
+// dictionary and the slab the word index already holds and builds nothing
+// beside them, so its first call on a 2 000-reference file allocates the
+// answer and little else — under 64 KiB.
+func TestPrefixMatchPointsFirstCallIsSmall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes under the race detector are not the program's")
+	}
+	doc, _ := testutil.BibDoc(t, "prefix.bib", 2000, nil)
+	x := index.NewWordIndex(doc)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := x.PrefixMatchPoints("Cha")
+	runtime.ReadMemStats(&after)
+	if got.IsEmpty() {
+		t.Fatal("no word of the file begins with Cha")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("the first PrefixMatchPoints(Cha) allocated %d bytes for %d matches, ceiling 64 KiB", n, got.Len())
 	}
 }
 

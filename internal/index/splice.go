@@ -6,7 +6,6 @@ import (
 	"strings"
 	"unicode/utf8"
 
-	"qof/internal/region"
 	"qof/internal/text"
 )
 
@@ -89,33 +88,12 @@ func (x *WordIndex) Splice(newDoc *text.Document, editStart, oldEnd, newEnd int)
 		}
 	}
 	out.offs = append(out.offs, uint32(len(out.post)))
-	// sistring and suffix arrays are lazy and depend on the whole text;
-	// they rebuild on first use.
+	// The suffix array is lazy and depends on the whole text; the new
+	// index builds its own on first use.
 	return out
 }
 
 // asciiSeparator reports whether c is an ASCII byte that is not part of a word.
 func asciiSeparator(c byte) bool {
 	return c < utf8.RuneSelf && !text.IsWordRune(rune(c))
-}
-
-// SpliceInstance derives a new, empty-region instance over the edited
-// document with a spliced word index; callers install the spliced region
-// sets themselves.
-func SpliceInstance(old *Instance, newDoc *text.Document, editStart, oldEnd, newEnd int) *Instance {
-	in := NewInstanceFromWords(old.words.Splice(newDoc, editStart, oldEnd, newEnd))
-	// Start past the parent's epoch so results cached against the old
-	// contents can never be served for the spliced document.
-	in.epoch.Store(old.Epoch() + 1)
-	return in
-}
-
-// NewInstanceFromWords creates an empty instance reusing an existing word
-// index.
-func NewInstanceFromWords(w *WordIndex) *Instance {
-	return &Instance{
-		words:   w,
-		regions: make(map[string]region.Set),
-		scopes:  make(map[string]string),
-	}
 }

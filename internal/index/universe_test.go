@@ -156,12 +156,15 @@ func TestUniverseConcurrentFirstUse(t *testing.T) {
 }
 
 // TestUniverseFollowsTheInstance: a build its checker aborts stores nothing
-// and the next caller builds; Define and Drop after first use drop the
-// universe, and the next ⊃d sees the instance as it now is.
+// and the next caller builds; each instance has its own universe, so ⊃d
+// sees the names its instance indexes.
 func TestUniverseFollowsTheInstance(t *testing.T) {
-	in := index.NewInstance(text.NewDocument("t", "alpha beta gamma delta"))
-	in.Define("Outer", region.FromRegions([]region.Region{{Start: 0, End: 22}}))
-	in.Define("Inner", region.FromRegions([]region.Region{{Start: 0, End: 5}}))
+	x := index.NewWordIndex(text.NewDocument("t", "alpha beta gamma delta"))
+	sets := map[string]region.Set{
+		"Outer": region.FromRegions([]region.Region{{Start: 0, End: 22}}),
+		"Inner": region.FromRegions([]region.Region{{Start: 0, End: 5}}),
+	}
+	in := index.New(x, sets, nil)
 
 	boom := errors.New("boom")
 	if u, err := in.UniverseCtl(func() error { return boom }); !errors.Is(err, boom) || u != nil {
@@ -171,10 +174,9 @@ func TestUniverseFollowsTheInstance(t *testing.T) {
 		t.Fatal("an aborted build stored a universe")
 	}
 
-	ev := algebra.NewEvaluator(in)
-	direct := func() int {
+	direct := func(in *index.Instance) int {
 		t.Helper()
-		s, err := ev.EvalContext(t.Context(), algebra.MustParse(`Outer >d Inner`), nil, nil)
+		s, err := algebra.NewEvaluator(in).EvalContext(t.Context(), algebra.MustParse(`Outer >d Inner`), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,22 +185,12 @@ func TestUniverseFollowsTheInstance(t *testing.T) {
 		}
 		return s.Len()
 	}
-	if got := direct(); got != 1 {
-		t.Fatalf("Outer ⊃d Inner = %d regions, want 1", got)
-	}
-	in.Define("Mid", region.FromRegions([]region.Region{{Start: 0, End: 10}}))
-	if index.UniverseBuilt(in) {
-		t.Fatal("Define kept the universe")
-	}
-	if got := direct(); got != 0 {
+	sets["Mid"] = region.FromRegions([]region.Region{{Start: 0, End: 10}})
+	if got := direct(index.New(x, sets, nil)); got != 0 {
 		t.Fatalf("with Mid between: Outer ⊃d Inner = %d regions, want 0", got)
 	}
-	in.Drop("Mid")
-	if index.UniverseBuilt(in) {
-		t.Fatal("Drop kept the universe")
-	}
-	if got := direct(); got != 1 {
-		t.Fatalf("after dropping Mid: Outer ⊃d Inner = %d regions, want 1", got)
+	if got := direct(in); got != 1 {
+		t.Fatalf("without Mid: Outer ⊃d Inner = %d regions, want 1", got)
 	}
 }
 

@@ -20,10 +20,9 @@ import (
 //
 // Lifetime: the order is built on the first selection that is handed the
 // set an instance holds under a name, and lives in that set's memo
-// (region.Set.WithMemo, attached by Define, DefineScoped and Load) — 4
-// bytes per region, only for names some query compares. Define and Drop
-// replace or remove the set and the order goes with it; a spliced instance
-// holds new sets, so its orders are built again on first use. Sets without
+// (region.Set.WithMemo, attached by New) — 4 bytes per region, only for
+// names some query compares. Each instance New makes holds its own memos,
+// so a spliced instance's orders are built again on first use. Sets without
 // a memo (every kernel result) are compared region by region.
 
 // valueOrder is the memoized permutation and the document whose text

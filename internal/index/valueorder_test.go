@@ -77,24 +77,24 @@ func TestValueOrderMatchesCompareLoop(t *testing.T) {
 	}
 }
 
-// lines defines "Line" as every line of the document, without its newline.
-func lines(in *index.Instance) {
-	content := in.Document().Content()
+// lines is the instance over x that indexes "Line", every line of the
+// document without its newline.
+func lines(x *index.WordIndex) *index.Instance {
+	content := x.Document().Content()
 	var rs []region.Region
 	for pos := 0; pos < len(content); {
 		end := pos + strings.IndexByte(content[pos:], '\n')
 		rs = append(rs, region.Of(pos, end))
 		pos = end + 1
 	}
-	in.Define("Line", region.FromRegions(rs))
+	return index.New(x, map[string]region.Set{"Line": region.FromRegions(rs)}, nil)
 }
 
 // TestValueOrderIsOnRegionText: regions need not align with word tokens. A
 // region that is a proper substring of a token is found by its own text.
 func TestValueOrderIsOnRegionText(t *testing.T) {
 	doc := text.NewDocument("t", "foobar foo barfoo bar")
-	in := index.NewInstance(doc)
-	in.Define("Part", region.FromRegions([]region.Region{
+	in := index.New(index.NewWordIndex(doc), map[string]region.Set{"Part": region.FromRegions([]region.Region{
 		{Start: 0, End: 3},   // "foo" inside foobar
 		{Start: 3, End: 6},   // "bar" inside foobar
 		{Start: 7, End: 10},  // the token foo
@@ -102,7 +102,7 @@ func TestValueOrderIsOnRegionText(t *testing.T) {
 		{Start: 14, End: 17}, // "foo" inside barfoo
 		{Start: 6, End: 7},   // the blank
 		{Start: 18, End: 18}, // empty
-	}))
+	})}, nil)
 	s := in.MustRegion("Part")
 	checkSelections(t, "parts", in.Words(), s, constantsFor(doc.Content(), s))
 	if got := in.Words().SelectEquals(s, "foo"); got.Len() != 3 {
@@ -113,12 +113,12 @@ func TestValueOrderIsOnRegionText(t *testing.T) {
 	}
 }
 
-func TestValueOrderFollowsDefineAndDrop(t *testing.T) {
-	doc := text.NewDocument("t", "alpha\nbeta\nalpha\ngamma\n")
-	in := index.NewInstance(doc)
-	lines(in)
-	x := in.Words()
-	old := in.MustRegion("Line")
+// TestValueOrderFollowsTheInstance: two instances over one word index, one
+// with every line and one without the first. Each set builds its own value
+// order, and a set that already has one gets a fresh memo from New.
+func TestValueOrderFollowsTheInstance(t *testing.T) {
+	x := index.NewWordIndex(text.NewDocument("t", "alpha\nbeta\nalpha\ngamma\n"))
+	old := lines(x).MustRegion("Line")
 	if got := x.SelectEquals(old, "alpha"); got.Len() != 2 {
 		t.Fatalf("σ_=alpha = %v", got)
 	}
@@ -127,36 +127,30 @@ func TestValueOrderFollowsDefineAndDrop(t *testing.T) {
 		t.Fatal("first σ_= built no value order")
 	}
 
-	// Replacing the name: the new set starts without an order and builds
-	// its own; the old set value keeps answering for its own regions.
-	in.Define("Line", region.FromRegions(old.Regions()[1:]))
-	now := in.MustRegion("Line")
+	// Another set under the name: it starts without an order and builds
+	// its own; the first set keeps answering for its own regions.
+	now := index.New(x, map[string]region.Set{"Line": region.FromRegions(old.Regions()[1:])}, nil).MustRegion("Line")
 	if now.Memo() == old.Memo() || now.Memo().Load() != nil {
-		t.Error("Define kept the replaced set's value order")
+		t.Error("a new instance shares another set's value order")
 	}
-	checkSelections(t, "after Define", x, now, []string{"alpha", "beta", "a", ""})
+	checkSelections(t, "without the first line", x, now, []string{"alpha", "beta", "a", ""})
 	if got := x.SelectEquals(now, "alpha"); got.Len() != 1 {
-		t.Errorf("σ_=alpha after Define = %v, want the one alpha left", got)
+		t.Errorf("σ_=alpha without the first line = %v, want the one alpha left", got)
 	}
 	if old.Memo().Load() != built || x.SelectEquals(old, "alpha").Len() != 2 {
-		t.Error("the replaced set value no longer answers for itself")
+		t.Error("the first set no longer answers for itself")
 	}
 
-	in.Drop("Line")
-	if _, ok := in.Region("Line"); ok {
-		t.Fatal("Drop left the name")
+	again := index.New(x, map[string]region.Set{"Line": old}, nil).MustRegion("Line")
+	if again.Memo().Load() != nil {
+		t.Error("a set handed to New came back with its value order")
 	}
-	lines(in)
-	if in.MustRegion("Line").Memo().Load() != nil {
-		t.Error("a name defined again after Drop came back with a value order")
-	}
-	checkSelections(t, "after Drop and Define", x, in.MustRegion("Line"), []string{"alpha", "gamma", "g", ""})
+	checkSelections(t, "the same set again", x, again, []string{"alpha", "gamma", "g", ""})
 }
 
 func TestValueOrderAfterSplice(t *testing.T) {
 	const content = "alpha\nbeta\nalpha\ngamma\n"
-	old := index.NewInstance(text.NewDocument("t", content))
-	lines(old)
+	old := lines(index.NewWordIndex(text.NewDocument("t", content)))
 	constants := []string{"alpha", "alphax", "beta", "al", "gamma", "x", ""}
 	checkSelections(t, "before any edit", old.Words(), old.MustRegion("Line"), constants)
 
@@ -172,8 +166,7 @@ func TestValueOrderAfterSplice(t *testing.T) {
 		{"after the matching regions", len(content), len(content), "alpha\n"},
 	} {
 		newDoc := text.NewDocument("t", content[:edit.start]+edit.repl+content[edit.end:])
-		in := index.SpliceInstance(old, newDoc, edit.start, edit.end, edit.start+len(edit.repl))
-		lines(in)
+		in := lines(old.Words().Splice(newDoc, edit.start, edit.end, edit.start+len(edit.repl)))
 		s := in.MustRegion("Line")
 		if s.Memo().Load() != nil {
 			t.Errorf("%s: the spliced instance inherited a value order", edit.name)
@@ -204,9 +197,7 @@ func manyLines(n, k int) *index.Instance {
 		sb.WriteString(strings.Repeat("x", (i*7)%k))
 		sb.WriteByte('\n')
 	}
-	in := index.NewInstance(text.NewDocument("t", sb.String()))
-	lines(in)
-	return in
+	return lines(index.NewWordIndex(text.NewDocument("t", sb.String())))
 }
 
 // TestValueOrderFirstUseConcurrent: goroutines racing to make the first use

@@ -1,7 +1,8 @@
 // Package index implements the text-indexing engine underneath the region
 // algebra: a word index recording the location of every word occurrence in a
-// document (the PAT system's sistring index), named region indices, and a
-// persistent on-disk format for both.
+// document (what the PAT system provides), named region indices, and a
+// persistent on-disk format for both. An Instance is made once, by New, and
+// never changes: an edit makes a new one.
 //
 // The paper assumes "that this is a service given by the underlying text
 // indexing system" — this package is that service, reimplemented from the
@@ -10,7 +11,6 @@
 package index
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"index/suffixarray"
@@ -29,26 +29,24 @@ import (
 // its rank in words, and post[offs[id]:offs[id+1]] holds the start offsets
 // of its occurrences in document order. Every occurrence of a word has the
 // word's length, so a start is all an occurrence needs: 4 bytes each, no
-// token table. Exact-word lookup is a binary search of words; PAT-style
-// sistring (semi-infinite string) prefix search goes through an array of
-// the same starts sorted by the text that follows them.
+// token table. Exact-word lookup is a binary search of words, and the words
+// beginning with a prefix are one run of them, so PAT's prefix search reads
+// one contiguous stretch of the slab.
 //
 // A WordIndex is immutable after construction except for the lazily built
-// sistring and suffix arrays, whose one-time construction is synchronized —
-// concurrent queries may share one WordIndex freely.
+// suffix array, whose one-time construction is synchronized — concurrent
+// queries may share one WordIndex freely.
 type WordIndex struct {
 	doc      *text.Document
 	words    []string // distinct words, sorted; substrings of the document
 	offs     []uint32 // len(words)+1 group boundaries in post
 	post     []uint32 // occurrence starts, grouped by word, ascending in a group
-	sisOnce  sync.Once
-	sistring []uint32 // occurrence starts sorted by doc[start:]; built lazily
 	sufOnce  sync.Once
 	suffixes *suffixarray.Index // byte-level suffix array; built lazily
 }
 
 // ErrDocumentTooLarge reports a document whose offsets do not fit the
-// index's 32-bit positions (and the sistring build's int32 ranks).
+// index's 32-bit positions.
 var ErrDocumentTooLarge = errors.New("index: document too large")
 
 // maxDocLen is a variable so that tests can lower it; nothing else writes it.
@@ -125,25 +123,6 @@ func buildWordIndex(doc *text.Document, each func(text.Token) error) (*WordIndex
 	return x, nil
 }
 
-// sistringArray returns the occurrence starts in lexicographic order of the
-// text following each (PAT's sistring order). It is built on first use:
-// sorting semi-infinite strings is the most expensive part of word indexing
-// and only prefix search needs it. The order is derived from byte-level
-// suffix ranks (see suffixRanksAt) so each comparison is O(1) regardless of
-// how repetitive the document is.
-func (x *WordIndex) sistringArray() []uint32 {
-	x.sisOnce.Do(func() {
-		if len(x.post) == 0 {
-			return
-		}
-		arr := slices.Clone(x.post)
-		rank := suffixRanksAt(x.doc.Content(), arr)
-		slices.SortFunc(arr, func(a, b uint32) int { return cmp.Compare(rank[a], rank[b]) })
-		x.sistring = arr
-	})
-	return x.sistring
-}
-
 // Document returns the indexed document.
 func (x *WordIndex) Document() *text.Document { return x.doc }
 
@@ -208,32 +187,35 @@ func (x *WordIndex) MatchPoints(w string) region.Set {
 	return region.FromOrdered(rs)
 }
 
-// PrefixMatchPoints returns match points of every word beginning with the
-// given prefix, found by binary search over the sistring array exactly as in
-// PAT's lexicographical search.
+// PrefixMatchPoints returns the match points of every word beginning with
+// the given prefix, PAT's lexicographical search: those words are one run
+// of the sorted dictionary, found by binary search, and their starts one
+// contiguous stretch of the slab. Each start becomes a region the width of
+// its word, and the regions are sorted into set order.
 func (x *WordIndex) PrefixMatchPoints(prefix string) region.Set {
-	content := x.doc.Content()
-	sistring := x.sistringArray()
-	lo := sort.Search(len(sistring), func(i int) bool {
-		return content[sistring[i]:] >= prefix
-	})
-	var rs []region.Region
-	for _, start := range sistring[lo:] {
-		if !strings.HasPrefix(content[start:], prefix) {
-			break
-		}
-		// The word at start is the token the tokenizer finds there.
-		if tok, _ := text.NextToken(content, int(start)); tok.Len() >= len(prefix) {
-			rs = append(rs, region.Of(tok.Start, tok.End))
+	lo, hi := x.prefixRange(prefix)
+	rs := make([]region.Region, 0, x.offs[hi]-x.offs[lo])
+	for i := lo; i < hi; i++ {
+		width := int32(len(x.words[i]))
+		for _, start := range x.post[x.offs[i]:x.offs[i+1]] {
+			rs = append(rs, region.Region{Start: int32(start), End: int32(start) + width})
 		}
 	}
-	return region.FromRegions(rs)
+	return region.FromOrdered(rs)
+}
+
+// prefixRange returns the run words[lo:hi] of the words beginning with
+// prefix.
+func (x *WordIndex) prefixRange(prefix string) (lo, hi int) {
+	lo = sort.SearchStrings(x.words, prefix)
+	hi = lo + sort.Search(len(x.words)-lo, func(i int) bool { return !strings.HasPrefix(x.words[lo+i], prefix) })
+	return lo, hi
 }
 
 // SubstringMatchPoints returns a region for every occurrence of the
 // substring s anywhere in the document (not only at word boundaries),
 // using a byte-level suffix array built on first use — the lexical search
-// PAT performs on arbitrary sistrings.
+// PAT performs on arbitrary sistrings (semi-infinite strings).
 func (x *WordIndex) SubstringMatchPoints(s string) region.Set {
 	if s == "" {
 		return region.Empty
@@ -251,12 +233,11 @@ func (x *WordIndex) SubstringMatchPoints(s string) region.Set {
 
 // PrefixWords returns the distinct words beginning with the given prefix.
 func (x *WordIndex) PrefixWords(prefix string) []string {
-	lo := sort.SearchStrings(x.words, prefix)
-	var out []string
-	for i := lo; i < len(x.words) && strings.HasPrefix(x.words[i], prefix); i++ {
-		out = append(out, x.words[i])
+	lo, hi := x.prefixRange(prefix)
+	if lo == hi {
+		return nil
 	}
-	return out
+	return slices.Clone(x.words[lo:hi])
 }
 
 // SelectContaining implements the σ_w selection of the region algebra: the

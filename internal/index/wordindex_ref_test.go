@@ -63,8 +63,8 @@ func (x *refWordIndex) prefixWords(prefix string) []string {
 	return out
 }
 
-// prefixMatchPoints is PAT's sistring search by definition: the tokens
-// whose following text starts with prefix and that are at least as long.
+// prefixMatchPoints is PAT's prefix search by definition: the tokens whose
+// following text starts with prefix and that are at least as long.
 func (x *refWordIndex) prefixMatchPoints(prefix string) region.Set {
 	var rs []region.Region
 	for _, tok := range x.tokens {
@@ -148,7 +148,9 @@ func checkAgainstReference(t *testing.T, doc *text.Document, sets []region.Set, 
 		t.Fatalf("%s: ForEachWord visits %q, reference %q", doc.Name(), visited, ref.words)
 	}
 
-	asked := append(slices.Clone(probes), ref.words...)
+	// Beside the probes and every whole word: the empty prefix, one with
+	// a separator in it and one past every ASCII word.
+	asked := slices.Concat(probes, ref.words, []string{"", "ab c", "~"})
 	for _, w := range ref.words { // near misses of the dictionary
 		asked = append(asked, w[:len(w)-1], w+"x", w+" ")
 	}
@@ -285,8 +287,8 @@ func TestSaveMatchesReferenceWriter(t *testing.T) {
 		}
 	}
 	for i, content := range unicodeDocs {
-		in := index.NewInstance(text.NewDocument(fmt.Sprintf("unicode#%d", i), content))
-		in.Define("All", region.FromRegions([]region.Region{region.Of(0, len(content))}))
+		doc := text.NewDocument(fmt.Sprintf("unicode#%d", i), content)
+		in := index.New(index.NewWordIndex(doc), map[string]region.Set{"All": region.FromRegions([]region.Region{region.Of(0, len(content))})}, nil)
 		check(in)
 	}
 }

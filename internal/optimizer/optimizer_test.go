@@ -412,11 +412,11 @@ func genInstance(rng *rand.Rand, g *rig.Graph, root string, span int) *index.Ins
 	for i := 0; i < n; i++ {
 		build(root, i*seg, i*seg+seg-1, 0)
 	}
-	in := index.NewInstance(doc)
+	sets := make(map[string]region.Set)
 	for _, node := range g.Nodes() {
-		in.Define(node, region.FromRegions(groups[node]))
+		sets[node] = region.FromRegions(groups[node])
 	}
-	return in
+	return index.New(index.NewWordIndex(doc), sets, nil)
 }
 
 // randomChain builds a random chain along RIG paths from root so that it is

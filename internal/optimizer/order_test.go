@@ -14,15 +14,16 @@ import (
 // orderStats indexes a small instance where Small (2 regions) is much
 // cheaper than Mid (50) and Big (500), and the word w occurs 3 times.
 func orderStats() *stats.Stats {
-	in := index.NewInstance(text.NewDocument("order", strings.Repeat("w x ", 3)+strings.Repeat("y ", 500)))
+	sets := make(map[string]region.Set)
 	for name, n := range map[string]int{"Small": 2, "Mid": 50, "Big": 500} {
 		rs := make([]region.Region, n)
 		for i := range rs {
 			rs[i] = region.Region{Start: int32(2 * i), End: int32(2*i + 1)}
 		}
-		in.Define(name, region.FromRegions(rs))
+		sets[name] = region.FromRegions(rs)
 	}
-	return stats.Collect(in)
+	doc := text.NewDocument("order", strings.Repeat("w x ", 3)+strings.Repeat("y ", 500))
+	return stats.Collect(index.New(index.NewWordIndex(doc), sets, nil))
 }
 
 func TestOrderOperands(t *testing.T) {

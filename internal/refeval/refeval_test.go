@@ -21,15 +21,11 @@ import (
 func handInstance(t *testing.T) *index.Instance {
 	t.Helper()
 	doc := text.NewDocument("hand.txt", "alpha beta gamma alpha delta beta")
-	in := index.NewInstance(doc)
-	in.Define("A", region.FromRegions([]region.Region{{Start: 0, End: 33}}))
-	in.Define("B", region.FromRegions([]region.Region{
-		{Start: 0, End: 16}, {Start: 17, End: 33},
-	}))
-	in.Define("C", region.FromRegions([]region.Region{
-		{Start: 0, End: 5}, {Start: 17, End: 22},
-	}))
-	return in
+	return index.New(index.NewWordIndex(doc), map[string]region.Set{
+		"A": region.FromRegions([]region.Region{{Start: 0, End: 33}}),
+		"B": region.FromRegions([]region.Region{{Start: 0, End: 16}, {Start: 17, End: 33}}),
+		"C": region.FromRegions([]region.Region{{Start: 0, End: 5}, {Start: 17, End: 22}}),
+	}, nil)
 }
 
 // TestEvalAgainstFastEvaluator checks the naive evaluator against the real
@@ -114,10 +110,11 @@ func TestEvalNotIndexed(t *testing.T) {
 // of a third indexed set strictly between the pair breaks directness.
 func TestDirectInclusionUsesUniverse(t *testing.T) {
 	doc := text.NewDocument("u.txt", "aaaaaaaaaa")
-	in := index.NewInstance(doc)
-	in.Define("Outer", region.FromRegions([]region.Region{{Start: 0, End: 10}}))
-	in.Define("Mid", region.FromRegions([]region.Region{{Start: 1, End: 9}}))
-	in.Define("Inner", region.FromRegions([]region.Region{{Start: 2, End: 8}}))
+	in := index.New(index.NewWordIndex(doc), map[string]region.Set{
+		"Outer": region.FromRegions([]region.Region{{Start: 0, End: 10}}),
+		"Mid":   region.FromRegions([]region.Region{{Start: 1, End: 9}}),
+		"Inner": region.FromRegions([]region.Region{{Start: 2, End: 8}}),
+	}, nil)
 	ref := refeval.New(in)
 
 	got, err := ref.Eval(algebra.MustParse(`Outer >d Inner`))

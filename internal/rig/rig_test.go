@@ -322,13 +322,13 @@ func TestCountRealizingPathsCycle(t *testing.T) {
 func buildInstance(t *testing.T) *index.Instance {
 	t.Helper()
 	doc := text.NewDocument("d", strings.Repeat("x ", 50))
-	in := index.NewInstance(doc)
+	sets := make(map[string]region.Set)
 	def := func(name string, pairs ...int) {
 		rs := make([]region.Region, 0, len(pairs)/2)
 		for i := 0; i < len(pairs); i += 2 {
 			rs = append(rs, region.Of(pairs[i], pairs[i+1]))
 		}
-		in.Define(name, region.FromRegions(rs))
+		sets[name] = region.FromRegions(rs)
 	}
 	def("Reference", 0, 100)
 	def("Authors", 5, 40)
@@ -336,7 +336,7 @@ func buildInstance(t *testing.T) *index.Instance {
 	def("Name", 10, 35, 50, 85)
 	def("First_Name", 10, 20, 50, 60)
 	def("Last_Name", 25, 35, 70, 85)
-	return in
+	return index.New(index.NewWordIndex(doc), sets, nil)
 }
 
 func TestSatisfies(t *testing.T) {
