@@ -2,11 +2,15 @@ package main
 
 import (
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"qof"
 )
 
 // writeCorpus generates a small bibtex corpus into dir and returns its path.
@@ -119,16 +123,104 @@ func TestCmdQueryCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT r.Key FROM References r WHERE r.Year STARTS "19"`
-	if err := cmdQuery([]string{"-domain", "bibtex", a, b, q}); err != nil {
-		t.Fatal(err)
+	// No reference of these files has a "Chang" author, so the -quiet call
+	// asks for a word some abstracts hold, on the paper's partial index, where
+	// CONTAINS on Abstract parses its candidates.
+	const system = `SELECT r FROM References r WHERE r.Abstract CONTAINS "system"`
+	partial := []qof.IndexOption{qof.WithRegions("Reference", "Key", "Last_Name")}
+	// The expected output is built from one single-file query per file, in
+	// argument order (a and b are in name order too).
+	var rows, counts []string
+	var keys, hits [4]int // results, candidates, parsed, parsed bytes
+	add := func(sum *[4]int, res *qof.Results) {
+		st := res.Stats
+		for i, n := range []int{res.Len(), st.Candidates, st.Parsed, st.ParsedBytes} {
+			sum[i] += n
+		}
 	}
-	if err := cmdQuery([]string{"-domain", "bibtex", "-quiet", a, b,
-		`SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`}); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{a, b} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := qof.BibTeX().Index(path, string(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.Values {
+			rows = append(rows, path+": "+v)
+		}
+		add(&keys, res)
+		if f, err = qof.BibTeX().Index(path, string(data), partial...); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = f.Query(system); err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() > 0 {
+			counts = append(counts, fmt.Sprintf("%s: %d results", path, res.Len()))
+		}
+		add(&hits, res)
 	}
+	if len(rows) == 0 || len(counts) != 2 || hits[2] == 0 {
+		t.Fatalf("vacuous fixture: %d rows, %d per-file counts, %d parsed", len(rows), len(counts), hits[2])
+	}
+	statsLine := func(sum [4]int) string {
+		return fmt.Sprintf("files=2 results=%d candidates=%d parsed=%d parsed_bytes=%d", sum[0], sum[1], sum[2], sum[3])
+	}
+	out := captureStdout(t, func() error { return cmdQuery([]string{"-domain", "bibtex", a, b, q}) })
+	wantLines(t, out, append(rows, statsLine(keys)))
+	out = captureStdout(t, func() error {
+		return cmdQuery([]string{"-domain", "bibtex", "-quiet", "-names", "Reference,Key,Last_Name", a, b, system})
+	})
+	wantLines(t, out, append(counts, statsLine(hits)))
 	// -index is single-file only.
 	if err := cmdQuery([]string{"-domain", "bibtex", "-index", "x.qidx", a, b, q}); err == nil {
 		t.Error("-index accepted on a multi-file query")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed; fn's error fails the test.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	read := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		read <- string(data)
+	}()
+	err = fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-read
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// wantLines checks out line by line against want.
+func wantLines(t *testing.T, out string, want []string) {
+	t.Helper()
+	got := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, want %d:\n%s", len(got), len(want), out)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d: %q, want %q", i+1, got[i], want[i])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"qof"
 	"qof/internal/bibtex"
 	"qof/internal/compile"
 	"qof/internal/logs"
@@ -15,6 +16,7 @@ import (
 type domain struct {
 	name     string
 	catalog  func() *compile.Catalog
+	schema   func() *qof.Schema // the same format behind the public API
 	generate func(n int, seed int64) string
 	sample   string
 	classes  string // help text: class bindings
@@ -24,6 +26,7 @@ var domains = map[string]domain{
 	"bibtex": {
 		name:    "bibtex",
 		catalog: bibtex.Catalog,
+		schema:  qof.BibTeX,
 		generate: func(n int, seed int64) string {
 			cfg := bibtex.DefaultConfig(n)
 			cfg.Seed = seed
@@ -36,6 +39,7 @@ var domains = map[string]domain{
 	"logs": {
 		name:    "logs",
 		catalog: logs.Catalog,
+		schema:  qof.Logs,
 		generate: func(n int, seed int64) string {
 			cfg := logs.DefaultConfig(n)
 			cfg.Seed = seed
@@ -48,6 +52,7 @@ var domains = map[string]domain{
 	"src": {
 		name:    "src",
 		catalog: srccode.Catalog,
+		schema:  qof.SourceCode,
 		generate: func(n int, seed int64) string {
 			cfg := srccode.DefaultConfig(n)
 			cfg.Seed = seed
@@ -60,6 +65,7 @@ var domains = map[string]domain{
 	"sgml": {
 		name:    "sgml",
 		catalog: sgml.Catalog,
+		schema:  qof.SGML,
 		generate: func(n int, seed int64) string {
 			// n is interpreted as nesting depth for documents.
 			cfg := sgml.DefaultConfig(max(n, 2), 3)

@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"qof"
 	"qof/internal/advisor"
 	"qof/internal/algebra"
 	"qof/internal/engine"
@@ -242,46 +243,54 @@ func cmdQuery(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	lim := engine.Limits{MaxRegions: *maxRegions, MaxEvalBytes: *maxBytes}
 	if fs.NArg() > 2 {
 		// Several files: query the whole corpus (Section 2's shared
 		// bibliographies scenario).
 		if *idxPath != "" {
 			return fmt.Errorf("-index applies to single-file queries")
 		}
-		corpus := engine.NewCorpus(d.catalog())
-		var docs []*text.Document
+		files := map[string]string{}
 		for _, path := range fs.Args()[:fs.NArg()-1] {
-			doc, err := readDoc(path)
+			data, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
-			docs = append(docs, doc)
+			files[path] = string(data)
 		}
-		if err := corpus.AddAllContext(ctx, docs, spec); err != nil {
+		opts := []qof.IndexOption{qof.WithRegions(spec.Names...)}
+		for _, sc := range spec.Scoped {
+			opts = append(opts, qof.WithScopedRegion(sc.Name, sc.Within))
+		}
+		corpus := d.schema().NewCorpus()
+		if err := corpus.AddAllContext(ctx, files, opts...); err != nil {
 			return err
 		}
-		res, err := corpus.ExecuteContext(ctx, q, engine.ExecOptions{Limits: lim})
+		res, err := corpus.ExecuteContext(ctx, fs.Arg(fs.NArg()-1), qof.WithMaxRegions(*maxRegions), qof.WithMaxEvalBytes(*maxBytes))
 		if err != nil {
 			return err
 		}
+		projected := len(q.Select.Segs) > 0
 		for _, hit := range res.Hits {
 			if *quiet {
-				fmt.Printf("%s: %d results\n", hit.File, hit.Stats.Results)
+				n := len(hit.Values)
+				if !projected {
+					n = len(hit.Spans)
+				}
+				fmt.Printf("%s: %d results\n", hit.File, n)
 				continue
 			}
-			for _, s := range hit.Strings {
+			for _, s := range hit.Values {
 				fmt.Printf("%s: %s\n", hit.File, s)
 			}
-			for _, r := range hit.Regions.Regions() {
-				if !res.Projected {
-					fmt.Printf("%s: [%d,%d)\n", hit.File, r.Start, r.End)
+			if !projected {
+				for _, sp := range hit.Spans {
+					fmt.Printf("%s: [%d,%d)\n", hit.File, sp.Start, sp.End)
 				}
 			}
 		}
 		st := res.Stats
 		fmt.Printf("files=%d results=%d candidates=%d parsed=%d parsed_bytes=%d\n",
-			corpus.Len(), st.Results, st.Candidates, st.Parsed, st.ParsedBytes)
+			len(files), st.Results, st.Candidates, st.Parsed, st.ParsedBytes)
 		return nil
 	}
 	doc, err := readDoc(fs.Arg(0))
@@ -293,7 +302,7 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	eng := engine.New(d.catalog(), in)
-	res, err := eng.ExecuteContext(ctx, q, lim)
+	res, err := eng.ExecuteContext(ctx, q, engine.Limits{MaxRegions: *maxRegions, MaxEvalBytes: *maxBytes})
 	if err != nil {
 		return err
 	}

@@ -95,6 +95,7 @@ func WithScopedRegion(name, within string) IndexOption {
 type File struct {
 	schema *Schema
 	eng    *engine.Engine
+	spec   grammar.IndexSpec // the options it was indexed under, for Corpus.Reindex
 }
 
 // Index parses and indexes a document held in memory. The returned File is
@@ -248,52 +249,11 @@ func (f *File) edited(span Span, edit func(region.Region) (*index.Instance, erro
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: f.schema, eng: engine.New(f.schema.cat, in)}, nil
+	return &File{schema: f.schema, eng: engine.New(f.schema.cat, in), spec: f.spec}, nil
 }
 
 // Content returns the file's current text.
 func (f *File) Content() string { return f.eng.Instance().Document().Content() }
-
-// Corpus queries many files of one schema together.
-type Corpus struct {
-	schema *Schema
-	c      *engine.Corpus
-}
-
-// NewCorpus creates an empty corpus. The Corpus is safe for concurrent
-// queries once every file is added.
-func (s *Schema) NewCorpus() *Corpus {
-	return &Corpus{schema: s, c: engine.NewCorpus(s.cat)}
-}
-
-// Add indexes a document and adds it to the corpus.
-func (c *Corpus) Add(name, content string, opts ...IndexOption) error {
-	return c.c.Add(text.NewDocument(name, content), applyOptions(opts))
-}
-
-// AddAll indexes the named documents and adds them to the corpus in order.
-// The index builds run on the caller and on idle helpers; the result is
-// identical to sequential Adds. On error nothing is added, and the returned
-// error joins one attributed error per failed document.
-func (c *Corpus) AddAll(files map[string]string, opts ...IndexOption) error {
-	return c.AddAllContext(context.Background(), files, opts...)
-}
-
-// CorpusHit is one file's results.
-type CorpusHit struct {
-	File   string
-	Spans  []Span
-	Values []string
-}
-
-// Query runs the query against every file and merges the outcomes.
-func (c *Corpus) Query(src string) ([]CorpusHit, error) {
-	res, err := c.ExecuteContext(context.Background(), src)
-	if err != nil {
-		return nil, err
-	}
-	return res.Hits, nil
-}
 
 // Advise recommends which regions to index so the given query workload is
 // fully computed by the indexing engine (Section 7 of the paper). It

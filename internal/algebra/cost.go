@@ -98,35 +98,3 @@ func costUpTo(e Expr, limit int) int {
 	}
 	return total
 }
-
-// OpCounts summarises the operator mix of an expression, for EXPLAIN output.
-type OpCounts struct {
-	SetOps     int
-	Selects    int
-	Nests      int
-	Inclusions int
-	Directs    int
-}
-
-// CountOps tallies the operators in e.
-func CountOps(e Expr) OpCounts {
-	var c OpCounts
-	Walk(e, func(x Expr) {
-		switch x := x.(type) {
-		case Binary:
-			switch {
-			case x.Op.IsDirect():
-				c.Directs++
-			case x.Op.IsInclusion():
-				c.Inclusions++
-			default:
-				c.SetOps++
-			}
-		case Unary:
-			c.Nests++
-		case Select:
-			c.Selects++
-		}
-	})
-	return c
-}

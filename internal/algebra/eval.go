@@ -226,22 +226,19 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 		return region.Empty, err
 	}
 	var rkey string
-	switch e.(type) {
-	case Binary, Select, Unary, Near, Freq:
-		// Worthiness and the key are computed once here and shared by the
-		// cache read and the deferred write.
-		if ev.Results != nil && CostAtLeast(e, DefaultResultMinCost) {
-			rkey = e.String()
-			// Budgeted evaluations bypass cache reads (writes still happen):
-			// a cached subexpression skips the very work the budget meters,
-			// which would make budget enforcement depend on cache state.
-			if ctx.budget == nil {
-				if s, ok := ev.Results.Get(rkey); ok {
-					if ctx.stats != nil {
-						ctx.stats.ResultCacheHits++
-					}
-					return s, nil
+	// The key is computed once here and shared by the cache read and the
+	// deferred write. Leaves cost nothing, so they are never kept.
+	if ev.Results != nil && CostAtLeast(e, DefaultResultMinCost) {
+		rkey = e.String()
+		// Budgeted evaluations bypass cache reads (writes still happen):
+		// a cached subexpression skips the very work the budget meters,
+		// which would make budget enforcement depend on cache state.
+		if ctx.budget == nil {
+			if s, ok := ev.Results.Get(rkey); ok {
+				if ctx.stats != nil {
+					ctx.stats.ResultCacheHits++
 				}
+				return s, nil
 			}
 		}
 	}
@@ -260,40 +257,6 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 		ctx.pending = append(ctx.pending, pendingPut{key: rkey, set: out})
 	}
 	return out, nil
-}
-
-// SharedKey returns the cross-query key for e and whether e is worth
-// caching at all, for callers that need the key for more than one operation
-// (a cache read and a publish share one Cost walk). rendered is e.String(),
-// which a caller holding a compiled plan rendered once when the plan was
-// made, and it is the key. An unworthy e has the empty key.
-func (ev *Evaluator) SharedKey(e Expr, rendered string) (string, bool) {
-	switch e.(type) {
-	case Binary, Select, Unary, Near, Freq:
-		if ev.Results == nil || !CostAtLeast(e, DefaultResultMinCost) {
-			return "", false
-		}
-		return rendered, true
-	}
-	return "", false
-}
-
-// CachedResultKey reads the cross-query cache under a key obtained from
-// SharedKey; the empty key misses without a lookup.
-func (ev *Evaluator) CachedResultKey(key string) (region.Set, bool) {
-	if ev.Results == nil || key == "" {
-		return region.Empty, false
-	}
-	return ev.Results.Get(key)
-}
-
-// PublishResultKey writes a complete result under a key obtained from
-// SharedKey. Callers uphold the publish invariant: only fully drained,
-// successful results.
-func (ev *Evaluator) PublishResultKey(key string, s region.Set) {
-	if ev.Results != nil {
-		ev.Results.Put(key, s)
-	}
 }
 
 func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {

@@ -24,8 +24,7 @@ package algebra
 //   - No subexpression result-cache reads. Duplicated subexpressions are
 //     re-evaluated, as they are by the set evaluator: neither keeps a
 //     per-call memo. The engine still serves a whole candidate expression
-//     from the cross-query cache (CachedResultKey) and publishes fully
-//     drained streams (PublishResultKey).
+//     from the cross-query cache and publishes fully drained streams to it.
 //   - Budget charging is per region as it flows through each operator — the
 //     per-region analogue of the set evaluator's per-result charge. Totals
 //     for a full drain are close but not ordered: the empty-operand

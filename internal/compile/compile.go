@@ -445,7 +445,7 @@ func (c *Catalog) compile(q *xsql.Query, indexed *Choice) (*Plan, error) {
 			return nil, fmt.Errorf("compile: class %q is not bound to a non-terminal", f.Class)
 		}
 		vp := VarPlan{Var: f.Var, NT: nt}
-		expr, orig, exact, trivial, why := c.compileCond(q.Where, f.Var, nt, indexed, len(q.From) == 1)
+		expr, exact, trivial, why := c.compileCond(q.Where, f.Var, nt, indexed, len(q.From) == 1)
 		if trivial {
 			plan.Trivial = true
 			plan.TrivialWhy = why
@@ -454,11 +454,10 @@ func (c *Catalog) compile(q *xsql.Query, indexed *Choice) (*Plan, error) {
 			// No narrowing from the index; all regions of the class
 			// non-terminal are candidates when it is indexed.
 			expr = algebra.Name{Ident: nt}
-			orig = expr
 		}
 		vp.Exact = exact
 		vp.Candidates = expr
-		vp.Original = orig
+		vp.Original = expr
 		if expr != nil {
 			vp.Candidates, vp.Rewrites = c.optimizeExpr(expr, indexed.rig)
 			vp.CandidatesKey = vp.Candidates.String()
@@ -556,26 +555,26 @@ func (c *Catalog) projChain(nt string, attrs []string, indexed *Choice) (*optimi
 
 // compileCond compiles a WHERE condition into a candidate expression for
 // one range variable. It returns the (unoptimized) expression or nil for
-// "no narrowing", the same expression for EXPLAIN, whether it is exact, and
-// whether the condition is provably empty. single reports a single-variable
-// query, where negation handling may rely on exactness.
-func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, indexed *Choice, single bool) (expr, orig algebra.Expr, exact, trivial bool, why string) {
+// "no narrowing", whether it is exact, and whether the condition is provably
+// empty. single reports a single-variable query, where negation handling may
+// rely on exactness.
+func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, indexed *Choice, single bool) (expr algebra.Expr, exact, trivial bool, why string) {
 	switch cond := cond.(type) {
 	case nil:
-		return nil, nil, true, false, ""
+		return nil, true, false, ""
 	case xsql.CmpConst:
 		if cond.Path.Var != v {
-			return nil, nil, true, false, ""
+			return nil, true, false, ""
 		}
 		return c.compileComparison(nt, cond.Path.Segs, cond.Word, modeEquals, indexed)
 	case xsql.CmpContains:
 		if cond.Path.Var != v {
-			return nil, nil, true, false, ""
+			return nil, true, false, ""
 		}
 		return c.compileComparison(nt, cond.Path.Segs, cond.Word, modeContains, indexed)
 	case xsql.CmpStarts:
 		if cond.Path.Var != v {
-			return nil, nil, true, false, ""
+			return nil, true, false, ""
 		}
 		return c.compileComparison(nt, cond.Path.Segs, cond.Prefix, modeStarts, indexed)
 	case xsql.CmpPaths:
@@ -586,75 +585,69 @@ func (c *Catalog) compileCond(cond xsql.Cond, v, nt string, indexed *Choice, sin
 			if p.Var != v {
 				continue
 			}
-			e, _, _, triv, why := c.compileComparison(nt, p.Segs, "", modeExists, indexed)
+			e, _, triv, why := c.compileComparison(nt, p.Segs, "", modeExists, indexed)
 			if triv {
-				return nil, nil, false, true, why
+				return nil, false, true, why
 			}
 			if e != nil {
 				exprs = append(exprs, e)
 			}
 		}
 		if len(exprs) == 0 {
-			return nil, nil, false, false, ""
+			return nil, false, false, ""
 		}
 		e := exprs[0]
 		if len(exprs) == 2 {
 			e = algebra.Binary{Op: algebra.OpIntersect, L: e, R: exprs[1]}
 		}
-		return e, e, false, false, ""
+		return e, false, false, ""
 	case xsql.And:
-		le, lo, lex, ltriv, lwhy := c.compileCond(cond.L, v, nt, indexed, single)
-		re, ro, rex, rtriv, rwhy := c.compileCond(cond.R, v, nt, indexed, single)
+		le, lex, ltriv, lwhy := c.compileCond(cond.L, v, nt, indexed, single)
+		re, rex, rtriv, rwhy := c.compileCond(cond.R, v, nt, indexed, single)
 		if ltriv {
-			return nil, nil, false, true, lwhy
+			return nil, false, true, lwhy
 		}
 		if rtriv {
-			return nil, nil, false, true, rwhy
+			return nil, false, true, rwhy
 		}
 		switch {
 		case le == nil:
-			return re, ro, lex && rex, false, ""
+			return re, lex && rex, false, ""
 		case re == nil:
-			return le, lo, lex && rex, false, ""
+			return le, lex && rex, false, ""
 		default:
-			return algebra.Binary{Op: algebra.OpIntersect, L: le, R: re},
-				algebra.Binary{Op: algebra.OpIntersect, L: lo, R: ro},
-				lex && rex, false, ""
+			return algebra.Binary{Op: algebra.OpIntersect, L: le, R: re}, lex && rex, false, ""
 		}
 	case xsql.Or:
-		le, lo, lex, ltriv, _ := c.compileCond(cond.L, v, nt, indexed, single)
-		re, ro, rex, rtriv, _ := c.compileCond(cond.R, v, nt, indexed, single)
+		le, lex, ltriv, _ := c.compileCond(cond.L, v, nt, indexed, single)
+		re, rex, rtriv, _ := c.compileCond(cond.R, v, nt, indexed, single)
 		switch {
 		case ltriv && rtriv:
-			return nil, nil, false, true, "both OR branches are trivially empty"
+			return nil, false, true, "both OR branches are trivially empty"
 		case ltriv:
-			return re, ro, rex, false, ""
+			return re, rex, false, ""
 		case rtriv:
-			return le, lo, lex, false, ""
+			return le, lex, false, ""
 		case le == nil || re == nil:
 			// One branch is unconstrained: the union is everything.
-			return nil, nil, lex && rex && le != nil && re != nil, false, ""
+			return nil, lex && rex && le != nil && re != nil, false, ""
 		default:
-			return algebra.Binary{Op: algebra.OpUnion, L: le, R: re},
-				algebra.Binary{Op: algebra.OpUnion, L: lo, R: ro},
-				lex && rex, false, ""
+			return algebra.Binary{Op: algebra.OpUnion, L: le, R: re}, lex && rex, false, ""
 		}
 	case xsql.Not:
-		se, so, sex, striv, _ := c.compileCond(cond.C, v, nt, indexed, single)
+		se, sex, striv, _ := c.compileCond(cond.C, v, nt, indexed, single)
 		if striv {
 			// NOT of an empty condition constrains nothing.
-			return nil, nil, true, false, ""
+			return nil, true, false, ""
 		}
 		if se == nil || !sex || !single || !indexed.has[nt] {
 			// Complementing a superset would lose answers; fall back
 			// to filtering.
-			return nil, nil, false, false, ""
+			return nil, false, false, ""
 		}
-		e := algebra.Binary{Op: algebra.OpDiff, L: algebra.Name{Ident: nt}, R: se}
-		o := algebra.Binary{Op: algebra.OpDiff, L: algebra.Name{Ident: nt}, R: so}
-		return e, o, true, false, ""
+		return algebra.Binary{Op: algebra.OpDiff, L: algebra.Name{Ident: nt}, R: se}, true, false, ""
 	default:
-		return nil, nil, false, false, ""
+		return nil, false, false, ""
 	}
 }
 
@@ -697,26 +690,26 @@ const (
 
 // compileComparison compiles nt.segs ⟨mode⟩ constant into a candidate
 // expression rooted at nt.
-func (c *Catalog) compileComparison(nt string, segs []xsql.Seg, constant string, mode cmpMode, indexed *Choice) (expr, orig algebra.Expr, exact, trivial bool, why string) {
+func (c *Catalog) compileComparison(nt string, segs []xsql.Seg, constant string, mode cmpMode, indexed *Choice) (expr algebra.Expr, exact, trivial bool, why string) {
 	if err := checkVariableNames(segs); err != nil {
-		return nil, nil, false, false, ""
+		return nil, false, false, ""
 	}
 	if len(segs) == 0 && mode != modeExists {
 		// A comparison on the whole object: approximate by word
 		// containment on the object region.
 		if !indexed.usableAt(nt, nil) {
-			return nil, nil, false, false, ""
+			return nil, false, false, ""
 		}
 		var e algebra.Expr = algebra.Name{Ident: nt}
 		for _, w := range completeWords(constant, mode == modeStarts) {
 			e = algebra.Select{Mode: algebra.SelContains, W: w, Arg: e}
 		}
 		exact := mode == modeContains && c.containsIsExact(nt, constant)
-		return e, e, exact, false, ""
+		return e, exact, false, ""
 	}
 	resolved, complete := c.resolve(nt, segs)
 	if len(resolved) == 0 {
-		return nil, nil, false, true,
+		return nil, false, true,
 			fmt.Sprintf("path %s.%s matches no RIG path (Proposition 3.3)", nt, segsString(segs))
 	}
 	var exprs []algebra.Expr
@@ -724,7 +717,7 @@ func (c *Catalog) compileComparison(nt string, segs []xsql.Seg, constant string,
 	for _, items := range resolved {
 		e, ex, ok := c.buildChain(nt, items, constant, mode, indexed)
 		if !ok {
-			return nil, nil, false, false, "" // index offers no help
+			return nil, false, false, "" // index offers no help
 		}
 		exprs = append(exprs, e)
 		allExact = allExact && ex
@@ -733,7 +726,7 @@ func (c *Catalog) compileComparison(nt string, segs []xsql.Seg, constant string,
 	for _, e := range exprs[1:] {
 		out = algebra.Binary{Op: algebra.OpUnion, L: out, R: e}
 	}
-	return out, out, allExact, false, ""
+	return out, allExact, false, ""
 }
 
 // containsIsExact reports whether σ-containment of the constant on regions

@@ -155,42 +155,44 @@ func TestSecondExecutionPreparesNothing(t *testing.T) {
 	}
 }
 
-// TestCorpusMixedSpecs: files indexed differently in one corpus run one
+// TestCorpusMixedSpecs: files indexed differently, one engine each, run one
 // prepared query under a plan each, and both answer right.
 func TestCorpusMixedSpecs(t *testing.T) {
 	cat := bibtex.Catalog()
 	docs := testutil.BibCorpusDocs(t, 2, 60)
-	c := engine.NewCorpus(cat)
 	specs := []grammar.IndexSpec{{}, partialSpec}
+	engs := make([]*engine.Engine, len(docs))
 	for i, doc := range docs {
-		if err := c.Add(doc, specs[i]); err != nil {
+		in, _, err := cat.Grammar.BuildInstance(doc, specs[i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		engs[i] = engine.New(cat, in)
 	}
 	_, compiles := compile.CountPreparation(t)
 	const src = `SELECT r FROM References r WHERE r.Abstract CONTAINS "term018"`
-	res, err := c.Execute(xsql.MustParse(src))
-	if err != nil {
-		t.Fatal(err)
+	p := cat.PrepareQuery(xsql.MustParse(src))
+	res := make([]*engine.Result, len(engs))
+	for i, eng := range engs {
+		var err error
+		if res[i], err = eng.ExecutePrepared(context.Background(), p, engine.Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Stats.Results == 0 {
+			t.Fatalf("%s answers nothing", docs[i].Name())
+		}
 	}
 	if compiles.Load() != 2 {
 		t.Errorf("%d compiles for two indexing choices, want 2", compiles.Load())
 	}
-	if len(res.Hits) != 2 {
-		t.Fatalf("%d files answered, want 2", len(res.Hits))
-	}
 	// The full index decides CONTAINS on Abstract; the partial one cannot and
 	// parses its candidates: different plans, visible in the statistics.
-	if full, partial := res.Hits[0].Stats, res.Hits[1].Stats; !full.Exact || full.Parsed != 0 || partial.Exact || partial.Parsed == 0 {
+	if full, partial := res[0].Stats, res[1].Stats; !full.Exact || full.Parsed != 0 || partial.Exact || partial.Parsed == 0 {
 		t.Errorf("full index: %+v\npartial index: %+v", full, partial)
 	}
-	for i, doc := range docs {
-		in, _, err := bibtex.Catalog().Grammar.BuildInstance(doc, specs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := wantRegions(t, in, src); !res.Hits[i].Regions.Equal(want) {
-			t.Errorf("%s: got %v, want %v", doc.Name(), res.Hits[i].Regions, want)
+	for i, eng := range engs {
+		if want := wantRegions(t, eng.Instance(), src); !res[i].Regions.Equal(want) {
+			t.Errorf("%s: got %v, want %v", docs[i].Name(), res[i].Regions, want)
 		}
 	}
 }
@@ -288,22 +290,36 @@ func TestSetRewriterPurges(t *testing.T) {
 func TestPlanCacheFaultsRecompile(t *testing.T) {
 	cat := bibtex.Catalog()
 	docs := testutil.BibCorpusDocs(t, 4, 30)
-	c := engine.NewCorpus(cat)
-	if err := c.AddAll(docs, grammar.IndexSpec{}); err != nil {
-		t.Fatal(err)
+	engs := make([]*engine.Engine, len(docs))
+	for i, doc := range docs {
+		in, _, err := cat.Grammar.BuildInstance(doc, grammar.IndexSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[i] = engine.New(cat, in)
 	}
 	q := xsql.MustParse(changQuery)
-	want, err := c.Execute(q)
-	if err != nil {
-		t.Fatal(err)
+	// run executes q on every file and reports the total results and
+	// whether any file's plan came from the cache.
+	run := func() (results int, cached bool) {
+		t.Helper()
+		for _, eng := range engs {
+			res, err := eng.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results += res.Stats.Results
+			cached = cached || res.Stats.PlanCached
+		}
+		return results, cached
 	}
+	want, _ := run()
 	_, compiles := compile.CountPreparation(t)
+	t.Cleanup(faultinject.Reset) // run fails the test with a fault still set
 	for _, point := range []string{faultinject.PlanCacheGet, faultinject.PlanCachePut} {
 		// A put fault keeps nothing: warm the cache, so that what is asserted
 		// is that the fault forces the compiles, not that the cache was cold.
-		if _, err := c.Execute(q); err != nil {
-			t.Fatal(err)
-		}
+		run()
 		if point == faultinject.PlanCachePut {
 			cat.SetRewriter(nil) // purge: a put only happens on a miss
 		}
@@ -311,23 +327,18 @@ func TestPlanCacheFaultsRecompile(t *testing.T) {
 		if err := faultinject.Configure(point + "=error"); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Execute(q)
+		got, cached := run()
 		faultinject.Reset()
-		if err != nil {
-			t.Fatalf("%s: %v", point, err)
-		}
 		if n := compiles.Load() - before; n != int64(len(docs)) {
 			t.Errorf("%s: %d compiles over %d files, want one a file", point, n, len(docs))
 		}
-		if got.Stats.Results != want.Stats.Results || got.Stats.PlanCached {
-			t.Errorf("%s: %d results (cached=%v), want %d uncached", point, got.Stats.Results, got.Stats.PlanCached, want.Stats.Results)
+		if got != want || cached {
+			t.Errorf("%s: %d results (cached=%v), want %d uncached", point, got, cached, want)
 		}
 	}
 	before := compiles.Load()
 	for i := 0; i < 2; i++ {
-		if _, err := c.Execute(q); err != nil {
-			t.Fatal(err)
-		}
+		run()
 	}
 	if n := compiles.Load() - before; n != 1 {
 		t.Errorf("after the faults: %d compiles in two executions, want 1", n)

@@ -353,157 +353,6 @@ func TestLimitStopsParallelStream(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestCancelMidAddAll cancels a parallel corpus ingest mid-build. The
-// corpus must either ingest everything or be left unchanged with every
-// unbuilt file attributed in the joined error; no goroutines may leak.
-func TestCancelMidAddAll(t *testing.T) {
-	t.Cleanup(pool.SetHelpers(3))
-	base := runtime.NumGoroutine()
-	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
-	docs := testutil.BibCorpusDocs(t, 12, 40)
-	for round := 0; round < 10; round++ {
-		c := engine.NewCorpus(cat)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func(round int) {
-			time.Sleep(time.Duration(round) * 200 * time.Microsecond)
-			cancel()
-		}(round)
-		err := c.AddAllContext(ctx, docs, grammar.IndexSpec{})
-		cancel()
-		if err == nil {
-			if c.Len() != len(docs) {
-				t.Fatalf("round %d: nil error but %d/%d files added", round, c.Len(), len(docs))
-			}
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("round %d: unexpected error: %v", round, err)
-		}
-		if c.Len() != 0 {
-			t.Fatalf("round %d: failed AddAll left %d engines in the corpus", round, c.Len())
-		}
-		// Attribution: the joined error names each unbuilt file.
-		if !strings.Contains(err.Error(), ".bib") {
-			t.Fatalf("round %d: error lacks file attribution: %v", round, err)
-		}
-	}
-	waitGoroutines(t, base)
-}
-
-// TestCorpusExecuteContextCancel cancels corpus queries running across
-// parallel per-file goroutines.
-func TestCorpusExecuteContextCancel(t *testing.T) {
-	t.Cleanup(pool.SetHelpers(3))
-	base := runtime.NumGoroutine()
-	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
-	c := engine.NewCorpus(cat)
-	if err := c.AddAll(testutil.BibCorpusDocs(t, 8, 60), grammar.IndexSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	q := xsql.MustParse(changAuthorQuery)
-	want, err := c.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 15; round++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func(round int) {
-			time.Sleep(time.Duration(round) * 150 * time.Microsecond)
-			cancel()
-		}(round)
-		res, err := c.ExecuteContext(ctx, q, engine.ExecOptions{})
-		cancel()
-		switch {
-		case err == nil:
-			if res.Stats.Results != want.Stats.Results {
-				t.Fatalf("round %d: completed run diverged", round)
-			}
-		case errors.Is(err, context.Canceled):
-		default:
-			t.Fatalf("round %d: unexpected error: %v", round, err)
-		}
-	}
-	// Still serving, and identically.
-	res, err := c.Execute(q)
-	if err != nil {
-		t.Fatalf("corpus execute after cancel storm: %v", err)
-	}
-	if res.Stats.Results != want.Stats.Results {
-		t.Fatal("post-storm corpus result diverged")
-	}
-	waitGoroutines(t, base)
-}
-
-// TestCorpusFileTimeoutPartial exercises graceful degradation: with an
-// impossible per-file timeout and Partial set, every file fails with an
-// attributed DeadlineExceeded and the call still returns a (fully degraded)
-// result rather than an error.
-func TestCorpusFileTimeoutPartial(t *testing.T) {
-	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
-	c := engine.NewCorpus(cat)
-	if err := c.AddAll(testutil.BibCorpusDocs(t, 3, 30), grammar.IndexSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	q := xsql.MustParse(changAuthorQuery)
-	res, err := c.ExecuteContext(context.Background(), q, engine.ExecOptions{
-		FileTimeout: time.Nanosecond, // expires before any file's first poll
-		Partial:     true,
-	})
-	if err != nil {
-		t.Fatalf("partial mode returned error: %v", err)
-	}
-	if len(res.Degraded) != 3 {
-		t.Fatalf("Degraded has %d entries, want 3", len(res.Degraded))
-	}
-	derr := res.DegradedError()
-	if !errors.Is(derr, context.DeadlineExceeded) {
-		t.Fatalf("DegradedError = %v, want DeadlineExceeded", derr)
-	}
-	for _, fail := range res.Degraded {
-		if fail.File == "" || fail.Err == nil {
-			t.Fatalf("degraded entry lacks attribution: %+v", fail)
-		}
-		if !strings.Contains(derr.Error(), fail.File) {
-			t.Fatalf("DegradedError does not name %s: %v", fail.File, derr)
-		}
-	}
-	// Without Partial the same failure is an error naming every file.
-	_, err = c.ExecuteContext(context.Background(), q, engine.ExecOptions{FileTimeout: time.Nanosecond})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("non-partial: %v, want DeadlineExceeded", err)
-	}
-	for _, d := range res.Degraded {
-		if !strings.Contains(err.Error(), d.File) {
-			t.Fatalf("joined error does not name %s: %v", d.File, err)
-		}
-	}
-}
-
-// TestCorpusExecuteAggregatesErrors proves Execute reports every failing
-// file, not only the first (per-file budget violations here).
-func TestCorpusExecuteAggregatesErrors(t *testing.T) {
-	cat := testutil.NewBibFixture(t, 1, grammar.IndexSpec{}, nil).Cat
-	c := engine.NewCorpus(cat)
-	docs := testutil.BibCorpusDocs(t, 3, 30)
-	if err := c.AddAll(docs, grammar.IndexSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	q := xsql.MustParse(changAuthorQuery)
-	_, err := c.ExecuteContext(context.Background(), q, engine.ExecOptions{
-		Limits: engine.Limits{MaxRegions: 1},
-	})
-	if !errors.Is(err, qerr.ErrBudgetExceeded) {
-		t.Fatalf("budget corpus run: %v, want ErrBudgetExceeded", err)
-	}
-	for _, d := range docs {
-		if !strings.Contains(err.Error(), d.Name()) {
-			t.Fatalf("joined error missing file %s: %v", d.Name(), err)
-		}
-	}
-}
-
-var _ = fmt.Sprintf // keep fmt imported for debug edits
-
 // TestPhase2DepthOverflowIsABudgetError: a candidate region that sends the
 // parser into the left-recursive alternative Item → Item "x" fails the query
 // with an error in the ErrBudgetExceeded family — it used to be a panic,

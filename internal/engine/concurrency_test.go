@@ -1,13 +1,12 @@
 package engine_test
 
-// Concurrency stress tests: many goroutines share one Engine (or Corpus)
-// and every result must match the sequential baseline exactly. Run them
-// under `go test -race` to prove the engine serves overlapping Execute
-// calls without data races — the acceptance test of the concurrency work.
+// Concurrency stress tests: many goroutines share one Engine and every
+// result must match the sequential baseline exactly. Run them under `go test
+// -race` to prove the engine serves overlapping Execute calls without data
+// races — the acceptance test of the concurrency work.
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -136,69 +135,6 @@ func TestEngineExecuteConcurrent(t *testing.T) {
 		})
 		runEngineConcurrent(t, f.Eng, fullScanQueries, 8, 3)
 	})
-}
-
-// corpusSnapshot renders a corpus result comparably, masking PlanCached in
-// the aggregate and in every per-file stats block.
-func corpusSnapshot(res *engine.CorpusResult) string {
-	var sb strings.Builder
-	for _, h := range res.Hits {
-		fmt.Fprintf(&sb, "%s|%v|%v|%+v;", h.File, h.Regions.Regions(), h.Strings, maskNondet(h.Stats))
-	}
-	fmt.Fprintf(&sb, "%+v|%v", maskNondet(res.Stats), res.Projected)
-	return sb.String()
-}
-
-func TestCorpusExecuteConcurrent(t *testing.T) {
-	t.Cleanup(pool.SetHelpers(3))
-	cat := bibtex.Catalog()
-	corpus := engine.NewCorpus(cat)
-	for i := 0; i < 6; i++ {
-		doc, _ := testutil.BibDoc(t, fmt.Sprintf("file%d.bib", i), 30+7*i, func(cfg *bibtex.Config) {
-			cfg.Seed = int64(i + 1)
-		})
-		if err := corpus.Add(doc, grammar.IndexSpec{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	queries := parseAll(t, concurrentQueries)
-	want := make([]string, len(queries))
-	for i, q := range queries {
-		res, err := corpus.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = corpusSnapshot(res)
-	}
-
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < 3; r++ {
-				for off := range queries {
-					i := (w + r + off) % len(queries)
-					res, err := corpus.Execute(queries[i])
-					if err != nil {
-						errc <- fmt.Errorf("worker %d: %s: %w", w, queries[i], err)
-						return
-					}
-					if got := corpusSnapshot(res); got != want[i] {
-						errc <- fmt.Errorf("worker %d: %s: corpus result diverged", w, queries[i])
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
 }
 
 // TestPhase2ParallelMatchesSequential pins down the chunked drain's merge:

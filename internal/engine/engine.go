@@ -46,8 +46,7 @@ type Engine struct {
 	ev      *algebra.Evaluator
 	results *ResultCache
 	st      *stats.Stats
-	spec    grammar.IndexSpec // what a Corpus indexed it under, for Reindex
-	choice  *compile.Choice   // the instance's indexing choice, resolved once
+	choice  *compile.Choice // the instance's indexing choice, resolved once
 }
 
 // New creates an engine over the catalog and instance, with a statistics
@@ -355,6 +354,15 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	return err
 }
 
+// resultKey is the cross-query result cache's key for vp's candidates, or
+// "" when the cache is off or the candidates cost too little to keep.
+func (e *Engine) resultKey(vp *compile.VarPlan) string {
+	if e.results == nil || !algebra.CostAtLeast(vp.Candidates, algebra.DefaultResultMinCost) {
+		return ""
+	}
+	return vp.CandidatesKey
+}
+
 // candidateSet is phase 1 of a plan that needs one variable's complete
 // candidate set: the cross-query result cache's copy, the set evaluator's
 // answer, or — when the index offers no narrowing — a full scan, which
@@ -380,11 +388,12 @@ func (e *Engine) candidateSet(es *execEnv, vp *compile.VarPlan, res *Result) (re
 	// A region budget must meter the actual phase-1 work, so budgeted
 	// queries bypass the cross-query cache: a warm cache would otherwise
 	// decide whether the budget applies at all.
-	key, _ := e.ev.SharedKey(vp.Candidates, vp.CandidatesKey)
-	if s, ok := e.ev.CachedResultKey(key); ok && es.budget == nil {
-		res.Stats.ResultCached = true
-		res.Stats.ResultCacheHits++
-		return s, nil
+	if key := e.resultKey(vp); key != "" && es.budget == nil {
+		if s, ok := e.results.Get(key); ok {
+			res.Stats.ResultCached = true
+			res.Stats.ResultCacheHits++
+			return s, nil
+		}
 	}
 	s, err := e.evalExpr(es, vp.Candidates, res)
 	if err != nil {
@@ -502,14 +511,14 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	var ast algebra.Stats
 	var src region.Iterator
 	streamed := false
-	// Worthiness and the key are computed once and shared by
-	// the cache read, the doorkeeper and the publish below. A region budget
-	// must meter the actual phase-1 work, so budgeted queries bypass the
-	// cross-query cache, exactly like the complete-set plans.
-	key, worthy := e.ev.SharedKey(vp.Candidates, vp.CandidatesKey)
-	cacheable := worthy && es.budget == nil
+	// The key is shared by the cache read, the doorkeeper and the publish
+	// below. A region budget must meter the actual phase-1 work, so budgeted
+	// queries bypass the cross-query cache, exactly like the complete-set
+	// plans.
+	key := e.resultKey(vp)
+	cacheable := key != "" && es.budget == nil
 	if cacheable {
-		if s, ok := e.ev.CachedResultKey(key); ok {
+		if s, ok := e.results.Get(key); ok {
 			res.Stats.ResultCached = true
 			res.Stats.ResultCacheHits++
 			src = s.Iter()
@@ -537,14 +546,14 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
 	res.Stats.Candidates = len(all)
 	res.Stats.PeakBytes += ast.PeakBytes + region.Bytes*(ast.RegionsTouched+len(all))
-	if err != nil || !streamed || !worthy {
+	if err != nil || !streamed || key == "" {
 		return err
 	}
 	if complete {
 		// The stream was drained in full, so the accumulated candidates
 		// are the exact phase-1 answer — safe to publish. A limit-stopped
 		// or failed drain never publishes: a partial set is never cached.
-		e.ev.PublishResultKey(key, region.FromRegions(all))
+		e.results.Put(key, region.FromRegions(all))
 	} else if cacheable {
 		e.results.Record(key)
 	}

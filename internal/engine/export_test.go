@@ -1,8 +1,5 @@
 package engine
 
-// Engines returns the engines of c's files, in corpus order.
-func Engines(c *Corpus) []*Engine { return c.engines }
-
 // CachedSets reports how many sets e's result cache holds.
 func CachedSets(e *Engine) int { return e.results.Len() }
 

@@ -21,7 +21,6 @@ import (
 	"qof/internal/engine"
 	"qof/internal/grammar"
 	"qof/internal/index"
-	"qof/internal/logs"
 	"qof/internal/region"
 	"qof/internal/sgml"
 	"qof/internal/text"
@@ -172,27 +171,6 @@ func NewSgmlSetup(depth, fanout int) (*SgmlSetup, error) {
 		return nil, err
 	}
 	return &SgmlSetup{Cat: cat, Doc: doc, Stats: st, Instance: in, Engine: engine.New(cat, in)}, nil
-}
-
-// LogsSetup bundles a generated log with catalog and indexes.
-type LogsSetup struct {
-	Cat      *compile.Catalog
-	Doc      *text.Document
-	Stats    logs.Stats
-	Instance *index.Instance
-	Engine   *engine.Engine
-}
-
-// NewLogsSetup generates a log of n entries, fully indexed.
-func NewLogsSetup(n int) (*LogsSetup, error) {
-	content, st := logs.Generate(logs.DefaultConfig(n))
-	cat := logs.Catalog()
-	doc := text.NewDocument(fmt.Sprintf("app-%d.log", n), content)
-	in, _, err := cat.Grammar.BuildInstance(doc, grammar.IndexSpec{})
-	if err != nil {
-		return nil, err
-	}
-	return &LogsSetup{Cat: cat, Doc: doc, Stats: st, Instance: in, Engine: engine.New(cat, in)}, nil
 }
 
 // MedianTime runs fn repeats times and returns the median duration.

@@ -67,7 +67,7 @@ const (
 	ResultCacheGet = "resultcache.get" // engine.ResultCache.Get (fires = forced miss)
 	ResultCachePut = "resultcache.put" // engine.ResultCache.Put (fires = entry dropped)
 	Phase2         = "engine.phase2"   // per-candidate work in the phase-2 pool
-	CorpusFile     = "corpus.file"     // per-file evaluation in Corpus.Execute*
+	CorpusFile     = "corpus.file"     // per-file evaluation in qof.Corpus.ExecuteContext
 	ServePublish   = "serve.publish"   // serve.Server.Publish, after the build and before the swap
 )
 

@@ -6,7 +6,7 @@ package region
 //	R ⊂ S  = {r ∈ R : ∃s ∈ S, s ⊋ r}          (Included)
 //	R ⊃d S = {r ∈ R : ∃s ∈ S, r ⊋ s and no    (DirectlyIncluding)
 //	          other indexed region lies strictly between r and s}
-//	R ⊂d S = the dual of ⊃d                    (DirectlyIncluded)
+//	R ⊂d S = the dual of ⊃d                    (DirectlyIncludedCtl)
 //
 // Since a region is identified by its pair of positions, inclusion between
 // *distinct* regions is strict inclusion of position pairs. The strict
@@ -562,15 +562,8 @@ func (u *Universe) DirectlyIncludingCtl(R, S Set, check Checker) (Set, error) {
 	return cand.Intersect(R), nil
 }
 
-// DirectlyIncluded returns R ⊂d S: the regions of R whose direct container
-// is a region of S.
-func (u *Universe) DirectlyIncluded(R, S Set) Set {
-	out, _ := u.DirectlyIncludedCtl(R, S, nil)
-	return out
-}
-
-// DirectlyIncludedCtl is DirectlyIncluded with cooperative cancellation:
-// check is polled every pollStride regions of R.
+// DirectlyIncludedCtl returns R ⊂d S: the regions of R whose direct
+// container is a region of S. check is polled every pollStride regions of R.
 func (u *Universe) DirectlyIncludedCtl(R, S Set, check Checker) (Set, error) {
 	if R.IsEmpty() || S.IsEmpty() {
 		return Empty, nil

@@ -459,12 +459,12 @@ func TestDirectKernelsDoNotAllocatePerRegion(t *testing.T) {
 		t.Fatal("fixture universe is not nested")
 	}
 	ing := testing.AllocsPerRun(10, func() { u.DirectlyIncluding(outer, inner) })
-	ed := testing.AllocsPerRun(10, func() { u.DirectlyIncluded(inner, outer) })
+	ed := testing.AllocsPerRun(10, func() { u.DirectlyIncludedCtl(inner, outer, nil) })
 	t.Logf("allocations per call over %d regions: ⊃d %.0f, ⊂d %.0f", inner.Len(), ing, ed)
 	if ing > 8 {
 		t.Errorf("DirectlyIncluding: %.0f allocations per call, want a handful", ing)
 	}
 	if ed > 40 { // the answer grows by append
-		t.Errorf("DirectlyIncluded: %.0f allocations per call, want only the answer's growth", ed)
+		t.Errorf("DirectlyIncludedCtl: %.0f allocations per call, want only the answer's growth", ed)
 	}
 }

@@ -162,6 +162,12 @@ func universeOf(sets ...Set) *Universe {
 	return u
 }
 
+// directlyIncluded is R ⊂d S over u, with no cancellation.
+func directlyIncluded(u *Universe, R, S Set) Set {
+	out, _ := u.DirectlyIncludedCtl(R, S, nil)
+	return out
+}
+
 // TestNewUniverseMatchesUnion: the k-way merge is the union of the sets —
 // the same regions, the same disjoint flag, no spare capacity, a region
 // several sets hold kept once — and the forest sweep's nesting verdict is
@@ -281,10 +287,10 @@ func TestDirectInclusionPaperExample(t *testing.T) {
 		t.Errorf("Reference ⊃ Last_Name = %v", got)
 	}
 	// Dual.
-	if got := u.DirectlyIncluded(name, authors); !got.Equal(name) {
+	if got := directlyIncluded(u, name, authors); !got.Equal(name) {
 		t.Errorf("Name ⊂d Authors = %v", got)
 	}
-	if got := u.DirectlyIncluded(name, ref); !got.IsEmpty() {
+	if got := directlyIncluded(u, name, ref); !got.IsEmpty() {
 		t.Errorf("Name ⊂d Reference = %v, want empty", got)
 	}
 }
@@ -409,7 +415,7 @@ func TestDirectInclusionMatchesNaiveOverlapping(t *testing.T) {
 		if got, want := u.DirectlyIncluding(R, S), NaiveDirectlyIncluding(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊃d=%v want %v", trial, R, S, all, got, want)
 		}
-		if got, want := u.DirectlyIncluded(R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
+		if got, want := directlyIncluded(u, R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊂d=%v want %v", trial, R, S, all, got, want)
 		}
 	}
@@ -428,7 +434,7 @@ func TestDirectInclusionMatchesNaiveNested(t *testing.T) {
 		if got, want := u.DirectlyIncluding(R, S), NaiveDirectlyIncluding(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊃d=%v want %v", trial, R, S, all, got, want)
 		}
-		if got, want := u.DirectlyIncluded(R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
+		if got, want := directlyIncluded(u, R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊂d=%v want %v", trial, R, S, all, got, want)
 		}
 	}

@@ -12,7 +12,6 @@ package qof
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"qof/internal/algebra"
@@ -92,12 +91,12 @@ func catchPanic(err *error, format string, args ...any) {
 // cancellation at stage boundaries, so an abandoned build stops promptly.
 func (s *Schema) IndexContext(ctx context.Context, name, content string, opts ...IndexOption) (f *File, err error) {
 	defer catchPanic(&err, "indexing %s", name)
-	doc := text.NewDocument(name, content)
-	in, _, err := s.cat.Grammar.BuildInstanceContext(ctx, doc, applyOptions(opts))
+	spec := applyOptions(opts)
+	in, _, err := s.cat.Grammar.BuildInstanceContext(ctx, text.NewDocument(name, content), spec)
 	if err != nil {
 		return nil, err
 	}
-	return &File{schema: s, eng: engine.New(s.cat, in)}, nil
+	return &File{schema: s, eng: engine.New(s.cat, in), spec: spec}, nil
 }
 
 // QueryContext is Query under a context and per-query resource budgets.
@@ -138,136 +137,4 @@ func (f *File) EvalContext(ctx context.Context, src string) (spans []Span, err e
 		spans = append(spans, spanOf(doc, r))
 	}
 	return spans, nil
-}
-
-// AddAllContext is Corpus.AddAll under a context: cancellation is checked
-// before and inside every document build. Every failing document is
-// reported in the joined error with attribution; on any failure nothing is
-// added.
-func (c *Corpus) AddAllContext(ctx context.Context, files map[string]string, opts ...IndexOption) (err error) {
-	defer catchPanic(&err, "adding %d files", len(files))
-	return c.c.AddAllContext(ctx, sortedDocs(files), applyOptions(opts))
-}
-
-// Reindex returns a new corpus over files, indexed as AddAllContext would
-// index them into an empty corpus — except that a file of c whose name and
-// content are unchanged, and which was indexed under the same options, keeps
-// its index, result cache and statistics instead of being indexed again. It
-// reports how many files it indexed; the rest are shared with c. c is never
-// changed; on error Reindex returns no corpus and one attributed error per
-// failed file.
-func (c *Corpus) Reindex(ctx context.Context, files map[string]string, opts ...IndexOption) (out *Corpus, built int, err error) {
-	defer catchPanic(&err, "reindexing %d files", len(files))
-	ec, built, err := c.c.Reindex(ctx, sortedDocs(files), applyOptions(opts))
-	if err != nil {
-		return nil, built, err
-	}
-	return &Corpus{schema: c.schema, c: ec}, built, nil
-}
-
-// sortedDocs makes the documents of files in name order.
-func sortedDocs(files map[string]string) []*text.Document {
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	docs := make([]*text.Document, len(names))
-	for i, name := range names {
-		docs[i] = text.NewDocument(name, files[name])
-	}
-	return docs
-}
-
-// FileError attributes a failure to one corpus file.
-type FileError struct {
-	File string
-	Err  error
-}
-
-// CorpusStats aggregates execution statistics over the files of a corpus
-// query. Every field is partition-invariant: splitting the same files
-// across several corpora and summing per-corpus stats yields the same
-// totals as one corpus holding them all.
-type CorpusStats struct {
-	// Results is the total number of result rows across files.
-	Results int
-	// Candidates is the total number of candidate regions phase 1 produced.
-	Candidates int
-	// Parsed is the total number of regions parsed in phase 2.
-	Parsed int
-	// ParsedBytes is the total number of document bytes parsed.
-	ParsedBytes int
-	// Exact reports that at least one file's answer needed no filtering.
-	Exact bool
-	// FullScan reports that the index offered no narrowing on some file.
-	FullScan bool
-}
-
-// CorpusResults is the outcome of a corpus query run with ExecuteContext.
-type CorpusResults struct {
-	// Hits lists the files with at least one result, in corpus order.
-	Hits []CorpusHit
-	// Degraded lists files whose evaluation failed, when the query ran
-	// with WithPartialResults; Hits then covers only the files that
-	// succeeded. Empty means the result is complete.
-	Degraded []FileError
-	// Stats aggregates execution statistics over the files that succeeded.
-	Stats CorpusStats
-}
-
-// DegradedError joins the per-file failures into one attributed error, or
-// nil when the result is complete. errors.Is matches each underlying cause
-// (context.DeadlineExceeded, ErrBudgetExceeded, ...).
-func (r *CorpusResults) DegradedError() error {
-	if len(r.Degraded) == 0 {
-		return nil
-	}
-	er := &engine.CorpusResult{}
-	for _, f := range r.Degraded {
-		er.Degraded = append(er.Degraded, engine.FileFailure{File: f.File, Err: f.Err})
-	}
-	return er.DegradedError()
-}
-
-// ExecuteContext is Corpus.Query under a context and per-query options.
-// Canceling ctx stops every file's evaluation at its next poll point;
-// WithFileTimeout bounds each file separately; WithPartialResults degrades
-// to attributed partial results instead of failing. Without partial mode, a
-// failure in any file fails the call with one joined error naming every
-// failed file.
-func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOption) (out *CorpusResults, err error) {
-	defer catchPanic(&err, "querying %q", src)
-	cfg := applyQueryOptions(opts)
-	p, err := c.schema.cat.Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.c.ExecutePrepared(ctx, p, engine.ExecOptions{
-		Limits:      cfg.lim,
-		FileTimeout: cfg.fileTimeout,
-		Partial:     cfg.partial,
-	})
-	if res == nil {
-		return nil, err
-	}
-	out = &CorpusResults{Stats: CorpusStats{
-		Results:     res.Stats.Results,
-		Candidates:  res.Stats.Candidates,
-		Parsed:      res.Stats.Parsed,
-		ParsedBytes: res.Stats.ParsedBytes,
-		Exact:       res.Stats.Exact,
-		FullScan:    res.Stats.FullScan,
-	}}
-	for _, h := range res.Hits {
-		hit := CorpusHit{File: h.File, Values: append([]string(nil), h.Strings...)}
-		for _, r := range h.Regions.Regions() {
-			hit.Spans = append(hit.Spans, Span{Start: int(r.Start), End: int(r.End)})
-		}
-		out.Hits = append(out.Hits, hit)
-	}
-	for _, f := range res.Degraded {
-		out.Degraded = append(out.Degraded, FileError{File: f.File, Err: f.Err})
-	}
-	return out, err
 }
