@@ -178,9 +178,22 @@ func TestCmdQueryCorpus(t *testing.T) {
 		return cmdQuery([]string{"-domain", "bibtex", "-quiet", "-names", "Reference,Key,Last_Name", a, b, system})
 	})
 	wantLines(t, out, append(counts, statsLine(hits)))
-	// -index is single-file only.
-	if err := cmdQuery([]string{"-domain", "bibtex", "-index", "x.qidx", a, b, q}); err == nil {
-		t.Error("-index accepted on a multi-file query")
+	// -index, -explain and -format json are single-file only, and an
+	// unknown -format is rejected before any file is read.
+	for _, flags := range [][]string{
+		{"-index", "x.qidx"},
+		{"-explain"},
+		{"-format", "json"},
+		{"-format", "bogus"},
+	} {
+		args := append(append([]string{"-domain", "bibtex"}, flags...), a, b, q)
+		if err := cmdQuery(args); err == nil || !strings.Contains(err.Error(), flags[0]) {
+			t.Errorf("%v on a multi-file query: err = %v, want it rejected", flags, err)
+		}
+	}
+	missing := filepath.Join(dir, "missing.bib")
+	if err := cmdQuery([]string{"-domain", "bibtex", "-format", "bogus", missing, q}); err == nil || !strings.Contains(err.Error(), "-format") {
+		t.Errorf("-format bogus on a missing file: err = %v, want the format rejected first", err)
 	}
 }
 

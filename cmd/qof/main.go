@@ -225,6 +225,9 @@ func cmdQuery(args []string) error {
 	if fs.NArg() < 2 {
 		return fmt.Errorf("usage: qof query -domain D FILE [FILE...] 'SELECT ...'")
 	}
+	if *format != "text" && *format != "json" {
+		return fmt.Errorf("unknown -format %q (want text or json)", *format)
+	}
 	d, err := lookupDomain(*dom)
 	if err != nil {
 		return err
@@ -246,8 +249,13 @@ func cmdQuery(args []string) error {
 	if fs.NArg() > 2 {
 		// Several files: query the whole corpus (Section 2's shared
 		// bibliographies scenario).
-		if *idxPath != "" {
+		switch {
+		case *idxPath != "":
 			return fmt.Errorf("-index applies to single-file queries")
+		case *explain:
+			return fmt.Errorf("-explain applies to single-file queries")
+		case *format == "json":
+			return fmt.Errorf("-format json applies to single-file queries")
 		}
 		files := map[string]string{}
 		for _, path := range fs.Args()[:fs.NArg()-1] {
@@ -309,9 +317,6 @@ func cmdQuery(args []string) error {
 	if *format == "json" {
 		return writeJSONResult(os.Stdout, doc, q, res, *explain)
 	}
-	if *format != "text" {
-		return fmt.Errorf("unknown -format %q (want text or json)", *format)
-	}
 	if *explain {
 		fmt.Print(res.Explain())
 	}
@@ -321,10 +326,9 @@ func cmdQuery(args []string) error {
 				fmt.Println(s)
 			}
 		} else {
-			for i, r := range res.Regions.Regions() {
+			for _, r := range res.Regions.Regions() {
 				fmt.Printf("-- %s at [%d,%d)\n", q.Select.Var, r.Start, r.End)
 				fmt.Println(strings.TrimSpace(doc.Slice(int(r.Start), int(r.End))))
-				_ = i
 			}
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"qof/internal/region"
 	"qof/internal/sgml"
 	"qof/internal/srccode"
-	"qof/internal/stats"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -155,8 +154,8 @@ type Results struct {
 	Values []string
 	Stats  Stats
 
-	plan      *compile.Plan // what Explain renders when asked
-	fileStats *stats.Stats  // its estimate lines
+	plan *compile.Plan   // what Explain renders when asked
+	in   *index.Instance // the file's instance, for its estimate lines
 }
 
 // Len reports the number of results.
@@ -173,7 +172,7 @@ func (r *Results) Explain() string {
 	if r.plan == nil {
 		return ""
 	}
-	return r.plan.ExplainStats(r.fileStats)
+	return r.plan.ExplainStats(r.in)
 }
 
 // Query runs an XSQL query (see the xsql package comment for the dialect)
@@ -183,8 +182,9 @@ func (f *File) Query(src string) (*Results, error) {
 }
 
 func convertResults(eng *engine.Engine, res *engine.Result) *Results {
-	doc := eng.Instance().Document()
-	out := &Results{plan: res.Plan, fileStats: eng.IndexStats()}
+	in := eng.Instance()
+	doc := in.Document()
+	out := &Results{plan: res.Plan, in: in}
 	out.Stats = Stats{
 		Candidates:  res.Stats.Candidates,
 		Parsed:      res.Stats.Parsed,

@@ -1,19 +1,19 @@
 package algebra
 
 import (
-	"qof/internal/stats"
+	"qof/internal/index"
 )
 
 // Cardinality-aware costing. The paper's Definition 3.4 compares rewrites
-// by operator counts alone; with index-time statistics available the
-// evaluator can do better: estimate how many regions each operator yields
-// and order (or skip) operand evaluation accordingly. Estimates are upper
-// bounds, so Card == 0 means provably empty — e.g. a σ_w selection whose
-// word never occurs in the document — which the evaluator exploits to
-// short-circuit ∩, ⊃ and ⊂ without touching the other operand.
+// by operator counts alone; the index instance knows more: how many regions
+// each name holds and how often each word occurs. An estimate reads those
+// figures off the instance to bound how many regions each operator yields,
+// which the plan's static operand order (optimizer.OrderOperands) and
+// Explain use. Estimates are upper bounds, so Card == 0 means provably
+// empty — e.g. a σ_w selection whose word never occurs in the document.
 
-// Estimate bounds the result of evaluating an expression against the
-// instance the statistics describe.
+// Estimate bounds the result of evaluating an expression against an
+// instance.
 type Estimate struct {
 	// Card is an upper bound on the number of regions in the result;
 	// 0 means the result is provably empty.
@@ -24,53 +24,55 @@ type Estimate struct {
 }
 
 // EstimateCost estimates the output cardinality and evaluation cost of e
-// using per-instance statistics: σ_w selectivity from word frequency,
-// inclusion output bounded by |R|, and set-operation bounds. st must be
-// non-nil. Correctness never depends on the estimates — they order and
-// prune work, and Card is a sound upper bound whenever every Name in e is
-// indexed on the instance the statistics were collected from.
-func EstimateCost(e Expr, st *stats.Stats) Estimate {
+// on the instance in: a name's cardinality is its set's length (0 if
+// unindexed), σ_w selectivity comes from the word's posting list, inclusion
+// output is bounded by |R|, and set operations by their operands. in must
+// be non-nil. Correctness never depends on the estimates — they order
+// work, and Card is a sound upper bound whenever every Name in e is
+// indexed on in.
+func EstimateCost(e Expr, in *index.Instance) Estimate {
 	switch e := e.(type) {
 	case Name:
-		return Estimate{Card: st.RegionCard(e.Ident), Cost: 1}
+		set, _ := in.Region(e.Ident)
+		return Estimate{Card: set.Len(), Cost: 1}
 	case Word:
-		return Estimate{Card: st.WordFreq(e.W), Cost: 1}
+		return Estimate{Card: wordFreq(in, e.W), Cost: 1}
 	case Prefix:
 		// Binary search over the dictionary plus a sort of the hits;
 		// the number of matches is unknown, so only the token total
 		// bounds it.
-		return Estimate{Card: st.TotalTokens(), Cost: 1 + lg(st.TotalTokens())}
+		return Estimate{Card: in.Words().TokenCount(), Cost: 1 + lg(in.Words().TokenCount())}
 	case Match:
 		// Suffix-array lookup; occurrences have distinct starts.
-		return Estimate{Card: st.DocLen(), Cost: 1 + lg(st.DocLen())}
+		return Estimate{Card: in.Document().Len(), Cost: 1 + lg(in.Document().Len())}
 	case Select:
-		arg := EstimateCost(e.Arg, st)
+		arg := EstimateCost(e.Arg, in)
 		card := arg.Card
-		if e.Mode == SelContains && st.WordFreq(e.W) == 0 {
+		if e.Mode == SelContains && wordFreq(in, e.W) == 0 {
 			card = 0 // the word never occurs, so no region contains it
 		}
 		return Estimate{Card: card, Cost: arg.Cost + float64(arg.Card)*CostSelect}
 	case Unary:
-		arg := EstimateCost(e.Arg, st)
+		arg := EstimateCost(e.Arg, in)
 		return Estimate{Card: arg.Card, Cost: arg.Cost + float64(arg.Card)*CostNest}
 	case Near:
-		l := EstimateCost(e.E, st)
-		r := EstimateCost(e.To, st)
+		l := EstimateCost(e.E, in)
+		r := EstimateCost(e.To, in)
 		card := l.Card
 		if r.Card == 0 {
 			card = 0
 		}
 		return Estimate{Card: card, Cost: l.Cost + r.Cost + float64(l.Card+r.Card)*CostSelect}
 	case Freq:
-		arg := EstimateCost(e.Arg, st)
+		arg := EstimateCost(e.Arg, in)
 		card := arg.Card
-		if e.N > 0 && st.WordFreq(e.W) < e.N {
+		if e.N > 0 && wordFreq(in, e.W) < e.N {
 			card = 0 // fewer total occurrences than the threshold
 		}
 		return Estimate{Card: card, Cost: arg.Cost + float64(arg.Card)*CostSelect}
 	case Binary:
-		l := EstimateCost(e.L, st)
-		r := EstimateCost(e.R, st)
+		l := EstimateCost(e.L, in)
+		r := EstimateCost(e.R, in)
 		var card int
 		weight := float64(CostSetOp)
 		switch e.Op {
@@ -107,14 +109,18 @@ func EstimateCost(e Expr, st *stats.Stats) Estimate {
 // work. The cap models the executor's best case (candidates that all
 // survive phase 2); like every estimate it steers nothing correctness
 // depends on.
-func StreamEstimate(e Expr, st *stats.Stats, limit int) Estimate {
-	full := EstimateCost(e, st)
+func StreamEstimate(e Expr, in *index.Instance, limit int) Estimate {
+	full := EstimateCost(e, in)
 	if limit <= 0 || full.Card <= limit {
 		return full
 	}
 	perRow := full.Cost / float64(full.Card)
 	return Estimate{Card: limit, Cost: perRow * float64(limit)}
 }
+
+// wordFreq returns the occurrence count of the exact word w: its posting
+// list's length, one binary search over the dictionary.
+func wordFreq(in *index.Instance, w string) int { return in.Words().Postings(w).Len() }
 
 // lg is a branch-free log2 estimate for cost formulas.
 func lg(n int) float64 {

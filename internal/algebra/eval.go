@@ -9,7 +9,6 @@ import (
 	"qof/internal/index"
 	"qof/internal/qerr"
 	"qof/internal/region"
-	"qof/internal/stats"
 )
 
 // ErrNotIndexed is wrapped by evaluation errors caused by a region name that
@@ -24,7 +23,7 @@ type Stats struct {
 	DirectOps       int // of which ⊃d/⊂d
 	RegionsTouched  int // total regions in intermediate results
 	ResultCacheHits int // subexpressions answered from the cross-query cache
-	ShortCircuits   int // binary operators skipped via a provably empty operand
+	ShortCircuits   int // binary operators answered ∅ without evaluating their right operand
 	PeakBytes       int // high-water mark of buffered region bytes (streaming evaluation)
 }
 
@@ -52,11 +51,12 @@ type Evaluator struct {
 	// consulted and stored.
 	Results ResultCache
 
-	// CostStats, when non-nil, enables cardinality-aware operand
-	// ordering: for operators that are empty whenever one operand is,
-	// the side estimated cheaper (or provably empty) evaluates first so
-	// an empty outcome can skip the other side entirely.
-	CostStats *stats.Stats
+	// Deprecated: CostStats is ignored. A binary operator evaluates its
+	// left operand first, in the order the plan chose
+	// (optimizer.OrderOperands, once per file). The field stays only
+	// because the benchmark (bench/trace.go) still sets it, until
+	// ROADMAP.md's item "thaw the benchmark" (item 1) moves it off.
+	CostStats *index.Instance
 }
 
 // ResultCache is the cross-query result cache interface the engine
@@ -76,9 +76,6 @@ const DefaultResultMinCost = CostInclusion
 func NewEvaluator(in *index.Instance) *Evaluator {
 	return &Evaluator{in: in}
 }
-
-// Instance returns the instance the evaluator runs against.
-func (ev *Evaluator) Instance() *index.Instance { return ev.in }
 
 // Budget is the per-query region allowance shared by every evaluation of
 // one query: each operator result charges its cardinality, and crossing the
@@ -326,42 +323,21 @@ func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {
 		ctx.count(out, false)
 		return out, nil
 	case Binary:
-		lFirst := true
-		if ev.CostStats != nil && emptyAnnihilates(e.Op, false) {
-			// Both operand orders can short-circuit: evaluate the side
-			// the statistics price cheaper (preferring a provably empty
-			// one) so an empty outcome skips the expensive side.
-			le := EstimateCost(e.L, ev.CostStats)
-			re := EstimateCost(e.R, ev.CostStats)
-			if (re.Card == 0 && le.Card > 0) ||
-				((re.Card == 0) == (le.Card == 0) &&
-					(re.Cost < le.Cost || (re.Cost == le.Cost && re.Card < le.Card))) {
-				lFirst = false
-			}
-		}
-		first, second := e.L, e.R
-		if !lFirst {
-			first, second = e.R, e.L
-		}
-		fs, err := ev.eval(ctx, first)
+		l, err := ev.eval(ctx, e.L)
 		if err != nil {
 			return region.Empty, err
 		}
-		if fs.IsEmpty() && emptyAnnihilates(e.Op, lFirst) && ev.safeToSkip(second) {
-			// The operator is empty whenever this operand is, and the
-			// skipped side cannot fail, so its evaluation is pure cost.
+		if l.IsEmpty() && e.Op != OpUnion && ev.safeToSkip(e.R) {
+			// Every operator but ∪ is empty when its left operand is, and
+			// the skipped side cannot fail, so its evaluation is pure cost.
 			if ctx.stats != nil {
 				ctx.stats.ShortCircuits++
 			}
 			return region.Empty, nil
 		}
-		ss, err := ev.eval(ctx, second)
+		r, err := ev.eval(ctx, e.R)
 		if err != nil {
 			return region.Empty, err
-		}
-		l, r := fs, ss
-		if !lFirst {
-			l, r = ss, fs
 		}
 		out, err := ev.apply(ctx, e.Op, l, r)
 		if err != nil {
@@ -371,23 +347,6 @@ func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {
 		return out, nil
 	default:
 		return region.Empty, fmt.Errorf("algebra: unknown expression %T", e)
-	}
-}
-
-// emptyAnnihilates reports whether op's result is necessarily empty when
-// one operand is: true for ∩, ⊃, ⊂, ⊃d and ⊂d on either side, and for −
-// only when the left operand is the empty one (L − ∅ = L). ∪ never
-// annihilates. firstWasL identifies which operand was evaluated; passing
-// false asks whether the right side alone can annihilate, which is also
-// the condition for operand reordering to pay off.
-func emptyAnnihilates(op BinOp, firstWasL bool) bool {
-	switch op {
-	case OpUnion:
-		return false
-	case OpDiff:
-		return firstWasL
-	default:
-		return true
 	}
 }
 

@@ -35,9 +35,17 @@ type Choice struct {
 // it once.
 func (c *Catalog) Choice(in *index.Instance) *Choice {
 	names := in.Names()
-	var sb strings.Builder
+	size := 0
 	for _, n := range names {
-		sb.WriteString(n + "\x00" + in.Scope(n) + "\x00")
+		size += len(n) + len(in.Scope(n)) + 2
+	}
+	var sb strings.Builder
+	sb.Grow(size) // one allocation: engine.New runs this once per file
+	for _, n := range names {
+		sb.WriteString(n)
+		sb.WriteByte(0)
+		sb.WriteString(in.Scope(n))
+		sb.WriteByte(0)
 	}
 	sig := sb.String()
 	c.choiceMu.Lock()

@@ -32,7 +32,6 @@ import (
 	"qof/internal/index"
 	"qof/internal/optimizer"
 	"qof/internal/rig"
-	"qof/internal/stats"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -253,18 +252,18 @@ type Plan struct {
 
 	// orderable: some candidate expression has a commutative operator.
 	orderable bool
-	// st: the statistics CompileStats ordered the plan by, for Explain's estimates.
-	st *stats.Stats
+	// st: the instance CompileStats ordered the plan by, for Explain's estimates.
+	st *index.Instance
 }
 
-// Ordered returns the plan with the operands of its commutative operators
-// ordered by one file's statistics (optimizer.OrderOperands). A compiled plan
-// is shared by every file under its indexing choice; the order is the one
-// part that follows a file's bytes, so each execution applies it to its own
-// copy, and renders CandidatesKey again only where the order changed. A plan
-// with nothing to order, or nil statistics, is returned as it is.
-func (p *Plan) Ordered(st *stats.Stats) *Plan {
-	if st == nil || !p.orderable {
+// Ordered returns the plan with its commutative operators' operands ordered
+// by estimates on one file's instance (optimizer.OrderOperands). A compiled
+// plan is shared by every file under its indexing choice; the order is the
+// one part that follows a file's bytes, so each execution applies it to its
+// own copy, and renders CandidatesKey again only where the order changed. A
+// plan with nothing to order, or a nil instance, is returned as it is.
+func (p *Plan) Ordered(in *index.Instance) *Plan {
+	if in == nil || !p.orderable {
 		return p
 	}
 	out := *p
@@ -274,7 +273,7 @@ func (p *Plan) Ordered(st *stats.Stats) *Plan {
 		if vp.Candidates == nil {
 			continue
 		}
-		if ordered := optimizer.OrderOperands(vp.Candidates, st); !algebra.Equal(ordered, vp.Candidates) {
+		if ordered := optimizer.OrderOperands(vp.Candidates, in); !algebra.Equal(ordered, vp.Candidates) {
 			vp.Candidates, vp.CandidatesKey = ordered, ordered.String()
 		}
 	}
@@ -354,8 +353,8 @@ func (c *Catalog) compileReads(nt string, paths []xsql.Path) (*grammar.ReadSet, 
 func (p *Plan) Explain() string { return p.ExplainStats(p.st) }
 
 // ExplainStats is Explain with the estimate lines, which nothing else reads,
-// computed from one file's statistics (nil: none).
-func (p *Plan) ExplainStats(st *stats.Stats) string {
+// computed on one file's instance (nil: none).
+func (p *Plan) ExplainStats(in *index.Instance) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query: %s\n", p.Query)
 	if p.Trivial {
@@ -374,14 +373,14 @@ func (p *Plan) ExplainStats(st *stats.Stats) string {
 			fmt.Fprintf(&sb, "  original:  %s  (cost %d)\n", algebra.Pretty(v.Original), algebra.Cost(v.Original))
 		}
 		fmt.Fprintf(&sb, "  candidates: %s  (cost %d)\n", algebra.Pretty(v.Candidates), algebra.Cost(v.Candidates))
-		if st != nil {
-			est := algebra.EstimateCost(v.Candidates, st)
+		if in != nil {
+			est := algebra.EstimateCost(v.Candidates, in)
 			fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (materializing)\n", est.Card, est.Cost)
 			// The streaming executor's estimate under the query's LIMIT:
 			// cardinality capped at the limit, cost scaled to the rows a
 			// stopping consumer pulls (without a limit the two coincide).
 			if p.Query.Limit > 0 {
-				est = algebra.StreamEstimate(v.Candidates, st, p.Query.Limit)
+				est = algebra.StreamEstimate(v.Candidates, in, p.Query.Limit)
 				fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (streaming, stops at LIMIT %d)\n",
 					est.Card, est.Cost, p.Query.Limit)
 			}
@@ -413,12 +412,12 @@ func (c *Catalog) Compile(q *xsql.Query, in *index.Instance) (*Plan, error) {
 }
 
 // CompileStats plans like Compile and, when st is non-nil, additionally
-// applies the statistics-driven ordering of commutative operands (cheap,
-// small side first) and has Explain print cardinality/cost estimates for each
-// variable plan. Plans are equivalent either way; st only steers
-// evaluation order. It is the full compile and consults no cache; queries
-// run through Prepare.
-func (c *Catalog) CompileStats(q *xsql.Query, in *index.Instance, st *stats.Stats) (*Plan, error) {
+// orders commutative operands by estimates on st (cheap, small side first)
+// and has Explain print cardinality/cost estimates for each variable plan.
+// st is an instance, normally in itself. Plans are equivalent either way;
+// st only steers evaluation order. It is the full compile and consults no
+// cache; queries run through Prepare.
+func (c *Catalog) CompileStats(q *xsql.Query, in, st *index.Instance) (*Plan, error) {
 	plan, err := c.compile(q, c.Choice(in))
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"qof/internal/compile"
 	"qof/internal/grammar"
-	"qof/internal/stats"
 	"qof/internal/testutil"
 	"qof/internal/xsql"
 )
@@ -33,12 +32,11 @@ func BenchmarkCompileCold(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			cat, in := testutil.NewBibInstance(b, 50, c.spec)
-			st := stats.Collect(in)
 			q := xsql.MustParse(c.src)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan, err := cat.CompileStats(q, in, st)
+				plan, err := cat.CompileStats(q, in, in)
 				if err != nil {
 					b.Fatal(err)
 				}

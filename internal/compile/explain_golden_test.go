@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"qof/internal/qgen"
-	"qof/internal/stats"
 	"qof/internal/xsql"
 )
 
@@ -65,10 +64,9 @@ func TestExplainGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("spec %d: %v", si, err)
 				}
-				st := stats.Collect(in)
 				fmt.Fprintf(&sb, "==== spec %d: %s\n", si, specLabel(spec.Names, spec.Scoped != nil))
 				for _, src := range explainWorkload[d.Name] {
-					plan, err := d.Cat.CompileStats(xsql.MustParse(src), in, st)
+					plan, err := d.Cat.CompileStats(xsql.MustParse(src), in, in)
 					if err != nil {
 						t.Fatalf("spec %d: CompileStats(%s): %v", si, src, err)
 					}

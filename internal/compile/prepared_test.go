@@ -17,7 +17,6 @@ import (
 	"qof/internal/optimizer"
 	"qof/internal/region"
 	"qof/internal/rig"
-	"qof/internal/stats"
 	"qof/internal/testutil"
 	"qof/internal/text"
 	"qof/internal/xsql"
@@ -436,7 +435,7 @@ func TestOperandOrderIsPerFile(t *testing.T) {
 		if res.Regions.Len() != 0 {
 			t.Errorf("%s: %d results, want 0", docs[i].Name(), res.Regions.Len())
 		}
-		full, err := bibtex.Catalog().CompileStats(xsql.MustParse(src), eng.Instance(), stats.Collect(eng.Instance()))
+		full, err := bibtex.Catalog().CompileStats(xsql.MustParse(src), eng.Instance(), eng.Instance())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,30 +107,6 @@ func TestStrings(t *testing.T) {
 	}
 }
 
-func TestDatabase(t *testing.T) {
-	d := NewDatabase()
-	d.DefineClass("References")
-	o1 := d.Insert("References", reference("a", []string{"Chang"}, nil))
-	o2 := d.Insert("References", reference("b", nil, []string{"Chang"}))
-	d.Insert("Other", String("x"))
-	if o1.ID == o2.ID {
-		t.Error("OIDs must differ")
-	}
-	if d.Count("References") != 2 || d.Count("Other") != 1 || d.Count("Nope") != 0 {
-		t.Error("counts")
-	}
-	if got := d.Classes(); !reflect.DeepEqual(got, []string{"References", "Other"}) {
-		t.Errorf("Classes = %v", got)
-	}
-	ext := d.Extent("References")
-	if len(ext) != 2 || ext[0] != o1 || ext[1] != o2 {
-		t.Error("extent")
-	}
-	if o1.String() == "" || o1.Class != "References" {
-		t.Error("object fields")
-	}
-}
-
 func TestNavigatePlain(t *testing.T) {
 	r := reference("k", []string{"Chang", "Corliss"}, []string{"Griewank"})
 	got := NavigateStrings(r, PathOf("Authors", "Last_Name"))

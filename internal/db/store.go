@@ -1,69 +1,9 @@
 package db
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 )
-
-// OID identifies an object within one Database.
-type OID int
-
-// Object is a class member: an identity plus a complex value.
-type Object struct {
-	ID    OID
-	Class string
-	Val   Value
-}
-
-func (o *Object) String() string {
-	return fmt.Sprintf("%s#%d%s", o.Class, o.ID, o.Val.String())
-}
-
-// Database is an in-memory object database: named classes with extents.
-type Database struct {
-	classes map[string][]*Object
-	order   []string
-	nextOID OID
-}
-
-// NewDatabase creates an empty database.
-func NewDatabase() *Database {
-	return &Database{classes: make(map[string][]*Object)}
-}
-
-// DefineClass registers a class (idempotent).
-func (d *Database) DefineClass(name string) {
-	if _, ok := d.classes[name]; !ok {
-		d.classes[name] = nil
-		d.order = append(d.order, name)
-	}
-}
-
-// Insert creates an object of the class with the given value and adds it to
-// the class extent.
-func (d *Database) Insert(class string, v Value) *Object {
-	d.DefineClass(class)
-	d.nextOID++
-	o := &Object{ID: d.nextOID, Class: class, Val: v}
-	d.classes[class] = append(d.classes[class], o)
-	return o
-}
-
-// Extent returns the objects of the class in insertion order.
-func (d *Database) Extent(class string) []*Object {
-	return d.classes[class]
-}
-
-// Classes returns the class names in definition order.
-func (d *Database) Classes() []string {
-	out := make([]string, len(d.order))
-	copy(out, d.order)
-	return out
-}
-
-// Count reports the extent size of a class.
-func (d *Database) Count(class string) int { return len(d.classes[class]) }
 
 // Step is one component of a path expression. Exactly one field is set:
 // Attr navigates a named attribute, Any ("X") navigates exactly one

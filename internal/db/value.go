@@ -1,10 +1,10 @@
 // Package db implements the object-database substrate the paper assumes
-// (it used the O2 system): complex values — strings, tuples, sets — classes
-// with extents of objects, path navigation including wildcard paths, and
-// value joins. It is deliberately small: the paper relies only on object
-// construction, attribute navigation, selection and join, and this package
-// provides exactly that surface for the query engine and the full-scan
-// baseline.
+// (it used the O2 system): complex values — strings, tuples, sets — path
+// navigation including wildcard paths, and value joins. It is deliberately
+// small: the paper relies only on object construction, attribute
+// navigation, selection and join, and this package provides exactly that
+// surface for the query engine and the brute-force oracle. A class extent
+// is a list of values (refeval.Oracle keeps them), not a stored database.
 package db
 
 import (

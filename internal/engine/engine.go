@@ -29,7 +29,6 @@ import (
 	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/region"
-	"qof/internal/stats"
 	"qof/internal/xsql"
 )
 
@@ -45,25 +44,21 @@ type Engine struct {
 	in      *index.Instance
 	ev      *algebra.Evaluator
 	results *ResultCache
-	st      *stats.Stats
 	choice  *compile.Choice // the instance's indexing choice, resolved once
 }
 
-// New creates an engine over the catalog and instance, with a statistics
-// view of the instance (region cardinalities, word frequencies, read in
-// place) that drives cardinality-aware operand ordering, and the
-// cross-query result cache.
+// New creates an engine over the catalog and instance, with the
+// cross-query result cache. The instance's own figures (region
+// cardinalities, word frequencies) order each plan's operands.
 func New(cat *compile.Catalog, in *index.Instance) *Engine {
 	e := &Engine{
 		cat:     cat,
 		in:      in,
 		ev:      algebra.NewEvaluator(in),
 		results: NewResultCache(resultCacheCap),
-		st:      stats.Collect(in),
 		choice:  cat.Choice(in),
 	}
 	e.ev.Results = e.results
-	e.ev.CostStats = e.st
 	return e
 }
 
@@ -72,9 +67,6 @@ func (e *Engine) Instance() *index.Instance { return e.in }
 
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *compile.Catalog { return e.cat }
-
-// IndexStats returns the statistics view of the engine's instance.
-func (e *Engine) IndexStats() *stats.Stats { return e.st }
 
 // DisableResultCache turns off the cross-query result cache. It is
 // configuration: call it before the engine starts serving. Benchmarks use
@@ -149,7 +141,7 @@ type Result struct {
 }
 
 // Explain renders the plan with the file's cardinality estimates.
-func (r *Result) Explain() string { return r.Plan.ExplainStats(r.eng.st) }
+func (r *Result) Explain() string { return r.Plan.ExplainStats(r.eng.in) }
 
 // Objects parses the selected regions of a whole-object select into their
 // complete database values, in document order; nil for a path select.
@@ -245,7 +237,7 @@ func (e *Engine) ExecutePrepared(ctx context.Context, p *compile.Prepared, lim L
 	if err != nil {
 		return nil, err
 	}
-	plan = plan.Ordered(e.st) // the plan is the schema's, the operand order this file's
+	plan = plan.Ordered(e.in) // the plan is the schema's, the operand order this file's
 	q := plan.Query
 	res := &Result{Plan: plan, Projected: len(q.Select.Segs) > 0, eng: e}
 	res.Stats.PlanCached = cached

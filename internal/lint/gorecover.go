@@ -4,41 +4,47 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"qof/internal/lint/analysis"
 	"qof/internal/lint/cfg"
 )
 
-// GoRecover enforces the resilience era's goroutine discipline in the
-// engine and serve packages, where a panic on a worker goroutine would
-// crash the whole daemon instead of failing one query:
+// GoRecover enforces the goroutine discipline of the packages that run
+// query work off the caller's goroutine (engine, grammar, pool, serve),
+// where a panic on a helper would crash the whole daemon instead of
+// failing one query. Work leaves by a go statement or by a hand-off: a
+// function passed to pool.TryGo or (*pool.Group).TryGo, which a helper that
+// never exits runs.
 //
-//  1. Panic isolation — a goroutine must not run code that can panic
-//     without a recover guard between the panic and the runtime. A
-//     goroutine complies if its body installs "defer func() { recover()
-//     ... }" itself, if every risky call it makes resolves (recursively)
-//     to a function or closure that installs one, or if it makes no risky
-//     calls at all (pure join/close helpers). Risky means project code —
-//     same-package calls, qof cross-package calls, interface methods,
-//     function values; the standard library and builtins are trusted.
+//  1. Panic isolation — a go statement's or a hand-off's function must not
+//     run code that can panic without a recover guard between the panic
+//     and the runtime. It complies if its body installs "defer func() {
+//     recover() ... }" itself, if every risky call it makes resolves
+//     (recursively) to a function or closure that installs one, or if it
+//     makes no risky calls at all (pure join/close helpers). Risky means
+//     project code — same-package calls, qof cross-package calls,
+//     interface methods, function values; the standard library and
+//     builtins are trusted.
 //
-//  2. Structured join — every path from the go statement to the enclosing
+//  2. Structured join — every path from a go statement to the enclosing
 //     function's return must pass a join operation (WaitGroup.Wait, a
 //     channel receive, or ranging over a channel), so no goroutine
-//     outlives the call that spawned it.
+//     outlives the call that spawned it. Hand-offs are not checked for it.
 var GoRecover = &analysis.Analyzer{
 	Name: "gorecover",
-	Doc: "reports goroutines in engine/serve that can panic without a " +
-		"recover guard or that are not joined on every return path",
+	Doc: "reports goroutines and pool hand-offs in engine/grammar/pool/serve that can " +
+		"panic without a recover guard, and goroutines not joined on every return path",
 	Requires: []*analysis.Analyzer{cfg.FactAnalyzer},
 	Run:      runGoRecover,
 }
 
+// goRecoverScope lists the checked packages by path suffix, its fixture last.
+var goRecoverScope = []string{"internal/engine", "internal/grammar", "internal/pool", "internal/serve", "gorecover"}
+
 func runGoRecover(pass *analysis.Pass) (any, error) {
-	path := pass.Pkg.Path()
-	if !strings.HasSuffix(path, "internal/engine") && !strings.HasSuffix(path, "internal/serve") &&
-		!strings.HasSuffix(path, "gorecover") {
+	if !slices.ContainsFunc(goRecoverScope, func(suffix string) bool { return strings.HasSuffix(pass.Pkg.Path(), suffix) }) {
 		return nil, nil
 	}
 	cfgs := pass.ResultOf[cfg.FactAnalyzer].(*cfg.PackageCFGs)
@@ -84,8 +90,13 @@ func runGoRecover(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if gs, ok := n.(*ast.GoStmt); ok {
-					r.checkGoStmt(fd, gs)
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					r.checkGoStmt(fd, n)
+				case *ast.CallExpr:
+					if r.handOff(n) && (len(n.Args) != 1 || !r.valueSafe(n.Args[0])) {
+						r.pass.Reportf(n.Pos(), "function handed to a pool helper can panic without a recover guard (install defer recover or call only guarded functions)")
+					}
 				}
 				return true
 			})
@@ -143,6 +154,17 @@ func (r *recoverChecker) checkGoStmt(enclosing *ast.FuncDecl, gs *ast.GoStmt) {
 	if !r.joinedOnAllPaths(enclosing.Body, gs) {
 		r.pass.Reportf(gs.Pos(), "goroutine is not joined on every return path (join via WaitGroup.Wait, channel receive, or ranging over a channel)")
 	}
+}
+
+// handOff reports whether call hands a function to a pool helper: it calls
+// a function or method named TryGo of package pool, or of the package
+// under analysis (pool's own Group.TryGo, and the fixture's stand-ins).
+func (r *recoverChecker) handOff(call *ast.CallExpr) bool {
+	fn, ok := r.exprObj(call.Fun).(*types.Func)
+	if !ok || fn.Name() != "TryGo" || fn.Pkg() == nil {
+		return false
+	}
+	return fn.Pkg() == r.pass.Pkg || strings.HasSuffix(fn.Pkg().Path(), "internal/pool")
 }
 
 // bodySafe reports whether the function body is panic-isolated: it installs
@@ -224,7 +246,7 @@ func hasRecoverGuard(body *ast.BlockStmt) bool {
 // riskyCall reports whether the call targets project code that could
 // panic. Builtins, conversions, and standard-library callees are trusted.
 func (r *recoverChecker) riskyCall(call *ast.CallExpr) bool {
-	switch obj := r.calleeObj(call).(type) {
+	switch obj := r.exprObj(call.Fun).(type) {
 	case nil:
 		// Conversion or unresolved: a conversion has a type as its Fun.
 		if tv, ok := r.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
@@ -256,18 +278,21 @@ func (r *recoverChecker) projectObj(obj types.Object) bool {
 }
 
 // callSafe reports whether the call's target is known to be panic-safe:
-// resolvable to a same-package declaration or local closure whose body is
-// safe. Unresolvable risky targets (interface methods, cross-package
-// calls, opaque function values) are unsafe — the guard must sit in this
-// package, where the goroutine is.
+// it makes no risky call, or valueSafe holds for its callee. The guard
+// must sit in this package, where the goroutine is.
 func (r *recoverChecker) callSafe(call *ast.CallExpr) bool {
-	if !r.riskyCall(call) {
-		return true
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
+	return !r.riskyCall(call) || r.valueSafe(call.Fun)
+}
+
+// valueSafe reports whether the function value fn is panic-safe: a literal,
+// or resolvable to a same-package declaration or local closure, whose body
+// is safe. Unresolvable values (interface methods, cross-package
+// functions, parameters) are unsafe.
+func (r *recoverChecker) valueSafe(fn ast.Expr) bool {
+	if lit, ok := ast.Unparen(fn).(*ast.FuncLit); ok {
 		return r.bodySafe(lit.Body)
 	}
-	obj := r.calleeObj(call)
+	obj := r.exprObj(fn)
 	if obj == nil {
 		return false
 	}
@@ -280,8 +305,10 @@ func (r *recoverChecker) callSafe(call *ast.CallExpr) bool {
 	return false
 }
 
-func (r *recoverChecker) calleeObj(call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// exprObj resolves a function expression — a name, a method or a
+// package-qualified function — to its object.
+func (r *recoverChecker) exprObj(fn ast.Expr) types.Object {
+	switch fun := ast.Unparen(fn).(type) {
 	case *ast.Ident:
 		return objOf(r.pass, fun)
 	case *ast.SelectorExpr:

@@ -246,3 +246,35 @@ func Suppressed() {
 		_, _ = guardedParse(item{})
 	}()
 }
+
+// TryGo and Group stand in for package pool's hand-offs, checked as a go
+// statement's function is.
+func TryGo(f func()) bool { return false }
+
+type Group struct{}
+
+func (g *Group) TryGo(f func()) bool { return false }
+
+// BadHandOffs hand unguarded project code, a literal and an opaque value.
+func BadHandOffs(items []item, f func()) {
+	work := func() { _, _ = parse(items[0]) }
+	TryGo(work) // want `function handed to a pool helper can panic without a recover guard`
+	var g Group
+	g.TryGo(func() { _, _ = parse(items[0]) }) // want `function handed to a pool helper can panic without a recover guard`
+	TryGo(f)                                   // want `function handed to a pool helper can panic without a recover guard`
+}
+
+// GoodHandOffs: the grammar build's closure guards itself; pool.Each's
+// reaches project code only through a guarded call.
+func GoodHandOffs(items []item) (crashed any) {
+	joined := make(chan struct{})
+	TryGo(func() {
+		defer close(joined)
+		defer func() { crashed = recover() }()
+		_, _ = parse(items[0])
+	})
+	<-joined
+	var g Group
+	g.TryGo(func() { _, _ = guardedParse(items[0]) })
+	return crashed
+}

@@ -7,13 +7,12 @@ import (
 	"qof/internal/algebra"
 	"qof/internal/index"
 	"qof/internal/region"
-	"qof/internal/stats"
 	"qof/internal/text"
 )
 
-// orderStats indexes a small instance where Small (2 regions) is much
+// orderInstance indexes a small instance where Small (2 regions) is much
 // cheaper than Mid (50) and Big (500), and the word w occurs 3 times.
-func orderStats() *stats.Stats {
+func orderInstance() *index.Instance {
 	sets := make(map[string]region.Set)
 	for name, n := range map[string]int{"Small": 2, "Mid": 50, "Big": 500} {
 		rs := make([]region.Region, n)
@@ -23,12 +22,12 @@ func orderStats() *stats.Stats {
 		sets[name] = region.FromRegions(rs)
 	}
 	doc := text.NewDocument("order", strings.Repeat("w x ", 3)+strings.Repeat("y ", 500))
-	return stats.Collect(index.New(index.NewWordIndex(doc), sets, nil))
+	return index.New(index.NewWordIndex(doc), sets, nil)
 }
 
 func TestOrderOperands(t *testing.T) {
-	st := orderStats()
-	if st.RegionCard("Big") != 500 || st.RegionCard("Mid") != 50 || st.RegionCard("Small") != 2 || st.WordFreq("w") != 3 {
+	in := orderInstance()
+	if in.MustRegion("Big").Len() != 500 || in.MustRegion("Mid").Len() != 50 || in.MustRegion("Small").Len() != 2 || in.Words().Postings("w").Len() != 3 {
 		t.Fatal("the fixture's cardinalities are not the ones the cases assume")
 	}
 	for _, tc := range []struct{ in, want string }{
@@ -49,7 +48,7 @@ func TestOrderOperands(t *testing.T) {
 		// Leaves pass through untouched.
 		{`word("w")`, `word("w")`},
 	} {
-		got := OrderOperands(algebra.MustParse(tc.in), st)
+		got := OrderOperands(algebra.MustParse(tc.in), in)
 		if got.String() != algebra.MustParse(tc.want).String() {
 			t.Errorf("OrderOperands(%s) = %s, want %s", tc.in, got, tc.want)
 		}

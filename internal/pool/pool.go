@@ -33,6 +33,7 @@ func start(n int) {
 	startMu.Lock()
 	defer startMu.Unlock()
 	for ; int(started.Load()) < n; started.Add(1) {
+		//qoflint:allow gorecover a helper runs what TryGo was handed, which TryGo's contract says must not panic, and never exits by design
 		go func() {
 			for f := range work {
 				f()
@@ -92,6 +93,7 @@ func (g *Group) TryGo(f func()) bool {
 	g.mu.Lock()
 	g.pending++
 	g.mu.Unlock()
+	//qoflint:allow gorecover f is the caller's, and TryGo's contract says it must not panic: each caller's own hand-off is checked
 	ok := TryGo(func() {
 		g.mu.Lock()
 		if g.over {

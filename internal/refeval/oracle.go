@@ -74,6 +74,18 @@ func (o *Oracle) classExtent(nt string) *extent {
 	return ext
 }
 
+// Built reports how many objects the oracle has built: every object of
+// each class a query so far has ranged over.
+func (o *Oracle) Built() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n := 0
+	for _, ext := range o.extents {
+		n += len(ext.objects)
+	}
+	return n
+}
+
 // Query evaluates q by exhaustive nested loops over the full class extents.
 // The result matches Engine.Execute up to order: Regions is a canonical set,
 // and Objects/Strings are produced once per distinct region of the select

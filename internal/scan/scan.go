@@ -2,9 +2,10 @@
 //
 //   - FullScan is the "standard database implementation" the paper
 //     contrasts against ([ACM93]): parse the entire file with the
-//     structuring schema, construct every object, load the class extents
-//     into the database, and evaluate the query there. The whole file is
-//     scanned and parsed regardless of selectivity.
+//     structuring schema, construct every object of each class the query
+//     names, and evaluate the query over those extents by nested loops.
+//     The whole file is scanned and parsed regardless of selectivity. It
+//     is the brute-force oracle (refeval.Oracle) run once.
 //   - Grep is the raw text-search baseline: it finds every whole-word
 //     occurrence of a constant by scanning the file, which is fast but —
 //     as Section 2 stresses — cannot answer structural queries (it cannot
@@ -16,7 +17,7 @@ import (
 
 	"qof/internal/compile"
 	"qof/internal/db"
-	"qof/internal/grammar"
+	"qof/internal/refeval"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -30,77 +31,25 @@ type FullScanResult struct {
 	BytesParsed int
 }
 
-// FullScan evaluates the query by building the complete database image of
-// the document and filtering in the database.
+// FullScan evaluates the query by parsing the whole document, building
+// every object of each class the query ranges over, and filtering them by
+// nested loops: a fresh refeval.Oracle answers it.
 func FullScan(cat *compile.Catalog, doc *text.Document, q *xsql.Query) (*FullScanResult, error) {
-	tree, err := cat.Grammar.Parse(doc)
+	o, err := refeval.NewOracle(cat, doc)
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	res := &FullScanResult{BytesParsed: doc.Len(), Projected: len(q.Select.Segs) > 0}
-
-	// Load every class extent mentioned by the query.
-	database := db.NewDatabase()
-	content := doc.Content()
-	for _, f := range q.From {
-		nt, ok := cat.ClassNT(f.Class)
-		if !ok {
-			return nil, fmt.Errorf("scan: class %q is not bound", f.Class)
-		}
-		if database.Count(f.Class) > 0 {
-			continue
-		}
-		for _, node := range tree.Find(nt) {
-			database.Insert(f.Class, grammar.BuildValue(node, content))
-			res.ObjectsSeen++
-		}
-	}
-
-	// Nested-loop evaluation with the same condition semantics as the
-	// engine's residual filter.
-	filter, err := xsql.CompileFilter(q)
+	res, err := o.Query(q)
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	sel := 0
-	for i, f := range q.From {
-		if f.Var == q.Select.Var {
-			sel = i
-		}
-	}
-	steps := q.Select.Steps()
-	vals := make([]db.Value, len(q.From))
-	seen := make(map[db.Value]bool)
-	var loop func(i int) error
-	loop = func(i int) error {
-		if i < len(q.From) {
-			for _, o := range database.Extent(q.From[i].Class) {
-				vals[i] = o.Val
-				if err := loop(i + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if !filter.Eval(vals) {
-			return nil
-		}
-		obj := vals[sel]
-		if seen[obj] {
-			return nil
-		}
-		seen[obj] = true
-		if res.Projected {
-			res.Strings = append(res.Strings, db.NavigateStrings(obj, steps)...)
-		} else {
-			res.Objects = append(res.Objects, obj)
-		}
-		return nil
-	}
-	if err := loop(0); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &FullScanResult{
+		Objects:     res.Objects,
+		Strings:     res.Strings,
+		Projected:   res.Projected,
+		ObjectsSeen: o.Built(),
+		BytesParsed: doc.Len(),
+	}, nil
 }
 
 // GrepResult is the outcome of the raw text-search baseline.

@@ -126,8 +126,7 @@ func (f *File) EvalContext(ctx context.Context, src string) (spans []Span, err e
 	if err != nil {
 		return nil, err
 	}
-	var st algebra.Stats
-	set, err := algebra.NewEvaluator(f.eng.Instance()).EvalContext(ctx, e, &st, nil)
+	set, err := algebra.NewEvaluator(f.eng.Instance()).EvalContext(ctx, e, nil, nil)
 	if err != nil {
 		return nil, err
 	}
