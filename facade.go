@@ -154,8 +154,7 @@ type Results struct {
 	Values []string
 	Stats  Stats
 
-	plan *compile.Plan   // what Explain renders when asked
-	in   *index.Instance // the file's instance, for its estimate lines
+	plan *compile.Plan // what Explain renders when asked
 }
 
 // Len reports the number of results.
@@ -172,7 +171,7 @@ func (r *Results) Explain() string {
 	if r.plan == nil {
 		return ""
 	}
-	return r.plan.ExplainStats(r.in)
+	return r.plan.Explain()
 }
 
 // Query runs an XSQL query (see the xsql package comment for the dialect)
@@ -182,9 +181,8 @@ func (f *File) Query(src string) (*Results, error) {
 }
 
 func convertResults(eng *engine.Engine, res *engine.Result) *Results {
-	in := eng.Instance()
-	doc := in.Document()
-	out := &Results{plan: res.Plan, in: in}
+	doc := eng.Instance().Document()
+	out := &Results{plan: res.Plan}
 	out.Stats = Stats{
 		Candidates:  res.Stats.Candidates,
 		Parsed:      res.Stats.Parsed,

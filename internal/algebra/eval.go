@@ -52,8 +52,7 @@ type Evaluator struct {
 	Results ResultCache
 
 	// Deprecated: CostStats is ignored. A binary operator evaluates its
-	// left operand first, in the order the plan chose
-	// (optimizer.OrderOperands, once per file). The field stays only
+	// left operand first, in the order the plan has. The field stays only
 	// because the benchmark (bench/trace.go) still sets it, until
 	// ROADMAP.md's item "thaw the benchmark" (item 1) moves it off.
 	CostStats *index.Instance

@@ -4,60 +4,6 @@ import (
 	"testing"
 )
 
-// estimateExprs is a mixed bag of expressions over the fixture instance:
-// selects, inclusions (transitive and direct), set operations, nesting
-// filters and word-level primitives, including several that are provably
-// empty from the statistics.
-var estimateExprs = []string{
-	`Reference`,
-	`word("Chang")`,
-	`word("never-occurs")`,
-	`Reference > Authors > contains(Last_Name, "Chang")`,
-	`Reference > contains(Last_Name, "never-occurs")`,
-	`Reference >d Authors >d Name >d contains(Last_Name, "Chang")`,
-	`Last_Name < Authors < Reference`,
-	`Authors + Editors`,
-	`Authors & Editors`,
-	`Name - (Name < Editors)`,
-	`outermost(Reference + Name)`,
-	`innermost(Reference + Name + Last_Name)`,
-	`equals(Last_Name, "Chang")`,
-	`(Reference > contains(Last_Name, "never-occurs")) & Reference`,
-	`Reference & (Authors + Editors)`,
-	`prefix("Cor")`,
-	`match("Chang")`,
-	`near(Authors, Editors, 1)`,
-	`near(Authors, Authors - Authors, 5)`,
-	`freq(Reference, "Chang", 1)`,
-	`freq(Reference, "never-occurs", 2)`,
-	`innermost(Reference - Authors)`,
-}
-
-// TestEstimateUpperBound checks the soundness contract of the estimates:
-// for every expression whose names are all indexed, the estimated
-// cardinality bounds the actual result size, and Card == 0 implies the
-// result really is empty.
-func TestEstimateUpperBound(t *testing.T) {
-	in := fixture(t)
-	for _, src := range estimateExprs {
-		e := MustParse(src)
-		est := EstimateCost(e, in)
-		got, err := NewEvaluator(in).Eval(e)
-		if err != nil {
-			t.Fatalf("Eval(%q): %v", src, err)
-		}
-		if got.Len() > est.Card {
-			t.Errorf("%s: estimate %d below actual %d — not an upper bound", src, est.Card, got.Len())
-		}
-		if est.Card == 0 && !got.IsEmpty() {
-			t.Errorf("%s: estimated provably empty but evaluated to %v", src, got)
-		}
-		if est.Cost < 0 {
-			t.Errorf("%s: negative cost %f", src, est.Cost)
-		}
-	}
-}
-
 // TestShortCircuit checks that an operator other than ∪ whose left operand
 // evaluates empty skips its right side (counted in Stats.ShortCircuits)
 // without changing results. The evaluator runs the left operand first and

@@ -129,10 +129,9 @@ func waitStreamGoroutines(t *testing.T, base int) {
 }
 
 // TestStreamOptimizerInvariance: rewriting an expression with the chain
-// optimizer and reordering commutative operands by estimated cost must not
-// change the streamed result — the optimizer picks among Theorem
-// 3.6-equivalent forms, and the streaming operators must honor that for
-// every operand order.
+// optimizer and swapping commutative operands must not change the streamed
+// result — the optimizer picks among Theorem 3.6-equivalent forms, and the
+// streaming operators must honor that for every operand order.
 func TestStreamOptimizerInvariance(t *testing.T) {
 	d, in, gen := streamFixture(t, 403)
 	ev := algebra.NewEvaluator(in)
@@ -144,9 +143,9 @@ func TestStreamOptimizerInvariance(t *testing.T) {
 		}
 		opt, _ := optimizer.OptimizeExpr(e, d.Cat.RIG)
 		for i, variant := range []algebra.Expr{
-			optimizer.OrderOperands(e, in),
+			commuted(e),
 			opt,
-			optimizer.OrderOperands(opt, in),
+			commuted(opt),
 		} {
 			got, err := ev.StreamEval(context.Background(), variant, nil, nil)
 			if err != nil {
@@ -157,6 +156,28 @@ func TestStreamOptimizerInvariance(t *testing.T) {
 					e, i, variant, got, want)
 			}
 		}
+	}
+}
+
+// commuted swaps the operands of every ∩ and ∪ in e.
+func commuted(e algebra.Expr) algebra.Expr {
+	switch e := e.(type) {
+	case algebra.Binary:
+		l, r := commuted(e.L), commuted(e.R)
+		if e.Op == algebra.OpUnion || e.Op == algebra.OpIntersect {
+			l, r = r, l
+		}
+		return algebra.Binary{Op: e.Op, L: l, R: r}
+	case algebra.Unary:
+		return algebra.Unary{Op: e.Op, Arg: commuted(e.Arg)}
+	case algebra.Select:
+		return algebra.Select{Mode: e.Mode, W: e.W, Arg: commuted(e.Arg)}
+	case algebra.Near:
+		return algebra.Near{E: commuted(e.E), To: commuted(e.To), K: e.K}
+	case algebra.Freq:
+		return algebra.Freq{Arg: commuted(e.Arg), W: e.W, N: e.N}
+	default:
+		return e
 	}
 }
 

@@ -235,7 +235,9 @@ type JoinFastPlan struct {
 	Reads *grammar.ReadSet
 }
 
-// Plan is the compiled form of a query.
+// Plan is the compiled form of a query under one indexing choice. It reads
+// no file: every file that made the choice runs this one value, and nothing
+// modifies it once compiled.
 type Plan struct {
 	Query      *xsql.Query
 	Vars       []VarPlan
@@ -249,35 +251,6 @@ type Plan struct {
 	// path-comparison condition from leaf regions without parsing the
 	// candidates.
 	JoinFast *JoinFastPlan
-
-	// orderable: some candidate expression has a commutative operator.
-	orderable bool
-	// st: the instance CompileStats ordered the plan by, for Explain's estimates.
-	st *index.Instance
-}
-
-// Ordered returns the plan with its commutative operators' operands ordered
-// by estimates on one file's instance (optimizer.OrderOperands). A compiled
-// plan is shared by every file under its indexing choice; the order is the
-// one part that follows a file's bytes, so each execution applies it to its
-// own copy, and renders CandidatesKey again only where the order changed. A
-// plan with nothing to order, or a nil instance, is returned as it is.
-func (p *Plan) Ordered(in *index.Instance) *Plan {
-	if in == nil || !p.orderable {
-		return p
-	}
-	out := *p
-	out.Vars = append([]VarPlan(nil), p.Vars...)
-	for i := range out.Vars {
-		vp := &out.Vars[i]
-		if vp.Candidates == nil {
-			continue
-		}
-		if ordered := optimizer.OrderOperands(vp.Candidates, in); !algebra.Equal(ordered, vp.Candidates) {
-			vp.Candidates, vp.CandidatesKey = ordered, ordered.String()
-		}
-	}
-	return &out
 }
 
 // Var returns the plan for the given range variable.
@@ -350,11 +323,7 @@ func (c *Catalog) compileReads(nt string, paths []xsql.Path) (*grammar.ReadSet, 
 }
 
 // Explain renders a human-readable account of the plan.
-func (p *Plan) Explain() string { return p.ExplainStats(p.st) }
-
-// ExplainStats is Explain with the estimate lines, which nothing else reads,
-// computed on one file's instance (nil: none).
-func (p *Plan) ExplainStats(in *index.Instance) string {
+func (p *Plan) Explain() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "query: %s\n", p.Query)
 	if p.Trivial {
@@ -373,18 +342,6 @@ func (p *Plan) ExplainStats(in *index.Instance) string {
 			fmt.Fprintf(&sb, "  original:  %s  (cost %d)\n", algebra.Pretty(v.Original), algebra.Cost(v.Original))
 		}
 		fmt.Fprintf(&sb, "  candidates: %s  (cost %d)\n", algebra.Pretty(v.Candidates), algebra.Cost(v.Candidates))
-		if in != nil {
-			est := algebra.EstimateCost(v.Candidates, in)
-			fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (materializing)\n", est.Card, est.Cost)
-			// The streaming executor's estimate under the query's LIMIT:
-			// cardinality capped at the limit, cost scaled to the rows a
-			// stopping consumer pulls (without a limit the two coincide).
-			if p.Query.Limit > 0 {
-				est = algebra.StreamEstimate(v.Candidates, in, p.Query.Limit)
-				fmt.Fprintf(&sb, "  estimate: ≤%d regions, %.0f work units (streaming, stops at LIMIT %d)\n",
-					est.Card, est.Cost, p.Query.Limit)
-			}
-		}
 		for _, rw := range v.Rewrites {
 			fmt.Fprintf(&sb, "  rewrite: %s\n", rw)
 		}
@@ -406,25 +363,19 @@ func (p *Plan) ExplainStats(in *index.Instance) string {
 	return sb.String()
 }
 
-// Compile plans the query against the instance's current indexing choice.
+// Compile plans the query against the instance's indexing choice. It is
+// the full compile and consults no cache; queries run through Prepare.
 func (c *Catalog) Compile(q *xsql.Query, in *index.Instance) (*Plan, error) {
-	return c.CompileStats(q, in, nil)
+	return c.compile(q, c.Choice(in))
 }
 
-// CompileStats plans like Compile and, when st is non-nil, additionally
-// orders commutative operands by estimates on st (cheap, small side first)
-// and has Explain print cardinality/cost estimates for each variable plan.
-// st is an instance, normally in itself. Plans are equivalent either way;
-// st only steers evaluation order. It is the full compile and consults no
-// cache; queries run through Prepare.
-func (c *Catalog) CompileStats(q *xsql.Query, in, st *index.Instance) (*Plan, error) {
-	plan, err := c.compile(q, c.Choice(in))
-	if err != nil {
-		return nil, err
-	}
-	plan = plan.Ordered(st)
-	plan.st = st // the plan is this call's own: nothing shares it yet
-	return plan, nil
+// CompileStats is Compile.
+//
+// Deprecated: a plan reads no file's figures, so there is nothing for st to
+// order. It stays only because the benchmark (bench/ladder.go) still calls
+// it, until ROADMAP.md's item "thaw the benchmark" (item 1) moves it off.
+func (c *Catalog) CompileStats(q *xsql.Query, in, _ *index.Instance) (*Plan, error) {
+	return c.Compile(q, in)
 }
 
 // compile plans the query under an indexing choice. The plan reads nothing
@@ -460,7 +411,6 @@ func (c *Catalog) compile(q *xsql.Query, indexed *Choice) (*Plan, error) {
 		if expr != nil {
 			vp.Candidates, vp.Rewrites = c.optimizeExpr(expr, indexed.rig)
 			vp.CandidatesKey = vp.Candidates.String()
-			plan.orderable = plan.orderable || optimizer.Orderable(vp.Candidates)
 		}
 		plan.Vars = append(plan.Vars, vp)
 	}

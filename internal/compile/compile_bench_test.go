@@ -12,7 +12,7 @@ import (
 // compileSink keeps the compiler from discarding the benchmarked call.
 var compileSink *compile.Plan
 
-// BenchmarkCompileCold times the full, uncached compile (CompileStats) of
+// BenchmarkCompileCold times the full, uncached compile (Compile) of
 // each query shape the repository benchmark (bench/workload.go) sends, under
 // the index it sends it to. It is the cost a plan-cache miss pays, once per
 // indexing choice; run it with -benchmem.
@@ -36,7 +36,7 @@ func BenchmarkCompileCold(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan, err := cat.CompileStats(q, in, in)
+				plan, err := cat.Compile(q, in)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -50,9 +50,7 @@ var explainWorkload = map[string][]string{
 }
 
 // TestExplainGolden renders Plan.Explain for a fixed workload per domain
-// under every index specification and compares against golden files. Plans
-// are compiled with statistics so the goldens pin the estimate lines too —
-// including the streaming, limit-capped estimates of LIMIT queries. Run
+// under every index specification and compares against golden files. Run
 // with -update to regenerate them after an intentional planner change.
 func TestExplainGolden(t *testing.T) {
 	for _, d := range qgen.Domains(explainCorpusSeed) {
@@ -66,9 +64,9 @@ func TestExplainGolden(t *testing.T) {
 				}
 				fmt.Fprintf(&sb, "==== spec %d: %s\n", si, specLabel(spec.Names, spec.Scoped != nil))
 				for _, src := range explainWorkload[d.Name] {
-					plan, err := d.Cat.CompileStats(xsql.MustParse(src), in, in)
+					plan, err := d.Cat.Compile(xsql.MustParse(src), in)
 					if err != nil {
-						t.Fatalf("spec %d: CompileStats(%s): %v", si, src, err)
+						t.Fatalf("spec %d: Compile(%s): %v", si, src, err)
 					}
 					sb.WriteString(plan.Explain())
 					sb.WriteString("\n")

@@ -22,8 +22,8 @@ var onParse, onCompile func()
 
 // Prepared is a query made ready to run on every file of the schema: parsed
 // and normalized once, compiled once per indexing choice it has run under.
-// No file's bytes enter it; the step they steer (Plan.Ordered) is the
-// execution's. It is safe for concurrent use.
+// No file's bytes enter it: every file under one choice runs the same plan.
+// It is safe for concurrent use.
 type Prepared struct {
 	Query *xsql.Query // what every plan here was compiled from
 
@@ -34,7 +34,7 @@ type Prepared struct {
 
 // Plan returns the query's plan under the indexing choice, compiling it on
 // first use; cached reports that it was there. The plan is shared: callers
-// apply Ordered and modify nothing. An injected plancache.get fault degrades
+// run it as it is and modify nothing. An injected plancache.get fault degrades
 // to a recompile, a plancache.put fault to a plan that is not kept.
 func (p *Prepared) Plan(ch *Choice) (plan *Plan, cached bool, err error) {
 	p.mu.Lock()

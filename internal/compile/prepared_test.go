@@ -15,6 +15,7 @@ import (
 	"qof/internal/grammar"
 	"qof/internal/index"
 	"qof/internal/optimizer"
+	"qof/internal/refeval"
 	"qof/internal/region"
 	"qof/internal/rig"
 	"qof/internal/testutil"
@@ -408,14 +409,14 @@ func entry(key, title, abstract string) string {
 	return strings.Replace(e, "A Fortran pre-processor uses automatic differentiation to write a Fortran program to solve the system", abstract, 1)
 }
 
-// TestOperandOrderIsPerFile: the plan is shared, the operand order is not.
-// Two files whose statistics order an AND's operands oppositely run the same
-// prepared query, each in the order its own full compile gives, and each
-// keys its result cache on the order it runs.
-func TestOperandOrderIsPerFile(t *testing.T) {
+// TestOperandOrderIsThePlans: two files whose word figures disagree (an
+// AND's word is missing from a different file each time) run the one plan
+// Prepared.Plan returns for their indexing choice — the same pointer, so
+// the same candidates, result-cache key and Explain — and answer as the
+// oracle does. No file's figures reorder a plan's operands.
+func TestOperandOrderIsThePlans(t *testing.T) {
 	cat := bibtex.Catalog()
-	// The estimator knows a word that occurs nowhere selects nothing, and
-	// puts that operand first: "beta" is missing from a, "alpha" from b.
+	// "beta" is missing from a, "alpha" from b.
 	var a, b strings.Builder
 	for i := 0; i < 12; i++ {
 		a.WriteString(entry(fmt.Sprintf("A%d", i), "alpha gamma", "gamma"))
@@ -425,37 +426,47 @@ func TestOperandOrderIsPerFile(t *testing.T) {
 	engines := enginesOver(t, cat, docs, grammar.IndexSpec{})
 	_, compiles := compile.CountPreparation(t)
 
-	const src = `SELECT r FROM References r WHERE r.Title CONTAINS "alpha" AND r.Abstract CONTAINS "beta"`
-	var orders []string
-	for i, eng := range engines {
-		res, err := eng.Execute(xsql.MustParse(src))
+	srcs := []string{
+		`SELECT r FROM References r WHERE r.Title CONTAINS "alpha" AND r.Abstract CONTAINS "beta"`,
+		`SELECT r FROM References r WHERE r.Title CONTAINS "alpha" OR r.Abstract CONTAINS "beta"`,
+	}
+	for _, src := range srcs {
+		p, err := cat.Prepare(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Regions.Len() != 0 {
-			t.Errorf("%s: %d results, want 0", docs[i].Name(), res.Regions.Len())
+		var first *compile.Plan
+		for i, eng := range engines {
+			res, err := eng.ExecutePrepared(context.Background(), p, engine.Limits{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, _, err := p.Plan(cat.Choice(eng.Instance()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Plan != plan {
+				t.Errorf("%s: %s ran a copy of its plan, not the one Prepared.Plan returns", docs[i].Name(), src)
+			}
+			if first == nil {
+				first = res.Plan
+			} else if res.Plan != first || res.Plan.Vars[0].CandidatesKey != first.Vars[0].CandidatesKey || res.Explain() != first.Explain() {
+				t.Errorf("%s: %s runs\n%s\nwhere %s runs\n%s", docs[i].Name(), src, res.Explain(), docs[0].Name(), first.Explain())
+			}
+			oracle, err := refeval.NewOracle(cat, docs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.Query(xsql.MustParse(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Regions.Equal(want.Regions) {
+				t.Errorf("%s: %s answers %d references, the oracle %d", docs[i].Name(), src, res.Regions.Len(), want.Regions.Len())
+			}
 		}
-		full, err := bibtex.Catalog().CompileStats(xsql.MustParse(src), eng.Instance(), eng.Instance())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := res.Plan.Vars[0].Candidates.String(), full.Vars[0].Candidates.String()
-		if got != want {
-			t.Errorf("%s ran\n  %s\nits own full compile orders\n  %s", docs[i].Name(), got, want)
-		}
-		if key := res.Plan.Vars[0].CandidatesKey; key != got {
-			t.Errorf("%s ran\n  %s\nbut keys its result cache on\n  %s", docs[i].Name(), got, key)
-		}
-		if res.Explain() != full.Explain() {
-			t.Errorf("%s explains\n%s\nits own full compile explains\n%s", docs[i].Name(), res.Explain(), full.Explain())
-		}
-		orders = append(orders, got)
 	}
-	if orders[0] == orders[1] {
-		t.Fatalf("both files order the AND alike (%s): the test needs statistics that disagree", orders[0])
-	}
-	// The fresh catalogs compiled once each; the shared one once for both.
-	if got := compiles.Load() - 2; got != 1 {
-		t.Errorf("the shared catalog compiled %d times for two files of one choice, want 1", got)
+	if got := compiles.Load(); got != int64(len(srcs)) {
+		t.Errorf("the catalog compiled %d times for %d queries on two files of one choice, want %d", got, len(srcs), len(srcs))
 	}
 }

@@ -140,8 +140,8 @@ type Result struct {
 	eng *Engine // the engine whose instance Regions refer to
 }
 
-// Explain renders the plan with the file's cardinality estimates.
-func (r *Result) Explain() string { return r.Plan.ExplainStats(r.eng.in) }
+// Explain renders the plan.
+func (r *Result) Explain() string { return r.Plan.Explain() }
 
 // Objects parses the selected regions of a whole-object select into their
 // complete database values, in document order; nil for a path select.
@@ -237,7 +237,6 @@ func (e *Engine) ExecutePrepared(ctx context.Context, p *compile.Prepared, lim L
 	if err != nil {
 		return nil, err
 	}
-	plan = plan.Ordered(e.in) // the plan is the schema's, the operand order this file's
 	q := plan.Query
 	res := &Result{Plan: plan, Projected: len(q.Select.Segs) > 0, eng: e}
 	res.Stats.PlanCached = cached

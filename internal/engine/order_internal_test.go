@@ -10,10 +10,8 @@ import (
 )
 
 // TestEvaluatorKeepsPlanOrder: the engine's evaluator runs a binary
-// operator's left operand first, whatever the estimates say of the right
-// one. An operand order is decided in one place, the plan
-// (optimizer.OrderOperands), so an empty right operand is met only after
-// the left has run, and nothing is skipped.
+// operator's left operand first, as the plan has it, so an empty right
+// operand is met only after the left has run, and nothing is skipped.
 func TestEvaluatorKeepsPlanOrder(t *testing.T) {
 	content, _ := bibtex.Generate(bibtex.DefaultConfig(20))
 	cat := bibtex.Catalog()

@@ -24,6 +24,36 @@ func (p Path) Steps() []db.Step {
 	return steps
 }
 
+// filterSteps is Steps for a path the WHERE clause compares, with each
+// maximal run of *X and ?X segments that holds a star rewritten to the
+// run's ?Xs followed by one *X. Both forms reach exactly the values at least
+// the ?X count below, and the names of path variables carry no meaning, so
+// an existential comparison decides the same. Navigation memoizes (value,
+// steps left) and a star consumes no step, so unrewritten, a run of 32 000
+// stars costs hundreds of megabytes. A projection keeps Steps: how often a
+// path reaches a value is part of its answer.
+func filterSteps(p Path) []db.Step {
+	steps := make([]db.Step, 0, len(p.Segs))
+	star := false // the current run holds a star, not yet appended
+	for _, s := range p.Segs {
+		switch {
+		case s.Star:
+			star = true
+		case s.Any:
+			steps = append(steps, db.Step{Any: true})
+		default:
+			if star {
+				steps, star = append(steps, db.Step{Star: true}), false
+			}
+			steps = append(steps, db.Step{Attr: s.Attr})
+		}
+	}
+	if star {
+		steps = append(steps, db.Step{Star: true})
+	}
+	return steps
+}
+
 // Filter is a query's WHERE clause compiled for repeated evaluation. Phase 2
 // decides it once per candidate object, so everything that depends only on
 // the query is resolved here once: each path's navigation steps, and each
@@ -85,7 +115,7 @@ func compileCond(q *Query, c Cond) (*filterNode, error) {
 		if n.rslot, err = fromSlot(q, c.R); err != nil {
 			return nil, err
 		}
-		n.rsteps = c.R.Steps()
+		n.rsteps = filterSteps(c.R)
 		return n, nil
 	case And:
 		return compilePair(q, opAnd, c.L, c.R)
@@ -118,7 +148,7 @@ func compileCmp(q *Query, op filterOp, p Path, word string) (*filterNode, error)
 	if err != nil {
 		return nil, err
 	}
-	return &filterNode{op: op, slot: slot, steps: p.Steps(), word: word}, nil
+	return &filterNode{op: op, slot: slot, steps: filterSteps(p), word: word}, nil
 }
 
 func compilePair(q *Query, op filterOp, l, r Cond) (*filterNode, error) {

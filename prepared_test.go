@@ -97,8 +97,8 @@ func BenchmarkCorpusExecuteHit16(b *testing.B) {
 	}
 }
 
-// TestExplainOnDemand: Results renders its plan when asked, with the file's
-// estimates, and the same text every time.
+// TestExplainOnDemand: Results renders its plan when asked, the same text
+// every time.
 func TestExplainOnDemand(t *testing.T) {
 	f := hitFile(t, 100)
 	res, err := f.Query(hotQuery)
@@ -108,8 +108,6 @@ func TestExplainOnDemand(t *testing.T) {
 	exp := res.Explain()
 	for _, line := range []string{
 		"query: " + hotQuery + "\n",
-		"work units (materializing)\n",
-		"work units (streaming, stops at LIMIT 10)\n",
 		"  exact: index computes the answer; no filtering needed\n",
 	} {
 		if !strings.Contains(exp, line) {
