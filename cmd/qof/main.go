@@ -141,7 +141,7 @@ func buildOrLoad(d domain, doc *text.Document, idxPath string, spec grammar.Inde
 			return nil, err
 		}
 		defer f.Close()
-		return index.Load(f, doc)
+		return d.catalog().Grammar.LoadInstance(f, doc)
 	}
 	in, _, err := d.catalog().Grammar.BuildInstance(doc, spec)
 	return in, err

@@ -21,14 +21,14 @@
 //   - internal/advisor: Section 7's index selection;
 //   - internal/bibtex, internal/logs, internal/sgml, internal/srccode: the
 //     built-in file formats with deterministic generators;
-//   - internal/scan: the full-scan and grep baselines;
-//   - internal/experiments: the harness regenerating every table of
-//     EXPERIMENTS.md.
+//   - internal/scan: the full-scan and grep baselines.
 //
 // The root package is the public API: Schema (built-ins via BibTeX, Logs,
 // SGML, SourceCode, or custom formats via NewSchemaBuilder), File (Index,
 // Query, Eval, Save/Load, Replace/InsertAfter/Delete), Corpus, and Advise.
-// The qof CLI (cmd/qof) and the experiment runner (cmd/qofbench) expose the
-// workflow end to end; the benchmarks in bench_test.go mirror the
-// experiments under testing.B.
+// The qof CLI (cmd/qof) exposes the workflow end to end. The paper's
+// experiments are the root package's benchmarks BenchmarkE1 … BenchmarkX2,
+// one per table of EXPERIMENTS.md, regenerated with
+//
+//	go test -run '^$' -bench '^Benchmark(E|X)[0-9]' -timeout 30m .
 package qof

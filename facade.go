@@ -104,11 +104,11 @@ func (s *Schema) Index(name, content string, opts ...IndexOption) (*File, error)
 }
 
 // Load re-attaches a persisted index (written by Save) to the document
-// content, verifying it has not changed. Indexing-choice options are
-// ignored: the persisted index fixes them.
-func (s *Schema) Load(r io.Reader, name, content string, opts ...IndexOption) (f *File, err error) {
+// content, verifying it has not changed and that it indexes only the
+// schema's regions; the persisted index fixes the indexing choice.
+func (s *Schema) Load(r io.Reader, name, content string) (f *File, err error) {
 	defer catchPanic(&err, "loading %s", name)
-	in, err := index.Load(r, text.NewDocument(name, content))
+	in, err := s.cat.Grammar.LoadInstance(r, text.NewDocument(name, content))
 	if err != nil {
 		return nil, err
 	}

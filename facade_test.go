@@ -2,6 +2,7 @@ package qof_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"qof"
 	"qof/internal/bibtex"
+	"qof/internal/index"
 	"qof/internal/pool"
 	"qof/internal/testutil"
 )
@@ -107,6 +109,34 @@ func TestFacadeSaveLoad(t *testing.T) {
 	}
 	if loaded.Name() != "s.bib" {
 		t.Error("Name")
+	}
+}
+
+// TestLoadRejectsAnotherSchemasIndex: an index names its schema's regions,
+// so a BibTeX index loaded under the SGML schema, whose queries could only
+// fail in the full-scan parse, is refused at load, whether a name or a
+// scope is foreign (Title is a non-terminal of both schemas, Reference only
+// of BibTeX's).
+func TestLoadRejectsAnotherSchemasIndex(t *testing.T) {
+	for name, opts := range map[string][]qof.IndexOption{
+		"full":                   nil,
+		"Title within Reference": {qof.WithScopedRegion(bibtex.NTTitle, bibtex.NTReference)},
+	} {
+		file, err := qof.BibTeX().Index("s.bib", bibtex.SampleEntry, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := file.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		saved := buf.Bytes()
+		if _, err := qof.SGML().Load(bytes.NewReader(saved), "s.bib", bibtex.SampleEntry); !errors.Is(err, index.ErrIndexMismatch) {
+			t.Errorf("%s BibTeX index loaded as SGML: err = %v, want index.ErrIndexMismatch", name, err)
+		}
+		if _, err := qof.BibTeX().Load(bytes.NewReader(saved), "s.bib", bibtex.SampleEntry); err != nil {
+			t.Errorf("%s BibTeX index loaded as BibTeX: %v", name, err)
+		}
 	}
 }
 

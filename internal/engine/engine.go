@@ -48,8 +48,9 @@ type Engine struct {
 }
 
 // New creates an engine over the catalog and instance, with the
-// cross-query result cache. The instance's own figures (region
-// cardinalities, word frequencies) order each plan's operands.
+// cross-query result cache. It resolves the instance's indexing choice
+// once; every plan the engine runs is the catalog's plan for that choice,
+// run as it is.
 func New(cat *compile.Catalog, in *index.Instance) *Engine {
 	e := &Engine{
 		cat:     cat,

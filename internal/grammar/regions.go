@@ -3,6 +3,7 @@ package grammar
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"qof/internal/faultinject"
 	"qof/internal/index"
@@ -105,6 +106,26 @@ func (g *Grammar) FullIndexSpec() IndexSpec {
 // stays in the signature for bench/, which may not change with this code.)
 func (g *Grammar) BuildInstance(doc *text.Document, spec IndexSpec) (*index.Instance, *Node, error) {
 	return g.BuildInstanceContext(context.Background(), doc, spec)
+}
+
+// LoadInstance reads an index written by Instance.Save and re-attaches it
+// to doc (index.Load), then checks that it is this grammar's: every indexed
+// name and every scope must be one of its non-terminals. An index saved
+// under another schema fails with an error wrapping index.ErrIndexMismatch.
+func (g *Grammar) LoadInstance(r io.Reader, doc *text.Document) (*index.Instance, error) {
+	in, err := index.Load(r, doc)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range in.Names() {
+		if _, ok := g.prods[name]; !ok {
+			return nil, fmt.Errorf("%w: region %q is not a non-terminal of the grammar", index.ErrIndexMismatch, name)
+		}
+		if scope := in.Scope(name); scope != "" && g.prods[scope] == nil {
+			return nil, fmt.Errorf("%w: scope %q of region %q is not a non-terminal of the grammar", index.ErrIndexMismatch, scope, name)
+		}
+	}
+	return in, nil
 }
 
 // newWordIndex builds the word index; a variable so that a test can make

@@ -1,4 +1,5 @@
-// Package scan implements the comparison baselines of the experiments:
+// Package scan implements the comparison baselines of the paper's
+// experiments (the root package's BenchmarkE1, E6, E7 and E10):
 //
 //   - FullScan is the "standard database implementation" the paper
 //     contrasts against ([ACM93]): parse the entire file with the

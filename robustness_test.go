@@ -18,7 +18,6 @@ import (
 	"qof/internal/algebra"
 	"qof/internal/bibtex"
 	"qof/internal/engine"
-	"qof/internal/experiments"
 	"qof/internal/grammar"
 	"qof/internal/pool"
 	"qof/internal/xsql"
@@ -31,11 +30,8 @@ import (
 // mid-evaluation, not after the query would have finished anyway — and the
 // engine keeps serving correct answers afterward.
 func TestDeadlineOnStressCorpus(t *testing.T) {
-	setup, err := experiments.NewBibtexSetup(20000, grammar.IndexSpec{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := setup.Engine
+	setup := newBibtex(t, 20000, grammar.IndexSpec{}, 0)
+	eng := setup.eng
 	author := xsql.MustParse(`SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`)
 
 	// One query per way the plan's shape sends it, each far too big for
@@ -51,10 +47,10 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 		q    *xsql.Query
 		want int // ground-truth results; -1: whatever an unhurried run returns
 	}{
-		{"complete set", xsql.MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`), setup.Stats.SelfEditedByAuth},
+		{"complete set", xsql.MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`), setup.truth.SelfEditedByAuth},
 		{"streaming", xsql.MustParse(`SELECT r.Title FROM References r WHERE r.Abstract CONTAINS "system"`), -1},
 		// Every reference has a year, so each matches at least itself.
-		{"join", xsql.MustParse(`SELECT r FROM References r, References s WHERE r.Year = s.Year`), setup.Stats.NumRefs},
+		{"join", xsql.MustParse(`SELECT r FROM References r, References s WHERE r.Year = s.Year`), setup.truth.NumRefs},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := c.want
@@ -68,7 +64,7 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err = eng.ExecuteContext(ctx, c.q, engine.Limits{})
+			_, err := eng.ExecuteContext(ctx, c.q, engine.Limits{})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("1ms deadline: err = %v, want context.DeadlineExceeded", err)
@@ -91,8 +87,8 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats.Results != setup.Stats.TargetAsAuthor {
-				t.Errorf("author query after deadline: %d results, want %d", res.Stats.Results, setup.Stats.TargetAsAuthor)
+			if res.Stats.Results != setup.truth.TargetAsAuthor {
+				t.Errorf("author query after deadline: %d results, want %d", res.Stats.Results, setup.truth.TargetAsAuthor)
 			}
 		})
 	}
@@ -104,7 +100,7 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 	// the layered program — which reads no universe — does.
 	t.Run("cold universe", func(t *testing.T) {
 		e := algebra.MustParse(`Name >d Last_Name`)
-		ev := algebra.NewEvaluator(setup.Instance)
+		ev := algebra.NewEvaluator(setup.in)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		defer cancel()
 		start := time.Now()
@@ -120,7 +116,7 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		layered := algebra.NewEvaluator(setup.Instance)
+		layered := algebra.NewEvaluator(setup.in)
 		layered.UseLayeredDirect = true
 		want, err := layered.Eval(e)
 		if err != nil {
