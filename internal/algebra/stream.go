@@ -250,7 +250,7 @@ func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary, l region.Iterator) (r
 		case OpIntersect:
 			return region.IntersectIter(l, r), nil
 		case OpIncluding:
-			return region.IncludingIter(l, r, sc.check), nil
+			return region.IncludingIter(l, r), nil
 		default:
 			return region.IncludedIter(l, r), nil
 		}

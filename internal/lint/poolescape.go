@@ -8,9 +8,9 @@ import (
 	"qof/internal/lint/analysis"
 )
 
-// PoolEscape tracks memory recycled through sync.Pool (the region kernels'
-// integer scratch, the evaluator's context pool) and reports lifetime
-// violations: pooled memory returned from an exported function, stored
+// PoolEscape tracks memory recycled through sync.Pool (the grammar's parse
+// runners, the evaluator's contexts, the daemon's response buffers) and
+// reports lifetime violations: pooled memory returned from an exported function, stored
 // into a field of a non-pooled value, captured by a goroutine, or used
 // after it was handed back with Put.
 //
@@ -58,7 +58,7 @@ func runPoolEscape(pass *analysis.Pass) (any, error) {
 		}
 	}
 	// Classification fixpoint: discovering one wrapper can reveal another
-	// (release -> putIntBuf -> sync.Pool.Put). Monotone, so it terminates;
+	// (release -> putBuf -> sync.Pool.Put). Monotone, so it terminates;
 	// the bound only caps pathological chains.
 	for i := 0; i < 8; i++ {
 		changed := false

@@ -64,8 +64,9 @@ func BadUseAfterPut(n int) int {
 	return s[0] // want `use of pooled memory "s" after it was returned with Put`
 }
 
-// table mirrors the region kernels' minTable: a struct that carries
-// pooled memory from an unexported constructor to an explicit release.
+// table is a struct that carries pooled memory from an unexported
+// constructor to an explicit release, as the grammar's pooled runner is
+// handed back by its release method.
 type table struct {
 	rows []int
 	b    *buf

@@ -17,9 +17,10 @@ type Checker func() error
 
 // pollStride is how many loop iterations a kernel runs between Checker
 // polls. It is a power of two so the position test compiles to a mask, and
-// small enough that even pathological per-iteration costs (adversarial
-// nesting making strictBesides scan its whole candidate range) keep the
-// poll latency well under the 50ms budget the facade documents.
+// small enough that the merges and probes, whose iterations cost O(1) or
+// one galloping search, keep the poll latency well under the 50ms budget
+// the facade documents. The exception is ⊃d/⊂d on a universe with partial
+// overlaps, where one iteration scans the regions sorting before s.
 const pollStride = 1024
 
 // poll invokes check every pollStride-th iteration i (and on i = 0, which

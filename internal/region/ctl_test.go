@@ -121,9 +121,7 @@ func TestNewUniversePolls(t *testing.T) {
 }
 
 // TestCtlAbortMidSweep trips the checker only after the first stride,
-// proving the abort also works from the middle of a sweep (the pooled
-// scratch buffers must be released on that path; poolescape in qoflint
-// checks the release ordering statically, this checks behavior).
+// proving the abort also works from the middle of a merge.
 func TestCtlAbortMidSweep(t *testing.T) {
 	R, S := randomCtlSets(t, 3*pollStride, 3)
 	boom := errors.New("late boom")
@@ -142,8 +140,8 @@ func TestCtlAbortMidSweep(t *testing.T) {
 	if _, err := R.IncludedCtl(S, late); !errors.Is(err, boom) {
 		t.Fatalf("IncludedCtl: err = %v, want late boom", err)
 	}
-	// The sweep is reusable after an abort: the next call sees fresh
-	// pooled buffers and computes the full answer.
+	// An abort leaves nothing behind: the next call computes the full
+	// answer.
 	got, err := R.IncludingCtl(S, nil)
 	if err != nil || !got.Equal(R.Including(S)) {
 		t.Fatalf("IncludingCtl after abort diverges (err=%v)", err)

@@ -125,6 +125,28 @@ func checkEdge(t *testing.T, where string, R, S Set) {
 	}
 }
 
+// checkDirect runs ⊃d and ⊂d both ways against their definitions over
+// the universe of R and S, and over the universe of R alone, where the
+// regions of S it does not hold are found by the walk up from their
+// predecessor, or, when empty, by the scan.
+func checkDirect(t *testing.T, where string, R, S Set) {
+	t.Helper()
+	for _, c := range []struct {
+		u    *Universe
+		R, S Set
+	}{
+		{universeOf(R, S), R, S}, {universeOf(R, S), S, R}, {universeOf(R), R, S},
+	} {
+		all := c.u.All()
+		if got, want := c.u.DirectlyIncluding(c.R, c.S), NaiveDirectlyIncluding(c.R, c.S, all); !got.Equal(want) {
+			t.Fatalf("%s: U=%v: %v ⊃d %v = %v, want %v", where, all, c.R, c.S, got, want)
+		}
+		if got, want := directlyIncluded(c.u, c.S, c.R), NaiveDirectlyIncluded(c.S, c.R, all); !got.Equal(want) {
+			t.Fatalf("%s: U=%v: %v ⊂d %v = %v, want %v", where, all, c.S, c.R, got, want)
+		}
+	}
+}
+
 // TestKernelsAtTheEdgesOfInt32 crosses every subset of edgeRegions with
 // every other: each kernel meets regions that start or end at 0,
 // MaxInt32-1 and MaxInt32, empty regions on those boundaries, disjoint and
@@ -133,7 +155,9 @@ func TestKernelsAtTheEdgesOfInt32(t *testing.T) {
 	n := 1 << len(edgeRegions)
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
-			checkEdge(t, fmt.Sprintf("subsets %#x, %#x", a, b), edgeSubset(a), edgeSubset(b))
+			where := fmt.Sprintf("subsets %#x, %#x", a, b)
+			checkEdge(t, where, edgeSubset(a), edgeSubset(b))
+			checkDirect(t, where, edgeSubset(a), edgeSubset(b))
 		}
 	}
 }

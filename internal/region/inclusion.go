@@ -18,9 +18,12 @@ package region
 //
 // The direct operators need the universe of indexed regions (the union of
 // all instance sets) to rule out regions lying in between; see Universe.
-// Per the paper, ⊃d and ⊂d are significantly more expensive than ⊃ and ⊂.
+// The paper calls ⊃d and ⊂d significantly more expensive than ⊃ and ⊂. Here
+// every inclusion is read off the set order — r ⊋ s exactly when r sorts
+// before s and s.End ≤ r.End — so ⊃ and ⊂ are one merge each, and on a
+// properly nested universe ⊃d and ⊂d are a walk up a forest per region.
 
-import "math/bits"
+import "slices"
 
 // Including returns R ⊃ S: the regions of R that strictly include at least
 // one region of S.
@@ -31,10 +34,7 @@ import "math/bits"
 // O(|R| · log(|S|/|R|)); when both are, the smaller side drives (probe.go).
 // The output buffer is sized by the driving side. Only when neither operand
 // is disjoint (a self-nested name such as sgml's Section, overlapping hand
-// tables) does the sweep below run: O((|R|+|S|) log |S|) with a sparse-table
-// range-minimum structure over the end positions of S, except when a
-// region of R also occurs in S, where ruling out the self-match may scan
-// the candidate range.
+// tables) does the merge below run, in O(|R|+|S|).
 func (s Set) Including(t Set) Set {
 	out, _ := s.IncludingCtl(t, nil)
 	return out
@@ -57,48 +57,28 @@ func (s Set) IncludingCtl(t Set, check Checker) (Set, error) {
 	return includingSweep(R, S, check)
 }
 
-// includingSweep is R ⊃ S for operands of which neither is disjoint.
+// includingSweep is R ⊃ S for operands of which neither is disjoint. In set
+// order r strictly includes s exactly when r sorts before s and s.End ≤
+// r.End, so one backward merge that keeps the least End of the S regions
+// sorting after r decides each r with one comparison.
 func includingSweep(R, S Set, check Checker) (Set, error) {
-	rmq := newMinTable(S.regions)
-	out := make([]Region, 0, len(R.regions))
-	var abort error
-	for i, r := range R.regions {
-		if abort = poll(check, i); abort != nil {
-			break
+	var out []Region
+	minEnd := maxInt // least End of S.regions[j:], none yet
+	j := len(S.regions)
+	for i := len(R.regions) - 1; i >= 0; i-- {
+		if err := poll(check, len(R.regions)-1-i); err != nil {
+			return Empty, err
 		}
-		// Candidates s have s.Start in [r.Start, r.End]; since the set
-		// is sorted primarily by Start this is a contiguous index
-		// range, and r includes one of them iff the minimum end in the
-		// range is ≤ r.End. The only non-strict inclusion is s == r.
-		lo := lowerBoundStart(S.regions, r.Start)
-		hi := upperBoundStart(S.regions, r.End)
-		if lo >= hi {
-			continue
+		r := R.regions[i]
+		for ; j > 0 && r.Before(S.regions[j-1]); j-- {
+			minEnd = min(minEnd, int(S.regions[j-1].End))
 		}
-		ok := rmq.min(lo, hi) <= r.End
-		if ok && S.Contains(r) {
-			ok = strictBesides(S.regions[lo:hi], r)
-		}
-		if ok {
-			out = append(out, r)
+		if minEnd <= int(r.End) {
+			out = appendRun(out, R.regions[i:i+1])
 		}
 	}
-	rmq.release()
-	if abort != nil {
-		return Empty, abort
-	}
+	slices.Reverse(out)
 	return trimmed(R, out), nil
-}
-
-// strictBesides reports whether some region in cands other than r is
-// included in r. cands all have Start within [r.Start, r.End].
-func strictBesides(cands []Region, r Region) bool {
-	for _, s := range cands {
-		if s != r && r.Includes(s) {
-			return true
-		}
-	}
-	return false
 }
 
 // Included returns R ⊂ S: the regions of R strictly included in at least
@@ -109,8 +89,7 @@ func strictBesides(cands []Region, r Region) bool {
 // O(|S| · log(|R|/|S|)) plus the answer. When S is disjoint each r has at
 // most two possible containers: O(|R| · log(|S|/|R|)). When both are, the
 // smaller side drives (probe.go). Only when neither is disjoint does the
-// sweep below run: O((|R|+|S|) log |S|) with a prefix-maximum over the end
-// positions of S, with the same self-match caveat as Including.
+// merge below run, in O(|R|+|S|).
 func (s Set) Included(t Set) Set {
 	out, _ := s.IncludedCtl(t, nil)
 	return out
@@ -133,128 +112,25 @@ func (s Set) IncludedCtl(t Set, check Checker) (Set, error) {
 	return includedSweep(R, S, check)
 }
 
-// includedSweep is R ⊂ S for operands of which neither is disjoint.
+// includedSweep is R ⊂ S for operands of which neither is disjoint: the
+// mirror of includingSweep, one forward merge that keeps the greatest End
+// of the S regions sorting before r.
 func includedSweep(R, S Set, check Checker) (Set, error) {
-	// prefMax[i] = max end among S.regions[0:i] (those starts are ≤ any
-	// later start).
-	buf := getIntBuf()
-	prefMax := buf.ints(len(S.regions) + 1)
-	prefMax[0] = -1
-	var abort error
-	for i, sr := range S.regions {
-		if abort = poll(check, i); abort != nil {
-			break
-		}
-		prefMax[i+1] = max(prefMax[i], sr.End)
-	}
-	out := make([]Region, 0, len(R.regions))
+	var out []Region
+	maxEnd := minInt // greatest End of S.regions[:j], none yet
+	j := 0
 	for i, r := range R.regions {
-		if abort != nil {
-			break
+		if err := poll(check, i); err != nil {
+			return Empty, err
 		}
-		if abort = poll(check, i); abort != nil {
-			break
+		for ; j < len(S.regions) && S.regions[j].Before(r); j++ {
+			maxEnd = max(maxEnd, int(S.regions[j].End))
 		}
-		// Containers s have s.Start ≤ r.Start, a prefix of S; one of
-		// them contains r iff the maximum end in the prefix is ≥ r.End.
-		hi := upperBoundStart(S.regions, r.Start)
-		if hi == 0 || prefMax[hi] < r.End {
-			continue
+		if maxEnd >= int(r.End) {
+			out = appendRun(out, R.regions[i:i+1])
 		}
-		// Some container exists; it is strict unless the only
-		// container is r itself.
-		if prefMax[hi] > r.End || !S.Contains(r) || containerBesides(S.regions[:hi], r) {
-			out = append(out, r)
-		}
-	}
-	putIntBuf(buf)
-	if abort != nil {
-		return Empty, abort
 	}
 	return trimmed(R, out), nil
-}
-
-// containerBesides reports whether some region in cands other than r
-// includes r. cands all have Start ≤ r.Start.
-func containerBesides(cands []Region, r Region) bool {
-	for _, s := range cands {
-		if s != r && s.Includes(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// lowerBoundStart returns the first index i with regions[i].Start >= v.
-func lowerBoundStart(rs []Region, v int32) int {
-	lo, hi := 0, len(rs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rs[mid].Start < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// upperBoundStart returns the first index i with regions[i].Start > v.
-func upperBoundStart(rs []Region, v int32) int {
-	lo, hi := 0, len(rs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rs[mid].Start <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// minTable is a sparse table answering range-minimum queries over the end
-// positions of a sorted region slice in O(1) after O(n log n) setup. All
-// levels live in one pooled scratch buffer; callers release the table when
-// done with it.
-type minTable struct {
-	rows [][]int32
-	buf  *intBuf
-}
-
-func newMinTable(rs []Region) minTable {
-	n := len(rs)
-	levels, total := 1, n
-	for width := 2; width <= n; width *= 2 {
-		levels++
-		total += n - width + 1
-	}
-	buf := getIntBuf()
-	flat := buf.ints(total)
-	rows := make([][]int32, 1, levels)
-	rows[0] = flat[:n]
-	for i, r := range rs {
-		rows[0][i] = r.End
-	}
-	off := n
-	for width := 2; width <= n; width *= 2 {
-		prev := rows[len(rows)-1]
-		next := flat[off : off+n-width+1]
-		off += n - width + 1
-		for i := range next {
-			next[i] = min(prev[i], prev[i+width/2])
-		}
-		rows = append(rows, next)
-	}
-	return minTable{rows: rows, buf: buf}
-}
-
-func (t minTable) release() { putIntBuf(t.buf) }
-
-// min returns the minimum end in the half-open index range [lo, hi).
-func (t minTable) min(lo, hi int) int32 {
-	k := bits.Len(uint(hi-lo)) - 1
-	return min(t.rows[k][lo], t.rows[k][hi-(1<<k)])
 }
 
 // Universe is the set of all indexed regions, used by the direct-inclusion
@@ -269,7 +145,7 @@ type Universe struct {
 
 // NewUniverse builds the universe from the union of the instance sets: one
 // k-way merge into a slice of exactly the union's size, then one stack sweep
-// that builds the forest and finds any partial overlap. Both passes poll
+// that builds the forest or finds that none holds. Both passes poll
 // check every pollStride regions; a non-nil return abandons the build.
 func NewUniverse(sets []Set, check Checker) (*Universe, error) {
 	all, err := mergeSets(sets, check)
@@ -286,8 +162,10 @@ func NewUniverse(sets []Set, check Checker) (*Universe, error) {
 // All returns the union of every instance set in the universe.
 func (u *Universe) All() Set { return u.all }
 
-// ProperlyNested reports whether the universe regions form a forest (no
-// partial overlaps). Region instances extracted from parse trees always do.
+// ProperlyNested reports whether the universe regions form a forest: no
+// two partially overlap, and the strict containers of each form a chain,
+// which only an empty region lying where two regions touch breaks. Region
+// instances extracted from parse trees with no empty region always do.
 func (u *Universe) ProperlyNested() bool { return u.nested }
 
 // mergeSets returns the union of sets in one k-way merge: the least of the
@@ -357,12 +235,16 @@ func popLeast(rests []Set) (Region, []Set) {
 // buildForest computes, for regions sorted by (Start asc, End desc), the
 // index of each region's tightest strict container (-1 for roots) with a
 // single stack sweep polling check every pollStride regions. It returns nil
-// when two regions partially overlap, where no forest exists: the stack
-// holds a chain of nested regions, and one popped because it ends before r
-// does, but after r starts, overlaps r.
+// where no forest holds the inclusions: when two regions partially overlap
+// — the stack holds a chain of nested regions, and one popped because it
+// ends before r does, but after r starts, overlaps r — and when an empty
+// region lies where two regions touch, inside both. The empty region [x, x)
+// sorts after every region starting at x, so it arrives after the pop of a
+// region ending at x by one starting there.
 func buildForest(rs []Region, check Checker) ([]int, error) {
 	parent := make([]int, len(rs))
 	var stack []int
+	touch := minInt // where the last region popped by a region starting at its End ended
 	for i, r := range rs {
 		if err := poll(check, i); err != nil {
 			return nil, err
@@ -377,7 +259,13 @@ func buildForest(rs []Region, check Checker) ([]int, error) {
 			if top.End > r.Start {
 				return nil, nil
 			}
+			if top.End == r.Start {
+				touch = int(r.Start)
+			}
 			stack = stack[:len(stack)-1]
+		}
+		if r.Start == r.End && int(r.Start) == touch {
+			return nil, nil
 		}
 		if len(stack) > 0 {
 			parent[i] = stack[len(stack)-1]
@@ -395,146 +283,139 @@ func (u *Universe) Parent(r Region) (Region, bool) {
 	if !u.nested {
 		panic("region: Parent requires a properly nested universe")
 	}
-	i := u.indexOf(r)
-	if i < 0 || u.parent[i] < 0 {
+	i := seek(u.all.regions, 0, r)
+	if i == len(u.all.regions) || u.all.regions[i] != r || u.parent[i] < 0 {
 		return Region{}, false
 	}
 	return u.all.regions[u.parent[i]], true
 }
 
-func (u *Universe) indexOf(r Region) int {
-	lo := lowerBoundStart(u.all.regions, r.Start)
-	for i := lo; i < len(u.all.regions) && u.all.regions[i].Start == r.Start; i++ {
-		if u.all.regions[i] == r {
-			return i
+// seek returns the first index i ≥ from of rs, a slice in set order, whose
+// region does not sort before r, galloping from `from` as the probe kernels
+// do: O(log d) for a jump of d regions, over nearby cache lines when d is
+// small.
+func seek(rs []Region, from int, r Region) int {
+	k := order(r)
+	n := len(rs)
+	if from >= n || order(rs[from]) >= k {
+		return from
+	}
+	lo, step := from, 1 // rs[lo] sorts before r
+	for lo+step < n && order(rs[lo+step]) < k {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, n)
+	lo++
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if order(rs[mid]) < k {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return -1
+	return lo
+}
+
+// order maps a region to an integer that sorts as the region does in set
+// order (Start ascending, End descending): one comparison per probe.
+func order(r Region) uint64 {
+	return uint64(uint32(r.Start)^1<<31)<<32 | uint64(^(uint32(r.End) ^ 1<<31))
 }
 
 // Between reports whether some universe region t ∉ {r, s} satisfies
 // r ⊇ t ⊇ s. This is the paper's "other indexed region between r and s".
+// Such a t includes a direct container of s, which is then one too.
 func (u *Universe) Between(r, s Region) bool {
-	if !r.Includes(s) {
-		return false
-	}
-	if u.nested {
-		// Walk up from s: the containers of s are exactly its
-		// ancestors (plus s itself).
-		cur := s
-		for {
-			p, ok := u.Parent(cur)
-			if !ok || !r.Includes(p) {
-				return false
-			}
-			if p != r && p != s {
-				return true
-			}
-			if p == r {
-				return false
-			}
-			cur = p
-		}
-	}
-	for _, t := range u.containers(s) {
-		if t != r && t != s && r.Includes(t) {
+	var buf [2]int
+	for _, j := range u.appendDirect(buf[:0], s, seek(u.all.regions, 0, s)) {
+		if p := u.all.regions[j]; p != r && r.Includes(p) {
 			return true
 		}
 	}
 	return false
 }
 
-// containers returns all universe regions that include s (including s itself
-// if present). Used only on non-nested universes.
-func (u *Universe) containers(s Region) []Region {
-	var out []Region
-	hi := upperBoundStart(u.all.regions, s.Start)
-	for i := 0; i < hi; i++ {
-		if t := u.all.regions[i]; t.Includes(s) {
-			out = append(out, t)
+// appendDirect appends to out the indexes of the universe regions that
+// directly include s — the minimal elements, under inclusion, of its strict
+// containers — given i = seek(u.all.regions, _, s).
+//
+// On a properly nested universe every container of a region is one of its
+// forest ancestors, so an indexed s has its parent. Any other non-empty s
+// walks up from the last universe region p sorting before it: a container
+// of s sorts before s, so p starts inside it and is included in it, and the
+// first region on p's path to its root that includes s is the tightest.
+// An empty s outside the universe may lie where two universe regions touch,
+// inside both; it and every s of a universe with partial overlaps scan the
+// regions sorting before s, which are where its strict containers are.
+func (u *Universe) appendDirect(out []int, s Region, i int) []int {
+	rs := u.all.regions
+	indexed := i < len(rs) && rs[i] == s
+	switch {
+	case u.nested && indexed:
+		if p := u.parent[i]; p >= 0 {
+			out = append(out, p)
+		}
+		return out
+	case u.nested && s.Len() > 0:
+		for j := i - 1; j >= 0; j = u.parent[j] {
+			if rs[j].Includes(s) {
+				return append(out, j)
+			}
+		}
+		return out
+	}
+	var strict []int
+	for j, t := range rs[:i] {
+		if t.Includes(s) {
+			strict = append(strict, j)
+		}
+	}
+	for _, j := range strict {
+		if !slices.ContainsFunc(strict, func(k int) bool { return rs[j].StrictlyIncludes(rs[k]) }) {
+			out = append(out, j)
 		}
 	}
 	return out
 }
 
-// directContainer returns the region that directly includes s on a properly
-// nested universe, where there is at most one: the forest parent of an
-// indexed s, else the tightest universe region including it.
-func (u *Universe) directContainer(s Region) (Region, bool) {
-	if p, ok := u.Parent(s); ok {
-		return p, true
-	}
-	if u.indexOf(s) >= 0 {
-		return Region{}, false // an indexed root
-	}
-	var best Region
-	found := false
-	for _, t := range u.containers(s) {
-		if t != s && (!found || best.StrictlyIncludes(t)) {
-			best, found = t, true
-		}
-	}
-	return best, found
-}
-
-// directContainers returns the regions that directly include s on a
-// universe with partial overlaps: the minimal elements (under inclusion) of
-// the strict containers of s.
-func (u *Universe) directContainers(s Region) []Region {
-	var minimal []Region
-	for _, t := range u.containers(s) {
-		if t == s {
-			continue
-		}
-		dominated := false
-		for _, t2 := range u.containers(s) {
-			if t2 != s && t2 != t && t.StrictlyIncludes(t2) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			minimal = append(minimal, t)
-		}
-	}
-	return minimal
-}
-
 // DirectContainersOf returns the set of universe regions that directly
-// include some region of S — for each s the minimal elements (under
-// inclusion) of its strict containers. It is the seam through which the
-// direct operators, set and stream, evaluate ⊃d: on a nested universe one
-// forest lookup per region of S and no allocation but the answer. check is
-// polled every pollStride regions of S; on non-nested universes one
-// iteration scans the containers of s, so this is the poll that bounds the
-// O(n²) worst case the paper warns about.
+// include some region of S. It is the seam through which the direct
+// operators, set and stream, evaluate ⊃d: on a nested universe one
+// galloping search and a forest lookup or walk per region of S, then a sort
+// of the containers' indexes, which is their set order. check is polled
+// every pollStride regions of S; on a universe with partial overlaps one
+// iteration scans the regions sorting before s, so this is the poll that
+// bounds the O(n²) worst case the paper warns about.
 func (u *Universe) DirectContainersOf(S Set, check Checker) (Set, error) {
-	var cand []Region
+	var idx []int
 	if u.nested {
-		cand = make([]Region, 0, len(S.regions)) // at most one each
+		idx = make([]int, 0, len(S.regions)) // about one each
 	}
+	at := 0 // S is sorted, so each search starts where the last ended
 	for i, s := range S.regions {
 		if err := poll(check, i); err != nil {
 			return Empty, err
 		}
-		if !u.nested {
-			cand = append(cand, u.directContainers(s)...)
-		} else if p, ok := u.directContainer(s); ok {
-			cand = append(cand, p)
-		}
+		at = seek(u.all.regions, at, s)
+		idx = u.appendDirect(idx, s, at)
 	}
-	return FromOrdered(cand), nil
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	out := make([]Region, len(idx))
+	for k, j := range idx {
+		out[k] = u.all.regions[j]
+	}
+	return trimmed(u.all, out), nil
 }
 
 // DirectlyWithin reports whether a universe region that directly includes r
 // is in S: the ⊂d test for one region.
 func (u *Universe) DirectlyWithin(r Region, S Set) bool {
-	if u.nested {
-		p, ok := u.directContainer(r)
-		return ok && S.Contains(p)
-	}
-	for _, t := range u.directContainers(r) {
-		if S.Contains(t) {
+	var buf [2]int
+	for _, j := range u.appendDirect(buf[:0], r, seek(u.all.regions, 0, r)) {
+		if S.Contains(u.all.regions[j]) {
 			return true
 		}
 	}
@@ -559,7 +440,16 @@ func (u *Universe) DirectlyIncludingCtl(R, S Set, check Checker) (Set, error) {
 	if err != nil {
 		return Empty, err
 	}
-	return cand.Intersect(R), nil
+	// The containers are at most as many as S, often far fewer than R: each
+	// probes R from where the last one landed, not a merge through R.
+	out := make([]Region, 0, cand.Len())
+	j := 0
+	for _, c := range cand.regions {
+		if j = seek(R.regions, j, c); j < len(R.regions) && R.regions[j] == c {
+			out = append(out, c)
+		}
+	}
+	return trimmed(R, out), nil
 }
 
 // DirectlyIncludedCtl returns R ⊂d S: the regions of R whose direct

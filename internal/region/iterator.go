@@ -303,10 +303,13 @@ func OutermostIter(a Iterator) Iterator {
 	return &outermostIter{a: cursor{it: a}, maxEnd: minInt}
 }
 
-// minInt is below every int32 position. The iterators start their running
-// maximum End there, and lastEnd returns it for an empty set, so no region
-// can tie with the sentinel.
-const minInt = -1 << 62
+// minInt and maxInt lie below and above every int32 position. The kernels
+// start a running maximum or minimum End there, and lastEnd returns minInt
+// for an empty set, so no region can tie with the sentinel.
+const (
+	minInt = -1 << 62
+	maxInt = 1 << 62
+)
 
 type outermostIter struct {
 	term
@@ -413,25 +416,22 @@ func (it *innermostIter) Close() {
 }
 
 // IncludingIter streams r ⊃ s: the regions of r strictly including at least
-// one region of s. It keeps a window of s-regions whose Start is within the
-// current r region (bounded lookahead: the window is trimmed as r's Start
-// advances) and a monotone deque over the window's End positions, so the
-// "does r include some s" test is an O(1) minimum lookup; only the
-// self-match tie (min End equals r.End with r itself in the window) scans
-// the window, mirroring the strictBesides caveat of the materializing
-// kernel. check, when non-nil, is polled during that scan.
-func IncludingIter(r, s Iterator, check Checker) Iterator {
-	return &includingIter{r: cursor{it: r}, s: cursor{it: s}, check: check}
+// one region of s. r ⊋ s exactly when r sorts before s and s.End ≤ r.End,
+// so it keeps a window of the s-regions sorting after the current r with a
+// Start within its End (bounded lookahead: entries that do not sort after r
+// are dropped as r advances) and a monotone deque over the window's End
+// positions, and the test is an O(1) minimum lookup.
+func IncludingIter(r, s Iterator) Iterator {
+	return &includingIter{r: cursor{it: r}, s: cursor{it: s}}
 }
 
 type includingIter struct {
 	term
-	r, s  cursor
-	check Checker
-	win   []Region // s-regions with Start ≥ current r.Start, arrival order
-	off   int      // absolute index of win[0]
-	deq   []int    // absolute indices into the window, Ends increasing
-	sEOF  bool
+	r, s cursor
+	win  []Region // s-regions sorting after the current r, arrival order
+	off  int      // absolute index of win[0]
+	deq  []int    // absolute indices into the window, Ends increasing
+	sEOF bool
 }
 
 func (it *includingIter) winAt(abs int) Region { return it.win[abs-it.off] }
@@ -449,9 +449,9 @@ func (it *includingIter) Next() (Region, bool, error) {
 			return it.finish()
 		}
 		it.r.advance()
-		// Drop window entries starting before r: future r-regions start no
-		// earlier, so those entries can never again be included.
-		for len(it.win) > 0 && it.win[0].Start < r.Start {
+		// Drop window entries that do not sort after r: future r-regions
+		// sort after r, so they sort after those entries too.
+		for len(it.win) > 0 && !r.Before(it.win[0]) {
 			it.win = it.win[1:]
 			it.off++
 		}
@@ -474,7 +474,7 @@ func (it *includingIter) Next() (Region, bool, error) {
 				break
 			}
 			it.s.advance()
-			if s.Start < r.Start {
+			if !r.Before(s) {
 				continue
 			}
 			abs := it.off + len(it.win)
@@ -484,31 +484,7 @@ func (it *includingIter) Next() (Region, bool, error) {
 			}
 			it.deq = append(it.deq, abs)
 		}
-		if len(it.deq) == 0 {
-			continue
-		}
-		// Window entries have Start ∈ [r.Start, …]; r includes one iff its
-		// End is ≤ r.End, so the window's minimum End decides.
-		minEnd := it.winAt(it.deq[0]).End
-		if minEnd > r.End {
-			continue
-		}
-		if minEnd < r.End {
-			return r, true, nil // witness differs from r in End: strict
-		}
-		// minEnd == r.End: the only includable entries end exactly at
-		// r.End; strictness needs one that is not r itself.
-		emit := false
-		for i, s := range it.win {
-			if err := poll(it.check, i); err != nil {
-				return it.fail(err)
-			}
-			if s.End == r.End && s != r {
-				emit = true
-				break
-			}
-		}
-		if emit {
+		if len(it.deq) > 0 && it.winAt(it.deq[0]).End <= r.End {
 			return r, true, nil
 		}
 	}
@@ -522,10 +498,8 @@ func (it *includingIter) Close() {
 }
 
 // IncludedIter streams r ⊂ s: the regions of r strictly included in at
-// least one region of s. Containers of r start at or before r.Start — a
-// prefix of s consumed monotonically — so constant state suffices: the
-// running maximum End, how many consumed containers reach it, and one
-// example (to rule out the self-match without keeping the prefix around).
+// least one region of s. Those containers sort before r — a prefix of s
+// consumed monotonically — so one running maximum End over it suffices.
 func IncludedIter(r, s Iterator) Iterator {
 	return &includedIter{r: cursor{it: r}, s: cursor{it: s}, maxEnd: minInt}
 }
@@ -534,9 +508,7 @@ type includedIter struct {
 	term
 	r, s   cursor
 	sEOF   bool
-	maxEnd int    // max End among consumed s-regions
-	nMax   int    // how many consumed s-regions have End == maxEnd
-	exMax  Region // one of them
+	maxEnd int // max End among consumed s-regions
 }
 
 func (it *includedIter) Next() (Region, bool, error) {
@@ -561,23 +533,13 @@ func (it *includedIter) Next() (Region, bool, error) {
 				it.sEOF = true
 				break
 			}
-			if s.Start > r.Start {
+			if !s.Before(r) {
 				break
 			}
 			it.s.advance()
-			switch {
-			case int(s.End) > it.maxEnd:
-				it.maxEnd, it.nMax, it.exMax = int(s.End), 1, s
-			case int(s.End) == it.maxEnd:
-				it.nMax++
-			}
+			it.maxEnd = max(it.maxEnd, int(s.End))
 		}
-		// Consumed s-regions start at or before r.Start; one includes r iff
-		// its End is ≥ r.End. maxEnd > r.End gives a strict container
-		// outright. maxEnd == r.End means every container ends exactly at
-		// r.End: strictness needs one besides r itself, i.e. two of them or
-		// a single one that is not r.
-		if end := int(r.End); it.maxEnd > end || (it.maxEnd == end && (it.nMax >= 2 || it.exMax != r)) {
+		if it.maxEnd >= int(r.End) {
 			return r, true, nil
 		}
 	}

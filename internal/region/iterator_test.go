@@ -32,11 +32,11 @@ func TestIteratorsMatchSetOps(t *testing.T) {
 			{"union", R.Union(S), UnionIter(R.Iter(), S.Iter())},
 			{"intersect", R.Intersect(S), IntersectIter(R.Iter(), S.Iter())},
 			{"diff", R.Diff(S), DiffIter(R.Iter(), S.Iter())},
-			{"including", R.Including(S), IncludingIter(R.Iter(), S.Iter(), nil)},
+			{"including", R.Including(S), IncludingIter(R.Iter(), S.Iter())},
 			{"included", R.Included(S), IncludedIter(R.Iter(), S.Iter())},
 			{"innermost", R.Innermost(), InnermostIter(R.Iter())},
 			{"outermost", R.Outermost(), OutermostIter(R.Iter())},
-			{"self-including", R.Including(R), IncludingIter(R.Iter(), R.Iter(), nil)},
+			{"self-including", R.Including(R), IncludingIter(R.Iter(), R.Iter())},
 			{"self-included", R.Included(R), IncludedIter(R.Iter(), R.Iter())},
 		}
 		for _, c := range cases {
@@ -53,7 +53,7 @@ func TestIteratorsMatchSetOps(t *testing.T) {
 // sharing a Start or an End.
 func TestIteratorTieCases(t *testing.T) {
 	R := mk(0, 10, 0, 4, 2, 10, 2, 4)
-	if got := collect(t, IncludingIter(R.Iter(), R.Iter(), nil)); !got.Equal(R.Including(R)) {
+	if got := collect(t, IncludingIter(R.Iter(), R.Iter())); !got.Equal(R.Including(R)) {
 		t.Errorf("⊃ ties: got %v, want %v", got.Regions(), R.Including(R).Regions())
 	}
 	if got := collect(t, IncludedIter(R.Iter(), R.Iter())); !got.Equal(R.Included(R)) {
@@ -61,7 +61,7 @@ func TestIteratorTieCases(t *testing.T) {
 	}
 	// A lone region never strictly includes itself.
 	one := mk(3, 7)
-	if got := collect(t, IncludingIter(one.Iter(), one.Iter(), nil)); !got.IsEmpty() {
+	if got := collect(t, IncludingIter(one.Iter(), one.Iter())); !got.IsEmpty() {
 		t.Errorf("singleton ⊃ itself: got %v, want empty", got.Regions())
 	}
 	if got := collect(t, IncludedIter(one.Iter(), one.Iter())); !got.IsEmpty() {
@@ -84,7 +84,7 @@ func TestIteratorExhaustionSticky(t *testing.T) {
 		UnionIter(R.Iter(), S.Iter()),
 		IntersectIter(R.Iter(), S.Iter()),
 		DiffIter(R.Iter(), S.Iter()),
-		IncludingIter(R.Iter(), S.Iter(), nil),
+		IncludingIter(R.Iter(), S.Iter()),
 		IncludedIter(R.Iter(), S.Iter()),
 		InnermostIter(R.Iter()),
 		OutermostIter(R.Iter()),
@@ -111,7 +111,7 @@ func TestIteratorExhaustionSticky(t *testing.T) {
 // and Next afterwards reports exhaustion rather than resuming.
 func TestIteratorCloseAfterPartial(t *testing.T) {
 	R, S := mk(0, 10, 1, 3, 5, 9), mk(1, 3, 6, 8)
-	it := UnionIter(InnermostIter(R.Iter()), IncludingIter(R.Iter(), S.Iter(), nil))
+	it := UnionIter(InnermostIter(R.Iter()), IncludingIter(R.Iter(), S.Iter()))
 	if _, ok, err := it.Next(); !ok || err != nil {
 		t.Fatalf("first Next: (%v, %v)", ok, err)
 	}
@@ -122,26 +122,49 @@ func TestIteratorCloseAfterPartial(t *testing.T) {
 	}
 }
 
-// TestIteratorErrorSticky: a checker failure aborts the stream and the error
-// is returned from every subsequent Next.
+// failingIter yields rs, then fails with err.
+type failingIter struct {
+	rs  []Region
+	err error
+}
+
+func (f *failingIter) Next() (Region, bool, error) {
+	if len(f.rs) == 0 {
+		return Region{}, false, f.err
+	}
+	r := f.rs[0]
+	f.rs = f.rs[1:]
+	return r, true, nil
+}
+
+func (f *failingIter) Close() {}
+
+// TestIteratorErrorSticky: an operand stream that fails aborts the merge,
+// and the error is returned from every subsequent Next.
 func TestIteratorErrorSticky(t *testing.T) {
 	boom := errors.New("boom")
-	// Force the tie-scan path (min End == r.End with only r itself in the
-	// window) so the checker is consulted.
-	R := mk(0, 10, 0, 4)
-	it := IncludingIter(R.Iter(), R.Iter(), func() error { return boom })
-	var err error
-	for {
-		var ok bool
-		if _, ok, err = it.Next(); !ok || err != nil {
-			break
+	R := mk(0, 10, 0, 4, 2, 3)
+	fail := func() Iterator { return &failingIter{rs: R.Regions()[:1], err: boom} }
+	for name, it := range map[string]Iterator{
+		"⊃, failing left":  IncludingIter(fail(), R.Iter()),
+		"⊃, failing right": IncludingIter(R.Iter(), fail()),
+		"⊂, failing left":  IncludedIter(fail(), R.Iter()),
+		"⊂, failing right": IncludedIter(R.Iter(), fail()),
+	} {
+		var err error
+		for {
+			var ok bool
+			if _, ok, err = it.Next(); !ok || err != nil {
+				break
+			}
 		}
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("checker error not surfaced: %v", err)
-	}
-	if _, ok, err2 := it.Next(); ok || !errors.Is(err2, boom) {
-		t.Fatalf("error not sticky: (%v, %v)", ok, err2)
+		if !errors.Is(err, boom) {
+			t.Fatalf("%s: stream error not surfaced: %v", name, err)
+		}
+		if _, ok, err2 := it.Next(); ok || !errors.Is(err2, boom) {
+			t.Fatalf("%s: error not sticky: (%v, %v)", name, ok, err2)
+		}
+		it.Close()
 	}
 }
 
@@ -152,7 +175,7 @@ func TestMaterializeCanonical(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sets := randomSets(rng, 2+rng.Intn(40), 2, 25)
 		it := UnionIter(
-			IncludingIter(sets[0].Iter(), sets[1].Iter(), nil),
+			IncludingIter(sets[0].Iter(), sets[1].Iter()),
 			InnermostIter(sets[1].Iter()),
 		)
 		got := collect(t, it)

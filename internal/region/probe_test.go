@@ -143,7 +143,7 @@ func checkInclusion(t *testing.T, where string, R, S Set) {
 	}{
 		{"Including", wantIng, func() Set { return R.Including(S) }},
 		{"Included", wantEd, func() Set { return R.Included(S) }},
-		{"IncludingIter", wantIng, func() Set { return collect(t, IncludingIter(R.Iter(), S.Iter(), nil)) }},
+		{"IncludingIter", wantIng, func() Set { return collect(t, IncludingIter(R.Iter(), S.Iter())) }},
 		{"IncludedIter", wantEd, func() Set { return collect(t, IncludedIter(R.Iter(), S.Iter())) }},
 	}
 	if R.Disjoint() {
@@ -170,6 +170,21 @@ func checkInclusion(t *testing.T, where string, R, S Set) {
 		"Filter": R.Filter(func(r Region) bool { return r.Len()%2 == 0 }),
 	} {
 		checkFlag(t, where+" "+name, s)
+	}
+}
+
+// TestDirectInclusionMatchesNaiveOnShapes runs checkDirect on small
+// operands of every pair of shapes: empty regions on shared boundaries,
+// shared Starts and partial overlaps, inside the universe and out of it.
+func TestDirectInclusionMatchesNaiveOnShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for round := 0; round < 20; round++ {
+		for shR := shape(0); shR < numShapes; shR++ {
+			for shS := shape(0); shS < numShapes; shS++ {
+				R, S := genSet(rng, shR, 1+rng.Intn(30)), genSet(rng, shS, 1+rng.Intn(30))
+				checkDirect(t, fmt.Sprintf("round %d R=%v S=%v", round, shR, shS), R, S)
+			}
+		}
 	}
 }
 

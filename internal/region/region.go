@@ -169,6 +169,35 @@ func subsetOf(parent Set, rs []Region) Set {
 	return Set{regions: rs, disjoint: parent.disjoint || isDisjoint(rs)}
 }
 
+// trimmed wraps out, a selection of parent's regions in set order, as a Set,
+// copying to a right-sized slice when the capacity hint left most of it
+// unused, so long-lived results (cached sets, instance extents) don't pin
+// oversized backing arrays.
+func trimmed(parent Set, out []Region) Set {
+	if len(out) == 0 {
+		return Empty
+	}
+	if cap(out) >= 4*len(out) {
+		exact := make([]Region, len(out))
+		copy(exact, out)
+		out = exact
+	}
+	return subsetOf(parent, out)
+}
+
+// appendRun appends run to out, at least doubling the capacity when it has
+// to grow: the copies made on the way to an answer of n regions stay under
+// 2n, where append's 1.25x steps would make 5n of them. It is for kernels
+// with no bound on their answer better than the big operand.
+func appendRun(out, run []Region) []Region {
+	if need := len(out) + len(run); need > cap(out) {
+		grown := make([]Region, len(out), max(2*cap(out), need))
+		copy(grown, out)
+		out = grown
+	}
+	return append(out, run...)
+}
+
 // Disjoint reports whether each region of the set ends at or before the
 // next starts. The instances of a non-terminal that does not nest in itself
 // are disjoint; sgml's Section is the counterexample.

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -51,6 +52,43 @@ func BenchmarkDirectlyIncludingNested(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u.DirectlyIncluding(outer, inner)
+	}
+}
+
+// BenchmarkDirectOutsideUniverse runs ⊃d and ⊂d on nested universes of
+// about 12 000 and 120 000 regions against 1 000 spans the universe does
+// not hold (word points), one inside each of 500 children and one after
+// it, between two children. Each span's container is found by a search and
+// a walk up from its predecessor, and R of ⊃d is the 500 children, so
+// ns/span should not grow with the universe.
+func BenchmarkDirectOutsideUniverse(b *testing.B) {
+	for _, nOuter := range []int{2000, 20000} {
+		outer, inner := benchSets(nOuter, 5)
+		u := universeOf(outer, inner)
+		var children, spans []Region
+		for i := 0; i < 500; i++ {
+			c := inner.At(i * inner.Len() / 500)
+			children = append(children, c)
+			spans = append(spans, Region{c.Start + 1, c.End - 2}, Region{c.End + 1, c.End + 3})
+		}
+		R, W := FromRegions(children), FromRegions(spans)
+		if !u.ProperlyNested() || W.Len() != 1000 || W.Intersect(u.All()).Len() != 0 {
+			b.Fatal("fixture: the universe is not nested, or holds a span")
+		}
+		for _, c := range []struct {
+			name string
+			run  func() Set
+		}{
+			{"including", func() Set { return u.DirectlyIncluding(R, W) }},
+			{"included", func() Set { return directlyIncluded(u, W, R) }},
+		} {
+			b.Run(fmt.Sprintf("universe=%d/%s", u.All().Len(), c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*W.Len()), "ns/span")
+			})
+		}
 	}
 }
 

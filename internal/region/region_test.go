@@ -1,6 +1,7 @@
 package region
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -168,10 +169,25 @@ func directlyIncluded(u *Universe, R, S Set) Set {
 	return out
 }
 
+// chained reports whether the strict containers of b in all form a chain,
+// every two of them nested.
+func chained(all Set, b Region) bool {
+	for _, a1 := range all.Regions() {
+		for _, a2 := range all.Regions() {
+			if a1.StrictlyIncludes(b) && a2.StrictlyIncludes(b) && !a1.Includes(a2) && !a2.Includes(a1) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestNewUniverseMatchesUnion: the k-way merge is the union of the sets —
 // the same regions, the same disjoint flag, no spare capacity, a region
 // several sets hold kept once — and the forest sweep's nesting verdict is
-// the definition's: no two regions partially overlap.
+// the definition's: no two regions partially overlap, and the strict
+// containers of every region form a chain (an empty region where two
+// regions touch lies inside both).
 func TestNewUniverseMatchesUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
@@ -203,8 +219,9 @@ func TestNewUniverseMatchesUnion(t *testing.T) {
 				trial, all, all.Disjoint(), cap(all.Regions()), want, want.Disjoint())
 		}
 		nested := true
-		for _, a := range all.Regions() {
-			for _, b := range all.Regions() {
+		for _, b := range all.Regions() {
+			nested = nested && chained(all, b)
+			for _, a := range all.Regions() {
 				nested = nested && !a.Overlaps(b)
 			}
 		}
@@ -437,7 +454,81 @@ func TestDirectInclusionMatchesNaiveNested(t *testing.T) {
 		if got, want := directlyIncluded(u, R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊂d=%v want %v", trial, R, S, all, got, want)
 		}
+		// Word points: non-empty spans the universe does not hold, whose
+		// container is found by the walk up from their predecessor.
+		W := outside(rng, all, 20, 64)
+		if got, want := u.DirectlyIncluding(R, W), NaiveDirectlyIncluding(R, W, all); !got.Equal(want) {
+			t.Fatalf("trial %d: R=%v W=%v U=%v: ⊃d=%v want %v", trial, R, W, all, got, want)
+		}
+		if got, want := directlyIncluded(u, W, R), NaiveDirectlyIncluded(W, R, all); !got.Equal(want) {
+			t.Fatalf("trial %d: W=%v R=%v U=%v: ⊂d=%v want %v", trial, W, R, all, got, want)
+		}
+		checkBetween(t, fmt.Sprintf("trial %d", trial), u, W)
 	}
+}
+
+// outside draws about n non-empty spans over [0, span) that are not in all.
+func outside(rng *rand.Rand, all Set, n, span int) Set {
+	var rs []Region
+	for i := 0; i < n; i++ {
+		a := rng.Intn(span)
+		if r := Of(a, a+1+rng.Intn(span-a)); !all.Contains(r) {
+			rs = append(rs, r)
+		}
+	}
+	return FromRegions(rs)
+}
+
+// checkBetween compares u.Between with its definition for every universe
+// region r and every s of the universe and of S.
+func checkBetween(t *testing.T, where string, u *Universe, S Set) {
+	t.Helper()
+	all := u.All()
+	for _, r := range all.Regions() {
+		for _, s := range all.Union(S).Regions() {
+			want := false
+			for _, m := range all.Regions() {
+				want = want || m != r && m != s && r.Includes(m) && m.Includes(s)
+			}
+			if got := u.Between(r, s); got != want {
+				t.Fatalf("%s: U=%v: Between(%v, %v) = %v, want %v", where, all, r, s, got, want)
+			}
+		}
+	}
+}
+
+// TestEmptyRegionWhereTwoTouch: an empty region on the boundary of two
+// touching regions lies inside both, so both include it directly, and no
+// forest holds the universe.
+func TestEmptyRegionWhereTwoTouch(t *testing.T) {
+	left, right, e := mk(0, 5), mk(5, 10), mk(5, 5)
+	u := universeOf(left, right, e)
+	if u.ProperlyNested() {
+		t.Error("a universe with an empty region inside two touching ones reported nested")
+	}
+	all := u.All()
+	for _, c := range []struct{ R, S Set }{
+		{left, e}, {right, e}, {all, e}, {all, all},
+	} {
+		if got, want := u.DirectlyIncluding(c.R, c.S), NaiveDirectlyIncluding(c.R, c.S, all); !got.Equal(want) || want.IsEmpty() {
+			t.Errorf("%v ⊃d %v = %v, want %v", c.R, c.S, got, want)
+		}
+		if got, want := directlyIncluded(u, c.S, c.R), NaiveDirectlyIncluded(c.S, c.R, all); !got.Equal(want) || want.IsEmpty() {
+			t.Errorf("%v ⊂d %v = %v, want %v", c.S, c.R, got, want)
+		}
+	}
+	// The same empty span outside a nested universe.
+	u = universeOf(left, right)
+	if !u.ProperlyNested() {
+		t.Fatal("touching regions are nested")
+	}
+	if got, want := u.DirectlyIncluding(u.All(), e), u.All(); !got.Equal(want) {
+		t.Errorf("%v ⊃d %v = %v, want %v", u.All(), e, got, want)
+	}
+	if got := directlyIncluded(u, e, left); !got.Equal(e) {
+		t.Errorf("%v ⊂d %v = %v, want %v", e, left, got, e)
+	}
+	checkBetween(t, "touching", u, e)
 }
 
 func TestSetAlgebraLaws(t *testing.T) {
@@ -495,29 +586,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func TestMinTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(60)
-		rs := make([]Region, n)
-		for i := range rs {
-			rs[i] = Of(i, i+1+rng.Intn(100))
-		}
-		tab := newMinTable(rs)
-		for q := 0; q < 50; q++ {
-			lo := rng.Intn(n)
-			hi := lo + 1 + rng.Intn(n-lo)
-			want := rs[lo].End
-			for i := lo; i < hi; i++ {
-				if rs[i].End < want {
-					want = rs[i].End
-				}
-			}
-			if got := tab.min(lo, hi); got != want {
-				t.Fatalf("min(%d,%d) = %d, want %d", lo, hi, got, want)
-			}
-		}
-	}
 }
