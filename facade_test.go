@@ -2,6 +2,7 @@ package qof_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,10 +11,15 @@ import (
 	"testing"
 
 	"qof"
+	"qof/internal/algebra"
 	"qof/internal/bibtex"
+	"qof/internal/grammar"
 	"qof/internal/index"
 	"qof/internal/pool"
+	"qof/internal/refeval"
+	"qof/internal/region"
 	"qof/internal/testutil"
+	"qof/internal/text"
 )
 
 func TestFacadeQuery(t *testing.T) {
@@ -66,6 +72,42 @@ func TestFacadeEval(t *testing.T) {
 	}
 	if _, err := file.Eval(`>>>`); err == nil {
 		t.Error("bad expression accepted")
+	}
+}
+
+// TestDirectInclusionOfWordPoints: a word point directly includes the match
+// point inside it, and the match point is directly included in the word
+// point. Neither is an indexed region, and both evaluators answered ∅ while
+// ⊃d and ⊂d knew containers only from the universe.
+func TestDirectInclusionOfWordPoints(t *testing.T) {
+	file, err := qof.BibTeX().Index("sample.bib", bibtex.SampleEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := bibtex.Grammar().BuildInstance(text.NewDocument("sample.bib", bibtex.SampleEntry), grammar.IndexSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, ref := algebra.NewEvaluator(in), refeval.New(in)
+	for src, want := range map[string]region.Region{
+		`word("Ordinary") >d match("rdin")`: {Start: 82, End: 90},
+		`match("rdin") <d word("Ordinary")`: {Start: 83, End: 87},
+	} {
+		e := algebra.MustParse(src)
+		oracle, err := ref.Eval(e)
+		if err != nil || !oracle.Equal(region.FromRegions([]region.Region{want})) {
+			t.Fatalf("%s: refeval %v (err %v), want {%v}", src, oracle, err, want)
+		}
+		if got, err := ev.Eval(e); err != nil || !got.Equal(oracle) {
+			t.Errorf("%s: Eval %v (err %v), want %v", src, got, err, oracle)
+		}
+		if got, err := ev.StreamEval(context.Background(), e, nil, nil); err != nil || !got.Equal(oracle) {
+			t.Errorf("%s: StreamEval %v (err %v), want %v", src, got, err, oracle)
+		}
+		spans, err := file.Eval(src)
+		if err != nil || len(spans) != 1 || spans[0].Start != int(want.Start) || spans[0].End != int(want.End) {
+			t.Errorf("%s: File.Eval %+v (err %v), want [%d,%d)", src, spans, err, want.Start, want.End)
+		}
 	}
 }
 

@@ -145,6 +145,10 @@ type evalCtx struct {
 	// budget, when non-nil, is the query's region allowance.
 	budget *Budget
 
+	// results is the cross-query result cache this evaluation reads and
+	// writes: the evaluator's, or nil when a stream evaluates an operand.
+	results ResultCache
+
 	// pending holds result-cache writes until the evaluation completes;
 	// a failed evaluation discards them (canceled, timed out or
 	// budget-killed evaluations must never be cached).
@@ -196,23 +200,30 @@ func (ev *Evaluator) EvalStats(e Expr, st *Stats) (region.Set, error) {
 // exhaustion surfaces as an error wrapping qerr.ErrBudgetExceeded. A failed
 // evaluation writes nothing to the cross-query result cache.
 func (ev *Evaluator) EvalContext(cctx context.Context, e Expr, st *Stats, b *Budget) (region.Set, error) {
+	return ev.evaluate(cctx, e, st, b, ev.Results)
+}
+
+// evaluate is EvalContext reading and writing the result cache results,
+// which may be nil.
+func (ev *Evaluator) evaluate(cctx context.Context, e Expr, st *Stats, b *Budget, results ResultCache) (region.Set, error) {
 	ctx := ctxPool.Get().(*evalCtx)
 	ctx.stats = st
 	if cctx != nil && cctx.Done() != nil {
 		ctx.cctx = cctx
 	}
 	ctx.budget = b
+	ctx.results = results
 	out, err := ev.eval(ctx, e)
-	if err == nil && ev.Results != nil {
+	if err == nil && results != nil {
 		for _, p := range ctx.pending {
-			ev.Results.Put(p.key, p.set)
+			results.Put(p.key, p.set)
 		}
 	}
 	for i := range ctx.pending {
 		ctx.pending[i] = pendingPut{}
 	}
 	ctx.pending = ctx.pending[:0]
-	ctx.stats, ctx.cctx, ctx.budget = nil, nil, nil
+	ctx.stats, ctx.cctx, ctx.budget, ctx.results = nil, nil, nil, nil
 	ctxPool.Put(ctx)
 	return out, err
 }
@@ -224,13 +235,13 @@ func (ev *Evaluator) eval(ctx *evalCtx, e Expr) (region.Set, error) {
 	var rkey string
 	// The key is computed once here and shared by the cache read and the
 	// deferred write. Leaves cost nothing, so they are never kept.
-	if ev.Results != nil && CostAtLeast(e, DefaultResultMinCost) {
+	if ctx.results != nil && CostAtLeast(e, DefaultResultMinCost) {
 		rkey = e.String()
 		// Budgeted evaluations bypass cache reads (writes still happen):
 		// a cached subexpression skips the very work the budget meters,
 		// which would make budget enforcement depend on cache state.
 		if ctx.budget == nil {
-			if s, ok := ev.Results.Get(rkey); ok {
+			if s, ok := ctx.results.Get(rkey); ok {
 				if ctx.stats != nil {
 					ctx.stats.ResultCacheHits++
 				}
@@ -338,7 +349,7 @@ func (ev *Evaluator) evalUncached(ctx *evalCtx, e Expr) (region.Set, error) {
 		if err != nil {
 			return region.Empty, err
 		}
-		out, err := ev.apply(ctx, e.Op, l, r)
+		out, err := ev.apply(ctx, e, l, r)
 		if err != nil {
 			return region.Empty, err
 		}
@@ -362,8 +373,13 @@ func (ev *Evaluator) safeToSkip(e Expr) bool {
 	return safe
 }
 
-func (ev *Evaluator) apply(ctx *evalCtx, op BinOp, l, r region.Set) (region.Set, error) {
-	switch op {
+// apply computes e's operator over its operands' answers. A ⊃d whose left
+// operand, or a ⊂d whose right operand, may hold regions the universe does
+// not (outsideUniverse) has the kernel decide those by the rule for
+// containers outside the universe; every other operand keeps the kernel's
+// universe-only path.
+func (ev *Evaluator) apply(ctx *evalCtx, e Binary, l, r region.Set) (region.Set, error) {
+	switch e.Op {
 	case OpUnion:
 		return l.Union(r), nil
 	case OpDiff:
@@ -382,16 +398,44 @@ func (ev *Evaluator) apply(ctx *evalCtx, op BinOp, l, r region.Set) (region.Set,
 		if err != nil {
 			return region.Empty, err
 		}
-		return u.DirectlyIncludingCtl(l, r, ctx.checker())
+		return u.DirectlyIncludingCtl(l, r, outsideUniverse(e.L), ctx.checker())
 	case OpDirIncluded:
 		u, err := ev.in.UniverseCtl(ctx.checker())
 		if err != nil {
 			return region.Empty, err
 		}
-		return u.DirectlyIncludedCtl(l, r, ctx.checker())
+		return u.DirectlyIncludedCtl(l, r, outsideUniverse(e.R), ctx.checker())
 	default:
-		return region.Empty, fmt.Errorf("algebra: unknown operator %v", op)
+		return region.Empty, fmt.Errorf("algebra: unknown operator %v", e.Op)
 	}
+}
+
+// outsideUniverse reports whether e's answer may hold regions the universe
+// of indexed regions does not. Only word, prefix and match points lie
+// outside it; σ, ι, ω, near and freq keep a subset of their first operand,
+// −, ⊃, ⊂, ⊃d and ⊂d of their left, ∩ of each, and ∪ the union of both.
+func outsideUniverse(e Expr) bool {
+	switch e := e.(type) {
+	case Word, Prefix, Match:
+		return true
+	case Select:
+		return outsideUniverse(e.Arg)
+	case Unary:
+		return outsideUniverse(e.Arg)
+	case Near:
+		return outsideUniverse(e.E)
+	case Freq:
+		return outsideUniverse(e.Arg)
+	case Binary:
+		switch e.Op {
+		case OpUnion:
+			return outsideUniverse(e.L) || outsideUniverse(e.R)
+		case OpIntersect:
+			return outsideUniverse(e.L) && outsideUniverse(e.R)
+		}
+		return outsideUniverse(e.L)
+	}
+	return false
 }
 
 func (ctx *evalCtx) count(out region.Set, direct bool) {

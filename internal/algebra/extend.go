@@ -41,20 +41,15 @@ func (Freq) isExpr() {}
 func (e Near) String() string { return exprString(e) }
 func (e Freq) String() string { return exprString(e) }
 
-// evalNear computes the proximity selection.
+// evalNear computes the proximity selection: for each region of E, targets
+// are scanned forward from the first start position ≥ r.Start and backward
+// with a prefix-maximum of end positions bounding how far back a target
+// could still reach within k bytes. Positions mix with the caller's k, so
+// the arithmetic is in int.
 func evalNear(E, To region.Set, k int) region.Set {
 	if E.IsEmpty() || To.IsEmpty() {
 		return region.Empty
 	}
-	return E.Filter(nearTest(To, k))
-}
-
-// nearTest returns the proximity test for one region: targets are scanned
-// forward from the first start position ≥ r.Start and backward with a
-// prefix-maximum of end positions bounding how far back a target could
-// still reach within k bytes. Positions mix with the caller's k, so the
-// arithmetic is in int.
-func nearTest(To region.Set, k int) func(region.Region) bool {
 	targets := To.Regions()
 	// prefMaxEnd[i] = max End among targets[0:i].
 	prefMaxEnd := make([]int, len(targets)+1)
@@ -62,7 +57,7 @@ func nearTest(To region.Set, k int) func(region.Region) bool {
 	for i, t := range targets {
 		prefMaxEnd[i+1] = max(prefMaxEnd[i], int(t.End))
 	}
-	return func(r region.Region) bool {
+	return E.Filter(func(r region.Region) bool {
 		i := sort.Search(len(targets), func(i int) bool { return targets[i].Start >= r.Start })
 		for j := i; j < len(targets); j++ {
 			if int(targets[j].Start)-int(r.End) > k {
@@ -81,7 +76,7 @@ func nearTest(To region.Set, k int) func(region.Region) bool {
 			}
 		}
 		return false
-	}
+	})
 }
 
 // gap returns the byte distance between two regions (0 if they touch or
@@ -97,7 +92,10 @@ func gap(a, b region.Region) int {
 	}
 }
 
-// evalFreq counts occurrences of w inside each region.
+// evalFreq counts occurrences of w inside each region. The occurrences are
+// read in place and, having one width, end in the order they start: those
+// within r are a run, and r holds n of them when the n-th from the first
+// starting inside it ends within it.
 func (ev *Evaluator) evalFreq(arg region.Set, w string, n int) region.Set {
 	if n <= 0 {
 		return arg
@@ -106,14 +104,8 @@ func (ev *Evaluator) evalFreq(arg region.Set, w string, n int) region.Set {
 	if occ.Len() < n {
 		return region.Empty
 	}
-	return arg.Filter(func(r region.Region) bool { return freqWithin(occ, r, n) })
-}
-
-// freqWithin reports whether at least n of the occurrences occ lie within
-// r: the frequency test for one region, shared by both evaluators. The
-// occurrences are read in place and, having one width, end in the order
-// they start: those within r are a run.
-func freqWithin(occ region.Points, r region.Region, n int) bool {
-	lo := sort.Search(occ.Len(), func(i int) bool { return occ.At(i).Start >= r.Start })
-	return lo+n <= occ.Len() && occ.At(lo+n-1).End <= r.End
+	return arg.Filter(func(r region.Region) bool {
+		lo := sort.Search(occ.Len(), func(i int) bool { return occ.At(i).Start >= r.Start })
+		return lo+n <= occ.Len() && occ.At(lo+n-1).End <= r.End
+	})
 }

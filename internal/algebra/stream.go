@@ -2,14 +2,23 @@ package algebra
 
 // Streaming evaluation: Stream compiles an expression into a pull-based
 // region.Iterator pipeline instead of materializing every operator result.
-// The set operators become sorted merge iterators, the inclusion operators
-// window/merge iterators with bounded lookahead, and the leaves stream off
-// the index postings, so a consumer that stops early (LIMIT, budget,
-// cancellation) pays only for the prefix it reads. Where an operator's left
-// operand is a bare name whose set is disjoint, the name is not streamed at
-// all: the other operand — a stream, a posting list, a run of the value
-// order — probes the set in hand (streamProbe, streamSelect), which costs
-// what that operand does and is metered as the sweep was (tapOver).
+// The set operators become sorted merge iterators, ⊃ a window/merge
+// iterator with bounded lookahead, σ a filter, and the names stream off
+// the index, so a consumer that stops early (LIMIT, budget, cancellation)
+// pays only for the prefix it reads. Where a σ's or a ⊃'s left operand is a
+// bare name whose set is disjoint, the name is not streamed at all: the
+// other operand — a stream, a posting list, a run of the value order —
+// probes the set in hand (streamBinary, streamSelect), which costs what
+// that operand does and is metered as the sweep was (tapOver).
+//
+// Lazy forms exist for what compiled plans hold: names, σ, ∪, ∩, − and ⊃
+// (TestStreamPlansHoldOnlyLazyOperators walks every compiled plan of the
+// query generator). Every other node — word, prefix and match points, ι,
+// ω, near, freq, ⊂, ⊃d and ⊂d — is evaluated once by the set evaluator
+// when the pipeline is built, and its answer streams out as a name's
+// regions do. That evaluation runs under the pipeline's context, budget
+// and statistics, reads and writes no result-cache entry, and its answer
+// is metered into PeakBytes.
 //
 // The engine runs two evaluators and the shape of the plan picks between
 // them: a plan that needs a complete set before it can answer (an
@@ -31,17 +40,12 @@ package algebra
 //     short-circuit can make the set evaluation cheaper, while merge
 //     iterators that exhaust one operand early make the stream cheaper. A
 //     partially consumed stream charges only for the prefix actually
-//     pulled.
+//     pulled. A node answered by the set evaluator charges as that
+//     evaluator does, and its answer again as it flows out.
 //   - Stats.Ops/DirectOps count pipeline construction; RegionsTouched
 //     counts regions actually emitted; PeakBytes records the high-water
-//     mark of buffers the pipeline had to materialize (proximity targets,
-//     direct-operator right sides).
-//
-// A small number of operators have no streaming form, because they need a
-// whole operand to decide membership: Near materializes its target side,
-// and the direct operators (⊃d/⊂d) materialize their right side (plus, for
-// the layered variant, the left side). Those buffers are metered into
-// PeakBytes.
+//     mark of buffers the pipeline had to materialize (value-order runs,
+//     the answers of set-evaluated nodes).
 
 import (
 	"context"
@@ -89,6 +93,7 @@ const streamPollStride = 1024
 // pipeline share a single streamCtx; pipelines are single-consumer, so no
 // locking is needed.
 type streamCtx struct {
+	cctx   context.Context // nil when the caller's context cannot be canceled
 	check  region.Checker
 	budget *Budget
 	stats  *Stats
@@ -109,7 +114,9 @@ func (sc *streamCtx) meter(n int) {
 // materializing Eval would return, in canonical order; cancellation,
 // deadline expiry and budget exhaustion surface as errors from Next
 // (context errors, or an error wrapping qerr.ErrBudgetExceeded). Unindexed
-// region names are reported immediately, before any region flows.
+// region names are reported immediately, before any region flows, and so
+// is a failure of a node the set evaluator answers while the pipeline is
+// built.
 //
 // The caller owns the iterator and must Close it — also after errors —
 // to release pipeline buffers. Statistics accumulate into st when non-nil.
@@ -129,7 +136,7 @@ func (ev *Evaluator) Stream(cctx context.Context, e Expr, st *Stats, b *Budget) 
 	}
 	sc := &streamCtx{budget: b, stats: st}
 	if cctx != nil && cctx.Done() != nil {
-		sc.check = cctx.Err
+		sc.cctx, sc.check = cctx, cctx.Err
 	}
 	it, err := ev.stream(sc, e)
 	if err != nil {
@@ -151,13 +158,9 @@ func (ev *Evaluator) StreamEval(cctx context.Context, e Expr, st *Stats, b *Budg
 }
 
 // countOp records pipeline construction of one operator.
-func (sc *streamCtx) countOp(direct bool) {
-	if sc.stats == nil {
-		return
-	}
-	sc.stats.Ops++
-	if direct {
-		sc.stats.DirectOps++
+func (sc *streamCtx) countOp() {
+	if sc.stats != nil {
+		sc.stats.Ops++
 	}
 }
 
@@ -170,179 +173,61 @@ func (ev *Evaluator) stream(sc *streamCtx, e Expr) (region.Iterator, error) {
 	case Name:
 		s, _ := ev.in.Region(e.Ident) // validated in Stream
 		return sc.tap(s.Iter(), false), nil
-	case Word:
-		s := ev.in.Words().MatchPoints(e.W)
-		sc.meter(s.Len())
-		return sc.tap(s.Iter(), false), nil
-	case Prefix:
-		s := ev.in.Words().PrefixMatchPoints(e.P)
-		sc.meter(s.Len())
-		return sc.tap(s.Iter(), false), nil
-	case Match:
-		s := ev.in.Words().SubstringMatchPoints(e.S)
-		sc.meter(s.Len())
-		return sc.tap(s.Iter(), false), nil
 	case Select:
 		return ev.streamSelect(sc, e)
-	case Unary:
-		arg, err := ev.stream(sc, e.Arg)
-		if err != nil {
-			return nil, err
-		}
-		sc.countOp(false)
-		if e.Op == OpInnermost {
-			return sc.tap(region.InnermostIter(arg), true), nil
-		}
-		return sc.tap(region.OutermostIter(arg), true), nil
-	case Near:
-		l, err := ev.stream(sc, e.E)
-		if err != nil {
-			return nil, err
-		}
-		// Proximity needs the whole target side: any target anywhere in
-		// the document can witness a region of E. Materialize it.
-		to, err := ev.streamMaterialize(sc, e.To)
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		sc.countOp(false)
-		return sc.tap(streamNear(l, to, e.K), true), nil
-	case Freq:
-		arg, err := ev.stream(sc, e.Arg)
-		if err != nil {
-			return nil, err
-		}
-		sc.countOp(false)
-		return sc.tap(ev.streamFreq(arg, e), true), nil
 	case Binary:
-		if it, err := ev.streamProbe(sc, e); it != nil || err != nil {
-			return it, err
-		}
-		l, err := ev.stream(sc, e.L)
-		if err != nil {
-			return nil, err
-		}
-		it, err := ev.streamBinary(sc, e, l)
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		sc.countOp(e.Op.IsDirect())
-		return sc.tap(it, true), nil
-	default:
-		return nil, fmt.Errorf("algebra: unknown expression %T", e)
-	}
-}
-
-func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary, l region.Iterator) (region.Iterator, error) {
-	switch e.Op {
-	case OpUnion, OpDiff, OpIntersect, OpIncluding, OpIncluded:
-		r, err := ev.stream(sc, e.R)
-		if err != nil {
-			return nil, err
-		}
 		switch e.Op {
-		case OpUnion:
-			return region.UnionIter(l, r), nil
-		case OpDiff:
-			return region.DiffIter(l, r), nil
-		case OpIntersect:
-			return region.IntersectIter(l, r), nil
-		case OpIncluding:
-			return region.IncludingIter(l, r), nil
-		default:
-			return region.IncludedIter(l, r), nil
+		case OpUnion, OpDiff, OpIntersect, OpIncluding:
+			return ev.streamBinary(sc, e)
 		}
-	case OpDirIncluding:
-		// The direct operators consult the universe forest per region; the
-		// right side must be complete before the first answer is known.
-		S, err := ev.streamMaterialize(sc, e.R)
-		if err != nil {
-			return nil, err
-		}
-		if ev.UseLayeredDirect {
-			// The layered program is a whole-set while-loop; run it over
-			// materialized operands and stream the result out.
-			L, err := region.Materialize(l)
-			if err != nil {
-				return nil, err
-			}
-			sc.meter(L.Len())
-			out, err := ev.layeredDirectlyIncluding(sc.check, L, S)
-			if err != nil {
-				return nil, err
-			}
-			sc.meter(out.Len())
-			return out.Iter(), nil
-		}
-		u, err := ev.in.UniverseCtl(sc.check)
-		if err != nil {
-			return nil, err
-		}
-		candSet, err := u.DirectContainersOf(S, sc.check)
-		if err != nil {
-			return nil, err
-		}
-		sc.meter(candSet.Len())
-		return region.IntersectIter(l, candSet.Iter()), nil
-	case OpDirIncluded:
-		S, err := ev.streamMaterialize(sc, e.R)
-		if err != nil {
-			return nil, err
-		}
-		u, err := ev.in.UniverseCtl(sc.check)
-		if err != nil {
-			return nil, err
-		}
-		return region.FilterIter(l, func(r region.Region) bool { return u.DirectlyWithin(r, S) }), nil
-	default:
-		return nil, fmt.Errorf("algebra: unknown operator %v", e.Op)
 	}
-}
-
-// streamMaterialize evaluates a subexpression to a full Set through its own
-// streaming pipeline (so budget, polling and stats still apply) and meters
-// the buffer.
-func (ev *Evaluator) streamMaterialize(sc *streamCtx, e Expr) (region.Set, error) {
-	it, err := ev.stream(sc, e)
-	if err != nil {
-		return region.Empty, err
-	}
-	s, err := region.Materialize(it)
-	if err != nil {
-		return region.Empty, err
-	}
-	sc.meter(s.Len())
-	return s, nil
-}
-
-// streamProbe builds Name ⊃ X and Name ⊂ X for a disjoint name without
-// streaming the name: X is pulled one region at a time and each region
-// gallops in the name's slice, so the operator costs what X does and a
-// LIMIT downstream still stops X early. It returns nil for every other
-// shape; those merge two streams (region.IncludingIter, IncludedIter).
-func (ev *Evaluator) streamProbe(sc *streamCtx, e Binary) (region.Iterator, error) {
-	if e.Op != OpIncluding && e.Op != OpIncluded {
-		return nil, nil
-	}
-	n, ok := e.L.(Name)
-	if !ok {
-		return nil, nil
-	}
-	set, _ := ev.in.Region(n.Ident) // validated in Stream
-	if set.IsEmpty() || !set.Disjoint() {
-		return nil, nil
-	}
-	x, err := ev.stream(sc, e.R)
+	// No lazy form: one set evaluation, which counts its own operators
+	// and regions, and whose answer streams out as a name's regions do.
+	s, err := ev.evaluate(sc.cctx, e, sc.stats, sc.budget, nil)
 	if err != nil {
 		return nil, err
 	}
-	sc.countOp(false)
-	if e.Op == OpIncluding {
-		return sc.tapOver(region.IncludingSetIter(set, x), set), nil
+	sc.meter(s.Len())
+	return sc.tap(s.Iter(), false), nil
+}
+
+// streamBinary merges the operands' streams of ∪, −, ∩ and ⊃. Name ⊃ X for
+// a disjoint name does not stream the name: X is pulled one region at a
+// time and each region gallops in the name's slice, so the operator costs
+// what X does and a LIMIT downstream still stops X early.
+func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary) (region.Iterator, error) {
+	if n, ok := e.L.(Name); ok && e.Op == OpIncluding {
+		if set, _ := ev.in.Region(n.Ident); !set.IsEmpty() && set.Disjoint() { // validated in Stream
+			x, err := ev.stream(sc, e.R)
+			if err != nil {
+				return nil, err
+			}
+			sc.countOp()
+			return sc.tapOver(region.IncludingSetIter(set, x), set), nil
+		}
 	}
-	return sc.tapOver(region.IncludedSetIter(set, x), set), nil
+	l, err := ev.stream(sc, e.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := ev.stream(sc, e.R)
+	if err != nil {
+		l.Close()
+		return nil, err
+	}
+	sc.countOp()
+	var it region.Iterator
+	switch e.Op {
+	case OpUnion:
+		it = region.UnionIter(l, r)
+	case OpDiff:
+		it = region.DiffIter(l, r)
+	case OpIntersect:
+		it = region.IntersectIter(l, r)
+	default:
+		it = region.IncludingIter(l, r)
+	}
+	return sc.tap(it, true), nil
 }
 
 // streamSelect builds σ. Over a bare name the set is in hand and an index
@@ -370,7 +255,7 @@ func (ev *Evaluator) streamSelect(sc *streamCtx, e Select) (region.Iterator, err
 		if pts.Len() == 0 || !set.Disjoint() {
 			return ev.streamFilter(sc, e, pts)
 		}
-		sc.countOp(false)
+		sc.countOp()
 		return sc.tapOver(region.HoldingIter(set, pts, sc.check), set), nil
 	}
 	m, ordered, err := words.TextMatches(set, e.W, e.Mode == SelPrefix, sc.check)
@@ -390,7 +275,7 @@ func (ev *Evaluator) streamSelect(sc *streamCtx, e Select) (region.Iterator, err
 		return nil, err
 	}
 	sc.meter(out.Len())
-	sc.countOp(false)
+	sc.countOp()
 	return sc.tapOver(out.Iter(), set), nil
 }
 
@@ -401,7 +286,7 @@ func (ev *Evaluator) streamFilter(sc *streamCtx, e Select, pts region.Points) (r
 	if err != nil {
 		return nil, err
 	}
-	sc.countOp(false)
+	sc.countOp()
 	var keep func(region.Region) bool
 	content := ev.in.Words().Document().Content()
 	switch e.Mode {
@@ -417,30 +302,6 @@ func (ev *Evaluator) streamFilter(sc *streamCtx, e Select, pts region.Points) (r
 		keep = func(r region.Region) bool { return strings.HasPrefix(content[r.Start:r.End], e.W) }
 	}
 	return sc.tap(region.FilterIter(arg, keep), true), nil
-}
-
-// streamFreq applies the frequency selection as a filter, mirroring
-// evalFreq's counting sweep per region.
-func (ev *Evaluator) streamFreq(arg region.Iterator, e Freq) region.Iterator {
-	if e.N <= 0 {
-		return arg
-	}
-	occ := ev.in.Words().Postings(e.W)
-	if occ.Len() < e.N {
-		arg.Close()
-		return region.Empty.Iter()
-	}
-	return region.FilterIter(arg, func(r region.Region) bool { return freqWithin(occ, r, e.N) })
-}
-
-// streamNear applies the proximity selection as a filter over the streaming
-// left side against materialized targets, with evalNear's test per region.
-func streamNear(l region.Iterator, to region.Set, k int) region.Iterator {
-	if to.IsEmpty() {
-		l.Close()
-		return region.Empty.Iter()
-	}
-	return region.FilterIter(l, nearTest(to, k))
 }
 
 // tap wraps an iterator with the pipeline's cross-cutting concerns:

@@ -268,7 +268,7 @@ func tripsOneShort(t *testing.T, ev *algebra.Evaluator, e algebra.Expr, charged 
 }
 
 // TestStreamProbesMeterLikeTheSweeps: over a bare name the stream executor
-// answers σ, ⊃ and ⊂ out of the name's set instead of streaming it, and
+// answers σ and ⊃ out of the name's set instead of streaming it, and
 // charges the budget for the regions of the name it passes over as if it
 // had. Wrapping the name in (N ∪ N) forces the streamed form — the same
 // regions through a leaf tap and a merge — whose full drain costs exactly
@@ -341,9 +341,8 @@ func TestStreamProbesMeterLikeTheSweeps(t *testing.T) {
 				tripsOneShort(t, ev, p[1], streamedCost)
 				probed++
 			}
-			// ⊂ keeps pulling its right side until it is past the end of
-			// the name, where the merge stopped at the name's last Start:
-			// the same answer, for at most the regions in between more.
+			// ⊂ has no lazy form: both are one set evaluation, which
+			// charges the second leaf and the union's output more.
 			for i := 0; i < 12; i++ {
 				x := indexed()
 				got, cost := used(algebra.Binary{Op: algebra.OpIncluded, L: n, R: x})
@@ -351,8 +350,8 @@ func TestStreamProbesMeterLikeTheSweeps(t *testing.T) {
 				if !got.Equal(want) {
 					t.Fatalf("%s ⊂ %s: %v, streamed form %v", name, x, got, want)
 				}
-				if cost+2*set.Len() < streamedCost {
-					t.Fatalf("%s ⊂ %s: charged %d, the streamed form %d: the probe charged less than the name it passed", name, x, cost, streamedCost)
+				if cost+2*set.Len() != streamedCost {
+					t.Fatalf("%s ⊂ %s: charged %d, the streamed form %d: want a difference of 2·%d", name, x, cost, streamedCost, set.Len())
 				}
 			}
 		}
@@ -360,4 +359,66 @@ func TestStreamProbesMeterLikeTheSweeps(t *testing.T) {
 			t.Fatalf("%s: nothing probed", d.Name)
 		}
 	}
+}
+
+// TestStreamPlansHoldOnlyLazyOperators walks the candidate expression of
+// every variable of every plan the query generator's queries compile to,
+// over every domain and index specification. The stream keeps a lazy form
+// for names, σ, ∪, ∩, − and ⊃ only, and evaluates every other node with
+// the set evaluator; a plan may hold those and ⊃d, whose left operand is a
+// bare name and whose right side was always materialized. A plan that held
+// anything else would have lost its lazy form.
+func TestStreamPlansHoldOnlyLazyOperators(t *testing.T) {
+	const queriesPerSpec = 400
+	seen := map[string]int{}
+	for _, d := range qgen.Domains(1994) {
+		for si, spec := range d.Specs {
+			in, _, err := d.Cat.Grammar.BuildInstance(d.Doc, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := qgen.NewQueryGen(d, int64(407+si))
+			for i := 0; i < queriesPerSpec; i++ {
+				q := gen.Query()
+				plan, err := d.Cat.Compile(q, in)
+				if err != nil {
+					continue // the generator's rare uncompilable draw
+				}
+				for _, v := range plan.Vars {
+					if v.Candidates == nil {
+						continue
+					}
+					algebra.Walk(v.Candidates, func(x algebra.Expr) {
+						kind := ""
+						switch x := x.(type) {
+						case algebra.Name:
+							kind = "name"
+						case algebra.Select:
+							kind = "σ"
+						case algebra.Binary:
+							switch x.Op {
+							case algebra.OpUnion, algebra.OpIntersect, algebra.OpDiff, algebra.OpIncluding:
+								kind = x.Op.Pretty()
+							case algebra.OpDirIncluding:
+								kind = x.Op.Pretty()
+								if _, ok := x.L.(algebra.Name); !ok {
+									t.Errorf("%s %s: %s: ⊃d's left operand %s is not a name", d.Name, q, v.Candidates, x.L)
+								}
+							}
+						}
+						if kind == "" {
+							t.Fatalf("%s spec %d: %s: candidates %s hold %s, which the stream has no lazy form of", d.Name, si, q, v.Candidates, x)
+						}
+						seen[kind]++
+					})
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"name", "σ", "∪", "∩", "−", "⊃", "⊃d"} {
+		if seen[kind] == 0 {
+			t.Errorf("no plan held %s: the walk is vacuous for it (%v)", kind, seen)
+		}
+	}
+	t.Logf("operator nodes in candidate plans: %v", seen)
 }

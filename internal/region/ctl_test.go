@@ -31,10 +31,10 @@ func TestCtlNilCheckerMatchesPlain(t *testing.T) {
 		t.Fatalf("IncludedCtl(nil) diverges (err=%v)", err)
 	}
 	u := universeOf(R, S)
-	if got, err := u.DirectlyIncludingCtl(R, S, nil); err != nil || !got.Equal(u.DirectlyIncluding(R, S)) {
+	if got, err := u.DirectlyIncludingCtl(R, S, false, nil); err != nil || !got.Equal(u.DirectlyIncluding(R, S)) {
 		t.Fatalf("DirectlyIncludingCtl(nil) diverges (err=%v)", err)
 	}
-	if got, err := u.DirectlyIncludedCtl(R, S, nil); err != nil || !got.Equal(NaiveDirectlyIncluded(R, S, u.All())) {
+	if got, err := u.DirectlyIncludedCtl(R, S, false, nil); err != nil || !got.Equal(NaiveDirectlyIncluded(R, S, u.All())) {
 		t.Fatalf("DirectlyIncludedCtl(nil) diverges (err=%v)", err)
 	}
 	keep := func(r Region) bool { return r.Len() > 10 }
@@ -52,8 +52,8 @@ func TestCtlAborts(t *testing.T) {
 	kernels := map[string]func() (Set, error){
 		"IncludingCtl":         func() (Set, error) { return R.IncludingCtl(S, fail) },
 		"IncludedCtl":          func() (Set, error) { return R.IncludedCtl(S, fail) },
-		"DirectlyIncludingCtl": func() (Set, error) { return u.DirectlyIncludingCtl(R, S, fail) },
-		"DirectlyIncludedCtl":  func() (Set, error) { return u.DirectlyIncludedCtl(R, S, fail) },
+		"DirectlyIncludingCtl": func() (Set, error) { return u.DirectlyIncludingCtl(R, S, true, fail) },
+		"DirectlyIncludedCtl":  func() (Set, error) { return u.DirectlyIncludedCtl(R, S, true, fail) },
 		"FilterCtl":            func() (Set, error) { return R.FilterCtl(func(Region) bool { return true }, fail) },
 	}
 	for name, k := range kernels {
@@ -156,6 +156,10 @@ func TestProbeKernelsAbort(t *testing.T) {
 	outer, inner, _ := skewedSets(n, 2, 1)
 	nested := inner.Union(outer) // not disjoint: inner regions sit inside outer ones
 	u := universeOf(outer, inner)
+	// Over the universe of inner alone the regions of outer are outside
+	// it, so their direct pairs with a few inner regions take the rule.
+	uIn := universeOf(inner)
+	few := sample(rand.New(rand.NewSource(2)), inner, pollStride)
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
@@ -169,7 +173,10 @@ func TestProbeKernelsAbort(t *testing.T) {
 		"Holding":              func(c Checker) (Set, error) { return outer.Holding(inner, c) },
 		"HoldingIter":          func(c Checker) (Set, error) { return Materialize(HoldingIter(outer, inner, c)) },
 		"Pick":                 func(c Checker) (Set, error) { return outer.Pick(idx, c) },
-		"DirectContainersOf":   func(c Checker) (Set, error) { return u.DirectContainersOf(inner, c) },
+		"DirectlyIncludingCtl": func(c Checker) (Set, error) { return u.DirectlyIncludingCtl(outer, inner, false, c) },
+		"DirectlyIncludedCtl":  func(c Checker) (Set, error) { return u.DirectlyIncludedCtl(inner, outer, false, c) },
+		"⊃d, outside":          func(c Checker) (Set, error) { return uIn.DirectlyIncludingCtl(outer, few, true, c) },
+		"⊂d, outside":          func(c Checker) (Set, error) { return uIn.DirectlyIncludedCtl(few, outer, true, c) },
 	} {
 		full := 0
 		if got, err := run(func() error { full++; return nil }); err != nil || got.IsEmpty() {

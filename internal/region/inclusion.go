@@ -277,19 +277,6 @@ func buildForest(rs []Region, check Checker) ([]int, error) {
 	return parent, nil
 }
 
-// Parent returns the tightest strict container of r in the universe and
-// whether one exists. It requires a properly nested universe.
-func (u *Universe) Parent(r Region) (Region, bool) {
-	if !u.nested {
-		panic("region: Parent requires a properly nested universe")
-	}
-	i := seek(u.all.regions, 0, r)
-	if i == len(u.all.regions) || u.all.regions[i] != r || u.parent[i] < 0 {
-		return Region{}, false
-	}
-	return u.all.regions[u.parent[i]], true
-}
-
 // seek returns the first index i ≥ from of rs, a slice in set order, whose
 // region does not sort before r, galloping from `from` as the probe kernels
 // do: O(log d) for a jump of d regions, over nearby cache lines when d is
@@ -322,19 +309,6 @@ func seek(rs []Region, from int, r Region) int {
 // order (Start ascending, End descending): one comparison per probe.
 func order(r Region) uint64 {
 	return uint64(uint32(r.Start)^1<<31)<<32 | uint64(^(uint32(r.End) ^ 1<<31))
-}
-
-// Between reports whether some universe region t ∉ {r, s} satisfies
-// r ⊇ t ⊇ s. This is the paper's "other indexed region between r and s".
-// Such a t includes a direct container of s, which is then one too.
-func (u *Universe) Between(r, s Region) bool {
-	var buf [2]int
-	for _, j := range u.appendDirect(buf[:0], s, seek(u.all.regions, 0, s)) {
-		if p := u.all.regions[j]; p != r && r.Includes(p) {
-			return true
-		}
-	}
-	return false
 }
 
 // appendDirect appends to out the indexes of the universe regions that
@@ -380,15 +354,29 @@ func (u *Universe) appendDirect(out []int, s Region, i int) []int {
 	return out
 }
 
-// DirectContainersOf returns the set of universe regions that directly
-// include some region of S. It is the seam through which the direct
-// operators, set and stream, evaluate ⊃d: on a nested universe one
-// galloping search and a forest lookup or walk per region of S, then a sort
-// of the containers' indexes, which is their set order. check is polled
-// every pollStride regions of S; on a universe with partial overlaps one
-// iteration scans the regions sorting before s, so this is the poll that
-// bounds the O(n²) worst case the paper warns about.
-func (u *Universe) DirectContainersOf(S Set, check Checker) (Set, error) {
+// DirectlyIncluding returns R ⊃d S for a set R of universe regions: the
+// regions of R strictly including some region of S with no other universe
+// region strictly between them — i.e. R's regions that are direct
+// containers of an S region.
+func (u *Universe) DirectlyIncluding(R, S Set) Set {
+	out, _ := u.DirectlyIncludingCtl(R, S, false, nil)
+	return out
+}
+
+// DirectlyIncludingCtl returns R ⊃d S. A universe region directly includes
+// s exactly when it is one of s's direct containers, so the universe
+// regions of the answer come from S: on a nested universe one galloping
+// search and a forest lookup or walk per region of S, then a sort of the
+// containers' indexes, which is their set order, and a probe of R for each.
+// outside says that R may hold regions the universe does not (word points);
+// those take the rule of outsidePairs. check is polled every pollStride
+// regions of S and of R; on a universe with partial overlaps one region of
+// S scans the regions sorting before it, so this is the poll that bounds
+// the O(n²) worst case the paper warns about.
+func (u *Universe) DirectlyIncludingCtl(R, S Set, outside bool, check Checker) (Set, error) {
+	if R.IsEmpty() || S.IsEmpty() {
+		return Empty, nil
+	}
 	var idx []int
 	if u.nested {
 		idx = make([]int, 0, len(S.regions)) // about one each
@@ -403,69 +391,109 @@ func (u *Universe) DirectContainersOf(S Set, check Checker) (Set, error) {
 	}
 	slices.Sort(idx)
 	idx = slices.Compact(idx)
-	out := make([]Region, len(idx))
-	for k, j := range idx {
-		out[k] = u.all.regions[j]
-	}
-	return trimmed(u.all, out), nil
-}
-
-// DirectlyWithin reports whether a universe region that directly includes r
-// is in S: the ⊂d test for one region.
-func (u *Universe) DirectlyWithin(r Region, S Set) bool {
-	var buf [2]int
-	for _, j := range u.appendDirect(buf[:0], r, seek(u.all.regions, 0, r)) {
-		if S.Contains(u.all.regions[j]) {
-			return true
-		}
-	}
-	return false
-}
-
-// DirectlyIncluding returns R ⊃d S: the regions of R strictly including some
-// region of S with no other universe region strictly between them — i.e. R's
-// regions that are direct containers of an S region.
-func (u *Universe) DirectlyIncluding(R, S Set) Set {
-	out, _ := u.DirectlyIncludingCtl(R, S, nil)
-	return out
-}
-
-// DirectlyIncludingCtl is DirectlyIncluding with cooperative cancellation:
-// check is polled every pollStride regions of S.
-func (u *Universe) DirectlyIncludingCtl(R, S Set, check Checker) (Set, error) {
-	if R.IsEmpty() || S.IsEmpty() {
-		return Empty, nil
-	}
-	cand, err := u.DirectContainersOf(S, check)
-	if err != nil {
-		return Empty, err
-	}
 	// The containers are at most as many as S, often far fewer than R: each
 	// probes R from where the last one landed, not a merge through R.
-	out := make([]Region, 0, cand.Len())
+	out := make([]Region, 0, len(idx))
 	j := 0
-	for _, c := range cand.regions {
+	for _, k := range idx {
+		c := u.all.regions[k]
 		if j = seek(R.regions, j, c); j < len(R.regions) && R.regions[j] == c {
 			out = append(out, c)
 		}
 	}
-	return trimmed(R, out), nil
+	if !outside {
+		return trimmed(R, out), nil
+	}
+	var more []Region
+	err := u.outsidePairs(R, S, check, func(i, _ int) bool {
+		more = append(more, R.regions[i])
+		return true
+	})
+	if err != nil {
+		return Empty, err
+	}
+	return subsetOf(R, out).Union(subsetOf(R, more)), nil
 }
 
-// DirectlyIncludedCtl returns R ⊂d S: the regions of R whose direct
-// container is a region of S. check is polled every pollStride regions of R.
-func (u *Universe) DirectlyIncludedCtl(R, S Set, check Checker) (Set, error) {
+// DirectlyIncludedCtl returns R ⊂d S: the regions of R directly included
+// in a region of S. A region of S in the universe directly includes r
+// exactly when it is one of r's direct containers, which each r looks up.
+// outside says that S may hold regions the universe does not (word points);
+// those take the rule of outsidePairs. check is polled every pollStride
+// regions of R and of S.
+func (u *Universe) DirectlyIncludedCtl(R, S Set, outside bool, check Checker) (Set, error) {
 	if R.IsEmpty() || S.IsEmpty() {
 		return Empty, nil
 	}
 	var out []Region
+	var buf [2]int
+	at := 0
 	for i, r := range R.regions {
 		if err := poll(check, i); err != nil {
 			return Empty, err
 		}
-		if u.DirectlyWithin(r, S) {
-			out = append(out, r)
+		at = seek(u.all.regions, at, r)
+		for _, j := range u.appendDirect(buf[:0], r, at) {
+			if S.Contains(u.all.regions[j]) {
+				out = append(out, r)
+				break
+			}
 		}
 	}
-	return subsetOf(R, out), nil
+	if !outside {
+		return subsetOf(R, out), nil
+	}
+	var idx []int
+	err := u.outsidePairs(S, R, check, func(_, k int) bool {
+		idx = append(idx, k)
+		return false
+	})
+	if err != nil {
+		return Empty, err
+	}
+	slices.Sort(idx)
+	more := make([]Region, 0, len(idx))
+	for _, k := range slices.Compact(idx) {
+		more = append(more, R.regions[k])
+	}
+	return subsetOf(R, out).Union(subsetOf(R, more)), nil
+}
+
+// outsidePairs finds the direct pairs whose container the universe does
+// not hold: it calls pair(i, k) for each region r = outer[i] outside the
+// universe and each region s = inner[k] that r directly includes, until
+// pair returns true. r directly includes s exactly when r ⊋ s and r
+// strictly includes none of s's direct containers in the universe, since
+// any universe region between the two includes one of those. The regions r
+// strictly includes sort after it and start within it, so each r scans
+// that run of inner. check is polled every pollStride regions of outer.
+func (u *Universe) outsidePairs(outer, inner Set, check Checker, pair func(i, k int) bool) error {
+	rs, ss := u.all.regions, inner.regions
+	var buf [2]int
+	at, from := 0, 0
+	for i, r := range outer.regions {
+		if err := poll(check, i); err != nil {
+			return err
+		}
+		if at = seek(rs, at, r); at < len(rs) && rs[at] == r {
+			continue
+		}
+		from = seek(ss, from, r)
+	scan:
+		for k := from; k < len(ss) && ss[k].Start <= r.End; k++ {
+			s := ss[k]
+			if !r.StrictlyIncludes(s) {
+				continue
+			}
+			for _, j := range u.appendDirect(buf[:0], s, seek(rs, 0, s)) {
+				if r.StrictlyIncludes(rs[j]) {
+					continue scan
+				}
+			}
+			if pair(i, k) {
+				break
+			}
+		}
+	}
+	return nil
 }

@@ -1,17 +1,18 @@
 package region
 
-// Pull-based streaming kernels for the region algebra. Every operator of the
-// materializing Set API has an iterator counterpart here that consumes its
-// operands lazily and emits regions in the canonical set order, so a
-// consumer that stops early (a LIMIT, a budget, a cancellation) never pays
-// for the part of the stream it does not read. The engine runs both forms
-// (the plan's shape picks, see docs/STREAMING.md); the iterators are checked
-// against the set kernels differentially, and those against naive.go.
+// Pull-based streaming kernels for the region algebra: the operators that
+// compiled plans hold — ∪, ∩, −, ⊃ and the σ filter — have an iterator here
+// that consumes its operands lazily and emits regions in the canonical set
+// order, so a consumer that stops early (a LIMIT, a budget, a cancellation)
+// never pays for the part of the stream it does not read. ι, ω, ⊂ and the
+// direct operators have no iterator: the stream evaluator answers them with
+// one set evaluation (docs/STREAMING.md). The iterators are checked against
+// the set kernels differentially, and those against naive.go.
 //
-// IncludingIter and IncludedIter below merge two streams. When the left
-// operand is a disjoint set in hand, IncludingSetIter and IncludedSetIter
-// (probe.go) probe it with the right stream instead, and HoldingIter probes
-// it with a posting list; they obey the same contract.
+// IncludingIter below merges two streams. When its left operand is a
+// disjoint set in hand, IncludingSetIter (probe.go) probes it with the right
+// stream instead, and HoldingIter probes it with a posting list; they obey
+// the same contract.
 //
 // Iterator contract:
 //
@@ -296,125 +297,6 @@ func (it *filterIter) Close() {
 	it.a.close()
 }
 
-// OutermostIter streams ω(a): since containers sort before the regions they
-// include, a region is outermost iff its end exceeds the running maximum —
-// the same sweep Set.Outermost runs, one region at a time.
-func OutermostIter(a Iterator) Iterator {
-	return &outermostIter{a: cursor{it: a}, maxEnd: minInt}
-}
-
-// minInt and maxInt lie below and above every int32 position. The kernels
-// start a running maximum or minimum End there, and lastEnd returns minInt
-// for an empty set, so no region can tie with the sentinel.
-const (
-	minInt = -1 << 62
-	maxInt = 1 << 62
-)
-
-type outermostIter struct {
-	term
-	a      cursor
-	maxEnd int
-}
-
-func (it *outermostIter) Next() (Region, bool, error) {
-	if it.done {
-		return it.terminal()
-	}
-	for {
-		r, ok, err := it.a.head()
-		if err != nil {
-			return it.fail(err)
-		}
-		if !ok {
-			return it.finish()
-		}
-		it.a.advance()
-		if int(r.End) > it.maxEnd {
-			it.maxEnd = int(r.End)
-			return r, true, nil
-		}
-	}
-}
-
-func (it *outermostIter) Close() {
-	it.done = true
-	it.a.close()
-}
-
-// InnermostIter streams ι(a). A region r is innermost iff no later region s
-// (in canonical order every region r could include arrives after it) has
-// s.End ≤ r.End, so r's fate is unknown until either a later region starts
-// past r.End (r survives) or a region included in r arrives (r is out). A
-// region starting exactly at r.End does not settle r: the empty region
-// [r.End, r.End) sorts after every other region starting there, and r
-// includes it. Candidates wait in a pending list; surviving pendings never
-// include one another, so their Starts and Ends are both increasing,
-// flushes are prefix flushes, and the emission order is the input order.
-// The pending list is bounded by the input's partial-overlap degree — at
-// most two entries for properly nested inputs.
-func InnermostIter(a Iterator) Iterator {
-	return &innermostIter{a: cursor{it: a}}
-}
-
-type innermostIter struct {
-	term
-	a       cursor
-	pending []Region // undecided candidates; Starts and Ends increasing
-	ready   []Region // decided innermost, not yet emitted
-	flushed bool     // input exhausted and pending moved to ready
-}
-
-func (it *innermostIter) Next() (Region, bool, error) {
-	if it.done {
-		return it.terminal()
-	}
-	for {
-		if len(it.ready) > 0 {
-			r := it.ready[0]
-			it.ready = it.ready[1:]
-			return r, true, nil
-		}
-		if it.flushed {
-			return it.finish()
-		}
-		s, ok, err := it.a.head()
-		if err != nil {
-			return it.fail(err)
-		}
-		if !ok {
-			it.ready = append(it.ready, it.pending...)
-			it.pending = it.pending[:0]
-			it.flushed = true
-			continue
-		}
-		it.a.advance()
-		// Pendings ending before s.Start can never include a later region
-		// (later Starts are ≥ s.Start): they are innermost.
-		cut := 0
-		for cut < len(it.pending) && it.pending[cut].End < s.Start {
-			cut++
-		}
-		it.ready = append(it.ready, it.pending[:cut]...)
-		it.pending = it.pending[cut:]
-		// Pendings including s are not innermost. All pendings have
-		// Start ≤ s.Start, so inclusion is End ≥ s.End — a suffix of the
-		// increasing-End pending list.
-		keep := len(it.pending)
-		for keep > 0 && it.pending[keep-1].End >= s.End {
-			keep--
-		}
-		it.pending = it.pending[:keep]
-		it.pending = append(it.pending, s)
-	}
-}
-
-func (it *innermostIter) Close() {
-	it.done = true
-	it.pending, it.ready = nil, nil
-	it.a.close()
-}
-
 // IncludingIter streams r ⊃ s: the regions of r strictly including at least
 // one region of s. r ⊋ s exactly when r sorts before s and s.End ≤ r.End,
 // so it keeps a window of the s-regions sorting after the current r with a
@@ -493,60 +375,6 @@ func (it *includingIter) Next() (Region, bool, error) {
 func (it *includingIter) Close() {
 	it.done = true
 	it.win, it.deq = nil, nil
-	it.r.close()
-	it.s.close()
-}
-
-// IncludedIter streams r ⊂ s: the regions of r strictly included in at
-// least one region of s. Those containers sort before r — a prefix of s
-// consumed monotonically — so one running maximum End over it suffices.
-func IncludedIter(r, s Iterator) Iterator {
-	return &includedIter{r: cursor{it: r}, s: cursor{it: s}, maxEnd: minInt}
-}
-
-type includedIter struct {
-	term
-	r, s   cursor
-	sEOF   bool
-	maxEnd int // max End among consumed s-regions
-}
-
-func (it *includedIter) Next() (Region, bool, error) {
-	if it.done {
-		return it.terminal()
-	}
-	for {
-		r, ok, err := it.r.head()
-		if err != nil {
-			return it.fail(err)
-		}
-		if !ok {
-			return it.finish()
-		}
-		it.r.advance()
-		for !it.sEOF {
-			s, sok, err := it.s.head()
-			if err != nil {
-				return it.fail(err)
-			}
-			if !sok {
-				it.sEOF = true
-				break
-			}
-			if !s.Before(r) {
-				break
-			}
-			it.s.advance()
-			it.maxEnd = max(it.maxEnd, int(s.End))
-		}
-		if it.maxEnd >= int(r.End) {
-			return r, true, nil
-		}
-	}
-}
-
-func (it *includedIter) Close() {
-	it.done = true
 	it.r.close()
 	it.s.close()
 }

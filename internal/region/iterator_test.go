@@ -33,11 +33,7 @@ func TestIteratorsMatchSetOps(t *testing.T) {
 			{"intersect", R.Intersect(S), IntersectIter(R.Iter(), S.Iter())},
 			{"diff", R.Diff(S), DiffIter(R.Iter(), S.Iter())},
 			{"including", R.Including(S), IncludingIter(R.Iter(), S.Iter())},
-			{"included", R.Included(S), IncludedIter(R.Iter(), S.Iter())},
-			{"innermost", R.Innermost(), InnermostIter(R.Iter())},
-			{"outermost", R.Outermost(), OutermostIter(R.Iter())},
 			{"self-including", R.Including(R), IncludingIter(R.Iter(), R.Iter())},
-			{"self-included", R.Included(R), IncludedIter(R.Iter(), R.Iter())},
 		}
 		for _, c := range cases {
 			if got := collect(t, c.got); !got.Equal(c.want) {
@@ -48,30 +44,24 @@ func TestIteratorsMatchSetOps(t *testing.T) {
 	}
 }
 
-// TestIteratorTieCases pins the strictness ties the window iterators handle
-// specially: identical regions in both operands, and distinct regions
-// sharing a Start or an End.
+// TestIteratorTieCases pins the strictness ties the window iterator handles
+// specially: identical regions in both operands, distinct regions sharing a
+// Start or an End, and an empty region on an End.
 func TestIteratorTieCases(t *testing.T) {
 	R := mk(0, 10, 0, 4, 2, 10, 2, 4)
 	if got := collect(t, IncludingIter(R.Iter(), R.Iter())); !got.Equal(R.Including(R)) {
 		t.Errorf("⊃ ties: got %v, want %v", got.Regions(), R.Including(R).Regions())
-	}
-	if got := collect(t, IncludedIter(R.Iter(), R.Iter())); !got.Equal(R.Included(R)) {
-		t.Errorf("⊂ ties: got %v, want %v", got.Regions(), R.Included(R).Regions())
 	}
 	// A lone region never strictly includes itself.
 	one := mk(3, 7)
 	if got := collect(t, IncludingIter(one.Iter(), one.Iter())); !got.IsEmpty() {
 		t.Errorf("singleton ⊃ itself: got %v, want empty", got.Regions())
 	}
-	if got := collect(t, IncludedIter(one.Iter(), one.Iter())); !got.IsEmpty() {
-		t.Errorf("singleton ⊂ itself: got %v, want empty", got.Regions())
-	}
 	// An empty region on r.End is inside r, though it sorts after a
-	// region that starts there: r is not innermost.
+	// region that starts there.
 	E := mk(0, 2, 2, 5, 2, 2)
-	if got, want := collect(t, InnermostIter(E.Iter())), E.Innermost(); !got.Equal(want) {
-		t.Errorf("ι with an empty region on an End: got %v, want %v", got.Regions(), want.Regions())
+	if got, want := collect(t, IncludingIter(E.Iter(), E.Iter())), NaiveIncluding(E, E); !got.Equal(want) {
+		t.Errorf("⊃ with an empty region on an End: got %v, want %v", got.Regions(), want.Regions())
 	}
 }
 
@@ -85,9 +75,7 @@ func TestIteratorExhaustionSticky(t *testing.T) {
 		IntersectIter(R.Iter(), S.Iter()),
 		DiffIter(R.Iter(), S.Iter()),
 		IncludingIter(R.Iter(), S.Iter()),
-		IncludedIter(R.Iter(), S.Iter()),
-		InnermostIter(R.Iter()),
-		OutermostIter(R.Iter()),
+		IncludingSetIter(R, S.Iter()),
 		FilterIter(R.Iter(), func(Region) bool { return true }),
 	}
 	for i, it := range its {
@@ -111,7 +99,7 @@ func TestIteratorExhaustionSticky(t *testing.T) {
 // and Next afterwards reports exhaustion rather than resuming.
 func TestIteratorCloseAfterPartial(t *testing.T) {
 	R, S := mk(0, 10, 1, 3, 5, 9), mk(1, 3, 6, 8)
-	it := UnionIter(InnermostIter(R.Iter()), IncludingIter(R.Iter(), S.Iter()))
+	it := UnionIter(DiffIter(R.Iter(), S.Iter()), IncludingIter(R.Iter(), S.Iter()))
 	if _, ok, err := it.Next(); !ok || err != nil {
 		t.Fatalf("first Next: (%v, %v)", ok, err)
 	}
@@ -139,17 +127,16 @@ func (f *failingIter) Next() (Region, bool, error) {
 
 func (f *failingIter) Close() {}
 
-// TestIteratorErrorSticky: an operand stream that fails aborts the merge,
-// and the error is returned from every subsequent Next.
+// TestIteratorErrorSticky: an operand stream that fails aborts the merge or
+// the probe, and the error is returned from every subsequent Next.
 func TestIteratorErrorSticky(t *testing.T) {
 	boom := errors.New("boom")
 	R := mk(0, 10, 0, 4, 2, 3)
 	fail := func() Iterator { return &failingIter{rs: R.Regions()[:1], err: boom} }
 	for name, it := range map[string]Iterator{
-		"⊃, failing left":  IncludingIter(fail(), R.Iter()),
-		"⊃, failing right": IncludingIter(R.Iter(), fail()),
-		"⊂, failing left":  IncludedIter(fail(), R.Iter()),
-		"⊂, failing right": IncludedIter(R.Iter(), fail()),
+		"⊃, failing left":        IncludingIter(fail(), R.Iter()),
+		"⊃, failing right":       IncludingIter(R.Iter(), fail()),
+		"⊃ probe, failing right": IncludingSetIter(mk(0, 10), fail()),
 	} {
 		var err error
 		for {
@@ -176,7 +163,7 @@ func TestMaterializeCanonical(t *testing.T) {
 		sets := randomSets(rng, 2+rng.Intn(40), 2, 25)
 		it := UnionIter(
 			IncludingIter(sets[0].Iter(), sets[1].Iter()),
-			InnermostIter(sets[1].Iter()),
+			DiffIter(sets[1].Iter(), sets[0].Iter()),
 		)
 		got := collect(t, it)
 		want := FromRegions(got.Regions()) // canonicalize a copy

@@ -20,8 +20,9 @@ import "sort"
 // is O(|small| · log(|big|/|small|)) — a merge when the sides are the same
 // size, logarithmic when they are not, with no cutoff between the two.
 //
-// The walkers below are shared by the set kernels (inclusion.go) and by the
-// stream operators that probe a set with a stream.
+// The container and holder walks below are shared by the set kernels
+// (inclusion.go, Holding) and by the stream operators that probe a set
+// with a stream (IncludingSetIter, HoldingIter).
 
 // seekStart returns the first index i ≥ from with rs[i].Start ≥ v, where
 // Starts do not decrease from `from` on.
@@ -133,36 +134,6 @@ func (w *containerWalk) flush() int {
 	return h
 }
 
-// contentWalk answers R ⊂ S for a disjoint R, one region of S at a time:
-// the regions of R strictly inside s are one index range, and the ranges of
-// successive s are merged by never going back before done.
-type contentWalk struct {
-	rs   []Region
-	pos  int // seekStart cursor
-	done int // every index below is decided
-}
-
-// step takes the next region of S and returns the range [from, to) of R it
-// adds to the answer.
-//
-// When s is itself in R it is the first region of its range and is left
-// out. No other region of S can bring it back: its strict containers sort
-// before s, and had one occurred, done would already be past it.
-func (w *contentWalk) step(s Region) (from, to int) {
-	w.pos = seekStart(w.rs, w.pos, s.Start)
-	from = w.pos
-	if from < w.done {
-		from = w.done
-	} else if from < len(w.rs) && w.rs[from] == s {
-		from++
-	}
-	to = seekEnd(w.rs, from, s.End)
-	if to > from {
-		w.done = to
-	}
-	return from, to
-}
-
 // includingByContainer is R ⊃ S for a disjoint R, driven from S.
 func includingByContainer(R, S Set, check Checker) (Set, error) {
 	// One container each, but for an empty s on a boundary, which has two.
@@ -209,16 +180,30 @@ func includingByContent(R, S Set, check Checker) (Set, error) {
 	return trimmed(R, out), nil
 }
 
-// includedByContent is R ⊂ S for a disjoint R, driven from S.
+// includedByContent is R ⊂ S for a disjoint R, driven from S: the regions
+// of R strictly inside s are one index range, and the ranges of successive
+// s are merged by never going back before done. When s is itself in R it
+// is the first region of its range and is left out. No other region of S
+// can bring it back: its strict containers sort before s, and had one
+// occurred, done would already be past it.
 func includedByContent(R, S Set, check Checker) (Set, error) {
 	var out []Region
-	w := contentWalk{rs: R.regions}
+	rs := R.regions
+	pos, done := 0, 0 // seekStart cursor; every index below done is decided
 	for i, s := range S.regions {
 		if err := poll(check, i); err != nil {
 			return Empty, err
 		}
-		if from, to := w.step(s); to > from {
-			out = appendRun(out, R.regions[from:to])
+		pos = seekStart(rs, pos, s.Start)
+		from := pos
+		if from < done {
+			from = done
+		} else if from < len(rs) && rs[from] == s {
+			from++
+		}
+		if to := seekEnd(rs, from, s.End); to > from {
+			out = appendRun(out, rs[from:to])
+			done = to
 		}
 	}
 	return trimmed(R, out), nil
@@ -410,50 +395,6 @@ func (it *includingSetIter) Next() (Region, bool, error) {
 }
 
 func (it *includingSetIter) Close() {
-	it.done = true
-	it.s.Close()
-}
-
-// IncludedSetIter streams R ⊂ s for a disjoint set R held in hand and a
-// stream s: for each s pulled, the regions of R inside it are one range of
-// R's slice, emitted in place.
-func IncludedSetIter(R Set, s Iterator) Iterator {
-	if !R.Disjoint() {
-		panic("region: IncludedSetIter requires a disjoint set")
-	}
-	return &includedSetIter{s: s, w: contentWalk{rs: R.regions}, end: lastEnd(R.regions)}
-}
-
-type includedSetIter struct {
-	term
-	s        Iterator
-	w        contentWalk
-	end      int // lastEnd of R
-	from, to int // the range being emitted
-}
-
-func (it *includedSetIter) Next() (Region, bool, error) {
-	if it.done {
-		return it.terminal()
-	}
-	for {
-		if it.from < it.to {
-			r := it.w.rs[it.from]
-			it.from++
-			return r, true, nil
-		}
-		s, ok, err := it.s.Next()
-		if err != nil {
-			return it.fail(err)
-		}
-		if !ok || int(s.Start) > it.end {
-			return it.finish()
-		}
-		it.from, it.to = it.w.step(s)
-	}
-}
-
-func (it *includedSetIter) Close() {
 	it.done = true
 	it.s.Close()
 }

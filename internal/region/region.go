@@ -36,6 +36,14 @@ type Region struct {
 // engine's PeakBytes and the index's SizeBytes count what sets hold.
 const Bytes = int(unsafe.Sizeof(Region{}))
 
+// minInt and maxInt lie below and above every int32 position. The kernels
+// start a running maximum or minimum End there, and lastEnd returns minInt
+// for an empty set, so no region can tie with the sentinel.
+const (
+	minInt = -1 << 62
+	maxInt = 1 << 62
+)
+
 // Of builds the region [start, end) from int positions, which must lie in
 // [0, math.MaxInt32]: positions the text index or a parse of an accepted
 // document produced.

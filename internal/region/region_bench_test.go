@@ -80,7 +80,7 @@ func BenchmarkDirectOutsideUniverse(b *testing.B) {
 			run  func() Set
 		}{
 			{"including", func() Set { return u.DirectlyIncluding(R, W) }},
-			{"included", func() Set { return directlyIncluded(u, W, R) }},
+			{"included", func() Set { s, _ := u.DirectlyIncludedCtl(W, R, false, nil); return s }},
 		} {
 			b.Run(fmt.Sprintf("universe=%d/%s", u.All().Len(), c.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -163,9 +163,17 @@ func universeOf(sets ...Set) *Universe {
 	return u
 }
 
-// directlyIncluded is R ⊂d S over u, with no cancellation.
+// directlyIncluding is R ⊃d S over u, with no cancellation, taking the
+// rule for containers outside the universe exactly when R holds some.
+func directlyIncluding(u *Universe, R, S Set) Set {
+	out, _ := u.DirectlyIncludingCtl(R, S, !R.Diff(u.All()).IsEmpty(), nil)
+	return out
+}
+
+// directlyIncluded is R ⊂d S over u, with no cancellation, taking the rule
+// for containers outside the universe exactly when S holds some.
 func directlyIncluded(u *Universe, R, S Set) Set {
-	out, _ := u.DirectlyIncludedCtl(R, S, nil)
+	out, _ := u.DirectlyIncludedCtl(R, S, !S.Diff(u.All()).IsEmpty(), nil)
 	return out
 }
 
@@ -312,30 +320,43 @@ func TestDirectInclusionPaperExample(t *testing.T) {
 	}
 }
 
+// TestUniverseParent: the direct container of an indexed region is its
+// forest parent, and a root or a region past every other has none.
 func TestUniverseParent(t *testing.T) {
 	u := universeOf(mk(0, 100, 10, 40, 20, 30, 50, 60))
-	p, ok := u.Parent(Region{20, 30})
-	if !ok || p != (Region{10, 40}) {
-		t.Errorf("Parent([20,30)) = %v,%v", p, ok)
+	if got := u.DirectlyIncluding(u.All(), mk(20, 30)); !got.Equal(mk(10, 40)) {
+		t.Errorf("U ⊃d [20,30) = %v, want [10,40)", got)
 	}
-	if _, ok := u.Parent(Region{0, 100}); ok {
-		t.Error("root has no parent")
+	if got := u.DirectlyIncluding(u.All(), mk(0, 100)); !got.IsEmpty() {
+		t.Errorf("U ⊃d the root = %v, want empty", got)
 	}
-	if _, ok := u.Parent(Region{999, 1000}); ok {
-		t.Error("unknown region has no parent")
+	if got := u.DirectlyIncluding(u.All(), mk(999, 1000)); !got.IsEmpty() {
+		t.Errorf("U ⊃d a region past the universe = %v, want empty", got)
 	}
 }
 
+// TestBetween: a region with another between it and s includes s but not
+// directly, whichever side of the universe it is on.
 func TestBetween(t *testing.T) {
 	u := universeOf(mk(0, 100, 10, 40, 20, 30))
-	if !u.Between(Region{0, 100}, Region{20, 30}) {
-		t.Error("Between should see [10,40)")
-	}
-	if u.Between(Region{10, 40}, Region{20, 30}) {
-		t.Error("nothing between parent and child")
-	}
-	if u.Between(Region{20, 30}, Region{0, 100}) {
-		t.Error("Between requires inclusion")
+	for _, c := range []struct {
+		r, s   Set
+		direct bool
+	}{
+		{mk(0, 100), mk(20, 30), false}, // [10,40) is between
+		{mk(10, 40), mk(20, 30), true},  // parent and child
+		{mk(20, 30), mk(0, 100), false}, // no inclusion
+		{mk(5, 50), mk(20, 30), false},  // outside the universe, [10,40) between
+		{mk(15, 35), mk(20, 30), true},  // outside the universe, inside [10,40)
+		{mk(21, 35), mk(22, 24), true},  // both outside, [20,30) overlaps r
+		{mk(19, 35), mk(22, 24), false}, // both outside, [20,30) between
+	} {
+		if got := !directlyIncluding(u, c.r, c.s).IsEmpty(); got != c.direct {
+			t.Errorf("%v ⊃d %v non-empty = %v, want %v", c.r, c.s, got, c.direct)
+		}
+		if got := !directlyIncluded(u, c.s, c.r).IsEmpty(); got != c.direct {
+			t.Errorf("%v ⊂d %v non-empty = %v, want %v", c.s, c.r, got, c.direct)
+		}
 	}
 }
 
@@ -455,15 +476,19 @@ func TestDirectInclusionMatchesNaiveNested(t *testing.T) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊂d=%v want %v", trial, R, S, all, got, want)
 		}
 		// Word points: non-empty spans the universe does not hold, whose
-		// container is found by the walk up from their predecessor.
+		// container is found by the walk up from their predecessor, and
+		// which contain spans themselves, so their direct pairs take the
+		// rule for containers outside the universe.
 		W := outside(rng, all, 20, 64)
-		if got, want := u.DirectlyIncluding(R, W), NaiveDirectlyIncluding(R, W, all); !got.Equal(want) {
-			t.Fatalf("trial %d: R=%v W=%v U=%v: ⊃d=%v want %v", trial, R, W, all, got, want)
+		for _, p := range [][2]Set{{R, W}, {W, R}, {W, W}, {W.Union(R), S}} {
+			if got, want := directlyIncluding(u, p[0], p[1]), NaiveDirectlyIncluding(p[0], p[1], all); !got.Equal(want) {
+				t.Fatalf("trial %d: U=%v: %v ⊃d %v = %v, want %v", trial, all, p[0], p[1], got, want)
+			}
+			if got, want := directlyIncluded(u, p[1], p[0]), NaiveDirectlyIncluded(p[1], p[0], all); !got.Equal(want) {
+				t.Fatalf("trial %d: U=%v: %v ⊂d %v = %v, want %v", trial, all, p[1], p[0], got, want)
+			}
 		}
-		if got, want := directlyIncluded(u, W, R), NaiveDirectlyIncluded(W, R, all); !got.Equal(want) {
-			t.Fatalf("trial %d: W=%v R=%v U=%v: ⊂d=%v want %v", trial, W, R, all, got, want)
-		}
-		checkBetween(t, fmt.Sprintf("trial %d", trial), u, W)
+		checkDirectPairs(t, fmt.Sprintf("trial %d", trial), u, W)
 	}
 }
 
@@ -479,19 +504,25 @@ func outside(rng *rand.Rand, all Set, n, span int) Set {
 	return FromRegions(rs)
 }
 
-// checkBetween compares u.Between with its definition for every universe
-// region r and every s of the universe and of S.
-func checkBetween(t *testing.T, where string, u *Universe, S Set) {
+// checkDirectPairs runs ⊃d and ⊂d on every pair of single regions r and s
+// of the universe and of S against the definition: r ⊋ s with no universe
+// region strictly between them.
+func checkDirectPairs(t *testing.T, where string, u *Universe, S Set) {
 	t.Helper()
 	all := u.All()
-	for _, r := range all.Regions() {
-		for _, s := range all.Union(S).Regions() {
-			want := false
+	rs := all.Union(S).Regions()
+	for _, r := range rs {
+		for _, s := range rs {
+			want := r.StrictlyIncludes(s)
 			for _, m := range all.Regions() {
-				want = want || m != r && m != s && r.Includes(m) && m.Includes(s)
+				want = want && !(r.StrictlyIncludes(m) && m.StrictlyIncludes(s))
 			}
-			if got := u.Between(r, s); got != want {
-				t.Fatalf("%s: U=%v: Between(%v, %v) = %v, want %v", where, all, r, s, got, want)
+			R, S := Set{regions: []Region{r}}, Set{regions: []Region{s}}
+			if got := !directlyIncluding(u, R, S).IsEmpty(); got != want {
+				t.Fatalf("%s: U=%v: %v ⊃d %v non-empty = %v, want %v", where, all, r, s, got, want)
+			}
+			if got := !directlyIncluded(u, S, R).IsEmpty(); got != want {
+				t.Fatalf("%s: U=%v: %v ⊂d %v non-empty = %v, want %v", where, all, s, r, got, want)
 			}
 		}
 	}
@@ -528,7 +559,7 @@ func TestEmptyRegionWhereTwoTouch(t *testing.T) {
 	if got := directlyIncluded(u, e, left); !got.Equal(e) {
 		t.Errorf("%v ⊂d %v = %v, want %v", e, left, got, e)
 	}
-	checkBetween(t, "touching", u, e)
+	checkDirectPairs(t, "touching", u, e)
 }
 
 func TestSetAlgebraLaws(t *testing.T) {

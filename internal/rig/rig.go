@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"qof/internal/index"
-	"qof/internal/region"
 )
 
 // Graph is a region inclusion graph. Nodes are region names; an edge
@@ -290,37 +289,20 @@ func (g *Graph) IsPath(names ...string) bool {
 // Satisfies checks Definition 3.1: the instance satisfies the graph iff
 // whenever a region of name A directly includes a region of name B — B's
 // region is strictly inside A's with no other indexed region in between —
-// the edge (A, B) is present. It returns nil on success and a descriptive
-// error naming the first violation otherwise.
+// the edge (A, B) is present. It evaluates A ⊃d B over the instance's
+// universe for each ordered pair of names with no edge, and returns nil
+// when every answer is empty, else an error naming the first violation.
 func (g *Graph) Satisfies(in *index.Instance) error {
 	u := in.Universe()
 	names := in.Names()
-	// Map each region to the names holding it, so that a direct container
-	// can be attributed to its region name(s).
-	holders := make(map[region.Region][]string)
-	for _, n := range names {
-		for _, r := range in.MustRegion(n).Regions() {
-			holders[r] = append(holders[r], n)
-		}
-	}
-	for _, b := range names {
-		set := in.MustRegion(b)
-		parents := u.DirectlyIncluding(u.All(), set)
-		for _, p := range parents.Regions() {
-			// p directly includes some region of b; find which.
-			for _, r := range set.Regions() {
-				if !p.StrictlyIncludes(r) {
-					continue
-				}
-				if u.Between(p, r) {
-					continue
-				}
-				for _, a := range holders[p] {
-					if !g.HasEdge(a, b) {
-						return fmt.Errorf("rig: instance violates graph: %s region %v directly includes %s region %v but edge (%s, %s) is absent",
-							a, p, b, r, a, b)
-					}
-				}
+	for _, a := range names {
+		for _, b := range names {
+			if g.HasEdge(a, b) {
+				continue
+			}
+			if p := u.DirectlyIncluding(in.MustRegion(a), in.MustRegion(b)); !p.IsEmpty() {
+				return fmt.Errorf("rig: instance violates graph: %s region %v directly includes a %s region but edge (%s, %s) is absent",
+					a, p.At(0), b, a, b)
 			}
 		}
 	}
