@@ -9,6 +9,7 @@ import (
 
 	"qof/internal/bibtex"
 	"qof/internal/grammar"
+	"qof/internal/region"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -94,10 +95,12 @@ func BenchmarkMicroDirectIncluding(b *testing.B) {
 	s := newBibtex(b, benchRefs, grammar.IndexSpec{}, 0)
 	refs := s.in.MustRegion(bibtex.NTReference)
 	authors := s.in.MustRegion(bibtex.NTAuthors)
-	u := s.in.Universe()
+	named := s.in.Sets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u.DirectlyIncluding(refs, authors)
+		if _, err := region.DirectlyIncluding(refs, authors, named, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -151,7 +151,7 @@ func e1(refs []int) []row {
 
 // E2 (§3.2, Theorem 3.6): Reference ⊃d Authors ⊃d Name ⊃d σ"Chang"(Last_Name)
 // against its most efficient equivalent, with ⊃d as the engine evaluates it
-// (the universe's nesting forest) and as the paper's layered program does.
+// (the nearest-container sweep) and as the paper's layered program does.
 func e2(refs []int) []row {
 	original := algebra.MustParse(`Reference >d Authors >d Name >d contains(Last_Name, "Chang")`)
 	optimized := algebra.MustParse(`Reference > Authors > contains(Last_Name, "Chang")`)
@@ -172,7 +172,7 @@ func e2(refs []int) []row {
 }
 
 // E3 (§3.1): Section ⊃d Section against Section ⊃ Section as SGML sections
-// nest deeper (fanout 2), ⊃d both through the universe and by the layered
+// nest deeper (fanout 2), ⊃d both through the sweep and by the layered
 // program. The table's sizes are its depths, so refs is not read.
 func e3([]int) []row {
 	var rows []row

@@ -15,6 +15,7 @@ import (
 	"qof/internal/bibtex"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/optimizer"
 	"qof/internal/pool"
 	"qof/internal/refeval"
 	"qof/internal/region"
@@ -77,8 +78,8 @@ func TestFacadeEval(t *testing.T) {
 
 // TestDirectInclusionOfWordPoints: a word point directly includes the match
 // point inside it, and the match point is directly included in the word
-// point. Neither is an indexed region, and both evaluators answered ∅ while
-// ⊃d and ⊂d knew containers only from the universe.
+// point. Neither is an indexed region: containers no named set holds never
+// block, and both evaluators once answered ∅ here.
 func TestDirectInclusionOfWordPoints(t *testing.T) {
 	file, err := qof.BibTeX().Index("sample.bib", bibtex.SampleEntry)
 	if err != nil {
@@ -514,6 +515,60 @@ func TestFileParallelByDefault(t *testing.T) {
 		}
 		if started := probe.Max() - base; started > 0 {
 			t.Errorf("%s: %d goroutines started", c.name, started)
+		}
+	}
+}
+
+// TestLoadRejectsAViolatedRIG: a well-formed index whose first Title lies
+// inside its Reference's Key violates Definition 3.1 (a Key directly
+// includes a Title), and the rewrites believe the RIG: on it the
+// optimizer's form of Reference ⊃d Title, Reference ⊃ Title, answers what
+// refeval's definition does not. Load refuses such an index with
+// index.ErrIndexMismatch; the honest index of the same file loads.
+func TestLoadRejectsAViolatedRIG(t *testing.T) {
+	content, _ := bibtex.Generate(bibtex.DefaultConfig(2))
+	g := bibtex.Grammar()
+	honest, _, err := g.BuildInstance(text.NewDocument("two.bib", content), grammar.IndexSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string]region.Set{}
+	for _, n := range honest.Names() {
+		sets[n] = honest.MustRegion(n)
+	}
+	titles, key := sets[bibtex.NTTitle].Regions(), sets[bibtex.NTKey].At(0)
+	moved := append([]region.Region{{Start: key.Start + 1, End: key.End - 1}}, titles[1:]...)
+	sets[bibtex.NTTitle] = region.FromRegions(moved)
+	forged := index.New(honest.Words(), sets, nil)
+
+	e := algebra.MustParse(`Reference >d Title`)
+	opt, rewrites := optimizer.OptimizeExpr(e, g.DeriveRIG())
+	if len(rewrites) == 0 {
+		t.Fatalf("%s was not rewritten", e)
+	}
+	want, err := refeval.New(forged).Eval(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := algebra.NewEvaluator(forged).Eval(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Equal(want) {
+		t.Fatalf("on the forged index %s = %v agrees with refeval's %s", opt, got, e)
+	}
+
+	schema := qof.BibTeX()
+	for _, c := range []struct {
+		in   *index.Instance
+		want error
+	}{{forged, index.ErrIndexMismatch}, {honest, nil}} {
+		var buf bytes.Buffer
+		if err := c.in.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := schema.Load(&buf, "two.bib", content); !errors.Is(err, c.want) {
+			t.Errorf("Load: err = %v, want %v", err, c.want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"qof/internal/index"
 	"qof/internal/region"
+	"qof/internal/testutil/nesting"
 	"qof/internal/text"
 )
 
@@ -57,8 +58,8 @@ func fixture(t testing.TB) *index.Instance {
 		"First_Name": region.FromRegions(firsts),
 		"Last_Name":  region.FromRegions(lasts),
 	}, nil)
-	if !in.Universe().ProperlyNested() {
-		t.Fatal("fixture instance is not properly nested")
+	if err := nesting.Check(in.Sets()); err != nil {
+		t.Fatalf("fixture instance is not properly nested: %v", err)
 	}
 	return in
 }
@@ -387,7 +388,7 @@ func TestLayeredDirectMatchesUniverse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !a.Equal(b) {
-			t.Errorf("%s: universe=%v layered=%v", src, a, b)
+			t.Errorf("%s: sweep=%v layered=%v", src, a, b)
 		}
 	}
 }
@@ -396,7 +397,10 @@ func TestLayeredDirectMatchesNaiveRandomNested(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 120; trial++ {
 		in, setNames := randomNestedInstance(rng)
-		u := in.Universe()
+		all := region.Empty
+		for _, s := range in.Sets() {
+			all = all.Union(s)
+		}
 		for i := 0; i < 3; i++ {
 			rn := setNames[rng.Intn(len(setNames))]
 			sn := setNames[rng.Intn(len(setNames))]
@@ -406,10 +410,13 @@ func TestLayeredDirectMatchesNaiveRandomNested(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %s >d %s: %v", trial, rn, sn, err)
 			}
-			want := region.NaiveDirectlyIncluding(R, S, u.All())
+			want := region.NaiveDirectlyIncluding(R, S, all)
 			if !got.Equal(want) {
-				t.Fatalf("trial %d: %s >d %s: layered=%v naive=%v (universe %v)",
-					trial, rn, sn, got, want, u.All())
+				t.Fatalf("trial %d: %s >d %s: layered=%v naive=%v (named %v)",
+					trial, rn, sn, got, want, all)
+			}
+			if sweep, err := region.DirectlyIncluding(R, S, in.Sets(), nil); err != nil || !sweep.Equal(want) {
+				t.Fatalf("trial %d: %s >d %s: sweep=%v (err %v) naive=%v", trial, rn, sn, sweep, err, want)
 			}
 		}
 	}

@@ -39,7 +39,7 @@ type Evaluator struct {
 	in *index.Instance
 
 	// UseLayeredDirect evaluates ⊃d with the paper's layered while-loop
-	// program (Section 3.1) instead of the universe-based implementation.
+	// program (Section 3.1) instead of the nearest-container sweep.
 	// It exists to reproduce the paper's cost argument; results agree on
 	// properly nested instances.
 	UseLayeredDirect bool
@@ -373,11 +373,8 @@ func (ev *Evaluator) safeToSkip(e Expr) bool {
 	return safe
 }
 
-// apply computes e's operator over its operands' answers. A ⊃d whose left
-// operand, or a ⊂d whose right operand, may hold regions the universe does
-// not (outsideUniverse) has the kernel decide those by the rule for
-// containers outside the universe; every other operand keeps the kernel's
-// universe-only path.
+// apply computes e's operator over its operands' answers. ⊃d and ⊂d read
+// the instance's named sets for the regions that may lie in between.
 func (ev *Evaluator) apply(ctx *evalCtx, e Binary, l, r region.Set) (region.Set, error) {
 	switch e.Op {
 	case OpUnion:
@@ -394,48 +391,12 @@ func (ev *Evaluator) apply(ctx *evalCtx, e Binary, l, r region.Set) (region.Set,
 		if ev.UseLayeredDirect {
 			return ev.layeredDirectlyIncluding(ctx.checker(), l, r)
 		}
-		u, err := ev.in.UniverseCtl(ctx.checker())
-		if err != nil {
-			return region.Empty, err
-		}
-		return u.DirectlyIncludingCtl(l, r, outsideUniverse(e.L), ctx.checker())
+		return region.DirectlyIncluding(l, r, ev.in.Sets(), ctx.checker())
 	case OpDirIncluded:
-		u, err := ev.in.UniverseCtl(ctx.checker())
-		if err != nil {
-			return region.Empty, err
-		}
-		return u.DirectlyIncludedCtl(l, r, outsideUniverse(e.R), ctx.checker())
+		return region.DirectlyIncluded(l, r, ev.in.Sets(), ctx.checker())
 	default:
 		return region.Empty, fmt.Errorf("algebra: unknown operator %v", e.Op)
 	}
-}
-
-// outsideUniverse reports whether e's answer may hold regions the universe
-// of indexed regions does not. Only word, prefix and match points lie
-// outside it; σ, ι, ω, near and freq keep a subset of their first operand,
-// −, ⊃, ⊂, ⊃d and ⊂d of their left, ∩ of each, and ∪ the union of both.
-func outsideUniverse(e Expr) bool {
-	switch e := e.(type) {
-	case Word, Prefix, Match:
-		return true
-	case Select:
-		return outsideUniverse(e.Arg)
-	case Unary:
-		return outsideUniverse(e.Arg)
-	case Near:
-		return outsideUniverse(e.E)
-	case Freq:
-		return outsideUniverse(e.Arg)
-	case Binary:
-		switch e.Op {
-		case OpUnion:
-			return outsideUniverse(e.L) || outsideUniverse(e.R)
-		case OpIntersect:
-			return outsideUniverse(e.L) && outsideUniverse(e.R)
-		}
-		return outsideUniverse(e.L)
-	}
-	return false
 }
 
 func (ctx *evalCtx) count(out region.Set, direct bool) {

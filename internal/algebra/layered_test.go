@@ -21,11 +21,11 @@ func regs(pairs ...int) region.Set {
 }
 
 // TestLayeredDirectEdgeCases exercises the Section 3.1 layered while-loop
-// program for ⊃d (and the universe-based ⊂d) on the boundary shapes of the
+// program for ⊃d (and the sweep's ⊂d) on the boundary shapes of the
 // region model: same-start and same-end nesting, adjacent siblings, chains
 // deeper than two, identical region pairs, self-nested single names, and
 // empty operands. Every case is checked three ways — layered program,
-// universe-based implementation, and the naive refeval oracle — and the
+// the nearest-container sweep, and the naive refeval oracle — and the
 // cases with a stated expectation also pin the exact result.
 func TestLayeredDirectEdgeCases(t *testing.T) {
 	cases := []struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qof/internal/db"
+	"qof/internal/testutil/nesting"
 	"qof/internal/text"
 )
 
@@ -316,8 +317,8 @@ func TestBuildInstanceSatisfiesRIG(t *testing.T) {
 	if got := in.MustRegion("Name").Len(); got != 5 {
 		t.Errorf("Name regions = %d", got)
 	}
-	if !in.Universe().ProperlyNested() {
-		t.Error("parse-tree regions must nest properly")
+	if err := nesting.Check(in.Sets()); err != nil {
+		t.Errorf("parse-tree regions must nest properly: %v", err)
 	}
 	if err := g.DeriveRIG().Satisfies(in); err != nil {
 		t.Errorf("instance must satisfy derived RIG: %v", err)

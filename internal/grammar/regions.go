@@ -110,8 +110,11 @@ func (g *Grammar) BuildInstance(doc *text.Document, spec IndexSpec) (*index.Inst
 
 // LoadInstance reads an index written by Instance.Save and re-attaches it
 // to doc (index.Load), then checks that it is this grammar's: every indexed
-// name and every scope must be one of its non-terminals. An index saved
-// under another schema fails with an error wrapping index.ErrIndexMismatch.
+// name and every scope must be one of its non-terminals, and the regions
+// must satisfy the grammar's RIG projected onto the indexed names as the
+// compiler projects it (Definition 3.1), which every rewrite assumes. An
+// index saved under another schema, or one whose regions nest as no parse
+// of the grammar does, fails with an error wrapping index.ErrIndexMismatch.
 func (g *Grammar) LoadInstance(r io.Reader, doc *text.Document) (*index.Instance, error) {
 	in, err := index.Load(r, doc)
 	if err != nil {
@@ -124,6 +127,15 @@ func (g *Grammar) LoadInstance(r io.Reader, doc *text.Document) (*index.Instance
 		if scope := in.Scope(name); scope != "" && g.prods[scope] == nil {
 			return nil, fmt.Errorf("%w: scope %q of region %q is not a non-terminal of the grammar", index.ErrIndexMismatch, scope, name)
 		}
+	}
+	var opaque []string
+	for _, name := range in.Names() {
+		if in.Scope(name) == "" {
+			opaque = append(opaque, name)
+		}
+	}
+	if err := g.DeriveRIG().ProjectTransparent(in.Names(), opaque).Satisfies(in); err != nil {
+		return nil, fmt.Errorf("%w: %v", index.ErrIndexMismatch, err)
 	}
 	return in, nil
 }

@@ -284,13 +284,13 @@ func TestInstanceBasics(t *testing.T) {
 		}()
 		in.MustRegion("Nope")
 	}()
-	if u := in.Universe(); u.All().Len() != 2 {
-		t.Errorf("Universe = %v", u.All())
+	if u := in.Sets(); len(u) != 2 || u[0].Len() != 1 || u[1].Len() != 1 {
+		t.Errorf("Sets = %v", u)
 	}
 	// New does not keep the caller's map: adding to it later changes
 	// nothing the instance holds.
 	s["Editor"] = region.FromRegions([]region.Region{{Start: 100, End: 130}})
-	if in.Has("Editor") || in.Universe().All().Len() != 2 {
+	if in.Has("Editor") || len(in.Sets()) != 2 {
 		t.Error("the instance follows the map it was made from")
 	}
 	if in.MustRegion("Author").Memo() == nil {

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"qof/internal/region"
 	"qof/internal/text"
@@ -16,16 +15,13 @@ import (
 //
 // An Instance is a value: New makes it complete and nothing changes its
 // contents after, so any number of goroutines may read it. An edit makes a
-// new instance. The only state built after New — the universe here, built
-// on the first direct-inclusion operator, a name's value order, and the
-// suffix array in WordIndex — is derived, lazy and guarded internally.
+// new instance. The only state built after New — a name's value order and
+// the suffix array in WordIndex — is derived, lazy and guarded internally;
+// the direct-inclusion operators build what they read per call.
 type Instance struct {
 	words   *WordIndex
 	regions map[string]region.Set
 	scopes  map[string]string // name -> surrounding region name for selective indexes
-
-	uniMu    sync.Mutex
-	universe *region.Universe // guarded by uniMu; lazily built
 }
 
 // New returns the instance over words' document that indexes each set of
@@ -92,39 +88,28 @@ func (in *Instance) Names() []string {
 	return names
 }
 
-// UniverseCtl returns the universe of all indexed regions, which only the
-// direct-inclusion operators read: nothing builds it until the first ⊃d or
-// ⊂d asks. That first caller builds it under uniMu, polling its check (nil
-// for none), and it is kept for the instance's life. A build its check
-// aborts stores nothing, so the next caller builds again. Concurrent first
-// callers wait for the one building rather than build a copy each.
-func (in *Instance) UniverseCtl(check region.Checker) (*region.Universe, error) {
-	in.uniMu.Lock()
-	defer in.uniMu.Unlock()
-	if in.universe == nil {
-		u, err := region.NewUniverse(in.sets(), check)
-		if err != nil {
-			return nil, err
-		}
-		in.universe = u
-	}
-	return in.universe, nil
-}
-
-// sets returns the named sets, in no particular order.
-func (in *Instance) sets() []region.Set {
+// Sets returns the named sets in the order of Names: what the direct
+// operators read to rule out a region lying in between.
+func (in *Instance) Sets() []region.Set {
 	sets := make([]region.Set, 0, len(in.regions))
-	for _, s := range in.regions {
-		sets = append(sets, s)
+	for _, n := range in.Names() {
+		sets = append(sets, in.regions[n])
 	}
 	return sets
 }
 
-// Universe is UniverseCtl unpolled, for callers outside a query (rig's
-// Definition 3.1 check, tests, the benchmark's kernel probe).
-func (in *Instance) Universe() *region.Universe {
-	u, _ := in.UniverseCtl(nil) // a nil checker cannot fail
-	return u
+// Universe is the named sets for the benchmark's ⊃d kernel probe, which
+// calls its DirectlyIncluding; nothing else uses it (ROADMAP item 1's shim
+// list). It is made per call and never kept.
+type Universe []region.Set
+
+// Universe returns the named sets as a Universe.
+func (in *Instance) Universe() Universe { return in.Sets() }
+
+// DirectlyIncluding returns R ⊃d S over u's sets.
+func (u Universe) DirectlyIncluding(R, S region.Set) region.Set {
+	out, _ := region.DirectlyIncluding(R, S, u, nil) // a nil checker cannot fail
+	return out
 }
 
 // RegionCount reports the total number of indexed regions across all names.
@@ -140,8 +125,7 @@ func (in *Instance) RegionCount() int {
 // region.Bytes (two int32 endpoints, eight bytes) a region in the named
 // sets plus the word index's dictionary and positions slab. It is used by
 // the indexing-tradeoff experiments and deliberately excludes the document
-// text itself and what queries derive lazily (universe, value orders,
-// suffix array).
+// text itself and what queries derive lazily (value orders, suffix array).
 func (in *Instance) SizeBytes() int {
 	return region.Bytes*in.RegionCount() + in.words.sizeBytes()
 }

@@ -7,6 +7,7 @@ import (
 	"qof/internal/grammar"
 	"qof/internal/logs"
 	"qof/internal/scan"
+	"qof/internal/testutil/nesting"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -26,8 +27,8 @@ func TestGeneratedLogParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !in.Universe().ProperlyNested() {
-		t.Error("log regions must nest")
+	if err := nesting.Check(in.Sets()); err != nil {
+		t.Errorf("log regions must nest: %v", err)
 	}
 	if err := g.DeriveRIG().Satisfies(in); err != nil {
 		t.Errorf("RIG violated: %v", err)

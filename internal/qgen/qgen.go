@@ -179,8 +179,14 @@ func (g *ExprGen) expr(depth int) algebra.Expr {
 	case 4:
 		return algebra.Binary{Op: algebra.OpIncluded, L: g.expr(depth - 1), R: g.expr(depth - 1)}
 	case 5:
+		if w, m, ok := g.cut(); ok {
+			return algebra.Binary{Op: algebra.OpDirIncluding, L: w, R: m}
+		}
 		return algebra.Binary{Op: algebra.OpDirIncluding, L: g.expr(depth - 1), R: g.expr(depth - 1)}
 	case 6:
+		if w, m, ok := g.cut(); ok {
+			return algebra.Binary{Op: algebra.OpDirIncluded, L: m, R: w}
+		}
 		return algebra.Binary{Op: algebra.OpDirIncluded, L: g.expr(depth - 1), R: g.expr(depth - 1)}
 	case 7:
 		op := algebra.OpInnermost
@@ -198,6 +204,23 @@ func (g *ExprGen) expr(depth int) algebra.Expr {
 	}
 }
 
+// cut returns, one time in three, a word and a match fragment cut from
+// inside it, w[1:k]: the pair whose ⊃d and ⊂d have a container outside
+// every named set, a word point strictly around a match point. Half the
+// time the word comes with a name's regions, which may hold it: a word
+// point between a named region and the fragment, which must not block.
+func (g *ExprGen) cut() (algebra.Expr, algebra.Expr, bool) {
+	w := g.words[g.rng.Intn(len(g.words))]
+	if len(w) < 3 || g.rng.Intn(3) > 0 {
+		return nil, nil, false
+	}
+	var outer algebra.Expr = algebra.Word{W: w}
+	if len(g.names) > 0 && g.rng.Intn(2) == 0 {
+		outer = algebra.Binary{Op: algebra.OpUnion, L: algebra.Name{Ident: g.names[g.rng.Intn(len(g.names))]}, R: outer}
+	}
+	return outer, algebra.Match{S: w[1 : 2+g.rng.Intn(len(w)-2)]}, true
+}
+
 func (g *ExprGen) exprLeaf() algebra.Expr {
 	switch r := g.rng.Float64(); {
 	case r < 0.55:
@@ -209,6 +232,12 @@ func (g *ExprGen) exprLeaf() algebra.Expr {
 	case r < 0.75:
 		return algebra.Word{W: g.words[g.rng.Intn(len(g.words))]}
 	case r < 0.88:
+		if g.rng.Intn(2) == 0 {
+			// A prefix of a word: its points are that word's, which is
+			// the only word of some names' regions (a last name, a key).
+			w := g.words[g.rng.Intn(len(g.words))]
+			return algebra.Prefix{P: w[:1+g.rng.Intn(len(w))]}
+		}
 		return algebra.Prefix{P: g.prefixes[g.rng.Intn(len(g.prefixes))]}
 	default:
 		return algebra.Match{S: g.fragments[g.rng.Intn(len(g.fragments))]}

@@ -239,7 +239,7 @@ func (h *Harness) compare(q *xsql.Query, got *engine.Result, want *refeval.Query
 
 // CheckExpr evaluates e with both production evaluators — the set evaluator
 // the complete-set plans run on and the stream pipeline every other plan
-// runs on, each in its universe-based and layered ⊃d configurations — and
+// runs on, each in its sweep and layered ⊃d configurations — and
 // with the naive reference evaluator, and reports any disagreement. Errors
 // must agree too (all sides reject unindexed names).
 func (h *Harness) CheckExpr(e algebra.Expr) error {

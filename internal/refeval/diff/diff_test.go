@@ -1,12 +1,16 @@
 package diff_test
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"qof/internal/algebra"
 	"qof/internal/db"
 	"qof/internal/qgen"
 	"qof/internal/refeval/diff"
+	"qof/internal/region"
 	"qof/internal/sgml"
 	"qof/internal/xsql"
 )
@@ -61,7 +65,7 @@ func TestDifferentialQueries(t *testing.T) {
 }
 
 // TestDifferentialExprs runs randomly generated algebra expressions through
-// the production evaluator (universe-based and layered ⊃d) and the naive
+// the production evaluator (the sweep's and the layered ⊃d) and the naive
 // reference evaluator on every index specification.
 func TestDifferentialExprs(t *testing.T) {
 	for _, d := range qgen.Domains(corpusSeed) {
@@ -72,6 +76,7 @@ func TestDifferentialExprs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			outside := 0
 			for hi, h := range hs {
 				gen := qgen.ExprGenFor(d, h.In.Names(), exprSeed+int64(hi))
 				for i := 0; i < exprsPerHarness; i++ {
@@ -79,7 +84,16 @@ func TestDifferentialExprs(t *testing.T) {
 					if err := h.CheckExpr(e); err != nil {
 						t.Fatalf("spec %d expr %d: %v", hi, i, err)
 					}
+					outside += outsideContainers(h, e)
 				}
+			}
+			t.Logf("%d ⊃d/⊂d nodes with a container outside every named set", outside)
+			// Guard against a workload that never reaches the containers no
+			// named set holds, which never block: a sweep that let them
+			// block would agree on every expression but these.
+			if min := len(hs) * exprsPerHarness / 20; outside < min {
+				t.Errorf("only %d ⊃d/⊂d nodes had a direct pair with a container outside every named set, want ≥ %d",
+					outside, min)
 			}
 		})
 	}
@@ -123,6 +137,55 @@ func TestWideReadSetWidensToEverything(t *testing.T) {
 		}
 		if res.Regions.Len() == 0 {
 			t.Errorf("%s: no answers; the comparison is vacuous", h.Name)
+		}
+	}
+}
+
+// outsideContainers counts the ⊃d and ⊂d nodes of e of which some direct
+// pair, by the oracle, has a container that no named set of h's instance
+// holds — a word, prefix or match point.
+func outsideContainers(h *diff.Harness, e algebra.Expr) int {
+	n := 0
+	algebra.Walk(e, func(x algebra.Expr) {
+		b, ok := x.(algebra.Binary)
+		if !ok || b.Op != algebra.OpDirIncluding && b.Op != algebra.OpDirIncluded {
+			return
+		}
+		if b.Op == algebra.OpDirIncluded { // L ⊂d R pairs as R ⊃d L does
+			b.L, b.R = b.R, b.L
+		}
+		b.Op = algebra.OpDirIncluding
+		containers, err := h.Ref.Eval(b)
+		if err != nil {
+			return
+		}
+		for _, r := range containers.Regions() {
+			if !slices.ContainsFunc(h.In.Sets(), func(s region.Set) bool { return s.Contains(r) }) {
+				n++
+				return
+			}
+		}
+	})
+	return n
+}
+
+// TestEverySpecLoads: the index of every domain under every specification
+// saves and loads again through Grammar.LoadInstance, whose Definition 3.1
+// check every instance a grammar builds must pass.
+func TestEverySpecLoads(t *testing.T) {
+	for _, d := range qgen.Domains(corpusSeed) {
+		hs, err := diff.Harnesses(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			var buf bytes.Buffer
+			if err := h.In.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Cat.Grammar.LoadInstance(&buf, d.Doc); err != nil {
+				t.Errorf("%s: %v", h.Name, err)
+			}
 		}
 	}
 }

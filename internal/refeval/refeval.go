@@ -25,8 +25,8 @@ import (
 
 // Evaluator evaluates region-algebra expressions against an index instance
 // by brute force. It reads only the instance's named region sets and the
-// document text; the word index, the region Universe and the sweep
-// implementations are never consulted.
+// document text; the word index and the production kernels (the merges
+// and the nearest-container sweep) are never consulted.
 type Evaluator struct {
 	in     *index.Instance
 	tokens []text.Token // document tokenization, computed once

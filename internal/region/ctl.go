@@ -19,8 +19,8 @@ type Checker func() error
 // polls. It is a power of two so the position test compiles to a mask, and
 // small enough that the merges and probes, whose iterations cost O(1) or
 // one galloping search, keep the poll latency well under the 50ms budget
-// the facade documents. The exception is ⊃d/⊂d on a universe with partial
-// overlaps, where one iteration scans the regions sorting before s.
+// the facade documents. The exception is the fallback of ⊃d/⊂d where
+// regions do not nest, which polls as it scans the regions sorting before s.
 const pollStride = 1024
 
 // poll invokes check every pollStride-th iteration i (and on i = 0, which

@@ -30,12 +30,12 @@ func TestCtlNilCheckerMatchesPlain(t *testing.T) {
 	if got, err := R.IncludedCtl(S, nil); err != nil || !got.Equal(R.Included(S)) {
 		t.Fatalf("IncludedCtl(nil) diverges (err=%v)", err)
 	}
-	u := universeOf(R, S)
-	if got, err := u.DirectlyIncludingCtl(R, S, false, nil); err != nil || !got.Equal(u.DirectlyIncluding(R, S)) {
-		t.Fatalf("DirectlyIncludingCtl(nil) diverges (err=%v)", err)
+	u := namedOf(R, S)
+	if got, err := DirectlyIncluding(R, S, u, nil); err != nil || !got.Equal(NaiveDirectlyIncluding(R, S, u.all())) {
+		t.Fatalf("DirectlyIncluding(nil) diverges (err=%v)", err)
 	}
-	if got, err := u.DirectlyIncludedCtl(R, S, false, nil); err != nil || !got.Equal(NaiveDirectlyIncluded(R, S, u.All())) {
-		t.Fatalf("DirectlyIncludedCtl(nil) diverges (err=%v)", err)
+	if got, err := DirectlyIncluded(R, S, u, nil); err != nil || !got.Equal(NaiveDirectlyIncluded(R, S, u.all())) {
+		t.Fatalf("DirectlyIncluded(nil) diverges (err=%v)", err)
 	}
 	keep := func(r Region) bool { return r.Len() > 10 }
 	got, err := R.FilterCtl(keep, nil)
@@ -46,15 +46,15 @@ func TestCtlNilCheckerMatchesPlain(t *testing.T) {
 
 func TestCtlAborts(t *testing.T) {
 	R, S := randomCtlSets(t, 100, 2)
-	u := universeOf(R, S)
+	u := namedOf(R, S)
 	boom := errors.New("boom")
 	fail := func() error { return boom }
 	kernels := map[string]func() (Set, error){
-		"IncludingCtl":         func() (Set, error) { return R.IncludingCtl(S, fail) },
-		"IncludedCtl":          func() (Set, error) { return R.IncludedCtl(S, fail) },
-		"DirectlyIncludingCtl": func() (Set, error) { return u.DirectlyIncludingCtl(R, S, true, fail) },
-		"DirectlyIncludedCtl":  func() (Set, error) { return u.DirectlyIncludedCtl(R, S, true, fail) },
-		"FilterCtl":            func() (Set, error) { return R.FilterCtl(func(Region) bool { return true }, fail) },
+		"IncludingCtl":      func() (Set, error) { return R.IncludingCtl(S, fail) },
+		"IncludedCtl":       func() (Set, error) { return R.IncludedCtl(S, fail) },
+		"DirectlyIncluding": func() (Set, error) { return DirectlyIncluding(R, S, u, fail) },
+		"DirectlyIncluded":  func() (Set, error) { return DirectlyIncluded(R, S, u, fail) },
+		"FilterCtl":         func() (Set, error) { return R.FilterCtl(func(Region) bool { return true }, fail) },
 	}
 	for name, k := range kernels {
 		got, err := k()
@@ -88,35 +88,37 @@ func TestPollStride(t *testing.T) {
 	}
 }
 
-// TestNewUniversePolls: the build polls once per stride in each of its two
-// passes — per region read in the merge, per region of the union in the
-// forest sweep — and a failing poll in either abandons it with the
-// checker's error and no universe.
-func TestNewUniversePolls(t *testing.T) {
+// TestDirectSweepPolls: the sweep polls once per stride in each of its
+// passes — the ⊃ kernels, the merge of their answers, the pass over the
+// contained side — and a failing poll in any of them abandons it with the
+// checker's error and no answer.
+func TestDirectSweepPolls(t *testing.T) {
 	outer, inner, few := skewedSets(3*pollStride, 2, 3) // few repeats a third of inner
 	sets := []Set{outer, inner, few}
-	strides := func(n int) int { return (n + pollStride - 1) / pollStride }
-	merge := strides(outer.Len() + inner.Len() + few.Len())
-	sweep := strides(outer.Len() + inner.Len())
 	polls := 0
-	if _, err := NewUniverse(sets, func() error { polls++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if polls != merge+sweep {
-		t.Fatalf("polled %d times, want %d in the merge and %d in the sweep", polls, merge, sweep)
+	want, err := DirectlyIncluding(outer, inner, sets, func() error { polls++; return nil })
+	if err != nil || !want.Equal(outer) {
+		t.Fatalf("⊃d = %d regions (err %v), want the %d of outer", want.Len(), err, outer.Len())
 	}
 	boom := errors.New("boom")
-	for _, at := range []int{2, merge + 2} { // mid-merge, mid-sweep
+	for at := 1; at <= polls; at++ {
 		calls := 0
-		u, err := NewUniverse(sets, func() error {
+		got, err := DirectlyIncluding(outer, inner, sets, func() error {
 			if calls++; calls == at {
 				return boom
 			}
 			return nil
 		})
-		if !errors.Is(err, boom) || u != nil || calls != at {
-			t.Errorf("failing poll %d: universe %v, err %v, stopped after %d polls", at, u, err, calls)
+		if !errors.Is(err, boom) || !got.IsEmpty() || calls != at {
+			t.Errorf("failing poll %d of %d: %d regions, err %v, stopped after %d polls", at, polls, got.Len(), err, calls)
 		}
+	}
+	n := 0
+	if err := DirectPairs(sets, func() error { n++; return nil }, func(_, _ int, _, _ Region) bool { return true }); err != nil || n < 3 {
+		t.Fatalf("DirectPairs polled %d times (err %v)", n, err)
+	}
+	if err := DirectPairs(sets, func() error { return boom }, func(_, _ int, _, _ Region) bool { return true }); !errors.Is(err, boom) {
+		t.Errorf("DirectPairs under a failing check: err %v, want boom", err)
 	}
 }
 
@@ -155,10 +157,9 @@ func TestProbeKernelsAbort(t *testing.T) {
 	n := 3 * pollStride
 	outer, inner, _ := skewedSets(n, 2, 1)
 	nested := inner.Union(outer) // not disjoint: inner regions sit inside outer ones
-	u := universeOf(outer, inner)
-	// Over the universe of inner alone the regions of outer are outside
-	// it, so their direct pairs with a few inner regions take the rule.
-	uIn := universeOf(inner)
+	u := namedOf(outer, inner)
+	// With inner alone named the regions of outer never block.
+	uIn := namedOf(inner)
 	few := sample(rand.New(rand.NewSource(2)), inner, pollStride)
 	idx := make([]int32, n)
 	for i := range idx {
@@ -173,10 +174,10 @@ func TestProbeKernelsAbort(t *testing.T) {
 		"Holding":              func(c Checker) (Set, error) { return outer.Holding(inner, c) },
 		"HoldingIter":          func(c Checker) (Set, error) { return Materialize(HoldingIter(outer, inner, c)) },
 		"Pick":                 func(c Checker) (Set, error) { return outer.Pick(idx, c) },
-		"DirectlyIncludingCtl": func(c Checker) (Set, error) { return u.DirectlyIncludingCtl(outer, inner, false, c) },
-		"DirectlyIncludedCtl":  func(c Checker) (Set, error) { return u.DirectlyIncludedCtl(inner, outer, false, c) },
-		"⊃d, outside":          func(c Checker) (Set, error) { return uIn.DirectlyIncludingCtl(outer, few, true, c) },
-		"⊂d, outside":          func(c Checker) (Set, error) { return uIn.DirectlyIncludedCtl(few, outer, true, c) },
+		"DirectlyIncluding":    func(c Checker) (Set, error) { return DirectlyIncluding(outer, inner, u, c) },
+		"DirectlyIncluded":     func(c Checker) (Set, error) { return DirectlyIncluded(inner, outer, u, c) },
+		"⊃d, outside":          func(c Checker) (Set, error) { return DirectlyIncluding(outer, few, uIn, c) },
+		"⊂d, outside":          func(c Checker) (Set, error) { return DirectlyIncluded(few, outer, uIn, c) },
 	} {
 		full := 0
 		if got, err := run(func() error { full++; return nil }); err != nil || got.IsEmpty() {

@@ -123,25 +123,23 @@ func checkEdge(t *testing.T, where string, R, S Set) {
 	}
 }
 
-// checkDirect runs ⊃d and ⊂d both ways against their definitions over
-// the universe of R and S; over the universe of R alone, where the regions
-// of S it does not hold are found by the walk up from their predecessor,
-// or, when empty, by the scan; and over the universe of S alone, where the
-// containers of R it does not hold take the rule for containers outside
-// the universe.
+// checkDirect runs ⊃d and ⊂d both ways against their definitions with R
+// and S both named; with R alone named, so that the regions of S it does
+// not hold never block; and with S alone named, so that the containers of
+// R it does not hold never block.
 func checkDirect(t *testing.T, where string, R, S Set) {
 	t.Helper()
 	for _, c := range []struct {
-		u    *Universe
+		u    named
 		R, S Set
 	}{
-		{universeOf(R, S), R, S}, {universeOf(R, S), S, R}, {universeOf(R), R, S}, {universeOf(S), R, S},
+		{namedOf(R, S), R, S}, {namedOf(R, S), S, R}, {namedOf(R), R, S}, {namedOf(S), R, S},
 	} {
-		all := c.u.All()
-		if got, want := directlyIncluding(c.u, c.R, c.S), NaiveDirectlyIncluding(c.R, c.S, all); !got.Equal(want) {
+		all := c.u.all()
+		if got, want := c.u.directlyIncluding(c.R, c.S), NaiveDirectlyIncluding(c.R, c.S, all); !got.Equal(want) {
 			t.Fatalf("%s: U=%v: %v ⊃d %v = %v, want %v", where, all, c.R, c.S, got, want)
 		}
-		if got, want := directlyIncluded(c.u, c.S, c.R), NaiveDirectlyIncluded(c.S, c.R, all); !got.Equal(want) {
+		if got, want := c.u.directlyIncluded(c.S, c.R), NaiveDirectlyIncluded(c.S, c.R, all); !got.Equal(want) {
 			t.Fatalf("%s: U=%v: %v ⊂d %v = %v, want %v", where, all, c.S, c.R, got, want)
 		}
 	}

@@ -452,25 +452,29 @@ func TestSelectiveKernelsPollForTheSmallSide(t *testing.T) {
 	}
 }
 
-// TestDirectKernelsDoNotAllocatePerRegion: on a nested universe a direct
-// container is one forest lookup. The slice-per-region version made 11 850
-// allocations per operation at 20 000 references.
+// TestDirectKernelsDoNotAllocatePerRegion: the sweep allocates per call
+// and per named set, never per region. A call makes a fixed few — the
+// merge's two slices, the sweep, its stack, the marks and the answer — and
+// each set it merges (R ⊃ S and c ⊃ S for each named c) adds its ⊃ answer
+// and the growth of the lists that hold the sets. A slice-per-region
+// version made 11 850 allocations per operation at 20 000 references.
 func TestDirectKernelsDoNotAllocatePerRegion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
+	const perCall, perSet = 6, 3
 	outer, inner := benchSets(2000, 5)
-	u := universeOf(outer, inner)
-	if !u.ProperlyNested() {
-		t.Fatal("fixture universe is not nested")
-	}
-	ing := testing.AllocsPerRun(10, func() { u.DirectlyIncluding(outer, inner) })
-	ed := testing.AllocsPerRun(10, func() { u.DirectlyIncludedCtl(inner, outer, false, nil) })
-	t.Logf("allocations per call over %d regions: ⊃d %.0f, ⊂d %.0f", inner.Len(), ing, ed)
-	if ing > 8 {
-		t.Errorf("DirectlyIncluding: %.0f allocations per call, want a handful", ing)
-	}
-	if ed > 40 { // the answer grows by append
-		t.Errorf("DirectlyIncludedCtl: %.0f allocations per call, want only the answer's growth", ed)
+	outer2, inner2 := benchSets(2000, 2)
+	for _, u := range []named{namedOf(outer, inner), namedOf(outer, inner, outer2, inner2, outer2, inner2)} {
+		ceiling := float64(perCall + perSet*(1+len(u)))
+		ing := testing.AllocsPerRun(10, func() { u.directlyIncluding(outer, inner) })
+		ed := testing.AllocsPerRun(10, func() { u.directlyIncluded(inner, outer) })
+		t.Logf("allocations per call over %d regions and %d named sets: ⊃d %.0f, ⊂d %.0f", inner.Len(), len(u), ing, ed)
+		if ing > ceiling {
+			t.Errorf("DirectlyIncluding over %d named sets: %.0f allocations per call, want at most %.0f", len(u), ing, ceiling)
+		}
+		if ed > ceiling {
+			t.Errorf("DirectlyIncluded over %d named sets: %.0f allocations per call, want at most %.0f", len(u), ed, ceiling)
+		}
 	}
 }

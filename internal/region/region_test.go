@@ -3,6 +3,7 @@ package region
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -156,25 +157,49 @@ func TestInnermostOutermostOverlapping(t *testing.T) {
 	}
 }
 
-// universeOf builds the universe of sets without a checker, which cannot
-// fail.
-func universeOf(sets ...Set) *Universe {
-	u, _ := NewUniverse(sets, nil)
-	return u
+// named is an instance's named sets: the regions ⊃d and ⊂d rule out
+// between their operands.
+type named []Set
+
+// namedOf returns sets as an instance's named sets.
+func namedOf(sets ...Set) named { return sets }
+
+// all is the union of the named sets.
+func (u named) all() Set {
+	all := Empty
+	for _, s := range u {
+		all = all.Union(s)
+	}
+	return all
 }
 
-// directlyIncluding is R ⊃d S over u, with no cancellation, taking the
-// rule for containers outside the universe exactly when R holds some.
-func directlyIncluding(u *Universe, R, S Set) Set {
-	out, _ := u.DirectlyIncludingCtl(R, S, !R.Diff(u.All()).IsEmpty(), nil)
+// directlyIncluding is R ⊃d S over u, with no cancellation.
+func (u named) directlyIncluding(R, S Set) Set {
+	out, _ := DirectlyIncluding(R, S, u, nil)
 	return out
 }
 
-// directlyIncluded is R ⊂d S over u, with no cancellation, taking the rule
-// for containers outside the universe exactly when S holds some.
-func directlyIncluded(u *Universe, R, S Set) Set {
-	out, _ := u.DirectlyIncludedCtl(R, S, !S.Diff(u.All()).IsEmpty(), nil)
+// directlyIncluded is R ⊂d S over u, with no cancellation.
+func (u named) directlyIncluded(R, S Set) Set {
+	out, _ := DirectlyIncluded(R, S, u, nil)
 	return out
+}
+
+// nested reports whether the regions of all nest properly, by the
+// definition: no two partially overlap, and the strict containers of each
+// form a chain (an empty region where two regions touch lies inside both).
+func nested(all Set) bool {
+	for _, b := range all.Regions() {
+		if !chained(all, b) {
+			return false
+		}
+		for _, a := range all.Regions() {
+			if a.Overlaps(b) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // chained reports whether the strict containers of b in all form a chain,
@@ -190,13 +215,10 @@ func chained(all Set, b Region) bool {
 	return true
 }
 
-// TestNewUniverseMatchesUnion: the k-way merge is the union of the sets —
-// the same regions, the same disjoint flag, no spare capacity, a region
-// several sets hold kept once — and the forest sweep's nesting verdict is
-// the definition's: no two regions partially overlap, and the strict
-// containers of every region form a chain (an empty region where two
-// regions touch lies inside both).
-func TestNewUniverseMatchesUnion(t *testing.T) {
+// TestMergedMatchesUnion: the sweep's k-way merge holds every region of
+// every set once per set, in set order, with the least source first in a
+// run of equal regions and each region's source the set it came from.
+func TestMergedMatchesUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
 		var sets []Set
@@ -212,49 +234,47 @@ func TestNewUniverseMatchesUnion(t *testing.T) {
 			p := rng.Intn(30)
 			sets = append(sets, mk(p, p, p+1, p+1))
 		}
-		want, nonEmpty := Empty, 0
+		ks, src, err := merged(sets, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
 		for _, s := range sets {
-			want = want.Union(s)
-			if !s.IsEmpty() {
-				nonEmpty++
+			total += s.Len()
+		}
+		if len(ks) != total || len(src) != total || !fromSorted(slices.Compact(slices.Clone(ks))).Equal(namedOf(sets...).all()) {
+			t.Fatalf("trial %d: merged %v, want the %d regions of %v", trial, ks, total, sets)
+		}
+		for k := range ks {
+			if !sets[src[k]].Contains(ks[k]) {
+				t.Fatalf("trial %d: %v from set %d, which does not hold it", trial, ks[k], src[k])
 			}
-		}
-		u := universeOf(sets...)
-		all := u.All()
-		// One non-empty set is the universe as it is, sharing its slice.
-		if !all.Equal(want) || all.Disjoint() != want.Disjoint() || nonEmpty > 1 && cap(all.Regions()) != all.Len() {
-			t.Fatalf("trial %d: merged %v (disjoint %v, cap %d), want %v (disjoint %v)",
-				trial, all, all.Disjoint(), cap(all.Regions()), want, want.Disjoint())
-		}
-		nested := true
-		for _, b := range all.Regions() {
-			nested = nested && chained(all, b)
-			for _, a := range all.Regions() {
-				nested = nested && !a.Overlaps(b)
+			if k > 0 && (ks[k].Before(ks[k-1]) || ks[k] == ks[k-1] && src[k] <= src[k-1]) {
+				t.Fatalf("trial %d: %v from %d after %v from %d", trial, ks[k], src[k], ks[k-1], src[k-1])
 			}
-		}
-		if u.ProperlyNested() != nested {
-			t.Fatalf("trial %d: %v: ProperlyNested = %v, want %v", trial, all, u.ProperlyNested(), nested)
 		}
 	}
 }
 
+// TestProperlyNested: on nested shapes and on each way a universe fails to
+// nest — a partial overlap, an empty region where two regions touch — the
+// sweep's ⊃d and ⊂d over every pair of single regions are the definition's.
 func TestProperlyNested(t *testing.T) {
-	if !universeOf(mk(0, 100, 10, 40, 20, 30, 50, 60)).ProperlyNested() {
-		t.Error("nested set misreported")
-	}
-	if universeOf(mk(0, 10, 5, 15)).ProperlyNested() {
-		t.Error("overlapping set misreported")
-	}
-	if !universeOf(Empty).ProperlyNested() {
-		t.Error("empty set is nested")
-	}
-	if !universeOf(mk(0, 5, 5, 10)).ProperlyNested() {
-		t.Error("touching regions are nested")
-	}
-	// Same-start regions nest.
-	if !universeOf(mk(0, 10, 0, 5)).ProperlyNested() {
-		t.Error("same-start nesting misreported")
+	for _, c := range []struct {
+		u      named
+		nested bool
+	}{
+		{namedOf(mk(0, 100, 10, 40, 20, 30, 50, 60)), true},
+		{namedOf(mk(0, 10, 5, 15), mk(6, 8)), false},
+		{namedOf(Empty), true},
+		{namedOf(mk(0, 5, 5, 10)), true},
+		{namedOf(mk(0, 5, 5, 10), mk(5, 5)), false},
+		{namedOf(mk(0, 10, 0, 5)), true}, // same-start regions nest
+	} {
+		if got := nested(c.u.all()); got != c.nested {
+			t.Errorf("%v: nested = %v, want %v", c.u, got, c.nested)
+		}
+		checkDirectPairs(t, "shape", c.u, mk(2, 3, 5, 5, 7, 9))
 	}
 }
 
@@ -293,18 +313,18 @@ func TestDirectInclusionPaperExample(t *testing.T) {
 	authors := mk(10, 60)
 	name := mk(20, 50)
 	last := mk(35, 45)
-	u := universeOf(ref, authors, name, last)
-	if !u.ProperlyNested() {
+	u := namedOf(ref, authors, name, last)
+	if !nested(u.all()) {
 		t.Fatal("universe should be properly nested")
 	}
 	// Direct inclusion holds only along parent edges.
-	if got := u.DirectlyIncluding(authors, name); !got.Equal(authors) {
+	if got := u.directlyIncluding(authors, name); !got.Equal(authors) {
 		t.Errorf("Authors ⊃d Name = %v", got)
 	}
-	if got := u.DirectlyIncluding(ref, name); !got.IsEmpty() {
+	if got := u.directlyIncluding(ref, name); !got.IsEmpty() {
 		t.Errorf("Reference ⊃d Name = %v, want empty (Authors is between)", got)
 	}
-	if got := u.DirectlyIncluding(ref, authors); !got.Equal(ref) {
+	if got := u.directlyIncluding(ref, authors); !got.Equal(ref) {
 		t.Errorf("Reference ⊃d Authors = %v", got)
 	}
 	// Plain inclusion holds transitively.
@@ -312,25 +332,25 @@ func TestDirectInclusionPaperExample(t *testing.T) {
 		t.Errorf("Reference ⊃ Last_Name = %v", got)
 	}
 	// Dual.
-	if got := directlyIncluded(u, name, authors); !got.Equal(name) {
+	if got := u.directlyIncluded(name, authors); !got.Equal(name) {
 		t.Errorf("Name ⊂d Authors = %v", got)
 	}
-	if got := directlyIncluded(u, name, ref); !got.IsEmpty() {
+	if got := u.directlyIncluded(name, ref); !got.IsEmpty() {
 		t.Errorf("Name ⊂d Reference = %v, want empty", got)
 	}
 }
 
 // TestUniverseParent: the direct container of an indexed region is its
-// forest parent, and a root or a region past every other has none.
+// parent in the nesting, and a root or a region past every other has none.
 func TestUniverseParent(t *testing.T) {
-	u := universeOf(mk(0, 100, 10, 40, 20, 30, 50, 60))
-	if got := u.DirectlyIncluding(u.All(), mk(20, 30)); !got.Equal(mk(10, 40)) {
+	u := namedOf(mk(0, 100, 10, 40, 20, 30, 50, 60))
+	if got := u.directlyIncluding(u.all(), mk(20, 30)); !got.Equal(mk(10, 40)) {
 		t.Errorf("U ⊃d [20,30) = %v, want [10,40)", got)
 	}
-	if got := u.DirectlyIncluding(u.All(), mk(0, 100)); !got.IsEmpty() {
+	if got := u.directlyIncluding(u.all(), mk(0, 100)); !got.IsEmpty() {
 		t.Errorf("U ⊃d the root = %v, want empty", got)
 	}
-	if got := u.DirectlyIncluding(u.All(), mk(999, 1000)); !got.IsEmpty() {
+	if got := u.directlyIncluding(u.all(), mk(999, 1000)); !got.IsEmpty() {
 		t.Errorf("U ⊃d a region past the universe = %v, want empty", got)
 	}
 }
@@ -338,7 +358,7 @@ func TestUniverseParent(t *testing.T) {
 // TestBetween: a region with another between it and s includes s but not
 // directly, whichever side of the universe it is on.
 func TestBetween(t *testing.T) {
-	u := universeOf(mk(0, 100, 10, 40, 20, 30))
+	u := namedOf(mk(0, 100, 10, 40, 20, 30))
 	for _, c := range []struct {
 		r, s   Set
 		direct bool
@@ -351,10 +371,10 @@ func TestBetween(t *testing.T) {
 		{mk(21, 35), mk(22, 24), true},  // both outside, [20,30) overlaps r
 		{mk(19, 35), mk(22, 24), false}, // both outside, [20,30) between
 	} {
-		if got := !directlyIncluding(u, c.r, c.s).IsEmpty(); got != c.direct {
+		if got := !u.directlyIncluding(c.r, c.s).IsEmpty(); got != c.direct {
 			t.Errorf("%v ⊃d %v non-empty = %v, want %v", c.r, c.s, got, c.direct)
 		}
-		if got := !directlyIncluded(u, c.s, c.r).IsEmpty(); got != c.direct {
+		if got := !u.directlyIncluded(c.s, c.r).IsEmpty(); got != c.direct {
 			t.Errorf("%v ⊂d %v non-empty = %v, want %v", c.s, c.r, got, c.direct)
 		}
 	}
@@ -448,12 +468,12 @@ func TestDirectInclusionMatchesNaiveOverlapping(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sets := randomSets(rng, 3+rng.Intn(25), 3, 30)
 		R, S := sets[0], sets[1]
-		u := universeOf(sets...)
-		all := u.All()
-		if got, want := u.DirectlyIncluding(R, S), NaiveDirectlyIncluding(R, S, all); !got.Equal(want) {
+		u := namedOf(sets...)
+		all := u.all()
+		if got, want := u.directlyIncluding(R, S), NaiveDirectlyIncluding(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊃d=%v want %v", trial, R, S, all, got, want)
 		}
-		if got, want := directlyIncluded(u, R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
+		if got, want := u.directlyIncluded(R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊂d=%v want %v", trial, R, S, all, got, want)
 		}
 	}
@@ -464,27 +484,25 @@ func TestDirectInclusionMatchesNaiveNested(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		sets := randomNestedSets(rng, 3, 64)
 		R, S := sets[0], sets[1]
-		u := universeOf(sets...)
-		if !u.ProperlyNested() {
+		u := namedOf(sets...)
+		if !nested(u.all()) {
 			t.Fatalf("trial %d: generator produced overlap", trial)
 		}
-		all := u.All()
-		if got, want := u.DirectlyIncluding(R, S), NaiveDirectlyIncluding(R, S, all); !got.Equal(want) {
+		all := u.all()
+		if got, want := u.directlyIncluding(R, S), NaiveDirectlyIncluding(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊃d=%v want %v", trial, R, S, all, got, want)
 		}
-		if got, want := directlyIncluded(u, R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
+		if got, want := u.directlyIncluded(R, S), NaiveDirectlyIncluded(R, S, all); !got.Equal(want) {
 			t.Fatalf("trial %d: R=%v S=%v U=%v: ⊂d=%v want %v", trial, R, S, all, got, want)
 		}
-		// Word points: non-empty spans the universe does not hold, whose
-		// container is found by the walk up from their predecessor, and
-		// which contain spans themselves, so their direct pairs take the
-		// rule for containers outside the universe.
+		// Word points: non-empty spans no named set holds, on both sides:
+		// containers that never block, and regions contained in others.
 		W := outside(rng, all, 20, 64)
 		for _, p := range [][2]Set{{R, W}, {W, R}, {W, W}, {W.Union(R), S}} {
-			if got, want := directlyIncluding(u, p[0], p[1]), NaiveDirectlyIncluding(p[0], p[1], all); !got.Equal(want) {
+			if got, want := u.directlyIncluding(p[0], p[1]), NaiveDirectlyIncluding(p[0], p[1], all); !got.Equal(want) {
 				t.Fatalf("trial %d: U=%v: %v ⊃d %v = %v, want %v", trial, all, p[0], p[1], got, want)
 			}
-			if got, want := directlyIncluded(u, p[1], p[0]), NaiveDirectlyIncluded(p[1], p[0], all); !got.Equal(want) {
+			if got, want := u.directlyIncluded(p[1], p[0]), NaiveDirectlyIncluded(p[1], p[0], all); !got.Equal(want) {
 				t.Fatalf("trial %d: U=%v: %v ⊂d %v = %v, want %v", trial, all, p[1], p[0], got, want)
 			}
 		}
@@ -507,9 +525,9 @@ func outside(rng *rand.Rand, all Set, n, span int) Set {
 // checkDirectPairs runs ⊃d and ⊂d on every pair of single regions r and s
 // of the universe and of S against the definition: r ⊋ s with no universe
 // region strictly between them.
-func checkDirectPairs(t *testing.T, where string, u *Universe, S Set) {
+func checkDirectPairs(t *testing.T, where string, u named, S Set) {
 	t.Helper()
-	all := u.All()
+	all := u.all()
 	rs := all.Union(S).Regions()
 	for _, r := range rs {
 		for _, s := range rs {
@@ -518,10 +536,10 @@ func checkDirectPairs(t *testing.T, where string, u *Universe, S Set) {
 				want = want && !(r.StrictlyIncludes(m) && m.StrictlyIncludes(s))
 			}
 			R, S := Set{regions: []Region{r}}, Set{regions: []Region{s}}
-			if got := !directlyIncluding(u, R, S).IsEmpty(); got != want {
+			if got := !u.directlyIncluding(R, S).IsEmpty(); got != want {
 				t.Fatalf("%s: U=%v: %v ⊃d %v non-empty = %v, want %v", where, all, r, s, got, want)
 			}
-			if got := !directlyIncluded(u, S, R).IsEmpty(); got != want {
+			if got := !u.directlyIncluded(S, R).IsEmpty(); got != want {
 				t.Fatalf("%s: U=%v: %v ⊂d %v non-empty = %v, want %v", where, all, s, r, got, want)
 			}
 		}
@@ -529,34 +547,34 @@ func checkDirectPairs(t *testing.T, where string, u *Universe, S Set) {
 }
 
 // TestEmptyRegionWhereTwoTouch: an empty region on the boundary of two
-// touching regions lies inside both, so both include it directly, and no
-// forest holds the universe.
+// touching regions lies inside both, so both include it directly: the case
+// the sweep decides by the definition.
 func TestEmptyRegionWhereTwoTouch(t *testing.T) {
 	left, right, e := mk(0, 5), mk(5, 10), mk(5, 5)
-	u := universeOf(left, right, e)
-	if u.ProperlyNested() {
+	u := namedOf(left, right, e)
+	if nested(u.all()) {
 		t.Error("a universe with an empty region inside two touching ones reported nested")
 	}
-	all := u.All()
+	all := u.all()
 	for _, c := range []struct{ R, S Set }{
 		{left, e}, {right, e}, {all, e}, {all, all},
 	} {
-		if got, want := u.DirectlyIncluding(c.R, c.S), NaiveDirectlyIncluding(c.R, c.S, all); !got.Equal(want) || want.IsEmpty() {
+		if got, want := u.directlyIncluding(c.R, c.S), NaiveDirectlyIncluding(c.R, c.S, all); !got.Equal(want) || want.IsEmpty() {
 			t.Errorf("%v ⊃d %v = %v, want %v", c.R, c.S, got, want)
 		}
-		if got, want := directlyIncluded(u, c.S, c.R), NaiveDirectlyIncluded(c.S, c.R, all); !got.Equal(want) || want.IsEmpty() {
+		if got, want := u.directlyIncluded(c.S, c.R), NaiveDirectlyIncluded(c.S, c.R, all); !got.Equal(want) || want.IsEmpty() {
 			t.Errorf("%v ⊂d %v = %v, want %v", c.S, c.R, got, want)
 		}
 	}
 	// The same empty span outside a nested universe.
-	u = universeOf(left, right)
-	if !u.ProperlyNested() {
+	u = namedOf(left, right)
+	if !nested(u.all()) {
 		t.Fatal("touching regions are nested")
 	}
-	if got, want := u.DirectlyIncluding(u.All(), e), u.All(); !got.Equal(want) {
-		t.Errorf("%v ⊃d %v = %v, want %v", u.All(), e, got, want)
+	if got, want := u.directlyIncluding(u.all(), e), u.all(); !got.Equal(want) {
+		t.Errorf("%v ⊃d %v = %v, want %v", u.all(), e, got, want)
 	}
-	if got := directlyIncluded(u, e, left); !got.Equal(e) {
+	if got := u.directlyIncluded(e, left); !got.Equal(e) {
 		t.Errorf("%v ⊂d %v = %v, want %v", e, left, got, e)
 	}
 	checkDirectPairs(t, "touching", u, e)

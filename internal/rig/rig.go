@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"qof/internal/index"
+	"qof/internal/region"
 )
 
 // Graph is a region inclusion graph. Nodes are region names; an edge
@@ -289,24 +290,25 @@ func (g *Graph) IsPath(names ...string) bool {
 // Satisfies checks Definition 3.1: the instance satisfies the graph iff
 // whenever a region of name A directly includes a region of name B — B's
 // region is strictly inside A's with no other indexed region in between —
-// the edge (A, B) is present. It evaluates A ⊃d B over the instance's
-// universe for each ordered pair of names with no edge, and returns nil
-// when every answer is empty, else an error naming the first violation.
+// the edge (A, B) is present. One sweep over every name at once
+// (region.DirectPairs) finds each region's nearest containers; it returns
+// nil when every such pair of names is an edge, else an error naming the
+// first violation.
 func (g *Graph) Satisfies(in *index.Instance) error {
-	u := in.Universe()
 	names := in.Names()
-	for _, a := range names {
-		for _, b := range names {
-			if g.HasEdge(a, b) {
-				continue
-			}
-			if p := u.DirectlyIncluding(in.MustRegion(a), in.MustRegion(b)); !p.IsEmpty() {
-				return fmt.Errorf("rig: instance violates graph: %s region %v directly includes a %s region but edge (%s, %s) is absent",
-					a, p.At(0), b, a, b)
-			}
+	var bad error
+	err := region.DirectPairs(in.Sets(), nil, func(a, b int, r, _ region.Region) bool {
+		if g.HasEdge(names[a], names[b]) {
+			return true
 		}
+		bad = fmt.Errorf("rig: instance violates graph: %s region %v directly includes a %s region but edge (%s, %s) is absent",
+			names[a], r, names[b], names[a], names[b])
+		return false
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return bad
 }
 
 // Project computes the RIG of a partially indexed subset of the nodes

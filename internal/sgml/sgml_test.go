@@ -10,6 +10,7 @@ import (
 	"qof/internal/grammar"
 	"qof/internal/scan"
 	"qof/internal/sgml"
+	"qof/internal/testutil/nesting"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -36,8 +37,8 @@ func TestGeneratedDocParses(t *testing.T) {
 	if got := in.MustRegion(sgml.NTPara).Len(); got != st.Paras {
 		t.Fatalf("paras = %d, want %d", got, st.Paras)
 	}
-	if !in.Universe().ProperlyNested() {
-		t.Error("regions must nest")
+	if err := nesting.Check(in.Sets()); err != nil {
+		t.Errorf("regions must nest: %v", err)
 	}
 	if err := eng.Catalog().Grammar.DeriveRIG().Satisfies(in); err != nil {
 		t.Errorf("RIG violated: %v", err)

@@ -7,6 +7,7 @@ import (
 	"qof/internal/grammar"
 	"qof/internal/scan"
 	"qof/internal/srccode"
+	"qof/internal/testutil/nesting"
 	"qof/internal/text"
 	"qof/internal/xsql"
 )
@@ -29,8 +30,8 @@ func TestGeneratedSourceParses(t *testing.T) {
 	if got := in.MustRegion(srccode.NTDecl).Len(); got != st.Decls {
 		t.Fatalf("decls = %d, want %d", got, st.Decls)
 	}
-	if !in.Universe().ProperlyNested() {
-		t.Error("regions must nest")
+	if err := nesting.Check(in.Sets()); err != nil {
+		t.Errorf("regions must nest: %v", err)
 	}
 	if err := eng.Catalog().Grammar.DeriveRIG().Satisfies(in); err != nil {
 		t.Errorf("RIG violated: %v", err)

@@ -93,12 +93,11 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 		})
 	}
 
-	// A ⊃d is the one operator that reads the universe of all indexed
-	// regions (530k of them here), and nothing above has built it: its first
-	// use builds it inside the query, under the query's deadline. The killed
-	// build stored nothing, so the next run builds it again and answers what
-	// the layered program — which reads no universe — does.
-	t.Run("cold universe", func(t *testing.T) {
+	// A ⊃d reads every named set (530k regions here): the ⊃ kernels of the
+	// containers and of each name, the merge of their answers and the sweep
+	// run inside the query, under the query's deadline, and keep nothing.
+	// The next run answers what the layered program does.
+	t.Run("direct", func(t *testing.T) {
 		e := algebra.MustParse(`Name >d Last_Name`)
 		ev := algebra.NewEvaluator(setup.in)
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
