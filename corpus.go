@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"qof/internal/compile"
 	"qof/internal/engine"
 	"qof/internal/faultinject"
 	"qof/internal/pool"
@@ -205,20 +206,7 @@ func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOp
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*engine.Result, len(c.files))
-	errs := pool.Each(len(c.files), func(i int) (err error) {
-		if err := faultinject.Hit(faultinject.CorpusFile); err != nil {
-			return err
-		}
-		fctx := ctx
-		if cfg.fileTimeout > 0 {
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithTimeout(ctx, cfg.fileTimeout)
-			defer cancel()
-		}
-		results[i], err = c.files[i].eng.ExecutePrepared(fctx, p, cfg.lim)
-		return err
-	})
+	results, errs := c.run(ctx, p, cfg)
 	out = &CorpusResults{}
 	st := &out.Stats
 	var failed []error
@@ -254,4 +242,24 @@ func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOp
 		return out, ctx.Err()
 	}
 	return out, nil
+}
+
+// run executes the prepared query on every file, on the caller and on idle
+// helpers, and returns each file's result or error in corpus order.
+func (c *Corpus) run(ctx context.Context, p *compile.Prepared, cfg queryConfig) ([]*engine.Result, []error) {
+	results := make([]*engine.Result, len(c.files))
+	errs := pool.Each(len(c.files), func(i int) (err error) {
+		if err := faultinject.Hit(faultinject.CorpusFile); err != nil {
+			return err
+		}
+		fctx := ctx
+		if cfg.fileTimeout > 0 {
+			var cancel context.CancelFunc
+			fctx, cancel = context.WithTimeout(ctx, cfg.fileTimeout)
+			defer cancel()
+		}
+		results[i], err = c.files[i].eng.ExecutePrepared(fctx, p, cfg.lim)
+		return err
+	})
+	return results, errs
 }
