@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"qof/internal/index"
+	"qof/internal/lru"
 	"qof/internal/qerr"
 	"qof/internal/region"
 )
@@ -49,21 +50,13 @@ type Evaluator struct {
 	// evaluator reads one instance, and an instance never changes. Only
 	// expressions whose static Cost reaches DefaultResultMinCost are
 	// consulted and stored.
-	Results ResultCache
+	Results *lru.Cache[string, region.Set]
 
 	// Deprecated: CostStats is ignored. A binary operator evaluates its
 	// left operand first, in the order the plan has. The field stays only
 	// because the benchmark (bench/trace.go) still sets it, until
 	// ROADMAP.md's item "thaw the benchmark" (item 1) moves it off.
 	CostStats *index.Instance
-}
-
-// ResultCache is the cross-query result cache interface the engine
-// implements. Implementations must be safe for concurrent use; stored sets
-// are immutable.
-type ResultCache interface {
-	Get(key string) (region.Set, bool)
-	Put(key string, s region.Set)
 }
 
 // DefaultResultMinCost is the static-cost threshold below which results are
@@ -147,7 +140,7 @@ type evalCtx struct {
 
 	// results is the cross-query result cache this evaluation reads and
 	// writes: the evaluator's, or nil when a stream evaluates an operand.
-	results ResultCache
+	results *lru.Cache[string, region.Set]
 
 	// pending holds result-cache writes until the evaluation completes;
 	// a failed evaluation discards them (canceled, timed out or
@@ -205,7 +198,7 @@ func (ev *Evaluator) EvalContext(cctx context.Context, e Expr, st *Stats, b *Bud
 
 // evaluate is EvalContext reading and writing the result cache results,
 // which may be nil.
-func (ev *Evaluator) evaluate(cctx context.Context, e Expr, st *Stats, b *Budget, results ResultCache) (region.Set, error) {
+func (ev *Evaluator) evaluate(cctx context.Context, e Expr, st *Stats, b *Budget, results *lru.Cache[string, region.Set]) (region.Set, error) {
 	ctx := ctxPool.Get().(*evalCtx)
 	ctx.stats = st
 	if cctx != nil && cctx.Done() != nil {
@@ -216,7 +209,7 @@ func (ev *Evaluator) evaluate(cctx context.Context, e Expr, st *Stats, b *Budget
 	out, err := ev.eval(ctx, e)
 	if err == nil && results != nil {
 		for _, p := range ctx.pending {
-			results.Put(p.key, p.set)
+			results.Add(p.key, p.set)
 		}
 	}
 	for i := range ctx.pending {

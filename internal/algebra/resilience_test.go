@@ -5,27 +5,10 @@ import (
 	"errors"
 	"testing"
 
+	"qof/internal/lru"
 	"qof/internal/qerr"
 	"qof/internal/region"
 )
-
-// recordingCache records every Put so tests can assert what an evaluation
-// published to the cross-query cache.
-type recordingCache struct {
-	puts map[string]region.Set
-}
-
-func (c *recordingCache) Get(key string) (region.Set, bool) {
-	s, ok := c.puts[key]
-	return s, ok
-}
-
-func (c *recordingCache) Put(key string, s region.Set) {
-	if c.puts == nil {
-		c.puts = make(map[string]region.Set)
-	}
-	c.puts[key] = s
-}
 
 const changChain = `Reference > Authors > contains(Last_Name, "Chang")`
 
@@ -142,21 +125,21 @@ func TestFailedEvalPublishesNothing(t *testing.T) {
 			return err
 		},
 	} {
-		cache := &recordingCache{}
+		cache := lru.New[string, region.Set](256, "", "")
 		ev := NewEvaluator(in)
 		ev.Results = cache
 		if err := run(ev); err == nil {
 			t.Fatalf("%s: evaluation unexpectedly succeeded", name)
 		}
-		if len(cache.puts) != 0 {
-			t.Fatalf("%s: failed evaluation published %d cache entries", name, len(cache.puts))
+		if cache.Len() != 0 {
+			t.Fatalf("%s: failed evaluation published %d cache entries", name, cache.Len())
 		}
 		// The same evaluator then succeeds and only then publishes.
 		var st Stats
 		if _, err := ev.EvalContext(context.Background(), MustParse(changChain), &st, nil); err != nil {
 			t.Fatalf("%s: eval after failure: %v", name, err)
 		}
-		if len(cache.puts) == 0 {
+		if cache.Len() == 0 {
 			t.Fatalf("%s: successful evaluation published nothing", name)
 		}
 	}

@@ -3,25 +3,9 @@ package algebra
 import (
 	"testing"
 
+	"qof/internal/lru"
 	"qof/internal/region"
 )
-
-// mapCache is a minimal ResultCache for exercising the evaluator's cache
-// protocol without the engine's LRU.
-type mapCache struct {
-	m    map[string]region.Set
-	puts int
-}
-
-func (c *mapCache) Get(key string) (region.Set, bool) {
-	s, ok := c.m[key]
-	return s, ok
-}
-
-func (c *mapCache) Put(key string, s region.Set) {
-	c.m[key] = s
-	c.puts++
-}
 
 // TestEvaluatorResultCache checks the evaluator side of the cross-query
 // result cache: costly expressions are stored and served, cheap leaves are
@@ -29,7 +13,7 @@ func (c *mapCache) Put(key string, s region.Set) {
 func TestEvaluatorResultCache(t *testing.T) {
 	in := fixture(t)
 	ev := NewEvaluator(in)
-	cache := &mapCache{m: make(map[string]region.Set)}
+	cache := lru.New[string, region.Set](256, "", "")
 	ev.Results = cache
 	// The key is the expression's text: the evaluator reads one instance,
 	// and an instance never changes.
@@ -43,7 +27,7 @@ func TestEvaluatorResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.puts == 0 {
+	if cache.Len() == 0 {
 		t.Fatal("costly expression was not stored in the result cache")
 	}
 	var st Stats
@@ -63,11 +47,11 @@ func TestEvaluatorResultCache(t *testing.T) {
 
 	// A bare name is below the cost threshold: evaluated, never cached.
 	cheap := MustParse(`Reference`)
-	before := cache.puts
+	before := cache.Len()
 	if _, err := ev.Eval(cheap); err != nil {
 		t.Fatal(err)
 	}
-	if cache.puts != before {
+	if cache.Len() != before {
 		t.Error("cheap leaf was stored in the result cache")
 	}
 	if _, ok := cached(cheap); ok {

@@ -30,6 +30,7 @@ import (
 	"qof/internal/db"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/lru"
 	"qof/internal/optimizer"
 	"qof/internal/rig"
 	"qof/internal/text"
@@ -69,7 +70,7 @@ type Catalog struct {
 	// indexing choices resolved (choice.go), the prepared queries (prepared.go).
 	choiceMu sync.Mutex
 	choices  map[string]*Choice // guarded by choiceMu; by signature
-	prepared *preparedCache
+	prepared *lru.Cache[string, *Prepared]
 }
 
 // SetRewriter overrides the optimizer applied to candidate expressions
@@ -80,7 +81,7 @@ type Catalog struct {
 // synchronized with concurrent Compile calls. Prepared queries are forgotten.
 func (c *Catalog) SetRewriter(fn func(algebra.Expr, *rig.Graph) (algebra.Expr, []optimizer.Rewrite)) {
 	c.rewrite = fn
-	c.prepared = newPreparedCache(planCacheCap)
+	c.prepared = newPreparedCache()
 }
 
 // optimizeExpr applies the configured or default candidate optimizer.
@@ -101,7 +102,7 @@ func NewCatalog(g *grammar.Grammar) *Catalog {
 		faithful:  make(map[string]bool),
 		litTokens: make(map[string]map[string]bool),
 		choices:   make(map[string]*Choice),
-		prepared:  newPreparedCache(planCacheCap),
+		prepared:  newPreparedCache(),
 	}
 	for _, nt := range g.NonTerminals() {
 		c.faithful[nt] = isFaithful(g, nt)
@@ -194,6 +195,8 @@ type VarPlan struct {
 	Candidates algebra.Expr
 	// CandidatesKey is Candidates rendered (String), once per plan: the
 	// cross-query result cache keys on it for every file the plan runs on.
+	// It is empty when Candidates cost too little to keep there
+	// (algebra.CostAtLeast below DefaultResultMinCost).
 	CandidatesKey string
 	// Original is the pre-optimization expression, for EXPLAIN and the
 	// optimization benchmarks.
@@ -410,7 +413,9 @@ func (c *Catalog) compile(q *xsql.Query, indexed *Choice) (*Plan, error) {
 		vp.Original = expr
 		if expr != nil {
 			vp.Candidates, vp.Rewrites = c.optimizeExpr(expr, indexed.rig)
-			vp.CandidatesKey = vp.Candidates.String()
+			if algebra.CostAtLeast(vp.Candidates, algebra.DefaultResultMinCost) {
+				vp.CandidatesKey = vp.Candidates.String()
+			}
 		}
 		plan.Vars = append(plan.Vars, vp)
 	}

@@ -23,10 +23,4 @@ func CountPreparation(t testing.TB) (parses, compiles *atomic.Int64) {
 }
 
 // PreparedLen reports how many query texts the catalog keeps prepared.
-func (c *Catalog) PreparedLen() int { return c.prepared.len() }
-
-func (pc *preparedCache) len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.ll.Len()
-}
+func (c *Catalog) PreparedLen() int { return c.prepared.Len() }

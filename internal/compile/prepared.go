@@ -1,10 +1,10 @@
 package compile
 
 import (
-	"container/list"
 	"sync"
 
 	"qof/internal/faultinject"
+	"qof/internal/lru"
 	"qof/internal/xsql"
 )
 
@@ -57,7 +57,7 @@ func (p *Prepared) Plan(ch *Choice) (plan *Plan, cached bool, err error) {
 // Prepare returns the prepared form of the query text. A text seen lately
 // costs one lookup, on whichever file of the schema it runs.
 func (c *Catalog) Prepare(src string) (*Prepared, error) {
-	if p := c.prepared.get(src); p != nil {
+	if p, ok := c.cached(src); ok {
 		return p, nil
 	}
 	if onParse != nil {
@@ -67,72 +67,40 @@ func (c *Catalog) Prepare(src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.prepared.put(src, c.PrepareQuery(q)), nil
+	return c.keep(src, c.PrepareQuery(q)), nil
 }
 
 // PrepareQuery returns the prepared form of a parsed query, kept under its
 // normalized text (Query.String): where every spelling Prepare sees leads.
 func (c *Catalog) PrepareQuery(q *xsql.Query) *Prepared {
-	if p := c.prepared.get(q.String()); p != nil {
+	norm := q.String()
+	if p, ok := c.cached(norm); ok {
 		return p
 	}
-	return c.prepared.put(q.String(), &Prepared{Query: q, cat: c, plans: make(map[*Choice]*Plan, 1)})
+	return c.keep(norm, &Prepared{Query: q, cat: c, plans: make(map[*Choice]*Plan, 1)})
 }
 
-// preparedCache is a bounded LRU from query text to prepared query. The text
-// a client sent and the normalized text it parses to are two keys for one
-// Prepared, so the common repeat — the same bytes again — parses nothing.
-type preparedCache struct {
-	mu  sync.Mutex
-	cap int                      // immutable after construction
-	ll  *list.List               // guarded by mu; of *preparedEntry, front = most recently used
-	m   map[string]*list.Element // guarded by mu
+// newPreparedCache is a catalog's LRU from query text to prepared query. The
+// text a client sent and the normalized text it parses to are two keys for
+// one Prepared, so the common repeat — the same bytes again — parses nothing.
+func newPreparedCache() *lru.Cache[string, *Prepared] {
+	return lru.New[string, *Prepared](planCacheCap, faultinject.PlanCacheGet, faultinject.PlanCachePut)
 }
 
-type preparedEntry struct {
-	text string
-	p    *Prepared
-}
-
-func newPreparedCache(capacity int) *preparedCache {
-	return &preparedCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// get returns what is kept under the text, most recently used from now on;
-// an over-long text, or an injected plancache.get fault, is a miss.
-func (pc *preparedCache) get(text string) *Prepared {
-	if len(text) > maxRetainedSource || faultinject.Hit(faultinject.PlanCacheGet) != nil {
-		return nil
+// cached returns the Prepared kept under the text; an over-long one is never
+// kept.
+func (c *Catalog) cached(text string) (*Prepared, bool) {
+	if len(text) > maxRetainedSource {
+		return nil, false
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	el, ok := pc.m[text]
-	if !ok {
-		return nil
-	}
-	pc.ll.MoveToFront(el)
-	return el.Value.(*preparedEntry).p
+	return c.prepared.Get(text)
 }
 
-// put keeps p under the text and returns it — unless the text is kept
-// already: what is there wins, so concurrent first sightings of a query share
-// one Prepared. The least recently used text goes when the cache is full; an
-// over-long text, or an injected plancache.put fault, keeps nothing.
-func (pc *preparedCache) put(text string, p *Prepared) *Prepared {
-	if len(text) > maxRetainedSource || faultinject.Hit(faultinject.PlanCachePut) != nil {
+// keep keeps p under the text, unless the text is over-long, and returns
+// what is kept there.
+func (c *Catalog) keep(text string, p *Prepared) *Prepared {
+	if len(text) > maxRetainedSource {
 		return p
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.m[text]; ok {
-		pc.ll.MoveToFront(el)
-		return el.Value.(*preparedEntry).p
-	}
-	pc.m[text] = pc.ll.PushFront(&preparedEntry{text: text, p: p})
-	if pc.ll.Len() > pc.cap {
-		oldest := pc.ll.Back()
-		pc.ll.Remove(oldest)
-		delete(pc.m, oldest.Value.(*preparedEntry).text)
-	}
-	return p
+	return c.prepared.Add(text, p)
 }

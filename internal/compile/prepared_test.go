@@ -470,3 +470,90 @@ func TestOperandOrderIsThePlans(t *testing.T) {
 		t.Errorf("the catalog compiled %d times for %d queries on two files of one choice, want %d", got, len(srcs), len(srcs))
 	}
 }
+
+// keyQuery is a distinct, already normalized query per i.
+func keyQuery(i int) string {
+	return fmt.Sprintf(`SELECT r FROM References r WHERE r.Key = "k%d"`, i)
+}
+
+// TestPlanCacheLRU: the catalog keeps PlanCacheCap texts, and the one used
+// longest ago is the one a new text pushes out.
+func TestPlanCacheLRU(t *testing.T) {
+	cat := bibtex.Catalog()
+	parses, _ := compile.CountPreparation(t)
+	prepare := func(i int) *compile.Prepared {
+		t.Helper()
+		p, err := cat.Prepare(keyQuery(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first := prepare(0)
+	for i := 1; i < compile.PlanCacheCap; i++ {
+		prepare(i)
+	}
+	if prepare(0) != first { // text 0 is the newest now, text 1 the oldest
+		t.Fatal("text 0 was not kept")
+	}
+	prepare(compile.PlanCacheCap)
+	before := parses.Load()
+	if prepare(0) != first || parses.Load() != before {
+		t.Error("text 0 was pushed out: it was used after text 1")
+	}
+	if prepare(1); parses.Load() != before+1 {
+		t.Error("text 1 was kept: it was the least recently used")
+	}
+	if n := cat.PreparedLen(); n != compile.PlanCacheCap {
+		t.Errorf("%d texts kept, want %d", n, compile.PlanCacheCap)
+	}
+}
+
+// TestPlanCacheRefresh: preparing a text again returns what is kept, and a
+// text and its normalized form are two keys for one Prepared.
+func TestPlanCacheRefresh(t *testing.T) {
+	cat := bibtex.Catalog()
+	first, err := cat.Prepare(changQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{changQuery, changSpelled, changSpelled} {
+		if p, err := cat.Prepare(src); err != nil || p != first {
+			t.Errorf("Prepare(%q) = %p, %v; want the kept %p", src, p, err, first)
+		}
+	}
+	if n := cat.PreparedLen(); n != 2 {
+		t.Errorf("%d texts kept, want 2", n)
+	}
+}
+
+// TestPlanCacheConcurrent: goroutines preparing the same texts at once all
+// get the one Prepared the catalog keeps for each. Run it under -race.
+func TestPlanCacheConcurrent(t *testing.T) {
+	cat := bibtex.Catalog()
+	const goroutines, texts = 8, 16
+	got := make([][texts]*compile.Prepared, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < texts; i++ {
+				p, err := cat.Prepare(keyQuery((g + i) % texts))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][(g+i)%texts] = p
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := 0; i < texts; i++ {
+		for g := 1; g < goroutines; g++ {
+			if got[g][i] != got[0][i] {
+				t.Errorf("text %d: goroutines %d and 0 hold different Prepared values", i, g)
+			}
+		}
+	}
+}

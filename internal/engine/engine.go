@@ -26,6 +26,7 @@ import (
 	"qof/internal/faultinject"
 	"qof/internal/grammar"
 	"qof/internal/index"
+	"qof/internal/lru"
 	"qof/internal/pool"
 	"qof/internal/qerr"
 	"qof/internal/region"
@@ -40,12 +41,33 @@ import (
 // prepared queries — plans belong to the schema, not to a file's engine —
 // synchronize internally.
 type Engine struct {
-	cat     *compile.Catalog
-	in      *index.Instance
-	ev      *algebra.Evaluator
-	results *ResultCache
-	choice  *compile.Choice // the instance's indexing choice, resolved once
+	cat    *compile.Catalog
+	in     *index.Instance
+	ev     *algebra.Evaluator
+	choice *compile.Choice // the instance's indexing choice, resolved once
+
+	// results is the cross-query result cache, shared with ev: evaluated
+	// region sets by expression text. It skips phase 1 for repeated
+	// subexpressions, including ones different queries share. It belongs to
+	// one instance, which never changes, so an entry never goes stale: an
+	// edit makes a new instance, and the new instance gets a new engine.
+	// Region sets are immutable, so a kept set is shared by any number of
+	// concurrent executions.
+	results *lru.Cache[string, region.Set]
+	// door is the doorkeeper, the admission filter of TinyLFU (Einziger,
+	// Friedman & Manes): the keys whose candidate stream a LIMIT stopped,
+	// so published nothing. A recorded key's next miss builds the whole
+	// set, which publishes, so a query repeated under a LIMIT streams once
+	// and is a cache hit from its third run on, while a one-off LIMIT query
+	// never pays for more than its stream.
+	door *lru.Cache[string, struct{}]
 }
+
+// resultCacheCap bounds an engine's result cache and its doorkeeper. Entries
+// are whole region sets, so the cap is larger than the catalog's prepared
+// texts (more distinct subexpressions than query texts) but still small
+// enough that a burst of one-off queries cannot pin unbounded memory.
+const resultCacheCap = 256
 
 // New creates an engine over the catalog and instance, with the
 // cross-query result cache. It resolves the instance's indexing choice
@@ -56,8 +78,9 @@ func New(cat *compile.Catalog, in *index.Instance) *Engine {
 		cat:     cat,
 		in:      in,
 		ev:      algebra.NewEvaluator(in),
-		results: NewResultCache(resultCacheCap),
 		choice:  cat.Choice(in),
+		results: lru.New[string, region.Set](resultCacheCap, faultinject.ResultCacheGet, faultinject.ResultCachePut),
+		door:    lru.New[string, struct{}](resultCacheCap, "", ""),
 	}
 	e.ev.Results = e.results
 	return e
@@ -75,15 +98,6 @@ func (e *Engine) Catalog() *compile.Catalog { return e.cat }
 func (e *Engine) DisableResultCache() {
 	e.ev.Results = nil
 	e.results = nil
-}
-
-// CacheCounters reports the result cache's cumulative hits and misses, for
-// throughput reports.
-func (e *Engine) CacheCounters() (resultHits, resultMisses int) {
-	if e.results != nil {
-		resultHits, resultMisses = e.results.Counters()
-	}
-	return
 }
 
 // Stats describes how a query was executed.
@@ -349,7 +363,7 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 // resultKey is the cross-query result cache's key for vp's candidates, or
 // "" when the cache is off or the candidates cost too little to keep.
 func (e *Engine) resultKey(vp *compile.VarPlan) string {
-	if e.results == nil || !algebra.CostAtLeast(vp.Candidates, algebra.DefaultResultMinCost) {
+	if e.results == nil {
 		return ""
 	}
 	return vp.CandidatesKey
@@ -514,7 +528,7 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 			res.Stats.ResultCached = true
 			res.Stats.ResultCacheHits++
 			src = s.Iter()
-		} else if e.results.Recorded(key) {
+		} else if _, ok := e.door.Get(key); ok {
 			s, err := e.evalExpr(es, vp.Candidates, res)
 			if err != nil {
 				return fmt.Errorf("engine: evaluating candidates: %w", err)
@@ -545,9 +559,9 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 		// The stream was drained in full, so the accumulated candidates
 		// are the exact phase-1 answer — safe to publish. A limit-stopped
 		// or failed drain never publishes: a partial set is never cached.
-		e.results.Put(key, region.FromRegions(all))
+		e.results.Add(key, region.FromRegions(all))
 	} else if cacheable {
-		e.results.Record(key)
+		e.door.Add(key, struct{}{})
 	}
 	return nil
 }

@@ -17,40 +17,6 @@ import (
 
 const cacheProbeQuery = `SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
 
-// TestResultCacheLRU exercises the cache mechanics directly: bounded
-// capacity, least-recently-used eviction, and refresh on Get and Put.
-func TestResultCacheLRU(t *testing.T) {
-	rc := engine.NewResultCache(2)
-	set := func(start int) region.Set {
-		return region.FromRegions([]region.Region{region.Of(start, start+1)})
-	}
-	rc.Put("a", set(0))
-	rc.Put("b", set(1))
-	if _, ok := rc.Get("a"); !ok { // refresh a: now b is oldest
-		t.Fatal("a missing")
-	}
-	rc.Put("c", set(2)) // evicts b
-	if _, ok := rc.Get("b"); ok {
-		t.Error("b should have been evicted as least recently used")
-	}
-	if _, ok := rc.Get("a"); !ok {
-		t.Error("refreshed entry a was evicted")
-	}
-	rc.Put("a", set(9)) // refresh with new contents
-	if s, ok := rc.Get("a"); !ok || s.At(0).Start != 9 {
-		t.Errorf("Put did not refresh existing entry: %v %v", s, ok)
-	}
-	if rc.Len() != 2 {
-		t.Errorf("Len = %d, want 2", rc.Len())
-	}
-	if hits, misses := rc.Counters(); hits == 0 || misses == 0 {
-		t.Errorf("counters: hits=%d misses=%d", hits, misses)
-	}
-	if engine.NewResultCache(0).Len() != 0 {
-		t.Error("zero-capacity cache should clamp, not panic")
-	}
-}
-
 // TestResultCacheRepeatedQuery asserts that a repeated query's candidate set
 // is served from the cross-query result cache and reported via Stats.
 func TestResultCacheRepeatedQuery(t *testing.T) {
@@ -60,8 +26,8 @@ func TestResultCacheRepeatedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Stats.ResultCached {
-		t.Error("first execution cannot be a result-cache hit")
+	if first.Stats.ResultCached || first.Stats.ResultCacheHits != 0 {
+		t.Errorf("first execution cannot be a result-cache hit: %+v", first.Stats)
 	}
 	second, err := f.Eng.Execute(q)
 	if err != nil {
@@ -72,10 +38,6 @@ func TestResultCacheRepeatedQuery(t *testing.T) {
 	}
 	if !second.Regions.Equal(first.Regions) {
 		t.Errorf("cached result diverged:\n got %v\nwant %v", second.Regions, first.Regions)
-	}
-	hits, misses := f.Eng.CacheCounters()
-	if hits == 0 || misses == 0 {
-		t.Errorf("counters should show both hits and misses: hits=%d misses=%d", hits, misses)
 	}
 }
 

@@ -62,10 +62,10 @@ const (
 	IndexBuild     = "index.build"     // grammar.BuildInstance: parse + region extraction
 	PersistSave    = "persist.save"    // index.Instance.Save
 	PersistLoad    = "persist.load"    // index.Load
-	PlanCacheGet   = "plancache.get"   // compile.Catalog.Prepare, Prepared.Plan lookups (fires = forced miss)
+	PlanCacheGet   = "plancache.get"   // the catalog's prepared-text lru.Cache Get, Prepared.Plan lookups (fires = forced miss)
 	PlanCachePut   = "plancache.put"   // the inserts after them (fires = entry dropped)
-	ResultCacheGet = "resultcache.get" // engine.ResultCache.Get (fires = forced miss)
-	ResultCachePut = "resultcache.put" // engine.ResultCache.Put (fires = entry dropped)
+	ResultCacheGet = "resultcache.get" // an engine's result-set lru.Cache Get (fires = forced miss)
+	ResultCachePut = "resultcache.put" // its Add (fires = entry dropped)
 	Phase2         = "engine.phase2"   // per-candidate work in the phase-2 pool
 	CorpusFile     = "corpus.file"     // per-file evaluation in qof.Corpus.ExecuteContext
 	ServePublish   = "serve.publish"   // serve.Server.Publish, after the build and before the swap
