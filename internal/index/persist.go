@@ -18,8 +18,13 @@ import (
 // start positions are delta-encoded against the previous entry, which keeps
 // indexes for large documents compact. The document text itself is not
 // stored: the loader re-attaches the index to a document and verifies the
-// document has not changed using its length and CRC.
-const indexMagic = "QOFIX01\n"
+// document has not changed using its length and CRC. The file ends in the
+// CRC-32C of everything before it, four bytes little-endian, which Load
+// checks before it reads any table: a CRC detects every single-bit error,
+// where the tables' own checks let a flipped region entry through.
+const indexMagic = "QOFIX02\n"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrIndexMismatch is returned by Load when the persisted index was built
 // over a different document than the one supplied.
@@ -44,7 +49,8 @@ func (in *Instance) Save(w io.Writer) error {
 	if err := faultinject.Hit(faultinject.PersistSave); err != nil {
 		return fmt.Errorf("index: save: %w", err)
 	}
-	bw := bufio.NewWriter(w)
+	sum := crc32.New(castagnoli)
+	bw := bufio.NewWriter(io.MultiWriter(w, sum))
 	if _, err := bw.WriteString(indexMagic); err != nil {
 		return err
 	}
@@ -78,19 +84,22 @@ func (in *Instance) Save(w io.Writer) error {
 			prev = r.Start
 		}
 	}
-	return bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32()))
+	return err
 }
 
 // Load reads an instance previously written by Save and re-attaches it to
 // doc. It returns ErrIndexMismatch if doc differs from the document the
-// index was built over.
+// index was built over, and ErrCorrupt if the file's CRC does not match.
 func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 	if err := faultinject.Hit(faultinject.PersistLoad); err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
 	}
-	br := bufio.NewReader(r)
 	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("index: reading magic: %w", err)
 	}
 	if string(magic) != indexMagic {
@@ -99,6 +108,18 @@ func Load(r io.Reader, doc *text.Document) (*Instance, error) {
 		}
 		return nil, ErrBadMagic
 	}
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("index: reading: %w", err)
+	}
+	if len(rest) < 4 {
+		return nil, fmt.Errorf("index: reading file checksum: %w", io.ErrUnexpectedEOF)
+	}
+	body := rest[:len(rest)-4]
+	if crc32.Update(crc32.Checksum(magic, castagnoli), castagnoli, body) != binary.LittleEndian.Uint32(rest[len(body):]) {
+		return nil, fmt.Errorf("%w: file checksum mismatch", ErrCorrupt)
+	}
+	br := bytes.NewReader(body)
 	if _, err := readString(br); err != nil { // stored name is informational
 		return nil, fmt.Errorf("index: reading document name: %w", err)
 	}
@@ -194,7 +215,7 @@ func writeString(w *bufio.Writer, s string) {
 
 // readUvarint takes the one-byte varints — nearly every token delta and
 // length — straight from the buffer.
-func readUvarint(r *bufio.Reader) (uint64, error) {
+func readUvarint(r *bytes.Reader) (uint64, error) {
 	if b, err := r.ReadByte(); err != nil || b < 0x80 {
 		return uint64(b), err
 	}
@@ -203,7 +224,7 @@ func readUvarint(r *bufio.Reader) (uint64, error) {
 }
 
 // readEntry reads one table entry: a start delta and a length.
-func readEntry(r *bufio.Reader) (ds, ln uint64, err error) {
+func readEntry(r *bytes.Reader) (ds, ln uint64, err error) {
 	if ds, err = readUvarint(r); err == nil {
 		ln, err = readUvarint(r)
 	}
@@ -223,7 +244,7 @@ func checksum(s string) uint32 {
 	return sum
 }
 
-func readString(r *bufio.Reader) (string, error) {
+func readString(r *bytes.Reader) (string, error) {
 	n, err := readUvarint(r)
 	if err != nil {
 		return "", err

@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -14,9 +15,10 @@ import (
 	"qof/internal/testutil"
 )
 
-// updateGolden rewrites testdata/*.qofix. The committed files were written
-// with it at the commit before the word index became one slab of positions,
-// so they are what that layout's Save produced.
+// updateGolden rewrites the golden testdata/*.qofix files (not
+// bib_partial_v1.qofix, the last file of format QOFIX01). The committed
+// files were written with it when the format gained its file CRC; the
+// tables in them are byte for byte what the files before it held.
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden index files")
 
 // goldenFixtures are the instances whose Save output is pinned: the
@@ -80,5 +82,18 @@ func TestSaveMatchesGolden(t *testing.T) {
 		if !bytes.Equal(again.Bytes(), golden) {
 			t.Errorf("%s: the loaded golden file saves back differently", name)
 		}
+	}
+}
+
+// TestLoadRefusesVersion1: a file of the format before the file CRC is
+// refused, never read: there is one reader, and it reads QOFIX02.
+func TestLoadRefusesVersion1(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "bib_partial_v1.qofix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := goldenFixtures(t)["bib_partial"].Document()
+	if _, err := index.Load(bytes.NewReader(old), doc); !errors.Is(err, index.ErrUnsupportedVersion) {
+		t.Errorf("loading a QOFIX01 file: %v, want ErrUnsupportedVersion", err)
 	}
 }

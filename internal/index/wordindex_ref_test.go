@@ -95,7 +95,8 @@ func (x *refWordIndex) selectContaining(s region.Set, w string) region.Set {
 }
 
 // save writes the instance the way Save did when the word index held the
-// token table: the table copied out of it, then the region tables.
+// token table: the table copied out of it, then the region tables, then
+// the file's CRC.
 func (x *refWordIndex) save(in *index.Instance) []byte {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
@@ -111,7 +112,7 @@ func (x *refWordIndex) save(in *index.Instance) []byte {
 			prev = start
 		}
 	}
-	bw.WriteString("QOFIX01\n")
+	bw.WriteString("QOFIX02\n")
 	str(x.doc.Name())
 	uvarint(uint64(x.doc.Len()))
 	uvarint(uint64(crc32.ChecksumIEEE([]byte(x.doc.Content()))))
@@ -124,7 +125,7 @@ func (x *refWordIndex) save(in *index.Instance) []byte {
 		table(len(rs), func(i int) (int, int) { return int(rs[i].Start), int(rs[i].End) })
 	}
 	bw.Flush()
-	return buf.Bytes()
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.Checksum(buf.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // checkAgainstReference compares everything the word index answers with the
