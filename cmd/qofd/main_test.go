@@ -335,10 +335,11 @@ func TestDaemonDebugAddr(t *testing.T) {
 }
 
 // TestDaemonSlowClient: a connection that dribbles half a request line — a
-// byte every half second, never the end of it — is closed by the daemon once
-// the header timeout is up, on the query address and on the debug one, while
-// a well-formed /query sent beside it is answered; a header block past the
-// limit is refused with 431.
+// byte every half second until a second before the header timeout, never the
+// end of it — is closed by the daemon once the header timeout is up, not
+// once it has been idle that long, on the query address and on the debug
+// one, while a well-formed /query sent beside it is answered; a header block
+// past the limit is refused with 431.
 func TestDaemonSlowClient(t *testing.T) {
 	dir := writeCorpus(t, 1)
 	base, out := startDaemonOutput(t, []string{"-domain", "bibtex", "-debug-addr", "127.0.0.1:0", "-dir", dir})
@@ -352,8 +353,16 @@ func TestDaemonSlowClient(t *testing.T) {
 		}
 		defer conn.Close()
 		start := time.Now()
+		// The trickle stops a second before the header timeout. A byte that
+		// reaches the server as it closes the connection, or after, is
+		// answered with a reset, and the read below reports the reset in
+		// place of the close; at a byte every 500 ms from the dial, the
+		// eleventh would land on the timeout itself.
 		go func() {
 			for _, c := range []byte("GET /query?q=SELECT+r+FROM+References+r+WHERE+r.Key+%3D+%22nobody-ever-finishes-this") {
+				if time.Since(start) > readHeaderTimeout-time.Second {
+					return
+				}
 				if _, err := conn.Write([]byte{c}); err != nil {
 					return
 				}

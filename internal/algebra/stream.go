@@ -193,7 +193,7 @@ func (ev *Evaluator) stream(sc *streamCtx, e Expr) (region.Iterator, error) {
 
 // streamBinary merges the operands' streams of ∪, −, ∩ and ⊃. Name ⊃ X for
 // a disjoint name does not stream the name: X is pulled one region at a
-// time and each region gallops in the name's slice, so the operator costs
+// time and each region probes the name's slice, so the operator costs
 // what X does and a LIMIT downstream still stops X early.
 func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary) (region.Iterator, error) {
 	if n, ok := e.L.(Name); ok && e.Op == OpIncluding {

@@ -16,6 +16,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -324,6 +325,11 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 		}
 		within := projected.Included(candidates)
 		content := e.in.Document().Content()
+		n := within.Len()
+		if q.Limit > 0 {
+			n = min(n, q.Limit)
+		}
+		res.Strings = slices.Grow(res.Strings, n)
 		for _, r := range within.Regions() {
 			if q.Limit > 0 && len(res.Strings) >= q.Limit {
 				break

@@ -18,7 +18,7 @@ type Checker func() error
 // pollStride is how many loop iterations a kernel runs between Checker
 // polls. It is a power of two so the position test compiles to a mask, and
 // small enough that the merges and probes, whose iterations cost O(1) or
-// one galloping search, keep the poll latency well under the 50ms budget
+// one probe's search, keep the poll latency well under the 50ms budget
 // the facade documents. The exception is the fallback of ⊃d/⊂d where
 // regions do not nest, which polls as it scans the regions sorting before s.
 const pollStride = 1024

@@ -28,9 +28,10 @@ import "slices"
 // one region of S.
 //
 // When R is disjoint the regions of S probe it — each has at most two
-// possible containers, found by one galloping search — in
-// O(|S| · log(|R|/|S|)); when S is disjoint the regions of R probe it in
-// O(|R| · log(|S|/|R|)); when both are, the smaller side drives (probe.go).
+// possible containers, found by one search — in O(|S|) on evenly spread
+// positions and O(|S| · log |R|) at worst; when S is disjoint the regions
+// of R probe it, at the same costs with the sides swapped; when both are,
+// the smaller side drives (probe.go).
 // The output buffer is sized by the driving side. Only when neither operand
 // is disjoint (a self-nested name such as sgml's Section, overlapping hand
 // tables) does the merge below run, in O(|R|+|S|).
@@ -84,11 +85,12 @@ func includingSweep(R, S Set, check Checker) (Set, error) {
 // one region of S.
 //
 // When R is disjoint the regions inside each s are one contiguous range of
-// R, found by two galloping searches and copied as a run:
-// O(|S| · log(|R|/|S|)) plus the answer. When S is disjoint each r has at
-// most two possible containers: O(|R| · log(|S|/|R|)). When both are, the
-// smaller side drives (probe.go). Only when neither is disjoint does the
-// merge below run, in O(|R|+|S|).
+// R, found by two searches and copied as a run: O(|S|) on evenly spread
+// positions and O(|S| · log |R|) at worst, plus the answer. When S is
+// disjoint each r has at most two possible containers, at the same costs
+// with the sides swapped. When both are, the smaller side drives
+// (probe.go). Only when neither is disjoint does the merge below run, in
+// O(|R|+|S|).
 func (s Set) Included(t Set) Set {
 	out, _ := s.IncludedCtl(t, nil)
 	return out

@@ -14,11 +14,18 @@ import "sort"
 //     one search on Start and one on End.
 //
 // A kernel with a disjoint operand therefore walks the *other* operand and
-// probes the disjoint one, galloping from where the previous probe landed:
-// doubling steps bracket the target and a binary search finishes, so a
-// probe costs O(log d) for a jump of d regions. Over a whole operand that
-// is O(|small| · log(|big|/|small|)) — a merge when the sides are the same
-// size, logarithmic when they are not, with no cutoff between the two.
+// probes the disjoint one, each probe starting where the previous one
+// landed. A probe reads the regions one, three and seven past the cursor,
+// as a gallop would, so a jump of up to seven regions costs a few reads of
+// one or two cache lines. Past that it guesses: positions in a file are
+// spread nearly evenly, so linear interpolation between the gallop's last
+// step and the slice's last region lands on or next to the target. A gallop
+// from the guess, up or down, brackets the target, and a binary search
+// finishes. On evenly spread positions a far probe costs O(1) whatever the
+// jump. Where they cluster a guess can miss by many regions, and a probe
+// costs O(log n) at worst for a slice of n regions. Over a whole operand
+// that is O(|small|) to O(|small| · log |big|): a merge when the sides are
+// the same size, with no cutoff between the two.
 //
 // The container and holder walks below are shared by the set kernels
 // (inclusion.go, Holding) and by the stream operators that probe a set
@@ -28,17 +35,35 @@ import "sort"
 // Starts do not decrease from `from` on.
 func seekStart(rs []Region, from int, v int32) int {
 	n := len(rs)
-	if from >= n || rs[from].Start >= v {
+	var lo, hi int // rs[lo].Start < v; hi == n or rs[hi].Start ≥ v
+	switch {
+	case from >= n || rs[from].Start >= v:
 		return from
+	case from+1 == n || rs[from+1].Start >= v:
+		return from + 1
+	case from+3 >= n || rs[from+3].Start >= v:
+		lo, hi = from+1, min(from+3, n)
+	case from+7 >= n || rs[from+7].Start >= v:
+		lo, hi = from+3, min(from+7, n)
+	case rs[n-1].Start < v:
+		return n
+	default:
+		lo, hi = from+7, n-1
+		g := guess(lo, hi, int64(rs[lo].Start), int64(rs[hi].Start), int64(v))
+		step := 1
+		if rs[g].Start < v {
+			for lo = g; lo+step < hi && rs[lo+step].Start < v; step <<= 1 {
+				lo += step
+			}
+			hi = min(lo+step, hi)
+		} else {
+			for hi = g; hi-step > lo && rs[hi-step].Start >= v; step <<= 1 {
+				hi -= step
+			}
+			lo = max(hi-step, lo)
+		}
 	}
-	lo, step := from, 1 // rs[lo].Start < v
-	for lo+step < n && rs[lo+step].Start < v {
-		lo += step
-		step <<= 1
-	}
-	hi := min(lo+step, n) // hi == n or rs[hi].Start ≥ v
-	lo++
-	for lo < hi {
+	for lo++; lo < hi; {
 		mid := int(uint(lo+hi) >> 1)
 		if rs[mid].Start < v {
 			lo = mid + 1
@@ -53,17 +78,35 @@ func seekStart(rs []Region, from int, v int32) int {
 // do not decrease from `from` on.
 func seekEnd(rs []Region, from int, v int32) int {
 	n := len(rs)
-	if from >= n || rs[from].End > v {
+	var lo, hi int // rs[lo].End ≤ v; hi == n or rs[hi].End > v
+	switch {
+	case from >= n || rs[from].End > v:
 		return from
+	case from+1 == n || rs[from+1].End > v:
+		return from + 1
+	case from+3 >= n || rs[from+3].End > v:
+		lo, hi = from+1, min(from+3, n)
+	case from+7 >= n || rs[from+7].End > v:
+		lo, hi = from+3, min(from+7, n)
+	case rs[n-1].End <= v:
+		return n
+	default:
+		lo, hi = from+7, n-1
+		g := guess(lo, hi, int64(rs[lo].End), int64(rs[hi].End), int64(v)+1)
+		step := 1
+		if rs[g].End <= v {
+			for lo = g; lo+step < hi && rs[lo+step].End <= v; step <<= 1 {
+				lo += step
+			}
+			hi = min(lo+step, hi)
+		} else {
+			for hi = g; hi-step > lo && rs[hi-step].End > v; step <<= 1 {
+				hi -= step
+			}
+			lo = max(hi-step, lo)
+		}
 	}
-	lo, step := from, 1 // rs[lo].End ≤ v
-	for lo+step < n && rs[lo+step].End <= v {
-		lo += step
-		step <<= 1
-	}
-	hi := min(lo+step, n)
-	lo++
-	for lo < hi {
+	for lo++; lo < hi; {
 		mid := int(uint(lo+hi) >> 1)
 		if rs[mid].End <= v {
 			lo = mid + 1
@@ -72,6 +115,15 @@ func seekEnd(rs []Region, from int, v int32) int {
 		}
 	}
 	return lo
+}
+
+// guess interpolates where the first key ≥ t sits between index lo, whose
+// key klo < t, and index hi, whose key khi ≥ t, were the keys spread evenly
+// between them. The divisor is positive, the product of two factors below
+// 2³² fits, and the ceiling of the quotient is at least 1 and at most
+// hi−lo, so the guess lies in (lo, hi] without a clamp.
+func guess(lo, hi int, klo, khi, t int64) int {
+	return lo + 1 + int(((t-klo)*int64(hi-lo)-1)/(khi-klo))
 }
 
 // holders reports which of the two regions of the disjoint slice rs that
@@ -187,7 +239,9 @@ func includingByContent(R, S Set, check Checker) (Set, error) {
 // can bring it back: its strict containers sort before s, and had one
 // occurred, done would already be past it.
 func includedByContent(R, S Set, check Checker) (Set, error) {
-	var out []Region
+	// One region each is the common case, a child per parent; a parent
+	// with several grows the buffer by doubling.
+	out := make([]Region, 0, min(len(R.regions), len(S.regions)))
 	rs := R.regions
 	pos, done := 0, 0 // seekStart cursor; every index below done is decided
 	for i, s := range S.regions {

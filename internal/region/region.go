@@ -8,11 +8,10 @@
 // identified by its pair of positions, exactly as in the paper ("each region
 // ... is defined by a pair of positions in the text"). The positions are
 // int32, so a region is eight bytes (Bytes): every named set, cached answer
-// and kernel buffer is a slice of them, and the probe kernels' galloping
-// searches are bound by the cache lines that slice spans. A Set is a
-// duplicate-free slice of regions sorted by (Start ascending, End
-// descending), so that under proper nesting outer regions precede the
-// regions they include.
+// and kernel buffer is a slice of them, and the probe kernels' searches are
+// bound by the cache lines that slice spans. A Set is a duplicate-free
+// slice of regions sorted by (Start ascending, End descending), so that
+// under proper nesting outer regions precede the regions they include.
 package region
 
 import (

@@ -168,3 +168,46 @@ func BenchmarkIncludingSkewed(b *testing.B) { skewedBench(b, Set.Including) }
 func BenchmarkIncludedSkewed(b *testing.B) {
 	skewedBench(b, func(R, S Set) Set { return S.Included(R) })
 }
+
+// seekSink keeps BenchmarkSeek's last index live.
+var seekSink int
+
+// BenchmarkSeek runs seekStart and seekEnd along 65 536 disjoint regions
+// laid out uniformly, in bursts separated by long gaps, and with gaps that
+// grow geometrically (seekLayouts), each probe landing a seeded 1 to
+// 2·jump−1 regions past the last: `jump` on average, and never the same
+// distance twice in a row often enough for the branch predictor to learn
+// it. Interpolation guesses well on the first layout and badly on the other
+// two: on geometric gaps, its worst case, the guess lands near the cursor
+// and the gallop from it does the old search's work after the division.
+func BenchmarkSeek(b *testing.B) {
+	layouts := seekLayouts(1 << 16)[:3]
+	for _, l := range layouts {
+		for _, jump := range []int{2, 64} {
+			rng := rand.New(rand.NewSource(int64(jump)))
+			for _, c := range []struct {
+				name string
+				seek func([]Region, int, int32) int
+				key  func(Region) int32
+			}{
+				{"start", seekStart, func(r Region) int32 { return r.Start }},
+				{"end", seekEnd, func(r Region) int32 { return r.End }},
+			} {
+				var targets []int32
+				for i := 1 + rng.Intn(2*jump-1); i < len(l.rs); i += 1 + rng.Intn(2*jump-1) {
+					targets = append(targets, c.key(l.rs[i]))
+				}
+				b.Run(fmt.Sprintf("%s/jump=%d/%s", l.name, jump, c.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						k := 0
+						for _, v := range targets {
+							k = c.seek(l.rs, k, v)
+						}
+						seekSink = k
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(targets)), "ns/probe")
+				})
+			}
+		}
+	}
+}
