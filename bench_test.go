@@ -98,7 +98,7 @@ func BenchmarkMicroDirectIncluding(b *testing.B) {
 	named := s.in.Sets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := region.DirectlyIncluding(refs, authors, named, nil); err != nil {
+		if _, err := region.DirectlyIncluding(refs, authors, named, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

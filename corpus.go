@@ -229,9 +229,13 @@ func (c *Corpus) ExecuteContext(ctx context.Context, src string, opts ...QueryOp
 		if res.Stats.Results == 0 {
 			continue
 		}
-		hit := CorpusHit{File: f.Name(), Values: append([]string(nil), res.Strings...)}
-		for _, r := range res.Regions.Regions() {
-			hit.Spans = append(hit.Spans, Span{Start: int(r.Start), End: int(r.End)})
+		// The engine builds Strings for this call alone: the hit takes it.
+		hit := CorpusHit{File: f.Name(), Values: res.Strings}
+		if rs := res.Regions.Regions(); len(rs) > 0 {
+			hit.Spans = make([]Span, len(rs))
+			for i, r := range rs {
+				hit.Spans[i] = Span{Start: int(r.Start), End: int(r.End)}
+			}
 		}
 		out.Hits = append(out.Hits, hit)
 	}

@@ -192,11 +192,17 @@ func convertResults(eng *engine.Engine, res *engine.Result) *Results {
 		PlanCached:  res.Stats.PlanCached,
 	}
 	if res.Projected {
-		out.Values = append([]string(nil), res.Strings...)
+		// The engine builds Strings for this call alone: the answer takes it.
+		if len(res.Strings) > 0 {
+			out.Values = res.Strings
+		}
 		return out
 	}
-	for _, r := range res.Regions.Regions() {
-		out.Spans = append(out.Spans, spanOf(doc, r))
+	if rs := res.Regions.Regions(); len(rs) > 0 {
+		out.Spans = make([]Span, len(rs))
+		for i, r := range rs {
+			out.Spans[i] = spanOf(doc, r)
+		}
 	}
 	return out
 }

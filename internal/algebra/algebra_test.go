@@ -415,7 +415,7 @@ func TestLayeredDirectMatchesNaiveRandomNested(t *testing.T) {
 				t.Fatalf("trial %d: %s >d %s: layered=%v naive=%v (named %v)",
 					trial, rn, sn, got, want, all)
 			}
-			if sweep, err := region.DirectlyIncluding(R, S, in.Sets(), nil); err != nil || !sweep.Equal(want) {
+			if sweep, err := region.DirectlyIncluding(R, S, in.Sets(), nil, nil); err != nil || !sweep.Equal(want) {
 				t.Fatalf("trial %d: %s >d %s: sweep=%v (err %v) naive=%v", trial, rn, sn, sweep, err, want)
 			}
 		}

@@ -25,6 +25,7 @@ type Stats struct {
 	RegionsTouched  int // total regions in intermediate results
 	ResultCacheHits int // subexpressions answered from the cross-query cache
 	ShortCircuits   int // binary operators answered ∅ without evaluating their right operand
+	BlockerKernels  int // c ⊃ S kernels the ⊃d/⊂d sweeps ran over named sets c for their blockers
 	PeakBytes       int // high-water mark of buffered region bytes (streaming evaluation)
 }
 
@@ -130,9 +131,8 @@ type evalCtx struct {
 	// operator, not only between queries. It is nil when the caller's
 	// context can never be canceled.
 	cctx context.Context
-	// chk adapts cctx to the region kernels' Checker. It is allocated
-	// once per pooled context (it reads cctx at call time), never per
-	// evaluation.
+	// chk is poll as the region kernels' Checker. It is allocated once per
+	// pooled context (it reads cctx at call time), never per evaluation.
 	chk region.Checker
 
 	// budget, when non-nil, is the query's region allowance.
@@ -153,7 +153,20 @@ func (ctx *evalCtx) poll() error {
 	if ctx.cctx == nil {
 		return nil
 	}
-	return ctx.cctx.Err()
+	return pollDone(ctx.cctx)
+}
+
+// pollDone returns cctx's error once cctx is done. It receives from Done
+// without blocking and reads Err only once Done is closed, as the context
+// contract allows: a cancelable context's Err takes its mutex, its Done is
+// one atomic load.
+func pollDone(cctx context.Context) error {
+	select {
+	case <-cctx.Done():
+		return cctx.Err()
+	default:
+		return nil
+	}
 }
 
 // checker returns the kernel Checker for this evaluation, nil when the
@@ -384,12 +397,21 @@ func (ev *Evaluator) apply(ctx *evalCtx, e Binary, l, r region.Set) (region.Set,
 		if ev.UseLayeredDirect {
 			return ev.layeredDirectlyIncluding(ctx.checker(), l, r)
 		}
-		return region.DirectlyIncluding(l, r, ev.in.Sets(), ctx.checker())
+		return region.DirectlyIncluding(l, r, ev.in.Sets(), ctx.checker(), ctx.blockerKernels())
 	case OpDirIncluded:
-		return region.DirectlyIncluded(l, r, ev.in.Sets(), ctx.checker())
+		return region.DirectlyIncluded(l, r, ev.in.Sets(), ctx.checker(), ctx.blockerKernels())
 	default:
 		return region.Empty, fmt.Errorf("algebra: unknown operator %v", e.Op)
 	}
+}
+
+// blockerKernels is the counter the direct sweeps count their blocker
+// kernels in, nil when the evaluation keeps no statistics.
+func (ctx *evalCtx) blockerKernels() *int {
+	if ctx.stats == nil {
+		return nil
+	}
+	return &ctx.stats.BlockerKernels
 }
 
 func (ctx *evalCtx) count(out region.Set, direct bool) {

@@ -136,7 +136,7 @@ func (ev *Evaluator) Stream(cctx context.Context, e Expr, st *Stats, b *Budget) 
 	}
 	sc := &streamCtx{budget: b, stats: st}
 	if cctx != nil && cctx.Done() != nil {
-		sc.cctx, sc.check = cctx, cctx.Err
+		sc.cctx, sc.check = cctx, func() error { return pollDone(cctx) }
 	}
 	it, err := ev.stream(sc, e)
 	if err != nil {

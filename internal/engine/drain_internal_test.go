@@ -86,7 +86,7 @@ func drain(t *testing.T, e *Engine, q *xsql.Query, par int, es *execEnv, fault *
 	defer pool.SetHelpers(par - 1)()
 	res := &Result{Plan: plan, eng: e}
 	em := newEmitter(q, plan, res)
-	_, complete, err := e.streamPhase2(es, plan, vp, fault, res, em)
+	complete, err := e.streamPhase2(es, plan, vp, &drainSource{it: fault}, res, em)
 	em.finish()
 	return res, complete, err
 }

@@ -204,12 +204,17 @@ type execEnv struct {
 	bytesUsed int // phase-2 parsed bytes so far
 }
 
-// poll returns the context error once the execution's context is done.
+// poll returns the context error once the execution's context is done. It
+// receives from Done without blocking and reads Err only once Done is
+// closed, as the context contract allows: a cancelable context's Err takes
+// its mutex, and the drain polls once per candidate.
 func (es *execEnv) poll() error {
-	if es.ctx.Done() == nil {
+	select {
+	case <-es.ctx.Done():
+		return es.ctx.Err()
+	default:
 		return nil
 	}
-	return es.ctx.Err()
 }
 
 // chargeBytes deducts n parsed bytes from the byte budget.
@@ -358,11 +363,9 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	}
 
 	// Phase 2: parse candidates, filter unless exact, project.
-	src := candidates.Iter()
-	defer src.Close()
 	em := newEmitter(q, plan, res)
 	defer em.finish()
-	_, _, err = e.streamPhase2(es, plan, vp, src, res, em)
+	_, err = e.streamPhase2(es, plan, vp, inMemory(candidates), res, em)
 	return err
 }
 
@@ -416,12 +419,15 @@ func (e *Engine) candidateSet(es *execEnv, vp *compile.VarPlan, res *Result) (re
 
 // processCandidate does the per-candidate phase-2 work — poll, fault
 // injection, byte budget (a worker's execEnv has none: the drain charged the
-// candidate when it cut it), parse, build, filter. It parses with the plan's read set, so obj holds
-// what the filter and the projection navigate and nothing else; a plan that reads nothing of its candidates (an exact
+// candidate when it cut it), parse, build, filter. It parses with the plan's
+// read set, so obj holds what the filter and the projection navigate and
+// nothing else; a plan that reads nothing of its candidates (an exact
 // whole-object select) has nothing to decide and nothing to build, and its
 // candidates pass unparsed and uncharged — but still through the poll and
 // the failpoint, so cancellation, LIMIT and injected faults see every
-// candidate. Per-candidate panics (a grammar or filter bug, or an injected
+// candidate. The poll is a non-blocking receive on the context's Done, so
+// a candidate of a cached answer costs no lock while the context is live.
+// Per-candidate panics (a grammar or filter bug, or an injected
 // fault) are isolated into a typed error so one poisoned candidate fails
 // the query instead of killing the process — essential when the caller is
 // a worker goroutine.
@@ -463,7 +469,10 @@ func (st *Stats) countParsed(vp *compile.VarPlan, r region.Region) {
 // region with its strings clamped to exactly k. Every drain emits through
 // it, which is what makes a limited answer a prefix of the full one. A join
 // variable's drain emits into a binder instead: no limit, every candidate
-// kept with its value, and nothing published — the join decides.
+// kept with its value, and nothing published — the join decides. Kept
+// regions arrive in document order, so finish makes them the result's set
+// without a copy; an exact drain over a set in memory sizes them once
+// (reserve), since every candidate it pulls is kept.
 type emitter struct {
 	plan  *compile.Plan
 	res   *Result
@@ -476,6 +485,19 @@ type emitter struct {
 
 func newEmitter(q *xsql.Query, plan *compile.Plan, res *Result) *emitter {
 	return &emitter{plan: plan, res: res, limit: q.Limit}
+}
+
+// reserve sizes the kept regions, and a binder's values, for n candidates
+// that all pass, or for the limit when that is fewer (a projected candidate
+// may add no row, so its kept regions can outgrow the limit by append).
+func (em *emitter) reserve(n int) {
+	if em.limit > 0 {
+		n = min(n, em.limit)
+	}
+	em.kept = make([]region.Region, 0, n)
+	if em.bind {
+		em.objs = make([]db.Value, 0, n)
+	}
 }
 
 // full reports that the limit is reached and emission has stopped.
@@ -502,9 +524,12 @@ func (em *emitter) emit(r region.Region, obj db.Value) {
 	em.rows += len(strs)
 }
 
-// finish publishes the kept regions into the result.
+// finish publishes the kept regions into the result, which takes them over:
+// they are in document order already.
 func (em *emitter) finish() {
-	em.res.Regions = region.FromRegions(em.kept)
+	if len(em.kept) > 0 {
+		em.res.Regions = region.FromOrdered(em.kept)
+	}
 	em.res.Stats.PeakBytes += region.Bytes * len(em.kept)
 }
 
@@ -521,8 +546,7 @@ func (em *emitter) finish() {
 // queries neither read the cache nor record in it.
 func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, res *Result, phase1 time.Time) error {
 	var ast algebra.Stats
-	var src region.Iterator
-	streamed := false
+	var src *drainSource
 	// The key is shared by the cache read, the doorkeeper and the publish
 	// below. A region budget must meter the actual phase-1 work, so budgeted
 	// queries bypass the cross-query cache, exactly like the complete-set
@@ -533,13 +557,13 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 		if s, ok := e.results.Get(key); ok {
 			res.Stats.ResultCached = true
 			res.Stats.ResultCacheHits++
-			src = s.Iter()
+			src = inMemory(s)
 		} else if _, ok := e.door.Get(key); ok {
 			s, err := e.evalExpr(es, vp.Candidates, res)
 			if err != nil {
 				return fmt.Errorf("engine: evaluating candidates: %w", err)
 			}
-			src = s.Iter()
+			src = inMemory(s)
 		}
 	}
 	if src == nil {
@@ -547,64 +571,98 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 		if err != nil {
 			return fmt.Errorf("engine: evaluating candidates: %w", err)
 		}
-		src, streamed = it, true
+		src = &drainSource{it: it}
+		defer it.Close()
 	}
-	defer src.Close()
 	res.Stats.Phase1Time = time.Since(phase1)
 
 	em := newEmitter(q, plan, res)
-	all, complete, err := e.streamPhase2(es, plan, vp, src, res, em)
+	complete, err := e.streamPhase2(es, plan, vp, src, res, em)
 	em.finish()
 	res.Stats.ResultCacheHits += ast.ResultCacheHits
-	res.Stats.Candidates = len(all)
-	res.Stats.PeakBytes += ast.PeakBytes + region.Bytes*(ast.RegionsTouched+len(all))
-	if err != nil || !streamed || key == "" {
+	res.Stats.Candidates = len(src.pulled)
+	res.Stats.PeakBytes += ast.PeakBytes + region.Bytes*(ast.RegionsTouched+len(src.pulled))
+	if err != nil || src.it == nil || key == "" {
 		return err
 	}
 	if complete {
-		// The stream was drained in full, so the accumulated candidates
-		// are the exact phase-1 answer — safe to publish. A limit-stopped
-		// or failed drain never publishes: a partial set is never cached.
-		e.results.Add(key, region.FromRegions(all))
+		// The stream was drained in full, so the candidates it pulled are
+		// the exact phase-1 answer — safe to publish. A limit-stopped or
+		// failed drain never publishes: a partial set is never cached.
+		e.results.Add(key, region.FromRegions(src.pulled))
 	} else if cacheable {
 		e.door.Add(key, struct{}{})
 	}
 	return nil
 }
 
-// streamPhase2 drains the candidate iterator through phase 2 into em and
-// reports the candidates pulled and whether the stream was consumed to
-// exhaustion (false when the LIMIT stopped it). The caller's goroutine is
-// the iterator's only consumer, and it processes the first candidate
-// itself. It processes the others itself as well — the sequential drain —
-// unless the helper budget (package pool) is not zero and the plan parses
-// its candidates (one that parses nothing has too little work per
-// candidate to hand off); then drainChunks takes the rest. A LIMIT that
-// the first candidate meets therefore takes no helper.
-func (e *Engine) streamPhase2(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result, em *emitter) (all []region.Region, complete bool, err error) {
+// drainSource is a drain's candidates and what the drain has pulled of
+// them, in document order. A set already in memory (a result-cache hit, the
+// doorkeeper's set evaluation, a complete-set plan's candidates) is read in
+// place: what the drain pulled is the set's prefix, counted, not copied. A
+// stream is copied as it is pulled, since a complete drain publishes it.
+type drainSource struct {
+	it     region.Iterator // the stream; nil for a set in memory
+	set    []region.Region // the set in memory
+	pulled []region.Region // the candidates pulled so far
+}
+
+// inMemory is the drain source over s, read in place.
+func inMemory(s region.Set) *drainSource { return &drainSource{set: s.Regions()} }
+
+// next pulls the next candidate.
+func (d *drainSource) next() (region.Region, bool, error) {
+	if d.it == nil {
+		n := len(d.pulled)
+		if n == len(d.set) {
+			return region.Region{}, false, nil
+		}
+		d.pulled = d.set[:n+1]
+		return d.set[n], true, nil
+	}
+	r, ok, err := nextCandidate(d.it)
+	if ok {
+		d.pulled = append(d.pulled, r)
+	}
+	return r, ok, err
+}
+
+// streamPhase2 drains src through phase 2 into em and reports whether src
+// was consumed to exhaustion (false when the LIMIT stopped it); src.pulled
+// holds the candidates it pulled. An exact drain over a set in memory keeps
+// every candidate it pulls, so it sizes em's kept regions once, up front.
+// The caller's goroutine is src's only consumer, and it processes the first
+// candidate itself. It processes the others itself as well — the sequential
+// drain — unless the helper budget (package pool) is not zero and the plan
+// parses its candidates (one that parses nothing has too little work per
+// candidate to hand off); then drainChunks takes the rest. A LIMIT that the
+// first candidate meets therefore takes no helper.
+func (e *Engine) streamPhase2(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src *drainSource, res *Result, em *emitter) (complete bool, err error) {
+	if src.it == nil && vp.Exact {
+		em.reserve(len(src.set))
+	}
 	chunked := !vp.Reads.Empty() && pool.Size() > 0
 	for !em.full() {
-		if chunked && len(all) > 0 {
-			return e.drainChunks(es, plan, vp, src, res, em, all)
+		if chunked && len(src.pulled) > 0 {
+			return e.drainChunks(es, plan, vp, src, res, em)
 		}
-		r, ok, err := nextCandidate(src)
+		r, ok, err := src.next()
 		if err != nil {
-			return all, false, fmt.Errorf("engine: evaluating candidates: %w", err)
+			return false, fmt.Errorf("engine: evaluating candidates: %w", err)
 		}
 		if !ok {
-			return all, true, nil
+			return true, nil
 		}
-		all = append(all, r)
 		obj, keep, err := e.processCandidate(es, plan, vp, r)
 		if err != nil {
-			return all, false, err
+			return false, err
 		}
 		res.Stats.countParsed(vp, r)
 		if keep {
 			em.emit(r, obj)
 		}
 	}
-	return all, false, nil
+	return false, nil
 }
 
 // nextCandidate pulls the drain's next candidate. A panic in a phase-1
@@ -627,7 +685,7 @@ const maxChunk = 64
 // chunk is a run of consecutive candidates that one goroutine — a helper
 // or the drain's caller — takes through processCandidate in document order.
 type chunk struct {
-	rs      []region.Region // the candidates: a window onto the drain's all
+	rs      []region.Region // the candidates: a window onto the drain's pulled
 	out     []processed     // one per candidate processed, in order
 	err     error           // the failure that stopped the chunk after out
 	claimed atomic.Bool     // taken by the goroutine that parses it
@@ -651,20 +709,19 @@ type processed struct {
 }
 
 // drainChunks is the rest of a chunked drain, after streamPhase2 ran the
-// first candidate (all) inline. The caller cuts the candidates into chunks
-// of 2, 4, … up to maxChunk, charging the byte budget for each as it cuts
-// it, keeps at most 2·helpers+2 chunks in flight, offers each to the
+// first candidate (src.pulled) inline. The caller cuts the candidates into
+// chunks of 2, 4, … up to maxChunk, charging the byte budget for each as it
+// cuts it, keeps at most 2·helpers+2 chunks in flight, offers each to the
 // helpers in cut order and takes idle helpers up to the budget; a helper
 // parses offered chunks until the drain ends. Whoever claims a chunk first
-// parses it. The caller claims the oldest chunk when nobody has, and while
-// a helper has it, the newest ones, so the helpers keep the chunks next in
+// parses it. The caller claims the oldest chunk when nobody has, and while a
+// helper has it, the newest ones, so the helpers keep the chunks next in
 // line and a lone query keeps every core. It emits each finished chunk
 // strictly in document order, so the answer, Parsed and the first error in
 // document order — a spent budget included — are the sequential drain's;
 // only Candidates counts what was cut ahead of a LIMIT, fewer than
-// (2·helpers+2)·maxChunk. Every helper it took is through before it
-// returns.
-func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src region.Iterator, res *Result, em *emitter, all []region.Region) (_ []region.Region, complete bool, err error) {
+// (2·helpers+2)·maxChunk. Every helper it took is through before it returns.
+func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src *drainSource, res *Result, em *emitter) (complete bool, err error) {
 	var (
 		helpers = pool.Size()
 		work    = make(chan *chunk, 2*helpers+2) // chunks offered to helpers: at most the chunks in flight
@@ -702,9 +759,10 @@ func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPla
 	}
 	for !em.full() && err == nil {
 		for !eof && cutErr == nil && len(fifo) <= 2*helpers+1 {
-			lo := len(all)
-			for len(all)-lo < size {
-				r, ok, err := nextCandidate(src)
+			lo := len(src.pulled)
+			hi := lo // the chunk ends before a candidate the budget refused
+			for hi-lo < size {
+				r, ok, err := src.next()
 				if err != nil {
 					cutErr = fmt.Errorf("engine: evaluating candidates: %w", err)
 					break
@@ -716,12 +774,12 @@ func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPla
 				if cutErr = es.chargeBytes(r.Len()); cutErr != nil {
 					break
 				}
-				all = append(all, r)
+				hi++
 			}
-			if len(all) == lo {
+			if hi == lo {
 				break
 			}
-			c := &chunk{rs: all[lo:len(all):len(all)], done: make(chan struct{})}
+			c := &chunk{rs: src.pulled[lo:hi:hi], done: make(chan struct{})}
 			fifo = append(fifo, c)
 			select {
 			case work <- c:
@@ -756,7 +814,7 @@ func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPla
 	stop.Store(true)
 	close(work)
 	group.Wait()
-	return all, complete, err
+	return complete, err
 }
 
 // joinFastCandidates implements Section 5.2's join strategy: locate the
@@ -832,10 +890,7 @@ func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, re
 		res.Stats.Candidates += cands.Len()
 		vp.Exact = true // the join applies the WHERE clause, not the drain
 		binds[i] = &emitter{bind: true}
-		src := cands.Iter()
-		_, _, err = e.streamPhase2(es, plan, &vp, src, res, binds[i])
-		src.Close()
-		if err != nil {
+		if _, err := e.streamPhase2(es, plan, &vp, inMemory(cands), res, binds[i]); err != nil {
 			return err
 		}
 	}

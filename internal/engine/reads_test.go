@@ -153,14 +153,27 @@ func TestStatsCountWhatWasParsed(t *testing.T) {
 
 // cancelAfterHits is a context that reads as canceled once the engine.phase2
 // failpoint has been reached k times: cancellation lands between two
-// candidates, deterministically.
+// candidates, deterministically. As the context contract has it, Done is
+// closed from then on, and Err is non-nil only then.
 type cancelAfterHits struct {
 	context.Context
 	k    uint64
 	done chan struct{}
 }
 
-func (c cancelAfterHits) Done() <-chan struct{} { return c.done }
+func (c cancelAfterHits) Done() <-chan struct{} {
+	if faultinject.Hits(faultinject.Phase2) >= c.k {
+		return closedDone
+	}
+	return c.done
+}
+
+// closedDone is the Done channel of a context that is over.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 func (c cancelAfterHits) Err() error {
 	if faultinject.Hits(faultinject.Phase2) >= c.k {

@@ -100,9 +100,9 @@ func TestLimitStoppedStreamPublishesNoPartialSet(t *testing.T) {
 	}
 }
 
-// cancelAfter is a context that answers its first polls with nil and every
-// later one with context.Canceled, so an execution polling it dies at a
-// fixed point partway through.
+// cancelAfter is a context whose Done is open for its first polls and
+// closed from then on, with Err context.Canceled, so an execution polling it
+// dies at a fixed point partway through.
 type cancelAfter struct {
 	context.Context
 	done  chan struct{}
@@ -113,11 +113,17 @@ func newCancelAfter(polls int) *cancelAfter {
 	return &cancelAfter{Context: context.Background(), done: make(chan struct{}), polls: polls}
 }
 
-// Done returns a channel that is never closed, so the engine polls Err.
-func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+// Done counts a poll: an open channel until the polls are spent, then a
+// closed one.
+func (c *cancelAfter) Done() <-chan struct{} {
+	if c.polls--; c.polls < 0 {
+		return closedDone
+	}
+	return c.done
+}
 
 func (c *cancelAfter) Err() error {
-	if c.polls--; c.polls < 0 {
+	if c.polls < 0 {
 		return context.Canceled
 	}
 	return nil

@@ -108,7 +108,7 @@ func (in *Instance) Universe() Universe { return in.Sets() }
 
 // DirectlyIncluding returns R ⊃d S over u's sets.
 func (u Universe) DirectlyIncluding(R, S region.Set) region.Set {
-	out, _ := region.DirectlyIncluding(R, S, u, nil) // a nil checker cannot fail
+	out, _ := region.DirectlyIncluding(R, S, u, nil, nil) // a nil checker cannot fail
 	return out
 }
 

@@ -180,7 +180,7 @@ func TestLazyStructuresFirstUseConcurrent(t *testing.T) {
 	_, in := testutil.NewBibInstance(t, 40, spec)
 	keys := func(in *index.Instance) region.Set { return in.MustRegion(bibtex.NTKey) }
 	direct := func(in *index.Instance) region.Set {
-		s, _ := region.DirectlyIncluding(in.MustRegion(bibtex.NTReference), in.MustRegion(bibtex.NTLastName), in.Sets(), nil)
+		s, _ := region.DirectlyIncluding(in.MustRegion(bibtex.NTReference), in.MustRegion(bibtex.NTLastName), in.Sets(), nil, nil)
 		return s
 	}
 	want := []region.Set{

@@ -31,10 +31,10 @@ func TestCtlNilCheckerMatchesPlain(t *testing.T) {
 		t.Fatalf("IncludedCtl(nil) diverges (err=%v)", err)
 	}
 	u := namedOf(R, S)
-	if got, err := DirectlyIncluding(R, S, u, nil); err != nil || !got.Equal(NaiveDirectlyIncluding(R, S, u.all())) {
+	if got, err := DirectlyIncluding(R, S, u, nil, nil); err != nil || !got.Equal(NaiveDirectlyIncluding(R, S, u.all())) {
 		t.Fatalf("DirectlyIncluding(nil) diverges (err=%v)", err)
 	}
-	if got, err := DirectlyIncluded(R, S, u, nil); err != nil || !got.Equal(NaiveDirectlyIncluded(R, S, u.all())) {
+	if got, err := DirectlyIncluded(R, S, u, nil, nil); err != nil || !got.Equal(NaiveDirectlyIncluded(R, S, u.all())) {
 		t.Fatalf("DirectlyIncluded(nil) diverges (err=%v)", err)
 	}
 	keep := func(r Region) bool { return r.Len() > 10 }
@@ -52,8 +52,8 @@ func TestCtlAborts(t *testing.T) {
 	kernels := map[string]func() (Set, error){
 		"IncludingCtl":      func() (Set, error) { return R.IncludingCtl(S, fail) },
 		"IncludedCtl":       func() (Set, error) { return R.IncludedCtl(S, fail) },
-		"DirectlyIncluding": func() (Set, error) { return DirectlyIncluding(R, S, u, fail) },
-		"DirectlyIncluded":  func() (Set, error) { return DirectlyIncluded(R, S, u, fail) },
+		"DirectlyIncluding": func() (Set, error) { return DirectlyIncluding(R, S, u, fail, nil) },
+		"DirectlyIncluded":  func() (Set, error) { return DirectlyIncluded(R, S, u, fail, nil) },
 		"FilterCtl":         func() (Set, error) { return R.FilterCtl(func(Region) bool { return true }, fail) },
 	}
 	for name, k := range kernels {
@@ -96,7 +96,7 @@ func TestDirectSweepPolls(t *testing.T) {
 	outer, inner, few := skewedSets(3*pollStride, 2, 3) // few repeats a third of inner
 	sets := []Set{outer, inner, few}
 	polls := 0
-	want, err := DirectlyIncluding(outer, inner, sets, func() error { polls++; return nil })
+	want, err := DirectlyIncluding(outer, inner, sets, func() error { polls++; return nil }, nil)
 	if err != nil || !want.Equal(outer) {
 		t.Fatalf("⊃d = %d regions (err %v), want the %d of outer", want.Len(), err, outer.Len())
 	}
@@ -108,7 +108,7 @@ func TestDirectSweepPolls(t *testing.T) {
 				return boom
 			}
 			return nil
-		})
+		}, nil)
 		if !errors.Is(err, boom) || !got.IsEmpty() || calls != at {
 			t.Errorf("failing poll %d of %d: %d regions, err %v, stopped after %d polls", at, polls, got.Len(), err, calls)
 		}
@@ -174,10 +174,10 @@ func TestProbeKernelsAbort(t *testing.T) {
 		"Holding":              func(c Checker) (Set, error) { return outer.Holding(inner, c) },
 		"HoldingIter":          func(c Checker) (Set, error) { return Materialize(HoldingIter(outer, inner, c)) },
 		"Pick":                 func(c Checker) (Set, error) { return outer.Pick(idx, c) },
-		"DirectlyIncluding":    func(c Checker) (Set, error) { return DirectlyIncluding(outer, inner, u, c) },
-		"DirectlyIncluded":     func(c Checker) (Set, error) { return DirectlyIncluded(inner, outer, u, c) },
-		"⊃d, outside":          func(c Checker) (Set, error) { return DirectlyIncluding(outer, few, uIn, c) },
-		"⊂d, outside":          func(c Checker) (Set, error) { return DirectlyIncluded(few, outer, uIn, c) },
+		"DirectlyIncluding":    func(c Checker) (Set, error) { return DirectlyIncluding(outer, inner, u, c, nil) },
+		"DirectlyIncluded":     func(c Checker) (Set, error) { return DirectlyIncluded(inner, outer, u, c, nil) },
+		"⊃d, outside":          func(c Checker) (Set, error) { return DirectlyIncluding(outer, few, uIn, c, nil) },
+		"⊂d, outside":          func(c Checker) (Set, error) { return DirectlyIncluded(few, outer, uIn, c, nil) },
 	} {
 		full := 0
 		if got, err := run(func() error { full++; return nil }); err != nil || got.IsEmpty() {

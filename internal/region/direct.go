@@ -27,13 +27,14 @@ import "slices"
 // strictly including some region of S with no region of any named set
 // strictly between them. It costs the ⊃ kernels R ⊃ S and c ⊃ S for each
 // named c, a merge of their answers and one pass; check is polled every
-// pollStride regions of each.
-func DirectlyIncluding(R, S Set, named []Set, check Checker) (Set, error) {
+// pollStride regions of each. kernels, when not nil, counts the c ⊃ S
+// kernels run for the blockers.
+func DirectlyIncluding(R, S Set, named []Set, check Checker, kernels *int) (Set, error) {
 	C, err := R.IncludingCtl(S, check)
 	if err != nil || C.IsEmpty() {
 		return Empty, err
 	}
-	w, err := newSweep(C, S, named, check)
+	w, err := newSweep(C, S, named, check, kernels)
 	if err != nil {
 		return Empty, err
 	}
@@ -64,12 +65,12 @@ func DirectlyIncluding(R, S Set, named []Set, check Checker) (Set, error) {
 // strictly between them. It is DirectlyIncluding's sweep with the roles
 // swapped — containers S ⊃ R, blockers c ⊃ R — in which r is kept when
 // its nearest container is a region of S.
-func DirectlyIncluded(R, S Set, named []Set, check Checker) (Set, error) {
+func DirectlyIncluded(R, S Set, named []Set, check Checker, kernels *int) (Set, error) {
 	C, err := S.IncludingCtl(R, check)
 	if err != nil || C.IsEmpty() {
 		return Empty, err
 	}
-	w, err := newSweep(C, R, named, check)
+	w, err := newSweep(C, R, named, check, kernels)
 	if err != nil {
 		return Empty, err
 	}
@@ -150,10 +151,14 @@ type sweep struct {
 }
 
 // newSweep merges the containers C, source 0, with the blockers c ⊃ S of
-// each named set c, sources 1 on.
-func newSweep(C, S Set, named []Set, check Checker) (*sweep, error) {
+// each named set c, sources 1 on, counting those kernels in kernels when it
+// is not nil.
+func newSweep(C, S Set, named []Set, check Checker, kernels *int) (*sweep, error) {
 	sets := append(make([]Set, 0, 1+len(named)), C)
 	for _, c := range named {
+		if kernels != nil {
+			*kernels++
+		}
 		b, err := c.IncludingCtl(S, check)
 		if err != nil {
 			return nil, err

@@ -175,13 +175,13 @@ func (u named) all() Set {
 
 // directlyIncluding is R ⊃d S over u, with no cancellation.
 func (u named) directlyIncluding(R, S Set) Set {
-	out, _ := DirectlyIncluding(R, S, u, nil)
+	out, _ := DirectlyIncluding(R, S, u, nil, nil)
 	return out
 }
 
 // directlyIncluded is R ⊂d S over u, with no cancellation.
 func (u named) directlyIncluded(R, S Set) Set {
-	out, _ := DirectlyIncluded(R, S, u, nil)
+	out, _ := DirectlyIncluded(R, S, u, nil, nil)
 	return out
 }
 
@@ -304,6 +304,29 @@ func TestIncludingBasic(t *testing.T) {
 	}
 	if got := nested.Included(nested); !got.Equal(mk(2, 8)) {
 		t.Errorf("nested self Included = %v", got)
+	}
+}
+
+// TestDirectSweepCountsBlockerKernels: a ⊃d or ⊂d whose containers are
+// not empty runs one c ⊃ S kernel per named set c for its blockers, and
+// counts each; one with no container runs none.
+func TestDirectSweepCountsBlockerKernels(t *testing.T) {
+	ref, authors, name, last := mk(0, 100), mk(10, 60), mk(20, 50), mk(35, 45)
+	u := namedOf(ref, authors, name, last)
+	for _, c := range []struct {
+		what string
+		run  func(kernels *int) (Set, error)
+		want int
+	}{
+		{"Authors ⊃d Name", func(k *int) (Set, error) { return DirectlyIncluding(authors, name, u, nil, k) }, len(u)},
+		{"Name ⊂d Authors", func(k *int) (Set, error) { return DirectlyIncluded(name, authors, u, nil, k) }, len(u)},
+		{"Last_Name ⊃d Reference", func(k *int) (Set, error) { return DirectlyIncluding(last, ref, u, nil, k) }, 0},
+		{"Reference ⊂d Name", func(k *int) (Set, error) { return DirectlyIncluded(ref, name, u, nil, k) }, 0},
+	} {
+		kernels := 0
+		if _, err := c.run(&kernels); err != nil || kernels != c.want {
+			t.Errorf("%s: %d blocker kernels (err %v), want %d", c.what, kernels, err, c.want)
+		}
 	}
 }
 

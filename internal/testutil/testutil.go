@@ -119,16 +119,17 @@ func NewGoroutineProbe() GoroutineProbe {
 	return GoroutineProbe{Context: context.Background(), done: make(chan struct{}), max: new(atomic.Int64), maxBusy: new(atomic.Int64)}
 }
 
-// Done returns a channel that is never closed, so the engine polls Err.
-func (p GoroutineProbe) Done() <-chan struct{} { return p.done }
-
-// Err records the goroutine and busy-helper counts and reports nothing
-// done.
-func (p GoroutineProbe) Err() error {
+// Done records the goroutine and busy-helper counts, since a poll calls it
+// (and calls Err only once Done is closed), and returns a channel that is
+// never closed.
+func (p GoroutineProbe) Done() <-chan struct{} {
 	raise(p.max, int64(runtime.NumGoroutine()))
 	raise(p.maxBusy, int64(pool.Busy()))
-	return nil
+	return p.done
 }
+
+// Err reports nothing done.
+func (p GoroutineProbe) Err() error { return nil }
 
 // raise sets m to n if n is larger.
 func raise(m *atomic.Int64, n int64) {

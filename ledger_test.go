@@ -47,6 +47,7 @@ type ledgerWorkload struct {
 	regions []string // nil indexes every non-terminal
 	pool    []string
 	order   []int // pool indexes in sending order
+	eval    bool  // the pool is region-algebra expressions, run with File.Eval
 }
 
 // ledgerWords and ledgerNames are the generator's vocabulary and last names
@@ -164,7 +165,22 @@ func ledgerWorkloads() []ledgerWorkload {
 	}
 	daemon.order = zipf(len(daemon.pool), 1000)
 
-	return []ledgerWorkload{cold, parse, hot, daemon}
+	// No XSQL query compiles to a ⊃d or ⊂d (Theorem 3.6 rewrites them to
+	// ⊃ and ⊂ under the RIG), so these run with File.Eval: ⊃d over names,
+	// the ⊂d dual, one whose container side holds word points, which never
+	// block, and one that a named region blocks everywhere.
+	direct := ledgerWorkload{name: "direct_incl", files: 1, refs: 500, eval: true, pool: []string{
+		`Name >d equals(Last_Name, "Chang")`,
+		`Editors >d Name`,
+		`Last_Name <d Name`,
+		`(Abstract + word("system")) >d match("yst")`,
+		`Reference >d word("system")`,
+	}}
+	for i := range direct.pool {
+		direct.order = append(direct.order, i)
+	}
+
+	return []ledgerWorkload{cold, parse, hot, daemon, direct}
 }
 
 // ledgerRows are the counts of one workload, in the golden's order.
@@ -172,6 +188,7 @@ type ledgerRows struct {
 	candidates, parsed, parsedBytes, results      int
 	planCached, resultCached, resultCacheHits     int
 	ops, directOps, regionsTouched, shortCircuits int
+	blockerKernels                                int
 	cheap, distinct                               int // candidate expressions CostAtLeast keeps out of the cache, of all
 }
 
@@ -180,30 +197,45 @@ type ledgerRows struct {
 func TestLedger(t *testing.T) {
 	var out bytes.Buffer
 	fmt.Fprintln(&out, "# Work ledger: go test -run '^TestLedger$' [-update] .")
-	fmt.Fprintln(&out, "# Sums over every file execution of each workload. ops .. short_circuits")
+	fmt.Fprintln(&out, "# Sums over every file execution of each workload. ops .. blocker_kernels")
 	fmt.Fprintln(&out, "# come from one cache-free evaluation of each executed plan's candidates.")
+	fmt.Fprintln(&out, "# direct_incl runs region-algebra expressions with File.Eval: only its")
+	fmt.Fprintln(&out, "# results and the algebra statistics of each expression apply.")
 	for _, w := range ledgerWorkloads() {
-		rows := runLedger(t, w)
-		fmt.Fprintf(&out, "\n%s files=%d refs=%d pool=%d executions=%d\n", w.name, w.files, w.refs, len(w.pool), len(w.order))
-		for _, r := range []struct {
+		type row struct {
 			name string
 			v    int
-		}{
-			{"candidates", rows.candidates},
-			{"parsed", rows.parsed},
-			{"parsed_bytes", rows.parsedBytes},
-			{"results", rows.results},
-			{"plan_cached", rows.planCached},
-			{"result_cached", rows.resultCached},
-			{"result_cache_hits", rows.resultCacheHits},
-			{"ops", rows.ops},
-			{"direct_ops", rows.directOps},
-			{"regions_touched", rows.regionsTouched},
-			{"short_circuits", rows.shortCircuits},
-		} {
+		}
+		var rs []row
+		var rows ledgerRows
+		if w.eval {
+			rows = runEvalLedger(t, w)
+			rs = []row{{"results", rows.results}}
+		} else {
+			rows = runLedger(t, w)
+			rs = []row{
+				{"candidates", rows.candidates},
+				{"parsed", rows.parsed},
+				{"parsed_bytes", rows.parsedBytes},
+				{"results", rows.results},
+				{"plan_cached", rows.planCached},
+				{"result_cached", rows.resultCached},
+				{"result_cache_hits", rows.resultCacheHits},
+			}
+		}
+		rs = append(rs,
+			row{"ops", rows.ops},
+			row{"direct_ops", rows.directOps},
+			row{"regions_touched", rows.regionsTouched},
+			row{"short_circuits", rows.shortCircuits},
+			row{"blocker_kernels", rows.blockerKernels})
+		fmt.Fprintf(&out, "\n%s files=%d refs=%d pool=%d executions=%d\n", w.name, w.files, w.refs, len(w.pool), len(w.order))
+		for _, r := range rs {
 			fmt.Fprintf(&out, "  %-20s %d\n", r.name, r.v)
 		}
-		fmt.Fprintf(&out, "  %-20s %d of %d distinct\n", "cheap_candidates", rows.cheap, rows.distinct)
+		if !w.eval {
+			fmt.Fprintf(&out, "  %-20s %d of %d distinct\n", "cheap_candidates", rows.cheap, rows.distinct)
+		}
 	}
 	if *updateLedger {
 		if err := os.WriteFile(ledgerGolden, out.Bytes(), 0o644); err != nil {
@@ -292,10 +324,7 @@ func runLedger(t *testing.T, w ledgerWorkload) ledgerRows {
 				if _, err := evaluators[i].EvalContext(context.Background(), vp.Candidates, &ast, nil); err != nil {
 					t.Fatalf("%s: %s: evaluating %s: %v", w.name, src, vp.Candidates, err)
 				}
-				rows.ops += ast.Ops
-				rows.directOps += ast.DirectOps
-				rows.regionsTouched += ast.RegionsTouched
-				rows.shortCircuits += ast.ShortCircuits
+				rows.addAlgebra(ast)
 				cheap[vp.Candidates.String()] = !algebra.CostAtLeast(vp.Candidates, algebra.DefaultResultMinCost)
 			}
 			want := answers[i][src]
@@ -312,6 +341,59 @@ func runLedger(t *testing.T, w ledgerWorkload) ledgerRows {
 		rows.cheap += b2i(c)
 	}
 	rows.distinct = len(cheap)
+	return rows
+}
+
+// addAlgebra adds one cache-free evaluation's statistics.
+func (r *ledgerRows) addAlgebra(ast algebra.Stats) {
+	r.ops += ast.Ops
+	r.directOps += ast.DirectOps
+	r.regionsTouched += ast.RegionsTouched
+	r.shortCircuits += ast.ShortCircuits
+	r.blockerKernels += ast.BlockerKernels
+}
+
+// runEvalLedger runs an expression workload with File.Eval on each file,
+// checks every answer against refeval's definition-chasing evaluator, and
+// counts one cache-free evaluation of each expression.
+func runEvalLedger(t *testing.T, w ledgerWorkload) ledgerRows {
+	var rows ledgerRows
+	for i := 0; i < w.files; i++ {
+		cfg := bibtex.DefaultConfig(w.refs)
+		cfg.Seed = 1994 + int64(i)
+		content, _ := bibtex.Generate(cfg)
+		f, err := qof.BibTeX().Index(fmt.Sprintf("refs%02d.bib", i), content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := qof.FileEngine(f).Instance()
+		ev, ref := algebra.NewEvaluator(in), refeval.New(in)
+		for _, k := range w.order {
+			src := w.pool[k]
+			spans, err := f.Eval(src)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", w.name, src, err)
+			}
+			e := algebra.MustParse(src)
+			var ast algebra.Stats
+			if _, err := ev.EvalContext(context.Background(), e, &ast, nil); err != nil {
+				t.Fatalf("%s: %s: %v", w.name, src, err)
+			}
+			want, err := ref.Eval(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]region.Region, len(spans))
+			for j, sp := range spans {
+				got[j] = region.Of(sp.Start, sp.End)
+			}
+			if !region.FromRegions(got).Equal(want) {
+				t.Errorf("%s: %s: %d spans, the oracle %d", w.name, src, len(spans), want.Len())
+			}
+			rows.results += len(spans)
+			rows.addAlgebra(ast)
+		}
+	}
 	return rows
 }
 

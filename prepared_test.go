@@ -7,6 +7,7 @@ package qof_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,49 +45,150 @@ func hitCorpus(tb testing.TB, files, refs int) *qof.Corpus {
 	return c
 }
 
-// TestPreparedHitAllocations pins the allocations of a plan-cache hit. The
-// ceilings sit a little above what the paths take (30 for the file, 405 for
-// the corpus); with a parse, a cache key per file and an eagerly rendered
-// Explain on the path, the file took 92 and the corpus over 600, and
-// rendering the candidate expression once per file for its result-cache key
-// took the corpus 420.
+// rowsQuery is hot_repeat's cached whole-object select without a LIMIT: an
+// exact plan whose repeat answers every row from the result cache, so what a
+// row costs shows. At rowsRefs references it answers 214 rows (the
+// benchmark's corpus seed gives 185).
+const rowsQuery = `SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`
+
+const rowsRefs = 20000
+
+// cancelable is the context the benchmark and qofd pass: one whose Done is
+// not nil, so every poll point really polls.
+func cancelable(tb testing.TB) context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	tb.Cleanup(cancel)
+	return ctx
+}
+
+// TestPreparedHitAllocations pins the allocations of a plan-cache hit under
+// a cancelable context. The ceilings sit a little above what the paths take
+// (7 for the file, 98 for the corpus). With a parse, a cache key per file and
+// an eagerly rendered Explain on the path, the file took 92 and the corpus
+// over 600; rendering the candidate expression once per file for its
+// result-cache key took the corpus 420; copying a cached answer into the
+// drain's candidates and growing each answer by append took the file 22 and
+// the corpus 329. A cached answer of hundreds of rows allocates what the
+// ten-row LIMIT does, within a constant: nothing is paid per row.
 func TestPreparedHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not deterministic under the race detector")
 	}
-	ctx := context.Background()
-	f := hitFile(t, 200)
-	if n := testing.AllocsPerRun(50, func() {
-		if _, err := f.QueryContext(ctx, hotQuery); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 40 {
-		t.Errorf("File.QueryContext on a prepared query: %.0f allocations, ceiling 40", n)
+	ctx := cancelable(t)
+	allocs := func(f *qof.File, src string) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := f.QueryContext(ctx, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := allocs(hitFile(t, 200), hotQuery); n > 10 {
+		t.Errorf("File.QueryContext on a prepared query: %.0f allocations, ceiling 10", n)
+	}
+	big := hitFile(t, rowsRefs)
+	if res, err := big.QueryContext(ctx, rowsQuery); err != nil || res.Len() < 100 {
+		t.Fatalf("%s: %d rows (err %v), want over 100", rowsQuery, res.Len(), err)
+	}
+	if ten, rows := allocs(big, hotQuery), allocs(big, rowsQuery); rows > ten+3 {
+		t.Errorf("a cached answer of hundreds of rows: %.0f allocations, the ten-row LIMIT %.0f; want at most 3 more", rows, ten)
 	}
 	c := hitCorpus(t, 16, 50)
 	if n := testing.AllocsPerRun(20, func() {
 		if _, err := c.ExecuteContext(ctx, hotQuery); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 440 {
-		t.Errorf("Corpus.ExecuteContext over 16 files on a prepared query: %.0f allocations, ceiling 440", n)
+	}); n > 120 {
+		t.Errorf("Corpus.ExecuteContext over 16 files on a prepared query: %.0f allocations, ceiling 120", n)
 	}
 }
 
-func BenchmarkQueryContextHit(b *testing.B) {
-	ctx := context.Background()
-	f := hitFile(b, benchRefs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.QueryContext(ctx, hotQuery); err != nil {
-			b.Fatal(err)
+// TestHitAnswersAreTheCallers: a repeat of a query answers from the result
+// cache, and the Values and Spans it returns are the caller's own, so editing
+// them leaves the next answer of the same query unchanged.
+func TestHitAnswersAreTheCallers(t *testing.T) {
+	ctx := cancelable(t)
+	f := hitFile(t, 200)
+	for _, src := range []string{
+		hotQuery,
+		`SELECT r.Key FROM References r WHERE r.Abstract CONTAINS "system"`,
+		`SELECT r.Key FROM References r WHERE r.Abstract CONTAINS "system" LIMIT 10`,
+	} {
+		first, err := f.QueryContext(ctx, src)
+		if err != nil || first.Len() == 0 {
+			t.Fatalf("%s: %d results (err %v)", src, first.Len(), err)
+		}
+		for i := range 2 {
+			res, err := f.QueryContext(ctx, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Values, first.Values) || !slices.Equal(res.Spans, first.Spans) {
+				t.Fatalf("%s: repeat %d answers %v %v, the first %v %v", src, i, res.Values, res.Spans, first.Values, first.Spans)
+			}
+			for j := range res.Values {
+				res.Values[j] = "edited"
+			}
+			for j := range res.Spans {
+				res.Spans[j] = qof.Span{Start: -1, End: -1, Text: "edited"}
+			}
+		}
+	}
+	c := hitCorpus(t, 3, 50)
+	for _, src := range []string{hotQuery, `SELECT r.Key FROM References r WHERE r.Abstract CONTAINS "system" LIMIT 10`} {
+		first, err := c.ExecuteContext(ctx, src)
+		if err != nil || len(first.Hits) == 0 {
+			t.Fatalf("corpus: %s: %d hits (err %v)", src, len(first.Hits), err)
+		}
+		for i := range 2 {
+			res, err := c.ExecuteContext(ctx, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(res.Hits, first.Hits, func(a, b qof.CorpusHit) bool {
+				return a.File == b.File && slices.Equal(a.Spans, b.Spans) && slices.Equal(a.Values, b.Values)
+			}) {
+				t.Fatalf("corpus: %s: repeat %d answers %v, the first %v", src, i, res.Hits, first.Hits)
+			}
+			for _, h := range res.Hits {
+				for j := range h.Spans {
+					h.Spans[j] = qof.Span{Start: -1, End: -1}
+				}
+				for j := range h.Values {
+					h.Values[j] = "edited"
+				}
+			}
 		}
 	}
 }
 
+func BenchmarkQueryContextHit(b *testing.B) {
+	benchmarkHit(b, hitFile(b, benchRefs), hotQuery)
+}
+
+// BenchmarkQueryContextHitRows is the hit of a cached answer of hundreds of
+// rows, so what a row costs shows beside BenchmarkQueryContextHit's ten.
+func BenchmarkQueryContextHitRows(b *testing.B) {
+	benchmarkHit(b, hitFile(b, rowsRefs), rowsQuery)
+}
+
+func benchmarkHit(b *testing.B, f *qof.File, src string) {
+	ctx := cancelable(b)
+	res, err := f.QueryContext(ctx, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.QueryContext(ctx, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Len()), "rows/op")
+}
+
 func BenchmarkCorpusExecuteHit16(b *testing.B) {
-	ctx := context.Background()
+	ctx := cancelable(b)
 	c := hitCorpus(b, 16, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
