@@ -9,8 +9,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"qof"
+	"qof/internal/engine"
+	"qof/internal/grammar"
+	"qof/internal/xsql"
 )
 
 // writeCorpus generates a small bibtex corpus into dir and returns its path.
@@ -88,6 +92,52 @@ func TestCmdIndexAndQuery(t *testing.T) {
 	}
 	if err := cmdIndex([]string{"-domain", "bibtex", corpus}); err == nil {
 		t.Error("cmdIndex without -o accepted")
+	}
+}
+
+// TestCmdQueryTextStats: a single-file text answer ends in the engine's
+// statistics line and then one elapsed= line, the time qof query measured
+// around the execution; the engine itself times nothing.
+func TestCmdQueryTextStats(t *testing.T) {
+	corpus := writeCorpus(t, t.TempDir(), 20, 5)
+	q := `SELECT r FROM References r WHERE r.Abstract CONTAINS "system"`
+	d, err := lookupDomain("bibtex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := readDoc(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := buildOrLoad(d, doc, "", grammar.IndexSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.New(d.catalog(), in).Execute(xsql.MustParse(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.Results == 0 {
+		t.Fatal("vacuous fixture: no results")
+	}
+	want := fmt.Sprintf("results=%d candidates=%d parsed=%d parsed_bytes=%d peak_bytes=%d exact=%v index_only=%v full_scan=%v",
+		st.Results, st.Candidates, st.Parsed, st.ParsedBytes, st.PeakBytes, st.Exact, st.IndexOnly, st.FullScan)
+
+	out := captureStdout(t, func() error { return cmdQuery([]string{"-domain", "bibtex", corpus, q}) })
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) < 2 || lines[len(lines)-2] != want {
+		t.Fatalf("output does not end in the stats line %q:\n%s", want, out)
+	}
+	elapsed, ok := strings.CutPrefix(lines[len(lines)-1], "elapsed=")
+	if !ok {
+		t.Fatalf("last line %q, want elapsed=", lines[len(lines)-1])
+	}
+	if d, err := time.ParseDuration(elapsed); err != nil || d < 0 {
+		t.Errorf("elapsed=%s: %v, %v", elapsed, d, err)
+	}
+	if strings.Contains(out, "compile=") {
+		t.Errorf("output still has a compile= line:\n%s", out)
 	}
 }
 

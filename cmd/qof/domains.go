@@ -85,10 +85,3 @@ func lookupDomain(name string) (domain, error) {
 	}
 	return d, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,5 +1,7 @@
 package algebra
 
+import "math"
+
 // Static cost model for region expressions. The paper's Definition 3.4
 // orders expressions by efficiency using two observations: an expression
 // with fewer inclusion operations is cheaper, and ⊃ is cheaper than the
@@ -19,30 +21,7 @@ const (
 // paper's "more efficient" relation (Definition 3.4) strictly decreases
 // Cost: replacing ⊃d by ⊃ saves CostDirect−CostInclusion, and shortening a
 // chain removes at least one inclusion operator.
-func Cost(e Expr) int {
-	total := 0
-	Walk(e, func(x Expr) {
-		switch x := x.(type) {
-		case Binary:
-			if x.Op.IsDirect() {
-				total += CostDirect
-			} else if x.Op.IsInclusion() {
-				total += CostInclusion
-			} else {
-				total += CostSetOp
-			}
-		case Unary:
-			total += CostNest
-		case Select:
-			total += CostSelect
-		case Near:
-			total += CostInclusion
-		case Freq:
-			total += CostSelect
-		}
-	})
-	return total
-}
+func Cost(e Expr) int { return costUpTo(e, math.MaxInt) }
 
 // CostAtLeast reports whether Cost(e) >= min without always walking the
 // whole expression: the recursion stops the moment the running total
@@ -54,7 +33,7 @@ func CostAtLeast(e Expr, min int) bool {
 }
 
 // costUpTo accumulates cost depth-first but returns as soon as the total
-// reaches limit.
+// reaches limit. It holds the model's one table of weights.
 func costUpTo(e Expr, limit int) int {
 	total := 0
 	switch e := e.(type) {

@@ -234,10 +234,3 @@ func buildVocabulary() []string {
 	}
 	return base
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

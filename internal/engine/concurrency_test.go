@@ -32,13 +32,11 @@ var concurrentQueries = []string{
 }
 
 // maskNondet zeroes the fields that legitimately differ run to run:
-// PlanCached and the result-cache fields flip after the first execution,
-// and the timings are wall clock. Everything else must be bit-identical
-// across runs.
+// PlanCached and the result-cache fields flip after the first execution.
+// Everything else must be bit-identical across runs.
 func maskNondet(st engine.Stats) engine.Stats {
 	st.PlanCached = false
 	st.ResultCached, st.ResultCacheHits = false, 0
-	st.CompileTime, st.Phase1Time, st.Phase2Time = 0, 0, 0
 	// PeakBytes depends on cache warmth (a cached candidate set skips the
 	// intermediate buffers), so it is as nondeterministic as the cache
 	// flags above under concurrent execution.

@@ -19,7 +19,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"qof/internal/algebra"
 	"qof/internal/compile"
@@ -126,17 +125,6 @@ type Stats struct {
 	// targets, direct-operator sides), plus the engine's candidate and
 	// result buffers.
 	PeakBytes int
-
-	// Wall-clock breakdown: query compilation + optimization, index
-	// evaluation (phase 1), and candidate parsing + filtering +
-	// projection (phase 2). For a plan that streams its candidates phase 1
-	// is pipeline construction and the two phases overlap; Phase2Time then
-	// covers the interleaved drain. For a plan that needs the complete
-	// candidate set phase 1 is its evaluation (a fast join's leaf chains
-	// and an index-only projection's chain count as phase 2).
-	CompileTime time.Duration
-	Phase1Time  time.Duration
-	Phase2Time  time.Duration
 }
 
 // Result is the outcome of a query.
@@ -253,7 +241,6 @@ func (e *Engine) ExecutePrepared(ctx context.Context, p *compile.Prepared, lim L
 	if err := es.poll(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	plan, cached, err := p.Plan(e.choice)
 	if err != nil {
 		return nil, err
@@ -261,7 +248,6 @@ func (e *Engine) ExecutePrepared(ctx context.Context, p *compile.Prepared, lim L
 	q := plan.Query
 	res := &Result{Plan: plan, Projected: len(q.Select.Segs) > 0, eng: e}
 	res.Stats.PlanCached = cached
-	res.Stats.CompileTime = time.Since(start)
 	if plan.Trivial {
 		return res, nil
 	}
@@ -308,18 +294,14 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, res *Result) error {
 	vp := &plan.Vars[0]
 	res.Stats.Exact = vp.Exact
-	phase1 := time.Now()
-	defer func() { res.Stats.Phase2Time = time.Since(phase1) - res.Stats.Phase1Time }()
-
 	if vp.Candidates != nil && plan.JoinFast == nil && !plan.IndexOnly() {
-		return e.streamSingle(es, q, plan, vp, res, phase1)
+		return e.streamSingle(es, q, plan, vp, res)
 	}
 	candidates, err := e.candidateSet(es, vp, res)
 	if err != nil {
 		return err
 	}
 	res.Stats.Candidates = candidates.Len()
-	res.Stats.Phase1Time = time.Since(phase1)
 
 	// Index-only projection: exact candidates plus an exact projection
 	// chain answer the query without touching the file.
@@ -544,7 +526,7 @@ func (em *emitter) finish() {
 // whole set on success, and drains that: a first miss streams, a repeat pays
 // one set evaluation, and every later repeat is a cache hit. Budgeted
 // queries neither read the cache nor record in it.
-func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, res *Result, phase1 time.Time) error {
+func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp *compile.VarPlan, res *Result) error {
 	var ast algebra.Stats
 	var src *drainSource
 	// The key is shared by the cache read, the doorkeeper and the publish
@@ -574,7 +556,6 @@ func (e *Engine) streamSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, vp
 		src = &drainSource{it: it}
 		defer it.Close()
 	}
-	res.Stats.Phase1Time = time.Since(phase1)
 
 	em := newEmitter(q, plan, res)
 	complete, err := e.streamPhase2(es, plan, vp, src, res, em)

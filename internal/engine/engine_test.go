@@ -488,17 +488,3 @@ func TestMultiVarSelectUnconstrained(t *testing.T) {
 		t.Fatalf("results = %d, want %d", res.Regions.Len(), want)
 	}
 }
-
-func TestExecuteTimings(t *testing.T) {
-	f := testutil.NewBibFixture(t, 30, grammar.IndexSpec{}, nil)
-	res, err := f.Eng.Execute(xsql.MustParse(changAuthorQuery))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.CompileTime <= 0 || res.Stats.Phase1Time <= 0 {
-		t.Errorf("timings not recorded: %+v", res.Stats)
-	}
-	if res.Stats.Phase2Time < 0 {
-		t.Errorf("negative phase-2 time: %v", res.Stats.Phase2Time)
-	}
-}

@@ -151,10 +151,9 @@ func (h *Harness) CheckQuery(q *xsql.Query) error {
 	return nil
 }
 
-// repeatable is st without what differs between two runs of one plan: the
-// wall-clock times, and whether the plan was compiled or already cached.
+// repeatable is st without what differs between two runs of one plan:
+// whether the plan was compiled or already cached.
 func repeatable(st engine.Stats) engine.Stats {
-	st.CompileTime, st.Phase1Time, st.Phase2Time = 0, 0, 0
 	st.PlanCached = false
 	return st
 }

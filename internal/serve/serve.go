@@ -317,7 +317,6 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
 	start := time.Now()
-	defer func() { s.met.hist.observe(time.Since(start)) }()
 
 	timeout := ten.Timeout
 	if req.Timeout > 0 && req.Timeout < timeout {
@@ -350,6 +349,7 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 		}
 	}
 	resp.Elapsed = time.Since(start)
+	s.met.hist.observe(resp.Elapsed)
 	if len(resp.Degraded) > 0 {
 		s.met.degraded.Add(1)
 	}
