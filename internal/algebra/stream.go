@@ -1,24 +1,24 @@
 package algebra
 
 // Streaming evaluation: Stream compiles an expression into a pull-based
-// region.Iterator pipeline instead of materializing every operator result.
-// The set operators become sorted merge iterators, ⊃ a window/merge
-// iterator with bounded lookahead, σ a filter, and the names stream off
-// the index, so a consumer that stops early (LIMIT, budget, cancellation)
-// pays only for the prefix it reads. Where a σ's or a ⊃'s left operand is a
-// bare name whose set is disjoint, the name is not streamed at all: the
-// other operand — a stream, a posting list, a run of the value order —
-// probes the set in hand (streamBinary, streamSelect), which costs what
-// that operand does and is metered as the sweep was (tapOver).
+// region.Iterator pipeline, so a consumer that stops early (LIMIT, budget,
+// cancellation) pays only for the prefix it reads. The pipeline is lazy
+// over three things only, the nodes the engine's LIMIT streams run: names,
+// which stream off the index; σ; and Name ⊃ X for a disjoint name. σ and ⊃
+// over a bare disjoint name do not stream the name: the other operand — a
+// posting list, a run of the value order, a stream — probes the set in hand
+// (streamSelect, streamIncluding), which costs what that operand does and is
+// metered as the sweep was (tapOver). σ over anything else filters its
+// argument's stream.
 //
-// Lazy forms exist for what compiled plans hold: names, σ, ∪, ∩, − and ⊃
-// (TestStreamPlansHoldOnlyLazyOperators walks every compiled plan of the
-// query generator). Every other node — word, prefix and match points, ι,
-// ω, near, freq, ⊂, ⊃d and ⊂d — is evaluated once by the set evaluator
-// when the pipeline is built, and its answer streams out as a name's
-// regions do. That evaluation runs under the pipeline's context, budget
-// and statistics, reads and writes no result-cache entry, and its answer
-// is metered into PeakBytes.
+// Every other node — word, prefix and match points, ∪, ∩, −, ι, ω, near,
+// freq, ⊂, ⊃d, ⊂d, and ⊃ whose left operand is not a disjoint name — is
+// evaluated once by the set evaluator when the pipeline is built, and its
+// answer streams out as a name's regions do. That evaluation runs under the
+// pipeline's context, budget and statistics, reads and writes no
+// result-cache entry, and its answer is metered into PeakBytes. A LIMIT
+// over such a node pays for the whole node before its first row
+// (docs/STREAMING.md).
 //
 // The engine runs two evaluators and the shape of the plan picks between
 // them: a plan that needs a complete set before it can answer (an
@@ -35,13 +35,10 @@ package algebra
 //     per-call memo. The engine still serves a whole candidate expression
 //     from the cross-query cache and publishes fully drained streams to it.
 //   - Budget charging is per region as it flows through each operator — the
-//     per-region analogue of the set evaluator's per-result charge. Totals
-//     for a full drain are close but not ordered: the empty-operand
-//     short-circuit can make the set evaluation cheaper, while merge
-//     iterators that exhaust one operand early make the stream cheaper. A
-//     partially consumed stream charges only for the prefix actually
-//     pulled. A node answered by the set evaluator charges as that
-//     evaluator does, and its answer again as it flows out.
+//     per-region analogue of the set evaluator's per-result charge. A
+//     partially consumed stream charges only for the prefix pulled. A node
+//     answered by the set evaluator charges as that evaluator does, and its
+//     answer again as it flows out.
 //   - Stats.Ops/DirectOps count pipeline construction; RegionsTouched
 //     counts regions actually emitted; PeakBytes records the high-water
 //     mark of buffers the pipeline had to materialize (value-order runs,
@@ -176,9 +173,10 @@ func (ev *Evaluator) stream(sc *streamCtx, e Expr) (region.Iterator, error) {
 	case Select:
 		return ev.streamSelect(sc, e)
 	case Binary:
-		switch e.Op {
-		case OpUnion, OpDiff, OpIntersect, OpIncluding:
-			return ev.streamBinary(sc, e)
+		if n, ok := e.L.(Name); ok && e.Op == OpIncluding {
+			if set, _ := ev.in.Region(n.Ident); !set.IsEmpty() && set.Disjoint() { // validated in Stream
+				return ev.streamIncluding(sc, set, e.R)
+			}
 		}
 	}
 	// No lazy form: one set evaluation, which counts its own operators
@@ -191,43 +189,17 @@ func (ev *Evaluator) stream(sc *streamCtx, e Expr) (region.Iterator, error) {
 	return sc.tap(s.Iter(), false), nil
 }
 
-// streamBinary merges the operands' streams of ∪, −, ∩ and ⊃. Name ⊃ X for
-// a disjoint name does not stream the name: X is pulled one region at a
-// time and each region probes the name's slice, so the operator costs
-// what X does and a LIMIT downstream still stops X early.
-func (ev *Evaluator) streamBinary(sc *streamCtx, e Binary) (region.Iterator, error) {
-	if n, ok := e.L.(Name); ok && e.Op == OpIncluding {
-		if set, _ := ev.in.Region(n.Ident); !set.IsEmpty() && set.Disjoint() { // validated in Stream
-			x, err := ev.stream(sc, e.R)
-			if err != nil {
-				return nil, err
-			}
-			sc.countOp()
-			return sc.tapOver(region.IncludingSetIter(set, x), set), nil
-		}
-	}
-	l, err := ev.stream(sc, e.L)
+// streamIncluding streams Name ⊃ X for a non-empty disjoint name, the one
+// binary node with a lazy form. The name is not streamed: X is pulled one
+// region at a time and each region probes the name's slice, so the
+// operator costs what X does and a LIMIT downstream still stops X early.
+func (ev *Evaluator) streamIncluding(sc *streamCtx, name region.Set, x Expr) (region.Iterator, error) {
+	it, err := ev.stream(sc, x)
 	if err != nil {
-		return nil, err
-	}
-	r, err := ev.stream(sc, e.R)
-	if err != nil {
-		l.Close()
 		return nil, err
 	}
 	sc.countOp()
-	var it region.Iterator
-	switch e.Op {
-	case OpUnion:
-		it = region.UnionIter(l, r)
-	case OpDiff:
-		it = region.DiffIter(l, r)
-	case OpIntersect:
-		it = region.IntersectIter(l, r)
-	default:
-		it = region.IncludingIter(l, r)
-	}
-	return sc.tap(it, true), nil
+	return sc.tapOver(region.IncludingSetIter(name, it), name), nil
 }
 
 // streamSelect builds σ. Over a bare name the set is in hand and an index

@@ -491,14 +491,8 @@ func (c *Catalog) projChain(nt string, attrs []string, indexed *Choice) (*optimi
 	if !ok || names[len(names)-1] != full[len(full)-1] {
 		return nil, false
 	}
-	direct := make([]bool, len(names)-1)
-	exact := !scoped && c.faithful[full[len(full)-1]]
-	for i := range direct {
-		direct[i] = !gaps[i]
-		if direct[i] && c.RIG.CountRealizingPaths(names[i], names[i+1], indexed.blockers) != rig.UniquePath {
-			exact = false
-		}
-	}
+	direct, unique := c.directSteps(names, gaps, indexed)
+	exact := !scoped && unique && c.faithful[full[len(full)-1]]
 	ch, err := optimizer.NewChain(names, direct, nil, true)
 	if err != nil {
 		return nil, false
@@ -821,6 +815,22 @@ func contract(full []string, indexed *Choice) (names []string, gaps []bool, scop
 	return names, gaps, scoped, true
 }
 
+// directSteps classifies the steps of a contracted chain: ⊃d where the gap
+// crossed no star, plain ⊃ where it did. unique reports that every ⊃d step
+// is realized by exactly one RIG path that avoids the indexed blockers, the
+// condition for the chain to answer exactly (Section 6.3).
+func (c *Catalog) directSteps(names []string, gaps []bool, indexed *Choice) (direct []bool, unique bool) {
+	direct = make([]bool, len(gaps))
+	unique = true
+	for i, gap := range gaps {
+		direct[i] = !gap
+		if !gap && c.RIG.CountRealizingPaths(names[i], names[i+1], indexed.blockers) != rig.UniquePath {
+			unique = false
+		}
+	}
+	return direct, unique
+}
+
 // buildChain turns one resolved path into an inclusion chain over the
 // indexed names, classifying exactness per Section 6.3.
 func (c *Catalog) buildChain(nt string, items []pathItem, constant string, mode cmpMode, indexed *Choice) (algebra.Expr, bool, bool) {
@@ -841,19 +851,8 @@ func (c *Catalog) buildChain(nt string, items []pathItem, constant string, mode 
 
 	// Scoped anchors narrow candidates soundly but their coverage is not
 	// modelled by the RIG analyses, so exactness is forfeited.
-	exact := !scoped
-	direct := make([]bool, len(names)-1)
-	for i := range direct {
-		direct[i] = !gaps[i]
-		if direct[i] {
-			if c.RIG.CountRealizingPaths(names[i], names[i+1], indexed.blockers) != rig.UniquePath {
-				exact = false
-			}
-		}
-	}
-	if !leafKept {
-		exact = false
-	}
+	direct, unique := c.directSteps(names, gaps, indexed)
+	exact := !scoped && unique && leafKept
 
 	// Selection on the deepest kept name. Its exactness depends on the
 	// mode and on whether the region text is faithful to the value (see

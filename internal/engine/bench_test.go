@@ -17,7 +17,10 @@ import (
 // each run streams phase 1 and stops it at the limit. candidates/op is the
 // number to read beside ns/op: a stream pulls about as many candidates as the
 // limit keeps, where the set evaluator would build all of them. The plan
-// cache stays warm, as it is for any repeated query text.
+// cache stays warm, as it is for any repeated query text. The first four
+// plans are single chains the stream runs lazily; NotContains and
+// OrContains set-evaluate their − and ∪ node whole, and their ns/op is
+// that cost.
 func BenchmarkColdLimit(b *testing.B) {
 	f := testutil.NewBibFixture(b, 20000, grammar.IndexSpec{}, nil)
 	for _, bc := range []struct{ name, q string }{
@@ -25,6 +28,8 @@ func BenchmarkColdLimit(b *testing.B) {
 		{"TitleContains", `SELECT r.Title FROM References r WHERE r.Abstract CONTAINS "system" LIMIT 10`},
 		{"LastName", `SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang" LIMIT 1`},
 		{"Year", `SELECT r FROM References r WHERE r.Year = "1990" LIMIT 5`},
+		{"NotContains", `SELECT r FROM References r WHERE NOT r.Abstract CONTAINS "system" LIMIT 10`},
+		{"OrContains", `SELECT r FROM References r WHERE r.Abstract CONTAINS "system" OR r.Keywords CONTAINS "numerical" LIMIT 10`},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			q := xsql.MustParse(bc.q)

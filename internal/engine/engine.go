@@ -289,8 +289,11 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 // cache reads, small-side kernels); every other plan pulls its
 // candidates off an iterator pipeline (algebra.Stream) while phase 2 is
 // already parsing them, unless it is a LIMIT query's repeat (streamSingle's
-// doorkeeper). Either way the candidates reach phase 2 as an
-// iterator, so there is one parse-and-filter loop and a LIMIT stops it.
+// doorkeeper). The pipeline is lazy over names, σ and the Name ⊃ X probe
+// only; any other node of the candidates (the ∪ of an OR, the − of a NOT)
+// is built whole with the pipeline. Either way the candidates reach phase 2
+// as an iterator, so there is one parse-and-filter loop and a LIMIT stops
+// it.
 func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, res *Result) error {
 	vp := &plan.Vars[0]
 	res.Stats.Exact = vp.Exact

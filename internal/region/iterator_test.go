@@ -16,24 +16,43 @@ func collect(t *testing.T, it Iterator) Set {
 	return s
 }
 
+// disjointPart keeps the regions of s that no earlier kept region
+// overlaps: a disjoint set for the probe iterators to hold.
+func disjointPart(s Set) Set {
+	end := -1
+	return s.Filter(func(r Region) bool {
+		if int(r.Start) < end {
+			return false
+		}
+		end = int(r.End)
+		return true
+	})
+}
+
 // TestIteratorsMatchSetOps is the kernel-level differential: every streaming
-// operator must reproduce its materializing counterpart exactly on random
-// overlapping sets (the hard cases for the inclusion windows).
+// operator must reproduce its definition exactly on random overlapping
+// sets — the filter over any set, and the probes over a disjoint one.
 func TestIteratorsMatchSetOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	even := func(r Region) bool { return r.Len()%2 == 0 }
 	for trial := 0; trial < 500; trial++ {
 		sets := randomSets(rng, 2+rng.Intn(40), 2, 30)
 		R, S := sets[0], sets[1]
+		D := disjointPart(R)
+		if !D.Disjoint() {
+			t.Fatalf("trial %d: disjointPart(%v) = %v is not disjoint", trial, R.Regions(), D.Regions())
+		}
+		pts := points(S)
 		cases := []struct {
 			name string
 			want Set
 			got  Iterator
 		}{
-			{"union", R.Union(S), UnionIter(R.Iter(), S.Iter())},
-			{"intersect", R.Intersect(S), IntersectIter(R.Iter(), S.Iter())},
-			{"diff", R.Diff(S), DiffIter(R.Iter(), S.Iter())},
-			{"including", R.Including(S), IncludingIter(R.Iter(), S.Iter())},
-			{"self-including", R.Including(R), IncludingIter(R.Iter(), R.Iter())},
+			{"iter", R, R.Iter()},
+			{"filter", R.Filter(even), FilterIter(R.Iter(), even)},
+			{"including", NaiveIncluding(D, S), IncludingSetIter(D, S.Iter())},
+			{"self-including", NaiveIncluding(D, D), IncludingSetIter(D, D.Iter())},
+			{"holding", naiveHolding(D, pts), HoldingIter(D, pts, nil)},
 		}
 		for _, c := range cases {
 			if got := collect(t, c.got); !got.Equal(c.want) {
@@ -44,51 +63,49 @@ func TestIteratorsMatchSetOps(t *testing.T) {
 	}
 }
 
-// TestIteratorTieCases pins the strictness ties the window iterator handles
-// specially: identical regions in both operands, distinct regions sharing a
-// Start or an End, and an empty region on an End.
+// TestIteratorTieCases pins the strictness ties the ⊃ probe handles
+// specially: a region of the stream equal to one of the set, distinct
+// regions sharing a Start or an End, and an empty region on an End.
 func TestIteratorTieCases(t *testing.T) {
-	R := mk(0, 10, 0, 4, 2, 10, 2, 4)
-	if got := collect(t, IncludingIter(R.Iter(), R.Iter())); !got.Equal(R.Including(R)) {
-		t.Errorf("⊃ ties: got %v, want %v", got.Regions(), R.Including(R).Regions())
+	R := mk(0, 4, 4, 10)
+	for _, S := range []Set{
+		R,                     // a lone region never strictly includes itself
+		mk(0, 2, 0, 4, 6, 10), // shared Starts and Ends
+		mk(4, 4),              // an empty region on a shared boundary has two containers
+		mk(0, 4, 4, 4, 4, 6),  // and is reported after the region that starts with it
+	} {
+		if got, want := collect(t, IncludingSetIter(R, S.Iter())), NaiveIncluding(R, S); !got.Equal(want) {
+			t.Errorf("%v ⊃ %v: got %v, want %v", R.Regions(), S.Regions(), got.Regions(), want.Regions())
+		}
 	}
-	// A lone region never strictly includes itself.
-	one := mk(3, 7)
-	if got := collect(t, IncludingIter(one.Iter(), one.Iter())); !got.IsEmpty() {
-		t.Errorf("singleton ⊃ itself: got %v, want empty", got.Regions())
-	}
-	// An empty region on r.End is inside r, though it sorts after a
-	// region that starts there.
-	E := mk(0, 2, 2, 5, 2, 2)
-	if got, want := collect(t, IncludingIter(E.Iter(), E.Iter())), NaiveIncluding(E, E); !got.Equal(want) {
-		t.Errorf("⊃ with an empty region on an End: got %v, want %v", got.Regions(), want.Regions())
+}
+
+// iterators returns one of each iterator over R and S, fresh.
+func iterators(R, S Set) map[string]Iterator {
+	D := disjointPart(R)
+	return map[string]Iterator{
+		"iter":      R.Iter(),
+		"filter":    FilterIter(R.Iter(), func(r Region) bool { return r.Len() > 1 }),
+		"including": IncludingSetIter(D, S.Iter()),
+		"holding":   HoldingIter(D, points(S), nil),
 	}
 }
 
 // TestIteratorExhaustionSticky: once an iterator reports exhaustion, every
 // later Next must report it again.
 func TestIteratorExhaustionSticky(t *testing.T) {
-	R, S := mk(0, 2, 4, 6), mk(1, 5)
-	its := []Iterator{
-		R.Iter(),
-		UnionIter(R.Iter(), S.Iter()),
-		IntersectIter(R.Iter(), S.Iter()),
-		DiffIter(R.Iter(), S.Iter()),
-		IncludingIter(R.Iter(), S.Iter()),
-		IncludingSetIter(R, S.Iter()),
-		FilterIter(R.Iter(), func(Region) bool { return true }),
-	}
-	for i, it := range its {
+	R, S := mk(0, 2, 4, 6), mk(1, 5, 4, 5)
+	for name, it := range iterators(R, S) {
 		for {
 			if _, ok, err := it.Next(); err != nil {
-				t.Fatalf("iterator %d: %v", i, err)
+				t.Fatalf("%s: %v", name, err)
 			} else if !ok {
 				break
 			}
 		}
 		for k := 0; k < 3; k++ {
 			if _, ok, err := it.Next(); ok || err != nil {
-				t.Fatalf("iterator %d: Next after exhaustion = (%v, %v)", i, ok, err)
+				t.Fatalf("%s: Next after exhaustion = (%v, %v)", name, ok, err)
 			}
 		}
 		it.Close()
@@ -98,19 +115,21 @@ func TestIteratorExhaustionSticky(t *testing.T) {
 // TestIteratorCloseAfterPartial: Close mid-stream is clean — idempotent,
 // and Next afterwards reports exhaustion rather than resuming.
 func TestIteratorCloseAfterPartial(t *testing.T) {
-	R, S := mk(0, 10, 1, 3, 5, 9), mk(1, 3, 6, 8)
-	it := UnionIter(DiffIter(R.Iter(), S.Iter()), IncludingIter(R.Iter(), S.Iter()))
-	if _, ok, err := it.Next(); !ok || err != nil {
-		t.Fatalf("first Next: (%v, %v)", ok, err)
-	}
-	it.Close()
-	it.Close() // idempotent
-	if _, ok, err := it.Next(); ok || err != nil {
-		t.Fatalf("Next after Close = (%v, %v), want exhausted", ok, err)
+	R, S := mk(0, 10, 12, 20, 22, 30), mk(1, 3, 13, 15, 23, 25)
+	for name, it := range iterators(R, S) {
+		if _, ok, err := it.Next(); !ok || err != nil {
+			t.Fatalf("%s: first Next: (%v, %v)", name, ok, err)
+		}
+		it.Close()
+		it.Close() // idempotent
+		if _, ok, err := it.Next(); ok || err != nil {
+			t.Fatalf("%s: Next after Close = (%v, %v), want exhausted", name, ok, err)
+		}
 	}
 }
 
-// failingIter yields rs, then fails with err.
+// failingIter yields rs, then fails with err once, then reports
+// exhaustion: an iterator that repeats the error has kept it itself.
 type failingIter struct {
 	rs  []Region
 	err error
@@ -118,7 +137,9 @@ type failingIter struct {
 
 func (f *failingIter) Next() (Region, bool, error) {
 	if len(f.rs) == 0 {
-		return Region{}, false, f.err
+		err := f.err
+		f.err = nil
+		return Region{}, false, err
 	}
 	r := f.rs[0]
 	f.rs = f.rs[1:]
@@ -127,16 +148,17 @@ func (f *failingIter) Next() (Region, bool, error) {
 
 func (f *failingIter) Close() {}
 
-// TestIteratorErrorSticky: an operand stream that fails aborts the merge or
-// the probe, and the error is returned from every subsequent Next.
+// TestIteratorErrorSticky: an operand stream that fails aborts the filter
+// or the probe, and the error is returned from every subsequent Next.
 func TestIteratorErrorSticky(t *testing.T) {
 	boom := errors.New("boom")
 	R := mk(0, 10, 0, 4, 2, 3)
 	fail := func() Iterator { return &failingIter{rs: R.Regions()[:1], err: boom} }
+	stop := func() error { return boom }
 	for name, it := range map[string]Iterator{
-		"⊃, failing left":        IncludingIter(fail(), R.Iter()),
-		"⊃, failing right":       IncludingIter(R.Iter(), fail()),
-		"⊃ probe, failing right": IncludingSetIter(mk(0, 10), fail()),
+		"σ, failing operand":      FilterIter(fail(), func(Region) bool { return true }),
+		"⊃ probe, failing right":  IncludingSetIter(mk(0, 10), fail()),
+		"σ_w probe, failing poll": HoldingIter(mk(0, 10), R, stop),
 	} {
 		var err error
 		for {
@@ -161,14 +183,12 @@ func TestMaterializeCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		sets := randomSets(rng, 2+rng.Intn(40), 2, 25)
-		it := UnionIter(
-			IncludingIter(sets[0].Iter(), sets[1].Iter()),
-			DiffIter(sets[1].Iter(), sets[0].Iter()),
-		)
-		got := collect(t, it)
-		want := FromRegions(got.Regions()) // canonicalize a copy
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: non-canonical stream %v", trial, got.Regions())
+		for name, it := range iterators(sets[0], sets[1]) {
+			got := collect(t, it)
+			want := FromRegions(got.Regions()) // canonicalize a copy
+			if !got.Equal(want) {
+				t.Fatalf("trial %d %s: non-canonical stream %v", trial, name, got.Regions())
+			}
 		}
 	}
 }

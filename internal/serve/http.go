@@ -278,7 +278,7 @@ type TenantMetrics struct {
 // Metrics snapshots the server's counters.
 func (s *Server) Metrics() MetricsBody {
 	gen := s.gen.Load()
-	m := MetricsBody{
+	return MetricsBody{
 		Epoch:         gen.epoch,
 		Files:         len(gen.files),
 		QueriesTotal:  s.met.queries.Load(),
@@ -293,18 +293,10 @@ func (s *Server) Metrics() MetricsBody {
 			"p99":  s.met.hist.quantile(0.99),
 			"p999": s.met.hist.quantile(0.999),
 		},
+		Tenants:          s.met.tenantMetrics(),
 		MaxInflight:      s.cfg.maxInflight(),
 		AdmittedInflight: s.adm.inflight(),
 	}
-	names := s.met.tenantNames()
-	if len(names) > 0 {
-		m.Tenants = make(map[string]TenantMetrics, len(names))
-		for _, n := range names {
-			tc := s.met.tenant(n)
-			m.Tenants[n] = TenantMetrics{Queries: tc.queries.Load(), Shed: tc.shed.Load()}
-		}
-	}
-	return m
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

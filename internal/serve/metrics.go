@@ -14,7 +14,7 @@ type metrics struct {
 	queries  atomic.Uint64 // admitted queries
 	ok       atomic.Uint64 // completed without interruption
 	shed     atomic.Uint64 // rejected by admission control
-	badQuery atomic.Uint64 // rejected by the parser
+	badQuery atomic.Uint64 // refused with ErrBadQuery
 	canceled atomic.Uint64 // interrupted by client cancellation
 	degraded atomic.Uint64 // completed with at least one degraded file
 	inflight atomic.Int64  // admitted and still executing
@@ -25,9 +25,18 @@ type metrics struct {
 	tenants map[string]*tenantCounters // guarded by mu; values have atomic fields
 }
 
+// The tenant table is bounded: tenant names come from clients, so it keeps
+// at most maxTenants names, and every name past them counts under
+// overflowTenant. Execute refuses a name over maxTenantName bytes.
+const (
+	maxTenants     = 1024
+	maxTenantName  = 256
+	overflowTenant = "(other tenants)"
+)
+
 // tenantCounters are one tenant's counters. The struct pointer is handed
 // out under metrics.mu once and then updated through atomics, so the hot
-// path takes the lock at most once per (tenant, query).
+// path takes the lock once per query.
 type tenantCounters struct {
 	queries atomic.Uint64 // submissions (admitted or shed)
 	shed    atomic.Uint64
@@ -37,11 +46,16 @@ func newMetrics() *metrics {
 	return &metrics{tenants: make(map[string]*tenantCounters)}
 }
 
-// tenant returns the tenant's counter struct, creating it on first use.
+// tenant returns the tenant's counter struct, creating it on first use, or
+// the overflow entry's once the table holds maxTenants names.
 func (m *metrics) tenant(name string) *tenantCounters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tc := m.tenants[name]
+	if tc == nil && len(m.tenants) >= maxTenants {
+		name = overflowTenant
+		tc = m.tenants[name]
+	}
 	if tc == nil {
 		tc = &tenantCounters{}
 		m.tenants[name] = tc
@@ -49,15 +63,19 @@ func (m *metrics) tenant(name string) *tenantCounters {
 	return tc
 }
 
-// tenantNames returns the known tenant names (for /metrics rendering).
-func (m *metrics) tenantNames() []string {
+// tenantMetrics snapshots the tenant table (for /metrics rendering), nil
+// when no tenant has submitted.
+func (m *metrics) tenantMetrics() map[string]TenantMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.tenants))
-	for n := range m.tenants {
-		names = append(names, n)
+	if len(m.tenants) == 0 {
+		return nil
 	}
-	return names
+	out := make(map[string]TenantMetrics, len(m.tenants))
+	for n, tc := range m.tenants {
+		out[n] = TenantMetrics{Queries: tc.queries.Load(), Shed: tc.shed.Load()}
+	}
+	return out
 }
 
 // latencyHist is a lock-free histogram over power-of-two microsecond

@@ -39,7 +39,8 @@ var (
 	ErrShed = errors.New("serve: saturated, query shed")
 	// ErrNoCorpus reports that nothing has been published yet. HTTP: 503.
 	ErrNoCorpus = errors.New("serve: no corpus published")
-	// ErrBadQuery wraps an XSQL parse error in the request. HTTP: 400.
+	// ErrBadQuery wraps what is wrong with the request: an XSQL parse
+	// error, or a tenant name over 256 bytes. HTTP: 400.
 	ErrBadQuery = errors.New("serve: bad query")
 )
 
@@ -295,17 +296,22 @@ func (s *Server) Execute(ctx context.Context, req Request) (*Response, error) {
 	if gen.epoch == 0 {
 		return nil, ErrNoCorpus
 	}
+	if len(req.Tenant) > maxTenantName {
+		s.met.badQuery.Add(1)
+		return nil, fmt.Errorf("%w: tenant name of %d bytes, over the %d-byte limit", ErrBadQuery, len(req.Tenant), maxTenantName)
+	}
 	// Validating prepares: the corpus below finds the query parsed.
 	if err := s.cfg.Schema.Prepare(req.Query); err != nil {
 		s.met.badQuery.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
 	ten := s.tenant(req.Tenant)
-	s.met.tenant(req.Tenant).queries.Add(1)
+	tc := s.met.tenant(req.Tenant)
+	tc.queries.Add(1)
 	release, ok := s.adm.acquire(req.Tenant, ten.MaxInflight)
 	if !ok {
 		s.met.shed.Add(1)
-		s.met.tenant(req.Tenant).shed.Add(1)
+		tc.shed.Add(1)
 		return nil, ErrShed
 	}
 	defer release()

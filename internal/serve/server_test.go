@@ -208,6 +208,57 @@ func TestExecuteBadQuery(t *testing.T) {
 	}
 }
 
+// TestTenantTableIsBounded: tenant names come from clients, so the
+// metrics table keeps at most 1 024 of them and counts every later name
+// under one overflow entry, and a name over 256 bytes is refused with 400
+// before anything counts it as a tenant's.
+func TestTenantTableIsBounded(t *testing.T) {
+	const tenantCap, extra = 1024, 40 // serve's maxTenants
+	srv := newServer(t, serve.Config{})
+	if _, err := srv.Publish(sampleFiles(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tenantCap+extra; i++ {
+		if _, err := srv.Execute(t.Context(), serve.Request{Query: changQuery, Tenant: fmt.Sprintf("tenant-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := srv.Metrics()
+	if len(m.Tenants) > tenantCap+1 {
+		t.Errorf("%d tenants submitted, %d entries in the table: want at most %d", tenantCap+extra, len(m.Tenants), tenantCap+1)
+	}
+	var sum uint64
+	for _, tm := range m.Tenants {
+		sum += tm.Queries
+	}
+	if sum != tenantCap+extra {
+		t.Errorf("per-tenant queries sum to %d, want the %d submissions", sum, tenantCap+extra)
+	}
+
+	long := strings.Repeat("t", 257)
+	if _, err := srv.Execute(t.Context(), serve.Request{Query: changQuery, Tenant: long}); !errors.Is(err, serve.ErrBadQuery) {
+		t.Fatalf("Execute with a %d-byte tenant = %v, want ErrBadQuery", len(long), err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/query?q="+url.QueryEscape(changQuery), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Qofd-Tenant", long)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a %d-byte X-Qofd-Tenant = %d, want 400", len(long), resp.StatusCode)
+	}
+	if got := srv.Metrics().QueriesTotal; got != tenantCap+extra {
+		t.Errorf("queries_total = %d after the refused tenants, want %d", got, tenantCap+extra)
+	}
+}
+
 // TestHostileQueryRefused: query text nested past the parsers' limit — 400 KB
 // of NOTs fit under the 1 MiB body cap, and used to cost seconds of
 // normalizing per file — is a bad query: HTTP 400, counted in bad_query_total,
