@@ -20,11 +20,12 @@ package algebra
 // over such a node pays for the whole node before its first row
 // (docs/STREAMING.md).
 //
-// The engine runs two evaluators and the shape of the plan picks between
-// them: a plan that needs a complete set before it can answer (an
-// index-only projection, a fast join, the per-variable candidates of a
-// join) runs on EvalContext (eval.go), every other single-variable plan
-// pulls its candidates off a Stream. Neither is the other's reference: both
+// The engine runs two evaluators and the query picks between them: a
+// single-variable LIMIT query pulls its candidates off a Stream, so the
+// LIMIT stops phase 1 as well as phase 2, unless it needs a complete set
+// before it can answer (an index-only projection, a fast join); every other
+// plan — any plan with no LIMIT, those two, the per-variable candidates of
+// a join — runs on EvalContext (eval.go). Neither is the other's reference: both
 // are checked against the naive evaluator of internal/refeval by the
 // differential harness (internal/refeval/diff) and against each other by
 // the property tests in stream_test.go. How a stream differs from a set

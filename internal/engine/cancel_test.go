@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"qof/internal/algebra"
 	"qof/internal/compile"
 	"qof/internal/engine"
 	"qof/internal/faultinject"
@@ -136,6 +137,33 @@ func TestBudgetIgnoresWarmCache(t *testing.T) {
 	}
 }
 
+// TestNoLimitOrPaysTheSetEvaluatorsRegionBudget: a plan with no LIMIT
+// evaluates its candidates as a set, so its region budget is the set
+// evaluator's charge, once per operator result. An OR query succeeds under
+// exactly the Budget.Used() of EvalContext on its candidates and fails one
+// region short. (A stream charged the OR's ∪, which it set-evaluates, twice:
+// while evaluating it, and again as its regions flowed out of the leaf tap.)
+func TestNoLimitOrPaysTheSetEvaluatorsRegionBudget(t *testing.T) {
+	f := testutil.NewBibFixture(t, 200, grammar.IndexSpec{}, nil)
+	q := xsql.MustParse(`SELECT r FROM References r WHERE r.Abstract CONTAINS "system" OR r.Keywords CONTAINS "numerical"`)
+	want, err := f.Eng.Execute(q)
+	if err != nil || want.Stats.Results == 0 {
+		t.Fatalf("unbudgeted run: %v, %v", want, err)
+	}
+	b := algebra.NewBudget(1 << 30)
+	if _, err := algebra.NewEvaluator(f.In).EvalContext(context.Background(), want.Plan.Vars[0].Candidates, nil, b); err != nil {
+		t.Fatal(err)
+	}
+	used := b.Used()
+	res, err := f.Eng.ExecuteContext(context.Background(), q, engine.Limits{MaxRegions: used})
+	if err != nil || !res.Regions.Equal(want.Regions) {
+		t.Errorf("MaxRegions %d, the set evaluator's charge: %v, %v", used, res, err)
+	}
+	if _, err := f.Eng.ExecuteContext(context.Background(), q, engine.Limits{MaxRegions: used - 1}); !errors.Is(err, qerr.ErrBudgetExceeded) {
+		t.Errorf("MaxRegions %d, one short of the set evaluator's charge: %v, want ErrBudgetExceeded", used-1, err)
+	}
+}
+
 func TestExecuteContextByteBudget(t *testing.T) {
 	// A filtering query (non-exact plan) must parse candidates, so a
 	// one-byte parse budget trips in phase 2.
@@ -225,19 +253,16 @@ func waitGoroutines(t *testing.T, base int) {
 func TestCancelMidParallelPhase2(t *testing.T) {
 	t.Cleanup(pool.SetHelpers(3))
 	base := runtime.NumGoroutine()
-	f := testutil.NewBibFixture(t, 400, grammar.IndexSpec{Names: []string{"Reference"}}, nil)
+	// 2 000 candidates, each parsed: the drain admits them all in tens of
+	// microseconds, then builds them on the helpers for milliseconds, so the
+	// cancels land while the helpers are genuinely mid-flight. (An injected
+	// delay would hold the admission, which runs on the caller alone.)
+	f := testutil.NewBibFixture(t, 2000, grammar.IndexSpec{Names: []string{"Reference"}}, nil)
 	q := xsql.MustParse(changAuthorQuery)
 	want, err := f.Eng.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold every phase-2 candidate open briefly so the cancels land while
-	// the worker pool is genuinely mid-flight rather than racing a query
-	// that finishes in microseconds.
-	if err := faultinject.Configure("engine.phase2=delay:500us"); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Reset()
 	var canceledRuns, completedRuns int
 	for round := 0; round < 30; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -269,7 +294,6 @@ func TestCancelMidParallelPhase2(t *testing.T) {
 	if canceledRuns == 0 {
 		t.Error("no run was canceled mid-flight; the storm exercised nothing")
 	}
-	faultinject.Reset()
 	// The engine is fully usable after the storm.
 	res, err := f.Eng.Execute(q)
 	if err != nil {
@@ -281,10 +305,10 @@ func TestCancelMidParallelPhase2(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestLimitStopsParallelStream: a LIMIT query on the parallel streaming
-// pipeline stops the feeder and workers early — and when a cancel storm
-// overlaps the early stop, every run still either completes with the exact
-// document-order prefix or fails with a clean context.Canceled. No
+// TestLimitStopsParallelStream: a LIMIT query streams and drains
+// sequentially with helpers pinned, and stops early — and when a cancel
+// storm overlaps the early stop, every run still either completes with the
+// exact document-order prefix or fails with a clean context.Canceled. No
 // goroutines may survive the storm. Run under -race.
 func TestLimitStopsParallelStream(t *testing.T) {
 	t.Cleanup(pool.SetHelpers(3))

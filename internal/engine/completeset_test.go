@@ -143,7 +143,7 @@ func TestCompleteSetPlansLeakNothing(t *testing.T) {
 			if err := faultinject.Configure("engine.phase2=delay:0s"); err != nil {
 				t.Fatal(err)
 			}
-			ctx := cancelAfterHits{Context: context.Background(), k: 3, done: make(chan struct{})}
+			ctx := engine.CancelAfterHits(3)
 			if _, err := f.Eng.ExecuteContext(ctx, q, engine.Limits{}); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s: canceled after 3 candidates: %v, want context.Canceled", name, err)
 			}

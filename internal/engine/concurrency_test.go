@@ -135,7 +135,7 @@ func TestEngineExecuteConcurrent(t *testing.T) {
 	})
 }
 
-// TestPhase2ParallelMatchesSequential pins down the chunked drain's merge:
+// TestPhase2ParallelMatchesSequential pins down the parallel drain's merge:
 // for every helper budget the result set, the result order and the parsing
 // statistics must be identical to the sequential run's.
 func TestPhase2ParallelMatchesSequential(t *testing.T) {

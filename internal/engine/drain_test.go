@@ -1,7 +1,8 @@
 package engine_test
 
-// The phase-2 drain at its edges: a failure on the workers' side of a chunk
-// boundary, and plans that never hand a candidate to a worker.
+// The phase-2 drain at its edges: failures at fixed candidates of the
+// parallel drain of a set and of a LIMIT query's sequential drain, and plans
+// that never hand a candidate to a helper.
 
 import (
 	"context"
@@ -22,17 +23,19 @@ import (
 
 // TestPhase2FaultsAtChunkBoundaries fires the engine.phase2 failpoint — an
 // error, a panic, or a cancel seen by the next poll — at the k-th candidate
-// processed, for k at the first candidates and on both sides of the chunk
-// boundaries, on a single-variable query and on a join, whose variables'
-// candidates go through the same drain. The query fails as it does
-// sequentially: errors.Is matches and, except for a panic, whose message
-// names whichever candidate a worker had, so does the text. No stream or
+// processed, for k at the first candidates and on both sides of 64 and 128,
+// on a single-variable query with no LIMIT (the parallel drain of its
+// candidate set), on the same query under a LIMIT it never meets (the LIMIT
+// stream's sequential drain) and on a join, whose variables' candidates go
+// through the parallel drain. The query fails as it does sequentially, to
+// the text of the error: the parallel drain admits its candidates in
+// document order, so the failpoint fires on the same candidate. No stream or
 // goroutine is left behind.
 func TestPhase2FaultsAtChunkBoundaries(t *testing.T) {
 	defer faultinject.Reset()
 	f := testutil.NewBibFixture(t, 200, paperPartialIndex, nil)
 	// Every reference is a candidate, and parsed: once, or once per variable.
-	for _, src := range []string{valueJoinQuery, yearJoinQuery} {
+	for _, src := range []string{valueJoinQuery, valueJoinQuery + " LIMIT 1000000", yearJoinQuery} {
 		q := xsql.MustParse(src)
 		if _, err := f.Eng.Execute(q); err != nil {
 			t.Fatal(err)
@@ -55,7 +58,7 @@ func faultsAtChunkBoundaries(t *testing.T, eng *engine.Engine, q *xsql.Query) {
 				ctx, spec := context.Context(context.Background()), fmt.Sprintf("engine.phase2=%s@%d", kind, k)
 				if kind == "cancel" {
 					// The delay of nothing only counts candidates for the cancel.
-					ctx, spec = cancelAfterHits{Context: ctx, k: uint64(k), done: make(chan struct{})}, "engine.phase2=delay:0s"
+					ctx, spec = engine.CancelAfterHits(uint64(k)), "engine.phase2=delay:0s"
 				}
 				if err := faultinject.Configure(spec); err != nil {
 					t.Fatal(err)
@@ -67,7 +70,7 @@ func faultsAtChunkBoundaries(t *testing.T, eng *engine.Engine, q *xsql.Query) {
 				}
 				if par == 1 {
 					seqErr = err
-				} else if kind != "panic" && err.Error() != seqErr.Error() {
+				} else if err.Error() != seqErr.Error() {
 					t.Errorf("%s: %s at %d: parallelism %d fails with %q, sequentially %q", q, kind, k, par, err, seqErr)
 				}
 			}
@@ -80,7 +83,7 @@ func faultsAtChunkBoundaries(t *testing.T, eng *engine.Engine, q *xsql.Query) {
 }
 
 // TestUnparsedPlanStartsNoGoroutine: with three helpers a plan that parses
-// its candidates hands chunks to helpers, and one that reads nothing of
+// its candidates hands candidates to helpers, and one that reads nothing of
 // them (an exact whole-object select) processes every candidate on the
 // caller's goroutine and takes none. Neither starts a goroutine.
 func TestUnparsedPlanStartsNoGoroutine(t *testing.T) {

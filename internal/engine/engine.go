@@ -16,6 +16,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -183,7 +184,7 @@ type Limits struct {
 
 // execEnv carries one execution's cancellation and budget state across the
 // engine's phases. Only the execution's own goroutine charges the byte
-// budget: phase-2 workers get an execEnv without one.
+// budget; a helper of a parallel drain only polls.
 type execEnv struct {
 	ctx    context.Context
 	lim    Limits
@@ -281,23 +282,20 @@ func (e *Engine) evalExpr(es *execEnv, x algebra.Expr, res *Result) (region.Set,
 	return s, err
 }
 
-// executeSingle runs the one-range-variable fast path. The plan's shape
-// picks the phase-1 evaluator, and nothing a caller can set does: an
-// index-only projection and a Section 5.2 fast join need the complete
-// candidate set before they can answer, and a full scan has it already, so
-// those run on the set evaluator (algebra.EvalContext: subexpression
-// cache reads, small-side kernels); every other plan pulls its
-// candidates off an iterator pipeline (algebra.Stream) while phase 2 is
-// already parsing them, unless it is a LIMIT query's repeat (streamSingle's
-// doorkeeper). The pipeline is lazy over names, σ and the Name ⊃ X probe
-// only; any other node of the candidates (the ∪ of an OR, the − of a NOT)
-// is built whole with the pipeline. Either way the candidates reach phase 2
-// as an iterator, so there is one parse-and-filter loop and a LIMIT stops
-// it.
+// executeSingle runs the one-range-variable fast path. The query picks the
+// drain, and nothing a caller can set does. A LIMIT query whose candidates
+// come off the index streams them (streamSingle): phase 1 is an iterator
+// pipeline (algebra.Stream) that phase 2 pulls from one candidate at a time
+// on the caller's goroutine, so the LIMIT stops both phases. Every other plan
+// has its complete candidate set in memory before phase 2 starts
+// (candidateSet: the result cache, the set evaluator or a full scan), and
+// drainSet parses it, in parallel when there is no LIMIT. An index-only
+// projection and a Section 5.2 fast join need the complete set before they
+// can answer, LIMIT or not.
 func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, res *Result) error {
 	vp := &plan.Vars[0]
 	res.Stats.Exact = vp.Exact
-	if vp.Candidates != nil && plan.JoinFast == nil && !plan.IndexOnly() {
+	if q.Limit > 0 && vp.Candidates != nil && plan.JoinFast == nil && !plan.IndexOnly() {
 		return e.streamSingle(es, q, plan, vp, res)
 	}
 	candidates, err := e.candidateSet(es, vp, res)
@@ -350,8 +348,7 @@ func (e *Engine) executeSingle(es *execEnv, q *xsql.Query, plan *compile.Plan, r
 	// Phase 2: parse candidates, filter unless exact, project.
 	em := newEmitter(q, plan, res)
 	defer em.finish()
-	_, err = e.streamPhase2(es, plan, vp, inMemory(candidates), res, em)
-	return err
+	return e.drainSet(es, plan, vp, candidates, res, em)
 }
 
 // resultKey is the cross-query result cache's key for vp's candidates, or
@@ -402,36 +399,35 @@ func (e *Engine) candidateSet(es *execEnv, vp *compile.VarPlan, res *Result) (re
 	return s, nil
 }
 
-// processCandidate does the per-candidate phase-2 work — poll, fault
-// injection, byte budget (a worker's execEnv has none: the drain charged the
-// candidate when it cut it), parse, build, filter. It parses with the plan's
-// read set, so obj holds what the filter and the projection navigate and
-// nothing else; a plan that reads nothing of its candidates (an exact
-// whole-object select) has nothing to decide and nothing to build, and its
-// candidates pass unparsed and uncharged — but still through the poll and
-// the failpoint, so cancellation, LIMIT and injected faults see every
-// candidate. The poll is a non-blocking receive on the context's Done, so
-// a candidate of a cached answer costs no lock while the context is live.
-// Per-candidate panics (a grammar or filter bug, or an injected
-// fault) are isolated into a typed error so one poisoned candidate fails
-// the query instead of killing the process — essential when the caller is
-// a worker goroutine.
-func (e *Engine) processCandidate(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, r region.Region) (obj db.Value, keep bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("engine: phase 2 panic on candidate %v: %v: %w", r, p, qerr.ErrInternal)
-		}
-	}()
+// admit lets candidate r into phase 2: the poll, the engine.phase2
+// failpoint and, when the plan parses r, the byte budget — every check that
+// can refuse a candidate before it is parsed. A plan that reads nothing of
+// its candidates (an exact whole-object select) parses nothing and is
+// charged nothing, but its candidates still pass the poll and the
+// failpoint, so cancellation, LIMIT and injected faults see every
+// candidate. The poll is a non-blocking receive on the context's Done, so a
+// candidate of a cached answer costs no lock while the context is live.
+func (e *Engine) admit(es *execEnv, vp *compile.VarPlan, r region.Region) (err error) {
+	defer recoverCandidate(r, &err)
 	if err := es.poll(); err != nil {
-		return nil, false, err
+		return err
 	}
 	if err := faultinject.Hit(faultinject.Phase2); err != nil {
-		return nil, false, fmt.Errorf("engine: phase 2: %w", err)
+		return fmt.Errorf("engine: phase 2: %w", err)
 	}
+	if vp.Reads.Empty() {
+		return nil
+	}
+	return es.chargeBytes(r.Len())
+}
+
+// build parses an admitted candidate with the plan's read set, so obj holds
+// what the filter and the projection navigate and nothing else, and
+// filters it. A plan that reads nothing of its candidates has nothing to
+// decide and nothing to build.
+func (e *Engine) build(plan *compile.Plan, vp *compile.VarPlan, r region.Region) (obj db.Value, keep bool, err error) {
+	defer recoverCandidate(r, &err)
 	if !vp.Reads.Empty() {
-		if err := es.chargeBytes(r.Len()); err != nil {
-			return nil, false, err
-		}
 		if obj, err = e.parseValue(vp.NT, r, vp.Reads); err != nil {
 			return nil, false, err
 		}
@@ -439,7 +435,17 @@ func (e *Engine) processCandidate(es *execEnv, plan *compile.Plan, vp *compile.V
 	return obj, vp.Exact || plan.Filter.EvalOne(obj), nil
 }
 
-// countParsed accounts one candidate that went through processCandidate:
+// recoverCandidate, deferred, turns a panic on candidate r (a grammar or
+// filter bug, or an injected fault) into *err, a typed error, so one
+// poisoned candidate fails the query instead of killing the process —
+// essential when the candidate is on a helper.
+func recoverCandidate(r region.Region, err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("engine: phase 2 panic on candidate %v: %v: %w", r, p, qerr.ErrInternal)
+	}
+}
+
+// countParsed accounts one candidate that phase 2 admitted and built:
 // parsed, unless the plan reads nothing of it.
 func (st *Stats) countParsed(vp *compile.VarPlan, r region.Region) {
 	if !vp.Reads.Empty() {
@@ -518,9 +524,9 @@ func (em *emitter) finish() {
 	em.res.Stats.PeakBytes += region.Bytes * len(em.kept)
 }
 
-// streamSingle is the streaming single-variable executor: phase 1 is an
-// iterator pipeline over the index (algebra.Stream) and phase 2 pulls
-// candidates off it, parsing and filtering while phase 1 is still
+// streamSingle is the streaming single-variable executor of a LIMIT query:
+// phase 1 is an iterator pipeline over the index (algebra.Stream) and phase
+// 2 pulls candidates off it, parsing and filtering while phase 1 is still
 // producing. The pipeline stops as soon as the LIMIT is satisfied, a budget
 // trips, or the context is done; only a complete successful drain publishes
 // the candidate set to the cross-query result cache. A drain that the LIMIT
@@ -611,25 +617,19 @@ func (d *drainSource) next() (region.Region, bool, error) {
 	return r, ok, err
 }
 
-// streamPhase2 drains src through phase 2 into em and reports whether src
-// was consumed to exhaustion (false when the LIMIT stopped it); src.pulled
-// holds the candidates it pulled. An exact drain over a set in memory keeps
-// every candidate it pulls, so it sizes em's kept regions once, up front.
-// The caller's goroutine is src's only consumer, and it processes the first
-// candidate itself. It processes the others itself as well — the sequential
-// drain — unless the helper budget (package pool) is not zero and the plan
-// parses its candidates (one that parses nothing has too little work per
-// candidate to hand off); then drainChunks takes the rest. A LIMIT that the
-// first candidate meets therefore takes no helper.
+// streamPhase2 is the sequential drain: it pulls src's candidates one at a
+// time on the caller's goroutine and takes each through phase 2 into em, and
+// reports whether src was consumed to exhaustion (false when the LIMIT
+// stopped it); src.pulled holds the candidates it pulled. It drains every
+// LIMIT query, streamed or in memory, so a LIMIT pulls exactly the
+// candidates that fill the answer, and every drain that drainSet does not
+// run in parallel. An exact drain over a set in memory keeps every
+// candidate it pulls, so it sizes em's kept regions once, up front.
 func (e *Engine) streamPhase2(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src *drainSource, res *Result, em *emitter) (complete bool, err error) {
 	if src.it == nil && vp.Exact {
 		em.reserve(len(src.set))
 	}
-	chunked := !vp.Reads.Empty() && pool.Size() > 0
 	for !em.full() {
-		if chunked && len(src.pulled) > 0 {
-			return e.drainChunks(es, plan, vp, src, res, em)
-		}
 		r, ok, err := src.next()
 		if err != nil {
 			return false, fmt.Errorf("engine: evaluating candidates: %w", err)
@@ -637,7 +637,10 @@ func (e *Engine) streamPhase2(es *execEnv, plan *compile.Plan, vp *compile.VarPl
 		if !ok {
 			return true, nil
 		}
-		obj, keep, err := e.processCandidate(es, plan, vp, r)
+		if err := e.admit(es, vp, r); err != nil {
+			return false, err
+		}
+		obj, keep, err := e.build(plan, vp, r)
 		if err != nil {
 			return false, err
 		}
@@ -651,7 +654,7 @@ func (e *Engine) streamPhase2(es *execEnv, plan *compile.Plan, vp *compile.VarPl
 
 // nextCandidate pulls the drain's next candidate. A panic in a phase-1
 // operator surfaces here, on the drain's goroutine, and fails this query
-// with ErrInternal, so the drain still joins its workers.
+// with ErrInternal.
 func nextCandidate(src region.Iterator) (r region.Region, ok bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -661,144 +664,75 @@ func nextCandidate(src region.Iterator) (r region.Region, ok bool, err error) {
 	return src.Next()
 }
 
-// maxChunk caps the candidates in one chunk. Chunks double from two up to
-// it, so a drain that a LIMIT stops early has cut little ahead, and a long
-// one pays one hand-off per maxChunk candidates.
-const maxChunk = 64
+// yieldEvery is how many candidates a parallel drain builds between yields.
+const yieldEvery = 64
 
-// chunk is a run of consecutive candidates that one goroutine — a helper
-// or the drain's caller — takes through processCandidate in document order.
-type chunk struct {
-	rs      []region.Region // the candidates: a window onto the drain's pulled
-	out     []processed     // one per candidate processed, in order
-	err     error           // the failure that stopped the chunk after out
-	claimed atomic.Bool     // taken by the goroutine that parses it
-	done    chan struct{}   // closed when the chunk is through
-}
-
-// isDone reports whether c is through.
-func isDone(c *chunk) bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// processed is processCandidate's answer for one candidate.
+// processed is build's answer for one candidate.
 type processed struct {
 	obj  db.Value
 	keep bool
 }
 
-// drainChunks is the rest of a chunked drain, after streamPhase2 ran the
-// first candidate (src.pulled) inline. The caller cuts the candidates into
-// chunks of 2, 4, … up to maxChunk, charging the byte budget for each as it
-// cuts it, keeps at most 2·helpers+2 chunks in flight, offers each to the
-// helpers in cut order and takes idle helpers up to the budget; a helper
-// parses offered chunks until the drain ends. Whoever claims a chunk first
-// parses it. The caller claims the oldest chunk when nobody has, and while a
-// helper has it, the newest ones, so the helpers keep the chunks next in
-// line and a lone query keeps every core. It emits each finished chunk
-// strictly in document order, so the answer, Parsed and the first error in
-// document order — a spent budget included — are the sequential drain's;
-// only Candidates counts what was cut ahead of a LIMIT, fewer than
-// (2·helpers+2)·maxChunk. Every helper it took is through before it returns.
-func (e *Engine) drainChunks(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, src *drainSource, res *Result, em *emitter) (complete bool, err error) {
-	var (
-		helpers = pool.Size()
-		work    = make(chan *chunk, 2*helpers+2) // chunks offered to helpers: at most the chunks in flight
-		group   pool.Group                       // the helpers taken
-		stop    atomic.Bool                      // the drain is over: what is left is skipped
-		taken   int                              // helpers taken: each parses chunks until work closes
-		fifo    []*chunk                         // cut and not yet emitted, in document order
-		size    = 2
-		eof     bool
-		cutErr  error // what stopped the cutting: the stream's failure or the budget's
-	)
-	wes := &execEnv{ctx: es.ctx} // the chunks' view: the caller charged what they parse
-	run := func(c *chunk) {
-		if !c.claimed.CompareAndSwap(false, true) {
-			return
-		}
-		c.out = make([]processed, 0, len(c.rs))
-		for _, r := range c.rs {
-			if stop.Load() {
-				break
-			}
-			obj, keep, err := e.processCandidate(wes, plan, vp, r)
-			if err != nil {
-				c.err = err
-				break
-			}
-			c.out = append(c.out, processed{obj: obj, keep: keep})
-		}
-		close(c.done)
+// drainSet drains the candidate set s, in memory, through phase 2 into em.
+// A drain with no LIMIT, over a plan that parses its candidates, with a
+// helper budget (package pool) that is not zero, runs in parallel: it admits
+// the candidates in document order first, up to the first one refused, so
+// the failpoint and the byte budget see them as the sequential drain does;
+// then it builds the admitted ones through one pool.Each, each after a
+// poll, and emits them in document order up to the first failure. The
+// answer, Parsed and the error are the sequential drain's, except where a
+// cancel lands. A build that fails stops the builds of the candidates after
+// it. Every other drain is streamPhase2's.
+func (e *Engine) drainSet(es *execEnv, plan *compile.Plan, vp *compile.VarPlan, s region.Set, res *Result, em *emitter) error {
+	if em.limit > 0 || vp.Reads.Empty() || pool.Size() == 0 {
+		_, err := e.streamPhase2(es, plan, vp, inMemory(s), res, em)
+		return err
 	}
-	help := func() {
-		for c := range work {
-			run(c)
-		}
+	cands := s.Regions()
+	if vp.Exact {
+		em.reserve(len(cands))
 	}
-	for !em.full() && err == nil {
-		for !eof && cutErr == nil && len(fifo) <= 2*helpers+1 {
-			lo := len(src.pulled)
-			hi := lo // the chunk ends before a candidate the budget refused
-			for hi-lo < size {
-				r, ok, err := src.next()
-				if err != nil {
-					cutErr = fmt.Errorf("engine: evaluating candidates: %w", err)
-					break
-				}
-				if !ok {
-					eof = true
-					break
-				}
-				if cutErr = es.chargeBytes(r.Len()); cutErr != nil {
-					break
-				}
-				hi++
-			}
-			if hi == lo {
-				break
-			}
-			c := &chunk{rs: src.pulled[lo:hi:hi], done: make(chan struct{})}
-			fifo = append(fifo, c)
-			select {
-			case work <- c:
-			default: // the helpers are behind; the caller parses it
-			}
-			if taken < helpers && group.TryGo(help) {
-				taken++
-			}
-			size = min(2*size, maxChunk)
-		}
-		if len(fifo) == 0 {
-			err, complete = cutErr, cutErr == nil
+	n, refused := len(cands), error(nil)
+	for i, r := range cands {
+		if refused = e.admit(es, vp, r); refused != nil {
+			n = i
 			break
 		}
-		c := fifo[0]
-		fifo = fifo[:copy(fifo, fifo[1:])]
-		run(c) // unless a helper has it
-		for i := len(fifo) - 1; i >= 0 && !isDone(c); i-- {
-			run(fifo[i]) // the newest first: helpers take the oldest
+	}
+	out := make([]processed, n)
+	wes := &execEnv{ctx: es.ctx} // the builds' view; capturing es would heap-allocate it every query
+	var failed atomic.Int64      // the first candidate known to fail
+	failed.Store(int64(n))
+	errs := pool.Each(n, func(i int) error {
+		if int64(i) > failed.Load() {
+			return nil // never emitted: the drain stops at an earlier failure
 		}
-		<-c.done
-		for i := 0; i < len(c.out) && !em.full(); i++ {
-			res.Stats.countParsed(vp, c.rs[i])
-			if c.out[i].keep {
-				em.emit(c.rs[i], c.out[i].obj)
+		if i%yieldEvery == yieldEvery-1 {
+			// The caller and every helper build without blocking, so no P
+			// may be free to run an expired deadline's timer, which closes
+			// Done: yield now and then to let it run.
+			runtime.Gosched()
+		}
+		err := wes.poll()
+		if err == nil {
+			out[i].obj, out[i].keep, err = e.build(plan, vp, cands[i])
+		}
+		if err != nil { // lower failed to i: the builds past it are skipped
+			for f := failed.Load(); int64(i) < f && !failed.CompareAndSwap(f, int64(i)); f = failed.Load() {
 			}
 		}
-		if !em.full() {
-			err = c.err
+		return err
+	})
+	for i, r := range cands[:n] {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		res.Stats.countParsed(vp, r)
+		if out[i].keep {
+			em.emit(r, out[i].obj)
 		}
 	}
-	stop.Store(true)
-	close(work)
-	group.Wait()
-	return complete, err
+	return refused
 }
 
 // joinFastCandidates implements Section 5.2's join strategy: locate the
@@ -874,7 +808,7 @@ func (e *Engine) executeMulti(es *execEnv, q *xsql.Query, plan *compile.Plan, re
 		res.Stats.Candidates += cands.Len()
 		vp.Exact = true // the join applies the WHERE clause, not the drain
 		binds[i] = &emitter{bind: true}
-		if _, err := e.streamPhase2(es, plan, &vp, inMemory(cands), res, binds[i]); err != nil {
+		if err := e.drainSet(es, plan, &vp, cands, res, binds[i]); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+
 	"qof/internal/faultinject"
 	"qof/internal/lru"
 	"qof/internal/region"
@@ -15,4 +17,10 @@ func ForgetResults(e *Engine) {
 	e.results = lru.New[string, region.Set](resultCacheCap, faultinject.ResultCacheGet, faultinject.ResultCachePut)
 	e.door = lru.New[string, struct{}](resultCacheCap, "", "")
 	e.ev.Results = e.results
+}
+
+// CancelAfterHits is a context that reads as canceled once the
+// engine.phase2 failpoint has been reached k times.
+func CancelAfterHits(k uint64) context.Context {
+	return cancelAfterHits{Context: context.Background(), k: k, done: make(chan struct{})}
 }

@@ -151,37 +151,6 @@ func TestStatsCountWhatWasParsed(t *testing.T) {
 	}
 }
 
-// cancelAfterHits is a context that reads as canceled once the engine.phase2
-// failpoint has been reached k times: cancellation lands between two
-// candidates, deterministically. As the context contract has it, Done is
-// closed from then on, and Err is non-nil only then.
-type cancelAfterHits struct {
-	context.Context
-	k    uint64
-	done chan struct{}
-}
-
-func (c cancelAfterHits) Done() <-chan struct{} {
-	if faultinject.Hits(faultinject.Phase2) >= c.k {
-		return closedDone
-	}
-	return c.done
-}
-
-// closedDone is the Done channel of a context that is over.
-var closedDone = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-func (c cancelAfterHits) Err() error {
-	if faultinject.Hits(faultinject.Phase2) >= c.k {
-		return context.Canceled
-	}
-	return nil
-}
-
 // TestUnparsedCandidatesStillPollAndFault: an exact whole-object select
 // parses nothing, and every candidate still passes the poll and the
 // engine.phase2 failpoint — it stops at its LIMIT, aborts within one
@@ -229,7 +198,7 @@ func TestUnparsedCandidatesStillPollAndFault(t *testing.T) {
 	// A cancel that lands after the fifth candidate is seen at the sixth's
 	// poll: no further candidate reaches the failpoint.
 	configure("engine.phase2=delay:0s")
-	ctx := cancelAfterHits{Context: context.Background(), k: 5, done: make(chan struct{})}
+	ctx := engine.CancelAfterHits(5)
 	if _, err := f.Eng.ExecuteContext(ctx, q, engine.Limits{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled mid-drive: %v, want context.Canceled", err)
 	}

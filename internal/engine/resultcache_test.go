@@ -113,11 +113,18 @@ func newCancelAfter(polls int) *cancelAfter {
 	return &cancelAfter{Context: context.Background(), done: make(chan struct{}), polls: polls}
 }
 
+// closed is the Done channel of a context that is over.
+var closed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Done counts a poll: an open channel until the polls are spent, then a
 // closed one.
 func (c *cancelAfter) Done() <-chan struct{} {
 	if c.polls--; c.polls < 0 {
-		return closedDone
+		return closed
 	}
 	return c.done
 }

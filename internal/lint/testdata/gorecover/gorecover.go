@@ -65,8 +65,8 @@ func GoodDelegated(items []item) {
 }
 
 // GoodClosureChain: the risky call goes through a local closure that
-// delegates to a guarded function — the worker→process→processCandidate
-// shape of the engine.
+// delegates to a guarded function — the shape of the engine's phase-2
+// build, a closure that calls the recovering build.
 func GoodClosureChain(items []item) {
 	process := func(i int) error {
 		_, err := guardedParse(items[i])

@@ -1,7 +1,7 @@
 // Package pool is the process's one budget of helper goroutines:
 // GOMAXPROCS−1 of them, started with the package and never exiting. Every
 // layer that can spread a query's work across cores — a corpus's files, a
-// phase-2 drain's chunks, a build's word index — takes an idle helper or does the work on its own goroutine, so the
+// phase-2 drain's candidates, a build's word index — takes an idle helper or does the work on its own goroutine, so the
 // process never runs more helpers than the budget however many queries are
 // in flight, and taking one costs a channel hand-off, not a new goroutine.
 package pool

@@ -34,37 +34,51 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 	eng := setup.eng
 	author := xsql.MustParse(`SELECT r FROM References r WHERE r.Authors.Name.Last_Name = "Chang"`)
 
-	// One query per way the plan's shape sends it, each far too big for
-	// 1ms. The complete set is a Section 5.2 fast-join plan: phase 1 is a
-	// complete set from the set evaluator, which polls inside its kernels,
-	// and phase 2 polls per candidate. The Title projection streams: the
-	// iterator pipeline polls inside Next while phase 2 parses thousands of
-	// candidates. The two-variable join parses 20k candidates per variable
+	// One query per way the query sends it, each far too big for 1ms. The
+	// complete set is a Section 5.2 fast-join plan: phase 1 is a complete set
+	// from the set evaluator, which polls inside its kernels, and phase 2
+	// polls per candidate. The Title projection under a LIMIT its 4k answers
+	// never reach streams: the iterator pipeline polls inside Next while
+	// phase 2 parses every candidate. It is timed on a fresh engine over the
+	// same instance, so the timed run misses the result cache and streams
+	// where the unhurried run published the candidates. The parallel drain
+	// is a projection with no LIMIT whose 15k candidates, cached by the
+	// unhurried run, phase 2 parses through the helpers, each polling per
+	// candidate. The two-variable join parses 20k candidates per variable
 	// through the same drain before its nested loop, which polls per
-	// assignment. The deadline must interrupt all three mid-flight.
+	// assignment. The deadline must interrupt all four mid-flight.
 	for _, c := range []struct {
-		name string
-		q    *xsql.Query
-		want int // ground-truth results; -1: whatever an unhurried run returns
+		name  string
+		q     *xsql.Query
+		want  int  // ground-truth results; -1: whatever an unhurried run returns
+		fresh bool // time the query on a fresh engine, whose cache is cold
 	}{
-		{"complete set", xsql.MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`), setup.truth.SelfEditedByAuth},
-		{"streaming", xsql.MustParse(`SELECT r.Title FROM References r WHERE r.Abstract CONTAINS "system"`), -1},
+		{"complete set", xsql.MustParse(`SELECT r FROM References r WHERE r.Editors.Name.Last_Name = r.Authors.Name.Last_Name`), setup.truth.SelfEditedByAuth, false},
+		{"streaming", xsql.MustParse(`SELECT r.Title FROM References r WHERE r.Abstract CONTAINS "system" LIMIT 1000000`), -1, true},
+		{"parallel drain", xsql.MustParse(`SELECT r.Title FROM References r WHERE r.Abstract CONTAINS "the"`), -1, false},
 		// Every reference has a year, so each matches at least itself.
-		{"join", xsql.MustParse(`SELECT r FROM References r, References s WHERE r.Year = s.Year`), setup.truth.NumRefs},
+		{"join", xsql.MustParse(`SELECT r FROM References r, References s WHERE r.Year = s.Year`), setup.truth.NumRefs, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want := c.want
 			if want < 0 {
 				res, err := eng.Execute(c.q)
-				if err != nil || res.Stats.Parsed < 1000 {
-					t.Fatalf("unhurried run: %v, %v; want thousands of parsed candidates", res, err)
+				if err != nil || res.Stats.Parsed < 1000 || res.Stats.Results >= c.q.Limit && c.q.Limit > 0 {
+					t.Fatalf("unhurried run: %v, %v; want thousands of parsed candidates, and fewer answers than the LIMIT", res, err)
+				}
+				if c.name == "parallel drain" && res.Stats.Parsed < 10000 {
+					t.Fatalf("unhurried run parsed %d candidates, want at least 10k", res.Stats.Parsed)
 				}
 				want = res.Stats.Results
+			}
+			timed := eng
+			if c.fresh {
+				timed = engine.New(setup.cat, setup.in)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := eng.ExecuteContext(ctx, c.q, engine.Limits{})
+			_, err := timed.ExecuteContext(ctx, c.q, engine.Limits{})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("1ms deadline: err = %v, want context.DeadlineExceeded", err)
@@ -73,17 +87,17 @@ func TestDeadlineOnStressCorpus(t *testing.T) {
 				t.Errorf("deadline honored after %v, want < %v", elapsed, deadlineLatencyBound)
 			}
 
-			// The killed run poisoned nothing: the same engine answers both
-			// the interrupted query and an unrelated one with ground-truth
-			// counts.
-			res, err := eng.Execute(c.q)
+			// The killed run poisoned nothing: the engine it ran on answers
+			// both the interrupted query and an unrelated one with
+			// ground-truth counts.
+			res, err := timed.Execute(c.q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Stats.Results != want {
 				t.Errorf("after the deadline: %d results, want %d", res.Stats.Results, want)
 			}
-			res, err = eng.Execute(author)
+			res, err = timed.Execute(author)
 			if err != nil {
 				t.Fatal(err)
 			}
